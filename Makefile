@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json profile chaos obs scale audit load stream conf ci
+.PHONY: all build test race vet bench bench-json bench-suite bench-compare profile chaos obs scale audit load stream conf ci
 
 all: build
 
@@ -92,12 +92,25 @@ conf:
 # accumulate the per-PR history. Cells run sequentially so the
 # measurements are honest. Override the label with
 # `make bench-json BENCH_LABEL=mybranch`.
-BENCH_LABEL ?= pr10
+BENCH_LABEL ?= pr12
 bench-json:
 	$(GO) run ./cmd/experiments -fig scale -seed 1 -benchjson BENCH_scale.json -bench-label $(BENCH_LABEL)
 	$(GO) run ./cmd/experiments -fig load -seed 1 -benchjson BENCH_load.json -bench-label $(BENCH_LABEL)
 	$(GO) run ./cmd/experiments -fig stream -seed 1 -benchjson BENCH_stream.json -bench-label $(BENCH_LABEL)
 	$(GO) run ./cmd/experiments -fig conf -seed 1 -benchjson BENCH_conf.json -bench-label $(BENCH_LABEL)
+
+# The repository's benchmark (bench/README.md): five named workloads,
+# every metric printed by name, outputs checked. bench-suite writes the
+# labeled result file; bench-compare applies every metric's bound to two
+# of them and exits nonzero on any "worse":
+# `make bench-compare BASE=bench-results/pr11.json CAND=bench-results/pr12.json`.
+# bench-results/ is git-ignored.
+bench-suite:
+	mkdir -p bench-results
+	$(GO) run ./bench -out bench-results/$(BENCH_LABEL).json
+
+bench-compare:
+	$(GO) run ./bench compare $(BASE) $(CAND)
 
 # CPU+heap profiles of the full figure set; inspect with
 # `go tool pprof cpu.pprof`.
@@ -124,7 +137,10 @@ profile:
 # runs the multi-source grain the same way: M trees per conference on
 # one shared ledger, concurrent per-source pumps, market competition
 # and churn rejoins, with the continuous ledger sweeps arming the
-# nonzero exit on any conservation violation.
+# nonzero exit on any conservation violation. The last step is the
+# benchmark's correctness gate on its control-plane workload — tree
+# validity, ledger invariants (cached counters recomputed from the
+# allocations) and repetition determinism — in two seconds.
 ci: build vet test race
 	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
@@ -134,3 +150,4 @@ ci: build vet test race
 	$(GO) run -race ./cmd/experiments -fig load -hosts 300 -load-runtime 45 -seed 1 > /dev/null
 	$(GO) run -race ./cmd/experiments -fig stream -hosts 900 -stream-chunks 10 -seed 1 > /dev/null
 	$(GO) run -race ./cmd/experiments -fig conf -hosts 900 -conf-chunks 10 -seed 1 > /dev/null
+	$(GO) run ./bench -workload admit -seconds 2 > /dev/null

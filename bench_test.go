@@ -13,6 +13,7 @@ package p2ppool_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -24,6 +25,7 @@ import (
 	"p2ppool/internal/experiments"
 	"p2ppool/internal/ids"
 	"p2ppool/internal/netmodel"
+	"p2ppool/internal/sched"
 	"p2ppool/internal/somo"
 	"p2ppool/internal/stats"
 	"p2ppool/internal/topology"
@@ -433,6 +435,148 @@ func BenchmarkSchedulerStabilize(b *testing.B) {
 		if _, err := sc.Stabilize(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// schedWorld is the control-plane studies' synthetic pool: n hosts at
+// random points of a 200x200 plane, latency 5 ms plus distance (a
+// metric), degree bounds from the paper's distribution.
+func schedWorld(n int, seed int64) (alm.LatencyFunc, []int) {
+	r := rand.New(rand.NewSource(seed))
+	xs, ys := make([]float64, n), make([]float64, n)
+	for h := range xs {
+		xs[h], ys[h] = r.Float64()*200, r.Float64()*200
+	}
+	lat := func(a, b int) float64 {
+		if a == b {
+			return 0
+		}
+		return 5 + math.Hypot(xs[a]-xs[b], ys[a]-ys[b])
+	}
+	return lat, alm.PaperDegrees(n, r)
+}
+
+// BenchmarkSchedPlanOne measures one planning attempt — a 4-member
+// session planned with helpers, reserved and released — against pools of
+// growing size on which about a tenth of the hosts already hold
+// allocations. The roster is the same size at every pool size, so the
+// curve is the pool-proportional part of a plan.
+func BenchmarkSchedPlanOne(b *testing.B) {
+	for _, n := range []int{2000, 8000, 32000} {
+		b.Run(fmt.Sprintf("hosts=%d", n), func(b *testing.B) {
+			lat, degrees := schedWorld(n, 9)
+			sc := sched.NewScheduler(degrees, lat, sched.Config{ScoreLatency: lat, MetricScore: true})
+			r := rand.New(rand.NewSource(10))
+			id := sched.SessionID(0)
+			session := func(pri int, hosts []int) *sched.Session {
+				id++
+				return &sched.Session{ID: id, Priority: pri, Root: hosts[0], Members: append([]int(nil), hosts[1:]...)}
+			}
+			// Rosters are drawn from the hosts holding no slots, so they never
+			// contend for a member's own host.
+			var free []int
+			draw := func() []int {
+				for i := 0; i < 4; i++ {
+					j := i + r.Intn(len(free)-i)
+					free[i], free[j] = free[j], free[i]
+				}
+				return free[:4]
+			}
+			idle := func() []int {
+				free = free[:0]
+				for h := 0; h < n; h++ {
+					if sc.Registry().Table(h).Used() == 0 {
+						free = append(free, h)
+					}
+				}
+				return draw()
+			}
+			// The standing load: sessions until a tenth of the hosts hold slots.
+			for roster := idle(); len(free) > n*9/10; roster = idle() {
+				if err := sc.AddSession(session(1+r.Intn(3), roster)); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sc.Stabilize(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Probe rosters are idle hosts too, at the lowest priority, so an
+			// iteration displaces nobody and is exactly one plan.
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := session(sched.NumClasses, draw())
+				if err := sc.AddSession(s); err != nil {
+					b.Fatal(err)
+				}
+				if plans, err := sc.Stabilize(); err != nil || plans != 1 {
+					b.Fatalf("plans = %d, err = %v", plans, err)
+				}
+				sc.RemoveSession(s.ID)
+			}
+		})
+	}
+}
+
+// BenchmarkRegistryReserveRelease measures the ledger alone: one session
+// reserving two slots on each of six hosts of an 8000-host registry
+// (preempting whatever lower class is in the way) and releasing them.
+func BenchmarkRegistryReserveRelease(b *testing.B) {
+	_, degrees := schedWorld(8000, 9)
+	reg := sched.NewRegistry(degrees)
+	r := rand.New(rand.NewSource(11))
+	for sid := 1; sid <= 400; sid++ { // standing holders to merge with and preempt
+		for k := 0; k < 6; k++ {
+			reg.Reserve(r.Intn(8000), 1, 1+r.Intn(sched.NumClasses), sched.SessionID(sid))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sid := sched.SessionID(1000 + i)
+		for k := 0; k < 6; k++ {
+			reg.Reserve(r.Intn(8000), 2, 1+i%sched.NumClasses, sid) // a full host refuses; that is a result too
+		}
+		reg.Release(sid)
+	}
+}
+
+// BenchmarkServiceTick measures the control plane's period: eight
+// 4-member sessions submitted, then one Tick that admits and plans them
+// (with the preemption guard in force) on an 8000-host pool, with the
+// oldest sessions ending so about 600 stay live.
+func BenchmarkServiceTick(b *testing.B) {
+	const n, perTick, live = 8000, 8, 600
+	lat, degrees := schedWorld(n, 9)
+	sv := sched.NewService(degrees, lat, sched.ServiceConfig{
+		Sched: sched.Config{ScoreLatency: lat, MetricScore: true}, Seed: 12,
+		PreemptRate: 16 * perTick * 4, PreemptBurst: 32 * perTick * 4,
+	})
+	r := rand.New(rand.NewSource(13))
+	now, next, oldest := eventsim.Time(0), 1, 1
+	tick := func() {
+		for k := 0; k < perTick; k++ {
+			hosts := r.Perm(n)[:4]
+			if _, err := sv.Submit(now, &sched.Session{ID: sched.SessionID(next), Priority: 1 + next%sched.NumClasses, Root: hosts[0], Members: hosts[1:]}); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		}
+		if err := sv.Tick(now); err != nil {
+			b.Fatal(err)
+		}
+		for ; next-oldest > live; oldest++ {
+			sv.EndSession(sched.SessionID(oldest))
+		}
+		now += 250 * eventsim.Millisecond
+	}
+	for i := 0; i < 2*live/perTick; i++ { // reach the steady state
+		tick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick()
 	}
 }
 

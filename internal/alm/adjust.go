@@ -12,10 +12,10 @@ package alm
 // It returns the number of moves applied.
 func Adjust(t *Tree, lat LatencyFunc, bound DegreeFunc) int {
 	const maxMoves = 1000 // safety valve; convergence is monotone
-	var hsc heightScratch
+	hsc := newHeightScratch(t)
 	moves := 0
 	for moves < maxMoves {
-		if !adjustOnce(t, lat, bound, &hsc) {
+		if !adjustOnce(t, lat, bound, hsc) {
 			break
 		}
 		moves++

@@ -3,7 +3,8 @@ package alm
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // HelperSet describes the spare resources a planner may recruit
@@ -91,7 +92,9 @@ func PlanWithHelpers(p Problem, hs HelperSet) (*Tree, error) {
 // slice-indexed — members by position, attached tree nodes by attach
 // order — so the O(g²) relaxation inner loops touch compact arrays
 // instead of hashing node ids, and every scratch buffer lives for the
-// whole plan instead of being reallocated per iteration.
+// whole plan instead of being reallocated per iteration. Planners are
+// recycled through plannerPool, so the candidate-sized buffers are not
+// reallocated per plan either; plan() resets every field it reads.
 type planner struct {
 	p  Problem
 	hs HelperSet
@@ -109,19 +112,41 @@ type planner struct {
 	attPos    map[int]int // node id -> index in the att* slices
 
 	// Helper search state.
-	candidates      []int // filtered + sorted candidate ids
+	candidates      []int // filtered candidate ids, in the caller's order
 	scoreLat        LatencyFunc
 	shortlistRadius float64
-	index           []candKey // sorted by (key, h); nil when pruning is off
-	sibs            []int     // scratch: future siblings
-	pass            []scored  // scratch: shortlisted candidates
+	sibs            []int    // scratch: future siblings
+	pass            []scored // scratch: shortlisted candidates
+
+	// The annulus index (indexed is false when pruning is off): index
+	// holds the candidates grouped by key bucket, bucket b being
+	// index[bucketStart[b]:bucketStart[b+1]] and holding the keys k with
+	// floor(k*bucketInv) == b.
+	indexed     bool
+	keys        []float64 // scratch: key per candidate, before grouping
+	index       []candKey
+	bucketStart []int
+	bucketInv   float64
+}
+
+// plannerPool lets concurrent plans each take a planner of their own
+// and hand its buffers to the next plan when they finish.
+var plannerPool = sync.Pool{New: func() any { return new(planner) }}
+
+// resize returns s with length n, reusing its array when large enough;
+// the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // candKey anchors a candidate at its scoring distance from the root;
 // by the triangle inequality every candidate within r of any node x
 // has |key(h) - key(x)| <= r, so an annulus around key(x) is a
 // superset of the radius ball and the full scan can be replaced by a
-// binary-searched slice walk.
+// walk over the key buckets the annulus overlaps.
 type candKey struct {
 	key float64
 	h   int
@@ -130,6 +155,37 @@ type candKey struct {
 type scored struct {
 	h     int
 	score float64
+}
+
+// cmpScored is the shortlist order: by score, then by candidate id — a
+// strict total order over distinct candidates, so what is selected
+// never depends on the order candidates were examined in.
+func cmpScored(a, b scored) int {
+	switch {
+	case a.score < b.score || (a.score == b.score && a.h < b.h):
+		return -1
+	case a == b:
+		return 0
+	}
+	return 1
+}
+
+// topK moves the k smallest entries of s under cmpScored to the front,
+// in order, and returns that prefix — what sorting s and reading its
+// first k entries gives, without ordering the entries nobody reads.
+func topK(s []scored, k int) []scored {
+	k = min(k, len(s))
+	head := s[:k]
+	slices.SortFunc(head, cmpScored)
+	for _, c := range s[k:] {
+		if cmpScored(c, head[k-1]) >= 0 {
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(head, c, cmpScored)
+		copy(head[i+1:], head[i:k-1])
+		head[i] = c
+	}
+	return head
 }
 
 // keyEps widens the annulus bounds to absorb floating-point rounding in
@@ -146,27 +202,29 @@ func plan(p Problem, hs HelperSet) (*Tree, error) {
 		hs.MinDegree = DefaultMinDegree
 	}
 
-	pl := &planner{
-		p:  p,
-		hs: hs,
-		t:  NewTree(p.Root),
-	}
+	pl := plannerPool.Get().(*planner)
+	defer func() {
+		pl.p, pl.hs, pl.t, pl.scoreLat = Problem{}, HelperSet{}, nil, nil
+		plannerPool.Put(pl)
+	}()
+	pl.p, pl.hs, pl.t = p, hs, NewTree(p.Root)
 	g := len(p.Members)
-	pl.height = make([]float64, g)
-	pl.parent = make([]int, g)
-	pl.remaining = make([]int, g)
+	pl.height = resize(pl.height, g)
+	pl.parent = resize(pl.parent, g)
+	pl.remaining = resize(pl.remaining, g)
 	for i, m := range p.Members {
 		pl.height[i] = p.Latency(p.Root, m)
 		pl.parent[i] = p.Root
 		pl.remaining[i] = i
 	}
 
-	pl.attIDs = make([]int, 1, g+1)
-	pl.attHeight = make([]float64, 1, g+1)
-	pl.attFree = make([]int, 1, g+1)
-	pl.attIDs[0] = p.Root
-	pl.attFree[0] = p.Degree(p.Root)
-	pl.attPos = make(map[int]int, g+1)
+	pl.attIDs = append(pl.attIDs[:0], p.Root)
+	pl.attHeight = append(pl.attHeight[:0], 0)
+	pl.attFree = append(pl.attFree[:0], p.Degree(p.Root))
+	if pl.attPos == nil {
+		pl.attPos = make(map[int]int, g+1)
+	}
+	clear(pl.attPos)
 	pl.attPos[p.Root] = 0
 
 	inSession := make(map[int]bool, g+1)
@@ -177,13 +235,14 @@ func plan(p Problem, hs HelperSet) (*Tree, error) {
 	// Candidate helpers, filtered once. Candidates outside the tree keep
 	// free degree == p.Degree (nothing attaches to a node not in the
 	// tree), so the MinDegree filter here is the only degree check the
-	// helper search needs.
+	// helper search needs. The order candidates arrive in is kept: helper
+	// selection is by a strict total order, so it never matters.
+	pl.candidates = pl.candidates[:0]
 	for _, c := range hs.Candidates {
 		if !inSession[c] && p.Degree(c) >= hs.MinDegree {
 			pl.candidates = append(pl.candidates, c)
 		}
 	}
-	sort.Ints(pl.candidates) // deterministic iteration
 	pl.buildHelperIndex()
 
 	// added collects the att-positions of nodes attached in one
@@ -313,7 +372,10 @@ func (pl *planner) relaxOne(pos int) bool {
 // scoring latency, the shortlist radius, and — when the radius is
 // positive and the score is a metric — the root-anchored candidate
 // index that findHelper range-queries instead of scanning every
-// candidate per critical point.
+// candidate per critical point. Building it is one scoring-latency call
+// per candidate and a counting sort into key buckets a quarter-radius
+// wide (never more buckets than candidates); an exact order would buy
+// nothing, since an annulus query filters by key either way.
 func (pl *planner) buildHelperIndex() {
 	pl.scoreLat = pl.hs.ScoreLatency
 	if pl.scoreLat == nil {
@@ -329,19 +391,56 @@ func (pl *planner) buildHelperIndex() {
 			pl.shortlistRadius *= slack
 		}
 	}
-	if len(pl.candidates) == 0 || pl.shortlistRadius <= 0 || !pl.hs.MetricScore {
+	n := len(pl.candidates)
+	pl.indexed = n > 0 && pl.shortlistRadius > 0 && pl.hs.MetricScore
+	if !pl.indexed {
 		return
 	}
-	pl.index = make([]candKey, len(pl.candidates))
+	pl.keys = resize(pl.keys, n)
+	maxKey := 0.0
 	for i, h := range pl.candidates {
-		pl.index[i] = candKey{key: pl.scoreLat(h, pl.p.Root), h: h}
+		pl.keys[i] = pl.scoreLat(h, pl.p.Root)
+		maxKey = max(maxKey, pl.keys[i])
 	}
-	sort.Slice(pl.index, func(i, j int) bool {
-		if pl.index[i].key != pl.index[j].key {
-			return pl.index[i].key < pl.index[j].key
-		}
-		return pl.index[i].h < pl.index[j].h
-	})
+	width := max(pl.shortlistRadius/4, maxKey/float64(n))
+	buckets := n
+	if f := maxKey / width; f < float64(n) {
+		buckets = int(f) + 1
+	}
+	pl.bucketInv = 1 / width
+	// Counting sort. Counts go in two places up, so that after the prefix
+	// sum start[b+1] is where bucket b begins, and after the scatter has
+	// advanced it past the bucket's entries, where bucket b+1 does.
+	start := resize(pl.bucketStart, buckets+2)
+	clear(start)
+	pl.bucketStart = start[:buckets+1]
+	for _, k := range pl.keys {
+		start[pl.bucket(k)+2]++
+	}
+	for b := 2; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	pl.index = resize(pl.index, n)
+	for i, h := range pl.candidates {
+		b := pl.bucket(pl.keys[i])
+		pl.index[start[b+1]] = candKey{key: pl.keys[i], h: h}
+		start[b+1]++
+	}
+}
+
+// bucket maps a key to its bucket, monotonically, clamping keys outside
+// the indexed range (an annulus bound may be negative or beyond every
+// candidate) to the first and last bucket.
+func (pl *planner) bucket(key float64) int {
+	n := len(pl.bucketStart) - 1
+	f := key * pl.bucketInv
+	switch {
+	case f >= float64(n):
+		return n - 1
+	case f > 0:
+		return int(f)
+	}
+	return 0
 }
 
 // findHelper implements the paper's helper-selection heuristic: among
@@ -363,17 +462,16 @@ func (pl *planner) findHelper(u, uPos, pu int) (int, bool) {
 	}
 
 	pl.pass = pl.pass[:0]
-	if pl.index != nil {
+	if pl.indexed {
 		// Annulus query: candidates with scoreLat(h, pu) < radius all
 		// satisfy |key(h) - key(pu)| < radius (triangle inequality), so
 		// only that key range needs the exact check.
 		kpu := pl.scoreLat(pu, pl.p.Root)
-		lo := sort.Search(len(pl.index), func(i int) bool {
-			return pl.index[i].key >= kpu-pl.shortlistRadius-keyEps
-		})
-		hi := kpu + pl.shortlistRadius + keyEps
-		for i := lo; i < len(pl.index) && pl.index[i].key <= hi; i++ {
-			pl.tryCandidate(pl.index[i].h, pu)
+		lo, hi := kpu-pl.shortlistRadius-keyEps, kpu+pl.shortlistRadius+keyEps
+		for _, c := range pl.index[pl.bucketStart[pl.bucket(lo)]:pl.bucketStart[pl.bucket(hi)+1]] {
+			if c.key >= lo && c.key <= hi {
+				pl.tryCandidate(c.h, pu)
+			}
 		}
 	} else {
 		for _, h := range pl.candidates {
@@ -384,16 +482,10 @@ func (pl *planner) findHelper(u, uPos, pu int) (int, bool) {
 		return 0, false
 	}
 	// (score, h) is a strict total order — candidate ids are unique —
-	// so the sorted shortlist is identical whatever order tryCandidate
-	// appended in; index-order and id-order scans select the same helper.
-	sort.Slice(pl.pass, func(i, j int) bool {
-		if pl.pass[i].score != pl.pass[j].score {
-			return pl.pass[i].score < pl.pass[j].score
-		}
-		return pl.pass[i].h < pl.pass[j].h
-	})
+	// so the best entries are the same whatever order tryCandidate
+	// appended in; bucket-order and id-order scans select the same helper.
 	if pl.hs.ScoreLatency == nil {
-		return pl.pass[0].h, true
+		return topK(pl.pass, 1)[0].h, true
 	}
 	// Vicinity was judged on estimates, which only narrows the pool to
 	// a shortlist; the task manager then contacts the shortlisted
@@ -405,8 +497,8 @@ func (pl *planner) findHelper(u, uPos, pu int) (int, bool) {
 		verify = 16
 	}
 	bestScore, best := math.Inf(1), -1
-	for i := 0; i < len(pl.pass) && i < verify; i++ {
-		h := pl.pass[i].h
+	for _, c := range topK(pl.pass, verify) {
+		h := c.h
 		lp := pl.p.Latency(h, pu)
 		if pl.hs.Radius > 0 && lp >= pl.hs.Radius {
 			continue

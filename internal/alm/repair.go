@@ -99,7 +99,7 @@ func Repair(t *Tree, dead []int, lat LatencyFunc, bound DegreeFunc) (RepairResul
 		return live[i] < live[j]
 	})
 
-	var hsc heightScratch
+	hsc := newHeightScratch(t)
 	for _, o := range live {
 		// Candidate parents are the nodes reachable from the root via
 		// children lists — Nodes() would also report descendants of

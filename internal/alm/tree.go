@@ -166,52 +166,43 @@ func (t *Tree) MaxHeight(lat LatencyFunc) float64 {
 }
 
 // heightScratch reuses BFS buffers across repeated height evaluations
-// on trees of similar shape. Adjust and Repair evaluate MaxHeight once
-// per candidate move — hundreds of evaluations per call — and the
-// original map-backed scratch spent most of its time hashing: node ids
-// are small non-negative host indices (the invariant everywhere in
-// this repo), so heights live in a dense slice indexed by id and the
-// max/argmax reductions fuse into the BFS pass itself. Ties break by
-// node id, so results match the allocating Tree methods exactly.
+// on one tree. Adjust and Repair evaluate MaxHeight once per candidate
+// move — hundreds of evaluations per call. Heights are indexed by BFS
+// visit position, parallel to the queue, so the buffers are the size of
+// the tree whatever the host ids are, and the max/argmax reductions run
+// over two compact slices. Ties break by node id, so results match the
+// allocating Tree methods exactly. Not safe for concurrent use: every
+// caller owns its scratch.
 type heightScratch struct {
 	h     []float64
 	queue []int
 }
 
-// bfs walks the tree filling s.h for every reachable node and returns
-// the visit order; both buffers are valid until the next call on s.
-func (s *heightScratch) bfs(t *Tree, lat LatencyFunc) []int {
-	q := s.queue[:0]
-	s.ensure(t.Root)
-	s.h[t.Root] = 0
-	q = append(q, t.Root)
-	for head := 0; head < len(q); head++ {
-		v := q[head]
-		hv := s.h[v]
-		for _, c := range t.children[v] {
-			s.ensure(c)
-			s.h[c] = hv + lat(v, c)
-			q = append(q, c)
-		}
-	}
-	s.queue = q
-	return q
+func newHeightScratch(t *Tree) *heightScratch {
+	return &heightScratch{h: make([]float64, 0, t.Size()), queue: make([]int, 0, t.Size())}
 }
 
-func (s *heightScratch) ensure(v int) {
-	for v >= len(s.h) {
-		s.h = append(s.h, 0)
-		if n := cap(s.h); len(s.h) < n {
-			s.h = s.h[:n]
+// bfs walks the tree from the root and returns the visit order with each
+// visited node's height at the same index; both slices are valid until
+// the next call on s.
+func (s *heightScratch) bfs(t *Tree, lat LatencyFunc) ([]int, []float64) {
+	q, h := append(s.queue[:0], t.Root), append(s.h[:0], 0)
+	for head := 0; head < len(q); head++ {
+		v, hv := q[head], h[head]
+		for _, c := range t.children[v] {
+			q, h = append(q, c), append(h, hv+lat(v, c))
 		}
 	}
+	s.queue, s.h = q, h
+	return q, h
 }
 
 // maxHeight is Tree.MaxHeight on reused buffers.
 func (s *heightScratch) maxHeight(t *Tree, lat LatencyFunc) float64 {
 	max := 0.0
-	for _, v := range s.bfs(t, lat) {
-		if h := s.h[v]; h > max {
+	_, hs := s.bfs(t, lat)
+	for _, h := range hs {
+		if h > max {
 			max = h
 		}
 	}
@@ -221,8 +212,9 @@ func (s *heightScratch) maxHeight(t *Tree, lat LatencyFunc) float64 {
 // highestNode is Tree.HighestNode on reused buffers.
 func (s *heightScratch) highestNode(t *Tree, lat LatencyFunc) int {
 	best, bestH := t.Root, -1.0
-	for _, v := range s.bfs(t, lat) {
-		if h := s.h[v]; h > bestH || (h == bestH && v < best) {
+	q, hs := s.bfs(t, lat)
+	for i, v := range q {
+		if h := hs[i]; h > bestH || (h == bestH && v < best) {
 			best, bestH = v, h
 		}
 	}

@@ -218,7 +218,7 @@ func TestNodeFailedIdempotent(t *testing.T) {
 	}
 	s.Tree = tree
 	sc.sessions[s.ID] = s
-	if err := sc.reserveTree(s, tree, s.memberSet(), planCtx{}); err != nil {
+	if err := sc.reserveTree(s, tree, planCtx{}); err != nil {
 		t.Fatal(err)
 	}
 

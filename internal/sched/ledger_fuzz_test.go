@@ -1,0 +1,168 @@
+package sched
+
+import (
+	"slices"
+	"sort"
+	"testing"
+)
+
+// flatLedger is the naive model the registry is checked against: one
+// unindexed list of holdings, every question answered by scanning it.
+type flatLedger struct {
+	bounds []int
+	dead   []bool
+	held   []flatEntry
+}
+
+type flatEntry struct {
+	host, pri, slots int
+	sid              SessionID
+}
+
+func (l *flatLedger) available(h, p int, guard PreemptGuard) int {
+	if l.dead[h] {
+		return 0
+	}
+	firm := 0
+	for _, e := range l.held {
+		if e.host == h && (e.pri <= p || (guard != nil && !guard(e.sid))) {
+			firm += e.slots
+		}
+	}
+	return max(l.bounds[h]-firm, 0)
+}
+
+func (l *flatLedger) drop(keep func(flatEntry) bool) {
+	kept := l.held[:0]
+	for _, e := range l.held {
+		if keep(e) {
+			kept = append(kept, e)
+		}
+	}
+	l.held = kept
+}
+
+func (l *flatLedger) reserve(h, slots, p int, sid SessionID, guard PreemptGuard) (victims []SessionID, ok bool) {
+	if slots <= 0 || l.dead[h] || l.available(h, p, guard) < slots {
+		return nil, false
+	}
+	free := l.bounds[h]
+	var prey []flatEntry
+	for _, e := range l.held {
+		if e.host != h {
+			continue
+		}
+		free -= e.slots
+		if e.pri > p && (guard == nil || guard(e.sid)) {
+			prey = append(prey, e)
+		}
+	}
+	sort.Slice(prey, func(i, j int) bool {
+		if prey[i].pri != prey[j].pri {
+			return prey[i].pri > prey[j].pri
+		}
+		return prey[i].sid < prey[j].sid
+	})
+	for _, e := range prey {
+		if free >= slots {
+			break
+		}
+		free += e.slots
+		victims = append(victims, e.sid)
+		l.drop(func(x flatEntry) bool { return x != e })
+	}
+	for i := range l.held {
+		if e := &l.held[i]; e.host == h && e.sid == sid && e.pri == p {
+			e.slots += slots
+			return victims, true
+		}
+	}
+	l.held = append(l.held, flatEntry{host: h, pri: p, slots: slots, sid: sid})
+	return victims, true
+}
+
+// FuzzRegistryLedger drives the registry and the flat model through the
+// same Reserve / ReserveGuarded / Release / SetDead / Revive sequence —
+// three bytes per step: operation, host and session, priority and slots —
+// and after every step compares victims, refusals, holdings and
+// AvailableForGuarded for every host at every priority (one below and
+// one above the class range included, with and without a guard), and
+// has CheckInvariants recompute the cached counters. The seed corpus
+// runs as a plain test.
+func FuzzRegistryLedger(f *testing.F) {
+	const reserve, guarded, release, kill, revive = 0, 1, 2, 3, 4
+	step := func(op, h int, sid SessionID, p, slots int) []byte {
+		return []byte{byte(op), byte(h<<4 | int(sid)), byte((p+1)<<4 | slots)}
+	}
+	script := func(steps ...[]byte) []byte { return slices.Concat(steps...) }
+	// Merge, preempt lowest class first, release holders and victims.
+	f.Add(script(step(reserve, 3, 1, 3, 2), step(reserve, 3, 2, 2, 2), step(reserve, 3, 1, 3, 1),
+		step(reserve, 3, 3, 1, 3), step(release, 0, 2, 0, 0), step(reserve, 4, 3, 0, 3), step(release, 0, 3, 0, 0)))
+	// Guarded reservations over a mix of classes, and priorities outside
+	// the class range on both sides.
+	f.Add(script(step(reserve, 4, 1, 3, 2), step(reserve, 4, 2, 3, 2), step(reserve, 4, 3, 2, 1), step(reserve, 4, 4, 4, 2),
+		step(guarded, 4, 5, 1, 3), step(guarded, 4, 6, 2, 3), step(reserve, 4, 7, -1, 1), step(guarded, 4, 8, 4, 1),
+		step(release, 0, 4, 0, 0), step(release, 0, 7, 0, 0)))
+	// A host dies holding slots, refuses while dead, comes back empty.
+	f.Add(script(step(reserve, 2, 1, 2, 2), step(reserve, 1, 1, 0, 1), step(kill, 2, 0, 0, 0), step(reserve, 2, 2, 1, 1),
+		step(kill, 2, 0, 0, 0), step(revive, 2, 0, 0, 0), step(reserve, 2, 2, 1, 3), step(release, 0, 1, 0, 0), step(revive, 2, 0, 0, 0)))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		bounds := []int{1, 2, 3, 5, 8}
+		reg := NewRegistry(bounds)
+		model := &flatLedger{bounds: bounds, dead: make([]bool, len(bounds))}
+		for step := 0; step+2 < len(script); step += 3 {
+			op, a, b := script[step]%5, script[step+1], script[step+2]
+			h, sid := int(a>>4)%len(bounds), SessionID(a&0x0f)
+			p, slots := int(b>>4)%(NumClasses+3)-1, int(b&0x0f)%4 // p in -1..NumClasses+1
+			// The guard vetoes a victim set that changes from step to step.
+			guard := PreemptGuard(func(v SessionID) bool { return (int(v)+step)%3 != 0 })
+			switch op {
+			case reserve, guarded:
+				g := guard
+				if op == reserve {
+					g = nil
+				}
+				got, err := reg.ReserveGuarded(h, slots, p, sid, g)
+				want, ok := model.reserve(h, slots, p, sid, g)
+				if (err == nil) != ok || !slices.Equal(got, want) {
+					t.Fatalf("step %d: reserve(h=%d slots=%d p=%d sid=%d): victims %v err %v, model %v ok %v",
+						step, h, slots, p, sid, got, err, want, ok)
+				}
+			case release:
+				reg.Release(sid)
+				model.drop(func(e flatEntry) bool { return e.sid != sid })
+			case kill:
+				reg.SetDead(h)
+				model.dead[h] = true
+				model.drop(func(e flatEntry) bool { return e.host != h })
+			case revive:
+				reg.Revive(h)
+				model.dead[h] = false
+			}
+			if err := reg.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			for h := range bounds {
+				for p := -1; p <= NumClasses+1; p++ {
+					for _, g := range []PreemptGuard{nil, guard} {
+						if got, want := reg.AvailableForGuarded(h, p, g), model.available(h, p, g); got != want {
+							t.Fatalf("step %d: AvailableForGuarded(h=%d, p=%d, guarded=%v) = %d, model says %d",
+								step, h, p, g != nil, got, want)
+						}
+					}
+				}
+			}
+			for s := SessionID(0); s < 16; s++ {
+				want := 0
+				for _, e := range model.held {
+					if e.sid == s {
+						want += e.slots
+					}
+				}
+				if got := reg.HeldBy(s); got != want {
+					t.Fatalf("step %d: HeldBy(%d) = %d, model says %d", step, s, got, want)
+				}
+			}
+		}
+	})
+}

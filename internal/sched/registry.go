@@ -9,8 +9,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SessionID identifies a session in degree tables.
@@ -77,17 +78,20 @@ func (d *DegreeTable) AvailableFor(p int) int {
 // whose displacement the guard vetoes count as firm even when their
 // priority rank is lower.
 func (d *DegreeTable) AvailableForGuarded(p int, guard PreemptGuard) int {
+	return max(d.Bound-d.firmGuarded(p, guard), 0)
+}
+
+// firmGuarded returns the slots a priority-p requester cannot obtain:
+// equal-or-higher rank, plus lower rank the guard vetoes. The guard is
+// consulted exactly once per strictly-lower-rank allocation.
+func (d *DegreeTable) firmGuarded(p int, guard PreemptGuard) int {
 	firm := 0
 	for _, a := range d.allocs {
 		if a.Priority <= p || (guard != nil && !guard(a.Session)) {
 			firm += a.Slots
 		}
 	}
-	v := d.Bound - firm
-	if v < 0 {
-		return 0
-	}
-	return v
+	return firm
 }
 
 // Allocations returns a copy of the current allocations (reporting).
@@ -100,6 +104,10 @@ func (d *DegreeTable) Allocations() []allocation {
 // managers read the root report; the registry is that database.
 type Registry struct {
 	tables []DegreeTable
+	// cnt caches each host's slot counters in one flat array, so an
+	// availability read is a few loads instead of a walk over allocs.
+	// account() maintains it; CheckInvariants recomputes it from allocs.
+	cnt []hostCount
 	// dead marks hosts that have failed: they offer no capacity and
 	// accept no reservations until revived.
 	dead []bool
@@ -111,18 +119,53 @@ type Registry struct {
 	holdings map[SessionID]map[int]int
 }
 
+// hostCount is one host's cached counters: firm[c] is the slots held at
+// priority <= c for each class c in 0..NumClasses (cumulative, so the
+// unguarded availability at class c is bound-firm[c]); used is the slots
+// held at any priority. used > firm[c] exactly when some allocation is
+// preemptable at class c — the only case a guard has anything to veto.
+type hostCount struct {
+	firm  [NumClasses + 1]int32
+	used  int32
+	bound int32
+}
+
 // NewRegistry creates a registry for hosts 0..len(bounds)-1 with the
 // given degree bounds.
 func NewRegistry(bounds []int) *Registry {
 	r := &Registry{
 		tables:   make([]DegreeTable, len(bounds)),
+		cnt:      make([]hostCount, len(bounds)),
 		dead:     make([]bool, len(bounds)),
 		holdings: make(map[SessionID]map[int]int),
 	}
 	for i, b := range bounds {
 		r.tables[i].Bound = b
+		r.cnt[i].bound = int32(b)
 	}
 	return r
+}
+
+// account applies a change of delta slots at priority pri to host h's
+// cached counters. Priorities below 0 count in every class; priorities
+// above NumClasses only in used.
+func (r *Registry) account(h, pri, delta int) {
+	c := &r.cnt[h]
+	c.used += int32(delta)
+	for k := max(pri, 0); k <= NumClasses; k++ {
+		c.firm[k] += int32(delta)
+	}
+}
+
+// firmGuarded is DegreeTable.firmGuarded answered from the counters
+// whenever the guard could not change the answer: no guard, or nothing
+// preemptable on the host. The guard therefore sees exactly the victims
+// the allocation walk would show it.
+func (r *Registry) firmGuarded(h, p int, guard PreemptGuard) int {
+	if c := &r.cnt[h]; uint(p) <= NumClasses && (guard == nil || c.used == c.firm[p]) {
+		return int(c.firm[p])
+	}
+	return r.tables[h].firmGuarded(p, guard)
 }
 
 // hold records sid gaining slots on host h in the holdings index.
@@ -162,6 +205,7 @@ func (r *Registry) SetDead(h int) {
 		r.unhold(a.Session, h, a.Slots)
 	}
 	r.tables[h].allocs = nil
+	r.cnt[h] = hostCount{bound: r.cnt[h].bound}
 }
 
 // Revive clears host h's dead mark; its table starts empty. Idempotent.
@@ -187,7 +231,7 @@ func (r *Registry) AvailableForGuarded(h, p int, guard PreemptGuard) int {
 	if r.dead[h] {
 		return 0
 	}
-	return r.tables[h].AvailableForGuarded(p, guard)
+	return max(int(r.cnt[h].bound)-r.firmGuarded(h, p, guard), 0)
 }
 
 // Reserve grants sid `slots` slots on host h at priority p, preempting
@@ -209,48 +253,47 @@ func (r *Registry) ReserveGuarded(h int, slots int, p int, sid SessionID, guard 
 	if r.dead[h] {
 		return nil, fmt.Errorf("sched: host %d is dead", h)
 	}
-	if t.AvailableForGuarded(p, guard) < slots {
+	if firm := r.firmGuarded(h, p, guard); t.Bound-firm < slots {
 		return nil, fmt.Errorf("sched: host %d cannot fit %d slots at priority %d (bound %d, firm %d)",
-			h, slots, p, t.Bound, t.UsedAtOrAbove(p))
+			h, slots, p, t.Bound, firm)
 	}
 	// Preempt lowest-rank holders first until the request fits.
 	var victims []SessionID
-	need := slots - (t.Bound - t.Used())
-	if need > 0 {
-		// Sort preemptable allocations: numerically largest priority
+	if need := slots - (t.Bound - int(r.cnt[h].used)); need > 0 {
+		// Preemptable allocations, ordered numerically largest priority
 		// first, then by session for determinism.
-		idx := make([]int, 0, len(t.allocs))
+		var buf [8]int
+		idx := buf[:0]
 		for i, a := range t.allocs {
 			if a.Priority > p && (guard == nil || guard(a.Session)) {
 				idx = append(idx, i)
 			}
 		}
-		sort.Slice(idx, func(x, y int) bool {
-			ax, ay := t.allocs[idx[x]], t.allocs[idx[y]]
-			if ax.Priority != ay.Priority {
-				return ax.Priority > ay.Priority
-			}
-			return ax.Session < ay.Session
+		slices.SortFunc(idx, func(x, y int) int {
+			ax, ay := t.allocs[x], t.allocs[y]
+			return cmp.Or(cmp.Compare(ay.Priority, ax.Priority), cmp.Compare(ax.Session, ay.Session))
 		})
-		drop := map[int]bool{}
 		for _, i := range idx {
 			if need <= 0 {
 				break
 			}
-			drop[i] = true
-			need -= t.allocs[i].Slots
-			victims = append(victims, t.allocs[i].Session)
-			r.unhold(t.allocs[i].Session, h, t.allocs[i].Slots)
+			a := &t.allocs[i]
+			need -= a.Slots
+			victims = append(victims, a.Session)
+			r.unhold(a.Session, h, a.Slots)
+			r.account(h, a.Priority, -a.Slots)
+			a.Slots = 0 // dropped; compacted away below
 		}
 		kept := t.allocs[:0]
-		for i, a := range t.allocs {
-			if !drop[i] {
+		for _, a := range t.allocs {
+			if a.Slots > 0 {
 				kept = append(kept, a)
 			}
 		}
 		t.allocs = kept
 	}
 	r.hold(sid, h, slots)
+	r.account(h, p, slots)
 	// Merge with an existing allocation by the same session at the
 	// same priority, if any.
 	for i := range t.allocs {
@@ -272,6 +315,8 @@ func (r *Registry) Release(sid SessionID) {
 		for _, a := range t.allocs {
 			if a.Session != sid {
 				kept = append(kept, a)
+			} else {
+				r.account(h, a.Priority, -a.Slots)
 			}
 		}
 		t.allocs = kept
@@ -293,15 +338,24 @@ func (r *Registry) HeldOn(sid SessionID, h int) int {
 	return r.holdings[sid][h]
 }
 
-// CheckInvariants verifies no table is over-allocated and that the
-// holdings index agrees with the tables; tests and the invariant audit
+// CheckInvariants verifies no table is over-allocated, that the
+// holdings index agrees with the tables, and that every cached counter
+// equals its recomputation from allocs; tests and the invariant audit
 // call this after every scheduling wave.
 func (r *Registry) CheckInvariants() error {
 	indexed := 0
 	for h := range r.tables {
 		t := &r.tables[h]
-		if t.Used() > t.Bound {
-			return fmt.Errorf("sched: host %d over-allocated: %d > %d", h, t.Used(), t.Bound)
+		used := t.Used()
+		if used > t.Bound {
+			return fmt.Errorf("sched: host %d over-allocated: %d > %d", h, used, t.Bound)
+		}
+		want := hostCount{bound: int32(t.Bound), used: int32(used)}
+		for c := 0; used > 0 && c <= NumClasses; c++ { // most hosts hold nothing
+			want.firm[c] = int32(t.UsedAtOrAbove(c))
+		}
+		if r.cnt[h] != want {
+			return fmt.Errorf("sched: host %d cached counters %+v, allocations say %+v", h, r.cnt[h], want)
 		}
 		for _, a := range t.allocs {
 			if a.Slots <= 0 {

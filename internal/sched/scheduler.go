@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"p2ppool/internal/alm"
@@ -143,15 +145,6 @@ func (s *Session) HelperCount() int {
 	return len(seen)
 }
 
-// effPriority is the session's priority at a given node: members serve
-// their own session above everything else.
-func (s *Session) effPriority(host int, members map[int]bool) int {
-	if members[host] {
-		return MemberPriority
-	}
-	return s.Priority
-}
-
 // Config tunes the scheduler.
 type Config struct {
 	// HelperRadius R for the critical-node heuristic.
@@ -227,6 +220,14 @@ type Scheduler struct {
 	sessions map[SessionID]*Session
 	dirty    map[SessionID]bool
 
+	// mark[h] == epoch exactly when h is on the roster last passed to
+	// markMembers: membership is one array read, a new roster one increment.
+	mark  []uint32
+	epoch uint32
+	// candidates is planOne's helper-candidate buffer, reused across
+	// plans (the planner copies what it keeps).
+	candidates []int
+
 	// Observability handles (nil when uninstrumented; tree-shape gauges
 	// are only computed when instrumented, so the uninstrumented path
 	// does no extra work).
@@ -253,7 +254,43 @@ func NewScheduler(bounds []int, lat alm.LatencyFunc, cfg Config) *Scheduler {
 		bounds:   bounds,
 		sessions: make(map[SessionID]*Session),
 		dirty:    make(map[SessionID]bool),
+		mark:     make([]uint32, len(bounds)),
 	}
+}
+
+// markMembers makes s's roster the one isMember answers for, until the
+// next call.
+func (sc *Scheduler) markMembers(s *Session) {
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale marks could alias the new epoch
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+	sc.mark[s.Root] = sc.epoch
+	for _, m := range s.Members {
+		sc.mark[m] = sc.epoch
+	}
+}
+
+func (sc *Scheduler) isMember(host int) bool { return sc.mark[host] == sc.epoch }
+
+// effPriority is the marked session s's priority at a given node, and
+// the guard that applies there: members serve their own session above
+// everything else, and member-priority requests are never guarded (see
+// planCtx.guard).
+func (sc *Scheduler) effPriority(s *Session, host int, guard PreemptGuard) (int, PreemptGuard) {
+	if sc.isMember(host) {
+		return MemberPriority, nil
+	}
+	return s.Priority, guard
+}
+
+// byPriorityThenID orders sessions highest priority first, then by ID —
+// the order every planning and failure sweep processes them in.
+func byPriorityThenID(ss []*Session) {
+	slices.SortFunc(ss, func(a, b *Session) int {
+		return cmp.Or(cmp.Compare(a.Priority, b.Priority), cmp.Compare(a.ID, b.ID))
+	})
 }
 
 // Registry exposes the degree tables (tests and reporting).
@@ -503,12 +540,7 @@ func (sc *Scheduler) Stabilize() (plans int, err error) {
 			}
 		}
 		sc.dirty = make(map[SessionID]bool)
-		sort.Slice(batch, func(i, j int) bool {
-			if batch[i].Priority != batch[j].Priority {
-				return batch[i].Priority < batch[j].Priority
-			}
-			return batch[i].ID < batch[j].ID
-		})
+		byPriorityThenID(batch)
 		for _, s := range batch {
 			if err := sc.planOne(s, planCtx{}); err != nil {
 				return plans, fmt.Errorf("session %d: %w", s.ID, err)
@@ -549,13 +581,11 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 	sc.tot.NodeFailures++
 	sc.cNodeFailures.Inc()
 	sc.reg.SetDead(host)
-	order := sc.Sessions()
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Priority != order[j].Priority {
-			return order[i].Priority < order[j].Priority
-		}
-		return order[i].ID < order[j].ID
-	})
+	order := make([]*Session, 0, len(sc.sessions))
+	for _, s := range sc.sessions {
+		order = append(order, s)
+	}
+	byPriorityThenID(order)
 	var affected []SessionID
 	for _, s := range order {
 		if s.Root == host {
@@ -596,7 +626,6 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 		// keeps a multi-tree repair from double-freeing slots.
 		sc.reg.Release(s.ID)
 		if inTree {
-			members := s.memberSet()
 			repaired := make(map[int]*alm.Tree, len(s.Sources)+1)
 			var err error
 			for _, st := range s.Trees() {
@@ -607,13 +636,13 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 				}
 				if t.Contains(host) {
 					t = t.Clone()
-					if _, err = alm.Repair(t, []int{host}, sc.lat, sc.availFor(s, members, ctx.guard)); err != nil {
+					if _, err = alm.Repair(t, []int{host}, sc.lat, sc.availFor(s, ctx.guard)); err != nil {
 						break
 					}
 				}
 				// Untouched trees still re-reserve: the Release above
 				// dropped their slots along with everything else.
-				if err = sc.reserveTree(s, t, members, ctx); err != nil {
+				if err = sc.reserveTree(s, t, ctx); err != nil {
 					break
 				}
 				repaired[st.Source] = t
@@ -654,37 +683,27 @@ func (sc *Scheduler) NodeRecovered(host int) bool {
 }
 
 // availFor returns the effective degree bound the market offers session
-// s at each host. Member-priority availability is never guarded (see
-// planCtx.guard).
-func (sc *Scheduler) availFor(s *Session, members map[int]bool, guard PreemptGuard) alm.DegreeFunc {
+// s at each host, valid until another session is marked. sc.bounds is
+// read on every call: callers may change it between plans.
+func (sc *Scheduler) availFor(s *Session, guard PreemptGuard) alm.DegreeFunc {
+	sc.markMembers(s)
 	return func(v int) int {
-		p := s.effPriority(v, members)
-		g := guard
-		if p == MemberPriority {
-			g = nil
-		}
-		a := sc.reg.AvailableForGuarded(v, p, g)
-		if a > sc.bounds[v] {
-			a = sc.bounds[v]
-		}
-		return a
+		p, g := sc.effPriority(s, v, guard)
+		return min(sc.reg.AvailableForGuarded(v, p, g), sc.bounds[v])
 	}
 }
 
 // reserveTree reserves tree's slots for s, dirtying (and counting a
 // replan for) every preempted session. On error the caller owns
 // cleanup of any partial reservations.
-func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, members map[int]bool, ctx planCtx) error {
+func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, ctx planCtx) error {
+	sc.markMembers(s)
 	for _, v := range tree.Nodes() {
 		slots := tree.Degree(v)
 		if slots == 0 {
 			continue
 		}
-		p := s.effPriority(v, members)
-		g := ctx.guard
-		if p == MemberPriority {
-			g = nil
-		}
+		p, g := sc.effPriority(s, v, ctx.guard)
 		victims, err := sc.reg.ReserveGuarded(v, slots, p, s.ID, g)
 		if err != nil {
 			return err
@@ -722,24 +741,24 @@ func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, members map[int]boo
 // full candidate pool when that set cannot cover the members.
 func (sc *Scheduler) planOne(s *Session, ctx planCtx) error {
 	sc.reg.Release(s.ID)
-	members := s.memberSet()
 
 	// Effective degree bound for this session at each host: what the
-	// market says it can obtain.
-	avail := sc.availFor(s, members, ctx.guard)
+	// market says it can obtain. Marks s's roster for isMember below.
+	avail := sc.availFor(s, ctx.guard)
 
 	// Candidate helpers: everyone outside the session with enough
 	// obtainable fan-out. Computed once per plan; per-attach avail()
-	// reads stay live as earlier trees consume slots.
-	candidates := make([]int, 0, sc.reg.NumHosts())
-	for h := 0; h < sc.reg.NumHosts(); h++ {
-		if members[h] {
-			continue
-		}
-		if avail(h) >= sc.cfg.HelperMinDegree {
+	// reads stay live as earlier trees consume slots. This is the one
+	// pool-sized pass of a plan (DESIGN.md §7): array reads per host, and
+	// the guard consulted wherever something is preemptable — on every
+	// live non-member host, not only near the tree.
+	candidates := sc.candidates[:0]
+	for h := range sc.mark {
+		if !sc.isMember(h) && avail(h) >= sc.cfg.HelperMinDegree {
 			candidates = append(candidates, h)
 		}
 	}
+	sc.candidates = candidates
 
 	hs := alm.HelperSet{
 		Radius:       sc.cfg.HelperRadius,
@@ -762,13 +781,10 @@ func (sc *Scheduler) planOne(s *Session, ctx planCtx) error {
 		if remaining > 0 {
 			treeAvail = func(v int) int {
 				a := avail(v)
-				if members[v] {
+				if sc.isMember(v) {
 					a -= remaining
 				}
-				if a < 0 {
-					a = 0
-				}
-				return a
+				return max(a, 0)
 			}
 		}
 		p := alm.Problem{
@@ -797,12 +813,12 @@ func (sc *Scheduler) planOne(s *Session, ctx planCtx) error {
 		alm.Adjust(tree, sc.lat, treeAvail)
 
 		// Reserve the plan's slots; preempted sessions must replan.
-		if err := sc.reserveTree(s, tree, members, ctx); err != nil {
+		if err := sc.reserveTree(s, tree, ctx); err != nil {
 			return err
 		}
 		trees[src] = tree
 		for _, v := range tree.Nodes() {
-			if !members[v] && !recruitedSet[v] {
+			if !sc.isMember(v) && !recruitedSet[v] {
 				recruitedSet[v] = true
 				recruited = append(recruited, v)
 			}

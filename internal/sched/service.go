@@ -695,12 +695,7 @@ func (sv *Service) Tick(now eventsim.Time) error {
 		if len(batch) == 0 {
 			break
 		}
-		sort.Slice(batch, func(i, j int) bool {
-			if batch[i].Priority != batch[j].Priority {
-				return batch[i].Priority < batch[j].Priority
-			}
-			return batch[i].ID < batch[j].ID
-		})
+		byPriorityThenID(batch)
 		for _, s := range batch {
 			if _, live := sv.sc.sessions[s.ID]; !live {
 				continue // shed earlier in this very batch
