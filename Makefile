@@ -92,7 +92,7 @@ conf:
 # accumulate the per-PR history. Cells run sequentially so the
 # measurements are honest. Override the label with
 # `make bench-json BENCH_LABEL=mybranch`.
-BENCH_LABEL ?= pr12
+BENCH_LABEL ?= pr14
 bench-json:
 	$(GO) run ./cmd/experiments -fig scale -seed 1 -benchjson BENCH_scale.json -bench-label $(BENCH_LABEL)
 	$(GO) run ./cmd/experiments -fig load -seed 1 -benchjson BENCH_load.json -bench-label $(BENCH_LABEL)
@@ -103,7 +103,7 @@ bench-json:
 # every metric printed by name, outputs checked. bench-suite writes the
 # labeled result file; bench-compare applies every metric's bound to two
 # of them and exits nonzero on any "worse":
-# `make bench-compare BASE=bench-results/pr11.json CAND=bench-results/pr12.json`.
+# `make bench-compare BASE=bench-results/pr12.json CAND=bench-results/pr14.json`.
 # bench-results/ is git-ignored.
 bench-suite:
 	mkdir -p bench-results

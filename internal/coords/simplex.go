@@ -11,7 +11,7 @@ package coords
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Objective is a function to minimize over R^n.
@@ -79,10 +79,22 @@ func Minimize(f Objective, start []float64, opt SimplexOptions) ([]float64, floa
 
 	centroid := make([]float64, n)
 	trial := make([]float64, n)
+	exp := make([]float64, n)
+	// Spelled with < and > rather than cmp.Compare so that a NaN value
+	// compares equal to everything, as it did under a less-function.
+	byValue := func(a, b int) int {
+		switch {
+		case vals[a] < vals[b]:
+			return -1
+		case vals[a] > vals[b]:
+			return 1
+		}
+		return 0
+	}
 
 	evals := n + 1
 	for evals < opt.MaxIter {
-		sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
+		slices.SortFunc(order, byValue)
 		best, worst := order[0], order[n]
 
 		// Convergence test on value spread.
@@ -115,7 +127,6 @@ func Minimize(f Objective, start []float64, opt SimplexOptions) ([]float64, floa
 		switch {
 		case fr < vals[best]:
 			// Expansion.
-			exp := make([]float64, n)
 			for j := 0; j < n; j++ {
 				exp[j] = centroid[j] + gamma*(trial[j]-centroid[j])
 			}

@@ -2,7 +2,7 @@ package dht
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/ids"
@@ -10,7 +10,7 @@ import (
 	"p2ppool/internal/transport"
 )
 
-// neighbor is the per-peer liveness record.
+// neighbor is one leafset member and when it was last heard from.
 type neighbor struct {
 	entry     Entry
 	lastHeard eventsim.Time
@@ -41,21 +41,23 @@ type Node struct {
 	cfg  Config
 	self Entry
 
-	active    bool
-	neighbors map[ids.ID]*neighbor
+	active bool
+	// table is the leafset, and the only membership state: at most
+	// 2*LeafsetRadius neighbors strictly ordered by clockwise distance
+	// from self, so table[0] is the successor and the last entry the
+	// predecessor. It always holds the LeafsetRadius closest per side of
+	// everything offered to it (admit) and not since removed.
+	table []neighbor
 	// tombstones remembers recently departed/failed nodes so that
 	// membership gossip cannot reintroduce them as zombies; entries
 	// expire so a genuinely rejoining node is not shunned forever, and
 	// any direct message from a tombstoned node resurrects it at once.
 	tombstones map[ids.ID]eventsim.Time
-	// sorted caches the neighbor entries ordered by clockwise distance
-	// from self; rebuilt on membership change.
-	sorted []Entry
 
 	fingers []Entry // fingers[i] ~ owner of self + 2^(RingBits-Fingers+i)
 	// lastContact records when any message last arrived from a peer —
 	// liveness evidence for finger probing (leafset members have their
-	// own records in neighbors).
+	// own records in table).
 	lastContact map[ids.ID]eventsim.Time
 	// fingerProbe tracks outstanding liveness probes to finger nodes:
 	// ID -> probe send time. A finger that stays silent past the
@@ -70,6 +72,7 @@ type Node struct {
 	// one answered probe re-merges the two sides of the ring.
 	suspects      map[ids.ID]suspect
 	suspectCursor int
+	suspectIDs    []ids.ID // probeOneSuspect's scratch
 
 	gossips       []Gossip
 	routeHandlers []RouteHandler
@@ -111,12 +114,12 @@ func NewNode(net transport.Network, id ids.ID, addr transport.Addr, cfg Config) 
 		net:         net,
 		cfg:         cfg.withDefaults(),
 		self:        Entry{ID: id, Addr: addr},
-		neighbors:   make(map[ids.ID]*neighbor),
 		tombstones:  make(map[ids.ID]eventsim.Time),
 		lastContact: make(map[ids.ID]eventsim.Time),
 		fingerProbe: make(map[ids.ID]eventsim.Time),
 		suspects:    make(map[ids.ID]suspect),
 	}
+	n.table = make([]neighbor, 0, 2*n.cfg.LeafsetRadius)
 	n.fingers = make([]Entry, n.cfg.Fingers)
 	for i := range n.fingers {
 		n.fingers[i] = NoEntry
@@ -257,32 +260,34 @@ func (n *Node) zone() ids.Zone {
 
 // Predecessor returns the closest counterclockwise neighbor, or NoEntry.
 func (n *Node) Predecessor() Entry {
-	if len(n.sorted) == 0 {
+	if len(n.table) == 0 {
 		return NoEntry
 	}
-	// sorted is ordered by clockwise distance from self; the
-	// predecessor is the entry with the largest clockwise distance
-	// (equivalently smallest counterclockwise distance).
-	return n.sorted[len(n.sorted)-1]
+	// The largest clockwise distance is the smallest counterclockwise.
+	return n.table[len(n.table)-1].entry
 }
 
 // Successor returns the closest clockwise neighbor, or NoEntry.
 func (n *Node) Successor() Entry {
-	if len(n.sorted) == 0 {
+	if len(n.table) == 0 {
 		return NoEntry
 	}
-	return n.sorted[0]
+	return n.table[0].entry
 }
 
 // Leafset returns the node's current leafset: up to LeafsetRadius
 // entries on each side, ordered clockwise starting from the successor.
 // The slice is freshly allocated.
 func (n *Node) Leafset() []Entry {
-	return append([]Entry(nil), n.sorted...)
+	out := make([]Entry, len(n.table))
+	for i, nb := range n.table {
+		out[i] = nb.entry
+	}
+	return out
 }
 
 // LeafsetSize returns the number of distinct leafset members.
-func (n *Node) LeafsetSize() int { return len(n.sorted) }
+func (n *Node) LeafsetSize() int { return len(n.table) }
 
 // send transmits a protocol message.
 func (n *Node) send(to Entry, size int, msg transport.Message) {
@@ -325,7 +330,7 @@ func (n *Node) onMessage(from transport.Addr, msg transport.Message) {
 		n.onJoinReply(m)
 	case leafsetRequest:
 		n.touch(m.From)
-		n.send(m.From, 64+8*len(n.sorted), leafsetReply{From: n.self, Entries: append(n.Leafset(), n.self)})
+		n.send(m.From, 64+8*len(n.table), leafsetReply{From: n.self, Entries: append(n.Leafset(), n.self)})
 	case leafsetReply:
 		n.touch(m.From)
 		n.merge(m.Entries...)
@@ -343,26 +348,73 @@ func (n *Node) onMessage(from transport.Addr, msg transport.Message) {
 
 // --- membership ---
 
-// touch records liveness for a peer and adds it to the candidate set.
+// find locates id in the table: its index and true, or the index at
+// which it would be inserted and false. The search is written out
+// because every touch and every gossiped entry runs it.
+func (n *Node) find(id ids.ID) (int, bool) {
+	d := ids.Dist(n.self.ID, id)
+	lo, hi := 0, len(n.table)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ids.Dist(n.self.ID, n.table[mid].entry.ID) < d {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(n.table) && n.table[lo].entry.ID == id
+}
+
+// admit offers a non-member e, heard at now, for slot i (from find) and
+// reports whether the table changed. On a full table e is kept only if
+// it is among the LeafsetRadius closest on one side of the table plus
+// itself; it then displaces exactly one entry, the middle of those
+// 2r+1, which is on neither side's closest r. A candidate that would
+// itself be the middle leaves the table untouched.
+func (n *Node) admit(i int, e Entry, now eventsim.Time) bool {
+	r := n.cfg.LeafsetRadius
+	if len(n.table) < 2*r {
+		n.table = slices.Insert(n.table, i, neighbor{entry: e, lastHeard: now})
+		return true
+	}
+	switch {
+	case i == r:
+		return false
+	case i < r: // evict table[r-1]: shift [i, r-1) up
+		copy(n.table[i+1:r], n.table[i:r-1])
+	default: // evict table[r]: shift (r, i) down
+		copy(n.table[r:i-1], n.table[r+1:i])
+		i--
+	}
+	n.table[i] = neighbor{entry: e, lastHeard: now}
+	return true
+}
+
+// touch records liveness for a peer and offers it to the leafset.
 // Direct evidence of life clears any tombstone.
 func (n *Node) touch(e Entry) {
 	if e.Addr == n.self.Addr || e.IsZero() {
 		return
 	}
+	now := n.net.Now()
 	delete(n.tombstones, e.ID)
 	delete(n.suspects, e.ID)
-	n.lastContact[e.ID] = n.net.Now()
-	if nb, ok := n.neighbors[e.ID]; ok {
-		nb.lastHeard = n.net.Now()
+	n.lastContact[e.ID] = now
+	i, ok := n.find(e.ID)
+	if ok {
+		n.table[i].lastHeard = now
 		return
 	}
-	n.neighbors[e.ID] = &neighbor{entry: e, lastHeard: n.net.Now()}
-	n.rebuild()
+	if n.admit(i, e, now) {
+		n.zoneMaybeChanged()
+	}
 }
 
-// merge adds gossiped entries (grace-period liveness) and prunes.
+// merge offers gossiped entries (grace-period liveness) to the leafset.
 // Tombstoned entries are ignored: second-hand gossip must not
-// resurrect a node we know to be dead.
+// resurrect a node we know to be dead. An entry that does not qualify
+// leaves no trace beyond clearing its expired tombstone and its suspect
+// record.
 func (n *Node) merge(entries ...Entry) {
 	changed := false
 	now := n.net.Now()
@@ -376,14 +428,17 @@ func (n *Node) merge(entries ...Entry) {
 			}
 			delete(n.tombstones, e.ID)
 		}
-		if _, ok := n.neighbors[e.ID]; !ok {
-			n.neighbors[e.ID] = &neighbor{entry: e, lastHeard: now}
-			delete(n.suspects, e.ID)
+		i, ok := n.find(e.ID)
+		if ok {
+			continue
+		}
+		delete(n.suspects, e.ID)
+		if n.admit(i, e, now) {
 			changed = true
 		}
 	}
 	if changed {
-		n.rebuild()
+		n.zoneMaybeChanged()
 	}
 }
 
@@ -394,11 +449,10 @@ func (n *Node) bury(id ids.ID) {
 	// A deliberate departure is not a suspected partition.
 	delete(n.suspects, id)
 	n.purgeFinger(id)
-	if _, ok := n.neighbors[id]; !ok {
-		return
+	if i, ok := n.find(id); ok {
+		n.table = slices.Delete(n.table, i, i+1)
+		n.zoneMaybeChanged()
 	}
-	delete(n.neighbors, id)
-	n.rebuild()
 }
 
 // purgeFinger clears finger entries pointing at a dead node so routed
@@ -411,42 +465,8 @@ func (n *Node) purgeFinger(id ids.ID) {
 	}
 }
 
-// rebuild recomputes the sorted leafset view, pruning neighbors that no
-// longer qualify for either side, and fires zone-change callbacks.
-func (n *Node) rebuild() {
-	all := make([]Entry, 0, len(n.neighbors))
-	for _, nb := range n.neighbors {
-		all = append(all, nb.entry)
-	}
-	// Order all candidates by clockwise distance from self.
-	sort.Slice(all, func(i, j int) bool {
-		return ids.Dist(n.self.ID, all[i].ID) < ids.Dist(n.self.ID, all[j].ID)
-	})
-	r := n.cfg.LeafsetRadius
-	keep := make(map[ids.ID]bool, 2*r)
-	// r closest clockwise (successor side).
-	for i := 0; i < len(all) && i < r; i++ {
-		keep[all[i].ID] = true
-	}
-	// r closest counterclockwise (predecessor side): the tail.
-	for i := 0; i < len(all) && i < r; i++ {
-		keep[all[len(all)-1-i].ID] = true
-	}
-	// Prune the rest.
-	for id := range n.neighbors {
-		if !keep[id] {
-			delete(n.neighbors, id)
-		}
-	}
-	n.sorted = n.sorted[:0]
-	for _, e := range all {
-		if keep[e.ID] {
-			n.sorted = append(n.sorted, e)
-		}
-	}
-	n.zoneMaybeChanged()
-}
-
+// zoneMaybeChanged fires the zone-change callbacks if the predecessor
+// moved; every change to the table is followed by one call.
 func (n *Node) zoneMaybeChanged() {
 	z := n.zone()
 	if z == n.lastZone {
@@ -480,7 +500,7 @@ func (n *Node) heartbeatTick() {
 	// A lone node retries its join: the single join request (or its
 	// reply) may have been lost, and nobody heartbeats a node that
 	// never made it into any leafset.
-	if len(n.sorted) == 0 && !n.joinSeed.IsZero() &&
+	if len(n.table) == 0 && !n.joinSeed.IsZero() &&
 		n.net.Now()-n.lastJoinSent >= n.cfg.FailureTimeout {
 		n.sendJoin()
 	}
@@ -497,15 +517,15 @@ func (n *Node) heartbeatTick() {
 		// is the largest steady-state allocation in the whole simulator.
 		var msg transport.Message = hb
 		size := n.heartbeatSize(hb)
-		for _, e := range n.sorted {
-			n.send(e, size, msg)
+		for _, nb := range n.table {
+			n.send(nb.entry, size, msg)
 			n.stats.HeartbeatsSent++
 			n.cHeartbeats.Inc()
 		}
 	} else {
-		for _, e := range n.sorted {
-			hb.Payload = n.collectPayloads(e)
-			n.send(e, n.heartbeatSize(hb), hb)
+		for _, nb := range n.table {
+			hb.Payload = n.collectPayloads(nb.entry)
+			n.send(nb.entry, n.heartbeatSize(hb), hb)
 			n.stats.HeartbeatsSent++
 			n.cHeartbeats.Inc()
 		}
@@ -526,7 +546,7 @@ func (n *Node) probeOneSuspect() {
 		return
 	}
 	now := n.net.Now()
-	alive := make([]ids.ID, 0, len(n.suspects))
+	alive := n.suspectIDs[:0]
 	for id, s := range n.suspects {
 		if now-s.since > n.cfg.SuspectTTL {
 			delete(n.suspects, id)
@@ -534,10 +554,11 @@ func (n *Node) probeOneSuspect() {
 		}
 		alive = append(alive, id)
 	}
+	n.suspectIDs = alive
 	if len(alive) == 0 {
 		return
 	}
-	sort.Slice(alive, func(i, j int) bool { return alive[i] < alive[j] })
+	slices.Sort(alive) // map order is random; the round-robin must not be
 	n.suspectCursor = (n.suspectCursor + 1) % len(alive)
 	target := n.suspects[alive[n.suspectCursor]]
 	n.send(target.entry, 64, leafsetRequest{From: n.self})
@@ -572,7 +593,7 @@ func (n *Node) probeOneFinger(hb heartbeat) {
 		if f.IsZero() {
 			continue
 		}
-		if _, ok := n.neighbors[f.ID]; ok {
+		if _, ok := n.find(f.ID); ok {
 			return // already heartbeated as a leafset member
 		}
 		if _, pending := n.fingerProbe[f.ID]; pending {
@@ -594,15 +615,15 @@ func (n *Node) heartbeatSize(hb heartbeat) int {
 // gossipSample returns a few leafset entries to disseminate membership.
 func (n *Node) gossipSample() []Entry {
 	const sample = 4
-	if len(n.sorted) <= sample {
-		return append([]Entry(nil), n.sorted...)
+	if len(n.table) <= sample {
+		return n.Leafset()
 	}
 	out := make([]Entry, 0, sample)
 	// Successor, predecessor and two random members: ends keep ring
 	// consistency tight, randoms spread global membership.
-	out = append(out, n.sorted[0], n.sorted[len(n.sorted)-1])
+	out = append(out, n.table[0].entry, n.table[len(n.table)-1].entry)
 	for len(out) < sample {
-		out = append(out, n.sorted[n.net.Rand().Intn(len(n.sorted))])
+		out = append(out, n.table[n.net.Rand().Intn(len(n.table))].entry)
 	}
 	return out
 }
@@ -660,26 +681,25 @@ func (n *Node) checkFailures() {
 			delete(n.lastContact, id)
 		}
 	}
-	var dead []ids.ID
-	for id, nb := range n.neighbors {
-		if now-nb.lastHeard > n.cfg.FailureTimeout {
-			dead = append(dead, id)
+	live := n.table[:0]
+	for _, nb := range n.table {
+		if now-nb.lastHeard <= n.cfg.FailureTimeout {
+			live = append(live, nb)
+			continue
 		}
-	}
-	if len(dead) == 0 {
-		return
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	for _, id := range dead {
+		id := nb.entry.ID
 		n.tombstones[id] = now + 2*n.cfg.FailureTimeout
 		// Keep re-probing: the "failure" may really be a partition.
-		n.suspects[id] = suspect{entry: n.neighbors[id].entry, since: now}
+		n.suspects[id] = suspect{entry: nb.entry, since: now}
 		n.purgeFinger(id)
-		delete(n.neighbors, id)
 		n.stats.Failures++
 		n.cFailures.Inc()
 	}
-	n.rebuild()
+	if len(live) == len(n.table) {
+		return
+	}
+	n.table = live
+	n.zoneMaybeChanged()
 	// Repair: pull fresh leafsets from the nearest survivors on both sides.
 	if s := n.Successor(); !s.IsZero() {
 		n.send(s, 64, leafsetRequest{From: n.self})
@@ -700,13 +720,13 @@ func (n *Node) onJoinReply(m joinReply) {
 	if len(n.gossips) == 0 {
 		var msg transport.Message = hb // identical for every peer: box once
 		size := n.heartbeatSize(hb)
-		for _, e := range n.sorted {
-			n.send(e, size, msg)
+		for _, nb := range n.table {
+			n.send(nb.entry, size, msg)
 		}
 	} else {
-		for _, e := range n.sorted {
-			hb.Payload = n.collectPayloads(e)
-			n.send(e, n.heartbeatSize(hb), hb)
+		for _, nb := range n.table {
+			hb.Payload = n.collectPayloads(nb.entry)
+			n.send(nb.entry, n.heartbeatSize(hb), hb)
 		}
 	}
 }

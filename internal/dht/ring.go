@@ -75,14 +75,9 @@ func BuildRingOn(netFor func(transport.Addr) transport.Network, nodeIDs []ids.ID
 		if r > n-1 {
 			r = n - 1
 		}
-		now := nd.net.Now()
 		for k := 1; k <= r; k++ {
-			succ := nodes[(i+k)%n].self
-			pred := nodes[(i-k+n)%n].self
-			nd.neighbors[succ.ID] = &neighbor{entry: succ, lastHeard: now}
-			nd.neighbors[pred.ID] = &neighbor{entry: pred, lastHeard: now}
+			nd.merge(nodes[(i+k)%n].self, nodes[(i-k+n)%n].self)
 		}
-		nd.rebuild()
 	}
 	for _, nd := range nodes {
 		nd.active = true

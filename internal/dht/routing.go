@@ -93,8 +93,8 @@ func (n *Node) nextHop(key ids.ID) Entry {
 			bestDist = d
 		}
 	}
-	for _, e := range n.sorted {
-		consider(e)
+	for _, nb := range n.table {
+		consider(nb.entry)
 	}
 	for _, e := range n.fingers {
 		consider(e)
@@ -111,7 +111,7 @@ func (n *Node) fixFingersTick() {
 	if !n.active {
 		return
 	}
-	if len(n.fingers) > 0 && len(n.sorted) > 0 {
+	if len(n.fingers) > 0 && len(n.table) > 0 {
 		i := int(n.net.Rand().Intn(len(n.fingers)))
 		target := n.fingerTarget(i)
 		if !n.owns(target) {

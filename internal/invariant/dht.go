@@ -9,7 +9,8 @@ import (
 // checkLeafsetSorted: a node's leafset is always strictly ordered by
 // clockwise distance from the node, contains no self-entry and no
 // duplicates, and never exceeds 2×radius entries. This holds at every
-// instant — rebuild() maintains it on every merge/bury.
+// instant — it is how dht.Node stores its leafset (DESIGN.md §5, "What
+// one heartbeat costs").
 func checkLeafsetSorted(w *World) []Violation {
 	var out []Violation
 	for _, h := range w.liveHosts() {
@@ -119,7 +120,7 @@ func checkLeafsetLive(w *World) []Violation {
 
 // checkLeafsetSymmetry: at quiescence, if A lists B then B lists A —
 // unless B legitimately pruned A because it already has a full radius
-// of strictly closer neighbors on both sides (rebuild keeps the r
+// of strictly closer neighbors on both sides (the leafset keeps the r
 // closest per side, so a node near a dense arc may drop a distant
 // peer that still lists it; that asymmetry is benign and stable).
 func checkLeafsetSymmetry(w *World) []Violation {
