@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json bench-suite bench-compare profile chaos obs scale audit load stream conf ci
+.PHONY: all build fmt test race vet bench bench-json bench-suite bench-compare profile chaos obs scale audit load stream conf ci
 
 all: build
 
@@ -17,6 +17,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt prints the files it would rewrite; any name is a failure.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -78,18 +82,14 @@ conf:
 	$(GO) run ./cmd/experiments -fig conf -seed 1
 
 # Machine-readable bench trajectories: the scale study's per-size wall
-# time, allocations, events/sec, live heap and OS peak RSS appended to
-# BENCH_scale.json (schema bench-scale/v2, documented in
-# internal/experiments/scale.go), and the load study's per-cell wall
-# time and plans/sec appended to BENCH_load.json (schema bench-load/v1,
-# documented in internal/experiments/load.go), and the stream study's
-# per-(cell, rung) delivered bitrate, miss rate and wall time appended
-# to BENCH_stream.json (schema bench-stream/v1, documented in
-# internal/experiments/stream.go), and the conferencing study's
-# per-cell delivered bitrate vs the shared member-only bound appended
-# to BENCH_conf.json (schema bench-conf/v1, documented in
-# internal/experiments/conf.go) — all as labeled runs so the files
-# accumulate the per-PR history. Cells run sequentially so the
+# time, allocations, events/sec, live heap and OS peak RSS, the load
+# study's per-cell wall time and plans/sec, the stream study's
+# per-(cell, rung) delivered bitrate, miss rate and wall time, and the
+# conferencing study's per-cell delivered bitrate vs the shared
+# member-only bound, each appended to its BENCH_<study>.json as a
+# labeled run so the files accumulate the per-PR history. The four
+# schemas and the one writer behind them are documented in
+# internal/experiments/benchfile.go. Cells run sequentially so the
 # measurements are honest. Override the label with
 # `make bench-json BENCH_LABEL=mybranch`.
 BENCH_LABEL ?= pr14
@@ -141,7 +141,7 @@ profile:
 # benchmark's correctness gate on its control-plane workload — tree
 # validity, ledger invariants (cached counters recomputed from the
 # allocations) and repetition determinism — in two seconds.
-ci: build vet test race
+ci: build fmt vet test race
 	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
 	$(GO) run ./cmd/experiments -fig scale -hosts 1200 -scale-runtime 30 -seed 1 > /dev/null

@@ -37,6 +37,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -44,26 +46,182 @@ import (
 	"p2ppool/internal/experiments"
 )
 
-func main() {
-	var (
-		fig     = flag.String("fig", "all", "which figure to regenerate: 4, 5, 8, 10, somo, churn, chaos, ablations, all, or obs/scale/audit/load/stream/conf (not part of all)")
-		seed    = flag.Int64("seed", 1, "experiment seed (same seed => identical output)")
-		runs    = flag.Int("runs", 0, "override repetition count (0 = experiment default)")
-		hosts   = flag.Int("hosts", 0, "override pool size (0 = paper default 1200)")
-		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
-		workers = flag.Int("workers", runtime.NumCPU(), "worker-pool size; output is identical for any value")
-		tracing = flag.Int("trace", 0, "print the last N hop-level trace events (obs figure only)")
+var (
+	fig     = flag.String("fig", "all", "which figures to regenerate, comma-separated: "+figNames())
+	seed    = flag.Int64("seed", 1, "experiment seed (same seed => identical output)")
+	runs    = flag.Int("runs", 0, "override repetition count (0 = experiment default)")
+	hosts   = flag.Int("hosts", 0, "override pool size (0 = paper default 1200)")
+	csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
+	workers = flag.Int("workers", runtime.NumCPU(), "worker-pool size; output is identical for any value")
+	tracing = flag.Int("trace", 0, "print the last N hop-level trace events (obs figure only)")
 
-		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchJSON    = flag.String("benchjson", "", "append the scale/load study's bench trajectory to this JSON file (existing runs are kept); enables per-cell wall-clock measurement")
-		benchLabel   = flag.String("bench-label", "dev", "label for the bench run appended to -benchjson (a run with the same label is replaced)")
-		scaleRT      = flag.Int("scale-runtime", 0, "scale figure: simulated seconds per ring (0 = default 60)")
-		loadRT       = flag.Int("load-runtime", 0, "load figure: simulated seconds per cell (0 = default 600)")
-		streamChunks = flag.Int("stream-chunks", 0, "stream figure: chunks per run (0 = default 45)")
-		confChunks   = flag.Int("conf-chunks", 0, "conf figure: chunks per source (0 = default 30)")
-	)
+	cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
+	benchJSON    = flag.String("benchjson", "", "append the scale/load study's bench trajectory to this JSON file (existing runs are kept); enables per-cell wall-clock measurement")
+	benchLabel   = flag.String("bench-label", "dev", "label for the bench run appended to -benchjson (a run with the same label is replaced)")
+	scaleRT      = flag.Int("scale-runtime", 0, "scale figure: simulated seconds per ring (0 = default 60)")
+	loadRT       = flag.Int("load-runtime", 0, "load figure: simulated seconds per cell (0 = default 600)")
+	streamChunks = flag.Int("stream-chunks", 0, "stream figure: chunks per run (0 = default 45)")
+	confChunks   = flag.Int("conf-chunks", 0, "conf figure: chunks per source (0 = default 30)")
+)
+
+// study is one -fig entry.
+type study struct {
+	// names are the -fig values that select the study.
+	names []string
+	// inAll marks the classic figure set "-fig all" regenerates. The
+	// later studies are opt-in by name so that set stays byte-identical
+	// run to run.
+	inAll bool
+	// title labels the study's progress lines on stderr.
+	title string
+	run   func() (experiments.Result, error)
+}
+
+// studies is every figure the command can regenerate, in the order
+// their tables print whatever order -fig names them in.
+var studies = []study{
+	{[]string{"4"}, true, "figure 4", func() (experiments.Result, error) {
+		return experiments.Fig4(experiments.Fig4Options{Hosts: *hosts, Seed: *seed, Workers: *workers})
+	}},
+	{[]string{"5"}, true, "figure 5", func() (experiments.Result, error) {
+		return experiments.Fig5(experiments.Fig5Options{Hosts: *hosts, Seed: *seed, Workers: *workers})
+	}},
+	{[]string{"8"}, true, "figure 8", func() (experiments.Result, error) {
+		return experiments.Fig8(experiments.Fig8Options{Hosts: *hosts, Runs: *runs, Seed: *seed, Workers: *workers})
+	}},
+	{[]string{"10", "10a", "10b"}, true, "figure 10", func() (experiments.Result, error) {
+		return experiments.Fig10(experiments.Fig10Options{Hosts: *hosts, Runs: *runs, Seed: *seed, Workers: *workers})
+	}},
+	{[]string{"somo"}, true, "somo study", func() (experiments.Result, error) {
+		return experiments.SOMOExperiment(experiments.SOMOOptions{Seed: *seed, Workers: *workers})
+	}},
+	{[]string{"qos"}, true, "qos comparison", func() (experiments.Result, error) {
+		return experiments.QoS(experiments.QoSOptions{Hosts: *hosts, Runs: *runs, Seed: *seed, Workers: *workers})
+	}},
+	{[]string{"churn"}, true, "churn study", func() (experiments.Result, error) {
+		return experiments.Churn(experiments.ChurnOptions{Nodes: *hosts, Seed: *seed, Workers: *workers})
+	}},
+	{[]string{"chaos"}, true, "chaos study", func() (experiments.Result, error) {
+		return experiments.Chaos(experiments.ChaosOptions{Hosts: *hosts, Seed: *seed, Workers: *workers})
+	}},
+	{[]string{"ablations"}, true, "ablations", func() (experiments.Result, error) {
+		return experiments.Ablations(experiments.AblationOptions{Hosts: *hosts, Runs: *runs, Seed: *seed, Workers: *workers})
+	}},
+	{[]string{"obs"}, false, "obs study", func() (experiments.Result, error) {
+		return experiments.Obs(experiments.ObsOptions{Seed: *seed, Workers: *workers, TraceTail: *tracing})
+	}},
+	{[]string{"audit"}, false, "invariant audit", func() (experiments.Result, error) {
+		return experiments.Audit(experiments.AuditOptions{Hosts: *hosts, Seeds: *runs, Seed: *seed, Workers: *workers})
+	}},
+	{[]string{"scale"}, false, "scale study", func() (experiments.Result, error) {
+		opts := experiments.ScaleOptions{
+			Seed:    *seed,
+			Workers: *workers,
+			Runtime: eventsim.Time(*scaleRT) * eventsim.Second,
+			Bench:   *benchJSON != "",
+		}
+		if *hosts > 0 {
+			// -hosts caps the sweep for smoke runs (e.g. CI at 1200).
+			opts.Sizes = []int{*hosts}
+		}
+		return experiments.Scale(opts)
+	}},
+	{[]string{"load"}, false, "load study", func() (experiments.Result, error) {
+		return experiments.Load(experiments.LoadOptions{
+			Hosts:   *hosts,
+			Seed:    *seed,
+			Workers: *workers,
+			Window:  eventsim.Time(*loadRT) * eventsim.Second,
+			Bench:   *benchJSON != "",
+		})
+	}},
+	{[]string{"stream"}, false, "stream study", func() (experiments.Result, error) {
+		return experiments.Stream(experiments.StreamOptions{
+			Hosts: *hosts, Chunks: *streamChunks, Seed: *seed, Workers: *workers, Bench: *benchJSON != "",
+		})
+	}},
+	{[]string{"conf"}, false, "conf study", func() (experiments.Result, error) {
+		return experiments.Conf(experiments.ConfOptions{
+			Hosts: *hosts, Chunks: *confChunks, Seed: *seed, Workers: *workers, Bench: *benchJSON != "",
+		})
+	}},
+}
+
+// figNames lists every valid -fig value: the classic set and "all",
+// then the opt-in studies.
+func figNames() string {
+	var classic, optIn []string
+	for _, st := range studies {
+		if st.inAll {
+			classic = append(classic, st.names...)
+		} else {
+			optIn = append(optIn, st.names...)
+		}
+	}
+	return strings.Join(classic, ", ") + ", all; not part of all: " + strings.Join(optIn, ", ")
+}
+
+// selectStudies resolves a comma-separated -fig value to the studies it
+// names, once each and in table order. Any name the table does not know
+// fails the whole selection, so a typo cannot silently drop a figure.
+func selectStudies(fig string) ([]study, error) {
+	picked := make([]bool, len(studies))
+	var unknown []string
+	for _, name := range strings.Split(fig, ",") {
+		found := false
+		for i, st := range studies {
+			if (name == "all" && st.inAll) || slices.Contains(st.names, name) {
+				picked[i], found = true, true
+			}
+		}
+		if !found {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown figure %s (want %s)", strings.Join(unknown, ", "), figNames())
+	}
+	var out []study
+	for i, st := range studies {
+		if picked[i] {
+			out = append(out, st)
+		}
+	}
+	return out, nil
+}
+
+// benchAppender is a result with a bench trajectory: the scale, load,
+// stream and conf studies.
+type benchAppender interface {
+	AppendBenchJSON(existing []byte, label string) ([]byte, error)
+}
+
+// writeBench appends res to the -benchjson file as a run labeled
+// -bench-label, keeping the runs already there.
+func writeBench(res benchAppender) error {
+	existing, err := os.ReadFile(*benchJSON)
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	out, err := res.AppendBenchJSON(existing, *benchLabel)
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(*benchJSON, out, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s (run %q)\n", *benchJSON, *benchLabel)
+	return nil
+}
+
+func main() {
 	flag.Parse()
+	chosen, err := selectStudies(*fig)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -95,253 +253,31 @@ func main() {
 		}()
 	}
 
-	want := strings.Split(*fig, ",")
-	has := func(k string) bool {
-		for _, w := range want {
-			if w == k || w == "all" {
-				return true
+	exitCode := 0
+	var results []experiments.Result
+	for _, st := range chosen {
+		fmt.Fprintf(os.Stderr, "running %s...\n", st.title)
+		start := time.Now()
+		res, err := st.run()
+		if err == nil && *benchJSON != "" {
+			if b, ok := res.(benchAppender); ok {
+				err = writeBench(b)
 			}
 		}
-		return false
-	}
-
-	var results []experiments.Result
-	run := func(name string, f func() (experiments.Result, error)) {
-		fmt.Fprintf(os.Stderr, "running %s...\n", name)
-		start := time.Now()
-		res, err := f()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", st.title, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "%s done in %.2fs\n", name, time.Since(start).Seconds())
+		// audit, load and conf sweep invariants; a violation fails the
+		// command after its tables have printed.
+		if v, ok := res.(interface{ ViolationCount() int }); ok {
+			if n := v.ViolationCount(); n > 0 {
+				fmt.Fprintf(os.Stderr, "%s: %d invariant violation(s)\n", st.names[0], n)
+				exitCode = 1
+			}
+		}
+		fmt.Fprintf(os.Stderr, "%s done in %.2fs\n", st.title, time.Since(start).Seconds())
 		results = append(results, res)
-	}
-
-	if has("4") {
-		run("figure 4", func() (experiments.Result, error) {
-			return experiments.Fig4(experiments.Fig4Options{Hosts: *hosts, Seed: *seed, Workers: *workers})
-		})
-	}
-	if has("5") {
-		run("figure 5", func() (experiments.Result, error) {
-			return experiments.Fig5(experiments.Fig5Options{Hosts: *hosts, Seed: *seed, Workers: *workers})
-		})
-	}
-	if has("8") {
-		run("figure 8", func() (experiments.Result, error) {
-			return experiments.Fig8(experiments.Fig8Options{Hosts: *hosts, Runs: *runs, Seed: *seed, Workers: *workers})
-		})
-	}
-	if has("10") || has("10a") || has("10b") {
-		run("figure 10", func() (experiments.Result, error) {
-			return experiments.Fig10(experiments.Fig10Options{Hosts: *hosts, Runs: *runs, Seed: *seed, Workers: *workers})
-		})
-	}
-	if has("somo") {
-		run("somo study", func() (experiments.Result, error) {
-			return experiments.SOMOExperiment(experiments.SOMOOptions{Seed: *seed, Workers: *workers})
-		})
-	}
-	if has("qos") {
-		run("qos comparison", func() (experiments.Result, error) {
-			return experiments.QoS(experiments.QoSOptions{Hosts: *hosts, Runs: *runs, Seed: *seed, Workers: *workers})
-		})
-	}
-	if has("churn") {
-		run("churn study", func() (experiments.Result, error) {
-			return experiments.Churn(experiments.ChurnOptions{Nodes: *hosts, Seed: *seed, Workers: *workers})
-		})
-	}
-	if has("chaos") {
-		run("chaos study", func() (experiments.Result, error) {
-			return experiments.Chaos(experiments.ChaosOptions{Hosts: *hosts, Seed: *seed, Workers: *workers})
-		})
-	}
-	if has("ablations") {
-		run("ablations", func() (experiments.Result, error) {
-			return experiments.Ablations(experiments.AblationOptions{Hosts: *hosts, Runs: *runs, Seed: *seed, Workers: *workers})
-		})
-	}
-	// The obs and scale studies are opt-in only (exact name, never part
-	// of "all") so the classic figure set stays byte-identical run to
-	// run.
-	for _, w := range want {
-		if w == "obs" {
-			run("obs study", func() (experiments.Result, error) {
-				return experiments.Obs(experiments.ObsOptions{Seed: *seed, Workers: *workers, TraceTail: *tracing})
-			})
-			break
-		}
-	}
-	exitCode := 0
-	for _, w := range want {
-		if w == "audit" {
-			run("invariant audit", func() (experiments.Result, error) {
-				res, err := experiments.Audit(experiments.AuditOptions{
-					Hosts:   *hosts,
-					Seeds:   *runs,
-					Seed:    *seed,
-					Workers: *workers,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if n := res.ViolationCount(); n > 0 {
-					fmt.Fprintf(os.Stderr, "audit: %d violation(s)\n", n)
-					exitCode = 1
-				}
-				return res, nil
-			})
-			break
-		}
-	}
-	for _, w := range want {
-		if w == "scale" {
-			opts := experiments.ScaleOptions{
-				Seed:    *seed,
-				Workers: *workers,
-				Runtime: eventsim.Time(*scaleRT) * eventsim.Second,
-				Bench:   *benchJSON != "",
-			}
-			if *hosts > 0 {
-				// -hosts caps the sweep for smoke runs (e.g. CI at 1200).
-				opts.Sizes = []int{*hosts}
-			}
-			run("scale study", func() (experiments.Result, error) {
-				res, err := experiments.Scale(opts)
-				if err != nil {
-					return nil, err
-				}
-				if *benchJSON != "" {
-					existing, err := os.ReadFile(*benchJSON)
-					if err != nil && !os.IsNotExist(err) {
-						return nil, err
-					}
-					out, err := res.AppendBenchJSON(existing, *benchLabel)
-					if err != nil {
-						return nil, err
-					}
-					if err := os.WriteFile(*benchJSON, out, 0o644); err != nil {
-						return nil, err
-					}
-					fmt.Fprintf(os.Stderr, "wrote %s (run %q)\n", *benchJSON, *benchLabel)
-				}
-				return res, nil
-			})
-			break
-		}
-	}
-	for _, w := range want {
-		if w == "load" {
-			opts := experiments.LoadOptions{
-				Hosts:   *hosts,
-				Seed:    *seed,
-				Workers: *workers,
-				Window:  eventsim.Time(*loadRT) * eventsim.Second,
-				Bench:   *benchJSON != "",
-			}
-			run("load study", func() (experiments.Result, error) {
-				res, err := experiments.Load(opts)
-				if err != nil {
-					return nil, err
-				}
-				if n := res.ViolationCount(); n > 0 {
-					fmt.Fprintf(os.Stderr, "load: %d invariant violation(s)\n", n)
-					exitCode = 1
-				}
-				if *benchJSON != "" {
-					existing, err := os.ReadFile(*benchJSON)
-					if err != nil && !os.IsNotExist(err) {
-						return nil, err
-					}
-					out, err := res.AppendBenchJSON(existing, *benchLabel)
-					if err != nil {
-						return nil, err
-					}
-					if err := os.WriteFile(*benchJSON, out, 0o644); err != nil {
-						return nil, err
-					}
-					fmt.Fprintf(os.Stderr, "wrote %s (run %q)\n", *benchJSON, *benchLabel)
-				}
-				return res, nil
-			})
-			break
-		}
-	}
-	for _, w := range want {
-		if w == "stream" {
-			opts := experiments.StreamOptions{
-				Hosts:   *hosts,
-				Chunks:  *streamChunks,
-				Seed:    *seed,
-				Workers: *workers,
-				Bench:   *benchJSON != "",
-			}
-			run("stream study", func() (experiments.Result, error) {
-				res, err := experiments.Stream(opts)
-				if err != nil {
-					return nil, err
-				}
-				if *benchJSON != "" {
-					existing, err := os.ReadFile(*benchJSON)
-					if err != nil && !os.IsNotExist(err) {
-						return nil, err
-					}
-					out, err := res.AppendBenchJSON(existing, *benchLabel)
-					if err != nil {
-						return nil, err
-					}
-					if err := os.WriteFile(*benchJSON, out, 0o644); err != nil {
-						return nil, err
-					}
-					fmt.Fprintf(os.Stderr, "wrote %s (run %q)\n", *benchJSON, *benchLabel)
-				}
-				return res, nil
-			})
-			break
-		}
-	}
-	for _, w := range want {
-		if w == "conf" {
-			opts := experiments.ConfOptions{
-				Hosts:   *hosts,
-				Chunks:  *confChunks,
-				Seed:    *seed,
-				Workers: *workers,
-				Bench:   *benchJSON != "",
-			}
-			run("conf study", func() (experiments.Result, error) {
-				res, err := experiments.Conf(opts)
-				if err != nil {
-					return nil, err
-				}
-				if n := res.ViolationCount(); n > 0 {
-					fmt.Fprintf(os.Stderr, "conf: %d invariant violation(s)\n", n)
-					exitCode = 1
-				}
-				if *benchJSON != "" {
-					existing, err := os.ReadFile(*benchJSON)
-					if err != nil && !os.IsNotExist(err) {
-						return nil, err
-					}
-					out, err := res.AppendBenchJSON(existing, *benchLabel)
-					if err != nil {
-						return nil, err
-					}
-					if err := os.WriteFile(*benchJSON, out, 0o644); err != nil {
-						return nil, err
-					}
-					fmt.Fprintf(os.Stderr, "wrote %s (run %q)\n", *benchJSON, *benchLabel)
-				}
-				return res, nil
-			})
-			break
-		}
-	}
-	if len(results) == 0 {
-		fmt.Fprintf(os.Stderr, "unknown figure %q (want 4, 5, 8, 10, somo, churn, chaos, ablations, obs, scale, audit, load, stream, conf, all)\n", *fig)
-		os.Exit(2)
 	}
 
 	for _, res := range results {

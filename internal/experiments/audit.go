@@ -231,15 +231,10 @@ func genAuditScript(runSeed int64, ro auditRoster, opts AuditOptions) []auditAct
 		}
 	}
 	var script []auditAction
-	for at := eventsim.Time(0); ; {
-		gap := frng.ExpFloat64() / opts.Rate * float64(eventsim.Minute)
-		at += eventsim.Time(gap)
-		if at >= opts.Window {
-			break
-		}
-		victim := targets[frng.Intn(len(targets))]
-		script = append(script, auditAction{At: at, Op: opCrash, Host: victim})
-		if restart := at + opts.RestartDelay; restart < opts.Window {
+	for _, cr := range poissonCrashes(frng, opts.Rate, 0, opts.Window, len(targets)) {
+		victim := targets[cr.pick]
+		script = append(script, auditAction{At: cr.at, Op: opCrash, Host: victim})
+		if restart := cr.at + opts.RestartDelay; restart < opts.Window {
 			script = append(script, auditAction{At: restart, Op: opRestart, Host: victim})
 		}
 	}
@@ -383,10 +378,9 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 		HeartbeatInterval: eventsim.Second,
 		FailureTimeout:    3 * eventsim.Second,
 		Fingers:           12,
-		// Scale the suspect window with the 3s failure timeout (the
-		// package default is 30x the default 4s timeout); the long-outage
-		// victim is engineered to restart after every suspect expired.
-		SuspectTTL: 90 * eventsim.Second,
+		// SuspectTTL stays at the dht default, 30x this FailureTimeout =
+		// 90s; the long-outage victim is engineered to restart after
+		// every suspect expired.
 	}
 	ring, err := dht.BuildRing(f, ro.ids, addrs, dhtCfg)
 	if err != nil {

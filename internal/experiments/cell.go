@@ -1,0 +1,360 @@
+package experiments
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+
+	"p2ppool/internal/alm"
+	"p2ppool/internal/bandwidth"
+	"p2ppool/internal/dataplane"
+	"p2ppool/internal/eventsim"
+	"p2ppool/internal/faultnet"
+	"p2ppool/internal/invariant"
+	"p2ppool/internal/netmodel"
+	"p2ppool/internal/obs"
+	"p2ppool/internal/sched"
+	"p2ppool/internal/transport"
+)
+
+// This file is the harness the load, stream and conf studies share: the
+// synthetic world they price sessions in, and the service cell — one
+// engine, fault layer and sched.Service with the tick loop, crash
+// detection, churn schedule, invariant sweeps and chunk pumps wired the
+// same way for all three. DESIGN.md "Study harness" has the seed
+// schedule and the registration-order contract. chaos and audit drive a
+// bare sched.Scheduler over a real topology or ring and keep their own
+// wiring; from here they share only poissonCrashes.
+
+// synthLatency places hosts uniformly in a 200x200 ms square (x then y
+// per host, drawn from rng) and returns the distance metric over them.
+func synthLatency(rng *rand.Rand, hosts int) alm.LatencyFunc {
+	xs := make([]float64, hosts)
+	ys := make([]float64, hosts)
+	for h := range xs {
+		xs[h] = rng.Float64() * 200
+		ys[h] = rng.Float64() * 200
+	}
+	return func(a, b int) float64 {
+		if a == b {
+			return 0
+		}
+		dx, dy := xs[a]-xs[b], ys[a]-ys[b]
+		// Euclidean plus a constant floor stays a metric, so the
+		// planner's indexed helper search is sound.
+		return 5 + math.Sqrt(dx*dx+dy*dy)
+	}
+}
+
+// capacityWorld builds the static world every stream and conf run
+// shares: the latency metric, the capacity population, and the Section
+// 4.2 leafset bandwidth estimates. A pure function of the seed.
+func capacityWorld(seed int64, hosts, leafset int) (alm.LatencyFunc, *netmodel.Model, []bandwidth.Estimates, error) {
+	lat := synthLatency(rand.New(rand.NewSource(seed+2)), hosts)
+	model, err := netmodel.New(hosts, netmodel.Options{Seed: seed + 3})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// Random-membership leafsets, the DHT's shape, estimated with the
+	// paper's max rule; planning runs on these estimates while the
+	// contention physics runs on model truth.
+	lr := rand.New(rand.NewSource(seed + 4))
+	leafs := make([][]int, hosts)
+	for i := range leafs {
+		seen := map[int]bool{i: true}
+		for len(leafs[i]) < leafset {
+			x := lr.Intn(hosts)
+			if !seen[x] {
+				seen[x] = true
+				leafs[i] = append(leafs[i], x)
+			}
+		}
+	}
+	est := bandwidth.EstimateAll(model, func(i int) []int { return leafs[i] }, 1500, nil)
+	return lat, model, est, nil
+}
+
+// uplinkDegree is the planning degree of a host with estimated uplink
+// up at one bitrate: how many concurrent chunk flows (children plus the
+// host's own parent link) the uplink sustains, clamped to [1, 16]. Each
+// child is costed at 1.3x the rung, not 1.0x: a relay packed to 100%
+// uplink utilization has no headroom for transfer overlap (chunk k+1
+// arriving while k is still forwarding halves the fair share and the
+// backlog never drains), so like any production streaming system the
+// planner provisions ~75% peak utilization.
+func uplinkDegree(up, rungKbps float64) int {
+	d := int(up/(1.3*rungKbps)) + 1
+	if d < 1 {
+		d = 1
+	}
+	if d > 16 {
+		d = 16
+	}
+	return d
+}
+
+// crashAt is one scheduled crash: pick indexes the caller's victim pool.
+type crashAt struct {
+	at   eventsim.Time
+	pick int
+}
+
+// poissonCrashes pre-draws a churn schedule: exponential gaps at
+// perMinute crashes per virtual minute starting from from, each crash
+// picking one of n victims, until the next crash would land at or past
+// until. Per crash it draws ExpFloat64 then Intn(n) — the order every
+// study's seed schedule was recorded under. A rate <= 0 is no churn.
+func poissonCrashes(rng *rand.Rand, perMinute float64, from, until eventsim.Time, n int) []crashAt {
+	if perMinute <= 0 {
+		return nil
+	}
+	var out []crashAt
+	for at := from; ; {
+		at += eventsim.Time(rng.ExpFloat64() / perMinute * float64(eventsim.Minute))
+		if at >= until {
+			return out
+		}
+		out = append(out, crashAt{at: at, pick: rng.Intn(n)})
+	}
+}
+
+// deliveryCounts is the outcome partition over expected (member, chunk)
+// pairs, summed across pumps; see dataplane.Stats. Stream and conf rows
+// embed it.
+type deliveryCounts struct {
+	Expected      int
+	OnTimeTree    int
+	PullRecovered int
+	Late          int
+	Lost          int
+	TreeMisses    int
+	Duplicates    int
+	PullsSent     int
+}
+
+func (d *deliveryCounts) add(st dataplane.Stats) {
+	d.Expected += st.Expected
+	d.OnTimeTree += st.OnTimeTree
+	d.PullRecovered += st.PullRecovered
+	d.Late += st.Late
+	d.Lost += st.Lost
+	d.TreeMisses += st.TreeMisses
+	d.Duplicates += st.Duplicates
+	d.PullsSent += st.PullsSent
+}
+
+// onTime is the fraction of expected pairs delivered within the playout
+// deadline, by either path (0 when nothing was expected).
+func (d deliveryCounts) onTime() float64 {
+	if d.Expected == 0 {
+		return 0
+	}
+	return float64(d.OnTimeTree+d.PullRecovered) / float64(d.Expected)
+}
+
+// serviceCell is one run of a study that drives the task manager
+// through sched.Service: an engine, a simulated network under a fault
+// layer, and the service, seeded from (seed, idx) on the schedule every
+// study shares. Its methods schedule events in call order, and events at
+// one timestamp fire in that order, so a study's sequence of calls is
+// part of its output.
+type serviceCell struct {
+	seed    int64
+	idx     int
+	engine  *eventsim.Engine
+	net     *faultnet.Net
+	sv      *sched.Service
+	degrees []int
+	reg     *obs.Registry
+
+	// err is the first failure an event callback reported.
+	err error
+
+	tickEvery   eventsim.Time
+	detectDelay eventsim.Time
+	// downSince is when each currently crashed host went down.
+	downSince map[int]eventsim.Time
+
+	// violations counts invariant-sweep violations; firstViolation is
+	// the earliest one's rendering (empty when clean).
+	violations     int
+	firstViolation string
+}
+
+// newServiceCell wires run idx of a study. cfg carries only what the
+// study tunes; the score metric and the service seed are set here.
+// Nil registry handles are no-ops, so instrumentation is unconditional.
+func newServiceCell(seed int64, idx int, lat alm.LatencyFunc, degrees []int, cfg sched.ServiceConfig, reg *obs.Registry) *serviceCell {
+	engine := eventsim.New(seed + int64(idx))
+	sim := transport.NewSim(engine, transport.SimOptions{Latency: transport.LatencyFunc(lat)})
+	net := faultnet.New(sim, faultnet.Options{Seed: seed*100 + int64(idx)})
+	cfg.Sched.ScoreLatency, cfg.Sched.MetricScore = lat, true
+	cfg.Seed = seed*10 + int64(idx) + 5
+	sv := sched.NewService(degrees, lat, cfg)
+	sv.Instrument(reg)
+	net.Instrument(reg, nil)
+	return &serviceCell{
+		seed: seed, idx: idx, engine: engine, net: net, sv: sv, degrees: degrees, reg: reg,
+		downSince: make(map[int]eventsim.Time),
+	}
+}
+
+// rosterRNG is the stream run idx of a study draws its sessions from
+// (conf needs the rosters before it can size the cell's degrees).
+func rosterRNG(seed int64, idx int) *rand.Rand {
+	return rand.New(rand.NewSource(seed*1000 + int64(idx)*17 + 3))
+}
+
+func (c *serviceCell) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// crashed reports whether host h is down right now.
+func (c *serviceCell) crashed(h int) bool { return c.net.Crashed(transport.Addr(h)) }
+
+// submitAt schedules a submission. build runs when it fires and may
+// return nil: the session never forms.
+func (c *serviceCell) submitAt(at eventsim.Time, build func() *sched.Session) {
+	c.engine.At(at, func() {
+		if s := build(); s != nil {
+			if _, err := c.sv.Submit(c.net.Now(), s); err != nil {
+				c.fail(err)
+			}
+		}
+	})
+}
+
+// tickUntil runs the control plane's Tick every period; the last tick
+// is the first at or past end.
+func (c *serviceCell) tickUntil(every, end eventsim.Time) {
+	c.tickEvery = every
+	var tick func()
+	tick = func() {
+		if err := c.sv.Tick(c.net.Now()); err != nil {
+			c.fail(err)
+			return
+		}
+		if c.net.Now() < end {
+			c.net.After(every, tick)
+		}
+	}
+	c.net.After(every, tick)
+}
+
+// wireChurn connects the fault layer to the service: a crash still in
+// force detectDelay later is reported as NodeFailed, a restart as
+// NodeRecovered followed by the study's own onRestart (nil for none).
+func (c *serviceCell) wireChurn(detectDelay eventsim.Time, onRestart func(h int)) {
+	c.detectDelay = detectDelay
+	c.net.OnCrash(func(a transport.Addr) {
+		h := int(a)
+		c.downSince[h] = c.net.Now()
+		c.net.After(detectDelay, func() {
+			if c.net.Crashed(a) {
+				c.sv.NodeFailed(c.net.Now(), h)
+			}
+		})
+	})
+	c.net.OnRestart(func(a transport.Addr) {
+		h := int(a)
+		delete(c.downSince, h)
+		c.sv.NodeRecovered(c.net.Now(), h)
+		if onRestart != nil {
+			onRestart(h)
+		}
+	})
+}
+
+// churn schedules Poisson crashes over [from, until), victims drawn
+// from pool, each restarting after down.
+func (c *serviceCell) churn(perMinute float64, from, until eventsim.Time, pool []int, down eventsim.Time) {
+	rng := rand.New(rand.NewSource(c.seed*1000 + int64(c.idx)*31 + 7))
+	for _, cr := range poissonCrashes(rng, perMinute, from, until, len(pool)) {
+		victim := transport.Addr(pool[cr.pick])
+		c.net.CrashAt(cr.at, victim)
+		c.net.RestartAt(cr.at+down, victim)
+	}
+}
+
+// sweepUntil sweeps the continuous invariants (slot conservation,
+// ledger, tree validity) every period through end, then runs each (nil
+// for none). Call after tickUntil and wireChurn: the repair-lag bound
+// is built from their periods.
+func (c *serviceCell) sweepUntil(every, end eventsim.Time, each func()) {
+	ireg := invariant.NewRegistry()
+	world := &invariant.World{
+		Sched:  c.sv.Scheduler(),
+		Bounds: c.degrees,
+		Down:   c.crashed,
+		DownSince: func(h int) (eventsim.Time, bool) {
+			t, ok := c.downSince[h]
+			return t, ok
+		},
+		// Crash-to-repair is detection plus at most one tick (failed
+		// in-place repairs go dirty, and dirty sessions are skipped).
+		RepairLag: c.detectDelay + c.tickEvery + 2*eventsim.Second,
+	}
+	sweep := func() {
+		world.Now = c.engine.Now()
+		for _, v := range ireg.Sweep(world, invariant.Continuous) {
+			c.violations++
+			if c.firstViolation == "" {
+				c.firstViolation = fmt.Sprintf("t=%.1fs %s", float64(c.engine.Now())/1000, v.String())
+			}
+		}
+		if each != nil {
+			each()
+		}
+	}
+	for t := every; t <= end; t += every {
+		c.engine.At(t, sweep)
+	}
+}
+
+// pumpSpec is one chunk sequence to stream: a source, its receivers,
+// and where its live routing tree is read from.
+type pumpSpec struct {
+	key     int
+	src     int
+	members []int
+	tree    dataplane.TreeFunc
+}
+
+// startPumps builds the data plane over the model's true capacities
+// and, one millisecond before at, starts a pump per spec (spec i seeded
+// seedBase+i) emitting from at. The returned slots fill in when that
+// event fires.
+func (c *serviceCell) startPumps(model *netmodel.Model, at eventsim.Time, cfg dataplane.Config, seedBase int64, specs []pumpSpec) []*dataplane.Pump {
+	n := len(c.degrees)
+	up := make([]float64, n)
+	down := make([]float64, n)
+	for h := range up {
+		up[h] = model.Up(h)
+		down[h] = model.Down(h)
+	}
+	plane := dataplane.NewPlane(c.net, up, down)
+	plane.Attach(n)
+	plane.Instrument(c.reg)
+	alive := func(h int) bool { return !c.crashed(h) }
+	pumps := make([]*dataplane.Pump, len(specs))
+	c.engine.At(at-eventsim.Millisecond, func() {
+		for i, s := range specs {
+			cfg.Seed = seedBase + int64(i)
+			p, err := plane.StartPump(s.key, s.src, s.members, s.tree, alive, at, cfg)
+			if err != nil {
+				c.fail(err)
+				return
+			}
+			pumps[i] = p
+		}
+	})
+	return pumps
+}
+
+// run drives the cell to end and returns the first callback failure.
+func (c *serviceCell) run(end eventsim.Time) error {
+	c.engine.RunUntil(end)
+	return c.err
+}

@@ -1,0 +1,48 @@
+package experiments
+
+import (
+	"math/rand"
+	"testing"
+
+	"p2ppool/internal/eventsim"
+)
+
+// TestPoissonCrashesMatchesInlineLoop: the shared churn schedule is the
+// loop the five studies each used to spell out — same seed, same
+// (time, victim) sequence, at the rates the studies run (load 4/min,
+// conf 18/min) and one far hotter. The reference below is that loop,
+// kept verbatim; a change in draw order would silently re-seed every
+// churn table. (The draw sits on its own line so that a grep for the
+// inline spelling finds only cell.go.)
+func TestPoissonCrashesMatchesInlineLoop(t *testing.T) {
+	const (
+		from  = 5 * eventsim.Second
+		until = 10 * eventsim.Minute
+		n     = 97
+	)
+	for _, rate := range []float64{4, 18, 60} {
+		ref := rand.New(rand.NewSource(42))
+		var want []crashAt
+		for at := eventsim.Time(from); ; {
+			e := ref.ExpFloat64()
+			gap := e / rate * float64(eventsim.Minute)
+			at += eventsim.Time(gap)
+			if at >= until {
+				break
+			}
+			want = append(want, crashAt{at: at, pick: ref.Intn(n)})
+		}
+		got := poissonCrashes(rand.New(rand.NewSource(42)), rate, from, until, n)
+		if len(got) != len(want) || len(got) < int(rate)*5 {
+			t.Fatalf("rate %v: %d crashes, reference loop drew %d", rate, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("rate %v: crash %d = %+v, reference %+v", rate, i, got[i], want[i])
+			}
+		}
+	}
+	if got := poissonCrashes(rand.New(rand.NewSource(42)), 0, from, until, n); got != nil {
+		t.Errorf("rate 0 scheduled %d crashes", len(got))
+	}
+}

@@ -378,15 +378,10 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 				targets = append(targets, h)
 			}
 		}
-		for at := eventsim.Time(0); ; {
-			gap := frng.ExpFloat64() / rate * float64(eventsim.Minute)
-			at += eventsim.Time(gap)
-			if at >= opts.Window {
-				break
-			}
-			victim := transport.Addr(targets[frng.Intn(len(targets))])
-			f.CrashAt(at, victim)
-			f.RestartAt(at+opts.RestartDelay, victim)
+		for _, cr := range poissonCrashes(frng, rate, 0, opts.Window, len(targets)) {
+			victim := transport.Addr(targets[cr.pick])
+			f.CrashAt(cr.at, victim)
+			f.RestartAt(cr.at+opts.RestartDelay, victim)
 		}
 		half := make([]transport.Addr, opts.Hosts)
 		for h := range half {

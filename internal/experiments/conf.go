@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"time"
@@ -9,12 +8,9 @@ import (
 	"p2ppool/internal/alm"
 	"p2ppool/internal/dataplane"
 	"p2ppool/internal/eventsim"
-	"p2ppool/internal/faultnet"
-	"p2ppool/internal/invariant"
 	"p2ppool/internal/obs"
 	"p2ppool/internal/par"
 	"p2ppool/internal/sched"
-	"p2ppool/internal/transport"
 )
 
 // ConfOptions parameterizes the conferencing study: M-member sessions
@@ -158,14 +154,7 @@ type ConfRow struct {
 	ConfTrees int
 	// Outcome partition over the conferences' expected (member, chunk)
 	// pairs, summed across every source pump.
-	Expected      int
-	OnTimeTree    int
-	PullRecovered int
-	Late          int
-	Lost          int
-	TreeMisses    int
-	PullsSent     int
-	Duplicates    int
+	deliveryCounts
 	// DeliveredKbps = rung x on-time fraction over all conference
 	// pairs; MinSrcKbps / MaxSrcKbps bracket the per-source delivered
 	// rates (a conference is only as good as its worst voice).
@@ -268,17 +257,10 @@ func Conf(opts ConfOptions) (*ConfResult, error) {
 func confDegrees(est []float64, member map[int]bool, m int, rungKbps float64) []int {
 	out := make([]int, len(est))
 	for i, up := range est {
-		d := int(up/(1.3*rungKbps)) + 1
-		if d < 1 {
-			d = 1
-		}
-		if d > 16 {
-			d = 16
-		}
+		out[i] = uplinkDegree(up, rungKbps)
 		if member[i] {
-			d += m - 2
+			out[i] += m - 2
 		}
-		out[i] = d
 	}
 	return out
 }
@@ -378,16 +360,9 @@ func genConfSessions(rng *rand.Rand, estUp, estDown []float64, opts ConfOptions)
 	return out, nil
 }
 
-// confPump identifies one (session, source) pump.
-type confPump struct {
-	spec *confSpec
-	src  int
-	pump *dataplane.Pump
-}
-
 func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 	start := time.Now()
-	lat, model, est, err := streamWorld(StreamOptions{Hosts: opts.Hosts, Leafset: opts.Leafset, Seed: opts.Seed})
+	lat, model, est, err := capacityWorld(opts.Seed, opts.Hosts, opts.Leafset)
 	if err != nil {
 		return ConfRow{}, err
 	}
@@ -397,8 +372,7 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 		estUp[h] = est[h].Up
 		estDown[h] = est[h].Down
 	}
-	srng := rand.New(rand.NewSource(opts.Seed*1000 + int64(idx)*17 + 3))
-	all, err := genConfSessions(srng, estUp, estDown, opts)
+	all, err := genConfSessions(rosterRNG(opts.Seed, idx), estUp, estDown, opts)
 	if err != nil {
 		return ConfRow{}, err
 	}
@@ -411,36 +385,22 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 			}
 		}
 	}
-	degrees := confDegrees(estUp, member, opts.ConfSize, opts.SourceKbps)
-	engine := eventsim.New(opts.Seed + int64(idx))
-	sim := transport.NewSim(engine, transport.SimOptions{Latency: transport.LatencyFunc(lat)})
-	f := faultnet.New(sim, faultnet.Options{Seed: opts.Seed*100 + int64(idx)})
 	// Helper recruitment keeps the paper's min-degree-4 rule (the sched
 	// default, not the stream study's relaxed 2): conference trees hang
 	// almost entirely off helpers — members spend nearly all their slots
 	// on parent links — so a degree-2 helper saturates the moment it
 	// takes a parent edge and one child, stranding the rest of the
 	// roster.
-	sv := sched.NewService(degrees, lat, sched.ServiceConfig{
-		Sched: sched.Config{ScoreLatency: lat, MetricScore: true},
-		Seed:  opts.Seed*10 + int64(idx) + 5,
-	})
-	sv.Instrument(opts.Registry)
-	f.Instrument(opts.Registry, nil)
+	c := newServiceCell(opts.Seed, idx, lat, confDegrees(estUp, member, opts.ConfSize, opts.SourceKbps),
+		sched.ServiceConfig{}, opts.Registry)
+	sv := c.sv
 	specs := all[:0:0]
 	for i := range all {
 		if all[i].conf || confMarket(cell) {
 			specs = append(specs, all[i])
 		}
 	}
-
 	row := ConfRow{Cell: cell}
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
 
 	// --- control plane: submit, tick, churn, rejoin ---
 	pumpStart := 2 * eventsim.Second
@@ -449,174 +409,90 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 
 	for i := range specs {
 		s := &specs[i]
-		engine.At(100*eventsim.Millisecond, func() {
-			sess := &sched.Session{
+		c.submitAt(100*eventsim.Millisecond, func() *sched.Session {
+			return &sched.Session{
 				ID: s.id, Priority: s.pri, Root: s.root,
 				Members: append([]int(nil), s.members...),
 				Sources: append([]int(nil), s.sources...),
 			}
-			if _, err := sv.Submit(f.Now(), sess); err != nil {
-				fail(err)
-			}
 		})
 	}
-	var tick func()
-	tick = func() {
-		if err := sv.Tick(f.Now()); err != nil {
-			fail(err)
-			return
-		}
-		if f.Now() < runEnd {
-			f.After(opts.TickEvery, tick)
-		}
-	}
-	f.After(opts.TickEvery, tick)
+	c.tickUntil(opts.TickEvery, runEnd)
 
 	// confOf maps a non-root conference member back to its session so
-	// restarts can rejoin the call.
+	// restarts can rejoin the call. Those members are also the churn
+	// pool: every victim is a live source, so each crash tears one tree
+	// down and bends M-1 others. Roots are spared (a dead root ends the
+	// session — a different study), as are broadcast members (their
+	// churn is the stream study's subject).
 	confOf := make(map[int]*confSpec)
+	var pool []int
 	for i := range specs {
 		if specs[i].conf {
 			for _, m := range specs[i].members {
 				confOf[m] = &specs[i]
 			}
+			pool = append(pool, specs[i].members...)
 		}
 	}
-	downSince := make(map[int]eventsim.Time)
-	f.OnCrash(func(a transport.Addr) {
-		h := int(a)
-		downSince[h] = f.Now()
-		f.After(opts.DetectDelay, func() {
-			if f.Crashed(a) {
-				sv.NodeFailed(f.Now(), h)
-			}
-		})
-	})
-	f.OnRestart(func(a transport.Addr) {
-		h := int(a)
-		delete(downSince, h)
-		sv.NodeRecovered(f.Now(), h)
+	c.wireChurn(opts.DetectDelay, func(h int) {
 		// A restarted conference member dials back in: re-enter the
 		// roster, then reclaim the source role — the live AddSource
 		// path. Errors are expected when the crash was never detected
 		// (the member was never stripped) or the session is gone.
-		if s := confOf[h]; s != nil && f.Now() < streamEnd {
+		if s := confOf[h]; s != nil && c.net.Now() < streamEnd {
 			if err := sv.AddMember(s.id, h); err == nil {
 				row.Rejoins++
 			}
 			_ = sv.AddSource(s.id, h)
 		}
 	})
-	if confChurn(cell) && opts.CrashRate > 0 {
-		// Churn hits non-root conference members only: every victim is
-		// a live source, so each crash tears one tree down and bends
-		// M-1 others. Roots are spared (a dead root ends the session —
-		// a different study), as are broadcast members (their churn is
-		// the stream study's subject).
-		var pool []int
-		for i := range specs {
-			if specs[i].conf {
-				pool = append(pool, specs[i].members...)
-			}
-		}
-		crng := rand.New(rand.NewSource(opts.Seed*1000 + int64(idx)*31 + 7))
-		for at := pumpStart + 3*eventsim.Second; ; {
-			gap := crng.ExpFloat64() / opts.CrashRate * float64(eventsim.Minute)
-			at += eventsim.Time(gap)
-			if at >= streamEnd-opts.Playout {
-				break
-			}
-			victim := transport.Addr(pool[crng.Intn(len(pool))])
-			f.CrashAt(at, victim)
-			f.RestartAt(at+opts.RestartDelay, victim)
-		}
+	if confChurn(cell) {
+		c.churn(opts.CrashRate, pumpStart+3*eventsim.Second, streamEnd-opts.Playout, pool, opts.RestartDelay)
 	}
 
 	// --- data plane: one pump per (session, source) ---
-	up := make([]float64, opts.Hosts)
-	down := make([]float64, opts.Hosts)
-	for h := 0; h < opts.Hosts; h++ {
-		up[h] = model.Up(h)
-		down[h] = model.Down(h)
-	}
-	plane := dataplane.NewPlane(f, up, down)
-	plane.Attach(opts.Hosts)
-	plane.Instrument(opts.Registry)
-	alive := func(h int) bool { return !f.Crashed(transport.Addr(h)) }
-	var pumps []*confPump
+	var pumpConf []bool // whether pump i streams a conference source
+	var pspecs []pumpSpec
 	for i := range specs {
 		s := &specs[i]
+		roster := append([]int{s.root}, s.members...)
 		for _, src := range append([]int{s.root}, s.sources...) {
-			pumps = append(pumps, &confPump{spec: s, src: src})
-		}
-	}
-	engine.At(pumpStart-eventsim.Millisecond, func() {
-		for i, cp := range pumps {
-			cp := cp
-			src := cp.src
-			id := cp.spec.id
 			// The pump's receiver set is the roster minus its source;
 			// for extra sources that includes the session root.
 			var members []int
-			for _, m := range append([]int{cp.spec.root}, cp.spec.members...) {
+			for _, m := range roster {
 				if m != src {
 					members = append(members, m)
 				}
 			}
-			treeOf := func() *alm.Tree {
-				if live := sv.Scheduler().Session(id); live != nil {
+			pumpConf = append(pumpConf, s.conf)
+			pspecs = append(pspecs, pumpSpec{key: int(s.id)*1000 + src, src: src, members: members, tree: func() *alm.Tree {
+				if live := sv.Scheduler().Session(s.id); live != nil {
 					return live.TreeFor(src)
 				}
 				return nil
-			}
-			p, err := plane.StartPump(int(id)*1000+src, src, members, treeOf, alive, pumpStart, dataplane.Config{
-				ChunkDur:      opts.ChunkDur,
-				BitrateKbps:   opts.SourceKbps,
-				Playout:       opts.Playout,
-				Chunks:        opts.Chunks,
-				PullNeighbors: opts.PullNeighbors,
-				Seed:          opts.Seed*100000 + int64(idx)*1000 + int64(i),
-			})
-			if err != nil {
-				fail(err)
-				return
-			}
-			cp.pump = p
-		}
-	})
-
-	// --- invariant sweeps: the shared-ledger conservation checks run
-	// against the live multi-source state throughout ---
-	ireg := invariant.NewRegistry()
-	world := &invariant.World{
-		Sched:  sv.Scheduler(),
-		Bounds: degrees,
-		Down:   func(h int) bool { return f.Crashed(transport.Addr(h)) },
-		DownSince: func(h int) (eventsim.Time, bool) {
-			t, ok := downSince[h]
-			return t, ok
-		},
-		RepairLag: opts.DetectDelay + opts.TickEvery + 2*eventsim.Second,
-	}
-	sweep := func() {
-		world.Now = engine.Now()
-		for _, v := range ireg.Sweep(world, invariant.Continuous) {
-			row.Violations++
-			if row.FirstViolation == "" {
-				row.FirstViolation = fmt.Sprintf("t=%.1fs %s", float64(engine.Now())/1000, v.String())
-			}
+			}})
 		}
 	}
-	for t := opts.SweepEvery; t <= runEnd; t += opts.SweepEvery {
-		engine.At(t, sweep)
-	}
+	pumps := c.startPumps(model, pumpStart, dataplane.Config{
+		ChunkDur:      opts.ChunkDur,
+		BitrateKbps:   opts.SourceKbps,
+		Playout:       opts.Playout,
+		Chunks:        opts.Chunks,
+		PullNeighbors: opts.PullNeighbors,
+	}, opts.Seed*100000+int64(idx)*1000, pspecs)
 
-	engine.RunUntil(runEnd)
-	if firstErr != nil {
-		return ConfRow{}, fmt.Errorf("conf %s: %w", cell, firstErr)
+	// The shared-ledger conservation checks run against the live
+	// multi-source state throughout.
+	c.sweepUntil(opts.SweepEvery, runEnd, nil)
+
+	if err := c.run(runEnd); err != nil {
+		return ConfRow{}, fmt.Errorf("conf %s: %w", cell, err)
 	}
 
 	// --- harvest ---
+	row.Violations, row.FirstViolation = c.violations, c.firstViolation
 	var sharedSum, isoSum float64
 	var isoN int
 	var heightSum float64
@@ -680,27 +556,15 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 		row.MeanHeightMS = heightSum / float64(heightN)
 	}
 
-	var bExpected, bOnTime, bPull int
-	for _, cp := range pumps {
-		if cp.pump == nil {
-			continue
-		}
-		st := cp.pump.Finalize()
-		if !cp.spec.conf {
-			bExpected += st.Expected
-			bOnTime += st.OnTimeTree
-			bPull += st.PullRecovered
+	var bcast deliveryCounts
+	for i, p := range pumps {
+		st := p.Finalize()
+		if !pumpConf[i] {
+			bcast.add(st)
 			continue
 		}
 		row.Sources++
-		row.Expected += st.Expected
-		row.OnTimeTree += st.OnTimeTree
-		row.PullRecovered += st.PullRecovered
-		row.Late += st.Late
-		row.Lost += st.Lost
-		row.TreeMisses += st.TreeMisses
-		row.PullsSent += st.PullsSent
-		row.Duplicates += st.Duplicates
+		row.add(st)
 		if st.Expected > 0 {
 			src := opts.SourceKbps * float64(st.OnTimeTree+st.PullRecovered) / float64(st.Expected)
 			if row.MinSrcKbps == 0 || src < row.MinSrcKbps {
@@ -712,16 +576,16 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 		}
 	}
 	if row.Expected > 0 {
-		onTime := float64(row.OnTimeTree+row.PullRecovered) / float64(row.Expected)
+		onTime := row.onTime()
 		row.DeliveredKbps = opts.SourceKbps * onTime
 		row.MissRate = 1 - onTime
 	}
-	if bExpected > 0 {
-		onTime := float64(bOnTime+bPull) / float64(bExpected)
+	if bcast.Expected > 0 {
+		onTime := bcast.onTime()
 		row.BcastDeliveredKbps = opts.SourceKbps * onTime
 		row.BcastMissRate = 1 - onTime
 	}
-	row.Crashes = int(f.Counters().Crashes)
+	row.Crashes = int(c.net.Counters().Crashes)
 	tot := sv.Scheduler().Totals()
 	row.Repairs = tot.Repairs
 	row.Replans = tot.Replans
@@ -777,110 +641,28 @@ func (r *ConfResult) Tables() []Table {
 	return []Table{delivery, market}
 }
 
-// confBenchFile is the BENCH_conf.json schema, version bench-conf/v1:
-//
-//	{
-//	  "schema": "bench-conf/v1",
-//	  "runs": [{
-//	    "label": "pr10",             // which PR/state produced the rows
-//	    "seed": 1, "hosts": 8000, "conferences": 4, "conf_size": 6, "chunks": 30,
-//	    "rows": [{
-//	      "cell": "solo",            // scenario cell
-//	      "src_kbps": 250,           // per-source bitrate
-//	      "shared_bound_kbps": 0,    // sum(up)/(M*(M-1)) member-only bound
-//	      "iso_bound_kbps": 0,       // single-source bound for comparison
-//	      "delivered_kbps": 0,       // rung x on-time fraction
-//	      "min_src_kbps": 0,         // worst per-source delivered
-//	      "miss_rate": 0,            // 1 - on-time fraction
-//	      "bcast_kbps": 0,           // competing broadcasts' delivered
-//	      "max_height_ms": 0,        // worst planned latency bound
-//	      "violations": 0,           // invariant sweep violations
-//	      "wall_ms": 0               // run wall time
-//	    }, ...]
-//	  }, ...]
-//	}
-//
-// Each bench invocation appends (or replaces) one labeled run,
-// mirroring the bench-load/v1 convention.
-type confBenchFile struct {
-	Schema string         `json:"schema"`
-	Runs   []confBenchRun `json:"runs"`
-}
-
-type confBenchRun struct {
-	Label       string         `json:"label"`
-	Seed        int64          `json:"seed"`
-	Hosts       int            `json:"hosts"`
-	Conferences int            `json:"conferences"`
-	ConfSize    int            `json:"conf_size"`
-	Chunks      int            `json:"chunks"`
-	Rows        []confBenchRow `json:"rows"`
-}
-
-type confBenchRow struct {
-	Cell            string  `json:"cell"`
-	SrcKbps         float64 `json:"src_kbps"`
-	SharedBoundKbps float64 `json:"shared_bound_kbps"`
-	IsoBoundKbps    float64 `json:"iso_bound_kbps"`
-	DeliveredKbps   float64 `json:"delivered_kbps"`
-	MinSrcKbps      float64 `json:"min_src_kbps"`
-	MissRate        float64 `json:"miss_rate"`
-	BcastKbps       float64 `json:"bcast_kbps"`
-	MaxHeightMS     float64 `json:"max_height_ms"`
-	Violations      int     `json:"violations"`
-	WallMS          float64 `json:"wall_ms"`
-}
-
 // AppendBenchJSON merges this result into an existing BENCH_conf.json
-// (existing may be nil/empty for a fresh file) as a run labeled label,
-// replacing any previous run with the same label. Call on a result
-// produced with ConfOptions.Bench set for wall-clock fields.
+// as a bench-conf/v1 run labeled label; see appendBenchRun. Call on a
+// result produced with ConfOptions.Bench set for wall-clock fields.
 func (r *ConfResult) AppendBenchJSON(existing []byte, label string) ([]byte, error) {
-	if label == "" {
-		label = "dev"
-	}
-	f := confBenchFile{Schema: "bench-conf/v1"}
-	if len(existing) > 0 {
-		if err := json.Unmarshal(existing, &f); err != nil {
-			return nil, fmt.Errorf("experiments: parsing conf bench file: %w", err)
-		}
-		if f.Schema != "bench-conf/v1" {
-			return nil, fmt.Errorf("experiments: unknown conf bench schema %q", f.Schema)
-		}
-	}
-	run := confBenchRun{
-		Label:       label,
-		Seed:        r.Opts.Seed,
-		Hosts:       r.Opts.Hosts,
-		Conferences: r.Opts.Conferences,
-		ConfSize:    r.Opts.ConfSize,
-		Chunks:      r.Opts.Chunks,
-	}
-	for _, row := range r.Rows {
-		run.Rows = append(run.Rows, confBenchRow{
-			Cell:            row.Cell,
-			SrcKbps:         r.Opts.SourceKbps,
-			SharedBoundKbps: row.SharedBoundKbps,
-			IsoBoundKbps:    row.IsoBoundKbps,
-			DeliveredKbps:   row.DeliveredKbps,
-			MinSrcKbps:      row.MinSrcKbps,
-			MissRate:        row.MissRate,
-			BcastKbps:       row.BcastDeliveredKbps,
-			MaxHeightMS:     row.MaxHeightMS,
-			Violations:      row.Violations,
-			WallMS:          row.BenchWallMS,
-		})
-	}
-	kept := f.Runs[:0]
-	for _, old := range f.Runs {
-		if old.Label != label {
-			kept = append(kept, old)
+	rows := make([]benchObject, len(r.Rows))
+	for i, row := range r.Rows {
+		rows[i] = benchObject{
+			{"cell", row.Cell},
+			{"src_kbps", r.Opts.SourceKbps},
+			{"shared_bound_kbps", row.SharedBoundKbps},
+			{"iso_bound_kbps", row.IsoBoundKbps},
+			{"delivered_kbps", row.DeliveredKbps},
+			{"min_src_kbps", row.MinSrcKbps},
+			{"miss_rate", row.MissRate},
+			{"bcast_kbps", row.BcastDeliveredKbps},
+			{"max_height_ms", row.MaxHeightMS},
+			{"violations", row.Violations},
+			{"wall_ms", row.BenchWallMS},
 		}
 	}
-	f.Runs = append(kept, run)
-	out, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	return appendBenchRun(existing, "bench-conf/v1", label, benchObject{
+		{"seed", r.Opts.Seed}, {"hosts", r.Opts.Hosts}, {"conferences", r.Opts.Conferences},
+		{"conf_size", r.Opts.ConfSize}, {"chunks", r.Opts.Chunks},
+	}, rows, nil)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"p2ppool/internal/eventsim"
@@ -130,44 +129,5 @@ func TestConfChurnRejoins(t *testing.T) {
 			t.Errorf("%s: %d invariant violation(s) under churn, first: %s",
 				cell, row.Violations, row.FirstViolation)
 		}
-	}
-}
-
-// TestConfBenchJSON: the labeled-run append format — fresh file,
-// replace-by-label, a second label accumulating, foreign schema
-// rejected.
-func TestConfBenchJSON(t *testing.T) {
-	opts := smallConf(3)
-	opts.Cells = []string{"solo"}
-	opts.Bench = true
-	res, err := Conf(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := res.AppendBenchJSON(nil, "pr10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"schema": "bench-conf/v1"`, `"label": "pr10"`, `"cell": "solo"`, `"shared_bound_kbps"`} {
-		if !strings.Contains(string(first), want) {
-			t.Errorf("bench JSON missing %s:\n%s", want, first)
-		}
-	}
-	replaced, err := res.AppendBenchJSON(first, "pr10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(replaced), `"label"`); n != 1 {
-		t.Errorf("re-appending the same label kept %d runs, want 1", n)
-	}
-	both, err := res.AppendBenchJSON(replaced, "pr11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(both), `"label"`); n != 2 {
-		t.Errorf("appending a second label kept %d runs, want 2", n)
-	}
-	if _, err := res.AppendBenchJSON([]byte(`{"schema":"bench-stream/v1"}`), "x"); err == nil {
-		t.Error("foreign schema accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,12 +9,10 @@ import (
 	"p2ppool/internal/alm"
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/faultnet"
-	"p2ppool/internal/invariant"
 	"p2ppool/internal/obs"
 	"p2ppool/internal/par"
 	"p2ppool/internal/sched"
 	"p2ppool/internal/stats"
-	"p2ppool/internal/transport"
 )
 
 // LoadOptions parameterizes the sustained-load study: the scheduler
@@ -229,30 +226,6 @@ func Load(opts LoadOptions) (*LoadResult, error) {
 	return &LoadResult{Opts: opts, Rows: rows}, nil
 }
 
-// loadWorld builds the static world shared by every cell: host
-// coordinates (the latency metric) and degree bounds. It is a pure
-// function of the seed, so all cells price the same pool.
-func loadWorld(opts LoadOptions) (alm.LatencyFunc, []int) {
-	r := rand.New(rand.NewSource(opts.Seed + 2))
-	xs := make([]float64, opts.Hosts)
-	ys := make([]float64, opts.Hosts)
-	for h := 0; h < opts.Hosts; h++ {
-		xs[h] = r.Float64() * 200
-		ys[h] = r.Float64() * 200
-	}
-	lat := func(a, b int) float64 {
-		if a == b {
-			return 0
-		}
-		dx, dy := xs[a]-xs[b], ys[a]-ys[b]
-		// Euclidean plus a constant floor stays a metric, so the
-		// planner's indexed helper search is sound.
-		return 5 + math.Sqrt(dx*dx+dy*dy)
-	}
-	degrees := alm.PaperDegrees(opts.Hosts, r)
-	return lat, degrees
-}
-
 // loadMultiplier is the cell's arrival-rate modulation at time t,
 // relative to ArrivalRate.
 func loadMultiplier(cell string, t, window eventsim.Time) float64 {
@@ -343,19 +316,19 @@ const hotSessionID = sched.SessionID(1 << 30)
 
 func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 	start := time.Now()
-	lat, degrees := loadWorld(opts)
-	engine := eventsim.New(opts.Seed + int64(idx))
-	sim := transport.NewSim(engine, transport.SimOptions{Latency: transport.LatencyFunc(lat)})
-	f := faultnet.New(sim, faultnet.Options{Seed: opts.Seed*100 + int64(idx)})
+	// The static world is a pure function of the seed, so all cells
+	// price the same pool: the latency metric, then degree bounds from
+	// the same stream.
+	wr := rand.New(rand.NewSource(opts.Seed + 2))
+	lat := synthLatency(wr, opts.Hosts)
+	degrees := alm.PaperDegrees(opts.Hosts, wr)
 	// Retry/backoff stay at the package defaults (budget 3, base 500ms
 	// doubling to 8s, compressed per class). These are coupled to the
 	// 2s/4s/8s admit deadlines, not to the window; a harness that
 	// overrides the deadlines but not the backoff now gets the defaults
 	// rescaled by the same factor in withDefaults, so the budget always
 	// fits the SLO.
-	sv := sched.NewService(degrees, lat, sched.ServiceConfig{
-		Sched: sched.Config{ScoreLatency: lat, MetricScore: true},
-		Seed:  opts.Seed*10 + int64(idx) + 5,
+	c := newServiceCell(opts.Seed, idx, lat, degrees, sched.ServiceConfig{
 		// The damper is sized to the pool, as an operator would:
 		// score-driven market planning preempts a helper or two per
 		// high-class admission in normal operation, so the rate floor
@@ -363,43 +336,29 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 		// throttle planning itself, not just storms.
 		PreemptRate:  16 * opts.ArrivalRate,
 		PreemptBurst: 32 * opts.ArrivalRate,
-	})
-	// Nil registry handles are no-ops, so wiring is unconditional.
-	sv.Instrument(opts.Registry)
-	f.Instrument(opts.Registry, nil)
-
+	}, opts.Registry)
+	sv := c.sv
 	row := LoadRow{Cell: cell}
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
 
 	// --- arrivals and departures ---
-	arng := rand.New(rand.NewSource(opts.Seed*1000 + int64(idx)*17 + 3))
-	arrivals := genLoadArrivals(cell, arng, opts)
-	for _, a := range arrivals {
-		a := a
-		engine.At(a.at, func() {
-			if f.Crashed(transport.Addr(a.root)) {
-				return // the would-be source is down; the session never forms
+	arng := rosterRNG(opts.Seed, idx)
+	for _, a := range genLoadArrivals(cell, arng, opts) {
+		c.submitAt(a.at, func() *sched.Session {
+			if c.crashed(a.root) {
+				return nil // the would-be source is down; the session never forms
 			}
 			members := make([]int, 0, len(a.members))
 			for _, m := range a.members {
-				if !f.Crashed(transport.Addr(m)) {
+				if !c.crashed(m) {
 					members = append(members, m)
 				}
 			}
 			if len(members) == 0 {
-				return
+				return nil
 			}
-			s := &sched.Session{ID: a.id, Priority: a.pri, Root: a.root, Members: members}
-			if _, err := sv.Submit(f.Now(), s); err != nil {
-				fail(err)
-			}
+			return &sched.Session{ID: a.id, Priority: a.pri, Root: a.root, Members: members}
 		})
-		engine.At(a.at+a.life, func() { sv.EndSession(a.id) })
+		c.engine.At(a.at+a.life, func() { sv.EndSession(a.id) })
 	}
 
 	// --- flash crowd (flash cell only) ---
@@ -416,17 +375,15 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 		if hotAt < 0 {
 			hotAt = 0
 		}
-		engine.At(hotAt, func() {
-			if f.Crashed(transport.Addr(hot.Root)) {
-				return
+		c.submitAt(hotAt, func() *sched.Session {
+			if c.crashed(hot.Root) {
+				return nil
 			}
-			if _, err := sv.Submit(f.Now(), hot); err != nil {
-				fail(err)
-			}
+			return hot
 		})
-		f.Install(faultnet.FlashCrowd(opts.FlashAt, len(crowd), opts.FlashWindow, func(i int, fn *faultnet.Net) {
+		c.net.Install(faultnet.FlashCrowd(opts.FlashAt, len(crowd), opts.FlashWindow, func(i int, _ *faultnet.Net) {
 			h := crowd[i]
-			if fn.Crashed(transport.Addr(h)) {
+			if c.crashed(h) {
 				return
 			}
 			// AddMember fails when the hot session never formed or was
@@ -437,97 +394,39 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 		}))
 	}
 
-	// --- churn ---
-	downSince := make(map[int]eventsim.Time)
-	f.OnCrash(func(a transport.Addr) {
-		h := int(a)
-		downSince[h] = f.Now()
-		f.After(opts.DetectDelay, func() {
-			if f.Crashed(a) {
-				sv.NodeFailed(f.Now(), h)
-			}
-		})
-	})
-	f.OnRestart(func(a transport.Addr) {
-		delete(downSince, int(a))
-		sv.NodeRecovered(f.Now(), int(a))
-	})
-	if opts.CrashRate > 0 {
-		crng := rand.New(rand.NewSource(opts.Seed*1000 + int64(idx)*31 + 7))
-		for at := eventsim.Time(0); ; {
-			gap := crng.ExpFloat64() / opts.CrashRate * float64(eventsim.Minute)
-			at += eventsim.Time(gap)
-			if at >= opts.Window {
-				break
-			}
-			victim := transport.Addr(crng.Intn(opts.Hosts))
-			f.CrashAt(at, victim)
-			f.RestartAt(at+opts.RestartDelay, victim)
-		}
+	// --- churn over the whole pool, ticks, sweeps ---
+	c.wireChurn(opts.DetectDelay, nil)
+	everyone := make([]int, opts.Hosts)
+	for h := range everyone {
+		everyone[h] = h
 	}
-
-	// --- control-plane ticks ---
-	var tick func()
-	tick = func() {
-		if err := sv.Tick(f.Now()); err != nil {
-			fail(err)
-			return
-		}
-		if f.Now() < opts.Window {
-			f.After(opts.TickEvery, tick)
-		}
-	}
-	f.After(opts.TickEvery, tick)
-
-	// --- invariant sweeps ---
-	ireg := invariant.NewRegistry()
-	world := &invariant.World{
-		Sched:  sv.Scheduler(),
-		Bounds: degrees,
-		Down:   func(h int) bool { return f.Crashed(transport.Addr(h)) },
-		DownSince: func(h int) (eventsim.Time, bool) {
-			t, ok := downSince[h]
-			return t, ok
-		},
-		// Crash-to-repair is detection plus at most one tick (failed
-		// in-place repairs go dirty, and dirty sessions are skipped).
-		RepairLag: opts.DetectDelay + opts.TickEvery + 2*eventsim.Second,
-	}
-	sweep := func() {
-		world.Now = engine.Now()
-		for _, v := range ireg.Sweep(world, invariant.Continuous) {
-			row.Violations++
-			if row.FirstViolation == "" {
-				row.FirstViolation = fmt.Sprintf("t=%.1fs %s", float64(engine.Now())/1000, v.String())
-			}
-		}
+	c.churn(opts.CrashRate, 0, opts.Window, everyone, opts.RestartDelay)
+	c.tickUntil(opts.TickEvery, opts.Window)
+	c.sweepUntil(opts.SweepEvery, opts.Window, func() {
 		for _, s := range sv.Scheduler().Sessions() {
 			if s.Replans > row.MaxSessionReplans {
 				row.MaxSessionReplans = s.Replans
 			}
 		}
-	}
-	for t := opts.SweepEvery; t <= opts.Window; t += opts.SweepEvery {
-		engine.At(t, sweep)
-	}
+	})
 
-	engine.RunUntil(opts.Window + eventsim.Second)
-	if firstErr != nil {
-		return LoadRow{}, fmt.Errorf("load %s: %w", cell, firstErr)
+	if err := c.run(opts.Window + eventsim.Second); err != nil {
+		return LoadRow{}, fmt.Errorf("load %s: %w", cell, err)
 	}
 
 	// --- harvest ---
+	row.Violations, row.FirstViolation = c.violations, c.firstViolation
 	st := sv.Stats()
 	for p := 1; p <= sched.NumClasses; p++ {
-		c := st.Class[p]
-		row.Submitted += c.Submitted
-		row.Admitted += c.Admitted
-		row.Rejected += c.Rejected
-		row.ShedDeadline += c.ShedDeadline
-		row.ShedOverload += c.ShedOverload
-		row.ShedBudget += c.ShedBudget
-		row.RootDied += c.RootDied
-		row.SLO[p] = c.SLOCompliance()
+		cl := st.Class[p]
+		row.Submitted += cl.Submitted
+		row.Admitted += cl.Admitted
+		row.Rejected += cl.Rejected
+		row.ShedDeadline += cl.ShedDeadline
+		row.ShedOverload += cl.ShedOverload
+		row.ShedBudget += cl.ShedBudget
+		row.RootDied += cl.RootDied
+		row.SLO[p] = cl.SLOCompliance()
 	}
 	row.PeakLive = st.PeakLive
 	row.EndLive = sv.LiveSessions()
@@ -537,7 +436,7 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 	tot := sv.Scheduler().Totals()
 	row.Replans = tot.Replans
 	row.Preemptions = tot.Preemptions
-	row.Crashes = int(f.Counters().Crashes)
+	row.Crashes = int(c.net.Counters().Crashes)
 	lats := sv.AdmitLatencies()
 	row.AdmitP50MS = stats.Percentile(lats, 50)
 	row.AdmitP99MS = stats.Percentile(lats, 99)
@@ -611,96 +510,24 @@ func (r *LoadResult) Tables() []Table {
 	return tables
 }
 
-// loadBenchFile is the BENCH_load.json schema, version bench-load/v1:
-//
-//	{
-//	  "schema": "bench-load/v1",
-//	  "runs": [{
-//	    "label": "pr7",            // which PR/state produced the rows
-//	    "seed": 1, "window_ms": 600000, "hosts": 2500,
-//	    "rows": [{
-//	      "cell": "steady",        // load shape
-//	      "wall_ms": 0,            // cell wall time
-//	      "plans": 0,              // plans executed (deterministic)
-//	      "plans_per_sec": 0,      // plans / wall time: scheduler throughput
-//	      "peak_live": 0,          // concurrent-session high-water mark
-//	      "p99_admit_ms": 0,       // p99 admission latency (virtual ms)
-//	      "violations": 0          // invariant-sweep violations (must be 0)
-//	    }, ...]
-//	  }, ...]
-//	}
-//
-// Each bench invocation appends (or replaces) one labeled run, mirroring
-// the bench-scale/v2 convention, so the scheduler-throughput trajectory
-// accumulates per-PR.
-type loadBenchFile struct {
-	Schema string         `json:"schema"`
-	Runs   []loadBenchRun `json:"runs"`
-}
-
-type loadBenchRun struct {
-	Label    string         `json:"label"`
-	Seed     int64          `json:"seed"`
-	WindowMS float64        `json:"window_ms"`
-	Hosts    int            `json:"hosts"`
-	Rows     []loadBenchRow `json:"rows"`
-}
-
-type loadBenchRow struct {
-	Cell        string  `json:"cell"`
-	WallMS      float64 `json:"wall_ms"`
-	Plans       int     `json:"plans"`
-	PlansPerSec float64 `json:"plans_per_sec"`
-	PeakLive    int     `json:"peak_live"`
-	P99AdmitMS  float64 `json:"p99_admit_ms"`
-	Violations  int     `json:"violations"`
-}
-
 // AppendBenchJSON merges this result into an existing BENCH_load.json
-// (existing may be nil/empty for a fresh file) as a run labeled label,
-// replacing any previous run with the same label. Call only on a result
-// produced with LoadOptions.Bench set; otherwise the wall-clock fields
-// are zero.
+// as a bench-load/v1 run labeled label; see appendBenchRun. Call only on
+// a result produced with LoadOptions.Bench set; otherwise the wall-clock
+// fields are zero.
 func (r *LoadResult) AppendBenchJSON(existing []byte, label string) ([]byte, error) {
-	if label == "" {
-		label = "dev"
-	}
-	f := loadBenchFile{Schema: "bench-load/v1"}
-	if len(existing) > 0 {
-		if err := json.Unmarshal(existing, &f); err != nil {
-			return nil, fmt.Errorf("experiments: parsing load bench file: %w", err)
-		}
-		if f.Schema != "bench-load/v1" {
-			return nil, fmt.Errorf("experiments: unknown load bench schema %q", f.Schema)
-		}
-	}
-	run := loadBenchRun{
-		Label:    label,
-		Seed:     r.Opts.Seed,
-		WindowMS: float64(r.Opts.Window),
-		Hosts:    r.Opts.Hosts,
-	}
-	for _, row := range r.Rows {
-		run.Rows = append(run.Rows, loadBenchRow{
-			Cell:        row.Cell,
-			WallMS:      row.BenchWallMS,
-			Plans:       row.Plans,
-			PlansPerSec: row.BenchPlansPerSec,
-			PeakLive:    row.PeakLive,
-			P99AdmitMS:  row.AdmitP99MS,
-			Violations:  row.Violations,
-		})
-	}
-	kept := f.Runs[:0]
-	for _, old := range f.Runs {
-		if old.Label != label {
-			kept = append(kept, old)
+	rows := make([]benchObject, len(r.Rows))
+	for i, row := range r.Rows {
+		rows[i] = benchObject{
+			{"cell", row.Cell},
+			{"wall_ms", row.BenchWallMS},
+			{"plans", row.Plans},
+			{"plans_per_sec", row.BenchPlansPerSec},
+			{"peak_live", row.PeakLive},
+			{"p99_admit_ms", row.AdmitP99MS},
+			{"violations", row.Violations},
 		}
 	}
-	f.Runs = append(kept, run)
-	out, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	return appendBenchRun(existing, "bench-load/v1", label, benchObject{
+		{"seed", r.Opts.Seed}, {"window_ms", float64(r.Opts.Window)}, {"hosts", r.Opts.Hosts},
+	}, rows, nil)
 }

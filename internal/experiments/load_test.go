@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"p2ppool/internal/eventsim"
@@ -126,43 +125,5 @@ func TestLoadObserverEffectZero(t *testing.T) {
 	snap := reg.Snapshot()
 	if len(snap.Counters) == 0 {
 		t.Error("instrumented run recorded no metrics")
-	}
-}
-
-// TestLoadBenchJSON: the labeled-run append format — fresh file, then
-// replace-by-label, then a second label accumulating alongside.
-func TestLoadBenchJSON(t *testing.T) {
-	opts := smallLoad(5)
-	opts.Cells = []string{"steady"}
-	opts.Bench = true
-	res, err := Load(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := res.AppendBenchJSON(nil, "pr7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"schema": "bench-load/v1"`, `"label": "pr7"`, `"cell": "steady"`} {
-		if !strings.Contains(string(first), want) {
-			t.Errorf("bench JSON missing %s:\n%s", want, first)
-		}
-	}
-	replaced, err := res.AppendBenchJSON(first, "pr7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(replaced), `"label"`); n != 1 {
-		t.Errorf("re-appending the same label kept %d runs, want 1", n)
-	}
-	both, err := res.AppendBenchJSON(replaced, "pr8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(both), `"label"`); n != 2 {
-		t.Errorf("appending a second label kept %d runs, want 2", n)
-	}
-	if _, err := res.AppendBenchJSON([]byte(`{"schema":"bench-scale/v2"}`), "x"); err == nil {
-		t.Error("foreign schema accepted")
 	}
 }

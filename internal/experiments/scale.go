@@ -351,58 +351,11 @@ func (r *ScaleResult) Tables() []Table {
 	return []Table{t}
 }
 
-// benchFile is the BENCH_scale.json schema, version bench-scale/v2:
-//
-//	{
-//	  "schema": "bench-scale/v2",
-//	  "runs": [{
-//	    "label": "pr6",           // which PR/state produced the rows
-//	    "seed": 1, "runtime_ms": 60000, "group_size": 100,
-//	    "shards": 8,              // structural shard count (0 = legacy, ran 8)
-//	    "rows": [{
-//	      "hosts": 1200,          // pool size
-//	      "routers": 600,         // underlay size (scales ≈ n/2)
-//	      "oracle": "exact",      // latency oracle the cell resolved to
-//	      "oracle_err_p50": 0,    // oracle relative error vs Dijkstra
-//	      "oracle_err_p90": 0,
-//	      "wall_ms": 0,           // total cell wall time
-//	      "allocs": 0,            // heap allocations over the cell
-//	      "events": 0,            // simulation events processed
-//	      "events_per_sec": 0,    // events / ring-simulation wall time
-//	      "heap_inuse_mb": 0,     // live Go heap after the cell (MemStats)
-//	      "peak_rss_mb": 0,       // OS peak resident set (VmHWM), process-wide
-//	      "staleness_ms": 0,      // worst root-snapshot record age
-//	      "improvement": 0        // fig-8-style Leafset+adjust gain
-//	    }, ...]
-//	  }, ...]
-//	}
-//
-// Each bench invocation appends (or replaces) one labeled run, so the
-// file accumulates the per-PR trajectory instead of overwriting it.
-// Perf acceptance reads the newest run: events_per_sec must stay within
-// 3x across the size sweep and heap growth must be sub-quadratic in N.
-//
-// v1 files (a bare row set, where "peak_rss_mb" actually held MemStats
-// HeapInuse) are migrated on read into a run labeled "pr4" with the
-// value moved to heap_inuse_mb.
-type benchFile struct {
-	Schema string     `json:"schema"`
-	Runs   []benchRun `json:"runs"`
-}
-
-type benchRun struct {
-	Label     string  `json:"label"`
-	Seed      int64   `json:"seed"`
-	RuntimeMS float64 `json:"runtime_ms"`
-	GroupSize int     `json:"group_size"`
-	// Shards is the structural shard count the run's figures were
-	// produced under; 0 in legacy runs recorded before it was tracked
-	// (all of which used the then-hardwired 8).
-	Shards int        `json:"shards,omitempty"`
-	Rows   []benchRow `json:"rows"`
-}
-
-type benchRow struct {
+// scaleBenchRow is one bench-scale/v2 row (schema in benchfile.go). It
+// is a struct where the other studies list a benchObject because the
+// oracle error fields are left out of exact-oracle rows, which a tag
+// can say and a field list cannot.
+type scaleBenchRow struct {
 	Hosts        int     `json:"hosts"`
 	Routers      int     `json:"routers,omitempty"`
 	Oracle       string  `json:"oracle,omitempty"`
@@ -418,66 +371,14 @@ type benchRow struct {
 	Improvement  float64 `json:"improvement"`
 }
 
-// benchFileV1 is the legacy single-run schema, kept for migration.
-type benchFileV1 struct {
-	Schema    string  `json:"schema"`
-	Seed      int64   `json:"seed"`
-	RuntimeMS float64 `json:"runtime_ms"`
-	GroupSize int     `json:"group_size"`
-	Rows      []struct {
-		Hosts        int     `json:"hosts"`
-		WallMS       float64 `json:"wall_ms"`
-		Allocs       uint64  `json:"allocs"`
-		Events       uint64  `json:"events"`
-		EventsPerSec float64 `json:"events_per_sec"`
-		PeakRSSMB    float64 `json:"peak_rss_mb"` // actually HeapInuse; see migration
-		StalenessMS  float64 `json:"staleness_ms"`
-		Improvement  float64 `json:"improvement"`
-	} `json:"rows"`
-}
-
 // AppendBenchJSON merges this result into an existing BENCH_scale.json
-// (existing may be nil/empty for a fresh file) as a run labeled label,
-// replacing any previous run with the same label. v1 files are migrated
-// to a run labeled "pr4" first. Call only on a result produced with
-// ScaleOptions.Bench set; otherwise the wall-clock fields are zero.
+// as a run labeled label; see appendBenchRun. Call only on a result
+// produced with ScaleOptions.Bench set; otherwise the wall-clock fields
+// are zero.
 func (r *ScaleResult) AppendBenchJSON(existing []byte, label string) ([]byte, error) {
-	if label == "" {
-		label = "dev"
-	}
-	f, err := parseBenchFile(existing)
-	if err != nil {
-		return nil, err
-	}
-	run := benchRun{
-		Label:     label,
-		Seed:      r.Opts.Seed,
-		RuntimeMS: float64(r.Opts.Runtime),
-		GroupSize: r.Opts.GroupSize,
-		Shards:    r.Opts.Shards,
-	}
-	// The shard count is structural (part of the seed schedule):
-	// appending a run produced under a different count would chart
-	// incomparable figures as one trajectory. Legacy runs with no
-	// recorded count (0) all used the then-hardwired 8.
-	for _, old := range f.Runs {
-		if old.Label == label {
-			continue // being replaced below
-		}
-		oldShards := old.Shards
-		if oldShards == 0 {
-			oldShards = scaleShards
-		}
-		if oldShards != run.Shards {
-			return nil, fmt.Errorf(
-				"experiments: bench file run %q was produced with %d shards, new run %q uses %d: "+
-					"shard count is structural, so their figures are not comparable — "+
-					"use a fresh bench file or rerun with -matching shards",
-				old.Label, oldShards, label, run.Shards)
-		}
-	}
-	for _, row := range r.Rows {
-		run.Rows = append(run.Rows, benchRow{
+	rows := make([]scaleBenchRow, len(r.Rows))
+	for i, row := range r.Rows {
+		rows[i] = scaleBenchRow{
 			Hosts:        row.Hosts,
 			Routers:      row.Routers,
 			Oracle:       row.Oracle,
@@ -491,62 +392,33 @@ func (r *ScaleResult) AppendBenchJSON(existing []byte, label string) ([]byte, er
 			PeakRSSMB:    row.BenchPeakRSSMB,
 			StalenessMS:  row.Staleness,
 			Improvement:  row.Improvement,
-		})
-	}
-	kept := f.Runs[:0]
-	for _, old := range f.Runs {
-		if old.Label != label {
-			kept = append(kept, old)
 		}
 	}
-	f.Runs = append(kept, run)
-	out, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// parseBenchFile reads an existing bench file in either schema version.
-func parseBenchFile(data []byte) (benchFile, error) {
-	f := benchFile{Schema: "bench-scale/v2"}
-	if len(data) == 0 {
-		return f, nil
-	}
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return f, fmt.Errorf("experiments: parsing bench file: %w", err)
-	}
-	switch probe.Schema {
-	case "bench-scale/v2":
-		if err := json.Unmarshal(data, &f); err != nil {
-			return f, fmt.Errorf("experiments: parsing bench file: %w", err)
+	// The shard count is structural (part of the seed schedule): a run
+	// produced under a different count beside the ones that stay would
+	// chart incomparable figures as one trajectory. Legacy runs with no
+	// recorded count (0) all used the then-hardwired 8.
+	sameShards := func(oldLabel string, run json.RawMessage) error {
+		var old struct {
+			Shards int `json:"shards"`
 		}
-		f.Schema = "bench-scale/v2"
-		return f, nil
-	case "bench-scale/v1":
-		var v1 benchFileV1
-		if err := json.Unmarshal(data, &v1); err != nil {
-			return f, fmt.Errorf("experiments: parsing bench file: %w", err)
+		if err := json.Unmarshal(run, &old); err != nil {
+			return fmt.Errorf("experiments: parsing bench run %q: %w", oldLabel, err)
 		}
-		run := benchRun{Label: "pr4", Seed: v1.Seed, RuntimeMS: v1.RuntimeMS, GroupSize: v1.GroupSize}
-		for _, row := range v1.Rows {
-			run.Rows = append(run.Rows, benchRow{
-				Hosts:  row.Hosts,
-				WallMS: row.WallMS,
-				Allocs: row.Allocs,
-				Events: row.Events, EventsPerSec: row.EventsPerSec,
-				// v1's peak_rss_mb was MemStats HeapInuse mislabeled.
-				HeapInuseMB: row.PeakRSSMB,
-				StalenessMS: row.StalenessMS,
-				Improvement: row.Improvement,
-			})
+		if old.Shards == 0 {
+			old.Shards = scaleShards
 		}
-		f.Runs = []benchRun{run}
-		return f, nil
-	default:
-		return f, fmt.Errorf("experiments: unknown bench schema %q", probe.Schema)
+		if old.Shards != r.Opts.Shards {
+			return fmt.Errorf(
+				"experiments: bench file run %q was produced with %d shards, new run %q uses %d: "+
+					"shard count is structural, so their figures are not comparable — "+
+					"use a fresh bench file or rerun with -matching shards",
+				oldLabel, old.Shards, label, r.Opts.Shards)
+		}
+		return nil
 	}
+	return appendBenchRun(existing, "bench-scale/v2", label, benchObject{
+		{"seed", r.Opts.Seed}, {"runtime_ms", float64(r.Opts.Runtime)},
+		{"group_size", r.Opts.GroupSize}, {"shards", r.Opts.Shards},
+	}, rows, sameShards)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -75,101 +74,6 @@ func TestScaleTopologySubstrate(t *testing.T) {
 	}
 }
 
-func TestAppendBenchJSONFresh(t *testing.T) {
-	res := smallScaleResult(t)
-	out, err := res.AppendBenchJSON(nil, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f benchFile
-	if err := json.Unmarshal(out, &f); err != nil {
-		t.Fatal(err)
-	}
-	if f.Schema != "bench-scale/v2" {
-		t.Errorf("schema %q", f.Schema)
-	}
-	if len(f.Runs) != 1 || f.Runs[0].Label != "test" {
-		t.Fatalf("runs: %+v", f.Runs)
-	}
-	if len(f.Runs[0].Rows) != 1 || f.Runs[0].Rows[0].Hosts != 200 {
-		t.Errorf("rows: %+v", f.Runs[0].Rows)
-	}
-}
-
-func TestAppendBenchJSONAccumulatesAndReplaces(t *testing.T) {
-	res := smallScaleResult(t)
-	one, err := res.AppendBenchJSON(nil, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := res.AppendBenchJSON(one, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f benchFile
-	if err := json.Unmarshal(two, &f); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Runs) != 2 || f.Runs[0].Label != "a" || f.Runs[1].Label != "b" {
-		t.Fatalf("after append: %d runs %v", len(f.Runs), f.Runs)
-	}
-	// Re-appending an existing label replaces that run, keeps the rest.
-	three, err := res.AppendBenchJSON(two, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(three, &f); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Runs) != 2 || f.Runs[0].Label != "b" || f.Runs[1].Label != "a" {
-		t.Fatalf("after replace: %d runs", len(f.Runs))
-	}
-}
-
-func TestAppendBenchJSONMigratesV1(t *testing.T) {
-	v1 := `{
-  "schema": "bench-scale/v1",
-  "seed": 1, "runtime_ms": 60000, "group_size": 100,
-  "rows": [{"hosts": 1200, "wall_ms": 5000, "allocs": 10, "events": 100,
-            "events_per_sec": 20, "peak_rss_mb": 29.5,
-            "staleness_ms": 9000, "improvement": 0.3}]
-}`
-	res := smallScaleResult(t)
-	out, err := res.AppendBenchJSON([]byte(v1), "pr6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f benchFile
-	if err := json.Unmarshal(out, &f); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Runs) != 2 {
-		t.Fatalf("got %d runs, want migrated pr4 + new pr6", len(f.Runs))
-	}
-	old := f.Runs[0]
-	if old.Label != "pr4" || len(old.Rows) != 1 {
-		t.Fatalf("migrated run: %+v", old)
-	}
-	// v1's peak_rss_mb held MemStats HeapInuse; migration moves it.
-	if old.Rows[0].HeapInuseMB != 29.5 || old.Rows[0].PeakRSSMB != 0 {
-		t.Errorf("migration: heap=%v rss=%v, want 29.5 / 0",
-			old.Rows[0].HeapInuseMB, old.Rows[0].PeakRSSMB)
-	}
-	if f.Runs[1].Label != "pr6" {
-		t.Errorf("new run label %q", f.Runs[1].Label)
-	}
-}
-
-func TestAppendBenchJSONRejectsGarbage(t *testing.T) {
-	res := smallScaleResult(t)
-	if _, err := res.AppendBenchJSON([]byte("not json"), "x"); err == nil {
-		t.Error("garbage input accepted")
-	}
-	if _, err := res.AppendBenchJSON([]byte(`{"schema":"bench-scale/v9"}`), "x"); err == nil {
-		t.Error("unknown schema accepted")
-	}
-}
-
 func TestScaleTableHasOracleColumns(t *testing.T) {
 	res := smallScaleResult(t)
 	tabs := res.Tables()
@@ -181,52 +85,5 @@ func TestScaleTableHasOracleColumns(t *testing.T) {
 		if !strings.Contains(header, col) {
 			t.Errorf("table missing column %q (have %s)", col, header)
 		}
-	}
-}
-
-func TestAppendBenchJSONRefusesShardMismatch(t *testing.T) {
-	res := smallScaleResult(t) // default structural shard count (8)
-	if got := res.Opts.Shards; got != scaleShards {
-		t.Fatalf("defaulted Shards = %d, want %d", got, scaleShards)
-	}
-	existing, err := res.AppendBenchJSON(nil, "base")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f benchFile
-	if err := json.Unmarshal(existing, &f); err != nil {
-		t.Fatal(err)
-	}
-	if f.Runs[0].Shards != scaleShards {
-		t.Fatalf("recorded shards = %d, want %d", f.Runs[0].Shards, scaleShards)
-	}
-
-	// A run produced under a different structural shard count must be
-	// refused — its figures chart a different seed schedule.
-	other := *res
-	other.Opts.Shards = 4
-	if _, err := other.AppendBenchJSON(existing, "new"); err == nil {
-		t.Fatal("appending a 4-shard run onto an 8-shard baseline succeeded")
-	} else if !strings.Contains(err.Error(), "structural") {
-		t.Fatalf("refusal should name the structural mismatch, got: %v", err)
-	}
-	// Replacing the mismatched baseline itself under its own label is
-	// allowed (that is how a file is intentionally re-based).
-	if _, err := other.AppendBenchJSON(existing, "base"); err != nil {
-		t.Fatalf("same-label replace refused: %v", err)
-	}
-
-	// Legacy runs with no recorded shard count are treated as the
-	// then-hardwired 8: same-count appends pass, others are refused.
-	legacy := `{"schema": "bench-scale/v2", "runs": [{"label": "pr4", "seed": 1,
-	  "runtime_ms": 60000, "group_size": 100,
-	  "rows": [{"hosts": 1200, "wall_ms": 1, "allocs": 1, "events": 1,
-	            "events_per_sec": 1, "heap_inuse_mb": 1, "peak_rss_mb": 1,
-	            "staleness_ms": 1, "improvement": 0.1}]}]}`
-	if _, err := res.AppendBenchJSON([]byte(legacy), "new"); err != nil {
-		t.Fatalf("8-shard append onto a legacy run refused: %v", err)
-	}
-	if _, err := other.AppendBenchJSON([]byte(legacy), "new"); err == nil {
-		t.Fatal("4-shard append onto a legacy (8-shard) run succeeded")
 	}
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -11,12 +9,9 @@ import (
 	"p2ppool/internal/bandwidth"
 	"p2ppool/internal/dataplane"
 	"p2ppool/internal/eventsim"
-	"p2ppool/internal/faultnet"
-	"p2ppool/internal/netmodel"
 	"p2ppool/internal/obs"
 	"p2ppool/internal/par"
 	"p2ppool/internal/sched"
-	"p2ppool/internal/transport"
 )
 
 // StreamOptions parameterizes the streaming study: chunk-level media
@@ -147,16 +142,8 @@ type StreamRow struct {
 	RungKbps float64
 	// Planned counts sessions that obtained a tree at least once.
 	Planned int
-	// Outcome partition over expected (member, chunk) pairs; see
-	// dataplane.Stats.
-	Expected      int
-	OnTimeTree    int
-	PullRecovered int
-	Late          int
-	Lost          int
-	TreeMisses    int
-	Duplicates    int
-	PullsSent     int
+	// Outcome partition over expected (member, chunk) pairs.
+	deliveryCounts
 	// DeliveredKbps = rung x on-time fraction, aggregated over every
 	// expected pair; BoundKbps is the mean member-only capacity bound
 	// across sessions.
@@ -224,67 +211,12 @@ func Stream(opts StreamOptions) (*StreamResult, error) {
 	return &StreamResult{Opts: opts, Rows: rows}, nil
 }
 
-// streamWorld builds the static world every run shares: coordinates
-// (the latency metric), the capacity population, and the Section 4.2
-// leafset bandwidth estimates. A pure function of the seed.
-func streamWorld(opts StreamOptions) (alm.LatencyFunc, *netmodel.Model, []bandwidth.Estimates, error) {
-	r := rand.New(rand.NewSource(opts.Seed + 2))
-	xs := make([]float64, opts.Hosts)
-	ys := make([]float64, opts.Hosts)
-	for h := 0; h < opts.Hosts; h++ {
-		xs[h] = r.Float64() * 200
-		ys[h] = r.Float64() * 200
-	}
-	lat := func(a, b int) float64 {
-		if a == b {
-			return 0
-		}
-		dx, dy := xs[a]-xs[b], ys[a]-ys[b]
-		return 5 + math.Sqrt(dx*dx+dy*dy)
-	}
-	model, err := netmodel.New(opts.Hosts, netmodel.Options{Seed: opts.Seed + 3})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Random-membership leafsets, the DHT's shape, estimated with the
-	// paper's max rule; planning runs on these estimates while the
-	// contention physics below runs on model truth.
-	lr := rand.New(rand.NewSource(opts.Seed + 4))
-	leafs := make([][]int, opts.Hosts)
-	for i := range leafs {
-		seen := map[int]bool{i: true}
-		for len(leafs[i]) < opts.Leafset {
-			x := lr.Intn(opts.Hosts)
-			if !seen[x] {
-				seen[x] = true
-				leafs[i] = append(leafs[i], x)
-			}
-		}
-	}
-	est := bandwidth.EstimateAll(model, func(i int) []int { return leafs[i] }, 1500, nil)
-	return lat, model, est, nil
-}
-
 // streamDegrees converts uplink estimates into per-host degree bounds
-// for one ladder rung: how many concurrent chunk flows (children plus
-// the host's own parent link) the estimated uplink sustains at the
-// rung's bitrate, clamped to [1, 16]. Each child is costed at 1.3x the
-// rung, not 1.0x: a relay packed to 100% uplink utilization has no
-// headroom for transfer overlap (chunk k+1 arriving while k is still
-// forwarding halves the fair share and the backlog never drains), so
-// like any production streaming system the planner provisions ~75%
-// peak utilization.
+// for one ladder rung.
 func streamDegrees(est []bandwidth.Estimates, rungKbps float64) []int {
 	out := make([]int, len(est))
 	for i, e := range est {
-		d := int(e.Up/(1.3*rungKbps)) + 1
-		if d < 1 {
-			d = 1
-		}
-		if d > 16 {
-			d = 16
-		}
-		out[i] = d
+		out[i] = uplinkDegree(e.Up, rungKbps)
 	}
 	return out
 }
@@ -352,34 +284,19 @@ func genStreamSessions(rng *rand.Rand, est []bandwidth.Estimates, opts StreamOpt
 
 func streamRun(idx int, cell string, rung float64, opts StreamOptions) (StreamRow, error) {
 	start := time.Now()
-	lat, model, est, err := streamWorld(opts)
+	lat, model, est, err := capacityWorld(opts.Seed, opts.Hosts, opts.Leafset)
 	if err != nil {
 		return StreamRow{}, err
 	}
-	degrees := streamDegrees(est, rung)
-	engine := eventsim.New(opts.Seed + int64(idx))
-	sim := transport.NewSim(engine, transport.SimOptions{Latency: transport.LatencyFunc(lat)})
-	f := faultnet.New(sim, faultnet.Options{Seed: opts.Seed*100 + int64(idx)})
-	sv := sched.NewService(degrees, lat, sched.ServiceConfig{
-		Sched: sched.Config{ScoreLatency: lat, MetricScore: true, HelperMinDegree: 2},
-		Seed:  opts.Seed*10 + int64(idx) + 5,
-	})
-	sv.Instrument(opts.Registry)
-	f.Instrument(opts.Registry, nil)
-
-	srng := rand.New(rand.NewSource(opts.Seed*1000 + int64(idx)*17 + 3))
-	sessions, err := genStreamSessions(srng, est, opts)
+	c := newServiceCell(opts.Seed, idx, lat, streamDegrees(est, rung), sched.ServiceConfig{
+		Sched: sched.Config{HelperMinDegree: 2},
+	}, opts.Registry)
+	sv := c.sv
+	sessions, err := genStreamSessions(rosterRNG(opts.Seed, idx), est, opts)
 	if err != nil {
 		return StreamRow{}, err
 	}
-
 	row := StreamRow{Cell: cell, RungKbps: rung}
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
 
 	// --- control plane: submit, tick, churn ---
 	playout := opts.streamPlayout(cell)
@@ -388,35 +305,13 @@ func streamRun(idx int, cell string, rung float64, opts StreamOptions) (StreamRo
 	runEnd := streamEnd + 10*eventsim.Second
 
 	for _, s := range sessions {
-		s := s
-		engine.At(100*eventsim.Millisecond, func() {
-			sess := &sched.Session{ID: s.id, Priority: s.pri, Root: s.root, Members: append([]int(nil), s.members...)}
-			if _, err := sv.Submit(f.Now(), sess); err != nil {
-				fail(err)
-			}
+		c.submitAt(100*eventsim.Millisecond, func() *sched.Session {
+			return &sched.Session{ID: s.id, Priority: s.pri, Root: s.root, Members: append([]int(nil), s.members...)}
 		})
 	}
-	var tick func()
-	tick = func() {
-		if err := sv.Tick(f.Now()); err != nil {
-			fail(err)
-			return
-		}
-		if f.Now() < runEnd {
-			f.After(opts.TickEvery, tick)
-		}
-	}
-	f.After(opts.TickEvery, tick)
-
-	f.OnCrash(func(a transport.Addr) {
-		f.After(opts.DetectDelay, func() {
-			if f.Crashed(a) {
-				sv.NodeFailed(f.Now(), int(a))
-			}
-		})
-	})
-	f.OnRestart(func(a transport.Addr) { sv.NodeRecovered(f.Now(), int(a)) })
-	if streamChurn(cell) && opts.CrashRate > 0 {
+	c.tickUntil(opts.TickEvery, runEnd)
+	c.wireChurn(opts.DetectDelay, nil)
+	if streamChurn(cell) {
 		// Churn hits streaming members only — crashing an idle pool
 		// host exercises nothing. Sources are spared: a dead source is
 		// a different study (the whole stream just ends).
@@ -424,59 +319,29 @@ func streamRun(idx int, cell string, rung float64, opts StreamOptions) (StreamRo
 		for _, s := range sessions {
 			pool = append(pool, s.members...)
 		}
-		crng := rand.New(rand.NewSource(opts.Seed*1000 + int64(idx)*31 + 7))
-		for at := pumpStart + 3*eventsim.Second; ; {
-			gap := crng.ExpFloat64() / opts.CrashRate * float64(eventsim.Minute)
-			at += eventsim.Time(gap)
-			if at >= streamEnd-playout {
-				break
-			}
-			victim := transport.Addr(pool[crng.Intn(len(pool))])
-			f.CrashAt(at, victim)
-			f.RestartAt(at+opts.RestartDelay, victim)
-		}
+		c.churn(opts.CrashRate, pumpStart+3*eventsim.Second, streamEnd-playout, pool, opts.RestartDelay)
 	}
 
 	// --- data plane ---
-	up := make([]float64, opts.Hosts)
-	down := make([]float64, opts.Hosts)
-	for h := 0; h < opts.Hosts; h++ {
-		up[h] = model.Up(h)
-		down[h] = model.Down(h)
+	specs := make([]pumpSpec, len(sessions))
+	for i, s := range sessions {
+		specs[i] = pumpSpec{key: int(s.id), src: s.root, members: s.members, tree: func() *alm.Tree {
+			if live := sv.Scheduler().Session(s.id); live != nil {
+				return live.Tree
+			}
+			return nil
+		}}
 	}
-	plane := dataplane.NewPlane(f, up, down)
-	plane.Attach(opts.Hosts)
-	plane.Instrument(opts.Registry)
-	alive := func(h int) bool { return !f.Crashed(transport.Addr(h)) }
-	pumps := make([]*dataplane.Pump, len(sessions))
-	engine.At(pumpStart-eventsim.Millisecond, func() {
-		for i, s := range sessions {
-			s := s
-			treeOf := func() *alm.Tree {
-				if live := sv.Scheduler().Session(s.id); live != nil {
-					return live.Tree
-				}
-				return nil
-			}
-			p, err := plane.StartPump(int(s.id), s.root, s.members, treeOf, alive, pumpStart, dataplane.Config{
-				ChunkDur:      opts.ChunkDur,
-				BitrateKbps:   rung,
-				Playout:       playout,
-				Chunks:        opts.Chunks,
-				PullNeighbors: opts.PullNeighbors,
-				Seed:          opts.Seed*10000 + int64(idx)*100 + int64(i),
-			})
-			if err != nil {
-				fail(err)
-				return
-			}
-			pumps[i] = p
-		}
-	})
+	pumps := c.startPumps(model, pumpStart, dataplane.Config{
+		ChunkDur:      opts.ChunkDur,
+		BitrateKbps:   rung,
+		Playout:       playout,
+		Chunks:        opts.Chunks,
+		PullNeighbors: opts.PullNeighbors,
+	}, opts.Seed*10000+int64(idx)*100, specs)
 
-	engine.RunUntil(runEnd)
-	if firstErr != nil {
-		return StreamRow{}, fmt.Errorf("stream %s@%.0f: %w", cell, rung, firstErr)
+	if err := c.run(runEnd); err != nil {
+		return StreamRow{}, fmt.Errorf("stream %s@%.0f: %w", cell, rung, err)
 	}
 
 	// --- harvest ---
@@ -492,20 +357,13 @@ func streamRun(idx int, cell string, rung float64, opts StreamOptions) (StreamRo
 		}
 		bounds += dataplane.CapacityBound(model.Up(s.root), ups)
 		st := pumps[i].Finalize()
-		row.Expected += st.Expected
-		row.OnTimeTree += st.OnTimeTree
-		row.PullRecovered += st.PullRecovered
-		row.Late += st.Late
-		row.Lost += st.Lost
-		row.TreeMisses += st.TreeMisses
-		row.Duplicates += st.Duplicates
-		row.PullsSent += st.PullsSent
+		row.add(st)
 		srcBytes += st.SourceTxBytes
 		totBytes += st.TotalTxBytes
 	}
 	row.BoundKbps = bounds / float64(len(sessions))
 	if row.Expected > 0 {
-		onTime := float64(row.OnTimeTree+row.PullRecovered) / float64(row.Expected)
+		onTime := row.onTime()
 		row.DeliveredKbps = rung * onTime
 		row.MissRate = 1 - onTime
 	}
@@ -515,7 +373,7 @@ func streamRun(idx int, cell string, rung float64, opts StreamOptions) (StreamRo
 	if totBytes > 0 {
 		row.SourceOffload = 1 - float64(srcBytes)/float64(totBytes)
 	}
-	row.Crashes = int(f.Counters().Crashes)
+	row.Crashes = int(c.net.Counters().Crashes)
 	tot := sv.Scheduler().Totals()
 	row.Repairs = tot.Repairs
 	row.Replans = tot.Replans
@@ -575,100 +433,24 @@ func (r *StreamResult) Tables() []Table {
 	return []Table{delivered, attrib}
 }
 
-// streamBenchFile is the BENCH_stream.json schema, version
-// bench-stream/v1:
-//
-//	{
-//	  "schema": "bench-stream/v1",
-//	  "runs": [{
-//	    "label": "pr8",              // which PR/state produced the rows
-//	    "seed": 1, "hosts": 8000, "sessions": 6, "chunks": 45,
-//	    "rows": [{
-//	      "cell": "live",            // scenario cell
-//	      "rung_kbps": 600,          // ladder rung
-//	      "bound_kbps": 0,           // member-only capacity bound
-//	      "delivered_kbps": 0,       // rung x on-time fraction
-//	      "miss_rate": 0,            // 1 - on-time fraction
-//	      "pull_saved": 0,           // tree misses recovered by mesh-pull
-//	      "offload": 0,              // 1 - source bytes / total bytes
-//	      "wall_ms": 0               // run wall time
-//	    }, ...]
-//	  }, ...]
-//	}
-//
-// Each bench invocation appends (or replaces) one labeled run,
-// mirroring the bench-load/v1 convention.
-type streamBenchFile struct {
-	Schema string           `json:"schema"`
-	Runs   []streamBenchRun `json:"runs"`
-}
-
-type streamBenchRun struct {
-	Label    string           `json:"label"`
-	Seed     int64            `json:"seed"`
-	Hosts    int              `json:"hosts"`
-	Sessions int              `json:"sessions"`
-	Chunks   int              `json:"chunks"`
-	Rows     []streamBenchRow `json:"rows"`
-}
-
-type streamBenchRow struct {
-	Cell          string  `json:"cell"`
-	RungKbps      float64 `json:"rung_kbps"`
-	BoundKbps     float64 `json:"bound_kbps"`
-	DeliveredKbps float64 `json:"delivered_kbps"`
-	MissRate      float64 `json:"miss_rate"`
-	PullSaved     float64 `json:"pull_saved"`
-	Offload       float64 `json:"offload"`
-	WallMS        float64 `json:"wall_ms"`
-}
-
 // AppendBenchJSON merges this result into an existing BENCH_stream.json
-// (existing may be nil/empty for a fresh file) as a run labeled label,
-// replacing any previous run with the same label. Call on a result
-// produced with StreamOptions.Bench set for wall-clock fields.
+// as a bench-stream/v1 run labeled label; see appendBenchRun. Call on a
+// result produced with StreamOptions.Bench set for wall-clock fields.
 func (r *StreamResult) AppendBenchJSON(existing []byte, label string) ([]byte, error) {
-	if label == "" {
-		label = "dev"
-	}
-	f := streamBenchFile{Schema: "bench-stream/v1"}
-	if len(existing) > 0 {
-		if err := json.Unmarshal(existing, &f); err != nil {
-			return nil, fmt.Errorf("experiments: parsing stream bench file: %w", err)
-		}
-		if f.Schema != "bench-stream/v1" {
-			return nil, fmt.Errorf("experiments: unknown stream bench schema %q", f.Schema)
-		}
-	}
-	run := streamBenchRun{
-		Label:    label,
-		Seed:     r.Opts.Seed,
-		Hosts:    r.Opts.Hosts,
-		Sessions: r.Opts.Sessions,
-		Chunks:   r.Opts.Chunks,
-	}
-	for _, row := range r.Rows {
-		run.Rows = append(run.Rows, streamBenchRow{
-			Cell:          row.Cell,
-			RungKbps:      row.RungKbps,
-			BoundKbps:     row.BoundKbps,
-			DeliveredKbps: row.DeliveredKbps,
-			MissRate:      row.MissRate,
-			PullSaved:     row.PullSavedFrac,
-			Offload:       row.SourceOffload,
-			WallMS:        row.BenchWallMS,
-		})
-	}
-	kept := f.Runs[:0]
-	for _, old := range f.Runs {
-		if old.Label != label {
-			kept = append(kept, old)
+	rows := make([]benchObject, len(r.Rows))
+	for i, row := range r.Rows {
+		rows[i] = benchObject{
+			{"cell", row.Cell},
+			{"rung_kbps", row.RungKbps},
+			{"bound_kbps", row.BoundKbps},
+			{"delivered_kbps", row.DeliveredKbps},
+			{"miss_rate", row.MissRate},
+			{"pull_saved", row.PullSavedFrac},
+			{"offload", row.SourceOffload},
+			{"wall_ms", row.BenchWallMS},
 		}
 	}
-	f.Runs = append(kept, run)
-	out, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	return appendBenchRun(existing, "bench-stream/v1", label, benchObject{
+		{"seed", r.Opts.Seed}, {"hosts", r.Opts.Hosts}, {"sessions", r.Opts.Sessions}, {"chunks", r.Opts.Chunks},
+	}, rows, nil)
 }

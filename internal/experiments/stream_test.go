@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"p2ppool/internal/eventsim"
@@ -133,45 +132,5 @@ func TestStreamObserverEffectZero(t *testing.T) {
 	snap := reg.Snapshot()
 	if len(snap.Counters) == 0 {
 		t.Error("instrumented run recorded no metrics")
-	}
-}
-
-// TestStreamBenchJSON: the labeled-run append format — fresh file,
-// replace-by-label, a second label accumulating, foreign schema
-// rejected.
-func TestStreamBenchJSON(t *testing.T) {
-	opts := smallStream(4)
-	opts.Cells = []string{"live"}
-	opts.Rungs = []float64{300}
-	opts.Bench = true
-	res, err := Stream(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := res.AppendBenchJSON(nil, "pr8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"schema": "bench-stream/v1"`, `"label": "pr8"`, `"cell": "live"`, `"rung_kbps": 300`} {
-		if !strings.Contains(string(first), want) {
-			t.Errorf("bench JSON missing %s:\n%s", want, first)
-		}
-	}
-	replaced, err := res.AppendBenchJSON(first, "pr8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(replaced), `"label"`); n != 1 {
-		t.Errorf("re-appending the same label kept %d runs, want 1", n)
-	}
-	both, err := res.AppendBenchJSON(replaced, "pr9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(both), `"label"`); n != 2 {
-		t.Errorf("appending a second label kept %d runs, want 2", n)
-	}
-	if _, err := res.AppendBenchJSON([]byte(`{"schema":"bench-load/v1"}`), "x"); err == nil {
-		t.Error("foreign schema accepted")
 	}
 }
