@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -256,6 +258,42 @@ func TestOptimizeRootSwapsCapableNode(t *testing.T) {
 	snap := p.Snapshot()
 	if len(snap) < 40 {
 		t.Errorf("post-swap snapshot has only %d records", len(snap))
+	}
+}
+
+// liveDigest fingerprints a live pool's protocol outcome: events
+// processed, the root snapshot (every Status field, so estimator and
+// prober state too) and the transport counters.
+func liveDigest(p *Pool) string {
+	snap := p.Snapshot()
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v", snap)
+	return fmt.Sprintf("processed=%d records=%d snapshot=%016x stats=%+v",
+		p.Engine.Processed(), len(snap), h.Sum64(), p.Sim.Stats())
+}
+
+// TestBuildLiveDigest pins the live assembly across commits the way
+// studies.golden pins the studies: timers and jitter are drawn in
+// creation order, so any change to how BuildLive or OptimizeRoot wire
+// ring, estimators, probers and agents moves these strings. They were
+// recorded at the commit before core's staged ring assembly; a
+// deliberate behaviour change re-records them and says so.
+func TestBuildLiveDigest(t *testing.T) {
+	const (
+		wantBuilt   = "processed=90970 records=64 snapshot=dfca5cf24fe9882c stats={MessagesSent:87375 MessagesDelivered:86421 MessagesDropped:0 BytesSent:9906064}"
+		wantSwapped = "processed=370008 records=64 snapshot=fdb40da07188ebc0 stats={MessagesSent:352587 MessagesDelivered:351646 MessagesDropped:0 BytesSent:40299040}"
+	)
+	p := livePool(t, 64, 21, 40*eventsim.Second)
+	if got := liveDigest(p); got != wantBuilt {
+		t.Errorf("after BuildLive:\n got: %s\nwant: %s", got, wantBuilt)
+	}
+	swapped, err := p.OptimizeRoot(func(h int) float64 { return float64(p.Degrees[h]) })
+	if err != nil || !swapped {
+		t.Fatalf("OptimizeRoot: swapped=%v err=%v", swapped, err)
+	}
+	p.Engine.RunUntil(p.Engine.Now() + 2*eventsim.Minute)
+	if got := liveDigest(p); got != wantSwapped {
+		t.Errorf("after OptimizeRoot:\n got: %s\nwant: %s", got, wantSwapped)
 	}
 }
 

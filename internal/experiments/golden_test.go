@@ -11,17 +11,19 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/studies.golden from this build's output")
 
-// TestStudyGolden pins the five event-driven studies across commits.
+// TestStudyGolden pins the nine event-driven studies across commits.
 // The worker-determinism tests compare two runs of one build; a refactor
-// of the shared harness (cell.go) moves both the same way and they stay
-// green. This file is the parent's output: a refactor must reproduce it
+// of the shared harness (cell.go, core's ring assembly) moves both the
+// same way and they stay green. This file is the parent's output: a refactor must reproduce it
 // byte for byte, and a deliberate behaviour change regenerates it with
 //
 //	go test ./internal/experiments -run TestStudyGolden -update
 //
 // and says so in its PR. Sizes are the smoke tests' (every cell of load
 // and conf, the churn and non-churn stream cells, three chaos rates,
-// four audit seeds).
+// four audit seeds, both flows of two somo fanouts, two churn fractions,
+// the 16-member obs ring with its trace tail, one 200-host scale cell —
+// whose table carries no wall-clock field).
 func TestStudyGolden(t *testing.T) {
 	studies := []struct {
 		name string
@@ -51,6 +53,20 @@ func TestStudyGolden(t *testing.T) {
 				PartitionAt: 25 * eventsim.Second, PartitionFor: 15 * eventsim.Second,
 				Seed: 1,
 			})
+		}},
+		{"somo", func() (Result, error) {
+			return SOMOExperiment(SOMOOptions{Sizes: []int{64}, Fanouts: []int{2, 8},
+				Runtime: 45 * eventsim.Second, Seed: 1})
+		}},
+		{"churn", func() (Result, error) {
+			return Churn(ChurnOptions{Nodes: 64, CrashFractions: []float64{0.1, 0.2}, Seed: 1})
+		}},
+		{"obs", func() (Result, error) {
+			return Obs(ObsOptions{Nodes: 16, Runtime: 100 * eventsim.Second, TraceTail: 8, Seed: 3})
+		}},
+		{"scale", func() (Result, error) {
+			return Scale(ScaleOptions{Sizes: []int{200}, Runtime: 10 * eventsim.Second,
+				GroupSize: 20, Seed: 1})
 		}},
 	}
 	var b strings.Builder
