@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test race vet bench bench-json bench-suite bench-compare profile chaos obs scale audit load stream conf ci
+.PHONY: all build fmt test race vet bench bench-json bench-suite bench-compare bench-label profile chaos obs scale audit load stream conf mains ci
 
 all: build
 
@@ -90,10 +90,13 @@ conf:
 # labeled run so the files accumulate the per-PR history. The four
 # schemas and the one writer behind them are documented in
 # internal/experiments/benchfile.go. Cells run sequentially so the
-# measurements are honest. Override the label with
-# `make bench-json BENCH_LABEL=mybranch`.
-BENCH_LABEL ?= pr14
-bench-json:
+# measurements are honest. The label has no default — a stale one
+# silently replaces an old run — so name the run:
+# `make bench-json BENCH_LABEL=pr16`.
+bench-label:
+	@test -n "$(BENCH_LABEL)" || { echo "BENCH_LABEL is unset: make $(MAKECMDGOALS) BENCH_LABEL=<run name>" >&2; exit 1; }
+
+bench-json: bench-label
 	$(GO) run ./cmd/experiments -fig scale -seed 1 -benchjson BENCH_scale.json -bench-label $(BENCH_LABEL)
 	$(GO) run ./cmd/experiments -fig load -seed 1 -benchjson BENCH_load.json -bench-label $(BENCH_LABEL)
 	$(GO) run ./cmd/experiments -fig stream -seed 1 -benchjson BENCH_stream.json -bench-label $(BENCH_LABEL)
@@ -105,7 +108,7 @@ bench-json:
 # of them and exits nonzero on any "worse":
 # `make bench-compare BASE=bench-results/pr12.json CAND=bench-results/pr14.json`.
 # bench-results/ is git-ignored.
-bench-suite:
+bench-suite: bench-label
 	mkdir -p bench-results
 	$(GO) run ./bench -out bench-results/$(BENCH_LABEL).json
 
@@ -116,6 +119,12 @@ bench-compare:
 # `go tool pprof cpu.pprof`.
 profile:
 	$(GO) run ./cmd/experiments -fig all -seed 1 -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
+
+# The five examples and cmd/topostat have no tests of their own; this
+# runs each to completion and fails on a nonzero exit. ~13 s in all, so
+# it lives here and in `ci`, not in `go test`.
+mains:
+	for m in ./examples/* ./cmd/topostat; do $(GO) run $$m > /dev/null || exit 1; done
 
 # The obs smoke run doubles as an end-to-end check that metrics +
 # tracing assemble a dashboard out of the SOMO root snapshot; the bench
@@ -141,7 +150,7 @@ profile:
 # benchmark's correctness gate on its control-plane workload — tree
 # validity, ledger invariants (cached counters recomputed from the
 # allocations) and repetition determinism — in two seconds.
-ci: build fmt vet test race
+ci: build fmt vet test race mains
 	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
 	$(GO) run ./cmd/experiments -fig scale -hosts 1200 -scale-runtime 30 -seed 1 > /dev/null

@@ -217,21 +217,29 @@ func writeBench(res benchAppender) error {
 
 func main() {
 	flag.Parse()
+	os.Exit(run())
+}
+
+// run is the command behind the exit code: main's only os.Exit comes
+// after run's deferred profile writers have flushed, so a study error
+// or an invariant violation — the runs one most wants to profile —
+// still leaves complete -cpuprofile and -memprofile files.
+func run() int {
 	chosen, err := selectStudies(*fig)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		// Deferred in this order so the profile is flushed before the
 		// file closes (defers run last-in-first-out).
@@ -266,7 +274,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", st.title, err)
-			os.Exit(1)
+			return 1
 		}
 		// audit, load and conf sweep invariants; a violation fails the
 		// command after its tables have printed.
@@ -287,20 +295,18 @@ func main() {
 				name := sanitize(tab.Title) + ".csv"
 				if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
+					return 1
 				}
 				path := filepath.Join(*csvDir, name)
 				if err := os.WriteFile(path, []byte(tab.CSV()), 0o644); err != nil {
 					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
+					return 1
 				}
 				fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 			}
 		}
 	}
-	if exitCode != 0 {
-		os.Exit(exitCode)
-	}
+	return exitCode
 }
 
 func sanitize(s string) string {

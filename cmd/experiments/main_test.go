@@ -1,9 +1,51 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// runMainEnv makes the test binary behave as the command itself, so a
+// test can observe its exit code and the files it leaves behind.
+const runMainEnv = "EXPERIMENTS_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestProfilesSurviveFailingRun: a study error exits 1, and the runs
+// that fail are the ones worth profiling — both profile files must be
+// complete (non-empty) when the process is gone.
+func TestProfilesSurviveFailingRun(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	// A 5-host pool cannot hold the scale study's 100-member session.
+	cmd := exec.Command(os.Args[0], "-fig", "scale", "-hosts", "5", "-cpuprofile", cpu, "-memprofile", mem)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("want exit status 1, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "exceeds pool size") {
+		t.Errorf("the run did not fail the expected way:\n%s", out)
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil {
+			t.Errorf("after a failing run: %v", err)
+		} else if st.Size() == 0 {
+			t.Errorf("%s is empty after a failing run", filepath.Base(path))
+		}
+	}
+}
 
 // firstNames renders a selection as its studies' first names.
 func firstNames(sel []study) string {

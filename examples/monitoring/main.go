@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"p2ppool"
+	"p2ppool/internal/core"
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/topology"
 )
@@ -52,12 +53,11 @@ func main() {
 		log.Fatal(err)
 	}
 	pool.Engine.RunUntil(pool.Engine.Now() + 2*eventsim.Minute)
-	var rootHost = -1
-	for _, a := range pool.Agents {
-		if a.Node().Active() && a.IsRoot() {
-			rootHost = int(a.Node().Self().Addr)
-		}
+	root := core.LiveRoot(pool.Agents)
+	if root < 0 {
+		log.Fatal("no live SOMO root after the swap")
 	}
+	rootHost := int(pool.Agents[root].Node().Self().Addr)
 	fmt.Printf("swapped=%v; SOMO root now on host %d (degree bound %d, max in pool)\n",
 		swapped, rootHost, pool.Degrees[rootHost])
 

@@ -291,44 +291,17 @@ func BuildLive(opts LiveOptions) (*Pool, error) {
 	if opts.DHT.LeafsetRadius == 0 {
 		opts.DHT.LeafsetRadius = base.LeafsetRadius
 	}
-	idList := dht.RandomIDs(n, r)
-	addrs := make([]transport.Addr, n)
-	for i := range addrs {
-		addrs[i] = transport.Addr(i)
-	}
-	p.Nodes, err = dht.BuildRing(p.Sim, idList, addrs, opts.DHT)
+	p.Nodes, _, err = Ring(OnNet(p.Sim), dht.RandomIDs(n, r), opts.DHT)
 	if err != nil {
 		return nil, err
 	}
 	p.hostOf = make([]int, n)
 	p.Coords = make([]coords.Vector, n)
 	p.Bandwidth = make([]bandwidth.Estimates, n)
-
+	p.Agents = make([]*somo.Agent, n)
 	for i, nd := range p.Nodes {
-		host := int(nd.Self().Addr)
-		p.hostOf[i] = host
-		est := coords.NewEstimator(nd, coords.EstimatorOptions{
-			Dim:  base.CoordDim,
-			Seed: base.Seed + int64(100+host),
-		})
-		prober := bandwidth.NewProber(nd, bandwidth.ProberOptions{})
-		agent := somo.NewAgent(nd, opts.SOMO, func() interface{} {
-			// Publish the live estimates; also mirror them into the
-			// pool-level arrays so the fast query path sees them.
-			p.Coords[host] = est.Coord()
-			p.Bandwidth[host] = bandwidth.Estimates{
-				Up:   prober.UpEstimate(),
-				Down: prober.DownEstimate(),
-			}
-			return Status{
-				Host:        host,
-				Coord:       est.Coord(),
-				UpKbps:      prober.UpEstimate(),
-				DownKbps:    prober.DownEstimate(),
-				DegreeBound: p.Degrees[host],
-			}
-		})
-		p.Agents = append(p.Agents, agent)
+		p.hostOf[i] = int(nd.Self().Addr)
+		p.Agents[i] = p.attachStack(nd, opts.SOMO, 100)
 	}
 	if opts.Converge > 0 {
 		p.Engine.RunUntil(opts.Converge)
@@ -355,26 +328,15 @@ func (p *Pool) DegreeBound(h int) int { return p.Degrees[h] }
 // reads the SOMO root's gathered records; in fast mode it synthesizes
 // the equivalent from the computed estimates.
 func (p *Pool) Snapshot() []Status {
-	if p.Agents != nil {
-		var root *somo.Agent
-		for _, a := range p.Agents {
-			if a.Node().Active() && a.IsRoot() {
-				root = a
-				break
+	if view, ok := ReadRoot(p.Agents); ok {
+		out := make([]Status, 0, len(view.Snapshot.Records))
+		for _, rec := range view.Snapshot.Records {
+			if st, ok := rec.Data.(Status); ok {
+				out = append(out, st)
 			}
 		}
-		if root != nil {
-			var snap somo.Snapshot
-			root.Query(func(s somo.Snapshot) { snap = s })
-			out := make([]Status, 0, len(snap.Records))
-			for _, rec := range snap.Records {
-				if st, ok := rec.Data.(Status); ok {
-					out = append(out, st)
-				}
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
-			return out
-		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
+		return out
 	}
 	out := make([]Status, p.NumHosts())
 	for h := range out {
@@ -499,13 +461,7 @@ func (p *Pool) OptimizeRoot(score func(host int) float64) (swapped bool, err err
 	if p.Agents == nil {
 		return false, fmt.Errorf("core: OptimizeRoot requires a live pool")
 	}
-	var rootIdx int = -1
-	for i, a := range p.Agents {
-		if a.Node().Active() && a.IsRoot() {
-			rootIdx = i
-			break
-		}
-	}
+	rootIdx := LiveRoot(p.Agents)
 	if rootIdx == -1 {
 		return false, fmt.Errorf("core: no live root found")
 	}
@@ -532,7 +488,9 @@ func (p *Pool) OptimizeRoot(score func(host int) float64) (swapped bool, err err
 	seed := p.Nodes[pickOther(len(p.Nodes), rootIdx, bestIdx)].Self()
 
 	// Both leave, then rejoin with exchanged IDs. The SOMO agents on
-	// the old nodes are stopped; fresh nodes get fresh agents.
+	// the old nodes are stopped; fresh nodes get fresh stacks under the
+	// configuration the pool was built with.
+	cfg := p.Agents[rootIdx].Config()
 	p.Agents[rootIdx].Stop()
 	p.Agents[bestIdx].Stop()
 	rootNode.Leave()
@@ -542,25 +500,34 @@ func (p *Pool) OptimizeRoot(score func(host int) float64) (swapped bool, err err
 	newBest := dht.NewNode(p.Sim, rootID, bestAddr, bestNode.Config())
 	p.Nodes[rootIdx] = newRoot
 	p.Nodes[bestIdx] = newBest
-	p.attachLiveStack(rootIdx, newRoot)
-	p.attachLiveStack(bestIdx, newBest)
+	p.Agents[rootIdx] = p.attachStack(newRoot, cfg, 1000)
+	p.Agents[bestIdx] = p.attachStack(newBest, cfg, 1000)
 	newRoot.Join(seed)
 	newBest.Join(seed)
 	return true, nil
 }
 
-// attachLiveStack wires estimator, prober and SOMO agent onto a
-// (re)joined node, mirroring BuildLive.
-func (p *Pool) attachLiveStack(idx int, nd *dht.Node) {
+// attachStack is the per-member stage of the live assembly: it wires
+// the coordinate estimator, the packet-pair prober and the SOMO agent
+// publishing this member's Status onto nd, in that order. BuildLive
+// runs it over the ring and OptimizeRoot over the two re-joined nodes;
+// seedBase keeps a re-joined member's estimator off the random stream
+// its first incarnation drew from.
+func (p *Pool) attachStack(nd *dht.Node, cfg somo.Config, seedBase int64) *somo.Agent {
 	host := int(nd.Self().Addr)
 	est := coords.NewEstimator(nd, coords.EstimatorOptions{
 		Dim:  p.opts.CoordDim,
-		Seed: p.opts.Seed + int64(1000+host),
+		Seed: p.opts.Seed + seedBase + int64(host),
 	})
 	prober := bandwidth.NewProber(nd, bandwidth.ProberOptions{})
-	p.Agents[idx] = somo.NewAgent(nd, somo.Config{}, func() interface{} {
+	return somo.NewAgent(nd, cfg, func() interface{} {
+		// Publish the live estimates; also mirror them into the
+		// pool-level arrays so the fast query path sees them.
 		p.Coords[host] = est.Coord()
-		p.Bandwidth[host] = bandwidth.Estimates{Up: prober.UpEstimate(), Down: prober.DownEstimate()}
+		p.Bandwidth[host] = bandwidth.Estimates{
+			Up:   prober.UpEstimate(),
+			Down: prober.DownEstimate(),
+		}
 		return Status{
 			Host:        host,
 			Coord:       est.Coord(),

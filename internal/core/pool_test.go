@@ -9,6 +9,7 @@ import (
 	"p2ppool/internal/alm"
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/sched"
+	"p2ppool/internal/somo"
 	"p2ppool/internal/topology"
 )
 
@@ -283,6 +284,9 @@ func TestBuildLiveDigest(t *testing.T) {
 		wantBuilt   = "processed=90970 records=64 snapshot=dfca5cf24fe9882c stats={MessagesSent:87375 MessagesDelivered:86421 MessagesDropped:0 BytesSent:9906064}"
 		wantSwapped = "processed=370008 records=64 snapshot=fdb40da07188ebc0 stats={MessagesSent:352587 MessagesDelivered:351646 MessagesDropped:0 BytesSent:40299040}"
 	)
+	if testing.Short() {
+		t.Skip("single-threaded determinism pin; the race run gains nothing from it")
+	}
 	p := livePool(t, 64, 21, 40*eventsim.Second)
 	if got := liveDigest(p); got != wantBuilt {
 		t.Errorf("after BuildLive:\n got: %s\nwant: %s", got, wantBuilt)
@@ -294,6 +298,37 @@ func TestBuildLiveDigest(t *testing.T) {
 	p.Engine.RunUntil(p.Engine.Now() + 2*eventsim.Minute)
 	if got := liveDigest(p); got != wantSwapped {
 		t.Errorf("after OptimizeRoot:\n got: %s\nwant: %s", got, wantSwapped)
+	}
+}
+
+// TestOptimizeRootKeepsSOMOConfig: the two members the swap re-joins
+// must come back on the pool's own SOMO configuration — an agent on the
+// default fanout or cadence would sit on a different logical tree from
+// everyone else.
+func TestOptimizeRootKeepsSOMOConfig(t *testing.T) {
+	top := topology.DefaultConfig()
+	top.Hosts = 48
+	top.Seed = 21
+	p, err := BuildLive(LiveOptions{
+		Options:  Options{Topology: top, Seed: 21, LeafsetRadius: 8},
+		SOMO:     somo.Config{ReportInterval: 2 * eventsim.Second, Fanout: 4},
+		Converge: 30 * eventsim.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.Agents[0].Config()
+	if want.Fanout != 4 || want.ReportInterval != 2*eventsim.Second {
+		t.Fatalf("BuildLive ignored LiveOptions.SOMO: %+v", want)
+	}
+	swapped, err := p.OptimizeRoot(func(h int) float64 { return float64(p.Degrees[h]) })
+	if err != nil || !swapped {
+		t.Fatalf("OptimizeRoot: swapped=%v err=%v", swapped, err)
+	}
+	for i, a := range p.Agents {
+		if got := a.Config(); got != want {
+			t.Errorf("agent %d (host %d) runs %+v, want %+v", i, a.Node().Self().Addr, got, want)
+		}
 	}
 }
 

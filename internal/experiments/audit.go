@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"p2ppool/internal/alm"
+	"p2ppool/internal/core"
 	"p2ppool/internal/dht"
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/faultnet"
@@ -14,7 +15,6 @@ import (
 	"p2ppool/internal/invariant"
 	"p2ppool/internal/par"
 	"p2ppool/internal/sched"
-	"p2ppool/internal/somo"
 	"p2ppool/internal/transport"
 )
 
@@ -369,11 +369,10 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 		Root:     ro.root,
 		Members:  append([]int(nil), ro.members...),
 	}
-	addrs := make([]transport.Addr, opts.Hosts)
-	for i := range addrs {
-		addrs[i] = transport.Addr(i)
-	}
-	dhtCfg := dht.Config{
+	// Nodes and agents are indexed by host, and agents created in host
+	// order; the roster drew the IDs so the script generator could place
+	// faults by ring position.
+	_, nodes, err := core.Ring(core.OnNet(f), ro.ids, dht.Config{
 		LeafsetRadius:     8,
 		HeartbeatInterval: eventsim.Second,
 		FailureTimeout:    3 * eventsim.Second,
@@ -381,25 +380,12 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 		// SuspectTTL stays at the dht default, 30x this FailureTimeout =
 		// 90s; the long-outage victim is engineered to restart after
 		// every suspect expired.
-	}
-	ring, err := dht.BuildRing(f, ro.ids, addrs, dhtCfg)
+	})
 	if err != nil {
 		fail(err)
 		return out
 	}
-	nodes := make([]*dht.Node, opts.Hosts) // indexed by host
-	for _, nd := range ring {
-		nodes[int(nd.Self().Addr)] = nd
-	}
-	const reportT = 2 * eventsim.Second
-	agents := make([]*somo.Agent, opts.Hosts)
-	for h := 0; h < opts.Hosts; h++ {
-		h := h
-		agents[h] = somo.NewAgent(nodes[h], somo.Config{
-			ReportInterval: reportT,
-			RecordTTL:      8 * reportT,
-		}, func() interface{} { return h })
-	}
+	agents, reattach := core.AttachSOMO(nodes, churnSOMO(2*eventsim.Second), hostPayload)
 
 	// --- the session and its scheduler ---
 	sc := sched.NewScheduler(degrees, lat, sched.Config{})
@@ -473,10 +459,7 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 		out.Restarts++
 		delete(downSince, h)
 		nodes[h].Join(nodes[sess.Root].Self())
-		agents[h] = somo.NewAgent(nodes[h], somo.Config{
-			ReportInterval: reportT,
-			RecordTTL:      8 * reportT,
-		}, func() interface{} { return h })
+		reattach(h)
 		recoverHost(h)
 		stabilize()
 	})

@@ -3,10 +3,10 @@ package experiments
 import (
 	"math/rand"
 
+	"p2ppool/internal/core"
 	"p2ppool/internal/dht"
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/par"
-	"p2ppool/internal/somo"
 	"p2ppool/internal/transport"
 )
 
@@ -79,21 +79,9 @@ func Churn(opts ChurnOptions) (*ChurnResult, error) {
 func churnRun(frac float64, opts ChurnOptions) (ChurnRow, error) {
 	n := opts.Nodes
 	engine := eventsim.New(opts.Seed + int64(frac*1000))
-	net := transport.NewSim(engine, transport.SimOptions{
-		Latency: func(a, b int) float64 {
-			if a == b {
-				return 0
-			}
-			return 50
-		},
-	})
+	net := transport.NewSim(engine, transport.SimOptions{Latency: uniformLatency(50)})
 	r := rand.New(rand.NewSource(opts.Seed + int64(frac*100)))
-	idList := dht.RandomIDs(n, r)
-	addrs := make([]transport.Addr, n)
-	for i := range addrs {
-		addrs[i] = transport.Addr(i)
-	}
-	nodes, err := dht.BuildRing(net, idList, addrs, dht.Config{
+	nodes, _, err := core.Ring(core.OnNet(net), dht.RandomIDs(n, r), dht.Config{
 		LeafsetRadius:     8,
 		HeartbeatInterval: eventsim.Second,
 		FailureTimeout:    4 * eventsim.Second,
@@ -101,15 +89,7 @@ func churnRun(frac float64, opts ChurnOptions) (ChurnRow, error) {
 	if err != nil {
 		return ChurnRow{}, err
 	}
-	ttl := 8 * opts.ReportInterval
-	agents := make([]*somo.Agent, n)
-	for i, nd := range nodes {
-		i := i
-		agents[i] = somo.NewAgent(nd, somo.Config{
-			ReportInterval: opts.ReportInterval,
-			RecordTTL:      ttl,
-		}, func() interface{} { return i })
-	}
+	agents, _ := core.AttachSOMO(nodes, churnSOMO(opts.ReportInterval), hostPayload)
 	// Converge first.
 	engine.RunUntil(30 * eventsim.Second)
 
@@ -118,16 +98,17 @@ func churnRun(frac float64, opts ChurnOptions) (ChurnRow, error) {
 	if k < 1 {
 		k = 1
 	}
-	dead := map[int]bool{}
+	dead := map[int]bool{} // by host
 	rootDied := false
 	for _, idx := range r.Perm(n)[:k] {
-		dead[idx] = true
+		addr := nodes[idx].Self().Addr
+		dead[int(addr)] = true
 		if agents[idx].IsRoot() {
 			rootDied = true
 		}
 		agents[idx].Stop()
 		nodes[idx].Stop()
-		net.SetDown(nodes[idx].Self().Addr, true)
+		net.SetDown(addr, true)
 	}
 	crashAt := engine.Now()
 
@@ -136,21 +117,13 @@ func churnRun(frac float64, opts ChurnOptions) (ChurnRow, error) {
 	deadline := crashAt + 5*eventsim.Minute
 	for engine.Now() < deadline {
 		engine.RunUntil(engine.Now() + eventsim.Second)
-		var root *somo.Agent
-		for i, a := range agents {
-			if !dead[i] && a.Node().Active() && a.IsRoot() {
-				root = a
-				break
-			}
-		}
-		if root == nil {
+		view, ok := core.ReadRoot(agents)
+		if !ok {
 			continue
 		}
-		var snap somo.Snapshot
-		root.Query(func(s somo.Snapshot) { snap = s })
 		seen := map[int]bool{}
 		hasDead := false
-		for _, rec := range snap.Records {
+		for _, rec := range view.Snapshot.Records {
 			host, ok := rec.Data.(int)
 			if !ok {
 				continue

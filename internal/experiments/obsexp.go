@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"p2ppool/internal/core"
 	"p2ppool/internal/dht"
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/faultnet"
@@ -132,14 +133,7 @@ func Obs(opts ObsOptions) (*ObsResult, error) {
 func obsHealthRun(opts ObsOptions, instrument bool) (*obsHealth, error) {
 	n := opts.Nodes
 	engine := eventsim.New(opts.Seed + 11)
-	sim := transport.NewSim(engine, transport.SimOptions{
-		Latency: func(a, b int) float64 {
-			if a == b {
-				return 0
-			}
-			return 40
-		},
-	})
+	sim := transport.NewSim(engine, transport.SimOptions{Latency: uniformLatency(40)})
 	f := faultnet.New(sim, faultnet.Options{Seed: opts.Seed + 13})
 
 	var reg *obs.Registry
@@ -156,12 +150,7 @@ func obsHealthRun(opts ObsOptions, instrument bool) (*obsHealth, error) {
 	f.Instrument(reg, trace)
 
 	r := rand.New(rand.NewSource(opts.Seed + 17))
-	idList := dht.RandomIDs(n, r)
-	addrs := make([]transport.Addr, n)
-	for i := range addrs {
-		addrs[i] = transport.Addr(i)
-	}
-	nodes, err := dht.BuildRing(f, idList, addrs, dht.Config{
+	_, nodeOf, err := core.Ring(core.OnNet(f), dht.RandomIDs(n, r), dht.Config{
 		LeafsetRadius:     8,
 		HeartbeatInterval: eventsim.Second,
 		FailureTimeout:    4 * eventsim.Second,
@@ -169,28 +158,22 @@ func obsHealthRun(opts ObsOptions, instrument bool) (*obsHealth, error) {
 	if err != nil {
 		return nil, err
 	}
-	// BuildRing orders nodes by ring ID; index everything by host.
-	nodeOf := make([]*dht.Node, n)
-	for _, nd := range nodes {
-		nodeOf[int(nd.Self().Addr)] = nd
+	for h, nd := range nodeOf {
+		nd.Instrument(perNode[h], trace)
 	}
-	agentOf := make([]*somo.Agent, n)
-	for h := 0; h < n; h++ {
-		h := h
-		nodeOf[h].Instrument(perNode[h], trace)
-		// The dogfood payload: each member publishes its own metrics
-		// snapshot and last-report time through SOMO itself.
-		agentOf[h] = somo.NewAgent(nodeOf[h], somo.Config{
-			ReportInterval: opts.ReportInterval,
-			RecordTTL:      8 * opts.ReportInterval,
-		}, func() interface{} {
-			return obs.Health{
-				Host:       h,
-				LastReport: agentOf[h].LastReport(),
-				Metrics:    perNode[h].Snapshot(),
-			}
-		})
-		agentOf[h].Instrument(perNode[h])
+	// The dogfood payload: each member publishes its own metrics
+	// snapshot and last-report time through SOMO itself. Agents are
+	// created in host order.
+	var agentOf []*somo.Agent
+	agentOf, _ = core.AttachSOMO(nodeOf, churnSOMO(opts.ReportInterval), func(h int) interface{} {
+		return obs.Health{
+			Host:       h,
+			LastReport: agentOf[h].LastReport(),
+			Metrics:    perNode[h].Snapshot(),
+		}
+	})
+	for h, a := range agentOf {
+		a.Instrument(perNode[h])
 	}
 
 	// Crash two members; nodes stop their protocol stack (a crash), but
@@ -201,13 +184,7 @@ func obsHealthRun(opts ObsOptions, instrument bool) (*obsHealth, error) {
 
 	// Converge, then pick victims and a rejoin seed away from the root.
 	engine.RunUntil(opts.CrashAt - 10*eventsim.Second)
-	rootHost := -1
-	for h := 0; h < n; h++ {
-		if agentOf[h].IsRoot() {
-			rootHost = h
-			break
-		}
-	}
+	rootHost := core.LiveRoot(agentOf)
 	victims := make([]int, 0, 2)
 	for h := 0; h < n && len(victims) < 2; h++ {
 		if h != rootHost {
@@ -229,18 +206,11 @@ func obsHealthRun(opts ObsOptions, instrument bool) (*obsHealth, error) {
 	engine.RunUntil(opts.Runtime)
 
 	// Read the dashboard out of the SOMO root snapshot.
-	var root *somo.Agent
-	for h := 0; h < n; h++ {
-		if !f.Crashed(transport.Addr(h)) && agentOf[h].Node().Active() && agentOf[h].IsRoot() {
-			root = agentOf[h]
-			break
-		}
-	}
-	if root == nil {
+	view, ok := core.ReadRoot(agentOf)
+	if !ok {
 		return nil, fmt.Errorf("obs: no live SOMO root after %v ms", opts.Runtime)
 	}
-	var snap somo.Snapshot
-	root.Query(func(s somo.Snapshot) { snap = s })
+	snap := view.Snapshot
 
 	byHost := make(map[int]obs.Health, len(snap.Records))
 	for _, rec := range snap.Records {

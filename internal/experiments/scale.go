@@ -228,45 +228,20 @@ func scaleRun(n int, opts ScaleOptions) (ScaleRow, error) {
 		Seed:      opts.Seed + int64(n),
 	})
 	r := rand.New(rand.NewSource(opts.Seed + int64(n) + 7))
-	idList := dht.RandomIDs(n, r)
-	addrs := make([]transport.Addr, n)
-	for i := range addrs {
-		addrs[i] = transport.Addr(i)
-	}
-	nodes, err := dht.BuildRingOn(sim.View, idList, addrs, dht.Config{LeafsetRadius: 8})
+	nodes, _, err := core.Ring(sim.View, dht.RandomIDs(n, r), dht.Config{LeafsetRadius: 8})
 	if err != nil {
 		return ScaleRow{}, err
 	}
-	cfg := somo.Config{ReportInterval: opts.ReportInterval}
-	agents := make([]*somo.Agent, n)
-	for i, nd := range nodes {
-		i := i
-		agents[i] = somo.NewAgent(nd, cfg, func() interface{} { return i })
-	}
+	agents, _ := core.AttachSOMO(nodes, somo.Config{ReportInterval: opts.ReportInterval}, hostPayload)
 	simStart := time.Now()
 	sim.RunUntil(opts.Runtime)
 	simWall := time.Since(simStart)
 
 	row.Events = sim.Processed()
-	var root *somo.Agent
-	for _, a := range agents {
-		if a.IsRoot() {
-			root = a
-		}
-		if l := a.Representative().Level; l > row.Depth {
-			row.Depth = l
-		}
-	}
-	if root != nil {
-		var snap somo.Snapshot
-		root.Query(func(s somo.Snapshot) { snap = s })
-		row.Records = len(snap.Records)
-		for _, rec := range snap.Records {
-			if age := float64(snap.Time - rec.Time); age > row.Staleness {
-				row.Staleness = age
-			}
-		}
-	}
+	view, _ := core.ReadRoot(agents)
+	row.Depth = view.Depth
+	row.Records = len(view.Snapshot.Records)
+	row.Staleness = float64(view.Staleness)
 	stats := sim.Stats()
 	row.MsgsPerNodeSec = float64(stats.MessagesSent) / float64(n) /
 		(float64(opts.Runtime) / 1000)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"p2ppool/internal/core"
 	"p2ppool/internal/dht"
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/par"
@@ -108,59 +109,29 @@ func SOMOExperiment(opts SOMOOptions) (*SOMOResult, error) {
 
 func somoRun(n, fanout int, sync bool, opts SOMOOptions) (SOMORow, error) {
 	engine := eventsim.New(opts.Seed + int64(n*10+fanout))
-	net := transport.NewSim(engine, transport.SimOptions{
-		Latency: func(a, b int) float64 {
-			if a == b {
-				return 0
-			}
-			return opts.HopLatency
-		},
-	})
+	net := transport.NewSim(engine, transport.SimOptions{Latency: uniformLatency(opts.HopLatency)})
 	r := rand.New(rand.NewSource(opts.Seed + int64(n+fanout)))
-	idList := dht.RandomIDs(n, r)
-	addrs := make([]transport.Addr, n)
-	for i := range addrs {
-		addrs[i] = transport.Addr(i)
-	}
-	nodes, err := dht.BuildRing(net, idList, addrs, dht.Config{LeafsetRadius: 8})
+	nodes, _, err := core.Ring(core.OnNet(net), dht.RandomIDs(n, r), dht.Config{LeafsetRadius: 8})
 	if err != nil {
 		return SOMORow{}, err
 	}
 	cfg := somo.Config{Fanout: fanout, ReportInterval: opts.ReportInterval, Synchronized: sync}
-	agents := make([]*somo.Agent, n)
-	for i, nd := range nodes {
-		i := i
-		agents[i] = somo.NewAgent(nd, cfg, func() interface{} { return i })
-	}
+	agents, _ := core.AttachSOMO(nodes, cfg, hostPayload)
 	engine.RunUntil(opts.Runtime)
 
-	row := SOMORow{Nodes: n, Fanout: fanout, Sync: sync}
-	var root *somo.Agent
-	for _, a := range agents {
-		if a.IsRoot() {
-			root = a
-		}
-		if l := a.Representative().Level; l > row.Depth {
-			row.Depth = l
-		}
-	}
-	if root == nil {
+	view, ok := core.ReadRoot(agents)
+	row := SOMORow{Nodes: n, Fanout: fanout, Sync: sync, Depth: view.Depth}
+	if !ok {
 		return row, nil
 	}
-	var snap somo.Snapshot
-	root.Query(func(s somo.Snapshot) { snap = s })
-	row.Records = len(snap.Records)
-	for _, rec := range snap.Records {
-		if age := float64(snap.Time - rec.Time); age > row.Staleness {
-			row.Staleness = age
-		}
-	}
+	row.Records = len(view.Snapshot.Records)
+	row.Staleness = float64(view.Staleness)
 	row.LogBound = int(math.Ceil(math.Log(float64(n)) / math.Log(float64(fanout))))
 	if sync {
 		// One wave round-trip: per level, a pull hop down, a gather
 		// window, and a report hop up; plus at most one interval since
 		// the previous wave refreshed the leaves.
-		window := float64(400) // somo.Config default GatherWindow
+		window := float64(agents[0].Config().GatherWindow)
 		row.StalenessBound = float64(opts.ReportInterval) +
 			float64(row.Depth+1)*(window+2*opts.HopLatency)
 	} else {

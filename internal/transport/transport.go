@@ -1,12 +1,12 @@
 // Package transport abstracts message delivery between overlay nodes so
 // the same protocol state machines (DHT maintenance, SOMO gather,
-// coordinate and bandwidth probing) run unchanged in two modes:
+// coordinate and bandwidth probing) run unchanged over any Network:
 //
 //   - Sim: deterministic virtual-time delivery over an eventsim engine,
 //     with per-pair latency from a topology model and optional
 //     packet-pair serialization from a bandwidth model; and
-//   - Live: real goroutines and wall-clock timers for in-process demos
-//     (the LiquidEye-style monitor in cmd/poolmon).
+//   - ShardedSim: the same, partitioned over several engines that
+//     advance in lockstep windows (sharded.go).
 //
 // Addresses are host indices into the topology; protocols carry logical
 // IDs inside their own messages.
@@ -15,7 +15,6 @@ package transport
 import (
 	"math/rand"
 	"sync"
-	"time"
 
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/obs"
@@ -298,203 +297,10 @@ func (s *Sim) Mark(label string) { s.engine.Mark(label) }
 // Stats returns a copy of the cumulative traffic counters. Like every
 // other Sim method it is single-threaded: call it only from the
 // goroutine driving the engine (the event loop), never concurrently
-// with Send or event execution. Live.Stats, in contrast, is safe for
-// concurrent use.
+// with Send or event execution.
 func (s *Sim) Stats() Stats { return s.stats }
 
 // Engine exposes the underlying event engine (experiments drive it).
 func (s *Sim) Engine() *eventsim.Engine { return s.engine }
 
-// Live is a wall-clock network for in-process demos. All message
-// deliveries AND timer callbacks are funneled through one dispatch
-// goroutine, so protocol state machines written for the (strictly
-// single-threaded) Sim environment run unmodified and race-free; the
-// cost is that a slow handler delays everyone, which is acceptable for
-// a monitoring demo.
-type Live struct {
-	mu       sync.Mutex
-	latency  LatencyFunc
-	handlers map[Addr]Handler
-	start    time.Time
-	rng      *rand.Rand
-	queue    chan func()
-	done     chan struct{}
-	closed   bool
-	stats    Stats // guarded by mu
-}
-
-// NewLive creates a live network. latency may be nil (instant delivery).
-func NewLive(latency LatencyFunc, seed int64) *Live {
-	l := &Live{
-		latency:  latency,
-		handlers: make(map[Addr]Handler),
-		start:    time.Now(),
-		rng:      rand.New(rand.NewSource(seed)),
-		queue:    make(chan func(), 4096),
-		done:     make(chan struct{}),
-	}
-	go func() {
-		defer close(l.done)
-		for fn := range l.queue {
-			fn()
-		}
-	}()
-	return l
-}
-
-// dispatch enqueues fn onto the single dispatch goroutine, dropping it
-// if the network is closed or the queue is saturated (like a full
-// socket buffer); it reports whether fn was enqueued. The enqueue
-// happens under the mutex so Close cannot close the queue between the
-// closed-check and the send.
-func (l *Live) dispatch(fn func()) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return false
-	}
-	select {
-	case l.queue <- fn:
-		return true
-	default:
-		return false
-	}
-}
-
-// Attach implements Network.
-func (l *Live) Attach(a Addr, h Handler) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.handlers[a] = h
-}
-
-// Detach implements Network.
-func (l *Live) Detach(a Addr) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.handlers, a)
-}
-
-// Send implements Network.
-func (l *Live) Send(from, to Addr, sizeBytes int, msg Message) {
-	l.mu.Lock()
-	l.stats.MessagesSent++
-	l.stats.BytesSent += uint64(sizeBytes)
-	l.mu.Unlock()
-	var delay time.Duration
-	if l.latency != nil {
-		delay = time.Duration(l.latency(int(from), int(to)) * float64(time.Millisecond))
-	}
-	deliver := func() {
-		enqueued := l.dispatch(func() {
-			l.mu.Lock()
-			h, ok := l.handlers[to]
-			if ok {
-				l.stats.MessagesDelivered++
-			} else {
-				l.stats.MessagesDropped++
-			}
-			l.mu.Unlock()
-			if ok {
-				h(from, msg)
-			}
-		})
-		if !enqueued {
-			l.mu.Lock()
-			l.stats.MessagesDropped++
-			l.mu.Unlock()
-		}
-	}
-	if delay <= 0 {
-		deliver()
-		return
-	}
-	time.AfterFunc(delay, deliver)
-}
-
-// Now implements Network: milliseconds since the live network started.
-func (l *Live) Now() eventsim.Time {
-	return eventsim.Time(time.Since(l.start).Seconds() * 1000)
-}
-
-// After implements Network. The callback runs on the dispatch
-// goroutine, serialized with message deliveries.
-func (l *Live) After(d eventsim.Time, fn func()) CancelFunc {
-	var mu sync.Mutex
-	cancelled := false
-	t := time.AfterFunc(time.Duration(float64(d)*float64(time.Millisecond)), func() {
-		l.dispatch(func() {
-			mu.Lock()
-			dead := cancelled
-			mu.Unlock()
-			if !dead {
-				fn()
-			}
-		})
-	})
-	return func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if cancelled {
-			return false
-		}
-		cancelled = true
-		return t.Stop() || true
-	}
-}
-
-// Rand implements Network. The source is guarded for concurrent use.
-func (l *Live) Rand() *rand.Rand {
-	// rand.Rand is not concurrency-safe; timers fire off the dispatch
-	// goroutine, so hand each caller a child source.
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return rand.New(rand.NewSource(l.rng.Int63()))
-}
-
-// Stats returns a copy of the cumulative traffic counters, taken under
-// the network's lock, so it is safe to call from any goroutine while
-// sends and deliveries are in flight.
-func (l *Live) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
-}
-
-// Close detaches every endpoint and stops the dispatch goroutine.
-func (l *Live) Close() {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
-	l.closed = true
-	for a := range l.handlers {
-		delete(l.handlers, a)
-	}
-	l.mu.Unlock()
-	close(l.queue)
-	<-l.done
-}
-
-// Run executes fn on the dispatch goroutine and waits for it — the way
-// external code (a monitoring UI) safely reads protocol state.
-func (l *Live) Run(fn func()) {
-	done := make(chan struct{})
-	l.dispatch(func() {
-		fn()
-		close(done)
-	})
-	select {
-	case <-done:
-	case <-l.done:
-	}
-}
-
-var (
-	_ Network = (*Sim)(nil)
-	_ Network = (*Live)(nil)
-)
+var _ Network = (*Sim)(nil)

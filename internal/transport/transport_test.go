@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"p2ppool/internal/eventsim"
 )
@@ -196,168 +194,4 @@ func TestSimDeterministic(t *testing.T) {
 			t.Fatal("same-seed runs diverge")
 		}
 	}
-}
-
-func TestLiveDelivery(t *testing.T) {
-	l := NewLive(nil, 1)
-	defer l.Close()
-	var mu sync.Mutex
-	var got []Message
-	done := make(chan struct{})
-	l.Attach(2, func(from Addr, msg Message) {
-		mu.Lock()
-		got = append(got, msg)
-		mu.Unlock()
-		close(done)
-	})
-	l.Send(1, 2, 10, "hi")
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("live delivery timed out")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0] != "hi" {
-		t.Fatalf("got = %v", got)
-	}
-}
-
-func TestLiveLatencyAndTimers(t *testing.T) {
-	l := NewLive(func(a, b int) float64 { return 20 }, 1)
-	defer l.Close()
-	done := make(chan eventsim.Time, 1)
-	l.Attach(2, func(Addr, Message) { done <- l.Now() })
-	start := l.Now()
-	l.Send(1, 2, 10, "x")
-	select {
-	case at := <-done:
-		if at-start < 15 {
-			t.Errorf("delivered after %v ms, want >= ~20", at-start)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("timed out")
-	}
-	fired := make(chan struct{})
-	l.After(5, func() { close(fired) })
-	select {
-	case <-fired:
-	case <-time.After(2 * time.Second):
-		t.Fatal("After never fired")
-	}
-}
-
-func TestLiveAfterCancel(t *testing.T) {
-	l := NewLive(nil, 1)
-	defer l.Close()
-	cancel := l.After(50, func() { t.Error("cancelled live timer fired") })
-	if !cancel() {
-		t.Error("cancel should succeed")
-	}
-	time.Sleep(80 * time.Millisecond)
-}
-
-func TestLiveDetachAndClose(t *testing.T) {
-	l := NewLive(nil, 1)
-	l.Attach(1, func(Addr, Message) {})
-	l.Detach(1)
-	l.Send(0, 1, 5, "x") // dropped silently
-	l.Attach(1, func(Addr, Message) {})
-	l.Close()
-	l.Send(0, 1, 5, "y")                // after close: dropped
-	l.Attach(2, func(Addr, Message) {}) // after close: no-op
-}
-
-func TestLiveStatsCounts(t *testing.T) {
-	l := NewLive(nil, 1)
-	defer l.Close()
-	done := make(chan struct{}, 4)
-	l.Attach(2, func(Addr, Message) { done <- struct{}{} })
-	l.Send(1, 2, 40, "a")
-	l.Send(1, 2, 60, "b")
-	l.Send(1, 3, 10, "to nobody")
-	for i := 0; i < 2; i++ {
-		select {
-		case <-done:
-		case <-time.After(2 * time.Second):
-			t.Fatal("delivery timed out")
-		}
-	}
-	// Drain the dispatch queue so the drop of the third message has
-	// been accounted.
-	l.Run(func() {})
-	st := l.Stats()
-	if st.MessagesSent != 3 || st.BytesSent != 110 {
-		t.Errorf("sent = %d bytes = %d, want 3 / 110", st.MessagesSent, st.BytesSent)
-	}
-	if st.MessagesDelivered != 2 || st.MessagesDropped != 1 {
-		t.Errorf("delivered = %d dropped = %d, want 2 / 1", st.MessagesDelivered, st.MessagesDropped)
-	}
-}
-
-// TestLiveStatsRace hammers Send, Attach/Detach and Stats from many
-// goroutines at once; it exists to fail under -race if any counter or
-// handler-table access escapes the lock.
-func TestLiveStatsRace(t *testing.T) {
-	l := NewLive(nil, 1)
-	defer l.Close()
-	l.Attach(0, func(Addr, Message) {})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		g := g
-		wg.Add(3)
-		go func() { // sender
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				l.Send(Addr(g+1), Addr(i%3), 8, i)
-			}
-		}()
-		go func() { // attach/detach churn
-			defer wg.Done()
-			a := Addr(g + 1)
-			for i := 0; i < 300; i++ {
-				l.Attach(a, func(Addr, Message) {})
-				l.Detach(a)
-			}
-		}()
-		go func() { // stats reader
-			defer wg.Done()
-			var last Stats
-			for i := 0; i < 300; i++ {
-				st := l.Stats()
-				if st.MessagesSent < last.MessagesSent {
-					t.Error("MessagesSent went backwards")
-					return
-				}
-				last = st
-			}
-		}()
-	}
-	wg.Wait()
-	l.Run(func() {}) // drain in-flight deliveries
-	st := l.Stats()
-	if st.MessagesSent != 4*300 {
-		t.Errorf("sent = %d, want %d", st.MessagesSent, 4*300)
-	}
-	if st.MessagesDelivered+st.MessagesDropped != st.MessagesSent {
-		t.Errorf("delivered %d + dropped %d != sent %d",
-			st.MessagesDelivered, st.MessagesDropped, st.MessagesSent)
-	}
-}
-
-func TestLiveRandConcurrent(t *testing.T) {
-	l := NewLive(nil, 1)
-	defer l.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := l.Rand()
-			for j := 0; j < 100; j++ {
-				r.Float64()
-			}
-		}()
-	}
-	wg.Wait()
 }
