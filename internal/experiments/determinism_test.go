@@ -12,7 +12,10 @@ import (
 // the worker pool and merges results in run order, so the rendered
 // output is byte-identical for any Workers value. These tests are the
 // guardrail: each figure runs with Workers 1 and 8 at the same seed
-// and the rendered tables (text and CSV) must match exactly.
+// and the rendered tables (text and CSV) must match exactly. The six
+// classic figures also check their Workers=1 rendering against
+// testdata/studies.golden (checkGolden), which pins them across commits
+// without running any figure a third time.
 
 func renderAll(res Result) string {
 	var b strings.Builder
@@ -23,7 +26,8 @@ func renderAll(res Result) string {
 	return b.String()
 }
 
-func assertWorkerInvariant(t *testing.T, run func(workers int) (Result, error)) {
+// assertWorkerInvariant returns the Workers=1 rendering.
+func assertWorkerInvariant(t *testing.T, run func(workers int) (Result, error)) string {
 	t.Helper()
 	seq, err := run(1)
 	if err != nil {
@@ -37,36 +41,37 @@ func assertWorkerInvariant(t *testing.T, run func(workers int) (Result, error)) 
 	if a != b {
 		t.Errorf("output differs between Workers=1 and Workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", a, b)
 	}
+	return a
 }
 
 func TestFig4WorkerDeterminism(t *testing.T) {
-	assertWorkerInvariant(t, func(w int) (Result, error) {
+	checkGolden(t, "fig4", assertWorkerInvariant(t, func(w int) (Result, error) {
 		return Fig4(Fig4Options{Hosts: 300, Pairs: 400, Seed: 1, Workers: w})
-	})
+	}))
 }
 
 func TestFig5WorkerDeterminism(t *testing.T) {
-	assertWorkerInvariant(t, func(w int) (Result, error) {
+	checkGolden(t, "fig5", assertWorkerInvariant(t, func(w int) (Result, error) {
 		return Fig5(Fig5Options{Hosts: 300, LeafsetSizes: []int{4, 8, 16}, Seed: 1, Workers: w})
-	})
+	}))
 }
 
 func TestFig8WorkerDeterminism(t *testing.T) {
-	assertWorkerInvariant(t, func(w int) (Result, error) {
+	checkGolden(t, "fig8", assertWorkerInvariant(t, func(w int) (Result, error) {
 		return Fig8(Fig8Options{Hosts: 400, GroupSizes: []int{10, 20}, Runs: 3, Seed: 1, Workers: w})
-	})
+	}))
 }
 
 func TestFig10WorkerDeterminism(t *testing.T) {
-	assertWorkerInvariant(t, func(w int) (Result, error) {
+	checkGolden(t, "fig10", assertWorkerInvariant(t, func(w int) (Result, error) {
 		return Fig10(Fig10Options{Hosts: 400, SessionCounts: []int{4, 8}, GroupSize: 10, Runs: 2, Seed: 1, Workers: w})
-	})
+	}))
 }
 
 func TestQoSWorkerDeterminism(t *testing.T) {
-	assertWorkerInvariant(t, func(w int) (Result, error) {
+	checkGolden(t, "qos", assertWorkerInvariant(t, func(w int) (Result, error) {
 		return QoS(QoSOptions{Hosts: 400, GroupSize: 10, Runs: 4, Seed: 1, Workers: w})
-	})
+	}))
 }
 
 func TestChurnWorkerDeterminism(t *testing.T) {
@@ -234,7 +239,7 @@ func TestAblationsWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep is slow; covered by the long run")
 	}
-	assertWorkerInvariant(t, func(w int) (Result, error) {
+	checkGolden(t, "ablations", assertWorkerInvariant(t, func(w int) (Result, error) {
 		return Ablations(AblationOptions{Hosts: 300, GroupSize: 10, Runs: 3, Seed: 1, Workers: w})
-	})
+	}))
 }

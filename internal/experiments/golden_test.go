@@ -11,13 +11,16 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/studies.golden from this build's output")
 
-// TestStudyGolden pins the nine event-driven studies across commits.
-// The worker-determinism tests compare two runs of one build; a refactor
-// of the shared harness (cell.go, core's ring assembly) moves both the
-// same way and they stay green. This file is the parent's output: a refactor must reproduce it
-// byte for byte, and a deliberate behaviour change regenerates it with
+// TestStudyGolden pins the nine event-driven studies across commits; the
+// six classic figures (4, 5, 8, 10, qos, ablations) are pinned the same
+// way from their worker-determinism tests, which already hold a
+// Workers=1 rendering. Those tests compare two runs of one build; a
+// refactor of the shared harness (cell.go, core's ring assembly, the
+// figures' world) moves both the same way and they stay green. The
+// golden file is the parent's output: a refactor must reproduce it byte
+// for byte, and a deliberate behaviour change regenerates it with
 //
-//	go test ./internal/experiments -run TestStudyGolden -update
+//	go test ./internal/experiments -update
 //
 // and says so in its PR. Sizes are the smoke tests' (every cell of load
 // and conf, the churn and non-churn stream cells, three chaos rates,
@@ -69,41 +72,63 @@ func TestStudyGolden(t *testing.T) {
 				GroupSize: 20, Seed: 1})
 		}},
 	}
-	var b strings.Builder
 	for _, s := range studies {
 		res, err := s.run()
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		b.WriteString("#### " + s.name + "\n")
-		b.WriteString(renderAll(res))
+		checkGolden(t, s.name, renderAll(res))
 	}
-	got := b.String()
+}
 
-	const path = "testdata/studies.golden"
+const goldenPath = "testdata/studies.golden"
+
+// checkGolden compares got with the "#### name" section of the golden
+// file — the lines from that header to the next one — or, under
+// -update, replaces that section (appending it when the file has none).
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil && !(*updateGolden && os.IsNotExist(err)) {
+		t.Fatal(err)
+	}
+	file, header := string(data), "#### "+name+"\n"
+	start, end := strings.Index(file, header), len(file)
+	if start >= 0 {
+		if next := strings.Index(file[start:], "\n#### "); next >= 0 {
+			end = start + next + 1
+		}
+	}
 	if *updateGolden {
+		if start < 0 {
+			start = end
+		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, []byte(file[:start]+header+got+file[end:]), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if start < 0 {
+		t.Errorf("%s has no %q section", goldenPath, strings.TrimSpace(header))
+		return
 	}
-	if got == string(want) {
+	body := start + len(header)
+	want := file[body:end]
+	if got == want {
 		return
 	}
 	// Name the first differing line: a harness slip usually moves one
 	// number, and the rows are too wide to eyeball in a full dump.
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	first := strings.Count(file[:body], "\n") + 1
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("%s line %d differs:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+			t.Errorf("%s line %d (%s) differs:\n got: %s\nwant: %s", goldenPath, first+i, name, gl[i], wl[i])
+			return
 		}
 	}
-	t.Fatalf("%s: got %d lines, want %d", path, len(gl), len(wl))
+	t.Errorf("%s section %s: got %d lines, want %d", goldenPath, name, len(gl), len(wl))
 }
