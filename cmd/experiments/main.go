@@ -10,6 +10,18 @@
 //	experiments -fig 10 -seed 7          # Figure 10, different seed
 //	experiments -fig 4 -csv out/         # also write CSV files
 //	experiments -fig all -workers 4      # bound the worker pool
+//	experiments -fig load -hosts 300     # a study at another pool size
+//	experiments -fig scale -benchjson f  # one study's bench trajectory
+//
+// -hosts sizes the pool of every study that has one; left at 0 each
+// study runs its own default: 1200 hosts for figures 4, 5, 8, 10, qos
+// and ablations, 8000 for load, stream and conf, 96 for chaos, 48 for
+// audit, a 128-node ring for churn. scale runs only the given size
+// instead of its 1200..100000 sweep; somo and obs ignore it. -runs is
+// the repetitions per point of figures 8 (default 20) and 10 (5), qos
+// and ablations (10), and the number of seeds audit sweeps (20); the
+// other studies ignore it. -benchjson takes exactly one of scale, load,
+// stream, conf.
 //
 // Experiments run on a bounded worker pool (-workers, default
 // runtime.NumCPU()); all randomness is drawn sequentially before the
@@ -49,15 +61,15 @@ import (
 var (
 	fig     = flag.String("fig", "all", "which figures to regenerate, comma-separated: "+figNames())
 	seed    = flag.Int64("seed", 1, "experiment seed (same seed => identical output)")
-	runs    = flag.Int("runs", 0, "override repetition count (0 = experiment default)")
-	hosts   = flag.Int("hosts", 0, "override pool size (0 = paper default 1200)")
+	runs    = flag.Int("runs", 0, "repetitions per point for figures 8, 10, qos and ablations, seeds swept for audit (0 = each study's default: 20, 5, 10, 10; audit 20); ignored by: 4, 5, somo, churn, chaos, obs, scale, load, stream, conf")
+	hosts   = flag.Int("hosts", 0, "pool size (0 = each study's default: 1200 for 4, 5, 8, 10, qos, ablations; 8000 for load, stream, conf; 96 for chaos; 48 for audit; 128 ring nodes for churn); scale runs only this size instead of its sweep; ignored by: somo, obs")
 	csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
 	workers = flag.Int("workers", runtime.NumCPU(), "worker-pool size; output is identical for any value")
 	tracing = flag.Int("trace", 0, "print the last N hop-level trace events (obs figure only)")
 
 	cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	benchJSON    = flag.String("benchjson", "", "append the scale/load study's bench trajectory to this JSON file (existing runs are kept); enables per-cell wall-clock measurement")
+	benchJSON    = flag.String("benchjson", "", "append the study's bench trajectory to this JSON file (existing runs are kept); enables per-cell wall-clock measurement; needs -fig to name exactly one of scale, load, stream, conf")
 	benchLabel   = flag.String("bench-label", "dev", "label for the bench run appended to -benchjson (a run with the same label is replaced)")
 	scaleRT      = flag.Int("scale-runtime", 0, "scale figure: simulated seconds per ring (0 = default 60)")
 	loadRT       = flag.Int("load-runtime", 0, "load figure: simulated seconds per cell (0 = default 600)")
@@ -199,12 +211,16 @@ type benchAppender interface {
 
 // writeBench appends res to the -benchjson file as a run labeled
 // -bench-label, keeping the runs already there.
-func writeBench(res benchAppender) error {
+func writeBench(res experiments.Result) error {
+	b, ok := res.(benchAppender)
+	if !ok {
+		return fmt.Errorf("no bench trajectory to write to %s (scale, load, stream and conf have one)", *benchJSON)
+	}
 	existing, err := os.ReadFile(*benchJSON)
 	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	out, err := res.AppendBenchJSON(existing, *benchLabel)
+	out, err := b.AppendBenchJSON(existing, *benchLabel)
 	if err != nil {
 		return err
 	}
@@ -228,6 +244,12 @@ func run() int {
 	chosen, err := selectStudies(*fig)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	// One bench file holds one study's schema, so a second study's write
+	// is bound to fail — after both have run.
+	if *benchJSON != "" && len(chosen) != 1 {
+		fmt.Fprintf(os.Stderr, "-benchjson holds one study's trajectory; -fig %s selects %d studies\n", *fig, len(chosen))
 		return 2
 	}
 
@@ -267,14 +289,18 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "running %s...\n", st.title)
 		start := time.Now()
 		res, err := st.run()
-		if err == nil && *benchJSON != "" {
-			if b, ok := res.(benchAppender); ok {
-				err = writeBench(b)
-			}
-		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", st.title, err)
 			return 1
+		}
+		if *benchJSON != "" {
+			// The run is done and may have taken minutes: a bench file
+			// that cannot be written fails the command after its tables
+			// have printed, not instead of them.
+			if err := writeBench(res); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", st.title, err)
+				exitCode = 1
+			}
 		}
 		// audit, load and conf sweep invariants; a violation fails the
 		// command after its tables have printed.

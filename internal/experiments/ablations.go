@@ -8,7 +8,6 @@ import (
 	"p2ppool/internal/core"
 	"p2ppool/internal/par"
 	"p2ppool/internal/stats"
-	"p2ppool/internal/topology"
 )
 
 // AblationOptions parameterizes the design-choice studies DESIGN.md
@@ -55,10 +54,7 @@ func (r *AblationResult) Tables() []Table { return r.tables }
 //     and embedding dimension.
 func Ablations(opts AblationOptions) (*AblationResult, error) {
 	opts = opts.withDefaults()
-	top := topology.DefaultConfig()
-	top.Hosts = opts.Hosts
-	top.Seed = opts.Seed
-	pool, err := core.BuildFast(core.Options{Topology: top, Seed: opts.Seed, Workers: opts.Workers})
+	pool, err := paperPool(opts.Hosts, opts.Seed, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -40,13 +40,6 @@ type AuditOptions struct {
 	Settle eventsim.Time
 	// SweepEvery is the continuous-check sweep interval.
 	SweepEvery eventsim.Time
-	// Rate is the churn intensity in crashes per virtual minute.
-	Rate float64
-	// DetectDelay models failure detection: crash-to-NodeFailed, and
-	// also partition-to-declaration for the partition detector.
-	DetectDelay eventsim.Time
-	// RestartDelay is how long a crashed host stays down.
-	RestartDelay eventsim.Time
 	// PartitionAt / PartitionFor place the partition window. Odd seeds
 	// split the ring into two contiguous arcs; even seeds interleave
 	// alternating ring positions (the hardest re-merge case).
@@ -77,15 +70,6 @@ func (o AuditOptions) withDefaults() AuditOptions {
 	if o.SweepEvery <= 0 {
 		o.SweepEvery = 2 * eventsim.Second
 	}
-	if o.Rate <= 0 {
-		o.Rate = 6
-	}
-	if o.DetectDelay <= 0 {
-		o.DetectDelay = 3 * eventsim.Second
-	}
-	if o.RestartDelay <= 0 {
-		o.RestartDelay = 20 * eventsim.Second
-	}
 	if o.PartitionAt <= 0 {
 		// Late enough that the long-outage victim (down since t=5s) has
 		// been gone longer than the DHT's suspect TTL (30 * the 3s
@@ -97,6 +81,22 @@ func (o AuditOptions) withDefaults() AuditOptions {
 	}
 	return o
 }
+
+// The churn every scenario runs under.
+const (
+	// auditRate is crashes per virtual minute: with 20 s restarts about
+	// two hosts are down at any time, so repairs overlap each other and
+	// the partition.
+	auditRate = 6
+	// auditDetectDelay models failure detection (crash-to-NodeFailed,
+	// and partition-to-declaration): the ring's own 3 s failure
+	// timeout, so the control plane learns of a death when the DHT does.
+	auditDetectDelay = 3 * eventsim.Second
+	// auditRestartDelay is a crashed host's downtime: past detection
+	// and repair, well short of the 90 s suspect TTL that only the
+	// long-outage victim is meant to outlast.
+	auditRestartDelay = 20 * eventsim.Second
+)
 
 // auditOp is one kind of scripted fault action.
 type auditOp int
@@ -231,16 +231,16 @@ func genAuditScript(runSeed int64, ro auditRoster, opts AuditOptions) []auditAct
 		}
 	}
 	var script []auditAction
-	for _, cr := range poissonCrashes(frng, opts.Rate, 0, opts.Window, len(targets)) {
+	for _, cr := range poissonCrashes(frng, auditRate, 0, opts.Window, len(targets)) {
 		victim := targets[cr.pick]
 		script = append(script, auditAction{At: cr.at, Op: opCrash, Host: victim})
-		if restart := cr.at + opts.RestartDelay; restart < opts.Window {
+		if restart := cr.at + auditRestartDelay; restart < opts.Window {
 			script = append(script, auditAction{At: restart, Op: opRestart, Host: victim})
 		}
 	}
 	script = append(script,
 		auditAction{At: 5 * eventsim.Second, Op: opCrash, Host: ro.longVictim},
-		auditAction{At: opts.PartitionAt + opts.DetectDelay + 5*eventsim.Second, Op: opRestart, Host: ro.longVictim},
+		auditAction{At: opts.PartitionAt + auditDetectDelay + 5*eventsim.Second, Op: opRestart, Host: ro.longVictim},
 		auditAction{At: opts.PartitionAt, Op: opPartition},
 		auditAction{At: opts.PartitionAt + opts.PartitionFor, Op: opHeal},
 	)
@@ -446,7 +446,7 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 		downSince[h] = f.Now()
 		agents[h].Stop()
 		nodes[h].Stop()
-		f.After(opts.DetectDelay, func() {
+		f.After(auditDetectDelay, func() {
 			if !f.Crashed(a) {
 				return // restarted before detection
 			}
@@ -480,7 +480,7 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 		partActive = true
 		partEpoch++
 		epoch := partEpoch
-		f.After(opts.DetectDelay, func() {
+		f.After(auditDetectDelay, func() {
 			if !partActive || epoch != partEpoch {
 				return
 			}
@@ -566,7 +566,7 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 		},
 		Sched:           sc,
 		Bounds:          degrees,
-		RepairLag:       opts.DetectDelay + 2*eventsim.Second,
+		RepairLag:       auditDetectDelay + 2*eventsim.Second,
 		ExpectedReplans: func() int { return expected },
 		StalenessSlack:  3 * eventsim.Second,
 	}

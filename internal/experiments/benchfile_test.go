@@ -190,10 +190,7 @@ func TestAppendBenchJSONRejectsGarbage(t *testing.T) {
 }
 
 func TestAppendBenchJSONRefusesShardMismatch(t *testing.T) {
-	res := smallScaleResult(t) // default structural shard count (8)
-	if got := res.Opts.Shards; got != scaleShards {
-		t.Fatalf("defaulted Shards = %d, want %d", got, scaleShards)
-	}
+	res := smallScaleResult(t) // runs under the structural shard count (8)
 	existing, err := res.AppendBenchJSON(nil, "base")
 	if err != nil {
 		t.Fatal(err)
@@ -202,32 +199,38 @@ func TestAppendBenchJSONRefusesShardMismatch(t *testing.T) {
 		t.Fatalf("recorded shards = %d, want %d", got, scaleShards)
 	}
 
-	// A run produced under a different structural shard count must be
-	// refused — its figures chart a different seed schedule.
-	other := *res
-	other.Opts.Shards = 4
-	if _, err := other.AppendBenchJSON(existing, "new"); err == nil {
-		t.Fatal("appending a 4-shard run onto an 8-shard baseline succeeded")
+	// A baseline produced under a different structural shard count must
+	// refuse this run — its figures chart a different seed schedule.
+	fourShards := strings.Replace(string(existing), `"shards": 8`, `"shards": 4`, 1)
+	if got := parseBenchDoc(t, []byte(fourShards)).Runs[0].Shards; got != 4 {
+		t.Fatalf("crafted baseline records %d shards, want 4", got)
+	}
+	if _, err := res.AppendBenchJSON([]byte(fourShards), "new"); err == nil {
+		t.Fatal("appending an 8-shard run onto a 4-shard baseline succeeded")
 	} else if !strings.Contains(err.Error(), "structural") {
 		t.Fatalf("refusal should name the structural mismatch, got: %v", err)
 	}
 	// Replacing the mismatched baseline itself under its own label is
 	// allowed (that is how a file is intentionally re-based).
-	if _, err := other.AppendBenchJSON(existing, "base"); err != nil {
+	if _, err := res.AppendBenchJSON([]byte(fourShards), "base"); err != nil {
 		t.Fatalf("same-label replace refused: %v", err)
 	}
 
 	// Legacy runs with no recorded shard count are treated as the
-	// then-hardwired 8: same-count appends pass, others are refused.
-	legacy := `{"schema": "bench-scale/v2", "runs": [{"label": "pr4", "seed": 1,
+	// then-hardwired 8: this run appends beside one, and a 4-shard run
+	// beside it in the same file is still the one refused.
+	legacy := `{"label": "pr4", "seed": 1,
 	  "runtime_ms": 60000, "group_size": 100,
 	  "rows": [{"hosts": 1200, "wall_ms": 1, "allocs": 1, "events": 1,
 	            "events_per_sec": 1, "heap_inuse_mb": 1, "peak_rss_mb": 1,
-	            "staleness_ms": 1, "improvement": 0.1}]}]}`
-	if _, err := res.AppendBenchJSON([]byte(legacy), "new"); err != nil {
+	            "staleness_ms": 1, "improvement": 0.1}]}`
+	if _, err := res.AppendBenchJSON([]byte(`{"schema": "bench-scale/v2", "runs": [`+legacy+`]}`), "new"); err != nil {
 		t.Fatalf("8-shard append onto a legacy run refused: %v", err)
 	}
-	if _, err := other.AppendBenchJSON([]byte(legacy), "new"); err == nil {
-		t.Fatal("4-shard append onto a legacy (8-shard) run succeeded")
+	mixed := `{"schema": "bench-scale/v2", "runs": [` + legacy + `, {"label": "odd", "shards": 4, "rows": []}]}`
+	if _, err := res.AppendBenchJSON([]byte(mixed), "new"); err == nil {
+		t.Fatal("append onto a file holding a legacy run and a 4-shard run succeeded")
+	} else if !strings.Contains(err.Error(), `"odd"`) {
+		t.Fatalf("refusal should name the 4-shard run, not the legacy one, got: %v", err)
 	}
 }

@@ -26,6 +26,37 @@ import (
 // bare sched.Scheduler over a real topology or ring and keep their own
 // wiring; from here they share only poissonCrashes.
 
+// The clocks every service cell runs on.
+const (
+	// tickEvery is the control plane's Tick period: half the service's
+	// 500 ms base backoff and an eighth of its tightest (2 s) admit
+	// deadline, so no retry or SLO waits on tick granularity.
+	tickEvery = 250 * eventsim.Millisecond
+	// sweepEvery is the invariant-sweep interval (load, conf). A sweep
+	// walks every live session's trees, so it runs far coarser than
+	// the ticks: 120 sweeps over load's 10-minute window.
+	sweepEvery = 5 * eventsim.Second
+)
+
+// What the two chunk-streaming studies (stream, conf) share.
+const (
+	// chunkDur is the media chunk duration: HLS-style one-second chunks
+	// (dataplane's default too; stated because the studies count their
+	// own timelines — stream end, churn window — in chunks).
+	chunkDur = eventsim.Second
+	// playoutLive is the per-chunk deadline after emission for live
+	// content (stream's live cells, every conference): three chunks.
+	playoutLive = 3 * eventsim.Second
+	// pullNeighbors is each member's seeded mesh-neighbor count, the
+	// "small seeded neighbor set" of DESIGN.md §8; the data plane alone
+	// defaults to none (tree-only delivery).
+	pullNeighbors = 4
+	// mediaDetectDelay is the crash-to-NodeFailed lag under a stream:
+	// under one chunk, so members below a dead relay miss chunks for
+	// the detect-and-repair window only.
+	mediaDetectDelay = 800 * eventsim.Millisecond
+)
+
 // synthLatency places hosts uniformly in a 200x200 ms square (x then y
 // per host, drawn from rng) and returns the distance metric over them.
 func synthLatency(rng *rand.Rand, hosts int) alm.LatencyFunc {
@@ -170,7 +201,6 @@ type serviceCell struct {
 	// err is the first failure an event callback reported.
 	err error
 
-	tickEvery   eventsim.Time
 	detectDelay eventsim.Time
 	// downSince is when each currently crashed host went down.
 	downSince map[int]eventsim.Time
@@ -226,10 +256,9 @@ func (c *serviceCell) submitAt(at eventsim.Time, build func() *sched.Session) {
 	})
 }
 
-// tickUntil runs the control plane's Tick every period; the last tick
-// is the first at or past end.
-func (c *serviceCell) tickUntil(every, end eventsim.Time) {
-	c.tickEvery = every
+// tickUntil runs the control plane's Tick every tickEvery; the last
+// tick is the first at or past end.
+func (c *serviceCell) tickUntil(end eventsim.Time) {
 	var tick func()
 	tick = func() {
 		if err := c.sv.Tick(c.net.Now()); err != nil {
@@ -237,10 +266,10 @@ func (c *serviceCell) tickUntil(every, end eventsim.Time) {
 			return
 		}
 		if c.net.Now() < end {
-			c.net.After(every, tick)
+			c.net.After(tickEvery, tick)
 		}
 	}
-	c.net.After(every, tick)
+	c.net.After(tickEvery, tick)
 }
 
 // wireChurn connects the fault layer to the service: a crash still in
@@ -279,10 +308,10 @@ func (c *serviceCell) churn(perMinute float64, from, until eventsim.Time, pool [
 }
 
 // sweepUntil sweeps the continuous invariants (slot conservation,
-// ledger, tree validity) every period through end, then runs each (nil
-// for none). Call after tickUntil and wireChurn: the repair-lag bound
-// is built from their periods.
-func (c *serviceCell) sweepUntil(every, end eventsim.Time, each func()) {
+// ledger, tree validity) every sweepEvery through end, then runs each
+// (nil for none). Call after wireChurn: the repair-lag bound is built
+// from its detection delay.
+func (c *serviceCell) sweepUntil(end eventsim.Time, each func()) {
 	ireg := invariant.NewRegistry()
 	world := &invariant.World{
 		Sched:  c.sv.Scheduler(),
@@ -294,7 +323,7 @@ func (c *serviceCell) sweepUntil(every, end eventsim.Time, each func()) {
 		},
 		// Crash-to-repair is detection plus at most one tick (failed
 		// in-place repairs go dirty, and dirty sessions are skipped).
-		RepairLag: c.detectDelay + c.tickEvery + 2*eventsim.Second,
+		RepairLag: c.detectDelay + tickEvery + 2*eventsim.Second,
 	}
 	sweep := func() {
 		world.Now = c.engine.Now()
@@ -308,7 +337,7 @@ func (c *serviceCell) sweepUntil(every, end eventsim.Time, each func()) {
 			each()
 		}
 	}
-	for t := every; t <= end; t += every {
+	for t := sweepEvery; t <= end; t += sweepEvery {
 		c.engine.At(t, sweep)
 	}
 }
@@ -324,8 +353,9 @@ type pumpSpec struct {
 
 // startPumps builds the data plane over the model's true capacities
 // and, one millisecond before at, starts a pump per spec (spec i seeded
-// seedBase+i) emitting from at. The returned slots fill in when that
-// event fires.
+// seedBase+i) emitting from at. cfg carries only what the study tunes;
+// the chunk duration and the mesh-neighbor count are set here. The
+// returned slots fill in when that event fires.
 func (c *serviceCell) startPumps(model *netmodel.Model, at eventsim.Time, cfg dataplane.Config, seedBase int64, specs []pumpSpec) []*dataplane.Pump {
 	n := len(c.degrees)
 	up := make([]float64, n)
@@ -338,6 +368,7 @@ func (c *serviceCell) startPumps(model *netmodel.Model, at eventsim.Time, cfg da
 	plane.Attach(n)
 	plane.Instrument(c.reg)
 	alive := func(h int) bool { return !c.crashed(h) }
+	cfg.ChunkDur, cfg.PullNeighbors = chunkDur, pullNeighbors
 	pumps := make([]*dataplane.Pump, len(specs))
 	c.engine.At(at-eventsim.Millisecond, func() {
 		for i, s := range specs {

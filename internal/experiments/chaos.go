@@ -7,7 +7,6 @@ import (
 	"p2ppool/internal/alm"
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/faultnet"
-	"p2ppool/internal/obs"
 	"p2ppool/internal/par"
 	"p2ppool/internal/sched"
 	"p2ppool/internal/topology"
@@ -29,27 +28,10 @@ type ChaosOptions struct {
 	Rates []float64
 	// Window is the observation window.
 	Window eventsim.Time
-	// PacketInterval is the multicast send period.
-	PacketInterval eventsim.Time
-	// DetectDelay models heartbeat-based failure detection: the time
-	// from a crash until the task manager replans around it.
-	DetectDelay eventsim.Time
-	// RestartDelay is how long a crashed host stays down.
-	RestartDelay eventsim.Time
-	// PartitionAt / PartitionFor place the partition window (applied
-	// only to rows with rate > 0).
-	PartitionAt  eventsim.Time
-	PartitionFor eventsim.Time
-	Seed         int64
+	Seed   int64
 	// Workers bounds the parallelism; <= 0 means runtime.NumCPU(). The
 	// output is identical for any worker count.
 	Workers int
-	// Registry / Trace, when set, instrument the transport, fault layer
-	// and scheduler of every row (the obs study uses this). Handles are
-	// not synchronized: share a registry across rows only with a single
-	// rate or Workers = 1.
-	Registry *obs.Registry
-	Trace    *obs.Trace
 }
 
 func (o ChaosOptions) withDefaults() ChaosOptions {
@@ -64,21 +46,6 @@ func (o ChaosOptions) withDefaults() ChaosOptions {
 	}
 	if o.Window <= 0 {
 		o.Window = 5 * eventsim.Minute
-	}
-	if o.PacketInterval <= 0 {
-		o.PacketInterval = 500 * eventsim.Millisecond
-	}
-	if o.DetectDelay <= 0 {
-		o.DetectDelay = 4 * eventsim.Second
-	}
-	if o.RestartDelay <= 0 {
-		o.RestartDelay = 30 * eventsim.Second
-	}
-	if o.PartitionAt <= 0 {
-		o.PartitionAt = 2 * eventsim.Minute
-	}
-	if o.PartitionFor <= 0 {
-		o.PartitionFor = 30 * eventsim.Second
 	}
 	return o
 }
@@ -138,11 +105,7 @@ type ChaosResult struct {
 // exactly like a scheduler used outside the chaos harness on this same
 // world — the baseline test rebuilds it through this function.
 func chaosWorld(opts ChaosOptions) (*topology.Network, []int, *sched.Session, error) {
-	top := topology.DefaultConfig()
-	top.Hosts = opts.Hosts
-	top.Seed = opts.Seed
-	top.Workers = 1
-	net, err := topology.Generate(top)
+	net, err := topology.Generate(paperTopology(opts.Hosts, opts.Seed, 1))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -176,6 +139,24 @@ func Chaos(opts ChaosOptions) (*ChaosResult, error) {
 // chaosPacket is one multicast payload.
 type chaosPacket struct{ Seq int }
 
+// The timeline every row shares.
+const (
+	// chaosPacketInterval is the multicast send period: two packets a
+	// second, so a detection gap shows up as several lost deliveries.
+	chaosPacketInterval = 500 * eventsim.Millisecond
+	// chaosDetectDelay models heartbeat-based failure detection (four
+	// missed 1 s heartbeats): crash until the task manager replans
+	// around it. It dominates repair latency.
+	chaosDetectDelay = 4 * eventsim.Second
+	// chaosRestartDelay is a crashed host's downtime: long past
+	// detection, so every tree crash is repaired, not waited out.
+	chaosRestartDelay = 30 * eventsim.Second
+	// The partition window (rows with rate > 0 only): mid-run in the
+	// default 5-minute window, several detection delays wide.
+	chaosPartitionAt  = 2 * eventsim.Minute
+	chaosPartitionFor = 30 * eventsim.Second
+)
+
 func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 	net, degrees, sess, err := chaosWorld(opts)
 	if err != nil {
@@ -185,10 +166,6 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 	sim := transport.NewSim(engine, transport.SimOptions{Latency: net.Latency})
 	f := faultnet.New(sim, faultnet.Options{Seed: opts.Seed*100 + int64(idx)})
 	sc := sched.NewScheduler(degrees, net.Latency, sched.Config{})
-	// Nil registry/trace handles are no-ops, so wiring is unconditional.
-	sim.Instrument(opts.Registry, opts.Trace)
-	f.Instrument(opts.Registry, opts.Trace)
-	sc.Instrument(opts.Registry)
 	if err := sc.AddSession(sess); err != nil {
 		return ChaosRow{}, err
 	}
@@ -289,7 +266,7 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 				f.Send(transport.Addr(sess.Root), transport.Addr(c), 1200, pkt)
 			}
 		}
-		f.After(opts.PacketInterval, pump)
+		f.After(chaosPacketInterval, pump)
 	}
 	f.After(0, pump)
 
@@ -303,7 +280,7 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 		if inTree {
 			row.TreeCrashes++
 		}
-		f.After(opts.DetectDelay, func() {
+		f.After(chaosDetectDelay, func() {
 			if !f.Crashed(a) {
 				return // restarted before detection; nothing to repair
 			}
@@ -381,17 +358,17 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 		for _, cr := range poissonCrashes(frng, rate, 0, opts.Window, len(targets)) {
 			victim := transport.Addr(targets[cr.pick])
 			f.CrashAt(cr.at, victim)
-			f.RestartAt(cr.at+opts.RestartDelay, victim)
+			f.RestartAt(cr.at+chaosRestartDelay, victim)
 		}
 		half := make([]transport.Addr, opts.Hosts)
 		for h := range half {
 			half[h] = transport.Addr(h)
 		}
 		f.Install([]faultnet.Step{
-			{At: opts.PartitionAt, Do: func(fn *faultnet.Net) {
+			{At: chaosPartitionAt, Do: func(fn *faultnet.Net) {
 				fn.Partition(half[:opts.Hosts/2], half[opts.Hosts/2:])
 			}},
-			{At: opts.PartitionAt + opts.PartitionFor, Do: func(fn *faultnet.Net) { fn.Heal() }},
+			{At: chaosPartitionAt + chaosPartitionFor, Do: func(fn *faultnet.Net) { fn.Heal() }},
 		})
 	}
 

@@ -18,8 +18,6 @@ type ChurnOptions struct {
 	Nodes int
 	// CrashFraction of the population killed at once.
 	CrashFractions []float64
-	// ReportInterval T.
-	ReportInterval eventsim.Time
 	Seed           int64
 	// Workers bounds the parallelism; <= 0 means runtime.NumCPU(). The
 	// output is identical for any worker count.
@@ -32,9 +30,6 @@ func (o ChurnOptions) withDefaults() ChurnOptions {
 	}
 	if len(o.CrashFractions) == 0 {
 		o.CrashFractions = []float64{0.05, 0.15, 0.30}
-	}
-	if o.ReportInterval <= 0 {
-		o.ReportInterval = eventsim.Second
 	}
 	return o
 }
@@ -76,6 +71,11 @@ func Churn(opts ChurnOptions) (*ChurnResult, error) {
 	return &ChurnResult{Opts: opts, Rows: rows}, nil
 }
 
+// churnReportInterval is SOMO's T here: the ring's heartbeat period, so
+// recovery time measures the protocols' repair bounds (failure timeout
+// + record TTL + regather), not a slow reporting clock.
+const churnReportInterval = eventsim.Second
+
 func churnRun(frac float64, opts ChurnOptions) (ChurnRow, error) {
 	n := opts.Nodes
 	engine := eventsim.New(opts.Seed + int64(frac*1000))
@@ -89,7 +89,7 @@ func churnRun(frac float64, opts ChurnOptions) (ChurnRow, error) {
 	if err != nil {
 		return ChurnRow{}, err
 	}
-	agents, _ := core.AttachSOMO(nodes, churnSOMO(opts.ReportInterval), hostPayload)
+	agents, _ := core.AttachSOMO(nodes, churnSOMO(churnReportInterval), hostPayload)
 	// Converge first.
 	engine.RunUntil(30 * eventsim.Second)
 

@@ -8,7 +8,6 @@ import (
 	"p2ppool/internal/alm"
 	"p2ppool/internal/dataplane"
 	"p2ppool/internal/eventsim"
-	"p2ppool/internal/obs"
 	"p2ppool/internal/par"
 	"p2ppool/internal/sched"
 )
@@ -37,47 +36,27 @@ type ConfOptions struct {
 	// sessions that market cells submit at the lowest priority class.
 	Broadcasts    int
 	BroadcastSize int
-	// Chunks is each source's stream length in chunks; ChunkDur the
-	// chunk duration.
-	Chunks   int
-	ChunkDur eventsim.Time
-	// SourceKbps is every source's bitrate (one fixed rung: a
-	// conference mixes voices, it does not ladder-switch).
-	SourceKbps float64
+	// Chunks is each source's stream length in chunks.
+	Chunks int
 	// Cells selects the scenario cells; defaults to all four: "solo"
 	// (conferences only), "solo-churn", "market" (conferences plus
 	// competing broadcasts), "market-churn".
 	Cells []string
-	// Playout is the per-chunk deadline after emission.
-	Playout eventsim.Time
-	// PullNeighbors is each member's seeded mesh-neighbor count; 0
-	// disables mesh-pull.
-	PullNeighbors int
 	// Leafset is the estimation leafset size for the Section 4.2
 	// bandwidth estimates that drive planning degrees.
 	Leafset int
 	// CrashRate is the churn intensity in crashes per virtual minute
 	// (churn cells only), drawn over non-root conference members.
-	// RestartDelay is the downtime; DetectDelay the crash-to-NodeFailed
-	// detection lag.
+	// RestartDelay is the downtime.
 	CrashRate    float64
 	RestartDelay eventsim.Time
-	DetectDelay  eventsim.Time
-	// TickEvery is the control plane's Tick period; SweepEvery the
-	// invariant-sweep interval.
-	TickEvery  eventsim.Time
-	SweepEvery eventsim.Time
-	Seed       int64
+	Seed         int64
 	// Workers bounds the parallelism; <= 0 means runtime.NumCPU(). The
 	// output is identical for any worker count.
 	Workers int
 	// Bench enables wall-clock measurement (runs then execute
 	// sequentially so the readings are attributable).
 	Bench bool
-	// Registry, when set, instruments every run's service, fault layer
-	// and data plane. Handles are not synchronized: share a registry
-	// across runs only with Workers = 1.
-	Registry *obs.Registry
 }
 
 func (o ConfOptions) withDefaults() ConfOptions {
@@ -99,24 +78,8 @@ func (o ConfOptions) withDefaults() ConfOptions {
 	if o.Chunks <= 0 {
 		o.Chunks = 30
 	}
-	if o.ChunkDur <= 0 {
-		o.ChunkDur = eventsim.Second
-	}
-	if o.SourceKbps <= 0 {
-		// Against the Gnutella mixture's ~1.1 Mbps mean member uplink a
-		// 6-way conference's shared member-only bound is ~1100/(6-1) =
-		// 220 kbps per source: 250 sits just above it, so beating the
-		// bound requires uplink the roster does not have — helpers.
-		o.SourceKbps = 250
-	}
 	if len(o.Cells) == 0 {
 		o.Cells = []string{"solo", "solo-churn", "market", "market-churn"}
-	}
-	if o.Playout <= 0 {
-		o.Playout = 3 * eventsim.Second
-	}
-	if o.PullNeighbors <= 0 {
-		o.PullNeighbors = 4
 	}
 	if o.Leafset <= 0 {
 		o.Leafset = 16
@@ -127,17 +90,16 @@ func (o ConfOptions) withDefaults() ConfOptions {
 	if o.RestartDelay <= 0 {
 		o.RestartDelay = 8 * eventsim.Second
 	}
-	if o.DetectDelay <= 0 {
-		o.DetectDelay = 800 * eventsim.Millisecond
-	}
-	if o.TickEvery <= 0 {
-		o.TickEvery = 250 * eventsim.Millisecond
-	}
-	if o.SweepEvery <= 0 {
-		o.SweepEvery = 5 * eventsim.Second
-	}
 	return o
 }
+
+// confSourceKbps is every source's bitrate — one fixed rung: a
+// conference mixes voices, it does not ladder-switch. Against the
+// Gnutella mixture's ~1.1 Mbps mean member uplink a 6-way conference's
+// shared member-only bound is ~1100/(6-1) = 220 kbps per source: 250
+// sits just above it, so beating the bound requires uplink the roster
+// does not have — helpers.
+const confSourceKbps float64 = 250
 
 // confChurn reports whether a cell runs member churn; confMarket
 // whether it submits competing broadcasts.
@@ -293,8 +255,8 @@ type confSpec struct {
 // roster's best-estimated-uplink member becomes the root; in
 // conferences every other member is promoted to a source.
 func genConfSessions(rng *rand.Rand, estUp, estDown []float64, opts ConfOptions) ([]confSpec, error) {
-	need := 1.3 * float64(opts.ConfSize-1) * opts.SourceKbps
-	upMin, upMax := 1.3*opts.SourceKbps, 4*opts.SourceKbps
+	need := 1.3 * float64(opts.ConfSize-1) * confSourceKbps
+	upMin, upMax := 1.3*confSourceKbps, 4*confSourceKbps
 	var confEligible []int
 	for h := range estDown {
 		if estDown[h] >= need && estUp[h] >= upMin && estUp[h] <= upMax {
@@ -338,13 +300,13 @@ func genConfSessions(rng *rand.Rand, estUp, estDown []float64, opts ConfOptions)
 	}
 	var bcastEligible []int
 	for h := range estDown {
-		if estDown[h] >= 1.3*opts.SourceKbps && !used[h] {
+		if estDown[h] >= 1.3*confSourceKbps && !used[h] {
 			bcastEligible = append(bcastEligible, h)
 		}
 	}
 	if n := opts.Broadcasts * opts.BroadcastSize; n > len(bcastEligible) {
 		return nil, fmt.Errorf("experiments: %d broadcast members need more than the %d hosts whose downlink carries %.0f kbps",
-			n, len(bcastEligible), 1.3*opts.SourceKbps)
+			n, len(bcastEligible), 1.3*confSourceKbps)
 	}
 	bcastPerm := rng.Perm(len(bcastEligible))
 	bcastNext := 0
@@ -391,8 +353,8 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 	// on parent links — so a degree-2 helper saturates the moment it
 	// takes a parent edge and one child, stranding the rest of the
 	// roster.
-	c := newServiceCell(opts.Seed, idx, lat, confDegrees(estUp, member, opts.ConfSize, opts.SourceKbps),
-		sched.ServiceConfig{}, opts.Registry)
+	c := newServiceCell(opts.Seed, idx, lat, confDegrees(estUp, member, opts.ConfSize, confSourceKbps),
+		sched.ServiceConfig{}, nil)
 	sv := c.sv
 	specs := all[:0:0]
 	for i := range all {
@@ -404,7 +366,7 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 
 	// --- control plane: submit, tick, churn, rejoin ---
 	pumpStart := 2 * eventsim.Second
-	streamEnd := pumpStart + eventsim.Time(opts.Chunks)*opts.ChunkDur + opts.Playout
+	streamEnd := pumpStart + eventsim.Time(opts.Chunks)*chunkDur + playoutLive
 	runEnd := streamEnd + 10*eventsim.Second
 
 	for i := range specs {
@@ -417,7 +379,7 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 			}
 		})
 	}
-	c.tickUntil(opts.TickEvery, runEnd)
+	c.tickUntil(runEnd)
 
 	// confOf maps a non-root conference member back to its session so
 	// restarts can rejoin the call. Those members are also the churn
@@ -435,7 +397,7 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 			pool = append(pool, specs[i].members...)
 		}
 	}
-	c.wireChurn(opts.DetectDelay, func(h int) {
+	c.wireChurn(mediaDetectDelay, func(h int) {
 		// A restarted conference member dials back in: re-enter the
 		// roster, then reclaim the source role — the live AddSource
 		// path. Errors are expected when the crash was never detected
@@ -448,7 +410,7 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 		}
 	})
 	if confChurn(cell) {
-		c.churn(opts.CrashRate, pumpStart+3*eventsim.Second, streamEnd-opts.Playout, pool, opts.RestartDelay)
+		c.churn(opts.CrashRate, pumpStart+3*eventsim.Second, streamEnd-playoutLive, pool, opts.RestartDelay)
 	}
 
 	// --- data plane: one pump per (session, source) ---
@@ -476,16 +438,14 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 		}
 	}
 	pumps := c.startPumps(model, pumpStart, dataplane.Config{
-		ChunkDur:      opts.ChunkDur,
-		BitrateKbps:   opts.SourceKbps,
-		Playout:       opts.Playout,
-		Chunks:        opts.Chunks,
-		PullNeighbors: opts.PullNeighbors,
+		BitrateKbps: confSourceKbps,
+		Playout:     playoutLive,
+		Chunks:      opts.Chunks,
 	}, opts.Seed*100000+int64(idx)*1000, pspecs)
 
 	// The shared-ledger conservation checks run against the live
 	// multi-source state throughout.
-	c.sweepUntil(opts.SweepEvery, runEnd, nil)
+	c.sweepUntil(runEnd, nil)
 
 	if err := c.run(runEnd); err != nil {
 		return ConfRow{}, fmt.Errorf("conf %s: %w", cell, err)
@@ -566,7 +526,7 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 		row.Sources++
 		row.add(st)
 		if st.Expected > 0 {
-			src := opts.SourceKbps * float64(st.OnTimeTree+st.PullRecovered) / float64(st.Expected)
+			src := confSourceKbps * float64(st.OnTimeTree+st.PullRecovered) / float64(st.Expected)
 			if row.MinSrcKbps == 0 || src < row.MinSrcKbps {
 				row.MinSrcKbps = src
 			}
@@ -577,12 +537,12 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 	}
 	if row.Expected > 0 {
 		onTime := row.onTime()
-		row.DeliveredKbps = opts.SourceKbps * onTime
+		row.DeliveredKbps = confSourceKbps * onTime
 		row.MissRate = 1 - onTime
 	}
 	if bcast.Expected > 0 {
 		onTime := bcast.onTime()
-		row.BcastDeliveredKbps = opts.SourceKbps * onTime
+		row.BcastDeliveredKbps = confSourceKbps * onTime
 		row.BcastMissRate = 1 - onTime
 	}
 	row.Crashes = int(c.net.Counters().Crashes)
@@ -608,8 +568,8 @@ func (r *ConfResult) Tables() []Table {
 			"roster's uplink M*(M-1) ways, vs the iso bound the same source would see alone (Chakareski et "+
 			"al.); delivered above the shared bound is uplink recruited from the pool; min/max src bracket "+
 			"per-source delivered rates; max height is the worst planned root-to-member latency bound",
-			r.Opts.Conferences, r.Opts.ConfSize, r.Opts.Hosts, r.Opts.SourceKbps,
-			r.Opts.Chunks, float64(r.Opts.ChunkDur)/1000, float64(r.Opts.Playout)/1000),
+			r.Opts.Conferences, r.Opts.ConfSize, r.Opts.Hosts, confSourceKbps,
+			r.Opts.Chunks, float64(chunkDur)/1000, float64(playoutLive)/1000),
 	}
 	market := Table{
 		Title: "Conferencing: market competition, churn recovery and ledger audit",
@@ -623,12 +583,12 @@ func (r *ConfResult) Tables() []Table {
 			"violations counts continuous invariant sweeps (every %.0fs) over the shared multi-source "+
 			"ledger — the study passes iff the column is all zeros",
 			r.Opts.Broadcasts, r.Opts.BroadcastSize, r.Opts.CrashRate,
-			float64(r.Opts.RestartDelay)/1000, float64(r.Opts.DetectDelay)/1000,
-			float64(r.Opts.SweepEvery)/1000),
+			float64(r.Opts.RestartDelay)/1000, float64(mediaDetectDelay)/1000,
+			float64(sweepEvery)/1000),
 	}
 	for _, row := range r.Rows {
 		delivery.Rows = append(delivery.Rows, []string{
-			row.Cell, f1(r.Opts.SourceKbps), f1(row.SharedBoundKbps), f1(row.IsoBoundKbps),
+			row.Cell, f1(confSourceKbps), f1(row.SharedBoundKbps), f1(row.IsoBoundKbps),
 			f1(row.DeliveredKbps), f1(row.MinSrcKbps), f1(row.MaxSrcKbps), f3(row.MissRate),
 			f1(row.MaxHeightMS), d(row.ConfTrees), d(row.Helpers),
 		})
@@ -649,7 +609,7 @@ func (r *ConfResult) AppendBenchJSON(existing []byte, label string) ([]byte, err
 	for i, row := range r.Rows {
 		rows[i] = benchObject{
 			{"cell", row.Cell},
-			{"src_kbps", r.Opts.SourceKbps},
+			{"src_kbps", confSourceKbps},
 			{"shared_bound_kbps", row.SharedBoundKbps},
 			{"iso_bound_kbps", row.IsoBoundKbps},
 			{"delivered_kbps", row.DeliveredKbps},

@@ -8,7 +8,6 @@ import (
 	"p2ppool/internal/core"
 	"p2ppool/internal/par"
 	"p2ppool/internal/sched"
-	"p2ppool/internal/topology"
 )
 
 // Fig10Options parameterizes the multi-session experiment.
@@ -22,9 +21,7 @@ type Fig10Options struct {
 	GroupSize int
 	// Runs per session count (averaging over random priorities/placements).
 	Runs int
-	// Radius R for helper admission.
-	Radius float64
-	Seed   int64
+	Seed int64
 	// Workers bounds the parallelism; <= 0 means runtime.NumCPU(). The
 	// output is identical for any worker count.
 	Workers int
@@ -42,9 +39,6 @@ func (o Fig10Options) withDefaults() Fig10Options {
 	}
 	if o.Runs <= 0 {
 		o.Runs = 5
-	}
-	if o.Radius <= 0 {
-		o.Radius = 100
 	}
 	return o
 }
@@ -73,7 +67,8 @@ type Fig10Result struct {
 // sessions of GroupSize members with uniform-random priorities 1..3
 // compete for the pool through the market-driven scheduler; each
 // session's improvement is measured against its own members-only
-// AMCast+adjust plan.
+// AMCast+adjust plan. The helper radius R is the planner's and the
+// scheduler's own default, which agree.
 func Fig10(opts Fig10Options) (*Fig10Result, error) {
 	opts = opts.withDefaults()
 	maxSessions := 0
@@ -86,10 +81,7 @@ func Fig10(opts Fig10Options) (*Fig10Result, error) {
 		return nil, fmt.Errorf("experiments: %d sessions of %d exceed %d hosts",
 			maxSessions, opts.GroupSize, opts.Hosts)
 	}
-	top := topology.DefaultConfig()
-	top.Hosts = opts.Hosts
-	top.Seed = opts.Seed
-	pool, err := core.BuildFast(core.Options{Topology: top, Seed: opts.Seed, Workers: opts.Workers})
+	pool, err := paperPool(opts.Hosts, opts.Seed, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +107,7 @@ func Fig10(opts Fig10Options) (*Fig10Result, error) {
 		nSessions := cells[ci].nSessions
 		r := rand.New(rand.NewSource(opts.Seed + int64(1000*nSessions+cells[ci].run)))
 		perm := r.Perm(opts.Hosts)
-		sc := pool.NewScheduler(sched.Config{HelperRadius: opts.Radius})
+		sc := pool.NewScheduler(sched.Config{})
 		type info struct {
 			s    *sched.Session
 			base float64
@@ -126,22 +118,16 @@ func Fig10(opts Fig10Options) (*Fig10Result, error) {
 			nodes := perm[i*opts.GroupSize : (i+1)*opts.GroupSize]
 			root, members := nodes[0], nodes[1:]
 			// Per-session baselines on the unloaded pool.
-			base, err := pool.PlanSession(root, members, core.PlanOptions{
-				NoHelpers: true, Radius: opts.Radius,
-			})
+			base, err := pool.PlanSession(root, members, core.PlanOptions{NoHelpers: true})
 			if err != nil {
 				return nil, err
 			}
 			hPlain := base.MaxHeight(pool.TrueLatency)
-			lower, err := pool.PlanSession(root, members, core.PlanOptions{
-				NoHelpers: true, Adjust: true, Radius: opts.Radius,
-			})
+			lower, err := pool.PlanSession(root, members, core.PlanOptions{NoHelpers: true, Adjust: true})
 			if err != nil {
 				return nil, err
 			}
-			upper, err := pool.PlanSession(root, members, core.PlanOptions{
-				Mode: core.Leafset, Adjust: true, Radius: opts.Radius,
-			})
+			upper, err := pool.PlanSession(root, members, core.PlanOptions{Mode: core.Leafset, Adjust: true})
 			if err != nil {
 				return nil, err
 			}

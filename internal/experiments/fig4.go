@@ -16,8 +16,6 @@ type Fig4Options struct {
 	Hosts int
 	// Pairs sampled to build each CDF.
 	Pairs int
-	// Dim is the embedding dimension.
-	Dim int
 	// Seed drives everything.
 	Seed int64
 	// Workers bounds the parallelism; <= 0 means runtime.NumCPU(). The
@@ -31,9 +29,6 @@ func (o Fig4Options) withDefaults() Fig4Options {
 	}
 	if o.Pairs <= 0 {
 		o.Pairs = 4000
-	}
-	if o.Dim <= 0 {
-		o.Dim = 7
 	}
 	return o
 }
@@ -53,6 +48,11 @@ type Fig4Result struct {
 	Series []Fig4Series
 }
 
+// fig4Dim is the embedding dimension of every series: the one the pool
+// itself embeds in (core.Options.CoordDim), so the CDFs describe the
+// coordinates the planner sees.
+const fig4Dim = 7
+
 // Fig4 runs the experiment. All randomness is drawn sequentially up
 // front (probe pairs, then the landmark sets in sweep order, exactly
 // as the sequential harness drew them); the four solver runs then
@@ -60,11 +60,7 @@ type Fig4Result struct {
 // identical for any Workers value.
 func Fig4(opts Fig4Options) (*Fig4Result, error) {
 	opts = opts.withDefaults()
-	topCfg := topology.DefaultConfig()
-	topCfg.Hosts = opts.Hosts
-	topCfg.Seed = opts.Seed
-	topCfg.Workers = opts.Workers
-	net, err := topology.Generate(topCfg)
+	net, err := topology.Generate(paperTopology(opts.Hosts, opts.Seed, opts.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +79,7 @@ func Fig4(opts Fig4Options) (*Fig4Result, error) {
 			name: fmt.Sprintf("GNP-%d", nl),
 			solve: func() ([]coords.Vector, error) {
 				return coords.SolveGNP(net.Latency, opts.Hosts, lms, coords.GNPConfig{
-					Dim:  opts.Dim,
+					Dim:  fig4Dim,
 					Seed: opts.Seed + 2,
 				})
 			},
@@ -96,7 +92,7 @@ func Fig4(opts Fig4Options) (*Fig4Result, error) {
 			solve: func() ([]coords.Vector, error) {
 				nb := ringNeighborsFn(opts.Hosts, L, rand.New(rand.NewSource(opts.Seed+3)))
 				return coords.SolveLeafset(net.Latency, opts.Hosts, nb, coords.LeafsetConfig{
-					Dim:    opts.Dim,
+					Dim:    fig4Dim,
 					Rounds: 15,
 					Seed:   opts.Seed + 4,
 					Core:   L + 1,

@@ -16,12 +16,7 @@ type Fig5Options struct {
 	Hosts int
 	// LeafsetSizes to sweep.
 	LeafsetSizes []int
-	// ProbeBytes is the padded packet-pair probe size.
-	ProbeBytes int
-	// Noise is the relative packet-pair measurement noise (ablation;
-	// default 0).
-	Noise float64
-	Seed  int64
+	Seed         int64
 	// Workers bounds the parallelism; <= 0 means runtime.NumCPU(). The
 	// output is identical for any worker count.
 	Workers int
@@ -33,9 +28,6 @@ func (o Fig5Options) withDefaults() Fig5Options {
 	}
 	if len(o.LeafsetSizes) == 0 {
 		o.LeafsetSizes = []int{2, 4, 8, 16, 32, 64}
-	}
-	if o.ProbeBytes <= 0 {
-		o.ProbeBytes = 1500
 	}
 	return o
 }
@@ -59,13 +51,14 @@ type Fig5Result struct {
 	Rows []Fig5Row
 }
 
+// fig5ProbeBytes is the padded packet-pair probe size: one full-MTU
+// packet, what the pool's own estimation round sends (core.BuildFast).
+const fig5ProbeBytes = 1500
+
 // Fig5 runs the experiment.
 func Fig5(opts Fig5Options) (*Fig5Result, error) {
 	opts = opts.withDefaults()
-	model, err := netmodel.New(opts.Hosts, netmodel.Options{
-		Seed:             opts.Seed,
-		MeasurementNoise: opts.Noise,
-	})
+	model, err := netmodel.New(opts.Hosts, netmodel.Options{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +72,7 @@ func Fig5(opts Fig5Options) (*Fig5Result, error) {
 	rows, err := par.MapErr(opts.Workers, len(opts.LeafsetSizes), func(i int) (Fig5Row, error) {
 		L := opts.LeafsetSizes[i]
 		nb := ringNeighborsFn(opts.Hosts, L, rand.New(rand.NewSource(opts.Seed+int64(10*L))))
-		est := bandwidth.EstimateAll(model, nb, opts.ProbeBytes, rand.New(rand.NewSource(opts.Seed+int64(L))))
+		est := bandwidth.EstimateAll(model, nb, fig5ProbeBytes, rand.New(rand.NewSource(opts.Seed+int64(L))))
 		up, down := bandwidth.RelativeErrors(model, est)
 		estUp := make([]float64, opts.Hosts)
 		for i := range estUp {

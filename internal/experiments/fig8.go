@@ -7,7 +7,6 @@ import (
 	"p2ppool/internal/alm"
 	"p2ppool/internal/core"
 	"p2ppool/internal/par"
-	"p2ppool/internal/topology"
 )
 
 // Fig8Options parameterizes the single-session ALM experiment.
@@ -18,9 +17,7 @@ type Fig8Options struct {
 	GroupSizes []int
 	// Runs per group size (paper: 20).
 	Runs int
-	// Radius R for helper admission.
-	Radius float64
-	Seed   int64
+	Seed int64
 	// Workers bounds the parallelism; <= 0 means runtime.NumCPU(). The
 	// output is identical for any worker count.
 	Workers int
@@ -35,9 +32,6 @@ func (o Fig8Options) withDefaults() Fig8Options {
 	}
 	if o.Runs <= 0 {
 		o.Runs = 20
-	}
-	if o.Radius <= 0 {
-		o.Radius = 100
 	}
 	return o
 }
@@ -63,7 +57,8 @@ type Fig8Result struct {
 
 // Fig8 runs the experiment: for each group size, Runs random sessions
 // are planned by every algorithm over the same pool, and improvements
-// are measured against plain AMCast with true latencies.
+// are measured against plain AMCast with true latencies. The helper
+// radius R is core.PlanOptions' default; the ablations sweep it.
 //
 // The session memberships are pre-drawn sequentially from the rng in
 // sweep order (the order the sequential harness drew them); the
@@ -73,10 +68,7 @@ type Fig8Result struct {
 // sequential loop — identical output for any Workers value.
 func Fig8(opts Fig8Options) (*Fig8Result, error) {
 	opts = opts.withDefaults()
-	top := topology.DefaultConfig()
-	top.Hosts = opts.Hosts
-	top.Seed = opts.Seed
-	pool, err := core.BuildFast(core.Options{Topology: top, Seed: opts.Seed, Workers: opts.Workers})
+	pool, err := paperPool(opts.Hosts, opts.Seed, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -108,14 +100,13 @@ func Fig8(opts Fig8Options) (*Fig8Result, error) {
 		gs, perm := cells[i].gs, cells[i].perm
 		root, members := perm[0], perm[1:gs]
 
-		base, err := pool.PlanSession(root, members, core.PlanOptions{NoHelpers: true, Radius: opts.Radius})
+		base, err := pool.PlanSession(root, members, core.PlanOptions{NoHelpers: true})
 		if err != nil {
 			return runOut{}, err
 		}
 		hBase := base.MaxHeight(pool.TrueLatency)
 
 		measure := func(opt core.PlanOptions) (float64, *alm.Tree, error) {
-			opt.Radius = opts.Radius
 			tr, err := pool.PlanSession(root, members, opt)
 			if err != nil {
 				return 0, nil, err

@@ -25,39 +25,19 @@ import (
 type LoadOptions struct {
 	// Hosts is the pool size.
 	Hosts int
-	// GroupSize is the arriving sessions' size including the root.
-	GroupSize int
 	// Window is the observation window.
 	Window eventsim.Time
-	// TickEvery is the control plane's Tick period.
-	TickEvery eventsim.Time
-	// SweepEvery is the invariant-sweep interval.
-	SweepEvery eventsim.Time
 	// ArrivalRate is the baseline session arrival rate in sessions per
 	// virtual second; <= 0 derives it from the pool size so utilization
 	// lands near saturation (that is the regime the control plane
 	// exists for).
 	ArrivalRate float64
-	// LifetimeMean is the mean session lifetime (exponential).
-	LifetimeMean eventsim.Time
 	// Cells selects the load shapes to run; defaults to all four:
 	// "steady" (flat Poisson at ArrivalRate), "diurnal" (rate modulated
 	// 0.5x..1.3x over the window), "flash" (steady plus a flash crowd
-	// of FlashJoins members into one hot P1 session), and "overload"
-	// (flat 2.5x).
+	// into one hot P1 session), and "overload" (flat 2.5x).
 	Cells []string
-	// FlashJoins is the flash-crowd size; FlashWindow the burst width;
-	// FlashAt its start. The hot session is submitted 30s before.
-	FlashJoins  int
-	FlashWindow eventsim.Time
-	FlashAt     eventsim.Time
-	// CrashRate is the churn intensity in crashes per virtual minute;
-	// RestartDelay how long a crashed host stays down; DetectDelay the
-	// crash-to-NodeFailed detection time.
-	CrashRate    float64
-	RestartDelay eventsim.Time
-	DetectDelay  eventsim.Time
-	Seed         int64
+	Seed  int64
 	// Workers bounds the parallelism; <= 0 means runtime.NumCPU(). The
 	// output is identical for any worker count.
 	Workers int
@@ -74,54 +54,50 @@ func (o LoadOptions) withDefaults() LoadOptions {
 	if o.Hosts <= 0 {
 		o.Hosts = 8000
 	}
-	if o.GroupSize <= 0 {
-		o.GroupSize = 4
-	}
 	if o.Window <= 0 {
 		o.Window = 10 * eventsim.Minute
 	}
-	if o.TickEvery <= 0 {
-		o.TickEvery = 250 * eventsim.Millisecond
-	}
-	if o.SweepEvery <= 0 {
-		o.SweepEvery = 5 * eventsim.Second
-	}
 	if o.ArrivalRate <= 0 {
-		// Mean paper degree is ~3 slots/host and a GroupSize-4 session
-		// reserves ~6, so capacity is ~Hosts/2 concurrent sessions;
-		// rate*lifetime at these defaults demands about half of that —
+		// Mean paper degree is ~3 slots/host and a loadGroupSize-4
+		// session reserves ~6, so capacity is ~Hosts/2 concurrent
+		// sessions; rate*loadLifetimeMean demands about half of that —
 		// hot enough that member-host collisions force real admission
 		// decisions, with room for the overload cell's 2.5x on top.
 		o.ArrivalRate = float64(o.Hosts) / 1000
 	}
-	if o.LifetimeMean <= 0 {
-		o.LifetimeMean = 5 * eventsim.Minute
-	}
 	if len(o.Cells) == 0 {
 		o.Cells = []string{"steady", "diurnal", "flash", "overload"}
 	}
-	if o.FlashJoins <= 0 {
-		o.FlashJoins = 3 * o.Hosts / 5
-		if o.FlashJoins > 1500 {
-			o.FlashJoins = 1500
-		}
-	}
-	if o.FlashWindow <= 0 {
-		o.FlashWindow = 750 * eventsim.Millisecond
-	}
-	if o.FlashAt <= 0 {
-		o.FlashAt = o.Window / 2
-	}
-	if o.CrashRate <= 0 {
-		o.CrashRate = 4
-	}
-	if o.RestartDelay <= 0 {
-		o.RestartDelay = 20 * eventsim.Second
-	}
-	if o.DetectDelay <= 0 {
-		o.DetectDelay = 2 * eventsim.Second
-	}
 	return o
+}
+
+// The workload every cell prices; the ArrivalRate default above is
+// sized against the first two.
+const (
+	// loadGroupSize is the arriving sessions' size including the root:
+	// small, so a cell is about admission volume — thousands of
+	// concurrent sessions — not about planning large trees.
+	loadGroupSize = 4
+	// loadLifetimeMean is the mean session lifetime (exponential): half
+	// the default window, so sessions both pile up and drain within it.
+	loadLifetimeMean = 5 * eventsim.Minute
+	// loadFlashWindow is the flash crowd's burst width: three ticks,
+	// well under the hot session's 2 s P1 admit deadline. The burst
+	// starts mid-window; the hot session is submitted 30 s before.
+	loadFlashWindow = 750 * eventsim.Millisecond
+	// Churn runs throughout every cell, over the whole pool: crashes
+	// per virtual minute, downtime, and the crash-to-NodeFailed lag.
+	// It is background, not the subject — a crash every 15 s keeps the
+	// repair path and the repair-lag invariant exercised under load.
+	loadCrashRate    = 4.0
+	loadRestartDelay = 20 * eventsim.Second
+	loadDetectDelay  = 2 * eventsim.Second
+)
+
+// loadFlashJoins is the flash crowd's size: three fifths of the pool,
+// capped at the 1,500 joins the full-size cell pushes into one session.
+func loadFlashJoins(hosts int) int {
+	return min(3*hosts/5, 1500)
 }
 
 // LoadRow is one cell's outcome. Everything except the Bench* fields
@@ -209,8 +185,8 @@ func (r *LoadResult) Row(cell string) *LoadRow {
 // shape, with continuous invariant sweeps.
 func Load(opts LoadOptions) (*LoadResult, error) {
 	opts = opts.withDefaults()
-	if opts.GroupSize+1 > opts.Hosts {
-		return nil, fmt.Errorf("experiments: group size %d exceeds pool size %d", opts.GroupSize, opts.Hosts)
+	if loadGroupSize+1 > opts.Hosts {
+		return nil, fmt.Errorf("experiments: group size %d exceeds pool size %d", loadGroupSize, opts.Hosts)
 	}
 	workers := opts.Workers
 	if opts.Bench {
@@ -289,9 +265,9 @@ func genLoadArrivals(cell string, rng *rand.Rand, opts LoadOptions) []loadArriva
 		case u < 0.5:
 			pri = 2
 		}
-		roster := make([]int, 0, opts.GroupSize)
-		seen := make(map[int]bool, opts.GroupSize)
-		for len(roster) < opts.GroupSize {
+		roster := make([]int, 0, loadGroupSize)
+		seen := make(map[int]bool, loadGroupSize)
+		for len(roster) < loadGroupSize {
 			h := rng.Intn(opts.Hosts)
 			if !seen[h] {
 				seen[h] = true
@@ -300,7 +276,7 @@ func genLoadArrivals(cell string, rng *rand.Rand, opts LoadOptions) []loadArriva
 		}
 		out = append(out, loadArrival{
 			at:      at,
-			life:    eventsim.Time(rng.ExpFloat64() * float64(opts.LifetimeMean)),
+			life:    eventsim.Time(rng.ExpFloat64() * float64(loadLifetimeMean)),
 			id:      id,
 			pri:     pri,
 			root:    roster[0],
@@ -323,11 +299,8 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 	lat := synthLatency(wr, opts.Hosts)
 	degrees := alm.PaperDegrees(opts.Hosts, wr)
 	// Retry/backoff stay at the package defaults (budget 3, base 500ms
-	// doubling to 8s, compressed per class). These are coupled to the
-	// 2s/4s/8s admit deadlines, not to the window; a harness that
-	// overrides the deadlines but not the backoff now gets the defaults
-	// rescaled by the same factor in withDefaults, so the budget always
-	// fits the SLO.
+	// doubling to 8s, compressed per class): they are coupled to the
+	// 2s/4s/8s admit deadlines, not to the window.
 	c := newServiceCell(opts.Seed, idx, lat, degrees, sched.ServiceConfig{
 		// The damper is sized to the pool, as an operator would:
 		// score-driven market planning preempts a helper or two per
@@ -368,10 +341,11 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 			ID:       hotSessionID,
 			Priority: 1,
 			Root:     perm[0],
-			Members:  append([]int(nil), perm[1:opts.GroupSize]...),
+			Members:  append([]int(nil), perm[1:loadGroupSize]...),
 		}
-		crowd := perm[opts.GroupSize : opts.GroupSize+opts.FlashJoins]
-		hotAt := opts.FlashAt - 30*eventsim.Second
+		crowd := perm[loadGroupSize : loadGroupSize+loadFlashJoins(opts.Hosts)]
+		flashAt := opts.Window / 2
+		hotAt := flashAt - 30*eventsim.Second
 		if hotAt < 0 {
 			hotAt = 0
 		}
@@ -381,7 +355,7 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 			}
 			return hot
 		})
-		c.net.Install(faultnet.FlashCrowd(opts.FlashAt, len(crowd), opts.FlashWindow, func(i int, _ *faultnet.Net) {
+		c.net.Install(faultnet.FlashCrowd(flashAt, len(crowd), loadFlashWindow, func(i int, _ *faultnet.Net) {
 			h := crowd[i]
 			if c.crashed(h) {
 				return
@@ -395,14 +369,14 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 	}
 
 	// --- churn over the whole pool, ticks, sweeps ---
-	c.wireChurn(opts.DetectDelay, nil)
+	c.wireChurn(loadDetectDelay, nil)
 	everyone := make([]int, opts.Hosts)
 	for h := range everyone {
 		everyone[h] = h
 	}
-	c.churn(opts.CrashRate, 0, opts.Window, everyone, opts.RestartDelay)
-	c.tickUntil(opts.TickEvery, opts.Window)
-	c.sweepUntil(opts.SweepEvery, opts.Window, func() {
+	c.churn(loadCrashRate, 0, opts.Window, everyone, loadRestartDelay)
+	c.tickUntil(opts.Window)
+	c.sweepUntil(opts.Window, func() {
 		for _, s := range sv.Scheduler().Sessions() {
 			if s.Replans > row.MaxSessionReplans {
 				row.MaxSessionReplans = s.Replans
@@ -463,7 +437,7 @@ func (r *LoadResult) Tables() []Table {
 			"(lowest priority first) and retry-budget shedding; invariant sweeps (slot conservation, "+
 			"ledger, tree validity) every %.0fs must stay at zero violations",
 			float64(r.Opts.Window)/float64(eventsim.Minute), r.Opts.ArrivalRate,
-			r.Opts.CrashRate, float64(r.Opts.SweepEvery)/1000),
+			loadCrashRate, float64(sweepEvery)/1000),
 	}
 	slo := Table{
 		Title: "Load: admission SLO compliance and preemption damping per priority class",
@@ -474,7 +448,7 @@ func (r *LoadResult) Tables() []Table {
 		Note: fmt.Sprintf("SLO = sessions first planned within the class admit deadline (2s/4s/8s) over submitted; "+
 			"the flash cell pushes %d joins into one hot P1 session over %.2gs — high-priority compliance must "+
 			"hold while the token bucket and hold-down keep preemptions and replans from cascading",
-			r.Opts.FlashJoins, float64(r.Opts.FlashWindow)/1000),
+			loadFlashJoins(r.Opts.Hosts), float64(loadFlashWindow)/1000),
 	}
 	for _, row := range r.Rows {
 		funnel.Rows = append(funnel.Rows, []string{

@@ -23,15 +23,8 @@ import (
 type ObsOptions struct {
 	// Nodes in the monitored ring.
 	Nodes int
-	// ReportInterval is the SOMO report period T.
-	ReportInterval eventsim.Time
 	// Runtime of the health study.
 	Runtime eventsim.Time
-	// CrashAt is when two members crash; at RestartAt one of them
-	// rejoins (the other stays dead), exercising the
-	// resume-after-restart path end to end.
-	CrashAt   eventsim.Time
-	RestartAt eventsim.Time
 	// TraceTail is how many trailing trace events to print (0 = none;
 	// the -trace flag sets it).
 	TraceTail int
@@ -45,17 +38,8 @@ func (o ObsOptions) withDefaults() ObsOptions {
 	if o.Nodes <= 0 {
 		o.Nodes = 32
 	}
-	if o.ReportInterval <= 0 {
-		o.ReportInterval = 2 * eventsim.Second
-	}
 	if o.Runtime <= 0 {
 		o.Runtime = 150 * eventsim.Second
-	}
-	if o.CrashAt <= 0 {
-		o.CrashAt = 30 * eventsim.Second
-	}
-	if o.RestartAt <= 0 {
-		o.RestartAt = 75 * eventsim.Second
 	}
 	return o
 }
@@ -126,6 +110,21 @@ func Obs(opts ObsOptions) (*ObsResult, error) {
 	return &ObsResult{Opts: opts, Health: parts[0].health, Chaos: parts[1].chaos}, nil
 }
 
+// The health study's script.
+const (
+	// obsReportInterval is SOMO's T: a dashboard refreshing every
+	// couple of seconds; "silent" is three missed reports.
+	obsReportInterval = 2 * eventsim.Second
+	// obsCrashAt is when two members crash, the ring and the SOMO tree
+	// having converged (the victims are picked 10 s before).
+	obsCrashAt = 30 * eventsim.Second
+	// obsRestartAt is when one of them rejoins; the other stays dead.
+	// 45 s down outlasts the 4 s failure timeout and the 16 s record
+	// TTL, so the victim has left the root view before it returns:
+	// the resume-after-restart path end to end.
+	obsRestartAt = 75 * eventsim.Second
+)
+
 // obsHealthRun builds the monitored ring and drives the
 // crash/restart script. With instrument=false every handle is nil —
 // the run must then be event-for-event identical, which the
@@ -165,7 +164,7 @@ func obsHealthRun(opts ObsOptions, instrument bool) (*obsHealth, error) {
 	// snapshot and last-report time through SOMO itself. Agents are
 	// created in host order.
 	var agentOf []*somo.Agent
-	agentOf, _ = core.AttachSOMO(nodeOf, churnSOMO(opts.ReportInterval), func(h int) interface{} {
+	agentOf, _ = core.AttachSOMO(nodeOf, churnSOMO(obsReportInterval), func(h int) interface{} {
 		return obs.Health{
 			Host:       h,
 			LastReport: agentOf[h].LastReport(),
@@ -183,7 +182,7 @@ func obsHealthRun(opts ObsOptions, instrument bool) (*obsHealth, error) {
 	f.OnCrash(func(a transport.Addr) { nodeOf[int(a)].Stop() })
 
 	// Converge, then pick victims and a rejoin seed away from the root.
-	engine.RunUntil(opts.CrashAt - 10*eventsim.Second)
+	engine.RunUntil(obsCrashAt - 10*eventsim.Second)
 	rootHost := core.LiveRoot(agentOf)
 	victims := make([]int, 0, 2)
 	for h := 0; h < n && len(victims) < 2; h++ {
@@ -197,11 +196,11 @@ func obsHealthRun(opts ObsOptions, instrument bool) (*obsHealth, error) {
 	}
 	f.OnRestart(func(a transport.Addr) { nodeOf[int(a)].Join(nodeOf[seedHost].Self()) })
 	for _, v := range victims {
-		f.CrashAt(opts.CrashAt, transport.Addr(v))
+		f.CrashAt(obsCrashAt, transport.Addr(v))
 	}
 	// The first victim rejoins; the second stays dead for the rest of
 	// the run (the "down" dashboard line).
-	f.RestartAt(opts.RestartAt, transport.Addr(victims[0]))
+	f.RestartAt(obsRestartAt, transport.Addr(victims[0]))
 
 	engine.RunUntil(opts.Runtime)
 
@@ -228,7 +227,7 @@ func obsHealthRun(opts ObsOptions, instrument bool) (*obsHealth, error) {
 			row.Status = "down"
 		case !present:
 			row.Status = "missing"
-		case now-health.LastReport > 3*opts.ReportInterval:
+		case now-health.LastReport > 3*obsReportInterval:
 			row.Status = "silent"
 		default:
 			row.Status = "ok"

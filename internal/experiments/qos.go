@@ -6,7 +6,6 @@ import (
 
 	"p2ppool/internal/core"
 	"p2ppool/internal/par"
-	"p2ppool/internal/topology"
 )
 
 // QoSOptions parameterizes the multi-criteria tree comparison.
@@ -59,10 +58,7 @@ type QoSResult struct {
 // QoS runs the comparison.
 func QoS(opts QoSOptions) (*QoSResult, error) {
 	opts = opts.withDefaults()
-	top := topology.DefaultConfig()
-	top.Hosts = opts.Hosts
-	top.Seed = opts.Seed
-	pool, err := core.BuildFast(core.Options{Topology: top, Seed: opts.Seed, Workers: opts.Workers})
+	pool, err := paperPool(opts.Hosts, opts.Seed, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

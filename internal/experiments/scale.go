@@ -40,8 +40,6 @@ type ScaleOptions struct {
 	// seconds — 12 SOMO reporting intervals, enough for records to
 	// propagate depth+1 levels with margin).
 	Runtime eventsim.Time
-	// ReportInterval is SOMO's T (default 5 s, the somo default).
-	ReportInterval eventsim.Time
 	// GroupSize is the ALM session size for the improvement probe
 	// (default 100, the mid-size group of Figure 8).
 	GroupSize int
@@ -57,13 +55,6 @@ type ScaleOptions struct {
 	// in Tables() output — they go to the bench JSON — so determinism
 	// contracts are unaffected.
 	Bench bool
-	// Shards is the ring's STRUCTURAL shard count (default scaleShards =
-	// 8). Unlike Workers it is part of the study's identity: shards
-	// partition hosts across engines and so belong to the seed schedule
-	// — a different shard count produces different (equally valid)
-	// figures. AppendBenchJSON records it per run and refuses to mix
-	// shard counts within one bench file.
-	Shards int
 }
 
 func (o ScaleOptions) withDefaults() ScaleOptions {
@@ -73,14 +64,8 @@ func (o ScaleOptions) withDefaults() ScaleOptions {
 	if o.Runtime <= 0 {
 		o.Runtime = 60 * eventsim.Second
 	}
-	if o.ReportInterval <= 0 {
-		o.ReportInterval = 5 * eventsim.Second
-	}
 	if o.GroupSize <= 0 {
 		o.GroupSize = 100
-	}
-	if o.Shards <= 0 {
-		o.Shards = scaleShards
 	}
 	return o
 }
@@ -88,17 +73,16 @@ func (o ScaleOptions) withDefaults() ScaleOptions {
 // scaleShards is the ring's structural shard count. It partitions
 // hosts across engines, so — like a seed — it is part of the study's
 // identity and never derived from Workers: the output is byte-identical
-// whether the 8 shards execute on 1 core or 16.
+// whether the 8 shards execute on 1 core or 16, and a different count
+// would produce different (equally valid) figures. AppendBenchJSON
+// records it per run and refuses to mix counts within one bench file.
 const scaleShards = 8
 
 // scaleTopology builds cell n's underlay config: the paper's constants
 // with the stub tier widened so hosts:routers stays ≈ 2:1 (the paper's
 // 1200:600). The 1200-host cell keeps the exact paper substrate.
 func scaleTopology(n int, opts ScaleOptions) topology.Config {
-	top := topology.DefaultConfig()
-	top.Hosts = n
-	top.Seed = opts.Seed
-	top.Workers = opts.Workers
+	top := paperTopology(n, opts.Seed, opts.Workers)
 	// Routers = 24 transit + 144·StubDomainsPerTransit stub; SDPT =
 	// n/288 keeps ≈ n/2 routers (1200 → the default 4, 100000 → 347,
 	// i.e. ~50k routers).
@@ -222,7 +206,7 @@ func scaleRun(n int, opts ScaleOptions) (ScaleRow, error) {
 	// minimum cross-host latency: every path crosses two last hops.
 	sim := transport.NewShardedSim(transport.ShardedSimOptions{
 		Latency:   pool.TrueLatency,
-		Shards:    opts.Shards,
+		Shards:    scaleShards,
 		Lookahead: eventsim.Time(2 * top.LastHopMin),
 		Workers:   opts.Workers,
 		Seed:      opts.Seed + int64(n),
@@ -232,7 +216,7 @@ func scaleRun(n int, opts ScaleOptions) (ScaleRow, error) {
 	if err != nil {
 		return ScaleRow{}, err
 	}
-	agents, _ := core.AttachSOMO(nodes, somo.Config{ReportInterval: opts.ReportInterval}, hostPayload)
+	agents, _ := core.AttachSOMO(nodes, somo.Config{}, hostPayload)
 	simStart := time.Now()
 	sim.RunUntil(opts.Runtime)
 	simWall := time.Since(simStart)
@@ -383,17 +367,17 @@ func (r *ScaleResult) AppendBenchJSON(existing []byte, label string) ([]byte, er
 		if old.Shards == 0 {
 			old.Shards = scaleShards
 		}
-		if old.Shards != r.Opts.Shards {
+		if old.Shards != scaleShards {
 			return fmt.Errorf(
 				"experiments: bench file run %q was produced with %d shards, new run %q uses %d: "+
 					"shard count is structural, so their figures are not comparable — "+
-					"use a fresh bench file or rerun with -matching shards",
-				oldLabel, old.Shards, label, r.Opts.Shards)
+					"use a fresh bench file",
+				oldLabel, old.Shards, label, scaleShards)
 		}
 		return nil
 	}
 	return appendBenchRun(existing, "bench-scale/v2", label, benchObject{
 		{"seed", r.Opts.Seed}, {"runtime_ms", float64(r.Opts.Runtime)},
-		{"group_size", r.Opts.GroupSize}, {"shards", r.Opts.Shards},
+		{"group_size", r.Opts.GroupSize}, {"shards", scaleShards},
 	}, rows, sameShards)
 }

@@ -20,10 +20,6 @@ type SOMOOptions struct {
 	Sizes []int
 	// Fanouts of the logical tree.
 	Fanouts []int
-	// ReportInterval T.
-	ReportInterval eventsim.Time
-	// HopLatency is the uniform one-way latency between members.
-	HopLatency float64
 	// Runtime of each simulation.
 	Runtime eventsim.Time
 	Seed    int64
@@ -38,12 +34,6 @@ func (o SOMOOptions) withDefaults() SOMOOptions {
 	}
 	if len(o.Fanouts) == 0 {
 		o.Fanouts = []int{2, 8}
-	}
-	if o.ReportInterval <= 0 {
-		o.ReportInterval = 5 * eventsim.Second
-	}
-	if o.HopLatency <= 0 {
-		o.HopLatency = 100
 	}
 	if o.Runtime <= 0 {
 		o.Runtime = 3 * eventsim.Minute
@@ -107,16 +97,20 @@ func SOMOExperiment(opts SOMOOptions) (*SOMOResult, error) {
 	return &SOMOResult{Opts: opts, Rows: rows}, nil
 }
 
+// somoHopMS is the uniform one-way latency between members, t_hop in
+// the Section 3.2 bounds: the "typical one-way hop" somo sizes its
+// gather window by (4 hops = 400 ms).
+const somoHopMS = 100
+
 func somoRun(n, fanout int, sync bool, opts SOMOOptions) (SOMORow, error) {
 	engine := eventsim.New(opts.Seed + int64(n*10+fanout))
-	net := transport.NewSim(engine, transport.SimOptions{Latency: uniformLatency(opts.HopLatency)})
+	net := transport.NewSim(engine, transport.SimOptions{Latency: uniformLatency(somoHopMS)})
 	r := rand.New(rand.NewSource(opts.Seed + int64(n+fanout)))
 	nodes, _, err := core.Ring(core.OnNet(net), dht.RandomIDs(n, r), dht.Config{LeafsetRadius: 8})
 	if err != nil {
 		return SOMORow{}, err
 	}
-	cfg := somo.Config{Fanout: fanout, ReportInterval: opts.ReportInterval, Synchronized: sync}
-	agents, _ := core.AttachSOMO(nodes, cfg, hostPayload)
+	agents, _ := core.AttachSOMO(nodes, somo.Config{Fanout: fanout, Synchronized: sync}, hostPayload)
 	engine.RunUntil(opts.Runtime)
 
 	view, ok := core.ReadRoot(agents)
@@ -127,15 +121,16 @@ func somoRun(n, fanout int, sync bool, opts SOMOOptions) (SOMORow, error) {
 	row.Records = len(view.Snapshot.Records)
 	row.Staleness = float64(view.Staleness)
 	row.LogBound = int(math.Ceil(math.Log(float64(n)) / math.Log(float64(fanout))))
+	// T and the gather window are the agents' own (somo's defaults).
+	cfg := agents[0].Config()
 	if sync {
 		// One wave round-trip: per level, a pull hop down, a gather
 		// window, and a report hop up; plus at most one interval since
 		// the previous wave refreshed the leaves.
-		window := float64(agents[0].Config().GatherWindow)
-		row.StalenessBound = float64(opts.ReportInterval) +
-			float64(row.Depth+1)*(window+2*opts.HopLatency)
+		row.StalenessBound = float64(cfg.ReportInterval) +
+			float64(row.Depth+1)*(float64(cfg.GatherWindow)+2*somoHopMS)
 	} else {
-		row.StalenessBound = float64(opts.ReportInterval) * float64(row.Depth+1)
+		row.StalenessBound = float64(cfg.ReportInterval) * float64(row.Depth+1)
 	}
 	stats := net.Stats()
 	row.MsgsPerNodeSec = float64(stats.MessagesSent) / float64(n) /

@@ -29,36 +29,23 @@ type StreamOptions struct {
 	Sessions int
 	// GroupSize is each session's size including the source.
 	GroupSize int
-	// Chunks is the stream length in chunks; ChunkDur the chunk
-	// duration.
-	Chunks   int
-	ChunkDur eventsim.Time
+	// Chunks is the stream length in chunks.
+	Chunks int
 	// Rungs is the bitrate ladder in kbps; every cell runs every rung.
 	Rungs []float64
 	// Cells selects the scenario cells; defaults to all four:
 	// "live" (3 s playout buffer), "live-churn" (same plus member
 	// churn), "vod" (15 s buffer), "vod-churn".
 	Cells []string
-	// PlayoutLive / PlayoutVoD are the per-chunk deadlines after
-	// emission for the two content types.
-	PlayoutLive eventsim.Time
-	PlayoutVoD  eventsim.Time
-	// PullNeighbors is each member's seeded mesh-neighbor count; 0
-	// disables mesh-pull.
-	PullNeighbors int
 	// Leafset is the estimation leafset size for the Section 4.2
 	// bandwidth estimates that drive planning degrees.
 	Leafset int
 	// CrashRate is the churn intensity in crashes per virtual minute
 	// (churn cells only), drawn over session members (crashing idle
-	// pool hosts exercises nothing). RestartDelay is the downtime;
-	// DetectDelay the crash-to-NodeFailed detection lag.
+	// pool hosts exercises nothing). RestartDelay is the downtime.
 	CrashRate    float64
 	RestartDelay eventsim.Time
-	DetectDelay  eventsim.Time
-	// TickEvery is the control plane's Tick period.
-	TickEvery eventsim.Time
-	Seed      int64
+	Seed         int64
 	// Workers bounds the parallelism; <= 0 means runtime.NumCPU(). The
 	// output is identical for any worker count.
 	Workers int
@@ -84,9 +71,6 @@ func (o StreamOptions) withDefaults() StreamOptions {
 	if o.Chunks <= 0 {
 		o.Chunks = 45
 	}
-	if o.ChunkDur <= 0 {
-		o.ChunkDur = eventsim.Second
-	}
 	if len(o.Rungs) == 0 {
 		// Against the Gnutella mixture's ~1.1 Mbps mean member uplink:
 		// comfortable, near-capacity, and above-capacity rungs.
@@ -94,15 +78,6 @@ func (o StreamOptions) withDefaults() StreamOptions {
 	}
 	if len(o.Cells) == 0 {
 		o.Cells = []string{"live", "live-churn", "vod", "vod-churn"}
-	}
-	if o.PlayoutLive <= 0 {
-		o.PlayoutLive = 3 * eventsim.Second
-	}
-	if o.PlayoutVoD <= 0 {
-		o.PlayoutVoD = 15 * eventsim.Second
-	}
-	if o.PullNeighbors <= 0 {
-		o.PullNeighbors = 4
 	}
 	if o.Leafset <= 0 {
 		o.Leafset = 16
@@ -113,12 +88,6 @@ func (o StreamOptions) withDefaults() StreamOptions {
 	if o.RestartDelay <= 0 {
 		o.RestartDelay = 10 * eventsim.Second
 	}
-	if o.DetectDelay <= 0 {
-		o.DetectDelay = 800 * eventsim.Millisecond
-	}
-	if o.TickEvery <= 0 {
-		o.TickEvery = 250 * eventsim.Millisecond
-	}
 	return o
 }
 
@@ -127,12 +96,17 @@ func streamChurn(cell string) bool {
 	return cell == "live-churn" || cell == "vod-churn"
 }
 
+// playoutVoD is the per-chunk deadline after emission for on-demand
+// content: five times the live buffer, the slack that lets late and
+// pulled chunks still count.
+const playoutVoD = 15 * eventsim.Second
+
 // streamPlayout is the cell's per-chunk playout deadline.
-func (o StreamOptions) streamPlayout(cell string) eventsim.Time {
+func streamPlayout(cell string) eventsim.Time {
 	if cell == "vod" || cell == "vod-churn" {
-		return o.PlayoutVoD
+		return playoutVoD
 	}
-	return o.PlayoutLive
+	return playoutLive
 }
 
 // StreamRow is one (cell, rung) run's outcome. Everything except the
@@ -299,9 +273,9 @@ func streamRun(idx int, cell string, rung float64, opts StreamOptions) (StreamRo
 	row := StreamRow{Cell: cell, RungKbps: rung}
 
 	// --- control plane: submit, tick, churn ---
-	playout := opts.streamPlayout(cell)
+	playout := streamPlayout(cell)
 	pumpStart := 2 * eventsim.Second
-	streamEnd := pumpStart + eventsim.Time(opts.Chunks)*opts.ChunkDur + playout
+	streamEnd := pumpStart + eventsim.Time(opts.Chunks)*chunkDur + playout
 	runEnd := streamEnd + 10*eventsim.Second
 
 	for _, s := range sessions {
@@ -309,8 +283,8 @@ func streamRun(idx int, cell string, rung float64, opts StreamOptions) (StreamRo
 			return &sched.Session{ID: s.id, Priority: s.pri, Root: s.root, Members: append([]int(nil), s.members...)}
 		})
 	}
-	c.tickUntil(opts.TickEvery, runEnd)
-	c.wireChurn(opts.DetectDelay, nil)
+	c.tickUntil(runEnd)
+	c.wireChurn(mediaDetectDelay, nil)
 	if streamChurn(cell) {
 		// Churn hits streaming members only — crashing an idle pool
 		// host exercises nothing. Sources are spared: a dead source is
@@ -333,11 +307,9 @@ func streamRun(idx int, cell string, rung float64, opts StreamOptions) (StreamRo
 		}}
 	}
 	pumps := c.startPumps(model, pumpStart, dataplane.Config{
-		ChunkDur:      opts.ChunkDur,
-		BitrateKbps:   rung,
-		Playout:       playout,
-		Chunks:        opts.Chunks,
-		PullNeighbors: opts.PullNeighbors,
+		BitrateKbps: rung,
+		Playout:     playout,
+		Chunks:      opts.Chunks,
 	}, opts.Seed*10000+int64(idx)*100, specs)
 
 	if err := c.run(runEnd); err != nil {
@@ -396,7 +368,7 @@ func (r *StreamResult) Tables() []Table {
 			"the pool add uplink the bound does not see, so delivered above bound is the pool's "+
 			"contribution; offload = 1 - source bytes / total bytes",
 			r.Opts.Sessions, r.Opts.GroupSize, r.Opts.Hosts, r.Opts.Chunks,
-			float64(r.Opts.ChunkDur)/1000),
+			float64(chunkDur)/1000),
 	}
 	attrib := Table{
 		Title: "Streaming: deadline-miss attribution (tree miss partition)",
@@ -408,9 +380,9 @@ func (r *StreamResult) Tables() []Table {
 			"pull-rec/late/lost partition the tree misses (sum 100%%); live cells run a %.0fs "+
 			"playout buffer, vod %.0fs; churn cells crash %.0f members/min (restart after %.0fs, "+
 			"detected in %.1fs) — mesh-pull (%d seeded neighbors) recovers what the tree drops",
-			float64(r.Opts.PlayoutLive)/1000, float64(r.Opts.PlayoutVoD)/1000,
+			float64(playoutLive)/1000, float64(playoutVoD)/1000,
 			r.Opts.CrashRate, float64(r.Opts.RestartDelay)/1000,
-			float64(r.Opts.DetectDelay)/1000, r.Opts.PullNeighbors),
+			float64(mediaDetectDelay)/1000, pullNeighbors),
 	}
 	pct := func(part, whole int) string {
 		if whole == 0 {
