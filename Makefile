@@ -146,10 +146,13 @@ mains:
 # runs the multi-source grain the same way: M trees per conference on
 # one shared ledger, concurrent per-source pumps, market competition
 # and churn rejoins, with the continuous ledger sweeps arming the
-# nonzero exit on any conservation violation. The last step is the
-# benchmark's correctness gate on its control-plane workload — tree
-# validity, ledger invariants (cached counters recomputed from the
-# allocations) and repetition determinism — in two seconds.
+# nonzero exit on any conservation violation. The last two steps are
+# the benchmark's correctness gates: on its control-plane workload —
+# tree validity, ledger invariants (cached counters recomputed from the
+# allocations) and repetition determinism — in two seconds, and on its
+# planner workload — every AMCast, helper, Adjust and Repair tree valid
+# and within its degree bounds, two repetitions hashing alike — in
+# about five.
 ci: build fmt vet test race mains
 	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
@@ -160,3 +163,4 @@ ci: build fmt vet test race mains
 	$(GO) run -race ./cmd/experiments -fig stream -hosts 900 -stream-chunks 10 -seed 1 > /dev/null
 	$(GO) run -race ./cmd/experiments -fig conf -hosts 900 -conf-chunks 10 -seed 1 > /dev/null
 	$(GO) run ./bench -workload admit -seconds 2 > /dev/null
+	$(GO) run ./bench -workload plan-groups -seconds 1 > /dev/null

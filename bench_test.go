@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"p2ppool"
@@ -199,20 +200,72 @@ func BenchmarkPlanWithHelpers(b *testing.B) {
 	}
 }
 
-// BenchmarkAdjust measures the tree-improvement pass on a 100-node tree.
-func BenchmarkAdjust(b *testing.B) {
-	b.ReportAllocs()
-	pool := benchPool(b, 600)
-	r := rand.New(rand.NewSource(3))
-	perm := r.Perm(600)
-	base, err := pool.PlanSession(perm[0], perm[1:100], p2ppool.PlanOptions{NoHelpers: true})
+// adjustBenchSizes are the member counts BenchmarkAdjust and
+// BenchmarkRepair plan at: the Figure 8 group sizes and one beyond.
+var adjustBenchSizes = []int{20, 50, 100, 200}
+
+// benchPlannedTree plans one roster of the given size with helpers
+// recruited from a 600-host pool (Critical mode, not yet adjusted), and
+// returns the tree and the roster.
+func benchPlannedTree(b *testing.B, pool *p2ppool.Pool, members int) (*alm.Tree, []int) {
+	b.Helper()
+	roster := rand.New(rand.NewSource(3)).Perm(600)[:members]
+	t, err := pool.PlanSession(roster[0], roster[1:], p2ppool.PlanOptions{Mode: p2ppool.Critical})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := base.Clone()
-		alm.Adjust(t, pool.TrueLatency, pool.DegreeBound)
+	return t, roster
+}
+
+// BenchmarkAdjust measures the tree-improvement pass on planned trees,
+// helpers included; cloning the tree is outside the timer.
+func BenchmarkAdjust(b *testing.B) {
+	pool := benchPool(b, 600)
+	for _, members := range adjustBenchSizes {
+		base, _ := benchPlannedTree(b, pool, members)
+		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				t := base.Clone()
+				b.StartTimer()
+				alm.Adjust(t, pool.TrueLatency, pool.DegreeBound)
+			}
+		})
+	}
+}
+
+// BenchmarkRepair measures a crash repair — reattach the orphans, then
+// re-adjust — on the adjusted trees, after losing the first relaying
+// helper (or, with none recruited, the first relaying member).
+func BenchmarkRepair(b *testing.B) {
+	pool := benchPool(b, 600)
+	for _, members := range adjustBenchSizes {
+		base, roster := benchPlannedTree(b, pool, members)
+		alm.Adjust(base, pool.TrueLatency, pool.DegreeBound)
+		dead := -1
+		for _, v := range base.Nodes()[1:] {
+			if len(base.Children(v)) == 0 {
+				continue
+			}
+			if helper := !slices.Contains(roster, v); dead < 0 || helper {
+				dead = v
+				if helper {
+					break
+				}
+			}
+		}
+		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				t := base.Clone()
+				b.StartTimer()
+				if _, err := alm.Repair(t, []int{dead}, pool.TrueLatency, pool.DegreeBound); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -91,33 +91,39 @@ func Repair(t *Tree, dead []int, lat LatencyFunc, bound DegreeFunc) (RepairResul
 		}
 	}
 	// Largest subtrees first: they constrain placement the most.
+	size := make(map[int]int, len(live))
+	for _, o := range live {
+		size[o] = len(t.Subtree(o))
+	}
 	sort.Slice(live, func(i, j int) bool {
-		si, sj := len(t.Subtree(live[i])), len(t.Subtree(live[j]))
-		if si != sj {
+		if si, sj := size[live[i]], size[live[j]]; si != sj {
 			return si > sj
 		}
 		return live[i] < live[j]
 	})
 
-	hsc := newHeightScratch(t)
+	// Candidate parents are tried in ascending order, and only those
+	// reachable from the root via children lists (what a layout holds) —
+	// descendants of still-detached subtrees must not adopt anyone yet.
+	// The orphan's subtree is laid out after the tree and judged under
+	// each candidate: nothing else changes height.
+	v := viewPool.Get().(*view)
+	defer v.release()
+	ids := append(t.Nodes(), live...)
+	sort.Ints(ids)
+	v.candidates(ids)
 	for _, o := range live {
-		// Candidate parents are the nodes reachable from the root via
-		// children lists — Nodes() would also report descendants of
-		// still-detached subtrees, which must not adopt anyone yet.
-		reach := t.Subtree(t.Root)
-		sort.Ints(reach)
+		v.layout(t, lat)
+		_, cur := v.highest()
+		s := v.place(t, lat, o, -1)
 		bestW, bestMax := -1, math.Inf(1)
-		for _, w := range reach {
-			if bound != nil && t.Degree(w) >= bound(w) {
+		for _, w := range v.order {
+			if bound != nil && v.degree(w) >= bound(v.at[w].id) {
 				continue
 			}
-			t.parent[o] = w
-			t.children[w] = append(t.children[w], o)
-			if m := hsc.maxHeight(t, lat); m < bestMax {
-				bestMax, bestW = m, w
+			if m := v.under(s, w, lat, cur); m < bestMax {
+				bestMax, bestW = m, v.at[w].id
 			}
-			t.children[w] = removeOne(t.children[w], o)
-			delete(t.parent, o)
 		}
 		if bestW == -1 {
 			return res, fmt.Errorf("alm: no spare degree to reattach subtree at %d", o)
@@ -127,6 +133,6 @@ func Repair(t *Tree, dead []int, lat LatencyFunc, bound DegreeFunc) (RepairResul
 		res.Reattached++
 	}
 
-	res.AdjustMoves = Adjust(t, lat, bound)
+	res.AdjustMoves = adjust(t, v, lat, bound)
 	return res, nil
 }

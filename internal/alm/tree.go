@@ -165,62 +165,6 @@ func (t *Tree) MaxHeight(lat LatencyFunc) float64 {
 	return max
 }
 
-// heightScratch reuses BFS buffers across repeated height evaluations
-// on one tree. Adjust and Repair evaluate MaxHeight once per candidate
-// move — hundreds of evaluations per call. Heights are indexed by BFS
-// visit position, parallel to the queue, so the buffers are the size of
-// the tree whatever the host ids are, and the max/argmax reductions run
-// over two compact slices. Ties break by node id, so results match the
-// allocating Tree methods exactly. Not safe for concurrent use: every
-// caller owns its scratch.
-type heightScratch struct {
-	h     []float64
-	queue []int
-}
-
-func newHeightScratch(t *Tree) *heightScratch {
-	return &heightScratch{h: make([]float64, 0, t.Size()), queue: make([]int, 0, t.Size())}
-}
-
-// bfs walks the tree from the root and returns the visit order with each
-// visited node's height at the same index; both slices are valid until
-// the next call on s.
-func (s *heightScratch) bfs(t *Tree, lat LatencyFunc) ([]int, []float64) {
-	q, h := append(s.queue[:0], t.Root), append(s.h[:0], 0)
-	for head := 0; head < len(q); head++ {
-		v, hv := q[head], h[head]
-		for _, c := range t.children[v] {
-			q, h = append(q, c), append(h, hv+lat(v, c))
-		}
-	}
-	s.queue, s.h = q, h
-	return q, h
-}
-
-// maxHeight is Tree.MaxHeight on reused buffers.
-func (s *heightScratch) maxHeight(t *Tree, lat LatencyFunc) float64 {
-	max := 0.0
-	_, hs := s.bfs(t, lat)
-	for _, h := range hs {
-		if h > max {
-			max = h
-		}
-	}
-	return max
-}
-
-// highestNode is Tree.HighestNode on reused buffers.
-func (s *heightScratch) highestNode(t *Tree, lat LatencyFunc) int {
-	best, bestH := t.Root, -1.0
-	q, hs := s.bfs(t, lat)
-	for i, v := range q {
-		if h := hs[i]; h > bestH || (h == bestH && v < best) {
-			best, bestH = v, h
-		}
-	}
-	return best
-}
-
 // HighestNode returns the node with the largest height under lat (the
 // root for a singleton tree).
 func (t *Tree) HighestNode(lat LatencyFunc) int {
@@ -252,20 +196,6 @@ func (t *Tree) Subtree(v int) []int {
 		out = append(out, t.children[out[i]]...)
 	}
 	return out
-}
-
-// isAncestor reports whether a is an ancestor of b (or equal).
-func (t *Tree) isAncestor(a, b int) bool {
-	for {
-		if a == b {
-			return true
-		}
-		p, ok := t.parent[b]
-		if !ok {
-			return false
-		}
-		b = p
-	}
 }
 
 // reattach moves node v (and its subtree) under a new parent np.

@@ -417,6 +417,7 @@ func (p *Pool) PlanSession(root int, members []int, opt PlanOptions) (*alm.Tree,
 		hs.ScoreLatency = p.CoordLatency
 	}
 	if !opt.NoHelpers {
+		hs.Candidates = make([]int, 0, p.NumHosts())
 		for h := 0; h < p.NumHosts(); h++ {
 			if !inSession[h] {
 				hs.Candidates = append(hs.Candidates, h)
