@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test race vet bench bench-json bench-suite bench-compare bench-label profile chaos obs scale audit load stream conf mains ci
+.PHONY: all build fmt test race vet bench bench-json bench-suite bench-compare bench-label profile chaos obs scale audit load stream conf mains layout ci
 
 all: build
 
@@ -126,6 +126,19 @@ profile:
 mains:
 	for m in ./examples/* ./cmd/topostat; do $(GO) run $$m > /dev/null || exit 1; done
 
+# Where the linker put the alignment-sensitive coords loops in the
+# benchmark binary: coords.fitError (all of ring and plan-groups setup_s)
+# runs 7-30% slower entered at 32 mod 64 bytes than at 0, and every
+# package linked ahead of coords moves it (ROADMAP item 1). Prints,
+# gates nothing: read it before believing a timing, and compare it with
+# the parent's when an untouched layer's time moves.
+layout:
+	@mkdir -p .bench_build
+	$(GO) build -trimpath -buildvcs=false -o .bench_build/layout ./bench
+	@$(GO) tool nm .bench_build/layout | \
+		grep -E ' p2ppool/internal/coords\.(fitError|Minimize|\(\*Estimator\)\.refine)$$' | \
+		while read addr kind name; do echo "$$name 0x$$addr mod 64 = $$((0x$$addr % 64))"; done
+
 # The obs smoke run doubles as an end-to-end check that metrics +
 # tracing assemble a dashboard out of the SOMO root snapshot; the bench
 # smoke compiles and single-iterates every benchmark; the first scale
@@ -153,7 +166,7 @@ mains:
 # planner workload — every AMCast, helper, Adjust and Repair tree valid
 # and within its degree bounds, two repetitions hashing alike — in
 # about five.
-ci: build fmt vet test race mains
+ci: build fmt vet test race mains layout
 	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
 	$(GO) run ./cmd/experiments -fig scale -hosts 1200 -scale-runtime 30 -seed 1 > /dev/null

@@ -1,15 +1,11 @@
 package p2ppool_test
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (at reduced repetition counts; cmd/experiments
-// runs the full-size versions) and additionally benchmarks the core
-// algorithms in isolation. Run:
+// Micro-benchmarks of the layers in isolation. Run:
 //
 //	go test -bench=. -benchmem
 //
-// Figure-level benches report the measured headline quantity through
-// b.ReportMetric so regressions in result quality are as visible as
-// regressions in speed.
+// The studies are not benchmarked here: cmd/experiments prints each
+// one's wall time beside its tables.
 
 import (
 	"fmt"
@@ -24,135 +20,13 @@ import (
 	"p2ppool/internal/coords"
 	"p2ppool/internal/dht"
 	"p2ppool/internal/eventsim"
-	"p2ppool/internal/experiments"
 	"p2ppool/internal/ids"
 	"p2ppool/internal/netmodel"
 	"p2ppool/internal/sched"
 	"p2ppool/internal/somo"
-	"p2ppool/internal/stats"
 	"p2ppool/internal/topology"
 	"p2ppool/internal/transport"
 )
-
-// BenchmarkFig4Coordinates regenerates the Figure 4 coordinate-accuracy
-// experiment (GNP 16/32 vs leafset 16/32) and reports the Leafset-32
-// median relative error.
-func BenchmarkFig4Coordinates(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(experiments.Fig4Options{
-			Hosts: 600, Pairs: 1500, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range res.Series {
-			if s.Name == "Leafset-32" {
-				b.ReportMetric(stats.Median(s.Errors), "medianRelErr")
-			}
-		}
-	}
-}
-
-// BenchmarkFig5Bandwidth regenerates the Figure 5 bottleneck-bandwidth
-// estimation sweep and reports the uplink error at leafset 32.
-func BenchmarkFig5Bandwidth(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(experiments.Fig5Options{
-			Hosts: 1200, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.LeafsetSize == 32 {
-				b.ReportMetric(row.AvgUpError, "upRelErr@32")
-			}
-		}
-	}
-}
-
-// BenchmarkFig8SingleSession regenerates the Figure 8 single-session
-// improvement study (reduced runs) and reports Critical+adjust and
-// Leafset+adjust improvements at group size 20.
-func BenchmarkFig8SingleSession(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(experiments.Fig8Options{
-			Hosts: 1200, GroupSizes: []int{20, 100}, Runs: 3, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].CriticalAdj, "critAdj@20")
-		b.ReportMetric(res.Rows[0].LeafsetAdj, "leafAdj@20")
-	}
-}
-
-// BenchmarkFig10Multisession regenerates the Figure 10 market-driven
-// multi-session study (reduced sweep) and reports the priority-1
-// improvement under the heaviest competition.
-func BenchmarkFig10Multisession(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(experiments.Fig10Options{
-			Hosts: 1200, SessionCounts: []int{20, 60}, Runs: 2, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Rows[len(res.Rows)-1]
-		b.ReportMetric(last.Improvement[1], "prio1Imp@60")
-		b.ReportMetric(last.Helpers[1]-last.Helpers[3], "helperGap1v3")
-	}
-}
-
-// BenchmarkSOMOAggregation regenerates the Section 3.2 SOMO study and
-// reports the unsynchronized gather staleness at 256 nodes, fanout 8.
-func BenchmarkSOMOAggregation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.SOMOExperiment(experiments.SOMOOptions{
-			Sizes: []int{256}, Fanouts: []int{8}, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].Staleness, "unsyncStalenessMs")
-	}
-}
-
-// BenchmarkChurnRecovery runs the SOMO self-healing study and reports
-// the recovery time after a 15% mass crash.
-func BenchmarkChurnRecovery(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Churn(experiments.ChurnOptions{
-			Nodes: 96, CrashFractions: []float64{0.15}, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Rows[0].Recovered {
-			b.ReportMetric(res.Rows[0].RecoverySeconds, "recoverySec")
-		}
-	}
-}
-
-// BenchmarkAblationRadius runs the radius-sweep ablation.
-func BenchmarkAblationRadius(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Ablations(experiments.AblationOptions{
-			Hosts: 600, GroupSize: 20, Runs: 3, Seed: int64(i + 1),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- core-algorithm micro-benchmarks ---
 
 func benchPool(b *testing.B, hosts int) *p2ppool.Pool {
 	b.Helper()
@@ -720,15 +594,12 @@ type fanoutMsg struct{}
 
 func (fanoutMsg) Type() string { return "bench.fanout" }
 
-// BenchmarkLatencyOracle measures per-query cost of the three latency
-// oracles on the same 1464-router graph: exact (table load), ondemand
-// (LRU hit / Dijkstra miss mix) and coords (O(dim) flops). Build cost
-// is excluded; the memory trade is the scale study's subject.
+// BenchmarkLatencyOracle measures per-query cost of the two latency
+// oracles on the same 1464-router graph: exact (table load) and coords
+// (O(dim) flops). Build cost is excluded; the memory trade is the scale
+// study's subject.
 func BenchmarkLatencyOracle(b *testing.B) {
-	kinds := []topology.OracleKind{
-		topology.OracleExact, topology.OracleOnDemand, topology.OracleCoords,
-	}
-	for _, kind := range kinds {
+	for _, kind := range []topology.OracleKind{topology.OracleExact, topology.OracleCoords} {
 		b.Run(kind.String(), func(b *testing.B) {
 			cfg := topology.DefaultConfig()
 			cfg.StubDomainsPerTransit = 10 // 1464 routers

@@ -45,48 +45,31 @@ type Status struct {
 	DegreeBound int
 }
 
-// CoordSolver selects how BuildFast computes member coordinates.
-type CoordSolver int
-
-const (
-	// SolverAuto picks leafset relaxation up to solverLeafsetMax hosts
-	// and landmark GNP beyond — the default.
-	SolverAuto CoordSolver = iota
-	// SolverLeafset runs the round-based leafset relaxation (the
-	// deterministic equivalent of the live PIC protocol). Sequential:
-	// each round's solves feed the next node's references in order.
-	SolverLeafset
-	// SolverGNP runs the landmark GNP solve: a few dozen landmark
-	// hosts, every other host solved independently against them. The
-	// per-host solves parallelize perfectly, which is what makes
-	// 100k-host pool construction tractable.
-	SolverGNP
-)
-
-// solverLeafsetMax is the host count up to which SolverAuto keeps the
-// leafset relaxation: it covers the paper's sizes and the established
-// scale rows; past it the sequential relaxation dominates build time.
+// solverLeafsetMax is the host count up to which BuildFast computes
+// member coordinates with the round-based leafset relaxation (the
+// deterministic equivalent of the live PIC protocol; sequential, since
+// each round's solves feed the next node's references in order). It
+// covers the paper's sizes and the established scale rows; past it the
+// relaxation dominates build time and BuildFast switches to the
+// landmark GNP solve, whose per-host solves are independent and fan out
+// over the workers.
 const solverLeafsetMax = 12000
+
+// coordDim is the dimension member coordinates are embedded in, by both
+// constructions.
+const coordDim = 7
 
 // Options configures pool construction.
 type Options struct {
 	// Topology generates the underlay; zero value means the paper's
 	// default (600 routers, 1200 hosts).
 	Topology topology.Config
-	// Oracle overrides the topology's latency-oracle choice when the
-	// Topology field is left zero (otherwise set Topology.Oracle
-	// directly).
-	Oracle topology.OracleKind
-	// CoordSolver selects the fast-construction coordinate solver.
-	CoordSolver CoordSolver
 	// Bandwidth mixes the host capacity population; zero means the
 	// Gnutella-like default.
 	Bandwidth netmodel.Options
 	// LeafsetRadius is the DHT leafset radius (per side). The paper's
 	// metric quality results use a total leafset of 32, i.e. radius 16.
 	LeafsetRadius int
-	// CoordDim is the coordinate embedding dimension.
-	CoordDim int
 	// CoordRounds is the relaxation round count for fast construction.
 	CoordRounds int
 	// Seed drives all pool-level randomness.
@@ -101,7 +84,6 @@ func (o Options) withDefaults() Options {
 	if o.Topology.Hosts == 0 {
 		top := topology.DefaultConfig()
 		top.Seed = o.Seed
-		top.Oracle = o.Oracle
 		o.Topology = top
 	}
 	if o.Topology.Workers == 0 {
@@ -112,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LeafsetRadius <= 0 {
 		o.LeafsetRadius = 16
-	}
-	if o.CoordDim <= 0 {
-		o.CoordDim = 7
 	}
 	if o.CoordRounds <= 0 {
 		o.CoordRounds = 15
@@ -142,9 +121,6 @@ type Pool struct {
 	Sim    *transport.Sim
 	Nodes  []*dht.Node
 	Agents []*somo.Agent
-
-	// hostOf maps ring position (Nodes index) to host index.
-	hostOf []int
 }
 
 // BuildFast constructs the pool with round-based metric computation:
@@ -166,20 +142,11 @@ func BuildFast(opts Options) (*Pool, error) {
 	p.Degrees = alm.PaperDegrees(net.NumHosts(), r)
 
 	neighbors := ringNeighbors(net.NumHosts(), 2*opts.LeafsetRadius, r)
-	solver := opts.CoordSolver
-	if solver == SolverAuto {
-		if net.NumHosts() > solverLeafsetMax {
-			solver = SolverGNP
-		} else {
-			solver = SolverLeafset
-		}
-	}
-	switch solver {
-	case SolverGNP:
+	if net.NumHosts() > solverLeafsetMax {
 		p.Coords, err = solveGNPHosts(net, opts)
-	default:
+	} else {
 		p.Coords, err = coords.SolveLeafset(net.Latency, net.NumHosts(), neighbors, coords.LeafsetConfig{
-			Dim:    opts.CoordDim,
+			Dim:    coordDim,
 			Rounds: opts.CoordRounds,
 			Seed:   opts.Seed + 3,
 			// A full leafset's worth of early joiners can all measure each
@@ -217,7 +184,7 @@ func solveGNPHosts(net *topology.Network, opts Options) ([]coords.Vector, error)
 		}
 	}
 	return coords.SolveGNP(net.Latency, n, lms, coords.GNPConfig{
-		Dim:           opts.CoordDim,
+		Dim:           coordDim,
 		Rounds:        24,
 		Seed:          opts.Seed + 3,
 		Spread:        spread / 2,
@@ -257,7 +224,6 @@ func ringNeighbors(n, L int, r *rand.Rand) func(i int) []int {
 // runs are heavier than fast ones; tests use 64-256 hosts.
 type LiveOptions struct {
 	Options
-	DHT  dht.Config
 	SOMO somo.Config
 	// Converge runs the engine this long after construction (0 means
 	// the caller drives the engine).
@@ -288,19 +254,14 @@ func BuildLive(opts LiveOptions) (*Pool, error) {
 		Latency:    net.Latency,
 		Bottleneck: model.PathBottleneck,
 	})
-	if opts.DHT.LeafsetRadius == 0 {
-		opts.DHT.LeafsetRadius = base.LeafsetRadius
-	}
-	p.Nodes, _, err = Ring(OnNet(p.Sim), dht.RandomIDs(n, r), opts.DHT)
+	p.Nodes, _, err = Ring(OnNet(p.Sim), dht.RandomIDs(n, r), dht.Config{LeafsetRadius: base.LeafsetRadius})
 	if err != nil {
 		return nil, err
 	}
-	p.hostOf = make([]int, n)
 	p.Coords = make([]coords.Vector, n)
 	p.Bandwidth = make([]bandwidth.Estimates, n)
 	p.Agents = make([]*somo.Agent, n)
 	for i, nd := range p.Nodes {
-		p.hostOf[i] = int(nd.Self().Addr)
 		p.Agents[i] = p.attachStack(nd, opts.SOMO, 100)
 	}
 	if opts.Converge > 0 {
@@ -373,10 +334,9 @@ type PlanOptions struct {
 	NoHelpers bool
 	// Scoring selects the candidate-ranking heuristic (ablation).
 	Scoring alm.Scoring
-	// VerifyTop / RadiusSlack tune Leafset-mode candidate verification
-	// (0 means the alm defaults).
-	VerifyTop   int
-	RadiusSlack float64
+	// VerifyTop tunes Leafset-mode candidate verification (0 means the
+	// alm default).
+	VerifyTop int
 }
 
 // PlanSession plans one ALM session over the pool: members plus
@@ -404,10 +364,9 @@ func (p *Pool) PlanSession(root int, members []int, opt PlanOptions) (*alm.Tree,
 		Degree:  p.DegreeBound,
 	}
 	hs := alm.HelperSet{
-		Radius:      opt.Radius,
-		Scoring:     opt.Scoring,
-		VerifyTop:   opt.VerifyTop,
-		RadiusSlack: opt.RadiusSlack,
+		Radius:    opt.Radius,
+		Scoring:   opt.Scoring,
+		VerifyTop: opt.VerifyTop,
 		// Both vicinity-knowledge sources here are metrics — topology
 		// shortest-path latency and Euclidean coordinate distance — so
 		// the planner may use its indexed candidate search.
@@ -517,7 +476,7 @@ func (p *Pool) OptimizeRoot(score func(host int) float64) (swapped bool, err err
 func (p *Pool) attachStack(nd *dht.Node, cfg somo.Config, seedBase int64) *somo.Agent {
 	host := int(nd.Self().Addr)
 	est := coords.NewEstimator(nd, coords.EstimatorOptions{
-		Dim:  p.opts.CoordDim,
+		Dim:  coordDim,
 		Seed: p.opts.Seed + seedBase + int64(host),
 	})
 	prober := bandwidth.NewProber(nd, bandwidth.ProberOptions{})

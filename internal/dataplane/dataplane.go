@@ -199,23 +199,8 @@ type Config struct {
 	// Chunks is how many chunks the source emits (required).
 	Chunks int
 	// PullNeighbors is each member's seeded mesh-neighbor count
-	// (default 3; 0 disables mesh-pull).
+	// (default 0: tree only, no mesh-pull).
 	PullNeighbors int
-	// PullStart is how long after emission a member missing the chunk
-	// first pulls (default 60% of Playout: late enough that a chunk
-	// still descending the tree under load is not pulled redundantly,
-	// early enough to leave the rest of the window for recovery).
-	PullStart eventsim.Time
-	// PullRetry is the rotation interval between pull attempts
-	// (default ChunkDur / 2).
-	PullRetry eventsim.Time
-	// PullTimeout is how long a sent pull suppresses further pulls for
-	// the same chunk (default 2 * ChunkDur) — the window in which the
-	// answering neighbor's transfer is presumed still in flight.
-	// Without it every retry round re-asks while a response is being
-	// shipped, and the duplicate transfers congest the very uplinks
-	// the tree needs (pull-storm congestion collapse).
-	PullTimeout eventsim.Time
 	// Seed draws the mesh neighbor sets (pre-drawn at StartPump; the
 	// running pump draws no randomness).
 	Seed int64
@@ -226,25 +211,16 @@ func (c Config) withDefaults() Config {
 		c.ChunkDur = eventsim.Second
 	}
 	if c.Playout <= 0 {
-		// Derived from the configured chunk, not a fixed 3 s: every
-		// downstream pull default (PullStart = 60% of Playout, retries
-		// inside the remaining window) is tuned as a fraction of the
-		// chunk timescale, and a fixed default under, say, a 4x chunk
-		// override would start pulls before the tree's first-hop
-		// transfer of a chunk can even finish.
+		// Derived from the configured chunk, not a fixed 3 s: the pull
+		// timings (first pull at 60% of Playout, retries inside the
+		// remaining window) are fractions of the chunk timescale, and a
+		// fixed default under, say, a 4x chunk override would start
+		// pulls before the tree's first-hop transfer of a chunk can even
+		// finish.
 		c.Playout = 3 * c.ChunkDur
 	}
 	if c.PullNeighbors < 0 {
 		c.PullNeighbors = 0
-	}
-	if c.PullStart <= 0 {
-		c.PullStart = c.Playout * 3 / 5
-	}
-	if c.PullRetry <= 0 {
-		c.PullRetry = c.ChunkDur / 2
-	}
-	if c.PullTimeout <= 0 {
-		c.PullTimeout = 2 * c.ChunkDur
 	}
 	return c
 }
@@ -332,6 +308,20 @@ type Pump struct {
 	start      eventsim.Time
 	hosts      map[int]*hostState
 
+	// The mesh-pull timings are expressions of the chunk and playout
+	// timescales, not options, so they cannot decouple from them.
+	// pullStart is how long after emission a member missing the chunk
+	// first pulls: late enough that a chunk still descending the tree
+	// under load is not pulled redundantly, early enough to leave the
+	// rest of the window for recovery. pullRetry is the rotation interval
+	// between attempts. pullTimeout is how long a sent pull suppresses
+	// further pulls for the same chunk — the window in which the
+	// answering neighbor's transfer is presumed still in flight; without
+	// it every retry round re-asks while a response is being shipped, and
+	// the duplicate transfers congest the very uplinks the tree needs
+	// (pull-storm congestion collapse).
+	pullStart, pullRetry, pullTimeout eventsim.Time
+
 	stats Stats
 }
 
@@ -365,6 +355,10 @@ func (pl *Plane) StartPump(key, root int, members []int, tree TreeFunc, alive fu
 		chunkBytes: int(cfg.BitrateKbps * float64(cfg.ChunkDur) / 8),
 		start:      at,
 		hosts:      make(map[int]*hostState),
+
+		pullStart:   cfg.Playout * 3 / 5,
+		pullRetry:   cfg.ChunkDur / 2,
+		pullTimeout: 2 * cfg.ChunkDur,
 	}
 	// Seed the mesh: every member gets PullNeighbors distinct fellow
 	// members, pre-drawn so the running pump draws no randomness.
@@ -429,7 +423,7 @@ func (p *Pump) emit(s int) {
 		}
 		p.host(m).got[s].expected = true
 		p.stats.Expected++
-		p.schedulePull(m, s, p.cfg.PullStart)
+		p.schedulePull(m, s, p.pullStart)
 	}
 	p.forward(p.root, s)
 }
@@ -503,7 +497,7 @@ func (p *Pump) schedulePull(m, s int, delay eventsim.Time) {
 // re-arms. A crashed member skips the round but keeps the schedule (it
 // may restart inside a long VoD window); a crashed or chunk-less
 // neighbor simply never answers and the rotation moves on. A pull sent
-// within the last PullTimeout suppresses this round's send — the
+// within the last pullTimeout suppresses this round's send — the
 // neighbor's response may still be in flight, and re-asking would spend
 // mesh uplink shipping duplicates.
 func (p *Pump) pullRound(m, s int, delay eventsim.Time) {
@@ -513,7 +507,7 @@ func (p *Pump) pullRound(m, s int, delay eventsim.Time) {
 		return
 	}
 	now := p.plane.net.Now()
-	if p.alive(m) && (!st.pullSent || now-st.lastPull >= p.cfg.PullTimeout) {
+	if p.alive(m) && (!st.pullSent || now-st.lastPull >= p.pullTimeout) {
 		n := hs.nbrs[hs.nextNbr%len(hs.nbrs)]
 		hs.nextNbr++
 		st.pullSent = true
@@ -522,7 +516,7 @@ func (p *Pump) pullRound(m, s int, delay eventsim.Time) {
 		p.plane.cPulls.Inc()
 		p.plane.net.Send(transport.Addr(m), transport.Addr(n), headerBytes, pullMsg{Key: p.key, Seq: s, From: m})
 	}
-	p.schedulePull(m, s, delay+p.cfg.PullRetry)
+	p.schedulePull(m, s, delay+p.pullRetry)
 }
 
 // onPull answers a mesh-pull request at host h: if h has the chunk (and

@@ -244,3 +244,34 @@ func TestPumpPullDefaultsScaleWithChunkDuration(t *testing.T) {
 		t.Fatalf("outcomes %+v, want every chunk on time via the tree", st)
 	}
 }
+
+func TestPumpPullTimingsFollowTheirBases(t *testing.T) {
+	// The three mesh-pull timings are computed from ChunkDur and Playout
+	// when the pump starts: first pull at 60% of the playout window, a
+	// retry every half chunk, a sent pull suppressing re-asks for two
+	// chunks — whether the bases are defaults or set.
+	const s = eventsim.Second
+	for _, tc := range []struct {
+		chunkDur, playout             eventsim.Time
+		wantStart, wantRetry, wantOut eventsim.Time
+	}{
+		{0, 0, 1800, 500, 2 * s}, // defaults: 1 s chunks, 3 s playout
+		{4 * s, 0, 7200, 2 * s, 8 * s},
+		{4 * s, 20 * s, 12 * s, 2 * s, 8 * s},
+		{0, 10 * s, 6 * s, 500, 2 * s},
+	} {
+		_, pl := world(t, 2, 10000, 10000)
+		tr := chain(0, 1)
+		p, err := pl.StartPump(1, 0, []int{1}, func() *alm.Tree { return tr }, nil, 0, Config{
+			BitrateKbps: 400, ChunkDur: tc.chunkDur, Playout: tc.playout, Chunks: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.pullStart != tc.wantStart || p.pullRetry != tc.wantRetry || p.pullTimeout != tc.wantOut {
+			t.Errorf("ChunkDur %v, Playout %v: pull start/retry/timeout = %v/%v/%v, want %v/%v/%v",
+				tc.chunkDur, tc.playout, p.pullStart, p.pullRetry, p.pullTimeout,
+				tc.wantStart, tc.wantRetry, tc.wantOut)
+		}
+	}
+}

@@ -49,7 +49,7 @@ type Fig4Result struct {
 }
 
 // fig4Dim is the embedding dimension of every series: the one the pool
-// itself embeds in (core.Options.CoordDim), so the CDFs describe the
+// itself embeds in (core's coordDim), so the CDFs describe the
 // coordinates the planner sees.
 const fig4Dim = 7
 

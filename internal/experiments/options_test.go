@@ -1,181 +1,511 @@
 package experiments
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestStudyOptionsHaveWriters: a field of an exported *Options struct is
-// an option only while someone sets it (DESIGN.md §10 "Study
-// parameters"). Every field must appear as a composite-literal key of
-// its struct, or as the target of an assignment outside withDefaults,
-// somewhere in this package (tests included), cmd/experiments or the
-// root bench_test.go. A parameter nobody sets is a constant: declare it
-// beside the run function that reads it.
-//
-// Types are resolved by syntax alone: a local's type is what its
-// declaration shows (a composite literal, a call of a function declared
-// here that returns an Options struct, withDefaults on either, a
-// parameter). An assignment through anything else — x.Opts.F, the
-// result of another package's function — counts for every struct with a
-// field of that name.
+// parkedUntilLayoutProof names the library fields no caller sets that
+// stay anyway, because deleting one changes the text the linker lays
+// out ahead of coords.fitError in the benchmark binary and can move
+// that loop between 0 and 32 mod 64, which swings setup_s by 7-30%
+// (ROADMAP item 1, `make layout`). All but one sit in coords or a
+// package linked ahead of it; core.Options.Bandwidth sits after, but is
+// what keeps netmodel.Class's type descriptor, and with it 160 bytes of
+// equality function ahead of coords, in the binary. The PR that makes
+// fitError layout-proof turns each into a constant and empties this
+// list; nothing may be added to it.
+var parkedUntilLayoutProof = []string{
+	"bandwidth.ProberOptions.PadBytes",
+	"core.Options.Bandwidth",
+	"coords.LeafsetConfig.Damping",
+	"coords.LeafsetConfig.MaxIter",
+	"coords.LeafsetConfig.RelativeError",
+	"coords.LeafsetConfig.Spread",
+	"coords.SimplexOptions.Tolerance",
+	"dht.Config.HeartbeatBytes",
+	"dht.Config.SuspectTTL",
+	"sched.Config.HelperRadius",
+	"sched.ServiceConfig.MaxShedPerTick",
+	"somo.Config.GatherWindow",
+	"somo.Config.ReportBytesPerRecord",
+}
+
+// TestStudyOptionsHaveWriters: a field of an exported Config or Options
+// struct under internal/ is an option only while someone sets it
+// (DESIGN.md §10 "Study parameters" and "Library parameters"). Every
+// field must appear as a composite-literal key of its struct, or as the
+// target of an assignment, somewhere in the module — library, study,
+// bench/, cmd/, an example, a test — outside the struct's own defaults
+// (withDefaults and the DefaultConfig table it reads). A parameter
+// nobody sets is a constant: declare it beside the code that reads it.
 func TestStudyOptionsHaveWriters(t *testing.T) {
+	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, pattern := range []string{"*.go", "../../cmd/experiments/*.go", "../../bench_test.go"} {
-		paths, err := filepath.Glob(pattern)
-		if err != nil || len(paths) == 0 {
-			t.Fatalf("no files match %s (%v)", pattern, err)
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return fs.SkipDir // .git, .bench_build
 		}
-		for _, path := range paths {
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
 		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		files[filepath.ToSlash(rel)] = f
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// typeName spells a type expression the way this package would:
-	// pointers stripped, the experiments qualifier dropped, any other
-	// package's kept (so core.PlanOptions is nobody's struct here).
-	var typeName func(e ast.Expr) string
-	typeName = func(e ast.Expr) string {
-		switch e := e.(type) {
-		case *ast.Ident:
-			return e.Name
-		case *ast.StarExpr:
-			return typeName(e.X)
-		case *ast.SelectorExpr:
-			if pkg, ok := e.X.(*ast.Ident); ok && pkg.Name != "experiments" {
-				return pkg.Name + "." + e.Sel.Name
-			}
-			return e.Sel.Name
-		}
-		return ""
+	orphans, guessed := writerlessFields(files)
+	for _, g := range guessed {
+		t.Logf("assignment through an unresolved type, counted for every struct with the field: %s", g)
 	}
+	var unparked []string
+	for _, o := range orphans {
+		if !slices.Contains(parkedUntilLayoutProof, o) {
+			unparked = append(unparked, o)
+		}
+	}
+	if len(unparked) > 0 {
+		t.Errorf("%d option field(s) no flag, study, library caller, test or benchmark sets — make each a constant beside its reader:\n  %s",
+			len(unparked), strings.Join(unparked, "\n  "))
+	}
+	for _, p := range parkedUntilLayoutProof {
+		if !slices.Contains(orphans, p) {
+			t.Errorf("%s is parked as writer-less but has a writer now, or is gone: delete it from parkedUntilLayoutProof", p)
+		}
+	}
+}
 
-	// unwritten[struct][field] starts as every field of every exported
-	// *Options struct; returns maps this package's functions to the
-	// Options struct they return.
+// TestWriterScanner runs the scanner over a module small enough to
+// read, one case per way a field gets (or fails to get) a writer.
+func TestWriterScanner(t *testing.T) {
+	src := map[string]string{
+		"internal/lib/lib.go": `package lib
+type Config struct {
+	Lit, Assigned, Promoted, ViaAlias, ViaCall, ViaField, InSlice, InTable int
+	Sub SubConfig
+	DefaultedOnly, InDefaultTable, NeverSet int
+}
+type SubConfig struct{ Deep, NeverSet int }
+func (c Config) withDefaults() Config { c.DefaultedOnly = 1; return c }
+func DefaultConfig() Config { return Config{InDefaultTable: 1} }
+func Default() Config { return Config{} }
+type LiveOptions struct {
+	Config
+	Own int
+}
+type Holder struct{ cfg Config }
+type other struct{ NeverSet int }
+func touch(o *other) { o.NeverSet = 1 }
+type unexportedStaysOut struct{ X int }
+`,
+		"internal/lib/lib_test.go": `package lib
+type TestOnlyConfig struct{ X int }
+func f(h *Holder) {
+	c := Default()
+	c.ViaCall = 1
+	h.cfg.ViaField = 1
+	for _, e := range []Config{{InSlice: 1}} { _ = e }
+	for _, tc := range []struct{ cfg Config }{{}} { tc.cfg.InTable = 1 }
+	c.Sub.Deep = 1
+}
+`,
+		"mod.go": `package mod
+import "mod/internal/lib"
+type Options = lib.Config
+`,
+		"cmd/tool/main.go": `package main
+import (
+	"mod"
+	l "mod/internal/lib"
+)
+func main() {
+	a := l.Config{Lit: 1}
+	a.Assigned = 2
+	var live l.LiveOptions
+	live.Promoted = 3
+	live.Own = 4
+	_ = mod.Options{ViaAlias: 5}
+}
+`,
+	}
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	for path, text := range src {
+		f, err := parser.ParseFile(fset, path, text, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[path] = f
+	}
+	orphans, guessed := writerlessFields(files)
+	want := []string{"lib.Config.DefaultedOnly", "lib.Config.InDefaultTable", "lib.Config.NeverSet", "lib.SubConfig.NeverSet"}
+	if !slices.Equal(orphans, want) || len(guessed) != 0 {
+		t.Errorf("writer-less fields %v (guessed %v), want %v and no guess", orphans, guessed, want)
+	}
+}
+
+// writerlessFields returns, sorted, every pkg.Struct.Field of an
+// exported struct named *Config or *Options, declared in a non-test file
+// under internal/, that no file sets outside a function named
+// withDefaults or DefaultConfig.
+// files maps a slash-separated path relative to the module root to its
+// syntax.
+//
+// Types are resolved by syntax alone, a package being known by its name
+// (the last element of its import path): a local's type is what its
+// declaration shows — a composite literal, a parameter, a call of a
+// function or method declared in the module, a field of a struct
+// declared in the module, an element of a slice or map of those — with
+// type aliases followed and embedded structs' fields promoted. An
+// assignment whose target cannot be typed that way counts for every
+// struct with a field of that name, and is reported in guessed.
+func writerlessFields(files map[string]*ast.File) (orphans, guessed []string) {
+	// source is one file with its package's key — the package name, or
+	// the directory for the main packages, which nobody imports and
+	// which would otherwise share one key — and its imports, local name
+	// to package key.
+	type source struct {
+		path, pkg string
+		f         *ast.File
+		imports   map[string]string
+	}
+	var sources []source
+	for path, f := range files {
+		src := source{path: path, pkg: f.Name.Name, f: f, imports: map[string]string{}}
+		if src.pkg == "main" {
+			src.pkg = filepath.ToSlash(filepath.Dir(path))
+		}
+		for _, spec := range f.Imports {
+			imported := strings.Trim(spec.Path.Value, `"`)
+			name := imported[strings.LastIndex(imported, "/")+1:]
+			if spec.Name != nil {
+				src.imports[spec.Name.Name] = name
+			} else {
+				src.imports[name] = name
+			}
+		}
+		sources = append(sources, src)
+	}
+	slices.SortFunc(sources, func(a, b source) int { return strings.Compare(a.path, b.path) })
+	// fields holds every struct's fields and their types, the embedded
+	// ones under "" joined by spaces; unwritten the fields on trial.
+	fields := map[string]map[string]string{}
 	unwritten := map[string]map[string]bool{}
-	returns := map[string]string{}
-	for _, f := range files {
-		if f.Name.Name != "experiments" {
-			continue
+	alias := map[string]string{}
+	// typeName spells a type expression as pkg.Name, "[]"+element for a
+	// slice, array, map or variadic parameter, "func()"+result for a
+	// function of one result, "" for anything else. A struct type
+	// written in place is declared under a name made of its position.
+	var typeName func(pkg string, imports map[string]string, e ast.Expr) string
+	declareStruct := func(key, pkg string, imports map[string]string, st *ast.StructType, onTrial bool) {
+		fields[key] = map[string]string{}
+		if onTrial {
+			unwritten[key] = map[string]bool{}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Options") {
-				return true
+		for _, field := range st.Fields.List {
+			typ := typeName(pkg, imports, field.Type)
+			if len(field.Names) == 0 {
+				fields[key][""] += typ + " "
 			}
-			if st, ok := ts.Type.(*ast.StructType); ok {
-				unwritten[ts.Name.Name] = map[string]bool{}
-				for _, field := range st.Fields.List {
-					for _, name := range field.Names {
-						unwritten[ts.Name.Name][name.Name] = true
-					}
+			for _, name := range field.Names {
+				fields[key][name.Name] = typ
+				if onTrial {
+					unwritten[key][name.Name] = true
 				}
 			}
+		}
+	}
+	typeName = func(pkg string, imports map[string]string, e ast.Expr) string {
+		name := ""
+		switch e := e.(type) {
+		case *ast.StructType:
+			name = fmt.Sprintf("struct@%d", e.Pos())
+			if fields[name] == nil {
+				declareStruct(name, pkg, imports, e, false)
+			}
+			return name
+		case *ast.Ident:
+			name = pkg + "." + e.Name
+		case *ast.StarExpr:
+			return typeName(pkg, imports, e.X)
+		case *ast.SelectorExpr:
+			if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
+				name = imports[x.Name] + "." + e.Sel.Name
+			}
+		case *ast.ArrayType:
+			return "[]" + typeName(pkg, imports, e.Elt)
+		case *ast.MapType:
+			return "[]" + typeName(pkg, imports, e.Value)
+		case *ast.Ellipsis:
+			return "[]" + typeName(pkg, imports, e.Elt)
+		case *ast.FuncType:
+			if e.Results != nil && len(e.Results.List) == 1 && len(e.Results.List[0].Names) <= 1 {
+				return "func()" + typeName(pkg, imports, e.Results.List[0].Type)
+			}
+		}
+		for alias[name] != "" {
+			name = alias[name]
+		}
+		return name
+	}
+
+	// Pass 1: every named struct, every alias, and which fields are on
+	// trial.
+	for _, src := range sources {
+		path, f, pkg, imports := src.path, src.f, src.pkg, src.imports
+		onTrial := strings.HasPrefix(path, "internal/") && !strings.HasSuffix(path, "_test.go")
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			key := pkg + "." + ts.Name.Name
+			if ts.Assign.IsValid() {
+				alias[key] = typeName(pkg, imports, ts.Type)
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			declareStruct(key, pkg, imports, st, onTrial && ts.Name.IsExported() &&
+				(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")))
 			return true
 		})
 	}
-	if len(unwritten) == 0 {
-		t.Fatal("found no *Options struct")
+	// findField returns the struct that declares the field a selector on
+	// struct typ reaches — typ itself or a struct it embeds — and the
+	// field's type.
+	var findField func(typ, name string) (owner, fieldType string, ok bool)
+	findField = func(typ, name string) (string, string, bool) {
+		if ft, ok := fields[typ][name]; ok && name != "" {
+			return typ, ft, true
+		}
+		for _, emb := range strings.Fields(fields[typ][""]) {
+			if emb[strings.LastIndex(emb, ".")+1:] == name {
+				return typ, emb, true
+			}
+			if owner, ft, ok := findField(emb, name); ok {
+				return owner, ft, true
+			}
+		}
+		return "", "", false
 	}
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Type.Results != nil && len(fd.Type.Results.List) == 1 {
-				if name := typeName(fd.Type.Results.List[0].Type); unwritten[name] != nil {
-					returns[fd.Name.Name] = name
+
+	// Pass 2: what each function and method of the module returns.
+	results := map[string][]string{}
+	for _, src := range sources {
+		pkg, imports := src.pkg, src.imports
+		for _, d := range src.f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Type.Results == nil {
+				continue
+			}
+			var out []string
+			for _, res := range fd.Type.Results.List {
+				for i := 0; i < max(1, len(res.Names)); i++ {
+					out = append(out, typeName(pkg, imports, res.Type))
 				}
 			}
+			key := pkg
+			if fd.Recv != nil {
+				key = typeName(pkg, imports, fd.Recv.List[0].Type)
+			}
+			results[key+"."+fd.Name.Name] = out
 		}
 	}
 
-	write := func(owner, field string) {
-		if owner != "" {
-			delete(unwritten[owner], field)
-			return
+	// Pass 3: the writes.
+	for _, src := range sources {
+		path, f, pkg, imports := src.path, src.f, src.pkg, src.imports
+		// write records a write of field through a value of type owner.
+		write := func(owner, field string) {
+			if fields[owner] != nil {
+				if o, _, ok := findField(owner, field); ok {
+					delete(unwritten[o], field)
+				}
+				return
+			}
+			for key, fs := range unwritten {
+				if fs[field] {
+					delete(fs, field)
+					guessed = append(guessed, path+": "+key+"."+field)
+				}
+			}
 		}
-		for _, fields := range unwritten {
-			delete(fields, field)
-		}
-	}
-	for _, f := range files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Name.Name == "withDefaults" {
+			fd, isFunc := d.(*ast.FuncDecl)
+			if isFunc && (fd.Body == nil || fd.Name.Name == "withDefaults" || fd.Name.Name == "DefaultConfig") {
 				continue
 			}
 			// locals maps a name to its declared type within this
-			// function, latest declaration in source order winning.
+			// declaration, latest in source order winning; litType holds
+			// the type a composite literal takes from the slice or map
+			// literal around it.
 			locals := map[string]string{}
+			litType := map[*ast.CompositeLit]string{}
 			declare := func(fl *ast.FieldList) {
 				if fl == nil {
 					return
 				}
 				for _, field := range fl.List {
 					for _, name := range field.Names {
-						locals[name.Name] = typeName(field.Type)
+						locals[name.Name] = typeName(pkg, imports, field.Type)
 					}
 				}
 			}
-			declare(fd.Recv)
-			declare(fd.Type.Params)
-			var typeOf func(e ast.Expr) string
-			typeOf = func(e ast.Expr) string {
-				switch e := e.(type) {
-				case *ast.CompositeLit:
-					return typeName(e.Type)
-				case *ast.UnaryExpr:
-					return typeOf(e.X)
-				case *ast.Ident:
-					return locals[e.Name]
-				case *ast.CallExpr:
-					switch fun := e.Fun.(type) {
-					case *ast.Ident:
-						return returns[fun.Name]
-					case *ast.SelectorExpr:
-						if fun.Sel.Name == "withDefaults" {
-							return typeOf(fun.X)
-						}
-					}
+			if isFunc {
+				declare(fd.Recv)
+				declare(fd.Type.Params)
+				declare(fd.Type.Results)
+			}
+			// typesOf is the type of each value e yields: one, or a
+			// call's several results.
+			var typesOf func(e ast.Expr) []string
+			typeOf := func(e ast.Expr) string {
+				if ts := typesOf(e); len(ts) > 0 {
+					return ts[0]
 				}
 				return ""
 			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
+			typesOf = func(e ast.Expr) []string {
+				switch e := e.(type) {
+				case *ast.CompositeLit:
+					if e.Type == nil {
+						return []string{litType[e]}
+					}
+					return []string{typeName(pkg, imports, e.Type)}
+				case *ast.FuncLit:
+					return []string{typeName(pkg, imports, e.Type)}
+				case *ast.UnaryExpr:
+					return typesOf(e.X)
+				case *ast.StarExpr:
+					return typesOf(e.X)
+				case *ast.ParenExpr:
+					return typesOf(e.X)
+				case *ast.Ident:
+					return []string{locals[e.Name]}
+				case *ast.IndexExpr:
+					return []string{strings.TrimPrefix(typeOf(e.X), "[]")}
+				case *ast.SelectorExpr:
+					_, ft, _ := findField(typeOf(e.X), e.Sel.Name)
+					return []string{ft}
+				case *ast.CallExpr:
+					switch fun := e.Fun.(type) {
+					case *ast.Ident:
+						if res, ok := strings.CutPrefix(locals[fun.Name], "func()"); ok {
+							return []string{res}
+						}
+						return results[pkg+"."+fun.Name]
+					case *ast.SelectorExpr:
+						if x, ok := fun.X.(*ast.Ident); ok && locals[x.Name] == "" && imports[x.Name] != "" {
+							return results[imports[x.Name]+"."+fun.Sel.Name]
+						}
+						return results[typeOf(fun.X)+"."+fun.Sel.Name]
+					}
+				}
+				return nil
+			}
+			define := func(lhs []ast.Expr, rhs []ast.Expr) {
+				var types []string
+				if len(rhs) == 1 {
+					types = typesOf(rhs[0])
+				} else {
+					for _, r := range rhs {
+						types = append(types, typeOf(r))
+					}
+				}
+				for i, l := range lhs {
+					if id, ok := l.(*ast.Ident); ok {
+						locals[id.Name] = ""
+						if i < len(types) {
+							locals[id.Name] = types[i]
+						}
+					}
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.FuncLit:
 					declare(n.Type.Params)
 				case *ast.ValueSpec:
-					for _, name := range n.Names {
-						locals[name.Name] = typeName(n.Type)
+					if n.Type != nil {
+						for _, name := range n.Names {
+							locals[name.Name] = typeName(pkg, imports, n.Type)
+						}
+					} else {
+						lhs := make([]ast.Expr, len(n.Names))
+						for i, name := range n.Names {
+							lhs[i] = name
+						}
+						define(lhs, n.Values)
+					}
+				case *ast.RangeStmt:
+					if n.Tok == token.DEFINE && n.Value != nil {
+						if id, ok := n.Value.(*ast.Ident); ok {
+							locals[id.Name] = strings.TrimPrefix(typeOf(n.X), "[]")
+						}
 					}
 				case *ast.CompositeLit:
-					if name := typeName(n.Type); unwritten[name] != nil {
-						for _, el := range n.Elts {
-							if kv, ok := el.(*ast.KeyValueExpr); ok {
-								write(name, kv.Key.(*ast.Ident).Name)
-							}
+					typ := typeOf(n)
+					elem, isList := strings.CutPrefix(typ, "[]")
+					for _, el := range n.Elts {
+						kv, keyed := el.(*ast.KeyValueExpr)
+						if keyed {
+							el = kv.Value
+						}
+						if u, ok := el.(*ast.UnaryExpr); ok {
+							el = u.X
+						}
+						if inner, ok := el.(*ast.CompositeLit); ok && inner.Type == nil && isList {
+							litType[inner] = elem
+						}
+						if keyed {
+							el = kv.Key
+						}
+						if key, ok := el.(*ast.Ident); keyed && ok && fields[typ] != nil {
+							write(typ, key.Name)
 						}
 					}
 				case *ast.AssignStmt:
-					for i, lhs := range n.Lhs {
-						switch lhs := lhs.(type) {
-						case *ast.Ident:
-							locals[lhs.Name] = ""
-							if len(n.Rhs) == len(n.Lhs) {
-								locals[lhs.Name] = typeOf(n.Rhs[i])
+					for _, lhs := range n.Lhs {
+						// x.A[i].B = v sets B and changes A: both are written.
+						for lhs != nil {
+							switch e := lhs.(type) {
+							case *ast.SelectorExpr:
+								x, isIdent := e.X.(*ast.Ident)
+								if !isIdent || locals[x.Name] != "" || imports[x.Name] == "" { // not another package's variable
+									write(typeOf(e.X), e.Sel.Name)
+								}
+								lhs = e.X
+							case *ast.IndexExpr:
+								lhs = e.X
+							case *ast.StarExpr:
+								lhs = e.X
+							case *ast.ParenExpr:
+								lhs = e.X
+							default:
+								lhs = nil
 							}
-						case *ast.SelectorExpr:
-							write(typeOf(lhs.X), lhs.Sel.Name)
 						}
+					}
+					if n.Tok == token.DEFINE {
+						define(n.Lhs, n.Rhs)
 					}
 				}
 				return true
@@ -183,15 +513,12 @@ func TestStudyOptionsHaveWriters(t *testing.T) {
 		}
 	}
 
-	var orphans []string
-	for owner, fields := range unwritten {
-		for field := range fields {
+	for owner, fs := range unwritten {
+		for field := range fs {
 			orphans = append(orphans, owner+"."+field)
 		}
 	}
-	sort.Strings(orphans)
-	if len(orphans) > 0 {
-		t.Errorf("%d option field(s) no flag, study, test or benchmark sets — make each a constant beside its reader:\n  %s",
-			len(orphans), strings.Join(orphans, "\n  "))
-	}
+	slices.Sort(orphans)
+	slices.Sort(guessed)
+	return orphans, guessed
 }

@@ -3,12 +3,11 @@
 // The seed implementation precomputed all-pairs shortest paths — an
 // O(R²) table that is exact and O(1) per query but dies (20 GB at
 // R=50k) long before the event core does. This file makes the oracle
-// pluggable with three implementations spanning the memory/accuracy
+// pluggable with two implementations spanning the memory/accuracy
 // trade:
 //
 //	kind      memory   per-query      error
 //	exact     O(R²)    1 load         0
-//	ondemand  O(C·R)   1 load (hit)   0
 //	coords    O(R·d)   O(d) flops     ~10% median relative
 //
 // The coords oracle is the paper's own mechanism (GNP / PIC network
@@ -22,11 +21,9 @@
 package topology
 
 import (
-	"container/list"
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"p2ppool/internal/coords"
 	"p2ppool/internal/par"
@@ -41,11 +38,6 @@ const (
 	OracleAuto OracleKind = iota
 	// OracleExact precomputes the full all-pairs table (ground truth).
 	OracleExact
-	// OracleOnDemand computes single-source Dijkstra rows lazily and
-	// keeps an LRU cache of them. Exact answers, bounded memory; suited
-	// to query patterns with source locality (planning scans), not to
-	// uniform random access over a huge graph.
-	OracleOnDemand
 	// OracleCoords embeds routers in Euclidean space via landmark
 	// coordinates and answers queries in O(dim) with ~10% median error.
 	OracleCoords
@@ -56,8 +48,6 @@ func (k OracleKind) String() string {
 	switch k {
 	case OracleExact:
 		return "exact"
-	case OracleOnDemand:
-		return "ondemand"
 	case OracleCoords:
 		return "coords"
 	default:
@@ -111,75 +101,6 @@ func newExactOracle(n *Network) *exactOracle {
 
 func (o *exactOracle) RouterLatency(a, b int) float64 { return o.rows[a][b] }
 func (o *exactOracle) Kind() OracleKind               { return OracleExact }
-
-// --- ondemand: lazy Dijkstra rows behind an LRU ---
-
-// onDemandOracle computes rows on first use and keeps the most recently
-// used ones. The pair is canonicalized (the graph is symmetric), which
-// doubles the effective hit rate. Concurrent misses on the same row may
-// both run Dijkstra; they produce identical rows, so the last insert
-// wins harmlessly.
-type onDemandOracle struct {
-	net *Network
-	cap int
-
-	mu    sync.Mutex
-	rows  map[int]*list.Element // router -> element whose Value is *odRow
-	order *list.List            // front = most recently used
-}
-
-type odRow struct {
-	src  int
-	dist []float64
-}
-
-func newOnDemandOracle(n *Network, capRows int) *onDemandOracle {
-	if capRows <= 0 {
-		capRows = 1024
-	}
-	return &onDemandOracle{
-		net:   n,
-		cap:   capRows,
-		rows:  make(map[int]*list.Element, capRows),
-		order: list.New(),
-	}
-}
-
-func (o *onDemandOracle) RouterLatency(a, b int) float64 {
-	if a == b {
-		return 0
-	}
-	if a > b {
-		a, b = b, a
-	}
-	o.mu.Lock()
-	if el, ok := o.rows[a]; ok {
-		o.order.MoveToFront(el)
-		d := el.Value.(*odRow).dist[b]
-		o.mu.Unlock()
-		return d
-	}
-	o.mu.Unlock()
-
-	dist := o.net.dijkstra(a) // outside the lock: pure and slow
-	o.mu.Lock()
-	if el, ok := o.rows[a]; ok {
-		// Raced with another miss; keep the resident row.
-		o.order.MoveToFront(el)
-	} else {
-		o.rows[a] = o.order.PushFront(&odRow{src: a, dist: dist})
-		for o.order.Len() > o.cap {
-			old := o.order.Back()
-			delete(o.rows, old.Value.(*odRow).src)
-			o.order.Remove(old)
-		}
-	}
-	d := o.rows[a].Value.(*odRow).dist[b]
-	o.mu.Unlock()
-	return d
-}
-
-func (o *onDemandOracle) Kind() OracleKind { return OracleOnDemand }
 
 // --- coords: landmark embedding, the paper's mechanism as substrate ---
 

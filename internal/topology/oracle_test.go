@@ -2,7 +2,6 @@ package topology
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -38,62 +37,6 @@ func TestOracleAutoResolution(t *testing.T) {
 	if got := big.OracleKind(); got != OracleCoords {
 		t.Errorf("%d-router network resolved to %v, want coords", big.Config().NumRouters(), got)
 	}
-}
-
-// TestOnDemandMatchesExact pins the on-demand oracle to the exact
-// table: same graph, every sampled pair must agree bit-for-bit, in any
-// query order, including after rows have been evicted and recomputed.
-func TestOnDemandMatchesExact(t *testing.T) {
-	exact, err := Generate(scaledConfig(OracleExact))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := scaledConfig(OracleOnDemand)
-	cfg.OracleRowCache = 8 // force eviction churn
-	od, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	nr := exact.NumRouters()
-	for i := 0; i < 3000; i++ {
-		a, b := r.Intn(nr), r.Intn(nr)
-		if got, want := od.RouterLatency(a, b), exact.RouterLatency(a, b); got != want {
-			t.Fatalf("RouterLatency(%d,%d) = %v on demand, %v exact", a, b, got, want)
-		}
-	}
-	// Host-level latencies go through the same oracle.
-	for i := 0; i < 500; i++ {
-		a, b := r.Intn(cfg.Hosts), r.Intn(cfg.Hosts)
-		if got, want := od.Latency(a, b), exact.Latency(a, b); got != want {
-			t.Fatalf("Latency(%d,%d) = %v on demand, %v exact", a, b, got, want)
-		}
-	}
-}
-
-// TestOnDemandConcurrent hammers the LRU from many goroutines; run
-// under -race this is the thread-safety gate for the shared row cache.
-func TestOnDemandConcurrent(t *testing.T) {
-	cfg := scaledConfig(OracleOnDemand)
-	cfg.OracleRowCache = 4
-	net, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nr := net.NumRouters()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 200; i++ {
-				net.RouterLatency(r.Intn(nr), r.Intn(nr))
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestCoordsOracleErrorBudget is the acceptance gate from the scale

@@ -67,10 +67,6 @@ type Config struct {
 	// switches to the coordinate embedding past autoExactMax routers,
 	// where the O(R²) table stops fitting.
 	Oracle OracleKind
-
-	// OracleRowCache caps the on-demand oracle's LRU row cache
-	// (rows; <= 0 means 1024). Ignored by the other oracles.
-	OracleRowCache int
 }
 
 // DefaultConfig returns the paper's experimental topology: 24 transit
@@ -112,6 +108,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topology: last hop range [%g,%g] invalid", c.LastHopMin, c.LastHopMax)
 	case c.ExtraEdgeProb < 0 || c.ExtraEdgeProb > 1:
 		return fmt.Errorf("topology: ExtraEdgeProb must be in [0,1], got %g", c.ExtraEdgeProb)
+	case c.Oracle < OracleAuto || c.Oracle > OracleCoords:
+		return fmt.Errorf("topology: unknown OracleKind %d", int(c.Oracle))
 	}
 	return nil
 }
@@ -242,8 +240,6 @@ func Generate(cfg Config) (*Network, error) {
 		for h := 0; h < cfg.Hosts; h++ {
 			n.hostRow[h] = ex.rows[n.hostRouter[h]]
 		}
-	case OracleOnDemand:
-		n.oracle = newOnDemandOracle(n, cfg.OracleRowCache)
 	case OracleCoords:
 		n.oracle = newCoordsOracle(n)
 	}
@@ -342,7 +338,7 @@ func (n *Network) RouterDomain(r int) int { return n.routerDomain[r] }
 
 // RouterLatency returns the one-way latency between two routers in
 // milliseconds, as the active oracle sees it (shortest path for the
-// exact oracles, embedded distance for coords).
+// exact oracle, embedded distance for coords).
 func (n *Network) RouterLatency(a, b int) float64 { return n.oracle.RouterLatency(a, b) }
 
 // Oracle returns the active latency oracle.

@@ -50,6 +50,10 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.LastHopMin = 0 },
 		func(c *Config) { c.LastHopMax = 1; c.LastHopMin = 2 },
 		func(c *Config) { c.ExtraEdgeProb = 1.5 },
+		// An undeclared kind used to pass, leave the network without an
+		// oracle and crash the first Latency call.
+		func(c *Config) { c.Oracle = OracleCoords + 1 },
+		func(c *Config) { c.Oracle = -1 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()
@@ -58,8 +62,12 @@ func TestValidate(t *testing.T) {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config should validate: %v", err)
+	for _, kind := range []OracleKind{OracleAuto, OracleExact, OracleCoords} {
+		c := DefaultConfig()
+		c.Oracle = kind
+		if err := c.Validate(); err != nil {
+			t.Errorf("default config with the %v oracle should validate: %v", kind, err)
+		}
 	}
 	if _, err := Generate(Config{}); err == nil {
 		t.Error("Generate of zero config should fail")
