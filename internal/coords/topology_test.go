@@ -11,8 +11,11 @@ import (
 	"testing"
 
 	"p2ppool/internal/coords"
+	"p2ppool/internal/dht"
+	"p2ppool/internal/eventsim"
 	"p2ppool/internal/stats"
 	"p2ppool/internal/topology"
+	"p2ppool/internal/transport"
 )
 
 func TestGNPOnTransitStub(t *testing.T) {
@@ -90,5 +93,71 @@ func TestRouterEmbeddingErrorDistribution(t *testing.T) {
 	}
 	if p90 > 0.50 {
 		t.Errorf("p90 relative error %.3f exceeds the 50%% budget", p90)
+	}
+}
+
+// TestLiveEstimatorAccuracy pins what the heartbeat-driven estimators
+// deliver on a real topology — the coordinates the live pool plans
+// from, which Figure 4 and the ablation (both SolveLeafset) never read.
+// 128 hosts of a transit-stub graph on a radius-8 ring, dim-7
+// estimators: relative prediction error over 2,000 fixed host pairs and
+// the refinements spent, at 40 and 80 virtual seconds. The counts are
+// exact; each error bound is the recorded value rounded up to two
+// decimals, so a change that buys speed with accuracy (skipping
+// refinements, say) fails here.
+func TestLiveEstimatorAccuracy(t *testing.T) {
+	const n = 128
+	cfg := topology.DefaultConfig()
+	cfg.Hosts = n
+	cfg.Seed = 21
+	net, err := topology.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := eventsim.New(22)
+	sim := transport.NewSim(engine, transport.SimOptions{Latency: net.Latency})
+	r := rand.New(rand.NewSource(23))
+	addrs := make([]transport.Addr, n)
+	for i := range addrs {
+		addrs[i] = transport.Addr(i)
+	}
+	nodes, err := dht.BuildRing(sim, dht.RandomIDs(n, r), addrs, dht.Config{LeafsetRadius: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests := make([]*coords.Estimator, n) // by host
+	for _, nd := range nodes {
+		h := int(nd.Self().Addr)
+		ests[h] = coords.NewEstimator(nd, coords.EstimatorOptions{Dim: 7, Seed: int64(100 + h)})
+	}
+	pairs := coords.RandomPairs(n, 2000, r)
+
+	for _, want := range []struct {
+		at       eventsim.Time
+		refines  uint64
+		p50, p90 float64
+	}{
+		{40 * eventsim.Second, 10012, 0.20, 1.07}, // recorded at d8334d3: 0.1915 / 1.0668
+		{80 * eventsim.Second, 20332, 0.18, 0.99}, // 0.1717 / 0.9867
+	} {
+		engine.RunUntil(want.at)
+		cs := make([]coords.Vector, n)
+		var refines uint64
+		for h, e := range ests {
+			cs[h] = e.Coord()
+			refines += e.Updates()
+		}
+		errs := coords.PairErrors(cs, net.Latency, pairs)
+		sort.Float64s(errs)
+		p50, p90 := errs[len(errs)/2], errs[len(errs)*9/10]
+		t.Logf("t=%v: %d refinements, relative error p50=%.4f p90=%.4f over %d pairs",
+			want.at, refines, p50, p90, len(errs))
+		if refines != want.refines {
+			t.Errorf("t=%v: %d refinements, want exactly %d", want.at, refines, want.refines)
+		}
+		if p50 > want.p50 || p90 > want.p90 {
+			t.Errorf("t=%v: relative error p50=%.4f p90=%.4f, want <= %.2f / %.2f",
+				want.at, p50, p90, want.p50, want.p90)
+		}
 	}
 }
