@@ -126,18 +126,41 @@ profile:
 mains:
 	for m in ./examples/* ./cmd/topostat; do $(GO) run $$m > /dev/null || exit 1; done
 
-# Where the linker put the alignment-sensitive coords loops in the
-# benchmark binary: coords.fitError (all of ring and plan-groups setup_s)
-# runs 7-30% slower entered at 32 mod 64 bytes than at 0, and every
-# package linked ahead of coords moves it (ROADMAP item 1). Prints,
-# gates nothing: read it before believing a timing, and compare it with
-# the parent's when an untouched layer's time moves.
+# Proof that the coordinate fit's speed does not depend on where the
+# linker puts it. Before PR 22 coords.fitError ran 7-30% slower entered
+# at 32 mod 64 bytes than at 0, and every package linked ahead of coords
+# moved it, so timings of untouched layers swung with unrelated edits.
+# This builds the root test binary twice — plain, and with the
+# `layoutpad` tag, which links 96 bytes of text into internal/par ahead
+# of coords — prints where the dim-7 kernel, the generic loop and the
+# simplex landed mod 64 in each, fails unless the kernel changed halves,
+# then runs BenchmarkFitError and BenchmarkLeafsetCoordinates six times
+# on each, alternating, and fails if the medians of the dim-7 kernel or
+# the leafset solve differ by more than 8% between the two layouts
+# (the dim-5 generic loop is printed, not gated). ~90 s.
+LAYOUT_SYMS = (\(\*fit\)\.error7|\(\*fit\)\.errorN|\(\*simplex\)\.minimize)
 layout:
 	@mkdir -p .bench_build
-	$(GO) build -trimpath -buildvcs=false -o .bench_build/layout ./bench
-	@$(GO) tool nm .bench_build/layout | \
-		grep -E ' p2ppool/internal/coords\.(fitError|Minimize|\(\*Estimator\)\.refine)$$' | \
-		while read addr kind name; do echo "$$name 0x$$addr mod 64 = $$((0x$$addr % 64))"; done
+	$(GO) test -c -o .bench_build/layout-plain.test .
+	$(GO) test -c -tags layoutpad -o .bench_build/layout-pad.test .
+	@for v in plain pad; do $(GO) tool nm .bench_build/layout-$$v.test | \
+		grep -E ' p2ppool/internal/coords\.$(LAYOUT_SYMS)$$' | \
+		while read addr kind name; do echo "$$v $$name 0x$$addr mod 64 = $$((0x$$addr % 64))"; done; done | tee .bench_build/layout.syms
+	@test "$$(grep -c 'error7.*mod 64 = 0$$' .bench_build/layout.syms)" = 1 || \
+		{ echo "layout: the pad did not move coords.(*fit).error7 to the other half of a 64-byte line; resize internal/par/layoutpad.go" >&2; exit 1; }
+	@rm -f .bench_build/layout.runs
+	@for i in 1 2 3 4 5 6; do for v in plain pad; do \
+		.bench_build/layout-$$v.test -test.run '^$$' -test.bench '^Benchmark(FitError|LeafsetCoordinates)$$' | \
+		awk -v v=$$v '/^Benchmark/ { sub(/-[0-9]+$$/, "", $$1); print $$1, v, $$3 }' >> .bench_build/layout.runs || exit 1; \
+	done; done
+	@sort -k1,1 -k2,2 -k3,3n .bench_build/layout.runs | awk ' \
+		{ k = $$1 " " $$2; n[k]++; x[k, n[k]] = $$3; names[$$1] = 1 } \
+		function median(k) { return (x[k, int((n[k] + 1) / 2)] + x[k, int(n[k] / 2) + 1]) / 2 } \
+		END { for (b in names) { p = median(b " plain"); q = median(b " pad"); s = (q > p ? q / p : p / q) - 1; \
+			gated = b !~ /dim=5/; \
+			printf "%-40s plain %10.0f ns/op  pad %10.0f ns/op  spread %4.1f%%%s\n", b, p, q, 100 * s, gated ? "" : " (not gated)"; \
+			if (gated && s > 0.08) bad = 1 } \
+		  if (bad) { print "layout: a gated median moved more than 8% with the pad" > "/dev/stderr"; exit 1 } }'
 
 # The obs smoke run doubles as an end-to-end check that metrics +
 # tracing assemble a dashboard out of the SOMO root snapshot; the bench

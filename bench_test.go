@@ -187,6 +187,91 @@ func BenchmarkGNPCoordinates(b *testing.B) {
 	}
 }
 
+// BenchmarkFitError times the coordinate fit's error kernel the only way
+// a caller can reach it: one host refined eight times against refs fixed
+// references, each a simplex run of at most 120·dim evaluations of
+// E(x) = Σ|d_p − d_m|. Dim 7 runs the unrolled kernel (16 references is
+// the benchmark's radius-8 leafset, 32 core's), dim 5 the generic loop.
+// It is the benchmark `make layout` reads with and without a pad
+// function linked ahead of coords.
+func BenchmarkFitError(b *testing.B) {
+	for _, c := range []struct{ dim, refs int }{{7, 16}, {7, 32}, {5, 16}} {
+		b.Run(fmt.Sprintf("dim=%d/refs=%d", c.dim, c.refs), func(b *testing.B) {
+			b.ReportAllocs()
+			r := rand.New(rand.NewSource(9))
+			delay := make([]float64, c.refs+1)
+			refs := make([]int, c.refs)
+			for i := range refs {
+				refs[i] = i + 1
+				delay[i+1] = 5 + 200*r.Float64()
+			}
+			lat := func(a, x int) float64 { return delay[x] }
+			nb := func(i int) []int {
+				if i == 0 {
+					return refs
+				}
+				return nil
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := coords.SolveLeafset(lat, c.refs+1, nb, coords.LeafsetConfig{
+					Dim: c.dim, Rounds: 8, Seed: 10, Simultaneous: true,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEstimatorRefine measures one live refinement: a dim-7
+// estimator with 16 measured neighbors re-solving its coordinate (420
+// evaluations at most) on every heartbeat it is handed. The neighbors
+// advertise fixed points and every delay is the true distance within
+// ±10%, redrawn per heartbeat, so each solve starts near the last
+// one's answer without sitting on it — a settled ring's refinement.
+func BenchmarkEstimatorRefine(b *testing.B) {
+	b.ReportAllocs()
+	net := transport.NewSim(eventsim.New(1), transport.SimOptions{
+		Latency: func(a, c int) float64 { return 5 },
+	})
+	est := coords.NewEstimator(dht.NewNode(net, 1, 0, dht.Config{}), coords.EstimatorOptions{Dim: 7, UpdateEvery: 1, Seed: 11})
+	r := rand.New(rand.NewSource(12))
+	point := func() coords.Vector {
+		v := make(coords.Vector, 7)
+		for d := range v {
+			v[d] = 200 * r.Float64()
+		}
+		return v
+	}
+	self := point()
+	peers := make([]dht.Entry, 16)
+	adverts := make([]coords.Vector, len(peers))
+	for i := range peers {
+		peers[i] = dht.Entry{ID: ids.ID(100 + i), Addr: transport.Addr(i + 1)}
+		adverts[i] = point()
+	}
+	noise := make([]float64, 1<<10)
+	for i := range noise {
+		noise[i] = 0.9 + 0.2*r.Float64()
+	}
+	heartbeat := func(i int) {
+		p := i % len(peers)
+		est.OnHeartbeat(peers[p], 2*coords.Dist(self, adverts[p])*noise[i%len(noise)], adverts[p])
+	}
+	for i := 0; i < 4*len(peers); i++ {
+		heartbeat(i)
+	}
+	before := est.Updates()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		heartbeat(i)
+	}
+	if est.Updates()-before != uint64(b.N) {
+		b.Fatalf("%d refinements for %d heartbeats", est.Updates()-before, b.N)
+	}
+}
+
 // BenchmarkDHTRouting measures routed-message throughput through a
 // 256-node ring with warm finger tables.
 func BenchmarkDHTRouting(b *testing.B) {

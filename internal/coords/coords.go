@@ -31,37 +31,25 @@ type LatencyFunc func(a, b int) float64
 // randomVector draws a start coordinate in [0, spread)^dim.
 func randomVector(dim int, spread float64, r *rand.Rand) Vector {
 	v := make(Vector, dim)
-	for i := range v {
-		v[i] = r.Float64() * spread
-	}
+	fillRandom(v, spread, r)
 	return v
 }
 
-// fitError is the paper's objective: E(x) = Σ |d_p(i) - d_m(i)| over
-// reference points with coordinates refs and measured delays meas.
-// With relative=true each term is divided by the measured delay.
-func fitError(x Vector, refs []Vector, meas []float64, relative bool) float64 {
-	e := 0.0
-	for i, ref := range refs {
-		t := math.Abs(Dist(x, ref) - meas[i])
-		if relative && meas[i] > 0 {
-			t /= meas[i]
-		}
-		e += t
+func fillRandom(v Vector, spread float64, r *rand.Rand) {
+	for i := range v {
+		v[i] = r.Float64() * spread
 	}
-	return e
 }
 
-// solveOwn finds the coordinate minimizing the fit error against the
-// given references, starting from start.
-func solveOwn(start Vector, refs []Vector, meas []float64, opt SimplexOptions) Vector {
-	return solveOwnObj(start, refs, meas, opt, false)
-}
-
-func solveOwnObj(start Vector, refs []Vector, meas []float64, opt SimplexOptions, relative bool) Vector {
-	f := func(x []float64) float64 { return fitError(x, refs, meas, relative) }
-	best, _ := Minimize(f, start, opt)
-	return best
+// rows cuts one n×dim backing array into its n coordinates: solvers
+// keep what they return contiguous, and a fit can read flat in place.
+func rows(n, dim int) (flat []float64, out []Vector) {
+	flat = make([]float64, n*dim)
+	out = make([]Vector, n)
+	for i := range out {
+		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return flat, out
 }
 
 // GNPConfig parameterizes the landmark-based solver.
@@ -122,23 +110,20 @@ func SolveGNP(lat LatencyFunc, n int, landmarks []int, cfg GNPConfig) ([]Vector,
 	r := rand.New(rand.NewSource(cfg.Seed))
 
 	// Phase 1: landmark coordinates by iterative refinement.
-	lm := make([]Vector, len(landmarks))
+	lmFlat, lm := rows(len(landmarks), cfg.Dim)
 	for i := range lm {
-		lm[i] = randomVector(cfg.Dim, cfg.Spread, r)
+		fillRandom(lm[i], cfg.Spread, r)
 	}
-	opt := SimplexOptions{MaxIter: cfg.MaxIter}
+	f := newFit(cfg.Dim, cfg.RelativeError, cfg.MaxIter)
 	for round := 0; round < cfg.Rounds; round++ {
 		for i := range landmarks {
-			refs := make([]Vector, 0, len(landmarks)-1)
-			meas := make([]float64, 0, len(landmarks)-1)
+			f.reset()
 			for j := range landmarks {
-				if j == i {
-					continue
+				if j != i {
+					f.add(lm[j], lat(landmarks[i], landmarks[j]))
 				}
-				refs = append(refs, lm[j])
-				meas = append(meas, lat(landmarks[i], landmarks[j]))
 			}
-			lm[i] = solveOwnObj(lm[i], refs, meas, opt, cfg.RelativeError)
+			copy(lm[i], f.solve(lm[i]))
 		}
 	}
 
@@ -147,27 +132,28 @@ func SolveGNP(lat LatencyFunc, n int, landmarks []int, cfg GNPConfig) ([]Vector,
 	// over the worker pool; start coordinates are pre-drawn sequentially
 	// in host order (the simplex itself draws no randomness), which makes
 	// the output identical to the sequential loop for any worker count.
-	out := make([]Vector, n)
-	for i := range landmarks {
-		out[landmarks[i]] = lm[i]
+	_, out := rows(n, cfg.Dim)
+	isLandmark := make([]bool, n)
+	for i, l := range landmarks {
+		copy(out[l], lm[i])
+		isLandmark[l] = true
 	}
-	starts := make([]Vector, n)
 	for h := 0; h < n; h++ {
-		if out[h] == nil {
-			starts[h] = randomVector(cfg.Dim, cfg.Spread, r)
+		if !isLandmark[h] {
+			fillRandom(out[h], cfg.Spread, r)
 		}
 	}
 	par.ForEach(cfg.Workers, n, func(h int) {
-		if out[h] != nil {
+		if isLandmark[h] {
 			return
 		}
-		refs := make([]Vector, len(landmarks))
-		meas := make([]float64, len(landmarks))
+		// Every host fits against the same references, read in place.
+		f := newFit(cfg.Dim, cfg.RelativeError, cfg.MaxIter)
+		f.refs, f.meas = lmFlat, make([]float64, len(landmarks))
 		for j, l := range landmarks {
-			refs[j] = lm[j]
-			meas[j] = lat(h, l)
+			f.meas[j] = lat(h, l)
 		}
-		out[h] = solveOwnObj(starts[h], refs, meas, opt, cfg.RelativeError)
+		copy(out[h], f.solve(out[h]))
 	})
 	return out, nil
 }
@@ -246,16 +232,13 @@ func SolveLeafset(lat LatencyFunc, n int, neighbors func(i int) []int, cfg Leafs
 		return nil, fmt.Errorf("coords: n must be positive, got %d", n)
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
-	cur := make([]Vector, n)
+	_, cur := rows(n, cfg.Dim)
 	placed := make([]bool, n)
-
-	refine := func(i int, refs []Vector, meas []float64) Vector {
-		return solveOwnObj(cur[i], refs, meas, SimplexOptions{MaxIter: cfg.MaxIter}, cfg.RelativeError)
-	}
+	f := newFit(cfg.Dim, cfg.RelativeError, cfg.MaxIter)
 
 	if cfg.Simultaneous {
 		for i := range cur {
-			cur[i] = randomVector(cfg.Dim, cfg.Spread, r)
+			fillRandom(cur[i], cfg.Spread, r)
 			placed[i] = true
 		}
 	} else {
@@ -267,21 +250,19 @@ func SolveLeafset(lat LatencyFunc, n int, neighbors func(i int) []int, cfg Leafs
 		}
 		core := order[:coreSize]
 		for _, i := range core {
-			cur[i] = randomVector(cfg.Dim, cfg.Spread, r)
+			fillRandom(cur[i], cfg.Spread, r)
 		}
 		// The bootstrap core heartbeats mutually (a small ring is a
 		// clique of leafsets): iterate to mutual consistency.
 		for round := 0; round < 15; round++ {
 			for _, i := range core {
-				refs := make([]Vector, 0, coreSize-1)
-				meas := make([]float64, 0, coreSize-1)
+				f.reset()
 				for _, j := range core {
 					if j != i {
-						refs = append(refs, cur[j])
-						meas = append(meas, lat(i, j))
+						f.add(cur[j], lat(i, j))
 					}
 				}
-				cur[i] = refine(i, refs, meas)
+				copy(cur[i], f.solve(cur[i]))
 			}
 		}
 		for _, i := range core {
@@ -293,21 +274,18 @@ func SolveLeafset(lat LatencyFunc, n int, neighbors func(i int) []int, cfg Leafs
 		// whoever was in the ring).
 		placedList := append([]int(nil), core...)
 		for _, i := range order[coreSize:] {
-			refs := make([]Vector, 0, 32)
-			meas := make([]float64, 0, 32)
+			f.reset()
 			for _, x := range neighbors(i) {
 				if x >= 0 && x < n && placed[x] {
-					refs = append(refs, cur[x])
-					meas = append(meas, lat(i, x))
+					f.add(cur[x], lat(i, x))
 				}
 			}
-			for len(refs) < cfg.Dim+1 && len(refs) < len(placedList) {
+			for len(f.meas) < cfg.Dim+1 && len(f.meas) < len(placedList) {
 				x := placedList[r.Intn(len(placedList))]
-				refs = append(refs, cur[x])
-				meas = append(meas, lat(i, x))
+				f.add(cur[x], lat(i, x))
 			}
-			cur[i] = randomVector(cfg.Dim, cfg.Spread, r)
-			cur[i] = refine(i, refs, meas)
+			fillRandom(cur[i], cfg.Spread, r)
+			copy(cur[i], f.solve(cur[i]))
 			placed[i] = true
 			placedList = append(placedList, i)
 		}
@@ -320,15 +298,13 @@ func SolveLeafset(lat LatencyFunc, n int, neighbors func(i int) []int, cfg Leafs
 			if len(nb) == 0 {
 				continue
 			}
-			refs := make([]Vector, len(nb))
-			meas := make([]float64, len(nb))
-			for j, x := range nb {
-				refs[j] = cur[x]
-				meas[j] = lat(i, x)
+			f.reset()
+			for _, x := range nb {
+				f.add(cur[x], lat(i, x))
 			}
-			next := refine(i, refs, meas)
+			next := f.solve(cur[i])
 			if cfg.Damping >= 1 {
-				cur[i] = next
+				copy(cur[i], next)
 				continue
 			}
 			for d := range cur[i] {

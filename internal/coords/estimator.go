@@ -7,27 +7,31 @@ import (
 	"p2ppool/internal/ids"
 )
 
-// sample is one neighbor observation: its advertised coordinate and the
-// one-way latency measured from heartbeat RTTs.
-type sample struct {
-	coord Vector
-	owl   float64
-}
-
 // Estimator is the live, heartbeat-driven form of the leafset
 // coordinate scheme. Registered as a dht.Gossip, it piggybacks this
 // node's current coordinate on every heartbeat, collects neighbors'
 // coordinates and measured delays from acks, and periodically refines
 // its own coordinate with a downhill simplex step — the continuously
 // running version of SolveLeafset.
+//
+// Neighbor observations live in a table in first-seen order: peer p is
+// row index[p], its last advertised coordinate the row's dim floats of
+// seen, owl[row] the one-way latency measured from heartbeat RTTs (0
+// until an exchange carried one). A refinement reads the rows in table
+// order, so the fit's floating-point sum has one order for one history.
 type Estimator struct {
-	dim         int
+	dim int
+	// coord is replaced by each refinement, never written in place: a
+	// heartbeat carries the slice itself, and a payload still in flight
+	// keeps the value it was sent with.
 	coord       Vector
-	samples     map[ids.ID]sample
+	index       map[ids.ID]int
+	seen        []float64
+	owl         []float64
+	fit         *fit
 	fresh       int
 	updateEvery int
 	updates     uint64
-	rng         *rand.Rand
 }
 
 // EstimatorOptions tunes a live estimator.
@@ -58,9 +62,9 @@ func NewEstimator(node *dht.Node, opt EstimatorOptions) *Estimator {
 	e := &Estimator{
 		dim:         opt.Dim,
 		coord:       randomVector(opt.Dim, opt.Spread, r),
-		samples:     make(map[ids.ID]sample),
+		index:       make(map[ids.ID]int),
+		fit:         newFit(opt.Dim, false, 60*opt.Dim),
 		updateEvery: opt.UpdateEvery,
-		rng:         r,
 	}
 	node.RegisterGossip(e)
 	return e
@@ -73,12 +77,10 @@ func (e *Estimator) Coord() Vector { return e.coord.Clone() }
 func (e *Estimator) Updates() uint64 { return e.updates }
 
 // SampleCount returns how many neighbors have contributed samples.
-func (e *Estimator) SampleCount() int { return len(e.samples) }
+func (e *Estimator) SampleCount() int { return len(e.owl) }
 
 // HeartbeatPayload implements dht.Gossip: advertise our coordinate.
-func (e *Estimator) HeartbeatPayload(peer dht.Entry) interface{} {
-	return e.coord.Clone()
-}
+func (e *Estimator) HeartbeatPayload(peer dht.Entry) interface{} { return e.coord }
 
 // OnHeartbeat implements dht.Gossip: absorb the peer's coordinate and,
 // when the exchange carries a fresh RTT, its measured delay.
@@ -87,34 +89,38 @@ func (e *Estimator) OnHeartbeat(peer dht.Entry, rtt float64, payload interface{}
 	if !ok || len(c) != e.dim {
 		return
 	}
-	s := e.samples[peer.ID]
-	s.coord = c
+	row, known := e.index[peer.ID]
+	if known {
+		copy(e.seen[row*e.dim:], c)
+	} else {
+		row = len(e.owl)
+		e.index[peer.ID] = row
+		e.seen = append(e.seen, c...)
+		e.owl = append(e.owl, 0)
+	}
 	if rtt >= 0 {
-		s.owl = rtt / 2
+		e.owl[row] = rtt / 2
 		e.fresh++
 	}
-	e.samples[peer.ID] = s
 	if e.fresh >= e.updateEvery {
 		e.fresh = 0
 		e.refine()
 	}
 }
 
-// refine runs one local simplex update over the current samples,
-// minimizing E(x) = Σ |d_p - d_m| exactly as Section 4.1 prescribes.
+// refine runs one local simplex update over the neighbors with a
+// measured delay, minimizing E(x) = Σ |d_p - d_m| exactly as Section
+// 4.1 prescribes.
 func (e *Estimator) refine() {
-	refs := make([]Vector, 0, len(e.samples))
-	meas := make([]float64, 0, len(e.samples))
-	for _, s := range e.samples {
-		if s.owl <= 0 || s.coord == nil {
-			continue
+	e.fit.reset()
+	for row, owl := range e.owl {
+		if owl > 0 {
+			e.fit.add(e.seen[row*e.dim:(row+1)*e.dim], owl)
 		}
-		refs = append(refs, s.coord)
-		meas = append(meas, s.owl)
 	}
-	if len(refs) < e.dim+1 {
+	if len(e.fit.meas) < e.dim+1 {
 		return // under-determined; wait for more neighbors
 	}
-	e.coord = solveOwn(e.coord, refs, meas, SimplexOptions{MaxIter: 60 * e.dim})
+	e.coord = append(Vector(nil), e.fit.solve(e.coord)...)
 	e.updates++
 }

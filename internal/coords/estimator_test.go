@@ -2,6 +2,7 @@ package coords
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"p2ppool/internal/dht"
@@ -112,5 +113,88 @@ func TestEstimatorUnderDetermined(t *testing.T) {
 	}
 	if e.Updates() != 0 {
 		t.Error("under-determined estimator should not refine")
+	}
+}
+
+// TestEstimatorReferenceOrder pins the order of the fit's floating-point
+// sum: the neighbors with a measured delay, in the order they were first
+// heard from. (The table used to be a map ranged in Go's randomized
+// order, so the sum's order changed from run to run.) The refinement
+// must also be the model's solve over exactly those references.
+func TestEstimatorReferenceOrder(t *testing.T) {
+	const dim = 7
+	engine := eventsim.New(5)
+	net := transport.NewSim(engine, transport.SimOptions{
+		Latency: func(a, b int) float64 { return 5 },
+	})
+	e := NewEstimator(dht.NewNode(net, 1, 0, dht.Config{}), EstimatorOptions{Dim: dim, UpdateEvery: 1 << 30})
+	start := e.Coord()
+
+	r := rand.New(rand.NewSource(6))
+	const peers = 24
+	var wantRefs []Vector
+	var wantMeas []float64
+	for _, i := range r.Perm(peers) { // arrival order is not ID order
+		peer := dht.Entry{ID: ids.ID(1000 - 7*i), Addr: transport.Addr(i + 1)}
+		first, last := randomVector(dim, 400, r), randomVector(dim, 400, r)
+		rtt := 20 + 10*r.Float64()
+		switch i % 6 {
+		case 0: // heard of, never measured
+			e.OnHeartbeat(peer, -1, first)
+			continue
+		case 1: // a zero RTT is no measurement either
+			e.OnHeartbeat(peer, 0, first)
+			continue
+		}
+		e.OnHeartbeat(peer, -1, first) // first seen without an RTT: the row is claimed here
+		e.OnHeartbeat(peer, rtt, last)
+		wantRefs = append(wantRefs, last)
+		wantMeas = append(wantMeas, rtt/2)
+	}
+	if e.SampleCount() != peers {
+		t.Fatalf("SampleCount = %d, want %d", e.SampleCount(), peers)
+	}
+	e.refine()
+	if e.Updates() != 1 {
+		t.Fatalf("Updates = %d after one refinement", e.Updates())
+	}
+	if !slices.Equal(e.fit.meas, wantMeas) {
+		t.Errorf("delays gathered as %v, want first-seen order %v", e.fit.meas, wantMeas)
+	}
+	for i, ref := range wantRefs {
+		if got := e.fit.refs[i*dim : (i+1)*dim]; !slices.Equal(got, ref) {
+			t.Errorf("reference %d gathered as %v, want %v", i, got, ref)
+		}
+	}
+	want := refSolveOwn(start, wantRefs, wantMeas, SimplexOptions{MaxIter: 60 * dim})
+	if got := e.Coord(); !sameVector(got, want) {
+		t.Errorf("refined to %v, model %v", got, want)
+	}
+}
+
+// TestEstimatorPublishedCoordIsImmutable: a heartbeat carries the
+// coordinate slice itself, so a refinement must replace it, never write
+// into it — a payload in flight keeps the value it was sent with.
+func TestEstimatorPublishedCoordIsImmutable(t *testing.T) {
+	const dim = 3
+	engine := eventsim.New(7)
+	net := transport.NewSim(engine, transport.SimOptions{
+		Latency: func(a, b int) float64 { return 5 },
+	})
+	e := NewEstimator(dht.NewNode(net, 1, 0, dht.Config{}), EstimatorOptions{Dim: dim, UpdateEvery: 1})
+	inFlight := e.HeartbeatPayload(dht.Entry{}).(Vector)
+	sent := inFlight.Clone()
+	r := rand.New(rand.NewSource(8))
+	for i := 0; i < 12; i++ {
+		e.OnHeartbeat(dht.Entry{ID: ids.ID(100 + i), Addr: transport.Addr(i + 1)}, 30+r.Float64(), randomVector(dim, 400, r))
+	}
+	if e.Updates() == 0 {
+		t.Fatal("no refinement ran")
+	}
+	if !slices.Equal(inFlight, sent) {
+		t.Errorf("payload in flight changed from %v to %v", sent, inFlight)
+	}
+	if slices.Equal(e.Coord(), sent) {
+		t.Error("refinement left the coordinate where it started")
 	}
 }

@@ -9,10 +9,7 @@
 // measured delays.
 package coords
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // Objective is a function to minimize over R^n.
 type Objective func(x []float64) float64
@@ -45,11 +42,44 @@ func (o SimplexOptions) withDefaults(n int) SimplexOptions {
 // Minimize runs downhill simplex from start and returns the best point
 // found and its objective value. start is not modified.
 func Minimize(f Objective, start []float64, opt SimplexOptions) ([]float64, float64) {
-	n := len(start)
-	if n == 0 {
+	if len(start) == 0 {
 		return nil, f(nil)
 	}
+	var s simplex
+	best, val := s.minimize(f, start, opt)
+	return append([]float64(nil), best...), val
+}
+
+// simplex is the minimizer's scratch, reused from one run to the next
+// by whoever owns it (a fit, and so one solve loop or one Estimator).
+// Vertex i is pts[i*n:(i+1)*n]; everything but order shares one array.
+type simplex struct {
+	n                     int
+	pts, vals             []float64
+	centroid, trial, expd []float64
+	order                 []int
+}
+
+func (s *simplex) resize(n int) {
+	buf := make([]float64, (n+1)*n+(n+1)+3*n)
+	s.n = n
+	s.pts, buf = buf[:(n+1)*n], buf[(n+1)*n:]
+	s.vals, buf = buf[:n+1], buf[n+1:]
+	s.centroid, s.trial, s.expd = buf[:n], buf[n:2*n], buf[2*n:]
+	s.order = make([]int, n+1)
+}
+
+// minimize is the one Nelder-Mead loop. The returned point aliases the
+// scratch and is valid until the next call; len(start) must be > 0.
+func (s *simplex) minimize(f Objective, start []float64, opt SimplexOptions) ([]float64, float64) {
+	n := len(start)
+	if s.n != n {
+		s.resize(n)
+	}
 	opt = opt.withDefaults(n)
+	pts, vals, order := s.pts, s.vals, s.order
+	centroid, trial, expd := s.centroid, s.trial, s.expd
+	at := func(i int) []float64 { return pts[i*n : i*n+n : i*n+n] }
 
 	// Standard coefficients.
 	const (
@@ -60,42 +90,30 @@ func Minimize(f Objective, start []float64, opt SimplexOptions) ([]float64, floa
 	)
 
 	// Initial simplex: start plus one step along each axis.
-	pts := make([][]float64, n+1)
-	vals := make([]float64, n+1)
-	pts[0] = append([]float64(nil), start...)
-	for i := 1; i <= n; i++ {
-		p := append([]float64(nil), start...)
-		p[i-1] += opt.InitialStep
-		pts[i] = p
-	}
-	for i := range pts {
-		vals[i] = f(pts[i])
-	}
-
-	order := make([]int, n+1)
-	for i := range order {
+	for i := 0; i <= n; i++ {
+		p := at(i)
+		copy(p, start)
+		if i > 0 {
+			p[i-1] += opt.InitialStep
+		}
 		order[i] = i
 	}
-
-	centroid := make([]float64, n)
-	trial := make([]float64, n)
-	exp := make([]float64, n)
-	// Spelled with < and > rather than cmp.Compare so that a NaN value
-	// compares equal to everything, as it did under a less-function.
-	byValue := func(a, b int) int {
-		switch {
-		case vals[a] < vals[b]:
-			return -1
-		case vals[a] > vals[b]:
-			return 1
-		}
-		return 0
+	for i := 0; i <= n; i++ {
+		vals[i] = f(at(i))
 	}
 
 	evals := n + 1
 	for evals < opt.MaxIter {
-		slices.SortFunc(order, byValue)
+		// Stable insertion sort of the vertices by value. It is spelled
+		// with < alone so that a NaN value compares equal to everything,
+		// and it is the order slices.SortFunc produced at n+1 <= 12.
+		for i := 1; i <= n; i++ {
+			for j := i; j > 0 && vals[order[j]] < vals[order[j-1]]; j-- {
+				order[j], order[j-1] = order[j-1], order[j]
+			}
+		}
 		best, worst := order[0], order[n]
+		pw := at(worst)
 
 		// Convergence test on value spread.
 		spread := math.Abs(vals[worst] - vals[best])
@@ -105,21 +123,19 @@ func Minimize(f Objective, start []float64, opt SimplexOptions) ([]float64, floa
 		}
 
 		// Centroid of all but the worst.
-		for j := 0; j < n; j++ {
-			centroid[j] = 0
-		}
+		clear(centroid)
 		for _, i := range order[:n] {
-			for j := 0; j < n; j++ {
-				centroid[j] += pts[i][j]
+			for j, v := range at(i) {
+				centroid[j] += v
 			}
 		}
-		for j := 0; j < n; j++ {
+		for j := range centroid {
 			centroid[j] /= float64(n)
 		}
 
 		// Reflection.
-		for j := 0; j < n; j++ {
-			trial[j] = centroid[j] + alpha*(centroid[j]-pts[worst][j])
+		for j := range trial {
+			trial[j] = centroid[j] + alpha*(centroid[j]-pw[j])
 		}
 		fr := f(trial)
 		evals++
@@ -127,45 +143,47 @@ func Minimize(f Objective, start []float64, opt SimplexOptions) ([]float64, floa
 		switch {
 		case fr < vals[best]:
 			// Expansion.
-			for j := 0; j < n; j++ {
-				exp[j] = centroid[j] + gamma*(trial[j]-centroid[j])
+			for j := range expd {
+				expd[j] = centroid[j] + gamma*(trial[j]-centroid[j])
 			}
-			fe := f(exp)
+			fe := f(expd)
 			evals++
 			if fe < fr {
-				copy(pts[worst], exp)
+				copy(pw, expd)
 				vals[worst] = fe
 			} else {
-				copy(pts[worst], trial)
+				copy(pw, trial)
 				vals[worst] = fr
 			}
 		case fr < vals[order[n-1]]:
 			// Accept reflection.
-			copy(pts[worst], trial)
+			copy(pw, trial)
 			vals[worst] = fr
 		default:
 			// Contraction (toward the better of worst/reflected).
 			if fr < vals[worst] {
-				for j := 0; j < n; j++ {
+				for j := range trial {
 					trial[j] = centroid[j] + rho*(trial[j]-centroid[j])
 				}
 			} else {
-				for j := 0; j < n; j++ {
-					trial[j] = centroid[j] + rho*(pts[worst][j]-centroid[j])
+				for j := range trial {
+					trial[j] = centroid[j] + rho*(pw[j]-centroid[j])
 				}
 			}
 			fc := f(trial)
 			evals++
 			if fc < math.Min(fr, vals[worst]) {
-				copy(pts[worst], trial)
+				copy(pw, trial)
 				vals[worst] = fc
 			} else {
 				// Shrink toward the best point.
+				pb := at(best)
 				for _, i := range order[1:] {
-					for j := 0; j < n; j++ {
-						pts[i][j] = pts[best][j] + sigma*(pts[i][j]-pts[best][j])
+					p := at(i)
+					for j := range p {
+						p[j] = pb[j] + sigma*(p[j]-pb[j])
 					}
-					vals[i] = f(pts[i])
+					vals[i] = f(p)
 					evals++
 				}
 			}
@@ -178,5 +196,5 @@ func Minimize(f Objective, start []float64, opt SimplexOptions) ([]float64, floa
 			bi = i
 		}
 	}
-	return append([]float64(nil), pts[bi]...), vals[bi]
+	return at(bi), vals[bi]
 }
