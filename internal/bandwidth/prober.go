@@ -28,16 +28,14 @@ type ProberOptions struct {
 	// ProbeInterval between probe pairs to a random leafset member
 	// (default 2 s).
 	ProbeInterval eventsim.Time
-	// PadBytes is the padded probe size (the paper suggests ~1.5 KB).
-	PadBytes int
 }
+
+// padBytes is the padded probe size (the paper suggests ~1.5 KB).
+const padBytes = 1500
 
 func (o ProberOptions) withDefaults() ProberOptions {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 2 * eventsim.Second
-	}
-	if o.PadBytes <= 0 {
-		o.PadBytes = 1500
 	}
 	return o
 }
@@ -116,8 +114,8 @@ func (p *Prober) tick() {
 	if len(ls) > 0 {
 		target := ls[p.node.Network().Rand().Intn(len(ls))]
 		p.probeID++
-		p.node.SendApp(target, p.opt.PadBytes, pairProbe{From: p.node.Self(), ProbeID: p.probeID, Seq: 1})
-		p.node.SendApp(target, p.opt.PadBytes, pairProbe{From: p.node.Self(), ProbeID: p.probeID, Seq: 2})
+		p.node.SendApp(target, padBytes, pairProbe{From: p.node.Self(), ProbeID: p.probeID, Seq: 1})
+		p.node.SendApp(target, padBytes, pairProbe{From: p.node.Self(), ProbeID: p.probeID, Seq: 2})
 		p.probesSent++
 	}
 	p.schedule()
@@ -151,7 +149,7 @@ func (p *Prober) onApp(from dht.Entry, payload interface{}) {
 			if gap <= 0 {
 				return // infinite-bandwidth path: nothing to learn
 			}
-			est := float64(p.opt.PadBytes*8) / gap // kbps (bits per ms)
+			est := float64(padBytes*8) / gap // kbps (bits per ms)
 			p.measurements++
 			if est > p.down {
 				p.down = est

@@ -65,8 +65,7 @@ type GNPConfig struct {
 	Spread float64
 	// RelativeError switches the objective from the paper's Σ|d_p - d_m|
 	// to Σ|d_p - d_m|/d_m, the form that keeps short distances from
-	// being drowned out by the few long cross-transit paths (the same
-	// switch LeafsetConfig exposes).
+	// being drowned out by the few long cross-transit paths.
 	RelativeError bool
 	// MaxIter bounds each per-point simplex refinement (0 means the
 	// simplex default, 400 evaluations per dimension). Large embeddings
@@ -168,22 +167,8 @@ type LeafsetConfig struct {
 	Rounds int
 	// Seed for initial coordinates.
 	Seed int64
-	// Spread of the random initial box.
-	Spread float64
-	// Damping moves each node only this fraction of the way toward its
-	// locally optimal coordinate per round (1 = full step). Damping
-	// suppresses the oscillation of simultaneous updates; the live
-	// protocol gets the same effect from unsynchronized heartbeats.
-	Damping float64
-	// MaxIter bounds each per-node simplex refinement.
-	MaxIter int
-	// RelativeError switches the per-node objective from the paper's
-	// Σ|d_p - d_m| to Σ|d_p - d_m|/d_m. The absolute form lets the few
-	// long cross-transit distances dominate, under-fitting the local
-	// geometry the helper heuristic depends on; GNP itself minimizes a
-	// relative form for the same reason.
-	RelativeError bool
-	// Core overrides the bootstrap core size (default 2*(Dim+1)).
+	// Core overrides the bootstrap core size (default 2*(Dim+1): a full
+	// leafset's worth of mutually measuring members when possible).
 	Core int
 	// Simultaneous disables the incremental-join bootstrap and starts
 	// every node from a random coordinate at once — the ablation that
@@ -198,17 +183,24 @@ func (c LeafsetConfig) withDefaults() LeafsetConfig {
 	if c.Rounds <= 0 {
 		c.Rounds = 30
 	}
-	if c.Spread <= 0 {
-		c.Spread = 400
-	}
-	if c.Damping <= 0 || c.Damping > 1 {
-		c.Damping = 0.5
-	}
-	if c.MaxIter <= 0 {
-		c.MaxIter = 120 * c.Dim
+	if c.Core <= 0 {
+		c.Core = 2 * (c.Dim + 1)
 	}
 	return c
 }
+
+const (
+	// leafsetSpread is the side of the random initial box, on the order
+	// of the network diameter in milliseconds.
+	leafsetSpread = 400
+	// leafsetDamping moves each node only this fraction of the way to
+	// its locally optimal coordinate per round. It suppresses the
+	// oscillation of simultaneous updates; the live protocol gets the
+	// same effect from unsynchronized heartbeats.
+	leafsetDamping = 0.5
+	// leafsetEvalsPerDim bounds each per-node simplex refinement.
+	leafsetEvalsPerDim = 120
+)
 
 // SolveLeafset computes coordinates for hosts 0..n-1 with the paper's
 // leafset scheme: no landmarks; every node refines its own coordinate
@@ -234,23 +226,20 @@ func SolveLeafset(lat LatencyFunc, n int, neighbors func(i int) []int, cfg Leafs
 	r := rand.New(rand.NewSource(cfg.Seed))
 	_, cur := rows(n, cfg.Dim)
 	placed := make([]bool, n)
-	f := newFit(cfg.Dim, cfg.RelativeError, cfg.MaxIter)
+	f := newFit(cfg.Dim, false, leafsetEvalsPerDim*cfg.Dim)
 
 	if cfg.Simultaneous {
 		for i := range cur {
-			fillRandom(cur[i], cfg.Spread, r)
+			fillRandom(cur[i], leafsetSpread, r)
 			placed[i] = true
 		}
 	} else {
 		// Incremental join in random order.
 		order := r.Perm(n)
-		coreSize := cfg.coreSize()
-		if coreSize > n {
-			coreSize = n
-		}
+		coreSize := min(cfg.Core, n)
 		core := order[:coreSize]
 		for _, i := range core {
-			fillRandom(cur[i], cfg.Spread, r)
+			fillRandom(cur[i], leafsetSpread, r)
 		}
 		// The bootstrap core heartbeats mutually (a small ring is a
 		// clique of leafsets): iterate to mutual consistency.
@@ -284,7 +273,7 @@ func SolveLeafset(lat LatencyFunc, n int, neighbors func(i int) []int, cfg Leafs
 				x := placedList[r.Intn(len(placedList))]
 				f.add(cur[x], lat(i, x))
 			}
-			fillRandom(cur[i], cfg.Spread, r)
+			fillRandom(cur[i], leafsetSpread, r)
 			copy(cur[i], f.solve(cur[i]))
 			placed[i] = true
 			placedList = append(placedList, i)
@@ -303,12 +292,8 @@ func SolveLeafset(lat LatencyFunc, n int, neighbors func(i int) []int, cfg Leafs
 				f.add(cur[x], lat(i, x))
 			}
 			next := f.solve(cur[i])
-			if cfg.Damping >= 1 {
-				copy(cur[i], next)
-				continue
-			}
 			for d := range cur[i] {
-				cur[i][d] += cfg.Damping * (next[d] - cur[i][d])
+				cur[i][d] += leafsetDamping * (next[d] - cur[i][d])
 			}
 		}
 	}
@@ -342,13 +327,4 @@ func RandomPairs(n, k int, r *rand.Rand) [][2]int {
 		}
 	}
 	return out
-}
-
-// coreSize returns the bootstrap core population: a full leafset's
-// worth of mutually measuring members when possible.
-func (c LeafsetConfig) coreSize() int {
-	if c.Core > 0 {
-		return c.Core
-	}
-	return 2 * (c.Dim + 1)
 }

@@ -4,8 +4,10 @@ package coords
 // kept verbatim as the model the production code is compared against:
 // refFitError ranges over []Vector and calls Dist per reference,
 // refMinimize allocates its simplex per run and sorts through
-// slices.SortFunc. FuzzFitMatchesReference requires the flat kernels
-// and the scratch-reusing simplex to agree with them to the last bit.
+// slices.SortFunc (one edit since: it reads simplexTolerance, the
+// constant SimplexOptions.Tolerance became). FuzzFitMatchesReference
+// requires the flat kernels and the scratch-reusing simplex to agree
+// with them to the last bit.
 
 import (
 	"math"
@@ -99,7 +101,7 @@ func refMinimize(f Objective, start []float64, opt SimplexOptions) ([]float64, f
 		// Convergence test on value spread.
 		spread := math.Abs(vals[worst] - vals[best])
 		scale := math.Abs(vals[worst]) + math.Abs(vals[best]) + 1e-12
-		if spread/scale < opt.Tolerance {
+		if spread/scale < simplexTolerance {
 			break
 		}
 

@@ -18,9 +18,6 @@ type Objective func(x []float64) float64
 type SimplexOptions struct {
 	// MaxIter bounds function evaluations (default 400*n).
 	MaxIter int
-	// Tolerance stops when the simplex's relative value spread falls
-	// below it (default 1e-6).
-	Tolerance float64
 	// InitialStep is the size of the initial simplex around the start
 	// point (default 10).
 	InitialStep float64
@@ -30,14 +27,15 @@ func (o SimplexOptions) withDefaults(n int) SimplexOptions {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 400 * n
 	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-6
-	}
 	if o.InitialStep <= 0 {
 		o.InitialStep = 10
 	}
 	return o
 }
+
+// simplexTolerance stops a run when the simplex's relative value spread
+// falls below it.
+const simplexTolerance = 1e-6
 
 // Minimize runs downhill simplex from start and returns the best point
 // found and its objective value. start is not modified.
@@ -52,21 +50,17 @@ func Minimize(f Objective, start []float64, opt SimplexOptions) ([]float64, floa
 
 // simplex is the minimizer's scratch, reused from one run to the next
 // by whoever owns it (a fit, and so one solve loop or one Estimator).
-// Vertex i is pts[i*n:(i+1)*n]; everything but order shares one array.
+// pts holds n+4 rows of n — the n+1 vertices, then the centroid, trial
+// and expansion points — and shares its array with vals.
 type simplex struct {
-	n                     int
-	pts, vals             []float64
-	centroid, trial, expd []float64
-	order                 []int
+	n         int
+	pts, vals []float64
+	order     []int
 }
 
 func (s *simplex) resize(n int) {
-	buf := make([]float64, (n+1)*n+(n+1)+3*n)
-	s.n = n
-	s.pts, buf = buf[:(n+1)*n], buf[(n+1)*n:]
-	s.vals, buf = buf[:n+1], buf[n+1:]
-	s.centroid, s.trial, s.expd = buf[:n], buf[n:2*n], buf[2*n:]
-	s.order = make([]int, n+1)
+	buf := make([]float64, (n+4)*n+n+1)
+	s.n, s.pts, s.vals, s.order = n, buf[:(n+4)*n], buf[(n+4)*n:], make([]int, n+1)
 }
 
 // minimize is the one Nelder-Mead loop. The returned point aliases the
@@ -78,8 +72,8 @@ func (s *simplex) minimize(f Objective, start []float64, opt SimplexOptions) ([]
 	}
 	opt = opt.withDefaults(n)
 	pts, vals, order := s.pts, s.vals, s.order
-	centroid, trial, expd := s.centroid, s.trial, s.expd
 	at := func(i int) []float64 { return pts[i*n : i*n+n : i*n+n] }
+	centroid, trial, expd := at(n+1), at(n+2), at(n+3)
 
 	// Standard coefficients.
 	const (
@@ -118,7 +112,7 @@ func (s *simplex) minimize(f Objective, start []float64, opt SimplexOptions) ([]
 		// Convergence test on value spread.
 		spread := math.Abs(vals[worst] - vals[best])
 		scale := math.Abs(vals[worst]) + math.Abs(vals[best]) + 1e-12
-		if spread/scale < opt.Tolerance {
+		if spread/scale < simplexTolerance {
 			break
 		}
 

@@ -64,9 +64,6 @@ type Options struct {
 	// Topology generates the underlay; zero value means the paper's
 	// default (600 routers, 1200 hosts).
 	Topology topology.Config
-	// Bandwidth mixes the host capacity population; zero means the
-	// Gnutella-like default.
-	Bandwidth netmodel.Options
 	// LeafsetRadius is the DHT leafset radius (per side). The paper's
 	// metric quality results use a total leafset of 32, i.e. radius 16.
 	LeafsetRadius int
@@ -88,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Topology.Workers == 0 {
 		o.Topology.Workers = o.Workers
-	}
-	if o.Bandwidth.Seed == 0 {
-		o.Bandwidth.Seed = o.Seed + 1
 	}
 	if o.LeafsetRadius <= 0 {
 		o.LeafsetRadius = 16
@@ -133,7 +127,7 @@ func BuildFast(opts Options) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := netmodel.New(net.NumHosts(), opts.Bandwidth)
+	model, err := netmodel.New(net.NumHosts(), netmodel.Options{Seed: opts.Seed + 1})
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +234,7 @@ func BuildLive(opts LiveOptions) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := netmodel.New(net.NumHosts(), base.Bandwidth)
+	model, err := netmodel.New(net.NumHosts(), netmodel.Options{Seed: base.Seed + 1})
 	if err != nil {
 		return nil, err
 	}

@@ -50,9 +50,6 @@ type Config struct {
 	// FailureTimeout is how long without hearing from a leafset member
 	// before the node declares it dead and repairs.
 	FailureTimeout eventsim.Time
-	// HeartbeatBytes is the nominal wire size of a heartbeat message;
-	// the paper's LiquidEye uses 40-byte leaf reports.
-	HeartbeatBytes int
 	// MaxHops caps routing path length as a safety valve.
 	MaxHops int
 	// Fingers is the number of finger pointers; 0 means the default and
@@ -61,15 +58,18 @@ type Config struct {
 	Fingers int
 	// FixFingersInterval is the period of finger refresh.
 	FixFingersInterval eventsim.Time
-	// SuspectTTL is how long a node keeps re-probing a failed leafset
-	// neighbor. A declared failure may really be a network partition
-	// (or a crash followed by a restart), and without re-probing two
-	// healed halves never rediscover each other: each side only
-	// gossips its own survivors. One probe answered re-merges the
-	// ring. 0 means the default (30 * FailureTimeout); negative
-	// disables suspect probing.
-	SuspectTTL eventsim.Time
 }
+
+// heartbeatBytes is the nominal wire size of a heartbeat message; the
+// paper's LiquidEye uses 40-byte leaf reports.
+const heartbeatBytes = 40
+
+// suspectTTL is how long a node keeps re-probing a failed leafset
+// neighbor. A declared failure may really be a network partition (or a
+// crash followed by a restart), and without re-probing two healed
+// halves never rediscover each other: each side only gossips its own
+// survivors. One probe answered re-merges the ring.
+func (c Config) suspectTTL() eventsim.Time { return 30 * c.FailureTimeout }
 
 // DefaultConfig returns the configuration used across the experiments.
 func DefaultConfig() Config {
@@ -77,11 +77,9 @@ func DefaultConfig() Config {
 		LeafsetRadius:      16,
 		HeartbeatInterval:  1 * eventsim.Second,
 		FailureTimeout:     4 * eventsim.Second,
-		HeartbeatBytes:     40,
 		MaxHops:            128,
 		Fingers:            24,
 		FixFingersInterval: 10 * eventsim.Second,
-		SuspectTTL:         30 * 4 * eventsim.Second, // 30 * FailureTimeout
 	}
 }
 
@@ -96,9 +94,6 @@ func (c Config) withDefaults() Config {
 	if c.FailureTimeout <= 0 {
 		c.FailureTimeout = d.FailureTimeout
 	}
-	if c.HeartbeatBytes <= 0 {
-		c.HeartbeatBytes = d.HeartbeatBytes
-	}
 	if c.MaxHops <= 0 {
 		c.MaxHops = d.MaxHops
 	}
@@ -109,11 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FixFingersInterval <= 0 {
 		c.FixFingersInterval = d.FixFingersInterval
-	}
-	if c.SuspectTTL == 0 {
-		c.SuspectTTL = 30 * c.FailureTimeout
-	} else if c.SuspectTTL < 0 {
-		c.SuspectTTL = 0
 	}
 	return c
 }

@@ -110,12 +110,12 @@ func (m *leafsetModel) checkFailures(now eventsim.Time) {
 
 // probeOneSuspect returns the suspect the tick re-probes, or NoEntry.
 func (m *leafsetModel) probeOneSuspect(now eventsim.Time) Entry {
-	if m.cfg.SuspectTTL <= 0 || len(m.suspects) == 0 {
+	if len(m.suspects) == 0 {
 		return NoEntry
 	}
 	alive := make([]ids.ID, 0, len(m.suspects))
 	for id, s := range m.suspects {
-		if now-s.since > m.cfg.SuspectTTL {
+		if now-s.since > m.cfg.suspectTTL() {
 			delete(m.suspects, id)
 			continue
 		}
@@ -330,7 +330,7 @@ func FuzzLeafsetTable(f *testing.F) {
 		0, 36, 9, 10, 10, // everyone silent since times out; probe two suspects
 		8, 255, 8, 255, 3, 2, 40, 30, // their tombstones lapse: gossip clears a suspect, kept or not
 	}
-	crafted = append(crafted, bytes.Repeat([]byte{8, 255}, 30)...) // past SuspectTTL:
+	crafted = append(crafted, bytes.Repeat([]byte{8, 255}, 30)...) // past suspectTTL:
 	crafted = append(crafted, 10)                                  // the rest age out
 	// The no-trace contract at radius 1: both neighbors time out, their
 	// tombstones lapse, closer nodes take both slots, then gossip names

@@ -540,15 +540,15 @@ func (n *Node) heartbeatTick() {
 // like a crashed node; once the partition heals, one answered probe
 // triggers touch/merge on both sides — direct messages clear tombstones
 // — and the two halves of the ring re-merge. Suspects expire after
-// SuspectTTL so genuinely dead nodes stop costing probes.
+// suspectTTL so genuinely dead nodes stop costing probes.
 func (n *Node) probeOneSuspect() {
-	if n.cfg.SuspectTTL <= 0 || len(n.suspects) == 0 {
+	if len(n.suspects) == 0 {
 		return
 	}
 	now := n.net.Now()
 	alive := n.suspectIDs[:0]
 	for id, s := range n.suspects {
-		if now-s.since > n.cfg.SuspectTTL {
+		if now-s.since > n.cfg.suspectTTL() {
 			delete(n.suspects, id)
 			continue
 		}
@@ -609,7 +609,7 @@ func (n *Node) probeOneFinger(hb heartbeat) {
 }
 
 func (n *Node) heartbeatSize(hb heartbeat) int {
-	return n.cfg.HeartbeatBytes + 8*len(hb.Entries)
+	return heartbeatBytes + 8*len(hb.Entries)
 }
 
 // gossipSample returns a few leafset entries to disseminate membership.
@@ -660,7 +660,7 @@ func (n *Node) onHeartbeat(m heartbeat) {
 		Entries: n.gossipSample(),
 		Payload: n.collectPayloads(m.From),
 	}
-	n.send(m.From, n.cfg.HeartbeatBytes+8*len(ack.Entries), ack)
+	n.send(m.From, heartbeatBytes+8*len(ack.Entries), ack)
 }
 
 func (n *Node) onHeartbeatAck(m heartbeatAck) {

@@ -377,7 +377,7 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 		HeartbeatInterval: eventsim.Second,
 		FailureTimeout:    3 * eventsim.Second,
 		Fingers:           12,
-		// SuspectTTL stays at the dht default, 30x this FailureTimeout =
+		// The suspect TTL is dht's 30x this FailureTimeout =
 		// 90s; the long-outage victim is engineered to restart after
 		// every suspect expired.
 	})

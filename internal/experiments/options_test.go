@@ -12,32 +12,6 @@ import (
 	"testing"
 )
 
-// parkedUntilLayoutProof names the library fields no caller sets that
-// stay anyway, because deleting one changes the text the linker lays
-// out ahead of coords.fitError in the benchmark binary and can move
-// that loop between 0 and 32 mod 64, which swings setup_s by 7-30%
-// (ROADMAP item 1, `make layout`). All but one sit in coords or a
-// package linked ahead of it; core.Options.Bandwidth sits after, but is
-// what keeps netmodel.Class's type descriptor, and with it 160 bytes of
-// equality function ahead of coords, in the binary. The PR that makes
-// fitError layout-proof turns each into a constant and empties this
-// list; nothing may be added to it.
-var parkedUntilLayoutProof = []string{
-	"bandwidth.ProberOptions.PadBytes",
-	"core.Options.Bandwidth",
-	"coords.LeafsetConfig.Damping",
-	"coords.LeafsetConfig.MaxIter",
-	"coords.LeafsetConfig.RelativeError",
-	"coords.LeafsetConfig.Spread",
-	"coords.SimplexOptions.Tolerance",
-	"dht.Config.HeartbeatBytes",
-	"dht.Config.SuspectTTL",
-	"sched.Config.HelperRadius",
-	"sched.ServiceConfig.MaxShedPerTick",
-	"somo.Config.GatherWindow",
-	"somo.Config.ReportBytesPerRecord",
-}
-
 // TestStudyOptionsHaveWriters: a field of an exported Config or Options
 // struct under internal/ is an option only while someone sets it
 // (DESIGN.md §10 "Study parameters" and "Library parameters"). Every
@@ -73,20 +47,9 @@ func TestStudyOptionsHaveWriters(t *testing.T) {
 	for _, g := range guessed {
 		t.Logf("assignment through an unresolved type, counted for every struct with the field: %s", g)
 	}
-	var unparked []string
-	for _, o := range orphans {
-		if !slices.Contains(parkedUntilLayoutProof, o) {
-			unparked = append(unparked, o)
-		}
-	}
-	if len(unparked) > 0 {
+	if len(orphans) > 0 {
 		t.Errorf("%d option field(s) no flag, study, library caller, test or benchmark sets — make each a constant beside its reader:\n  %s",
-			len(unparked), strings.Join(unparked, "\n  "))
-	}
-	for _, p := range parkedUntilLayoutProof {
-		if !slices.Contains(orphans, p) {
-			t.Errorf("%s is parked as writer-less but has a writer now, or is gone: delete it from parkedUntilLayoutProof", p)
-		}
+			len(orphans), strings.Join(orphans, "\n  "))
 	}
 }
 

@@ -121,14 +121,16 @@ func somoRun(n, fanout int, sync bool, opts SOMOOptions) (SOMORow, error) {
 	row.Records = len(view.Snapshot.Records)
 	row.Staleness = float64(view.Staleness)
 	row.LogBound = int(math.Ceil(math.Log(float64(n)) / math.Log(float64(fanout))))
-	// T and the gather window are the agents' own (somo's defaults).
+	// T is the agents' own (somo's default); so is the 400 ms a pulled
+	// node waits for its children, which somo does not export.
+	const gatherWindow = 400 * eventsim.Millisecond
 	cfg := agents[0].Config()
 	if sync {
 		// One wave round-trip: per level, a pull hop down, a gather
 		// window, and a report hop up; plus at most one interval since
 		// the previous wave refreshed the leaves.
 		row.StalenessBound = float64(cfg.ReportInterval) +
-			float64(row.Depth+1)*(float64(cfg.GatherWindow)+2*somoHopMS)
+			float64(row.Depth+1)*(float64(gatherWindow)+2*somoHopMS)
 	} else {
 		row.StalenessBound = float64(cfg.ReportInterval) * float64(row.Depth+1)
 	}

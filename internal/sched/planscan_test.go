@@ -106,7 +106,7 @@ func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 			for _, a := range sc.reg.Table(h).Allocations() {
 				if a.Priority > pri {
 					want[a.Session] = true
-					far = far || w.lat(h, s.Root) > 4*sc.cfg.HelperRadius
+					far = far || w.lat(h, s.Root) > 4*helperRadius
 				}
 			}
 		}

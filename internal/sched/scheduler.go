@@ -145,10 +145,11 @@ func (s *Session) HelperCount() int {
 	return len(seen)
 }
 
+// helperRadius is R, in milliseconds, for the critical-node heuristic.
+const helperRadius = 100
+
 // Config tunes the scheduler.
 type Config struct {
-	// HelperRadius R for the critical-node heuristic.
-	HelperRadius float64
 	// HelperMinDegree is the minimum spare fan-out for a helper.
 	HelperMinDegree int
 	// MaxRounds bounds the preemption-replan cascade per Stabilize.
@@ -165,9 +166,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.HelperRadius <= 0 {
-		c.HelperRadius = 100
-	}
 	if c.HelperMinDegree <= 0 {
 		c.HelperMinDegree = alm.DefaultMinDegree
 	}
@@ -761,7 +759,7 @@ func (sc *Scheduler) planOne(s *Session, ctx planCtx) error {
 	sc.candidates = candidates
 
 	hs := alm.HelperSet{
-		Radius:       sc.cfg.HelperRadius,
+		Radius:       helperRadius,
 		MinDegree:    sc.cfg.HelperMinDegree,
 		ScoreLatency: sc.cfg.ScoreLatency,
 		MetricScore:  sc.cfg.MetricScore,

@@ -85,8 +85,6 @@ type ServiceConfig struct {
 	// preemption for this long (hysteresis; default 2s, negative
 	// disables).
 	HoldDown eventsim.Time
-	// MaxShedPerTick bounds overload shedding per Tick (default 64).
-	MaxShedPerTick int
 
 	// Seed drives the backoff jitter stream (independent of every
 	// protocol stream).
@@ -157,9 +155,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 		if c.HoldDown < eventsim.Millisecond {
 			c.HoldDown = eventsim.Millisecond
 		}
-	}
-	if c.MaxShedPerTick <= 0 {
-		c.MaxShedPerTick = 64
 	}
 	return c
 }
@@ -677,8 +672,10 @@ func (sv *Service) Tick(now eventsim.Time) error {
 	sv.queue = append(sv.queue[:0], sv.queue[n:]...)
 
 	// 3. Replanning sweep: dirty sessions whose backoff has elapsed,
-	// highest priority first, until quiet or MaxRounds.
-	shedBudget := sv.cfg.MaxShedPerTick
+	// highest priority first, until quiet or MaxRounds. Overload
+	// shedding is bounded per Tick.
+	const maxShedPerTick = 64
+	shedBudget := maxShedPerTick
 	for round := 0; round < sv.sc.cfg.MaxRounds; round++ {
 		var batch []*Session
 		for _, id := range sv.sc.DirtySessions() {

@@ -51,16 +51,9 @@ type Config struct {
 	// for reports immediately triggers its children's reports, cutting
 	// gather latency from log_k(N)*T to T + t_hop*log_k(N). The pull
 	// cascades: a pulled node first pulls its own children and waits up
-	// to GatherWindow for their fresh reports before reporting up, so
+	// to gatherWindow for their fresh reports before reporting up, so
 	// the root's view is at most one wave round-trip old.
 	Synchronized bool
-	// GatherWindow is how long a pulled node waits for its children's
-	// fresh reports before reporting up (synchronized flow only).
-	// Default: 4 * the typical one-way hop, 400 ms.
-	GatherWindow eventsim.Time
-	// ReportBytesPerRecord models the wire size of one record (the
-	// paper's leaf report is 40 bytes).
-	ReportBytesPerRecord int
 	// QueryTimeout bounds how long a Query waits for the root's reply.
 	// If the root owner dies (or the reply is lost) the pending callback
 	// would otherwise leak forever; after the timeout it fires once with
@@ -68,12 +61,21 @@ type Config struct {
 	QueryTimeout eventsim.Time
 }
 
+const (
+	// gatherWindow is how long a pulled node waits for its children's
+	// fresh reports before reporting up (synchronized flow only): 4 *
+	// the typical one-way hop.
+	gatherWindow = 400 * eventsim.Millisecond
+	// reportBytesPerRecord models the wire size of one record (the
+	// paper's leaf report is 40 bytes).
+	reportBytesPerRecord = 40
+)
+
 // DefaultConfig returns the paper's SOMO parameters.
 func DefaultConfig() Config {
 	return Config{
-		Fanout:               8,
-		ReportInterval:       5 * eventsim.Second,
-		ReportBytesPerRecord: 40,
+		Fanout:         8,
+		ReportInterval: 5 * eventsim.Second,
 	}
 }
 
@@ -87,12 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RecordTTL <= 0 {
 		c.RecordTTL = 20 * c.ReportInterval
-	}
-	if c.ReportBytesPerRecord <= 0 {
-		c.ReportBytesPerRecord = d.ReportBytesPerRecord
-	}
-	if c.GatherWindow <= 0 {
-		c.GatherWindow = 400 * eventsim.Millisecond
 	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 4 * c.ReportInterval
@@ -330,13 +326,13 @@ func (a *Agent) tick() {
 // flow performs one gather step. Unsynchronized: merge local + child
 // records and push them one level up (or refresh the root snapshot).
 // Synchronized: start a cascading wave — pull children, wait up to
-// GatherWindow for their fresh reports, then push up.
+// gatherWindow for their fresh reports, then push up.
 func (a *Agent) flow() {
 	if a.cfg.Synchronized && len(a.knownChildren) > 0 && !a.wavePending {
 		a.wavePending = true
 		a.waveReported = make(map[ids.ID]bool, len(a.knownChildren))
 		a.pullChildren()
-		a.waveCancel = a.node.Network().After(a.cfg.GatherWindow, a.finishWave)
+		a.waveCancel = a.node.Network().After(gatherWindow, a.finishWave)
 		return
 	}
 	if !a.cfg.Synchronized || !a.wavePending {
@@ -372,7 +368,7 @@ func (a *Agent) pushUp() {
 	}
 	records := a.assemble()
 	parentPos := rep.Parent(a.cfg.Fanout).Position(a.cfg.Fanout)
-	size := 64 + a.cfg.ReportBytesPerRecord*len(records)
+	size := 64 + reportBytesPerRecord*len(records)
 	a.node.Route(parentPos, size, reportMsg{Reporter: a.node.Self(), Records: records})
 	a.reportsSent++
 	a.lastReport = a.node.Network().Now()
@@ -490,7 +486,7 @@ func (a *Agent) onRouted(key ids.ID, from dht.Entry, hops int, payload interface
 	case queryMsg:
 		a.refreshRoot()
 		a.snapshotShared = true // Records ride inside the async reply
-		size := 64 + a.cfg.ReportBytesPerRecord*len(a.snapshot.Records)
+		size := 64 + reportBytesPerRecord*len(a.snapshot.Records)
 		a.node.SendApp(m.ReplyTo, size, snapshotMsg{Token: m.Token, Snapshot: a.snapshot})
 	}
 }
