@@ -147,12 +147,12 @@ func SolveGNP(lat LatencyFunc, n int, landmarks []int, cfg GNPConfig) ([]Vector,
 			return
 		}
 		// Every host fits against the same references, read in place.
-		f := newFit(cfg.Dim, cfg.RelativeError, cfg.MaxIter)
-		f.refs, f.meas = lmFlat, make([]float64, len(landmarks))
+		own := newFit(cfg.Dim, cfg.RelativeError, cfg.MaxIter)
+		own.refs, own.meas = lmFlat, make([]float64, len(landmarks))
 		for j, l := range landmarks {
-			f.meas[j] = lat(h, l)
+			own.meas[j] = lat(h, l)
 		}
-		copy(out[h], f.solve(out[h]))
+		copy(out[h], own.solve(out[h]))
 	})
 	return out, nil
 }

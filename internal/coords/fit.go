@@ -56,7 +56,7 @@ func (p *fit) solve(start []float64) []float64 {
 
 // errorN is the fit error for any dimension.
 func (p *fit) errorN(x []float64) float64 {
-	dim, refs := p.dim, p.refs
+	dim, refs, relative := p.dim, p.refs, p.relative
 	e := 0.0
 	for i, m := range p.meas {
 		s := 0.0
@@ -65,7 +65,7 @@ func (p *fit) errorN(x []float64) float64 {
 			s += d * d
 		}
 		t := math.Abs(math.Sqrt(s) - m)
-		if p.relative && m > 0 {
+		if relative && m > 0 {
 			t /= m
 		}
 		e += t
