@@ -134,13 +134,15 @@ mains:
 # `layoutpad` tag, which links 96 bytes of text into internal/par ahead
 # of coords — prints where the dim-7 kernel, the generic loop and the
 # simplex landed mod 64 in each, fails unless the kernel changed halves,
-# then runs BenchmarkFitError and BenchmarkLeafsetCoordinates ten times
-# on each, alternating, and fails if the medians of the dim-7 kernel or
-# the leafset solve differ by more than 8% between the two layouts
-# (the dim-5 generic loop is printed, not gated). ~2.5 min. Ten runs,
-# because single runs on a shared box scatter by more than the gate; a
-# failure with the two layouts' medians out of order between rows is
-# the host, not the code — run it again.
+# then samples BenchmarkFitError (300 ops) and
+# BenchmarkLeafsetCoordinates (2 ops) thirty times on each binary in
+# alternation, and fails if the medians of the dim-7 kernel or the
+# leafset solve differ by more than 8% between the two layouts (the
+# dim-5 generic loop is printed, not gated). ~1.5 min. Thirty short
+# samples rather than six long ones because single runs on a shared box
+# scatter by more than the gate; what is left at dim 7 is ~5% (the
+# simplex's own seven-iteration loops), so a reading just over 8% on a
+# loaded box is the host — run it again.
 LAYOUT_SYMS = (\(\*fit\)\.error7|\(\*fit\)\.errorN|\(\*simplex\)\.minimize)
 layout:
 	@mkdir -p .bench_build
@@ -152,8 +154,9 @@ layout:
 	@test "$$(grep -c 'error7.*mod 64 = 0$$' .bench_build/layout.syms)" = 1 || \
 		{ echo "layout: the pad did not move coords.(*fit).error7 to the other half of a 64-byte line; resize internal/par/layoutpad.go" >&2; exit 1; }
 	@rm -f .bench_build/layout.runs
-	@for i in 1 2 3 4 5 6 7 8 9 10; do for v in plain pad; do \
-		.bench_build/layout-$$v.test -test.run '^$$' -test.bench '^Benchmark(FitError|LeafsetCoordinates)$$' | \
+	@for i in $$(seq 1 30); do for v in plain pad; do \
+		{ .bench_build/layout-$$v.test -test.run '^$$' -test.bench '^BenchmarkFitError$$' -test.benchtime 300x && \
+		  .bench_build/layout-$$v.test -test.run '^$$' -test.bench '^BenchmarkLeafsetCoordinates$$' -test.benchtime 2x; } | \
 		awk -v v=$$v '/^Benchmark/ { sub(/-[0-9]+$$/, "", $$1); print $$1, v, $$3 }' >> .bench_build/layout.runs || exit 1; \
 	done; done
 	@sort -k1,1 -k2,2 -k3,3n .bench_build/layout.runs | awk ' \

@@ -75,8 +75,9 @@ func (p *fit) errorN(x []float64) float64 {
 
 // error7 is errorN at dim 7 — core's coordDim, Figure 4 and the
 // benchmark's pools — with x in locals and one bounds check per
-// reference. Its loop body is long enough not to care which 32-byte
-// boundary the linker starts it on (`make layout`).
+// reference. It has no inner loop, so unlike errorN its speed hardly
+// depends on which half of a 64-byte line the linker starts it on
+// (`make layout`).
 func (p *fit) error7(x []float64) float64 {
 	_ = x[6]
 	x0, x1, x2, x3, x4, x5, x6 := x[0], x[1], x[2], x[3], x[4], x[5], x[6]

@@ -27,13 +27,15 @@ func TestShardGroupLockstep(t *testing.T) {
 	runSafe := func(workers int) (string, uint64, Time) {
 		g := NewShardGroup(shards, 42, workers)
 		traces := make([][]string, shards)
-		var outbox []crossMsg
+		// One outbox per sending shard, flushed in shard order at the
+		// barrier: shards run concurrently within a window.
+		outbox := make([][]crossMsg, shards)
 		for i := 0; i < shards; i++ {
 			i := i
 			e := g.Engine(i)
 			var tick func()
 			tick = func() {
-				outbox = append(outbox, crossMsg{
+				outbox[i] = append(outbox[i], crossMsg{
 					to:      (i + 1) % shards,
 					arrive:  e.Now() + window + Time(e.Rand().Intn(20)),
 					payload: i,
@@ -43,16 +45,18 @@ func TestShardGroupLockstep(t *testing.T) {
 			e.Schedule(Time(i), tick)
 		}
 		g.RunUntil(deadline, window, func(limit Time) {
-			for _, m := range outbox {
-				if m.arrive < limit {
-					t.Fatalf("cross-shard message arrives at %v before barrier %v", m.arrive, limit)
+			for from := range outbox {
+				for _, m := range outbox[from] {
+					if m.arrive < limit {
+						t.Fatalf("cross-shard message arrives at %v before barrier %v", m.arrive, limit)
+					}
+					m := m
+					g.Engine(m.to).At(m.arrive, func() {
+						traces[m.to] = append(traces[m.to], fmt.Sprintf("%d<-%d@%v", m.to, m.payload, m.arrive))
+					})
 				}
-				m := m
-				g.Engine(m.to).At(m.arrive, func() {
-					traces[m.to] = append(traces[m.to], fmt.Sprintf("%d<-%d@%v", m.to, m.payload, m.arrive))
-				})
+				outbox[from] = outbox[from][:0]
 			}
-			outbox = outbox[:0]
 		})
 		all := ""
 		for _, tr := range traces {
