@@ -11,7 +11,10 @@ test:
 	$(GO) test ./...
 
 # Race-check the short test set: the parallel paths (topology all-pairs,
-# experiment fan-out, worker pool) are all exercised under -short.
+# experiment fan-out, worker pool) are all exercised under -short. The
+# seed corpora of the differential fuzz targets run here too, as plain
+# tests: dataplane's FuzzPumpMatchesReference (the pump against its
+# pre-PR-24 clock) among them.
 race:
 	$(GO) test -race -short ./...
 
@@ -188,13 +191,15 @@ layout:
 # runs the multi-source grain the same way: M trees per conference on
 # one shared ledger, concurrent per-source pumps, market competition
 # and churn rejoins, with the continuous ledger sweeps arming the
-# nonzero exit on any conservation violation. The last two steps are
-# the benchmark's correctness gates: on its control-plane workload —
+# nonzero exit on any conservation violation. The last three steps
+# are the benchmark's correctness gates: on its control-plane workload —
 # tree validity, ledger invariants (cached counters recomputed from the
-# allocations) and repetition determinism — in two seconds, and on its
+# allocations) and repetition determinism — in two seconds, on its
 # planner workload — every AMCast, helper, Adjust and Repair tree valid
 # and within its degree bounds, two repetitions hashing alike — in
-# about five.
+# about five, and on its data-plane workload — 48 pumps under
+# contention and churn, each one's four outcome buckets summing to what
+# was expected, repetitions hashing alike — in about five more.
 ci: build fmt vet test race mains layout
 	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
@@ -206,3 +211,4 @@ ci: build fmt vet test race mains layout
 	$(GO) run -race ./cmd/experiments -fig conf -hosts 900 -conf-chunks 10 -seed 1 > /dev/null
 	$(GO) run ./bench -workload admit -seconds 2 > /dev/null
 	$(GO) run ./bench -workload plan-groups -seconds 1 > /dev/null
+	$(GO) run ./bench -workload stream -seconds 2 > /dev/null

@@ -18,6 +18,7 @@ import (
 	"p2ppool"
 	"p2ppool/internal/alm"
 	"p2ppool/internal/coords"
+	"p2ppool/internal/dataplane"
 	"p2ppool/internal/dht"
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/ids"
@@ -631,8 +632,9 @@ func BenchmarkServiceTick(b *testing.B) {
 
 // BenchmarkEventQueue measures the event core's steady-state cost: a
 // schedule/fire/reset mix over a standing population of periodic
-// timers. The 4-ary concrete-typed heap plus Timer reuse makes the
-// loop allocation-free (asserted by eventsim's TestScheduleFireZeroAlloc).
+// timers. eventsim's own queue (a 4-ary heap of event values, the
+// comparison inlined) plus Timer reuse makes the loop allocation-free
+// (asserted by eventsim's TestScheduleFireZeroAlloc).
 func BenchmarkEventQueue(b *testing.B) {
 	b.ReportAllocs()
 	engine := eventsim.New(1)
@@ -649,6 +651,95 @@ func BenchmarkEventQueue(b *testing.B) {
 	for k = 0; k < b.N; k++ {
 		engine.Step()
 	}
+}
+
+// holdEvent is one member of BenchmarkEventQueueHold's standing
+// population: firing it schedules it again.
+type holdEvent struct {
+	engine *eventsim.Engine
+	delays []eventsim.Time // length a power of two
+	next   int
+}
+
+func (h *holdEvent) RunEvent() {
+	h.next++
+	h.engine.CallAfter(h.delays[h.next&(len(h.delays)-1)], h)
+}
+
+// BenchmarkEventQueueHold is the classic hold model of a pending-event
+// set: a standing population of depth events, each step popping the
+// earliest and pushing it back a random delay later, so the queue is
+// sifted at full depth on every operation (BenchmarkEventQueue's 64
+// distinct delays drain mostly through the same-timestamp batch). The
+// depths are the ones the benchmark workloads hold: ~1,100 per shard on
+// `ring`, ~12,000 (17,000 peak) on `stream` before PR 24.
+func BenchmarkEventQueueHold(b *testing.B) {
+	for _, depth := range []int{1024, 16384} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			engine := eventsim.New(1)
+			r := rand.New(rand.NewSource(1))
+			delays := make([]eventsim.Time, 1024)
+			for i := range delays {
+				delays[i] = eventsim.Time(r.ExpFloat64() * 1000)
+			}
+			for i := 0; i < depth; i++ {
+				h := &holdEvent{engine: engine, delays: delays, next: r.Intn(len(delays))}
+				engine.CallAfter(eventsim.Time(r.Float64()*1000), h)
+			}
+			engine.Run(uint64(4 * depth)) // past the start-up transient
+			b.ReportAllocs()
+			b.ResetTimer()
+			engine.Run(uint64(b.N))
+		})
+	}
+}
+
+// BenchmarkPumpStream is one streaming session the size the `stream`
+// workload runs 48 of: 50 members under a fan-out-3 tree, 200 one-second
+// chunks at 250 kbps, 4 mesh neighbours each, uplinks drawn from one to
+// six rungs so the deep relays run late and the mesh has work. One op is
+// the whole stream; events/chunk, and allocs/op over the 200 chunks, are
+// what a chunk costs the simulator whatever the machine.
+func BenchmarkPumpStream(b *testing.B) {
+	const members, chunks, kbps = 50, 200, 250.0
+	r := rand.New(rand.NewSource(1))
+	up := make([]float64, members+1)
+	down := make([]float64, members+1)
+	roster := make([]int, members)
+	tree := alm.NewTree(0)
+	for h := range up {
+		up[h] = kbps * (1 + 5*r.Float64())
+		down[h] = kbps * 20
+		if h > 0 {
+			roster[h-1] = h
+			if err := tree.Attach(h, (h-1)/3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var events uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engine := eventsim.New(1)
+		net := transport.NewSim(engine, transport.SimOptions{
+			Latency: func(a, c int) float64 { return 5 + float64((a*31+c*17)%90) + 0.37 },
+		})
+		plane := dataplane.NewPlane(net, up, down)
+		plane.Attach(members + 1)
+		pump, err := plane.StartPump(1, 0, roster, func() *alm.Tree { return tree }, nil, 0, dataplane.Config{
+			BitrateKbps: kbps, Playout: 3 * eventsim.Second, Chunks: chunks, PullNeighbors: 4, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		engine.Run(0)
+		if st := pump.Finalize(); st.Expected != members*chunks {
+			b.Fatalf("Expected = %d, want %d", st.Expected, members*chunks)
+		}
+		events += engine.Processed()
+	}
+	b.ReportMetric(float64(events)/float64(b.N*chunks), "events/chunk")
 }
 
 // BenchmarkTransportFanout measures one node sending to a 32-peer

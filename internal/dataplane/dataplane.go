@@ -326,10 +326,11 @@ type Pump struct {
 }
 
 // StartPump registers and starts a pump for session key rooted at root:
-// chunk 0 is emitted at virtual time at, chunk s at at + s*ChunkDur.
-// members excludes the root; tree supplies the live routing; alive
-// reports host liveness (nil means always alive) and gates both outcome
-// expectations and pull attempts. The key must not already be pumping.
+// chunk 0 is emitted at virtual time at (not in the past), chunk s at
+// at + s*ChunkDur, each emission arming the next. members excludes the
+// root; tree supplies the live routing; alive reports host liveness
+// (nil means always alive) and gates both outcome expectations and pull
+// attempts. The key must not already be pumping.
 func (pl *Plane) StartPump(key, root int, members []int, tree TreeFunc, alive func(int) bool, at eventsim.Time, cfg Config) (*Pump, error) {
 	if _, ok := pl.pumps[key]; ok {
 		return nil, fmt.Errorf("dataplane: session %d already pumping", key)
@@ -340,6 +341,9 @@ func (pl *Plane) StartPump(key, root int, members []int, tree TreeFunc, alive fu
 	}
 	if cfg.BitrateKbps <= 0 {
 		return nil, fmt.Errorf("dataplane: session %d: BitrateKbps must be positive", key)
+	}
+	if at < pl.net.Now() {
+		return nil, fmt.Errorf("dataplane: session %d: first emission %v in the past", key, at)
 	}
 	if alive == nil {
 		alive = func(int) bool { return true }
@@ -380,16 +384,7 @@ func (pl *Plane) StartPump(key, root int, members []int, tree TreeFunc, alive fu
 		}
 	}
 	pl.pumps[key] = p
-
-	now := pl.net.Now()
-	for s := 0; s < cfg.Chunks; s++ {
-		s := s
-		emit := at + eventsim.Time(s)*cfg.ChunkDur
-		if emit < now {
-			return nil, fmt.Errorf("dataplane: session %d: chunk %d emission %v in the past", key, s, emit)
-		}
-		pl.net.After(emit-now, func() { p.emit(s) })
-	}
+	pl.net.After(at-pl.net.Now(), func() { p.emit(0) })
 	return p, nil
 }
 
@@ -407,24 +402,32 @@ func (p *Pump) host(h int) *hostState {
 	return hs
 }
 
-// emit clocks chunk s at the source: snapshot which members are due
-// (alive at emission — a member that crashes later still counts, its
-// miss is the stream's miss), mark the root as having the chunk, push
-// to the tree children, and arm each due member's pull schedule.
+// emit clocks chunk s at the source: arm the next emission (a dead
+// source keeps its clock), snapshot which members are due (alive now —
+// one that crashes later still counts, its miss is the stream's), mark
+// the root as having the chunk, arm the pull rounds, push to the tree.
 func (p *Pump) emit(s int) {
+	now := p.plane.net.Now()
+	if s+1 < p.cfg.Chunks {
+		p.plane.net.After(p.start+eventsim.Time(s+1)*p.cfg.ChunkDur-now, func() { p.emit(s + 1) })
+	}
 	if !p.alive(p.root) {
 		return // a dead source emits nothing; nothing becomes due
 	}
-	rs := p.host(p.root)
-	rs.got[s] = chunkState{arrived: true, at: p.plane.net.Now()}
+	p.host(p.root).got[s] = chunkState{arrived: true, at: now}
+	due := make([]int, 0, len(p.members))
 	for _, m := range p.members {
 		if m == p.root || !p.alive(m) {
 			continue
 		}
-		p.host(m).got[s].expected = true
+		hs := p.host(m)
+		hs.got[s].expected = true
 		p.stats.Expected++
-		p.schedulePull(m, s, p.pullStart)
+		if len(hs.nbrs) > 0 {
+			due = append(due, m)
+		}
 	}
+	p.armPull(s, due, p.pullStart)
 	p.forward(p.root, s)
 }
 
@@ -479,44 +482,47 @@ func (p *Pump) onChunk(h int, m chunkMsg) {
 	p.forward(h, m.Seq)
 }
 
-// schedulePull arms member m's next pull round for chunk s, delay after
-// the chunk's emission time. Rounds stop at the playout deadline.
-func (p *Pump) schedulePull(m, s int, delay eventsim.Time) {
-	if len(p.host(m).nbrs) == 0 {
-		return
-	}
+// armPull arms chunk s's next pull round, delay after its emission,
+// for the members in due; rounds stop at the playout deadline. A round
+// is one event: per-member timers armed back to back for one instant
+// fire back to back, so walking due in order is the same schedule.
+func (p *Pump) armPull(s int, due []int, delay eventsim.Time) {
 	emit := p.start + eventsim.Time(s)*p.cfg.ChunkDur
 	fire := emit + delay
-	if fire > emit+p.cfg.Playout {
-		return // past the deadline: a pull could no longer save the chunk
+	if len(due) == 0 || fire > emit+p.cfg.Playout {
+		return // past the deadline a pull could no longer save the chunk
 	}
-	p.plane.net.After(fire-p.plane.net.Now(), func() { p.pullRound(m, s, delay) })
+	p.plane.net.After(fire-p.plane.net.Now(), func() { p.pullRound(s, due, delay) })
 }
 
-// pullRound asks the next mesh neighbor in rotation for chunk s, then
-// re-arms. A crashed member skips the round but keeps the schedule (it
-// may restart inside a long VoD window); a crashed or chunk-less
-// neighbor simply never answers and the rotation moves on. A pull sent
-// within the last pullTimeout suppresses this round's send — the
-// neighbor's response may still be in flight, and re-asking would spend
-// mesh uplink shipping duplicates.
-func (p *Pump) pullRound(m, s int, delay eventsim.Time) {
-	hs := p.host(m)
-	st := &hs.got[s]
-	if st.arrived {
-		return
-	}
+// pullRound has each member of due still missing chunk s ask its next
+// mesh neighbor in rotation, then re-arms for those members. A crashed
+// member skips the round but keeps its place (it may restart inside a
+// long VoD window); a crashed or chunk-less neighbor never answers and
+// the rotation moves on. A pull sent within the last pullTimeout
+// suppresses this round's send — the response may still be in flight,
+// and re-asking would spend mesh uplink shipping duplicates.
+func (p *Pump) pullRound(s int, due []int, delay eventsim.Time) {
 	now := p.plane.net.Now()
-	if p.alive(m) && (!st.pullSent || now-st.lastPull >= p.pullTimeout) {
-		n := hs.nbrs[hs.nextNbr%len(hs.nbrs)]
-		hs.nextNbr++
-		st.pullSent = true
-		st.lastPull = now
-		p.stats.PullsSent++
-		p.plane.cPulls.Inc()
-		p.plane.net.Send(transport.Addr(m), transport.Addr(n), headerBytes, pullMsg{Key: p.key, Seq: s, From: m})
+	missing := due[:0]
+	for _, m := range due {
+		hs := p.host(m)
+		st := &hs.got[s]
+		if st.arrived {
+			continue
+		}
+		missing = append(missing, m)
+		if p.alive(m) && (!st.pullSent || now-st.lastPull >= p.pullTimeout) {
+			n := hs.nbrs[hs.nextNbr%len(hs.nbrs)]
+			hs.nextNbr++
+			st.pullSent = true
+			st.lastPull = now
+			p.stats.PullsSent++
+			p.plane.cPulls.Inc()
+			p.plane.net.Send(transport.Addr(m), transport.Addr(n), headerBytes, pullMsg{Key: p.key, Seq: s, From: m})
+		}
 	}
-	p.schedulePull(m, s, delay+p.pullRetry)
+	p.armPull(s, missing, delay+p.pullRetry)
 }
 
 // onPull answers a mesh-pull request at host h: if h has the chunk (and
@@ -571,12 +577,6 @@ func (p *Pump) Finalize() Stats {
 	}
 	p.stats.TreeMisses = p.stats.PullRecovered + p.stats.Late + p.stats.Lost
 	return p.stats
-}
-
-// Stop deregisters the pump from the plane; in-flight messages for its
-// key are ignored on arrival.
-func (p *Pump) Stop() {
-	delete(p.plane.pumps, p.key)
 }
 
 // CapacityBound is the data-driven streaming capacity upper bound of

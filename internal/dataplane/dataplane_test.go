@@ -275,3 +275,50 @@ func TestPumpPullTimingsFollowTheirBases(t *testing.T) {
 		}
 	}
 }
+
+func TestPumpEventBudget(t *testing.T) {
+	// What a stream costs the event queue, to the event. On a static
+	// loss-free chain with pulls on, a chunk is one emission, one pull
+	// round (which finds every member served and does not re-arm) and,
+	// per tree edge, a transfer completion and a delivery — whatever the
+	// roster size. Before PR 24 the round was one event per member, and
+	// every emission of the stream sat in the queue from the start.
+	const n, chunks = 6, 12
+	engine, pl := world(t, n, 10000, 10000)
+	tr := chain(0, 1, 2, 3, 4, 5)
+	p, err := pl.StartPump(1, 0, []int{1, 2, 3, 4, 5}, func() *alm.Tree { return tr }, nil, 0, Config{
+		BitrateKbps: 400, Chunks: chunks, PullNeighbors: 2, Seed: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := engine.Pending(); got != 1 {
+		t.Fatalf("Pending = %d after StartPump, want 1 (the emit timer)", got)
+	}
+	engine.Run(0)
+	if got, want := engine.Processed(), uint64(chunks*(1+1+2*(n-1))); got != want {
+		t.Fatalf("Processed = %d, want %d = %d chunks x (emit + pull round + 2 x %d edges)", got, want, chunks, n-1)
+	}
+	if st := p.Finalize(); st.OnTimeTree != chunks*(n-1) || st.PullsSent != 0 {
+		t.Fatalf("outcomes %+v, want every chunk on time via the tree and no pull sent", st)
+	}
+}
+
+func TestStartPumpInThePastRegistersNothing(t *testing.T) {
+	engine, pl := world(t, 2, 10000, 10000)
+	tr := chain(0, 1)
+	engine.RunUntil(500)
+	start := func(at eventsim.Time) error {
+		_, err := pl.StartPump(1, 0, []int{1}, func() *alm.Tree { return tr }, nil, at, Config{BitrateKbps: 400, Chunks: 3})
+		return err
+	}
+	if err := start(499); err == nil {
+		t.Fatal("StartPump accepted a first emission in the past")
+	}
+	if got := engine.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after a refused StartPump, want 0", got)
+	}
+	if err := start(500); err != nil {
+		t.Fatalf("the refused start left its key behind: %v", err)
+	}
+}

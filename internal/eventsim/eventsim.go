@@ -9,21 +9,20 @@
 // (FIFO), which keeps runs deterministic regardless of map iteration or
 // goroutine interleaving — the engine is strictly single-threaded.
 //
-// The queue is a concrete-typed 4-ary min-heap (internal/heap4) rather
-// than container/heap: no interface boxing means the steady-state
-// schedule/fire path allocates nothing, which is what lets the
-// simulator scale an order of magnitude past the paper's 1,200 hosts
-// without garbage scaling with N·message-rate. Events popped at the
-// same timestamp are drained as one batch, so a burst of simultaneous
-// deliveries costs one heap interaction per event only while the batch
-// is being collected, and none while it is being fired.
+// The engine owns its queue (queue.go): a 4-ary min-heap of event
+// values with the (at, seq) comparison inlined, not container/heap (an
+// allocation per Push and Pop to box the element) and not the generic
+// internal/heap4 (an indirect call copying two events per comparison;
+// DESIGN.md §5 has the measurements). The steady-state schedule/fire
+// path allocates nothing. Events popped at the same timestamp are
+// drained as one batch, so a burst of simultaneous deliveries costs one
+// heap interaction per event only while the batch is being collected,
+// and none while it is being fired.
 package eventsim
 
 import (
 	"fmt"
 	"math/rand"
-
-	"p2ppool/internal/heap4"
 )
 
 // Time is virtual time in milliseconds since the start of the run.
@@ -101,21 +100,14 @@ type event struct {
 
 // stale reports whether the event was orphaned by a Stop or Reset.
 // Runner events cannot be cancelled and are never stale.
-func (ev event) stale() bool { return ev.timer != nil && ev.gen != ev.timer.gen }
-
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
+func (ev *event) stale() bool { return ev.timer != nil && ev.gen != ev.timer.gen }
 
 // Engine is the simulation core. Create with New; not safe for
 // concurrent use (by design — determinism).
 type Engine struct {
 	now   Time
 	seq   uint64
-	queue *heap4.Heap[event]
+	queue queue
 	// batch buffers same-timestamp events drained from the queue in one
 	// go; batchPos is the next batch entry to fire. Events scheduled
 	// while a batch drains carry higher seqs than everything in the
@@ -134,10 +126,7 @@ type Engine struct {
 
 // New returns an engine whose randomness is seeded with seed.
 func New(seed int64) *Engine {
-	return &Engine{
-		queue: heap4.New(eventLess),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -208,7 +197,7 @@ func (e *Engine) push(tm *Timer, at Time) {
 func (e *Engine) peekReady() (Time, bool) {
 	for {
 		if e.batchPos < len(e.batch) {
-			ev := e.batch[e.batchPos]
+			ev := &e.batch[e.batchPos]
 			if ev.stale() {
 				e.batchPos++
 				continue

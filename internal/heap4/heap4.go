@@ -1,16 +1,16 @@
-// Package heap4 is a concrete-typed 4-ary min-heap. It exists because
+// Package heap4 is a generic 4-ary min-heap. It exists because
 // container/heap costs an allocation per Push and per Pop: its
 // interface{} arguments box every element on the heap's hottest paths.
-// On the simulator's two priority queues — the event queue, which every
-// scheduled timer and every in-flight message passes through, and the
-// Dijkstra frontier, which all-pairs topology construction hammers —
-// that boxing is the single largest source of garbage and scales with
-// N·message-rate. A generic heap keeps elements unboxed (zero
-// allocations per Push/Pop once the backing array has grown) and the
-// 4-ary layout halves tree depth versus a binary heap, trading slightly
-// wider sift-down comparisons for markedly fewer cache-missing levels —
-// the standard shape for event queues with hundreds of thousands of
-// pending entries.
+// Its one user is the Dijkstra frontier of all-pairs topology
+// construction (internal/topology). A generic heap keeps elements
+// unboxed (zero allocations per Push/Pop once the backing array has
+// grown) and the 4-ary layout halves tree depth versus a binary heap,
+// trading slightly wider sift-down comparisons for markedly fewer
+// cache-missing levels. The simulator's event queue is not this heap:
+// internal/eventsim owns a concrete one, because ordering through the
+// less field below costs an indirect call and two element copies per
+// comparison, which the frontier (1% of a ring's set-up) can afford and
+// the event loop cannot.
 package heap4
 
 // Heap is a 4-ary min-heap ordered by the less function. The zero
