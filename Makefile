@@ -14,7 +14,9 @@ test:
 # experiment fan-out, worker pool) are all exercised under -short. The
 # seed corpora of the differential fuzz targets run here too, as plain
 # tests: dataplane's FuzzPumpMatchesReference (the pump against its
-# pre-PR-24 clock) among them.
+# pre-PR-24 clock) and transport's FuzzShardedSimMatchesReference (the
+# per-shard dense tables against the map-backed send path, two workers)
+# among them.
 race:
 	$(GO) test -race -short ./...
 
@@ -199,7 +201,11 @@ layout:
 # and within its degree bounds, two repetitions hashing alike — in
 # about five, and on its data-plane workload — 48 pumps under
 # contention and churn, each one's four outcome buckets summing to what
-# was expected, repetitions hashing alike — in about five more.
+# was expected, repetitions hashing alike — in about five more. The
+# last two run the gates of the workloads the message path carries:
+# `ring` under the race detector (dht.CheckRing, full root-snapshot
+# coverage, and each shard's endpoint tables written only by the
+# shard's own goroutine) and `fullstack` (every layer on one pool).
 ci: build fmt vet test race mains layout
 	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
@@ -212,3 +218,5 @@ ci: build fmt vet test race mains layout
 	$(GO) run ./bench -workload admit -seconds 2 > /dev/null
 	$(GO) run ./bench -workload plan-groups -seconds 1 > /dev/null
 	$(GO) run ./bench -workload stream -seconds 2 > /dev/null
+	$(GO) run -race ./bench -workload ring -seconds 1 > /dev/null
+	$(GO) run ./bench -workload fullstack -seconds 2 > /dev/null

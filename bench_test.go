@@ -21,6 +21,7 @@ import (
 	"p2ppool/internal/dataplane"
 	"p2ppool/internal/dht"
 	"p2ppool/internal/eventsim"
+	"p2ppool/internal/faultnet"
 	"p2ppool/internal/ids"
 	"p2ppool/internal/netmodel"
 	"p2ppool/internal/sched"
@@ -763,6 +764,29 @@ func BenchmarkTransportFanout(b *testing.B) {
 			net.Send(0, transport.Addr(p), 64, msg)
 		}
 		engine.Run(peers)
+	}
+}
+
+// BenchmarkFaultnetSend measures one message through a pass-through
+// faultnet.Net over Sim — no rule configured, so the layer only looks up
+// both endpoints' crash state and the empty rule maps on send and the
+// recipient's on delivery — including delivery. One op is one delivered
+// message; the path allocates nothing.
+func BenchmarkFaultnetSend(b *testing.B) {
+	b.ReportAllocs()
+	engine := eventsim.New(1)
+	f := faultnet.New(transport.NewSim(engine, transport.SimOptions{
+		Latency: func(a, c int) float64 { return 5 },
+	}), faultnet.Options{Seed: 1})
+	const peers = 32
+	for p := 0; p <= peers; p++ {
+		f.Attach(transport.Addr(p), func(from transport.Addr, msg transport.Message) {})
+	}
+	msg := transport.Message(fanoutMsg{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Send(0, transport.Addr(1+i%peers), 64, msg)
+		engine.Step()
 	}
 }
 

@@ -30,17 +30,36 @@ type leafsetModel struct {
 
 	lastZone ids.Zone
 	zones    []ids.Zone // old, new, old, new, ... in firing order
+
+	// The finger prober's bookkeeping before PR 25, verbatim: every
+	// contact in one map, pruned on each failure sweep, read when a
+	// probe expires.
+	fingers     []Entry
+	lastContact map[ids.ID]eventsim.Time
+	fingerProbe map[ids.ID]eventsim.Time
+	probeCursor int
+	// mutation names a seeded fault in the model: "tie" counts a contact
+	// in the probe's own instant as silence, "memory" never forgets a
+	// contact. The finger seeds must tell either from the node.
+	mutation string
 }
 
 func newLeafsetModel(self Entry, cfg Config) *leafsetModel {
-	return &leafsetModel{
-		self:       self,
-		cfg:        cfg.withDefaults(),
-		neighbors:  make(map[ids.ID]*neighbor),
-		tombstones: make(map[ids.ID]eventsim.Time),
-		suspects:   make(map[ids.ID]suspect),
-		lastZone:   ids.Zone{Start: self.ID, End: self.ID},
+	m := &leafsetModel{
+		self:        self,
+		cfg:         cfg.withDefaults(),
+		neighbors:   make(map[ids.ID]*neighbor),
+		tombstones:  make(map[ids.ID]eventsim.Time),
+		suspects:    make(map[ids.ID]suspect),
+		lastZone:    ids.Zone{Start: self.ID, End: self.ID},
+		lastContact: make(map[ids.ID]eventsim.Time),
+		fingerProbe: make(map[ids.ID]eventsim.Time),
 	}
+	m.fingers = make([]Entry, m.cfg.Fingers)
+	for i := range m.fingers {
+		m.fingers[i] = NoEntry
+	}
+	return m
 }
 
 func (m *leafsetModel) touch(now eventsim.Time, e Entry) {
@@ -49,6 +68,7 @@ func (m *leafsetModel) touch(now eventsim.Time, e Entry) {
 	}
 	delete(m.tombstones, e.ID)
 	delete(m.suspects, e.ID)
+	m.lastContact[e.ID] = now
 	if nb, ok := m.neighbors[e.ID]; ok {
 		nb.lastHeard = now
 		return
@@ -83,6 +103,7 @@ func (m *leafsetModel) merge(now eventsim.Time, entries ...Entry) {
 func (m *leafsetModel) bury(now eventsim.Time, id ids.ID) {
 	m.tombstones[id] = now + 2*m.cfg.FailureTimeout
 	delete(m.suspects, id)
+	m.purgeFinger(id)
 	if _, ok := m.neighbors[id]; !ok {
 		return
 	}
@@ -91,6 +112,11 @@ func (m *leafsetModel) bury(now eventsim.Time, id ids.ID) {
 }
 
 func (m *leafsetModel) checkFailures(now eventsim.Time) {
+	for id, at := range m.lastContact {
+		if now-at > 8*m.cfg.FailureTimeout && m.mutation != "memory" {
+			delete(m.lastContact, id)
+		}
+	}
 	var dead []ids.ID
 	for id, nb := range m.neighbors {
 		if now-nb.lastHeard > m.cfg.FailureTimeout {
@@ -103,6 +129,7 @@ func (m *leafsetModel) checkFailures(now eventsim.Time) {
 	for _, id := range dead {
 		m.tombstones[id] = now + 2*m.cfg.FailureTimeout
 		m.suspects[id] = suspect{entry: m.neighbors[id].entry, since: now}
+		m.purgeFinger(id)
 		delete(m.neighbors, id)
 	}
 	m.rebuild()
@@ -127,6 +154,47 @@ func (m *leafsetModel) probeOneSuspect(now eventsim.Time) Entry {
 	sort.Slice(alive, func(i, j int) bool { return alive[i] < alive[j] })
 	m.suspectCursor = (m.suspectCursor + 1) % len(alive)
 	return m.suspects[alive[m.suspectCursor]].entry
+}
+
+func (m *leafsetModel) purgeFinger(id ids.ID) {
+	for i, f := range m.fingers {
+		if !f.IsZero() && f.ID == id {
+			m.fingers[i] = NoEntry
+		}
+	}
+}
+
+// probeOneFinger returns the finger the tick probes, or NoEntry.
+func (m *leafsetModel) probeOneFinger(now eventsim.Time) Entry {
+	for id, sentAt := range m.fingerProbe {
+		if now-sentAt <= m.cfg.FailureTimeout {
+			continue
+		}
+		if heard, ok := m.lastContact[id]; !ok || heard < sentAt || m.mutation == "tie" && heard == sentAt {
+			m.tombstones[id] = now + 2*m.cfg.FailureTimeout
+			m.purgeFinger(id)
+		}
+		delete(m.fingerProbe, id)
+	}
+	if len(m.fingers) == 0 {
+		return NoEntry
+	}
+	for tries := 0; tries < len(m.fingers); tries++ {
+		m.probeCursor = (m.probeCursor + 1) % len(m.fingers)
+		f := m.fingers[m.probeCursor]
+		if f.IsZero() {
+			continue
+		}
+		if _, ok := m.neighbors[f.ID]; ok {
+			return NoEntry // already heartbeated as a leafset member
+		}
+		if _, pending := m.fingerProbe[f.ID]; pending {
+			return NoEntry
+		}
+		m.fingerProbe[f.ID] = now
+		return f
+	}
+	return NoEntry
 }
 
 // rebuild recomputes the sorted leafset view, pruning neighbors that no
@@ -191,6 +259,10 @@ func (c *clockNet) Send(_, to transport.Addr, _ int, _ transport.Message) {
 const (
 	fuzzSelfID     = ids.ID(0x8000_0000_0000_0000)
 	fuzzCandidates = 64
+	fuzzFingers    = 4
+	// Op bytes from fingerOps up set fingers and run ticks; the bytes
+	// below it mean what they meant before the prober was modelled.
+	fingerOps = 176
 )
 
 func fuzzCandidate(b byte) Entry {
@@ -229,16 +301,27 @@ func (s *leafsetScript) entry(self Entry) Entry {
 	}
 }
 
-// runLeafsetScript drives a Node and the model through the same script
-// and fails at the first step after which they differ in the leafset,
-// any entry's lastHeard, the suspect or tombstone set, the zone-change
-// callbacks fired, or the suspect chosen for re-probing.
+// runLeafsetScript fails the test at the first difference
+// leafsetScriptDiff finds.
 func runLeafsetScript(t *testing.T, radius int, data []byte) {
-	cfg := Config{LeafsetRadius: radius, Fingers: -1}
+	if d := leafsetScriptDiff(radius, data, ""); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// leafsetScriptDiff drives a Node and the model (with the given
+// mutation, "" for none) through the same script and describes the
+// first step after which they differ in the leafset, any entry's
+// lastHeard, the suspect or tombstone set, the zone-change callbacks
+// fired, the suspect chosen for re-probing, the finger table, the
+// pending finger probes or the finger probed; "" if they never do.
+func leafsetScriptDiff(radius int, data []byte, mutation string) string {
+	cfg := Config{LeafsetRadius: radius, Fingers: fuzzFingers}
 	net := &clockNet{rng: rand.New(rand.NewSource(1))}
 	self := Entry{ID: fuzzSelfID, Addr: 0}
 	n := NewNode(net, self.ID, self.Addr, cfg)
 	m := newLeafsetModel(self, cfg)
+	m.mutation = mutation
 	var zones []ids.Zone
 	n.OnZoneChange(func(old, new ids.Zone) { zones = append(zones, old, new) })
 
@@ -246,7 +329,12 @@ func runLeafsetScript(t *testing.T, radius int, data []byte) {
 	for step := 0; len(s.data) > 0; step++ {
 		var op string
 		net.sent = net.sent[:0]
-		switch b := s.next(); b % 11 {
+		b := s.next()
+		kind := int(b % 11)
+		if b >= fingerOps {
+			kind = 11 + int(b-fingerOps)%2
+		}
+		switch kind {
 		case 0, 1, 2:
 			e := s.entry(self)
 			op = fmt.Sprintf("touch %v", e)
@@ -288,34 +376,95 @@ func runLeafsetScript(t *testing.T, radius int, data []byte) {
 				want = append(want, e.Addr)
 			}
 			if !slices.Equal(net.sent, want) {
-				t.Fatalf("step %d (%s): probed %v, model %v", step, op, net.sent, want)
+				return fmt.Sprintf("step %d (%s): probed %v, model %v", step, op, net.sent, want)
+			}
+		case 11:
+			// A fingerResult: any entry but the node itself.
+			i, e := int(s.next())%fuzzFingers, s.entry(self)
+			if e.Addr == self.Addr {
+				e = NoEntry
+			}
+			op = fmt.Sprintf("finger[%d] = %v", i, e)
+			n.fingers[i] = e
+			m.fingers[i] = e
+		case 12:
+			// A heartbeat tick's failure sweep and finger probe, in the
+			// order heartbeatTick runs them.
+			op = "tick"
+			n.checkFailures()
+			m.checkFailures(net.now)
+			net.sent = net.sent[:0]
+			n.probeOneFinger(&heartbeat{From: self, SentAt: net.now})
+			var want []transport.Addr
+			if e := m.probeOneFinger(net.now); !e.IsZero() {
+				want = append(want, e.Addr)
+			}
+			if !slices.Equal(net.sent, want) {
+				return fmt.Sprintf("step %d (%s): probed %v, model %v", step, op, net.sent, want)
 			}
 		}
 		if got := n.Leafset(); !slices.Equal(got, m.sorted) {
-			t.Fatalf("step %d (%s): leafset\n got  %v\n want %v", step, op, got, m.sorted)
+			return fmt.Sprintf("step %d (%s): leafset\n got  %v\n want %v", step, op, got, m.sorted)
 		}
 		for _, nb := range n.table {
 			if want := m.neighbors[nb.entry.ID].lastHeard; nb.lastHeard != want {
-				t.Fatalf("step %d (%s): %v lastHeard %v, model %v", step, op, nb.entry, nb.lastHeard, want)
+				return fmt.Sprintf("step %d (%s): %v lastHeard %v, model %v", step, op, nb.entry, nb.lastHeard, want)
 			}
 		}
 		if !maps.Equal(n.suspects, m.suspects) {
-			t.Fatalf("step %d (%s): suspects\n got  %v\n want %v", step, op, n.suspects, m.suspects)
+			return fmt.Sprintf("step %d (%s): suspects\n got  %v\n want %v", step, op, n.suspects, m.suspects)
 		}
 		if !maps.Equal(n.tombstones, m.tombstones) {
-			t.Fatalf("step %d (%s): tombstones\n got  %v\n want %v", step, op, n.tombstones, m.tombstones)
+			return fmt.Sprintf("step %d (%s): tombstones\n got  %v\n want %v", step, op, n.tombstones, m.tombstones)
 		}
 		if !slices.Equal(zones, m.zones) {
-			t.Fatalf("step %d (%s): zone changes\n got  %v\n want %v", step, op, zones, m.zones)
+			return fmt.Sprintf("step %d (%s): zone changes\n got  %v\n want %v", step, op, zones, m.zones)
+		}
+		if !slices.Equal(n.fingers, m.fingers) {
+			return fmt.Sprintf("step %d (%s): fingers\n got  %v\n want %v", step, op, n.fingers, m.fingers)
+		}
+		pending := make(map[ids.ID]eventsim.Time, len(n.probes))
+		for _, p := range n.probes {
+			pending[p.id] = p.sentAt
+		}
+		if len(pending) != len(n.probes) || !maps.Equal(pending, m.fingerProbe) {
+			return fmt.Sprintf("step %d (%s): pending probes\n got  %+v\n want %v", step, op, n.probes, m.fingerProbe)
 		}
 	}
+	return ""
 }
 
 var fuzzRadii = [...]int{1, 2, 8}
 
+// fingerSeeds are the finger prober's two edge cases, at radius 1 so a
+// far finger never enters the full leafset. "tie": the finger is heard
+// earlier in the instant its probe goes out, which answers the probe
+// (the old check, heard < sentAt, was strict). "forgotten": the finger
+// answers, then the next tick comes over 8 × FailureTimeout later, and
+// its expiry check must no longer count that answer.
+var fingerSeeds = map[string][]byte{
+	"tie": {
+		0, 33, 0, 31, // fill the leafset: successor, predecessor
+		176, 0, 10, // fingers[0] = a far node
+		0, 10, // heard from it ...
+		177,         // ... then probed, in the same instant
+		8, 255, 177, // expiry: answered, kept; probed again
+		8, 255, 177, // that probe expires unanswered
+	},
+	"forgotten": {
+		0, 33, 0, 31, 176, 0, 10,
+		177,         // probe the far finger
+		8, 1, 0, 10, // it answers 16 ms later
+		8, 255, 8, 255, 8, 255, 8, 255, 8, 255, 8, 255, 8, 255, 8, 255, 8, 255, // 36.7 s without a tick
+		177, // the expiry check
+	},
+}
+
 // FuzzLeafsetTable checks the in-place sorted table against the naive
 // rebuild-from-a-map model over random touch / merge / bury / timeout
-// sequences. The seed corpus runs under plain `go test`.
+// sequences, and the finger prober's per-probe contact records against
+// the lastContact map they replaced. The seed corpus runs under plain
+// `go test`.
 func FuzzLeafsetTable(f *testing.F) {
 	// Fill past 2r from both sides, re-gossip evicted members, bury and
 	// re-gossip inside and after the tombstone window, time everyone out.
@@ -343,6 +492,8 @@ func FuzzLeafsetTable(f *testing.F) {
 		f.Add(uint8(r), crafted)
 		f.Add(uint8(r), unkept)
 	}
+	f.Add(uint8(0), fingerSeeds["tie"])
+	f.Add(uint8(0), fingerSeeds["forgotten"])
 	rng := rand.New(rand.NewSource(14))
 	for i := 0; i < 24; i++ {
 		script := make([]byte, 3000)
@@ -352,4 +503,19 @@ func FuzzLeafsetTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, radius uint8, script []byte) {
 		runLeafsetScript(t, fuzzRadii[int(radius)%len(fuzzRadii)], script)
 	})
+}
+
+// TestFingerSeedsCatchMutations requires each finger seed to agree with
+// the faithful model and to fail against the model mutated at the case
+// it was written for: dropping the same-instant tie, and never
+// forgetting a contact.
+func TestFingerSeedsCatchMutations(t *testing.T) {
+	for seed, mutation := range map[string]string{"tie": "tie", "forgotten": "memory"} {
+		if d := leafsetScriptDiff(1, fingerSeeds[seed], ""); d != "" {
+			t.Fatalf("%s: %s", seed, d)
+		}
+		if leafsetScriptDiff(1, fingerSeeds[seed], mutation) == "" {
+			t.Errorf("%s seed: the %q mutation of the model goes unnoticed", seed, mutation)
+		}
+	}
 }

@@ -55,16 +55,17 @@ type Node struct {
 	tombstones map[ids.ID]eventsim.Time
 
 	fingers []Entry // fingers[i] ~ owner of self + 2^(RingBits-Fingers+i)
-	// lastContact records when any message last arrived from a peer —
-	// liveness evidence for finger probing (leafset members have their
-	// own records in table).
-	lastContact map[ids.ID]eventsim.Time
-	// fingerProbe tracks outstanding liveness probes to finger nodes:
-	// ID -> probe send time. A finger that stays silent past the
-	// failure timeout is purged, so routed traffic stops black-holing
-	// through dead pointers that are not in the leafset.
-	fingerProbe map[ids.ID]eventsim.Time
+	// probes are the outstanding liveness probes to finger nodes, each
+	// recording when its target was last heard from. A finger that stays
+	// silent past the failure timeout is purged, so routed traffic stops
+	// black-holing through dead pointers that are not in the leafset.
+	probes      []fingerProbe
 	probeCursor int
+	// heardNow lists the peers heard from at heardAt, the latest instant
+	// anything was: a probe sent later in that instant counts them as
+	// having answered (see probeOneFinger).
+	heardAt  eventsim.Time
+	heardNow []ids.ID
 
 	// suspects are declared-dead leafset neighbors still worth one
 	// cheap probe per heartbeat tick: if the "failure" was a partition
@@ -111,13 +112,11 @@ type Node struct {
 // (first node) or Join.
 func NewNode(net transport.Network, id ids.ID, addr transport.Addr, cfg Config) *Node {
 	n := &Node{
-		net:         net,
-		cfg:         cfg.withDefaults(),
-		self:        Entry{ID: id, Addr: addr},
-		tombstones:  make(map[ids.ID]eventsim.Time),
-		lastContact: make(map[ids.ID]eventsim.Time),
-		fingerProbe: make(map[ids.ID]eventsim.Time),
-		suspects:    make(map[ids.ID]suspect),
+		net:        net,
+		cfg:        cfg.withDefaults(),
+		self:       Entry{ID: id, Addr: addr},
+		tombstones: make(map[ids.ID]eventsim.Time),
+		suspects:   make(map[ids.ID]suspect),
 	}
 	n.table = make([]neighbor, 0, 2*n.cfg.LeafsetRadius)
 	n.fingers = make([]Entry, n.cfg.Fingers)
@@ -315,9 +314,9 @@ func (n *Node) onMessage(from transport.Addr, msg transport.Message) {
 		return
 	}
 	switch m := msg.(type) {
-	case heartbeat:
+	case *heartbeat:
 		n.onHeartbeat(m)
-	case heartbeatAck:
+	case *heartbeatAck:
 		n.onHeartbeatAck(m)
 	case routed:
 		n.routeMsg(m)
@@ -399,7 +398,7 @@ func (n *Node) touch(e Entry) {
 	now := n.net.Now()
 	delete(n.tombstones, e.ID)
 	delete(n.suspects, e.ID)
-	n.lastContact[e.ID] = now
+	n.noteContact(e.ID, now)
 	i, ok := n.find(e.ID)
 	if ok {
 		n.table[i].lastHeard = now
@@ -512,25 +511,26 @@ func (n *Node) heartbeatTick() {
 	}
 	if len(n.gossips) == 0 {
 		// No per-peer payloads: every leafset member gets the identical
-		// message, so box it into the transport interface once instead
-		// of once per peer. At N nodes × L leafset members per tick this
-		// is the largest steady-state allocation in the whole simulator.
-		var msg transport.Message = hb
-		size := n.heartbeatSize(hb)
+		// message, so allocate it once instead of once per peer. At N
+		// nodes × L leafset members per tick this is the largest
+		// steady-state allocation in the whole simulator.
+		shared := hb
+		size := n.heartbeatSize(&hb)
 		for _, nb := range n.table {
-			n.send(nb.entry, size, msg)
+			n.send(nb.entry, size, &shared)
 			n.stats.HeartbeatsSent++
 			n.cHeartbeats.Inc()
 		}
 	} else {
 		for _, nb := range n.table {
-			hb.Payload = n.collectPayloads(nb.entry)
-			n.send(nb.entry, n.heartbeatSize(hb), hb)
+			m := hb
+			m.Payload = n.collectPayloads(nb.entry)
+			n.send(nb.entry, n.heartbeatSize(&m), &m)
 			n.stats.HeartbeatsSent++
 			n.cHeartbeats.Inc()
 		}
 	}
-	n.probeOneFinger(hb)
+	n.probeOneFinger(&hb)
 	n.probeOneSuspect()
 	n.cancelHB = n.net.After(n.cfg.HeartbeatInterval, n.heartbeatTick)
 }
@@ -566,24 +566,58 @@ func (n *Node) probeOneSuspect() {
 	n.cSuspectProbes.Inc()
 }
 
+// fingerProbe is one outstanding liveness probe: its target, when it
+// was sent, and when the target was last heard from since (heard).
+type fingerProbe struct {
+	id        ids.ID
+	sentAt    eventsim.Time
+	lastHeard eventsim.Time
+	heard     bool
+}
+
+// contactMemory is how long evidence of life counts for a probe: a
+// target last heard longer ago than this when its probe expires is
+// silent, however late the expiry check runs.
+func (c Config) contactMemory() eventsim.Time { return 8 * c.FailureTimeout }
+
+// noteContact records that a message arrived from id at now: it answers any
+// pending probe to id, and id stays in heardNow for the rest of the
+// instant.
+func (n *Node) noteContact(id ids.ID, now eventsim.Time) {
+	if now != n.heardAt {
+		n.heardAt, n.heardNow = now, n.heardNow[:0]
+	}
+	n.heardNow = append(n.heardNow, id)
+	for i := range n.probes {
+		if p := &n.probes[i]; p.id == id {
+			p.lastHeard, p.heard = now, true
+		}
+	}
+}
+
 // probeOneFinger sends a liveness heartbeat to one finger per tick
 // (round-robin) and purges fingers that stayed silent past the failure
 // timeout. Leafset failure detection does not cover fingers, and a
 // dead finger otherwise black-holes routed traffic until the slow
-// random refresh happens to replace it.
-func (n *Node) probeOneFinger(hb heartbeat) {
+// random refresh happens to replace it. A probe is answered by any
+// message from its target no earlier than the probe was sent — one
+// heard earlier in the probe's own instant included — and not longer
+// ago than contactMemory when the probe expires.
+func (n *Node) probeOneFinger(hb *heartbeat) {
 	now := n.net.Now()
 	// First, expire outstanding probes that got no answer.
-	for id, sentAt := range n.fingerProbe {
-		if now-sentAt <= n.cfg.FailureTimeout {
+	pending := n.probes[:0]
+	for _, p := range n.probes {
+		if now-p.sentAt <= n.cfg.FailureTimeout {
+			pending = append(pending, p)
 			continue
 		}
-		if heard, ok := n.lastContact[id]; !ok || heard < sentAt {
-			n.tombstones[id] = now + 2*n.cfg.FailureTimeout
-			n.purgeFinger(id)
+		if !p.heard || now-p.lastHeard > n.cfg.contactMemory() {
+			n.tombstones[p.id] = now + 2*n.cfg.FailureTimeout
+			n.purgeFinger(p.id)
 		}
-		delete(n.fingerProbe, id)
 	}
+	n.probes = pending
 	if len(n.fingers) == 0 {
 		return
 	}
@@ -596,36 +630,54 @@ func (n *Node) probeOneFinger(hb heartbeat) {
 		if _, ok := n.find(f.ID); ok {
 			return // already heartbeated as a leafset member
 		}
-		if _, pending := n.fingerProbe[f.ID]; pending {
+		if n.probing(f.ID) {
 			return
 		}
-		n.fingerProbe[f.ID] = now
-		hb.Payload = n.collectPayloads(f)
-		n.send(f, n.heartbeatSize(hb), hb)
+		p := fingerProbe{id: f.ID, sentAt: now}
+		if now == n.heardAt && slices.Contains(n.heardNow, f.ID) {
+			p.lastHeard, p.heard = now, true
+		}
+		n.probes = append(n.probes, p)
+		m := *hb
+		m.Payload = n.collectPayloads(f)
+		n.send(f, n.heartbeatSize(&m), &m)
 		n.stats.HeartbeatsSent++
 		n.cHeartbeats.Inc()
 		return
 	}
 }
 
-func (n *Node) heartbeatSize(hb heartbeat) int {
-	return heartbeatBytes + 8*len(hb.Entries)
+// probing reports whether a probe to id is outstanding.
+func (n *Node) probing(id ids.ID) bool {
+	for _, p := range n.probes {
+		if p.id == id {
+			return true
+		}
+	}
+	return false
+}
+
+func (n *Node) heartbeatSize(hb *heartbeat) int {
+	return heartbeatBytes + 8*hb.Entries.n
 }
 
 // gossipSample returns a few leafset entries to disseminate membership.
-func (n *Node) gossipSample() []Entry {
-	const sample = 4
-	if len(n.table) <= sample {
-		return n.Leafset()
+func (n *Node) gossipSample() leafSample {
+	var s leafSample
+	if len(n.table) <= sampleSize {
+		for _, nb := range n.table {
+			s.e[s.n] = nb.entry
+			s.n++
+		}
+		return s
 	}
-	out := make([]Entry, 0, sample)
 	// Successor, predecessor and two random members: ends keep ring
 	// consistency tight, randoms spread global membership.
-	out = append(out, n.table[0].entry, n.table[len(n.table)-1].entry)
-	for len(out) < sample {
-		out = append(out, n.table[n.net.Rand().Intn(len(n.table))].entry)
+	s.e[0], s.e[1] = n.table[0].entry, n.table[len(n.table)-1].entry
+	for s.n = 2; s.n < sampleSize; s.n++ {
+		s.e[s.n] = n.table[n.net.Rand().Intn(len(n.table))].entry
 	}
-	return out
+	return s
 }
 
 func (n *Node) collectPayloads(peer Entry) []interface{} {
@@ -649,23 +701,23 @@ func (n *Node) deliverPayloads(peer Entry, rtt float64, payloads []interface{}) 
 	}
 }
 
-func (n *Node) onHeartbeat(m heartbeat) {
+func (n *Node) onHeartbeat(m *heartbeat) {
 	n.touch(m.From)
-	n.merge(m.Entries...)
+	n.merge(m.Entries.list()...)
 	// The request leg carries no fresh RTT sample.
 	n.deliverPayloads(m.From, -1, m.Payload)
-	ack := heartbeatAck{
+	ack := &heartbeatAck{
 		From:    n.self,
 		SentAt:  m.SentAt,
 		Entries: n.gossipSample(),
 		Payload: n.collectPayloads(m.From),
 	}
-	n.send(m.From, heartbeatBytes+8*len(ack.Entries), ack)
+	n.send(m.From, heartbeatBytes+8*ack.Entries.n, ack)
 }
 
-func (n *Node) onHeartbeatAck(m heartbeatAck) {
+func (n *Node) onHeartbeatAck(m *heartbeatAck) {
 	n.touch(m.From)
-	n.merge(m.Entries...)
+	n.merge(m.Entries.list()...)
 	n.stats.AcksReceived++
 	n.cAcks.Inc()
 	rtt := float64(n.net.Now() - m.SentAt)
@@ -674,13 +726,6 @@ func (n *Node) onHeartbeatAck(m heartbeatAck) {
 
 func (n *Node) checkFailures() {
 	now := n.net.Now()
-	// Bound auxiliary liveness state: forget contacts that have gone
-	// quiet for a long time (they re-enter on the next message).
-	for id, at := range n.lastContact {
-		if now-at > 8*n.cfg.FailureTimeout {
-			delete(n.lastContact, id)
-		}
-	}
 	live := n.table[:0]
 	for _, nb := range n.table {
 		if now-nb.lastHeard <= n.cfg.FailureTimeout {
@@ -718,15 +763,16 @@ func (n *Node) onJoinReply(m joinReply) {
 	// waiting for the next heartbeat tick.
 	hb := heartbeat{From: n.self, SentAt: n.net.Now(), Entries: n.gossipSample()}
 	if len(n.gossips) == 0 {
-		var msg transport.Message = hb // identical for every peer: box once
-		size := n.heartbeatSize(hb)
+		shared := hb // identical for every peer: allocate once
+		size := n.heartbeatSize(&hb)
 		for _, nb := range n.table {
-			n.send(nb.entry, size, msg)
+			n.send(nb.entry, size, &shared)
 		}
 	} else {
 		for _, nb := range n.table {
-			hb.Payload = n.collectPayloads(nb.entry)
-			n.send(nb.entry, n.heartbeatSize(hb), hb)
+			m := hb
+			m.Payload = n.collectPayloads(nb.entry)
+			n.send(nb.entry, n.heartbeatSize(&m), &m)
 		}
 	}
 }

@@ -17,7 +17,6 @@ package faultnet
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"p2ppool/internal/eventsim"
@@ -60,8 +59,13 @@ type Net struct {
 	inner transport.Network
 	rng   *rand.Rand
 
-	handlers map[transport.Addr]transport.Handler
-	crashed  map[transport.Addr]bool
+	// handlers and crashed are indexed by address, like the transport's
+	// own tables; nCrashed counts the true entries of crashed.
+	handlers []transport.Handler
+	crashed  []bool
+	nCrashed int
+	// The rule maps are empty unless a fault is configured, and a lookup
+	// in an empty map returns before hashing.
 	nodeLoss map[transport.Addr]float64
 	linkLoss map[[2]transport.Addr]float64
 	// groupOf assigns each partitioned address its group; messages
@@ -94,8 +98,6 @@ func New(inner transport.Network, opt Options) *Net {
 	return &Net{
 		inner:    inner,
 		rng:      rand.New(rand.NewSource(opt.Seed)),
-		handlers: make(map[transport.Addr]transport.Handler),
-		crashed:  make(map[transport.Addr]bool),
 		nodeLoss: make(map[transport.Addr]float64),
 		linkLoss: make(map[[2]transport.Addr]float64),
 		groupOf:  make(map[transport.Addr]int),
@@ -187,14 +189,34 @@ func (f *Net) Partitioned(a, b transport.Addr) bool {
 
 // --- crash / restart ---
 
+// mustAddr panics, naming the call and the address, on a negative
+// address (the tables are indexed by address).
+func mustAddr(op string, a transport.Addr) {
+	if a < 0 {
+		panic(fmt.Sprintf("faultnet: %s(%d): negative address", op, a))
+	}
+}
+
+// grow extends t with zero values until index i is valid.
+func grow[T any](t []T, i int) []T {
+	if i < len(t) {
+		return t
+	}
+	return append(t, make([]T, i+1-len(t))...)
+}
+
 // Crash marks a as crashed: it neither sends nor receives (in-flight
 // messages to it are dropped at delivery) until Restart. Registered
-// OnCrash hooks run synchronously. Crashing a crashed node is a no-op.
+// OnCrash hooks run synchronously. Crashing a crashed node is a no-op;
+// a negative address panics.
 func (f *Net) Crash(a transport.Addr) {
-	if f.crashed[a] {
+	mustAddr("Crash", a)
+	if f.Crashed(a) {
 		return
 	}
+	f.crashed = grow(f.crashed, int(a))
 	f.crashed[a] = true
+	f.nCrashed++
 	f.Mark(fmt.Sprintf("fault:crash %d", a))
 	f.ctr.Crashes++
 	f.cCrashes.Inc()
@@ -208,10 +230,11 @@ func (f *Net) Crash(a transport.Addr) {
 // (they typically rebuild the protocol stack and rejoin). Restarting a
 // live node is a no-op.
 func (f *Net) Restart(a transport.Addr) {
-	if !f.crashed[a] {
+	if !f.Crashed(a) {
 		return
 	}
-	delete(f.crashed, a)
+	f.crashed[a] = false
+	f.nCrashed--
 	f.Mark(fmt.Sprintf("fault:restart %d", a))
 	f.ctr.Restarts++
 	f.cRestarts.Inc()
@@ -222,16 +245,19 @@ func (f *Net) Restart(a transport.Addr) {
 }
 
 // Crashed reports whether a is currently crashed.
-func (f *Net) Crashed(a transport.Addr) bool { return f.crashed[a] }
+func (f *Net) Crashed(a transport.Addr) bool {
+	return uint(a) < uint(len(f.crashed)) && f.crashed[a]
+}
 
 // CrashedAddrs returns the currently crashed addresses in ascending
 // order (deterministic reporting).
 func (f *Net) CrashedAddrs() []transport.Addr {
-	out := make([]transport.Addr, 0, len(f.crashed))
-	for a := range f.crashed {
-		out = append(out, a)
+	out := make([]transport.Addr, 0, f.nCrashed)
+	for a := 0; len(out) < f.nCrashed; a++ {
+		if f.crashed[a] {
+			out = append(out, transport.Addr(a))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -301,17 +327,20 @@ func FlashCrowd(at eventsim.Time, n int, window eventsim.Time, do func(i int, f 
 // --- transport.Network ---
 
 // Attach implements transport.Network. The handler is wrapped so that
-// messages arriving at a crashed endpoint are dropped and counted.
+// messages arriving at a crashed endpoint are dropped and counted. A
+// negative address panics.
 func (f *Net) Attach(a transport.Addr, h transport.Handler) {
+	mustAddr("Attach", a)
+	f.handlers = grow(f.handlers, int(a))
 	f.handlers[a] = h
 	f.inner.Attach(a, func(from transport.Addr, msg transport.Message) {
-		if f.crashed[a] {
+		if f.Crashed(a) {
 			f.ctr.CrashDrops++
 			f.cCrashDrop.Inc()
 			f.dropEvent(from, a, 0, "crash")
 			return
 		}
-		if cur, ok := f.handlers[a]; ok {
+		if cur := f.handlers[a]; cur != nil {
 			cur(from, msg)
 		}
 	})
@@ -319,7 +348,9 @@ func (f *Net) Attach(a transport.Addr, h transport.Handler) {
 
 // Detach implements transport.Network.
 func (f *Net) Detach(a transport.Addr) {
-	delete(f.handlers, a)
+	if uint(a) < uint(len(f.handlers)) {
+		f.handlers[a] = nil
+	}
 	f.inner.Detach(a)
 }
 
@@ -328,7 +359,7 @@ func (f *Net) Detach(a transport.Addr) {
 // wrapped network. Fault checks run in a fixed order so the random
 // stream is consumed deterministically.
 func (f *Net) Send(from, to transport.Addr, sizeBytes int, msg transport.Message) {
-	if f.crashed[from] || f.crashed[to] {
+	if f.Crashed(from) || f.Crashed(to) {
 		f.ctr.CrashDrops++
 		f.cCrashDrop.Inc()
 		f.dropEvent(from, to, sizeBytes, "crash")

@@ -1,6 +1,9 @@
 package faultnet
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"p2ppool/internal/eventsim"
@@ -281,5 +284,61 @@ func TestFlashCrowd(t *testing.T) {
 	// Empty crowds produce no script at all.
 	if got := FlashCrowd(0, 0, 100, func(int, *Net) {}); got != nil {
 		t.Fatalf("FlashCrowd(n=0) = %v, want nil", got)
+	}
+}
+
+// TestAddressContract: the handler and crash tables are indexed by
+// address, so a negative one panics at Attach or Crash, naming call and
+// address; asking about or restarting an address outside the table is a
+// no-op; a send to a detached or never-attached address is the wrapped
+// network's counted drop; CrashedAddrs stays ascending.
+func TestAddressContract(t *testing.T) {
+	e, sim, f := newNet(9)
+	h := func(transport.Addr, transport.Message) {}
+	for _, c := range []struct {
+		call string
+		f    func()
+	}{
+		{"Attach(-1)", func() { f.Attach(transport.NoAddr, h) }},
+		{"Crash(-3)", func() { f.Crash(-3) }},
+	} {
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			c.f()
+			return "no panic"
+		}()
+		if !strings.Contains(msg, c.call) {
+			t.Errorf("%s: panic %q", c.call, msg)
+		}
+	}
+	if f.Crashed(transport.NoAddr) || f.Crashed(1000) {
+		t.Error("an address outside the crash table reads as crashed")
+	}
+	f.Restart(1000)
+	f.Detach(transport.NoAddr)
+
+	f.Attach(1, h)
+	f.Attach(2, h)
+	f.Detach(2)
+	f.Send(1, 2, 8, "detached")
+	f.Send(1, 3, 8, "never attached")
+	e.Run(0)
+	if st := sim.Stats(); st.MessagesDropped != 2 {
+		t.Errorf("transport dropped %d, want 2", st.MessagesDropped)
+	}
+	if c := f.Counters(); c != (Counters{}) {
+		t.Errorf("faultnet counted %+v for drops that were not faults", c)
+	}
+
+	for _, a := range []transport.Addr{7, 3, 1000, 3} {
+		f.Crash(a)
+	}
+	f.Restart(7)
+	if got, want := f.CrashedAddrs(), []transport.Addr{3, 1000}; !slices.Equal(got, want) {
+		t.Errorf("CrashedAddrs = %v, want %v", got, want)
 	}
 }

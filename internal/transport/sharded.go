@@ -5,6 +5,9 @@
 // randomness, so protocol nodes written for the single-threaded Sim
 // run unchanged against their shard's view.
 //
+// A shard's endpoint tables are slices indexed by a / shards, so each is
+// dense over the addresses the shard owns and is written only by it.
+//
 // Sends inside a shard follow the exact Sim delivery path. Sends that
 // cross shards are buffered in the sending shard's outbox and handed to
 // the target engine at the next window barrier — legal because the
@@ -36,7 +39,8 @@ type ShardedSimOptions struct {
 	Latency LatencyFunc
 	// Bottleneck optionally serializes back-to-back sends (packet-pair);
 	// it must be pure. Serialization state is per directed pair and
-	// lives on the sending shard, so it needs no cross-shard locking.
+	// lives on the sending shard, so it needs no cross-shard locking;
+	// without a Bottleneck there is none.
 	Bottleneck BottleneckFunc
 	// LossProb drops each message independently with this probability,
 	// drawn from the sending shard's deterministic stream.
@@ -70,17 +74,19 @@ type ShardedSim struct {
 type simShard struct {
 	owner  *ShardedSim
 	id     int
+	n      int // shard count: address a is slot a / n of shard a % n
 	engine *eventsim.Engine
 
-	latency    LatencyFunc
-	bottleneck BottleneckFunc
-	lossProb   float64
+	latency  LatencyFunc
+	lossProb float64
+	pp       *packetPair // nil without a Bottleneck
 
-	handlers    map[Addr]Handler
-	down        map[Addr]bool
-	lastArrival map[[2]Addr]eventsim.Time
-	stats       Stats
-	outbox      []*shardedDelivery
+	// handlers and down are indexed by slot; a slot past the end has no
+	// handler and is up.
+	handlers []Handler
+	down     []bool
+	stats    Stats
+	outbox   []*shardedDelivery
 }
 
 // NewShardedSim creates a partitioned network.
@@ -101,15 +107,13 @@ func NewShardedSim(opt ShardedSimOptions) *ShardedSim {
 	}
 	for i := range s.shards {
 		s.shards[i] = &simShard{
-			owner:       s,
-			id:          i,
-			engine:      s.group.Engine(i),
-			latency:     opt.Latency,
-			bottleneck:  opt.Bottleneck,
-			lossProb:    opt.LossProb,
-			handlers:    make(map[Addr]Handler),
-			down:        make(map[Addr]bool),
-			lastArrival: make(map[[2]Addr]eventsim.Time),
+			owner:    s,
+			id:       i,
+			n:        opt.Shards,
+			engine:   s.group.Engine(i),
+			latency:  opt.Latency,
+			lossProb: opt.LossProb,
+			pp:       newPacketPair(opt.Bottleneck),
 		}
 	}
 	return s
@@ -149,12 +153,15 @@ func (s *ShardedSim) Stats() Stats {
 }
 
 // SetDown marks an endpoint failed or recovered (between windows only).
+// It panics on a negative address.
 func (s *ShardedSim) SetDown(a Addr, down bool) {
-	sh := s.shards[s.shardFor(a)]
+	mustAddr("SetDown", a)
+	sh, i := s.shards[s.shardFor(a)], int(a)/len(s.shards)
 	if down {
-		sh.down[a] = true
-	} else {
-		delete(sh.down, a)
+		sh.down = grow(sh.down, i)
+	}
+	if i < len(sh.down) {
+		sh.down[i] = down
 	}
 }
 
@@ -182,13 +189,17 @@ func (s *ShardedSim) flush(limit eventsim.Time) {
 	}
 }
 
-// Attach implements Network. The address must belong to this shard.
+// Attach implements Network. The address must belong to this shard; a
+// negative one panics.
 func (sh *simShard) Attach(a Addr, h Handler) {
+	mustAddr("Attach", a)
 	if sh.owner.shardFor(a) != sh.id {
 		panic(fmt.Sprintf("transport: attaching addr %d to shard %d, belongs to shard %d",
 			a, sh.id, sh.owner.shardFor(a)))
 	}
-	sh.handlers[a] = h
+	i := int(a) / sh.n
+	sh.handlers = grow(sh.handlers, i)
+	sh.handlers[i] = h
 }
 
 // Detach implements Network.
@@ -197,7 +208,19 @@ func (sh *simShard) Detach(a Addr) {
 		panic(fmt.Sprintf("transport: detaching addr %d from shard %d, belongs to shard %d",
 			a, sh.id, sh.owner.shardFor(a)))
 	}
-	delete(sh.handlers, a)
+	if i := int(a) / sh.n; i < len(sh.handlers) {
+		sh.handlers[i] = nil
+	}
+}
+
+// isDown reports whether a is marked down. Only addresses this shard
+// owns can be: SetDown writes the owner's table.
+func (sh *simShard) isDown(a Addr) bool {
+	if len(sh.down) == 0 {
+		return false
+	}
+	i := int(a) / sh.n
+	return int(a)%sh.n == sh.id && i < len(sh.down) && sh.down[i]
 }
 
 // Send implements Network. Same-shard messages take the Sim delivery
@@ -209,7 +232,7 @@ func (sh *simShard) Detach(a Addr) {
 func (sh *simShard) Send(from, to Addr, sizeBytes int, msg Message) {
 	sh.stats.MessagesSent++
 	sh.stats.BytesSent += uint64(sizeBytes)
-	if sh.down[from] {
+	if sh.isDown(from) {
 		sh.stats.MessagesDropped++
 		return
 	}
@@ -218,28 +241,18 @@ func (sh *simShard) Send(from, to Addr, sizeBytes int, msg Message) {
 		return
 	}
 	lat := eventsim.Time(sh.latency(int(from), int(to)))
-	target := sh.owner.shards[sh.owner.shardFor(to)]
+	target := sh.owner.shards[int(to)%sh.n]
 	if target != sh && lat < sh.owner.lookahead {
 		panic(fmt.Sprintf(
 			"transport: cross-shard latency %v (%d->%d) below lookahead %v",
 			lat, from, to, sh.owner.lookahead))
 	}
 	arrive := sh.engine.Now() + lat
-	var ser eventsim.Time
-	if sh.bottleneck != nil && sizeBytes > 0 {
-		if bw := sh.bottleneck(int(from), int(to)); bw > 0 {
-			ser = eventsim.Time(float64(sizeBytes*8) / bw)
-		}
+	if sh.pp != nil {
+		arrive = sh.pp.arrival(from, to, sizeBytes, arrive)
 	}
-	key := [2]Addr{from, to}
-	if prev, ok := sh.lastArrival[key]; ok && prev+ser > arrive {
-		arrive = prev + ser
-	} else {
-		arrive += ser
-	}
-	sh.lastArrival[key] = arrive
 	d := shardedDeliveryPool.Get().(*shardedDelivery)
-	*d = shardedDelivery{to: target, from: from, addr: to, sizeBytes: sizeBytes, msg: msg, arrive: arrive}
+	*d = shardedDelivery{to: target, from: from, slot: int(to) / sh.n, sizeBytes: sizeBytes, msg: msg, arrive: arrive}
 	if target == sh {
 		sh.engine.CallAt(arrive, d)
 		return
@@ -249,11 +262,11 @@ func (sh *simShard) Send(from, to Addr, sizeBytes int, msg Message) {
 
 // shardedDelivery is a pooled in-flight message; RunEvent fires on the
 // *target* shard's engine, where the handler table and delivered/drop
-// stats live.
+// stats live. slot is the recipient's index in that shard's tables.
 type shardedDelivery struct {
 	to        *simShard
 	from      Addr
-	addr      Addr
+	slot      int
 	sizeBytes int
 	msg       Message
 	arrive    eventsim.Time
@@ -263,15 +276,18 @@ var shardedDeliveryPool = sync.Pool{New: func() interface{} { return new(sharded
 
 // RunEvent implements eventsim.Runner.
 func (d *shardedDelivery) RunEvent() {
-	sh, from, to, msg := d.to, d.from, d.addr, d.msg
+	sh, from, i, msg := d.to, d.from, d.slot, d.msg
 	*d = shardedDelivery{}
 	shardedDeliveryPool.Put(d)
-	if sh.down[to] {
+	if i < len(sh.down) && sh.down[i] {
 		sh.stats.MessagesDropped++
 		return
 	}
-	h, ok := sh.handlers[to]
-	if !ok {
+	var h Handler
+	if i < len(sh.handlers) {
+		h = sh.handlers[i]
+	}
+	if h == nil {
 		sh.stats.MessagesDropped++
 		return
 	}

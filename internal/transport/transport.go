@@ -9,10 +9,14 @@
 //     advance in lockstep windows (sharded.go).
 //
 // Addresses are host indices into the topology; protocols carry logical
-// IDs inside their own messages.
+// IDs inside their own messages. Because they are dense, every endpoint
+// table is a slice indexed by address (DESIGN.md §5 "What one message
+// costs"): a negative address panics where it is attached or marked,
+// and a send to an address past the end of a table is a counted drop.
 package transport
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -85,18 +89,17 @@ type BottleneckFunc func(src, dst int) float64
 
 // Sim is the deterministic virtual-time network.
 type Sim struct {
-	engine     *eventsim.Engine
-	latency    LatencyFunc
-	bottleneck BottleneckFunc
-	lossProb   float64
+	engine   *eventsim.Engine
+	latency  LatencyFunc
+	lossProb float64
 
-	handlers map[Addr]Handler
-	down     map[Addr]bool
-	// lastArrival tracks, per directed pair, when the previous message
-	// finished arriving; a message sent back-to-back lands no earlier
-	// than lastArrival + its own serialization delay, which is exactly
-	// the packet-pair dispersion the receiver measures.
-	lastArrival map[[2]Addr]eventsim.Time
+	// handlers and down are indexed by address; an address past the end
+	// has no handler and is up.
+	handlers []Handler
+	down     []bool
+	// pp is the packet-pair serialization state, nil without a
+	// Bottleneck.
+	pp *packetPair
 
 	stats Stats
 
@@ -113,7 +116,10 @@ type Sim struct {
 
 // SimOptions configures a Sim network.
 type SimOptions struct {
-	// Latency is required: per-pair one-way delay.
+	// Latency is required: per-pair one-way delay in milliseconds. It
+	// must be pure — the same pair always gets the same delay — so that
+	// without a Bottleneck messages on one directed pair arrive in the
+	// order they were sent with no per-pair state.
 	Latency LatencyFunc
 	// Bottleneck is optional: enables serialization of back-to-back
 	// sends for packet-pair measurement.
@@ -128,14 +134,67 @@ func NewSim(engine *eventsim.Engine, opt SimOptions) *Sim {
 		panic("transport: SimOptions.Latency is required")
 	}
 	return &Sim{
-		engine:      engine,
-		latency:     opt.Latency,
-		bottleneck:  opt.Bottleneck,
-		lossProb:    opt.LossProb,
-		handlers:    make(map[Addr]Handler),
-		down:        make(map[Addr]bool),
-		lastArrival: make(map[[2]Addr]eventsim.Time),
+		engine:   engine,
+		latency:  opt.Latency,
+		lossProb: opt.LossProb,
+		pp:       newPacketPair(opt.Bottleneck),
 	}
+}
+
+// packetPair serializes back-to-back sends at the path bottleneck — the
+// dispersion Section 4.2 measures. lastArrival tracks, per directed
+// pair, when the previous message finished arriving; a message sent
+// back-to-back lands no earlier than that plus its own serialization
+// delay. Without a bottleneck the state could never bind: serialization
+// is 0, latency is pure and the clock never goes backwards, so the
+// previous arrival on a pair is never later than this one (DESIGN.md §5
+// "What one message costs").
+type packetPair struct {
+	bottleneck  BottleneckFunc
+	lastArrival map[[2]Addr]eventsim.Time
+}
+
+func newPacketPair(bottleneck BottleneckFunc) *packetPair {
+	if bottleneck == nil {
+		return nil
+	}
+	return &packetPair{bottleneck: bottleneck, lastArrival: make(map[[2]Addr]eventsim.Time)}
+}
+
+// arrival returns when a message of sizeBytes from -> to, which would
+// land at arrive on an idle path, finishes arriving.
+func (p *packetPair) arrival(from, to Addr, sizeBytes int, arrive eventsim.Time) eventsim.Time {
+	var ser eventsim.Time
+	if sizeBytes > 0 {
+		if bw := p.bottleneck(int(from), int(to)); bw > 0 { // kbps
+			ser = eventsim.Time(float64(sizeBytes*8) / bw) // ms
+		}
+	}
+	key := [2]Addr{from, to}
+	if prev, ok := p.lastArrival[key]; ok && prev+ser > arrive {
+		arrive = prev + ser
+	} else {
+		arrive += ser
+	}
+	p.lastArrival[key] = arrive
+	return arrive
+}
+
+// mustAddr panics, naming the call and the address, on a negative
+// address: tables are indexed by address, and NoAddr must fail where it
+// is handed in rather than deep inside the event loop.
+func mustAddr(op string, a Addr) {
+	if a < 0 {
+		panic(fmt.Sprintf("transport: %s(%d): negative address", op, a))
+	}
+}
+
+// grow extends t with zero values until index i is valid.
+func grow[T any](t []T, i int) []T {
+	if i < len(t) {
+		return t
+	}
+	return append(t, make([]T, i+1-len(t))...)
 }
 
 // Instrument wires the simulated transport to an observability
@@ -152,27 +211,39 @@ func (s *Sim) Instrument(reg *obs.Registry, trace *obs.Trace) {
 	s.hDelivery = reg.Histogram("transport.delivery_ms", nil)
 }
 
-// Attach implements Network.
-func (s *Sim) Attach(a Addr, h Handler) { s.handlers[a] = h }
+// Attach implements Network. It panics on a negative address.
+func (s *Sim) Attach(a Addr, h Handler) {
+	mustAddr("Attach", a)
+	s.handlers = grow(s.handlers, int(a))
+	s.handlers[a] = h
+}
 
 // Detach implements Network.
-func (s *Sim) Detach(a Addr) { delete(s.handlers, a) }
+func (s *Sim) Detach(a Addr) {
+	if uint(a) < uint(len(s.handlers)) {
+		s.handlers[a] = nil
+	}
+}
 
 // SetDown marks an endpoint as failed (true) or recovered (false).
 // A down endpoint neither sends nor receives; its handler stays
-// registered so recovery is a single call.
+// registered so recovery is a single call. It panics on a negative
+// address.
 func (s *Sim) SetDown(a Addr, down bool) {
+	mustAddr("SetDown", a)
 	if down {
-		s.down[a] = true
-	} else {
-		delete(s.down, a)
+		s.down = grow(s.down, int(a))
+	}
+	if int(a) < len(s.down) {
+		s.down[a] = down
 	}
 }
 
 // IsDown reports whether the endpoint is marked failed.
-func (s *Sim) IsDown(a Addr) bool { return s.down[a] }
+func (s *Sim) IsDown(a Addr) bool { return uint(a) < uint(len(s.down)) && s.down[a] }
 
-// Send implements Network. Delivery time is
+// Send implements Network. Delivery time is now + latency, and with a
+// Bottleneck
 //
 //	max(now + latency, lastArrival(from,to)) + serialization
 //
@@ -185,7 +256,7 @@ func (s *Sim) Send(from, to Addr, sizeBytes int, msg Message) {
 	s.cSent.Inc()
 	s.cBytes.Add(uint64(sizeBytes))
 	s.trace.Record(obs.Event{Time: s.engine.Now(), Kind: obs.KindSend, From: int(from), To: int(to), Size: sizeBytes})
-	if s.down[from] || s.down[to] {
+	if s.IsDown(from) || s.IsDown(to) {
 		s.stats.MessagesDropped++
 		s.drop(from, to, sizeBytes, "down-endpoint")
 		return
@@ -195,22 +266,10 @@ func (s *Sim) Send(from, to Addr, sizeBytes int, msg Message) {
 		s.drop(from, to, sizeBytes, "loss")
 		return
 	}
-	lat := eventsim.Time(s.latency(int(from), int(to)))
-	arrive := s.engine.Now() + lat
-	var ser eventsim.Time
-	if s.bottleneck != nil && sizeBytes > 0 {
-		bw := s.bottleneck(int(from), int(to)) // kbps
-		if bw > 0 {
-			ser = eventsim.Time(float64(sizeBytes*8) / bw) // ms
-		}
+	arrive := s.engine.Now() + eventsim.Time(s.latency(int(from), int(to)))
+	if s.pp != nil {
+		arrive = s.pp.arrival(from, to, sizeBytes, arrive)
 	}
-	key := [2]Addr{from, to}
-	if prev, ok := s.lastArrival[key]; ok && prev+ser > arrive {
-		arrive = prev + ser
-	} else {
-		arrive += ser
-	}
-	s.lastArrival[key] = arrive
 	d := deliveryPool.Get().(*delivery)
 	*d = delivery{sim: s, from: from, to: to, sizeBytes: sizeBytes, msg: msg, sentAt: s.engine.Now(), arrive: arrive}
 	s.engine.CallAt(arrive, d)
@@ -240,13 +299,16 @@ func (d *delivery) RunEvent() {
 	arrive := d.arrive
 	*d = delivery{} // drop the msg reference before pooling
 	deliveryPool.Put(d)
-	if s.down[to] {
+	if s.IsDown(to) {
 		s.stats.MessagesDropped++
 		s.drop(from, to, sizeBytes, "down-endpoint")
 		return
 	}
-	h, ok := s.handlers[to]
-	if !ok {
+	var h Handler
+	if uint(to) < uint(len(s.handlers)) {
+		h = s.handlers[to]
+	}
+	if h == nil {
 		s.stats.MessagesDropped++
 		s.drop(from, to, sizeBytes, "no-handler")
 		return
