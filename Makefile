@@ -179,11 +179,23 @@ layout:
 # smoke runs the paper-size cell (N=1200, exact oracle) end to end; the
 # second runs the N=30000 cell time-boxed to 5 simulated seconds, which
 # forces the coordinate latency oracle (~15k routers, past the exact
-# threshold) and the sharded event loop through a real ring; the audit
+# threshold) and the sharded event loop through a real ring — the one
+# step whose lockstep windows hold enough events (~5,000) to be split
+# across workers by the rule itself; the audit
 # runs the full 20-seed invariant sweep under the race detector (it
 # exits nonzero on any violation — rerun `make audit` to see the
-# shrunk reproduction). Race coverage for the shard code itself lives
-# in the eventsim/transport package tests, which `race` runs. The load
+# shrunk reproduction). Every other sharded world in CI is too light to
+# split (eventsim splits a window only after one of 512 events or
+# more), so the first three steps put the concurrent path under the
+# race detector on purpose, checking that each shard's state is written
+# only by the shard's own goroutine: eventsim's ShardGroup tests, whose
+# forced-split arms zero the group's threshold (a ramp across it and
+# back against a serial run), ten times; transport's worker-determinism
+# fixture and dense endpoint tables against their map-backed model, ten
+# times, built with -tags forcesplit so that every window with two or
+# more workers splits; and, built the same way, the scale study's
+# worker-determinism test, which runs the protocol layers (dht, somo,
+# core's ring) on 8 shards at workers 1/4/16. The load
 # smoke soaks the scheduler control plane (admission, shedding,
 # preemption damping, flash crowd) for 45 simulated seconds on a small
 # pool under the race detector; it too exits nonzero on any invariant
@@ -204,9 +216,14 @@ layout:
 # was expected, repetitions hashing alike — in about five more. The
 # last two run the gates of the workloads the message path carries:
 # `ring` under the race detector (dht.CheckRing, full root-snapshot
-# coverage, and each shard's endpoint tables written only by the
-# shard's own goroutine) and `fullstack` (every layer on one pool).
+# coverage, and — built with -tags forcesplit, since its ~124-event
+# windows would otherwise run on one goroutine — each shard's endpoint
+# tables and protocol state written only by the shard's own goroutine)
+# and `fullstack` (every layer on one pool).
 ci: build fmt vet test race mains layout
+	$(GO) test -race -count=10 -run 'ShardGroup' ./internal/eventsim
+	$(GO) test -race -count=10 -tags forcesplit -run 'ShardedSimWorkerDeterminism|FuzzShardedSimMatchesReference' ./internal/transport
+	$(GO) test -race -tags forcesplit -run 'TestScaleWorkerDeterminism' ./internal/experiments
 	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
 	$(GO) run ./cmd/experiments -fig scale -hosts 1200 -scale-runtime 30 -seed 1 > /dev/null
@@ -218,5 +235,5 @@ ci: build fmt vet test race mains layout
 	$(GO) run ./bench -workload admit -seconds 2 > /dev/null
 	$(GO) run ./bench -workload plan-groups -seconds 1 > /dev/null
 	$(GO) run ./bench -workload stream -seconds 2 > /dev/null
-	$(GO) run -race ./bench -workload ring -seconds 1 > /dev/null
+	$(GO) run -race -tags forcesplit ./bench -workload ring -seconds 1 > /dev/null
 	$(GO) run ./bench -workload fullstack -seconds 2 > /dev/null

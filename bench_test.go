@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"syscall"
 	"testing"
 
 	"p2ppool"
@@ -827,50 +828,70 @@ func BenchmarkLatencyOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedEventLoop measures the conservative-PDES ring: a
-// periodic cross-shard messaging workload over 8 shards, advanced one
-// simulated second per iteration, serial vs parallel shard execution.
+// BenchmarkShardedEventLoop measures the conservative-PDES ring: every
+// host sends one message to a pseudo-random peer each 100 virtual ms
+// (a heartbeat's density) over 8 shards, advanced one simulated second
+// per op, at 512 to 16,384 hosts and one to eight workers. Beside wall
+// time it reports the events per lockstep window and the process's CPU
+// time per op: the sweep that calibrates when eventsim.ShardGroup splits
+// a window across its workers (DESIGN.md §5). Built with -tags
+// forcesplit every window splits, which is what the calibration reads.
 func BenchmarkShardedEventLoop(b *testing.B) {
-	for _, workers := range []int{1, 0} {
-		name := "workers=1"
-		if workers == 0 {
-			name = "workers=NumCPU"
-		}
-		b.Run(name, func(b *testing.B) {
-			const hosts = 512
-			sim := transport.NewShardedSim(transport.ShardedSimOptions{
-				Latency: func(a, c int) float64 {
-					if a == c {
-						return 0
+	const lookahead = eventsim.Time(6)
+	windows := math.Ceil(float64(eventsim.Second / lookahead))
+	for _, hosts := range []int{512, 1024, 2048, 4096, 8192, 16384} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("hosts=%d/workers=%d", hosts, workers), func(b *testing.B) {
+				sim := transport.NewShardedSim(transport.ShardedSimOptions{
+					Latency: func(a, c int) float64 {
+						if a == c {
+							return 0
+						}
+						return 6 + float64((a*31+c*17)%40)
+					},
+					Shards:    8,
+					Lookahead: lookahead,
+					Workers:   workers,
+					Seed:      1,
+				})
+				for h := 0; h < hosts; h++ {
+					h := h
+					a := transport.Addr(h)
+					net := sim.View(a)
+					net.Attach(a, func(from transport.Addr, msg transport.Message) {})
+					seq := 0
+					var tick func()
+					tick = func() {
+						net.Send(a, transport.Addr((h*7+seq*13+1)%hosts), 64, fanoutMsg{})
+						seq++
+						net.After(100, tick)
 					}
-					return 6 + float64((a*31+c*17)%40)
-				},
-				Shards:    8,
-				Lookahead: 6,
-				Workers:   workers,
-				Seed:      1,
-			})
-			for h := 0; h < hosts; h++ {
-				h := h
-				a := transport.Addr(h)
-				net := sim.View(a)
-				net.Attach(a, func(from transport.Addr, msg transport.Message) {})
-				seq := 0
-				var tick func()
-				tick = func() {
-					net.Send(a, transport.Addr((h*7+seq*13+1)%hosts), 64, fanoutMsg{})
-					seq++
-					net.After(10, tick)
+					net.After(eventsim.Time(h%100), tick)
 				}
-				net.After(eventsim.Time(h%10), tick)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.RunUntil(sim.Now() + eventsim.Second)
-			}
-		})
+				// One warm-up second, so every op runs at the steady density.
+				sim.RunUntil(eventsim.Second)
+				b.ReportAllocs()
+				b.ResetTimer()
+				events, cpu := sim.Processed(), processCPU()
+				for i := 0; i < b.N; i++ {
+					sim.RunUntil(sim.Now() + eventsim.Second)
+				}
+				b.ReportMetric(float64(sim.Processed()-events)/float64(b.N)/windows, "events/window")
+				b.ReportMetric((processCPU()-cpu)*1e3/float64(b.N), "cpu-ms/op")
+			})
+		}
 	}
+}
+
+// processCPU is the process's user+system CPU time in seconds, read as
+// the benchmark's cpu_s is (bench/measure.go).
+func processCPU() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	tv := func(t syscall.Timeval) float64 { return float64(t.Sec) + float64(t.Usec)/1e6 }
+	return tv(ru.Utime) + tv(ru.Stime)
 }
 
 // --- helpers shared by benches ---

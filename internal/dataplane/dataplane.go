@@ -72,6 +72,7 @@ type Contention struct {
 	up, down   []float64
 	upActive   []int
 	downActive []int
+	free       []*completion // spent completions, reused by Transfer
 }
 
 // NewContention builds the access-link contention model over per-host
@@ -89,9 +90,8 @@ func NewContention(net transport.Network, up, down []float64) *Contention {
 
 // Transfer ships sizeBytes from src to dst at the fair-share rate fixed
 // at admission, then hands the message to the underlying network (which
-// adds propagation latency and applies any fault rules). done, if
-// non-nil, runs when the last byte leaves the sender.
-func (c *Contention) Transfer(src, dst, sizeBytes int, msg transport.Message, done func()) {
+// adds propagation latency and applies any fault rules).
+func (c *Contention) Transfer(src, dst, sizeBytes int, msg transport.Message) {
 	rate := c.up[src] / float64(c.upActive[src]+1)
 	if r := c.down[dst] / float64(c.downActive[dst]+1); r < rate {
 		rate = r
@@ -102,14 +102,46 @@ func (c *Contention) Transfer(src, dst, sizeBytes int, msg transport.Message, do
 	c.upActive[src]++
 	c.downActive[dst]++
 	tx := eventsim.Time(float64(sizeBytes*8) / rate)
-	c.net.After(tx, func() {
-		c.upActive[src]--
-		c.downActive[dst]--
-		c.net.Send(transport.Addr(src), transport.Addr(dst), headerBytes, msg)
-		if done != nil {
-			done()
-		}
-	})
+	rs, ok := c.net.(transport.RunnerScheduler)
+	if !ok {
+		c.net.After(tx, func() { c.complete(src, dst, msg) })
+		return
+	}
+	var d *completion
+	if n := len(c.free); n > 0 {
+		d, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		d = new(completion)
+	}
+	*d = completion{c: c, src: src, dst: dst, msg: msg}
+	rs.CallAfter(tx, d)
+}
+
+// complete releases a finished transfer's share of both access links and
+// sends its message.
+func (c *Contention) complete(src, dst int, msg transport.Message) {
+	c.upActive[src]--
+	c.downActive[dst]--
+	c.net.Send(transport.Addr(src), transport.Addr(dst), headerBytes, msg)
+}
+
+// completion is a transfer's end as a reusable eventsim.Runner: on
+// networks implementing transport.RunnerScheduler it replaces the timer,
+// closure and discarded cancel func net.After costs per transfer. Both
+// paths schedule one event at the same instant, so the event sequence
+// is identical.
+type completion struct {
+	c        *Contention
+	src, dst int
+	msg      transport.Message
+}
+
+// RunEvent implements eventsim.Runner.
+func (d *completion) RunEvent() {
+	c, src, dst, msg := d.c, d.src, d.dst, d.msg
+	*d = completion{}
+	c.free = append(c.free, d)
+	c.complete(src, dst, msg)
 }
 
 // Plane owns the data-plane side of the transport for a host
@@ -455,7 +487,7 @@ func (p *Pump) sendChunk(from, to int, m chunkMsg) {
 		p.stats.SourceTxBytes += uint64(p.chunkBytes)
 	}
 	p.plane.cSent.Inc()
-	p.plane.cont.Transfer(from, to, p.chunkBytes, m, nil)
+	p.plane.cont.Transfer(from, to, p.chunkBytes, m)
 }
 
 // onChunk records a chunk arrival at h and relays it down the live

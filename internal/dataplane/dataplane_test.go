@@ -5,6 +5,7 @@ import (
 
 	"p2ppool/internal/alm"
 	"p2ppool/internal/eventsim"
+	"p2ppool/internal/faultnet"
 	"p2ppool/internal/transport"
 )
 
@@ -320,5 +321,39 @@ func TestStartPumpInThePastRegistersNothing(t *testing.T) {
 	}
 	if err := start(500); err != nil {
 		t.Fatalf("the refused start left its key behind: %v", err)
+	}
+}
+
+// TestTransferSteadyStateAllocs pins a transfer's completion to the
+// reused runner: once warm, admitting a transfer, completing it and
+// delivering its message allocate nothing, on Sim and on faultnet.Net
+// over Sim (the benchmark's stream stack).
+func TestTransferSteadyStateAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		wrap func(*transport.Sim) transport.Network
+	}{
+		{"Sim", func(s *transport.Sim) transport.Network { return s }},
+		{"faultnet", func(s *transport.Sim) transport.Network { return faultnet.New(s, faultnet.Options{Seed: 1}) }},
+	} {
+		engine := eventsim.New(1)
+		net := c.wrap(transport.NewSim(engine, transport.SimOptions{
+			Latency: func(a, b int) float64 { return 10 },
+		}))
+		delivered := 0
+		net.Attach(1, func(transport.Addr, transport.Message) { delivered++ })
+		cont := NewContention(net, []float64{1000, 1000}, []float64{1000, 1000})
+		msg := transport.Message(chunkMsg{Seq: 1})
+		transfer := func() {
+			cont.Transfer(0, 1, 1250, msg)
+			engine.Run(0)
+		}
+		transfer()
+		if allocs := testing.AllocsPerRun(100, transfer); allocs != 0 {
+			t.Errorf("%s: a transfer allocates %.2f times, want 0", c.name, allocs)
+		}
+		if delivered != 102 || cont.upActive[0] != 0 || cont.downActive[1] != 0 {
+			t.Errorf("%s: %d of 102 delivered, active up %d down %d", c.name, delivered, cont.upActive[0], cont.downActive[1])
+		}
 	}
 }

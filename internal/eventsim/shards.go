@@ -7,11 +7,11 @@
 // window barrier a single-threaded flush hands buffered cross-shard
 // messages to their target engines.
 //
-// Determinism does not depend on the worker count: each engine is
-// seeded independently, engines never share mutable state inside a
-// window, and the flush runs serially in shard-index order. Workers
-// only decides how many engines advance concurrently; the event order
-// each engine observes is identical for -workers 1 and -workers 16.
+// A window runs concurrently only after one of minSplitEvents events or
+// more; lighter ones run in shard order on the calling goroutine. Output
+// depends on neither that nor the worker count: engines are seeded
+// apart, share no state inside a window, each fires its own events in
+// (at, seq) order, and the flush runs serially in shard-index order.
 package eventsim
 
 import (
@@ -20,27 +20,32 @@ import (
 	"p2ppool/internal/par"
 )
 
+// minSplitEvents is calibrated by BenchmarkShardedEventLoop (DESIGN.md §5).
+var minSplitEvents uint64 = 512
+
 // ShardGroup is a set of lockstep engines advancing under a shared
 // virtual clock. Create with NewShardGroup.
 type ShardGroup struct {
-	engines []*Engine
-	workers int
-	now     Time
-	counts  []uint64 // per-shard scratch for window event counts
+	engines                []*Engine
+	workers                int
+	now                    Time
+	counts                 []uint64 // per-shard scratch for window event counts
+	last, minSplit, splits uint64   // last window's events; the count that splits the next; windows split
 }
 
 // NewShardGroup returns shards engines, each seeded deterministically
 // from seed and the shard index. workers bounds how many shards advance
-// concurrently per window (<= 1 means serial execution; the results are
-// identical either way).
+// concurrently in a busy window (<= 1 means serial execution; the
+// results are identical either way).
 func NewShardGroup(shards int, seed int64, workers int) *ShardGroup {
 	if shards <= 0 {
 		panic(fmt.Sprintf("eventsim: shard count %d", shards))
 	}
 	g := &ShardGroup{
-		engines: make([]*Engine, shards),
-		workers: workers,
-		counts:  make([]uint64, shards),
+		engines:  make([]*Engine, shards),
+		workers:  min(par.Workers(workers), shards),
+		counts:   make([]uint64, shards),
+		minSplit: minSplitEvents,
 	}
 	for i := range g.engines {
 		// Distinct streams per shard: a large odd stride keeps seeds for
@@ -73,7 +78,7 @@ func (g *ShardGroup) Processed() uint64 {
 
 // RunUntil advances all shards to deadline in lockstep windows of the
 // given size (the caller's lookahead). Within a window the engines run
-// concurrently; at each barrier flush (may be nil) is invoked once,
+// independently; at each barrier flush (may be nil) is invoked once,
 // single-threaded, with the barrier time — the partitioning layer
 // delivers buffered cross-shard messages there by scheduling them on
 // target engines at their arrival times (>= the barrier, or causality
@@ -91,12 +96,21 @@ func (g *ShardGroup) RunUntil(deadline, window Time, flush func(limit Time)) uin
 		if limit > deadline {
 			limit = deadline
 		}
-		par.ForEach(g.workers, len(g.engines), func(i int) {
-			g.counts[i] = g.engines[i].RunUntil(limit)
-		})
-		for _, c := range g.counts {
-			total += c
+		if g.last < g.minSplit || g.workers == 1 {
+			for i, e := range g.engines {
+				g.counts[i] = e.RunUntil(limit)
+			}
+		} else {
+			g.splits++
+			par.ForEach(g.workers, len(g.engines), func(i int) {
+				g.counts[i] = g.engines[i].RunUntil(limit)
+			})
 		}
+		g.last = 0
+		for _, c := range g.counts {
+			g.last += c
+		}
+		total += g.last
 		g.now = limit
 		if flush != nil {
 			flush(limit)

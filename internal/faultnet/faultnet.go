@@ -395,22 +395,17 @@ func (f *Net) Send(from, to transport.Addr, sizeBytes int, msg transport.Message
 		f.cDelayed.Inc()
 		f.hJitter.Observe(float64(d))
 		f.trace.Record(obs.Event{Time: f.inner.Now(), Kind: obs.KindDelay, From: int(from), To: int(to), Size: sizeBytes, Latency: float64(d)})
-		if rs, ok := f.inner.(transport.RunnerScheduler); ok {
-			j := jitterPool.Get().(*jitterSend)
-			*j = jitterSend{inner: f.inner, from: from, to: to, sizeBytes: sizeBytes, msg: msg}
-			rs.CallAfter(d, j)
-		} else {
-			f.inner.After(d, func() { f.inner.Send(from, to, sizeBytes, msg) })
-		}
+		j := jitterPool.Get().(*jitterSend)
+		*j = jitterSend{inner: f.inner, from: from, to: to, sizeBytes: sizeBytes, msg: msg}
+		f.CallAfter(d, j)
 		return
 	}
 	f.inner.Send(from, to, sizeBytes, msg)
 }
 
-// jitterSend is a pooled deferred re-send for the jitter path; on
+// jitterSend is a pooled deferred re-send for the jitter path; over
 // networks implementing transport.RunnerScheduler it replaces the
-// closure+timer allocation per jittered message. Both paths schedule a
-// single event at the same point, so the event sequence is identical.
+// closure+timer allocation per jittered message (see CallAfter).
 type jitterSend struct {
 	inner     transport.Network
 	from, to  transport.Addr
@@ -445,6 +440,17 @@ func (f *Net) Now() eventsim.Time { return f.inner.Now() }
 // After implements transport.Network.
 func (f *Net) After(d eventsim.Time, fn func()) transport.CancelFunc {
 	return f.inner.After(d, fn)
+}
+
+// CallAfter implements transport.RunnerScheduler: a pass-through to the
+// wrapped network's, or to its After when it has none. Either way it
+// schedules one event, as After does.
+func (f *Net) CallAfter(d eventsim.Time, r eventsim.Runner) {
+	if rs, ok := f.inner.(transport.RunnerScheduler); ok {
+		rs.CallAfter(d, r)
+		return
+	}
+	f.inner.After(d, r.RunEvent)
 }
 
 // Rand implements transport.Network: protocol randomness comes from

@@ -277,7 +277,9 @@ func FuzzSimMatchesReference(f *testing.F) {
 }
 
 // FuzzShardedSimMatchesReference is the same check for ShardedSim at
-// 1-4 shards and 1-2 workers.
+// 1-4 shards and 1-2 workers. Its worlds are too light for a window to
+// split across workers; built with -tags forcesplit, every window of the
+// two-worker inputs does.
 func FuzzShardedSimMatchesReference(f *testing.F) {
 	for _, b := range netSeeds() {
 		f.Add(b)

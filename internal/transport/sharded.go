@@ -21,7 +21,10 @@
 // changes the partition, so it is part of the experiment's identity,
 // like a seed), each shard's engine has its own seeded stream, and
 // outboxes flush serially in shard-index order. Workers only bounds
-// how many shards advance concurrently between barriers.
+// how many shards advance concurrently between barriers, and only in
+// windows busy enough for that to pay (eventsim.ShardGroup decides per
+// window; lighter ones run their shards in order on the driving
+// goroutine).
 package transport
 
 import (
@@ -53,7 +56,10 @@ type ShardedSimOptions struct {
 	// latency below it. For the transit-stub topology the safe value is
 	// 2×LastHopMin (every cross-host path crosses two last hops).
 	Lookahead eventsim.Time
-	// Workers bounds concurrent shard execution (<= 1 means serial).
+	// Workers bounds concurrent shard execution (<= 1 means serial). A
+	// window is split across min(Workers, Shards) goroutines only when
+	// the previous one held enough events to pay for the split (see
+	// eventsim.ShardGroup); the results are identical either way.
 	Workers int
 	// Seed derives each shard engine's random stream.
 	Seed int64

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"p2ppool/internal/eventsim"
@@ -11,10 +12,12 @@ import (
 // host periodically sends to a pseudo-random peer; receivers log
 // per-host traces (merged in address order at the end, so the result is
 // a deterministic function of the event sequence each shard executed).
-func shardedFixture(t *testing.T, workers int, lossProb float64) (string, Stats, uint64) {
+// Each host fires about 1.15 events per 6 ms window, so 40 hosts are far
+// too light for eventsim to split a window across workers and 1,000 are
+// busy enough that it splits every window after the first.
+func shardedFixture(t *testing.T, workers int, lossProb float64, hosts int, runtime eventsim.Time) (string, Stats, uint64) {
 	t.Helper()
 	const (
-		hosts     = 40
 		shards    = 8
 		lookahead = eventsim.Time(6)
 	)
@@ -58,39 +61,54 @@ func shardedFixture(t *testing.T, workers int, lossProb float64) (string, Stats,
 		}
 		net.After(eventsim.Time(h%10), tick)
 	}
-	processed := s.RunUntil(2 * eventsim.Second)
-	all := ""
+	processed := s.RunUntil(runtime)
+	var all strings.Builder
 	for _, tr := range traces {
 		for _, line := range tr {
-			all += line + "\n"
+			all.WriteString(line + "\n")
 		}
 	}
-	return all, s.Stats(), processed
+	return all.String(), s.Stats(), processed
 }
 
 func TestShardedSimWorkerDeterminism(t *testing.T) {
-	for _, loss := range []float64{0, 0.05} {
-		t1, s1, p1 := shardedFixture(t, 1, loss)
-		t4, s4, p4 := shardedFixture(t, 4, loss)
-		t16, s16, p16 := shardedFixture(t, 16, loss)
-		if t1 != t4 || t1 != t16 {
-			t.Errorf("loss=%v: delivery traces differ across workers", loss)
-		}
-		if s1 != s4 || s1 != s16 {
-			t.Errorf("loss=%v: stats differ across workers: %+v %+v %+v", loss, s1, s4, s16)
-		}
-		if p1 != p4 || p1 != p16 {
-			t.Errorf("loss=%v: processed differ across workers: %d %d %d", loss, p1, p4, p16)
-		}
-		if s1.MessagesDelivered == 0 {
-			t.Errorf("loss=%v: no messages delivered", loss)
+	for _, c := range []struct {
+		hosts     int
+		runtime   eventsim.Time
+		minWindow float64 // fewest events per 6 ms window
+	}{
+		{40, 2 * eventsim.Second, 0},
+		// Busy enough to split (eventsim splits a window after one of
+		// 512 events or more): the arm where shards run concurrently
+		// unless the package is built with -tags forcesplit.
+		{1000, 300 * eventsim.Millisecond, 1000},
+	} {
+		for _, loss := range []float64{0, 0.05} {
+			t1, s1, p1 := shardedFixture(t, 1, loss, c.hosts, c.runtime)
+			t4, s4, p4 := shardedFixture(t, 4, loss, c.hosts, c.runtime)
+			t16, s16, p16 := shardedFixture(t, 16, loss, c.hosts, c.runtime)
+			if t1 != t4 || t1 != t16 {
+				t.Errorf("hosts=%d loss=%v: delivery traces differ across workers", c.hosts, loss)
+			}
+			if s1 != s4 || s1 != s16 {
+				t.Errorf("hosts=%d loss=%v: stats differ across workers: %+v %+v %+v", c.hosts, loss, s1, s4, s16)
+			}
+			if p1 != p4 || p1 != p16 {
+				t.Errorf("hosts=%d loss=%v: processed differ across workers: %d %d %d", c.hosts, loss, p1, p4, p16)
+			}
+			if s1.MessagesDelivered == 0 {
+				t.Errorf("hosts=%d loss=%v: no messages delivered", c.hosts, loss)
+			}
+			if perWindow := float64(p1) / float64(c.runtime/6); perWindow < c.minWindow {
+				t.Errorf("hosts=%d: %.0f events per window, want >= %v", c.hosts, perWindow, c.minWindow)
+			}
 		}
 	}
 }
 
 func TestShardedSimLossDropsMessages(t *testing.T) {
-	_, clean, _ := shardedFixture(t, 4, 0)
-	_, lossy, _ := shardedFixture(t, 4, 0.2)
+	_, clean, _ := shardedFixture(t, 4, 0, 40, 2*eventsim.Second)
+	_, lossy, _ := shardedFixture(t, 4, 0.2, 40, 2*eventsim.Second)
 	if clean.MessagesDropped != 0 {
 		t.Errorf("clean run dropped %d messages", clean.MessagesDropped)
 	}

@@ -337,9 +337,10 @@ func (s *Sim) After(d eventsim.Time, fn func()) CancelFunc {
 
 // RunnerScheduler is implemented by networks that can schedule a
 // pre-allocated eventsim.Runner without allocating a timer or closure.
-// Wrappers (faultnet's jitter path) type-assert for it and fall back to
-// After when absent; either path schedules exactly one event, so the
-// simulation's event sequence is identical.
+// Its users (faultnet, which also passes it through, and dataplane's
+// transfer completions) type-assert for it and fall back to After when
+// absent; either path schedules exactly one event, so the simulation's
+// event sequence is identical.
 type RunnerScheduler interface {
 	CallAfter(d eventsim.Time, r eventsim.Runner)
 }
