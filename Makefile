@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test race vet bench bench-json bench-suite bench-compare bench-label profile chaos obs scale audit load stream conf mains layout ci
+.PHONY: all build fmt test race vet fuzz bench bench-json bench-suite bench-compare bench-label profile chaos obs scale audit load stream conf mains layout ci
 
 all: build
 
@@ -22,6 +22,21 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Every fuzz target past its seed corpus, one `go test -fuzz` per target
+# (Go fuzzes one at a time), FUZZTIME each: `make fuzz FUZZTIME=2m`.
+# The targets are differential — each layer against its old self kept
+# verbatim in a _test.go, or ShardedSim against a standalone Sim — so a
+# failure is a behaviour change; go test writes the failing input under
+# the package's testdata/fuzz. Not part of `ci`: its length is open-ended.
+FUZZTIME ?= 30s
+fuzz:
+	@for d in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for f in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$d/*_test.go); do \
+			echo "$$d $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$d || exit 1; \
+		done; \
+	done
 
 # gofmt prints the files it would rewrite; any name is a failure.
 fmt:
@@ -191,11 +206,11 @@ layout:
 # only by the shard's own goroutine: eventsim's ShardGroup tests, whose
 # forced-split arms zero the group's threshold (a ramp across it and
 # back against a serial run), ten times; transport's worker-determinism
-# fixture and dense endpoint tables against their map-backed model, ten
-# times, built with -tags forcesplit so that every window with two or
-# more workers splits; and, built the same way, the scale study's
-# worker-determinism test, which runs the protocol layers (dht, somo,
-# core's ring) on 8 shards at workers 1/4/16. The load
+# fixture, and the shards against their map-backed model and against a
+# standalone Sim, ten times, built with -tags forcesplit so that every
+# window with two or more workers splits; and, built the same way, the
+# scale study's worker-determinism test, which runs the protocol layers
+# (dht, somo, core's ring) on 8 shards at workers 1/4/16. The load
 # smoke soaks the scheduler control plane (admission, shedding,
 # preemption damping, flash crowd) for 45 simulated seconds on a small
 # pool under the race detector; it too exits nonzero on any invariant
@@ -222,7 +237,7 @@ layout:
 # and `fullstack` (every layer on one pool).
 ci: build fmt vet test race mains layout
 	$(GO) test -race -count=10 -run 'ShardGroup' ./internal/eventsim
-	$(GO) test -race -count=10 -tags forcesplit -run 'ShardedSimWorkerDeterminism|FuzzShardedSimMatchesReference' ./internal/transport
+	$(GO) test -race -count=10 -tags forcesplit -run 'ShardedSimWorkerDeterminism|FuzzShardedSimMatchesReference|FuzzShardedSimMatchesSim' ./internal/transport
 	$(GO) test -race -tags forcesplit -run 'TestScaleWorkerDeterminism' ./internal/experiments
 	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null

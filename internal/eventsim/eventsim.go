@@ -11,9 +11,9 @@
 //
 // The engine owns its queue (queue.go): a 4-ary min-heap of event
 // values with the (at, seq) comparison inlined, not container/heap (an
-// allocation per Push and Pop to box the element) and not the generic
-// internal/heap4 (an indirect call copying two events per comparison;
-// DESIGN.md §5 has the measurements). The steady-state schedule/fire
+// allocation per Push and Pop to box the element) and not a generic
+// heap ordered through a less function (an indirect call copying two
+// events per comparison; DESIGN.md §5 has the measurements). The steady-state schedule/fire
 // path allocates nothing. Events popped at the same timestamp are
 // drained as one batch, so a burst of simultaneous deliveries costs one
 // heap interaction per event only while the batch is being collected,

@@ -14,7 +14,6 @@ package topology
 import (
 	"fmt"
 	"math/rand"
-	"p2ppool/internal/heap4"
 
 	"p2ppool/internal/par"
 )
@@ -284,12 +283,53 @@ type pqItem struct {
 
 func pqLess(a, b pqItem) bool { return a.dist < b.dist }
 
-// dijkstra runs single-source shortest paths on the router graph. The
-// frontier is a concrete-typed heap4 queue: container/heap boxed every
-// pqItem through interface{} on both Push and Pop, and with one Dijkstra
-// per router during all-pairs construction that boxing dominated
-// topology-build allocations. Pop tie-order among equal distances does
-// not affect the final dist values, so results are unchanged.
+// frontier is Dijkstra's queue: an unboxed 4-ary min-heap by pqLess
+// (container/heap boxed every item, which dominated topology-build
+// allocations). It makes the comparisons the generic heap it replaced
+// made, in the same order (TestDijkstraMatchesReference), so ties pop
+// as they did.
+type frontier []pqItem
+
+func (q *frontier) push(x pqItem) {
+	s := append(*q, x)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) >> 2
+		if !pqLess(s[i], s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	*q = s
+}
+
+func (q *frontier) pop() pqItem {
+	s := *q
+	top, last := s[0], len(s)-1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		first := i<<2 + 1
+		if first >= last {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+4 && c < last; c++ {
+			if pqLess(s[c], s[min]) {
+				min = c
+			}
+		}
+		if !pqLess(s[min], s[i]) {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	*q = s
+	return top
+}
+
+// dijkstra runs single-source shortest paths on the router graph.
 func (n *Network) dijkstra(src int) []float64 {
 	const inf = 1e18
 	dist := make([]float64, n.routers)
@@ -297,18 +337,17 @@ func (n *Network) dijkstra(src int) []float64 {
 		dist[i] = inf
 	}
 	dist[src] = 0
-	q := heap4.New(pqLess)
-	q.Grow(64)
-	q.Push(pqItem{node: src, dist: 0})
-	for q.Len() > 0 {
-		it := q.Pop()
+	q := make(frontier, 0, 64)
+	q.push(pqItem{node: src, dist: 0})
+	for len(q) > 0 {
+		it := q.pop()
 		if it.dist > dist[it.node] {
 			continue
 		}
 		for _, e := range n.adj[it.node] {
 			if d := it.dist + e.lat; d < dist[e.to] {
 				dist[e.to] = d
-				q.Push(pqItem{node: e.to, dist: d})
+				q.push(pqItem{node: e.to, dist: d})
 			}
 		}
 	}

@@ -58,7 +58,8 @@ func TestSimAddressContract(t *testing.T) {
 
 // TestShardedSimAddressContract is the same contract per shard, where
 // address a is slot a / shards of shard a % shards: a down mark is found
-// only under the address it was set for.
+// only under the address it was set for, and a send to NoAddr stays on
+// the sending shard and is dropped there, as on Sim.
 func TestShardedSimAddressContract(t *testing.T) {
 	s := NewShardedSim(ShardedSimOptions{
 		Latency:   func(a, b int) float64 { return 10 },
@@ -85,7 +86,7 @@ func TestShardedSimAddressContract(t *testing.T) {
 	s.View(2).Attach(2, count)
 	s.View(2).Detach(2)
 	s.SetDown(1, true)
-	for _, to := range []Addr{2, 3, 1001} { // detached, never attached, past every table
+	for _, to := range []Addr{2, 3, 1001, NoAddr} { // detached, never attached, past every table, negative
 		s.View(5).Send(5, to, 10, "x")
 	}
 	s.View(5).Send(5, 1, 10, "x") // down
@@ -94,7 +95,7 @@ func TestShardedSimAddressContract(t *testing.T) {
 	// with address 1, which is down; it is not.
 	s.View(1).Send(2, 5, 10, "x")
 	s.RunUntil(100)
-	if st := s.Stats(); st.MessagesSent != 6 || st.MessagesDropped != 5 || st.MessagesDelivered != 1 || delivered != 1 {
-		t.Errorf("stats = %+v, %d handled; want 6 sent, 5 dropped, 1 delivered", st, delivered)
+	if st := s.Stats(); st.MessagesSent != 7 || st.MessagesDropped != 6 || st.MessagesDelivered != 1 || delivered != 1 {
+		t.Errorf("stats = %+v, %d handled; want 7 sent, 6 dropped, 1 delivered", st, delivered)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -309,5 +310,148 @@ func TestNetReferenceCatchesLastArrivalSkip(t *testing.T) {
 			t.Errorf("%s: no seed distinguishes the lastArrival skip under a bottleneck", name)
 		}
 		t.Logf("%s: %d of %d seeds catch the mutation", name, caught, len(netSeeds()))
+	}
+}
+
+// simVsShardedSides builds a ShardedSim and a Sim over one world, both
+// without loss, bottleneck or down marks (loss draws come from
+// differently seeded streams, packet-pair arrivals depend on per-pair
+// send order, and a standalone Sim checks the recipient's mark at send
+// time). Two boundaries also differ between the networks, and boundary
+// keeps them in the world: a zero-latency self-send, and a lookahead
+// equal to the smallest cross-address latency. Without it self-sends
+// take one quantum and the ShardedSim's window is half the smallest
+// latency, so no cross-shard message arrives exactly at a barrier.
+func simVsShardedSides(w scriptWorld, boundary bool) (sharded, sim scriptNet) {
+	self, lookahead := float64(w.quantum), scriptLookahead/2
+	if boundary {
+		self, lookahead = 0, scriptLookahead
+	}
+	lat := func(a, b int) float64 {
+		if a == b {
+			return self
+		}
+		return w.latency(a, b)
+	}
+	e := eventsim.New(5)
+	s := NewSim(e, SimOptions{Latency: lat})
+	sh := NewShardedSim(ShardedSimOptions{Latency: lat, Shards: w.shards, Lookahead: lookahead, Workers: w.workers, Seed: 5})
+	noDown := func(Addr, bool) {}
+	sharded = scriptNet{
+		view:      func(a Addr) endpointNet { return sh.View(a).(endpointNet) },
+		setDown:   noDown,
+		runUntil:  func(t eventsim.Time) { sh.RunUntil(t) },
+		stats:     sh.Stats,
+		processed: sh.Processed,
+		serial:    w.shards == 1,
+	}
+	sim = scriptNet{
+		view:      func(Addr) endpointNet { return s },
+		setDown:   noDown,
+		runUntil:  func(t eventsim.Time) { e.RunUntil(t) },
+		stats:     s.Stats,
+		processed: e.Processed,
+		serial:    w.shards == 1,
+	}
+	return sharded, sim
+}
+
+// byInstant orders one recipient's deliveries by time, then message:
+// its multiset per instant, free of same-instant order.
+func byInstant(l []logged) []logged {
+	l = slices.Clone(l)
+	slices.SortStableFunc(l, func(a, b logged) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.msg, b.msg)
+	})
+	return l
+}
+
+// compareShardedToSim runs the script on a ShardedSim and on a Sim and
+// describes the first difference, or returns "". At one shard the two
+// must agree exactly: deliveries, their global order, Stats and event
+// count. At more, events at one instant on different shards are
+// numbered apart, so each recipient must see the same messages at each
+// instant, and Stats and the event count must agree.
+func compareShardedToSim(data []byte, boundary bool) string {
+	hdr := &netScript{data: data}
+	w := decodeWorld(hdr)
+	got, want := simVsShardedSides(w, boundary)
+	gA, gG, gS, gE := runNetScript(got, w, hdr.data)
+	wA, wG, wS, wE := runNetScript(want, w, hdr.data)
+	for a := range wA {
+		g, x := gA[a], wA[a]
+		if w.shards > 1 {
+			g, x = byInstant(g), byInstant(x)
+		}
+		if !slices.Equal(g, x) {
+			return fmt.Sprintf("%d shards: addr %d deliveries\n sharded %v\n sim     %v", w.shards, a, g, x)
+		}
+	}
+	if !slices.Equal(gG, wG) {
+		return fmt.Sprintf("delivery order\n sharded %v\n sim     %v", gG, wG)
+	}
+	if gS != wS {
+		return fmt.Sprintf("%d shards: stats %+v, Sim %+v", w.shards, gS, wS)
+	}
+	if gE != wE {
+		return fmt.Sprintf("%d shards: events %d, Sim %d", w.shards, gE, wE)
+	}
+	return ""
+}
+
+// boundarySeeds are scripts on which the networks differ only at a
+// boundary simVsShardedSides excludes (DESIGN.md §5 "What one message
+// costs").
+var boundarySeeds = [][]byte{
+	// One shard, two hosts: 0 sends to itself, the driver runs to the
+	// current instant and detaches 0. Engine.RunUntil(now) fires the
+	// zero-latency delivery before the detach; ShardGroup.RunUntil(now)
+	// runs nothing, so it fires after and is dropped.
+	{0x00, 0, 1, 0, 0, 0, 10, 6, 0, 5, 0},
+	// Three shards, six hosts: 0 sends to 4 (another shard) with a
+	// latency of exactly the lookahead, the driver runs to the arrival
+	// and detaches 4. The message is flushed at that barrier, which is
+	// the deadline, so it fires only in the next RunUntil, after the
+	// detach, and is dropped; Sim delivers it.
+	{0x82, 0, 1, 0, 0, 4, 10, 6, 4, 5, 4},
+}
+
+// FuzzShardedSimMatchesSim checks ShardedSim at 1-4 shards and 1-2
+// workers against a standalone Sim on the same script (see
+// compareShardedToSim for what must agree).
+func FuzzShardedSimMatchesSim(f *testing.F) {
+	for _, b := range netSeeds() {
+		f.Add(b)
+	}
+	for _, b := range boundarySeeds {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if d := compareShardedToSim(data, false); d != "" {
+			t.Fatal(d)
+		}
+	})
+}
+
+// TestShardedSimBoundaries pins the two known differences from Sim:
+// each boundary seed differs by exactly one message delivered on Sim
+// and dropped on ShardedSim once its boundary is in the world, and
+// agrees without it.
+func TestShardedSimBoundaries(t *testing.T) {
+	for i, b := range boundarySeeds {
+		if d := compareShardedToSim(b, false); d != "" {
+			t.Errorf("seed %d, boundary excluded: %s", i, d)
+		}
+		hdr := &netScript{data: b}
+		w := decodeWorld(hdr)
+		got, want := simVsShardedSides(w, true)
+		_, _, gS, _ := runNetScript(got, w, hdr.data)
+		_, _, wS, _ := runNetScript(want, w, hdr.data)
+		if wS.MessagesDelivered != 1 || gS.MessagesDelivered != 0 || gS.MessagesDropped != wS.MessagesDropped+1 {
+			t.Errorf("seed %d: ShardedSim %+v, Sim %+v; want the one message Sim delivers dropped", i, gS, wS)
+		}
 	}
 }

@@ -1,18 +1,21 @@
 // Package transport abstracts message delivery between overlay nodes so
 // the same protocol state machines (DHT maintenance, SOMO gather,
-// coordinate and bandwidth probing) run unchanged over any Network:
+// coordinate and bandwidth probing) run unchanged over any Network.
 //
-//   - Sim: deterministic virtual-time delivery over an eventsim engine,
-//     with per-pair latency from a topology model and optional
-//     packet-pair serialization from a bandwidth model; and
-//   - ShardedSim: the same, partitioned over several engines that
-//     advance in lockstep windows (sharded.go).
+// Sim is the deterministic virtual-time network: delivery over an
+// eventsim engine, with per-pair latency from a topology model and
+// optional packet-pair serialization from a bandwidth model. ShardedSim
+// (sharded.go) partitions the same network over several engines that
+// advance in lockstep windows, and each of its shards is a Sim, so
+// there is one send and one delivery path for both.
 //
 // Addresses are host indices into the topology; protocols carry logical
-// IDs inside their own messages. Because they are dense, every endpoint
-// table is a slice indexed by address (DESIGN.md §5 "What one message
-// costs"): a negative address panics where it is attached or marked,
-// and a send to an address past the end of a table is a counted drop.
+// IDs inside their own messages. Address a lives on shard a mod n, in
+// slot a / n of that shard's endpoint tables (a standalone Sim is shard
+// 0 of 1). Because addresses are dense, every endpoint table is a slice
+// indexed by slot (DESIGN.md §5 "What one message costs"): a negative
+// address panics where it is attached or marked, and a send to a
+// negative address or one past the end of a table is a counted drop.
 package transport
 
 import (
@@ -87,19 +90,27 @@ type LatencyFunc func(a, b int) float64
 // (packet-pair dispersion). A nil function means infinite bandwidth.
 type BottleneckFunc func(src, dst int) float64
 
-// Sim is the deterministic virtual-time network.
+// Sim is the deterministic virtual-time network, standalone or as one
+// shard of a ShardedSim.
 type Sim struct {
 	engine   *eventsim.Engine
 	latency  LatencyFunc
 	lossProb float64
 
-	// handlers and down are indexed by address; an address past the end
-	// has no handler and is up.
+	// owner is the ShardedSim this Sim is shard id of n in; a standalone
+	// Sim has none and is shard 0 of 1.
+	owner *ShardedSim
+	id, n int
+
+	// handlers and down are indexed by slot; a slot past the end has no
+	// handler and is up.
 	handlers []Handler
 	down     []bool
 	// pp is the packet-pair serialization state, nil without a
 	// Bottleneck.
 	pp *packetPair
+	// outbox buffers cross-shard deliveries until the barrier flush.
+	outbox []*delivery
 
 	stats Stats
 
@@ -137,6 +148,7 @@ func NewSim(engine *eventsim.Engine, opt SimOptions) *Sim {
 		engine:   engine,
 		latency:  opt.Latency,
 		lossProb: opt.LossProb,
+		n:        1,
 		pp:       newPacketPair(opt.Bottleneck),
 	}
 }
@@ -211,36 +223,62 @@ func (s *Sim) Instrument(reg *obs.Registry, trace *obs.Trace) {
 	s.hDelivery = reg.Histogram("transport.delivery_ms", nil)
 }
 
-// Attach implements Network. It panics on a negative address.
+// slot returns a's index in this shard's tables. It panics, naming the
+// call, on an address another shard owns.
+func (s *Sim) slot(op string, a Addr) int {
+	if int(a)%s.n != s.id {
+		panic(fmt.Sprintf("transport: %s(%d) on shard %d, belongs to shard %d", op, a, s.id, int(a)%s.n))
+	}
+	return int(a) / s.n
+}
+
+// Attach implements Network. It panics on a negative address and on one
+// another shard owns.
 func (s *Sim) Attach(a Addr, h Handler) {
 	mustAddr("Attach", a)
-	s.handlers = grow(s.handlers, int(a))
-	s.handlers[a] = h
+	i := s.slot("Attach", a)
+	s.handlers = grow(s.handlers, i)
+	s.handlers[i] = h
 }
 
 // Detach implements Network.
 func (s *Sim) Detach(a Addr) {
-	if uint(a) < uint(len(s.handlers)) {
-		s.handlers[a] = nil
+	if i := s.slot("Detach", a); uint(i) < uint(len(s.handlers)) {
+		s.handlers[i] = nil
 	}
 }
 
 // SetDown marks an endpoint as failed (true) or recovered (false).
 // A down endpoint neither sends nor receives; its handler stays
 // registered so recovery is a single call. It panics on a negative
-// address.
+// address and on one another shard owns.
 func (s *Sim) SetDown(a Addr, down bool) {
 	mustAddr("SetDown", a)
+	i := s.slot("SetDown", a)
 	if down {
-		s.down = grow(s.down, int(a))
+		s.down = grow(s.down, i)
 	}
-	if int(a) < len(s.down) {
-		s.down[a] = down
+	if i < len(s.down) {
+		s.down[i] = down
 	}
 }
 
-// IsDown reports whether the endpoint is marked failed.
-func (s *Sim) IsDown(a Addr) bool { return uint(a) < uint(len(s.down)) && s.down[a] }
+// IsDown reports whether the endpoint is marked failed. Only addresses
+// this shard owns can be. It divides only on a shard of several, and
+// only once something is marked.
+func (s *Sim) IsDown(a Addr) bool {
+	if len(s.down) == 0 {
+		return false
+	}
+	i := int(a)
+	if s.n > 1 {
+		if i%s.n != s.id {
+			return false
+		}
+		i /= s.n
+	}
+	return uint(i) < uint(len(s.down)) && s.down[i]
+}
 
 // Send implements Network. Delivery time is now + latency, and with a
 // Bottleneck
@@ -249,14 +287,20 @@ func (s *Sim) IsDown(a Addr) bool { return uint(a) < uint(len(s.down)) && s.down
 //
 // so two messages sent in the same instant arrive separated by the
 // second one's serialization delay at the path bottleneck — the
-// packet-pair effect Section 4.2 measures.
+// packet-pair effect Section 4.2 measures. A message to another shard
+// waits in the outbox for the barrier flush; its latency must not be
+// below the lookahead. A standalone Sim drops a send to a down
+// recipient here; a shard cannot read another shard's marks
+// mid-window, so it checks the recipient only at delivery.
 func (s *Sim) Send(from, to Addr, sizeBytes int, msg Message) {
 	s.stats.MessagesSent++
 	s.stats.BytesSent += uint64(sizeBytes)
 	s.cSent.Inc()
 	s.cBytes.Add(uint64(sizeBytes))
-	s.trace.Record(obs.Event{Time: s.engine.Now(), Kind: obs.KindSend, From: int(from), To: int(to), Size: sizeBytes})
-	if s.IsDown(from) || s.IsDown(to) {
+	if s.trace != nil { // even a no-op Record call is ~5% of ring's event loop
+		s.trace.Record(obs.Event{Time: s.engine.Now(), Kind: obs.KindSend, From: int(from), To: int(to), Size: sizeBytes})
+	}
+	if s.IsDown(from) || s.owner == nil && s.IsDown(to) {
 		s.stats.MessagesDropped++
 		s.drop(from, to, sizeBytes, "down-endpoint")
 		return
@@ -266,24 +310,39 @@ func (s *Sim) Send(from, to Addr, sizeBytes int, msg Message) {
 		s.drop(from, to, sizeBytes, "loss")
 		return
 	}
-	arrive := s.engine.Now() + eventsim.Time(s.latency(int(from), int(to)))
+	lat := eventsim.Time(s.latency(int(from), int(to)))
+	// A negative recipient stays here, to be dropped at delivery.
+	target, slot := s, int(to)
+	if s.owner != nil && to >= 0 {
+		target, slot = s.owner.shards[int(to)%s.n], int(to)/s.n
+		if target != s && lat < s.owner.lookahead {
+			panic(fmt.Sprintf(
+				"transport: cross-shard latency %v (%d->%d) below lookahead %v",
+				lat, from, to, s.owner.lookahead))
+		}
+	}
+	arrive := s.engine.Now() + lat
 	if s.pp != nil {
 		arrive = s.pp.arrival(from, to, sizeBytes, arrive)
 	}
 	d := deliveryPool.Get().(*delivery)
-	*d = delivery{sim: s, from: from, to: to, sizeBytes: sizeBytes, msg: msg, sentAt: s.engine.Now(), arrive: arrive}
-	s.engine.CallAt(arrive, d)
+	*d = delivery{sim: target, from: from, to: to, slot: slot, sizeBytes: sizeBytes, msg: msg, sentAt: s.engine.Now(), arrive: arrive}
+	if target == s {
+		s.engine.CallAt(arrive, d)
+		return
+	}
+	s.outbox = append(s.outbox, d)
 }
 
 // delivery is a pooled in-flight message. Scheduling it through
 // Engine.CallAt instead of a closure-capturing Timer removes the
 // ~3 allocations per send (closure, Timer, heap boxing) that otherwise
-// scale with N·heartbeat-rate. The event schedule point and its
-// sequence number are identical to the old closure path, so simulation
-// output is byte-for-byte unchanged.
+// scale with N·heartbeat-rate. It fires on the recipient's shard, where
+// slot indexes the handler and down tables.
 type delivery struct {
 	sim       *Sim
 	from, to  Addr
+	slot      int
 	sizeBytes int
 	msg       Message
 	sentAt    eventsim.Time
@@ -294,19 +353,19 @@ var deliveryPool = sync.Pool{New: func() interface{} { return new(delivery) }}
 
 // RunEvent implements eventsim.Runner: the arrival of the message.
 func (d *delivery) RunEvent() {
-	s, from, to, sizeBytes, msg := d.sim, d.from, d.to, d.sizeBytes, d.msg
+	s, from, to, i, sizeBytes, msg := d.sim, d.from, d.to, d.slot, d.sizeBytes, d.msg
 	oneWay := float64(d.arrive - d.sentAt)
 	arrive := d.arrive
 	*d = delivery{} // drop the msg reference before pooling
 	deliveryPool.Put(d)
-	if s.IsDown(to) {
+	if uint(i) < uint(len(s.down)) && s.down[i] {
 		s.stats.MessagesDropped++
 		s.drop(from, to, sizeBytes, "down-endpoint")
 		return
 	}
 	var h Handler
-	if uint(to) < uint(len(s.handlers)) {
-		h = s.handlers[to]
+	if uint(i) < uint(len(s.handlers)) {
+		h = s.handlers[i]
 	}
 	if h == nil {
 		s.stats.MessagesDropped++
@@ -316,14 +375,18 @@ func (d *delivery) RunEvent() {
 	s.stats.MessagesDelivered++
 	s.cDelivered.Inc()
 	s.hDelivery.Observe(oneWay)
-	s.trace.Record(obs.Event{Time: arrive, Kind: obs.KindDeliver, From: int(from), To: int(to), Size: sizeBytes, Latency: oneWay})
+	if s.trace != nil {
+		s.trace.Record(obs.Event{Time: arrive, Kind: obs.KindDeliver, From: int(from), To: int(to), Size: sizeBytes, Latency: oneWay})
+	}
 	h(from, msg)
 }
 
 // drop records a dropped message in the observability layer.
 func (s *Sim) drop(from, to Addr, sizeBytes int, cause string) {
 	s.cDropped.Inc()
-	s.trace.Record(obs.Event{Time: s.engine.Now(), Kind: obs.KindDrop, From: int(from), To: int(to), Size: sizeBytes, Cause: cause})
+	if s.trace != nil {
+		s.trace.Record(obs.Event{Time: s.engine.Now(), Kind: obs.KindDrop, From: int(from), To: int(to), Size: sizeBytes, Cause: cause})
+	}
 }
 
 // Now implements Network.
