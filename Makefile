@@ -14,9 +14,10 @@ test:
 # experiment fan-out, worker pool) are all exercised under -short. The
 # seed corpora of the differential fuzz targets run here too, as plain
 # tests: dataplane's FuzzPumpMatchesReference (the pump against its
-# pre-PR-24 clock) and transport's FuzzShardedSimMatchesReference (the
+# pre-PR-24 clock), transport's FuzzShardedSimMatchesReference (the
 # per-shard dense tables against the map-backed send path, two workers)
-# among them.
+# and coords' FuzzSolveLeafsetMatchesReference (the wavefront leafset
+# solve against the sequential one, workers 1/2/3/8) among them.
 race:
 	$(GO) test -race -short ./...
 
@@ -154,15 +155,17 @@ mains:
 # `layoutpad` tag, which links 96 bytes of text into internal/par ahead
 # of coords — prints where the dim-7 kernel, the generic loop and the
 # simplex landed mod 64 in each, fails unless the kernel changed halves,
-# then samples BenchmarkFitError (300 ops) and
+# then samples BenchmarkFitError (300 ops) and the one-worker half of
 # BenchmarkLeafsetCoordinates (2 ops) thirty times on each binary in
 # alternation, and fails if the medians of the dim-7 kernel or the
 # leafset solve differ by more than 8% between the two layouts (the
-# dim-5 generic loop is printed, not gated). ~1.5 min. Thirty short
-# samples rather than six long ones because single runs on a shared box
-# scatter by more than the gate; what is left at dim 7 is ~5% (the
-# simplex's own seven-iteration loops), so a reading just over 8% on a
-# loaded box is the host — run it again.
+# dim-5 generic loop is printed, not gated). Both run on one worker:
+# the leafset solve's wavefront on several would add goroutine
+# scheduling to what the gate is meant to measure, code placement.
+# ~1.5 min. Thirty short samples rather than six long ones because
+# single runs on a shared box scatter by more than the gate; what is
+# left at dim 7 is ~5% (the simplex's own seven-iteration loops), so a
+# reading just over 8% on a loaded box is the host — run it again.
 LAYOUT_SYMS = (\(\*fit\)\.error7|\(\*fit\)\.errorN|\(\*simplex\)\.minimize)
 layout:
 	@mkdir -p .bench_build
@@ -176,7 +179,7 @@ layout:
 	@rm -f .bench_build/layout.runs
 	@for i in $$(seq 1 30); do for v in plain pad; do \
 		{ .bench_build/layout-$$v.test -test.run '^$$' -test.bench '^BenchmarkFitError$$' -test.benchtime 300x && \
-		  .bench_build/layout-$$v.test -test.run '^$$' -test.bench '^BenchmarkLeafsetCoordinates$$' -test.benchtime 2x; } | \
+		  .bench_build/layout-$$v.test -test.run '^$$' -test.bench '^BenchmarkLeafsetCoordinates$$/^workers=1$$' -test.benchtime 2x; } | \
 		awk -v v=$$v '/^Benchmark/ { sub(/-[0-9]+$$/, "", $$1); print $$1, v, $$3 }' >> .bench_build/layout.runs || exit 1; \
 	done; done
 	@sort -k1,1 -k2,2 -k3,3n .bench_build/layout.runs | awk ' \
@@ -210,7 +213,11 @@ layout:
 # standalone Sim, ten times, built with -tags forcesplit so that every
 # window with two or more workers splits; and, built the same way, the
 # scale study's worker-determinism test, which runs the protocol layers
-# (dht, somo, core's ring) on 8 shards at workers 1/4/16. The load
+# (dht, somo, core's ring) on 8 shards at workers 1/4/16. The fourth
+# does the same for the leafset coordinate solve's wavefront, whose
+# levels share one plane per coordinate version across workers: the
+# seed corpus of coords' FuzzSolveLeafsetMatchesReference (workers
+# 1/2/3/8 against the sequential solve), ten times. The load
 # smoke soaks the scheduler control plane (admission, shedding,
 # preemption damping, flash crowd) for 45 simulated seconds on a small
 # pool under the race detector; it too exits nonzero on any invariant
@@ -239,6 +246,7 @@ ci: build fmt vet test race mains layout
 	$(GO) test -race -count=10 -run 'ShardGroup' ./internal/eventsim
 	$(GO) test -race -count=10 -tags forcesplit -run 'ShardedSimWorkerDeterminism|FuzzShardedSimMatchesReference|FuzzShardedSimMatchesSim' ./internal/transport
 	$(GO) test -race -tags forcesplit -run 'TestScaleWorkerDeterminism' ./internal/experiments
+	$(GO) test -race -count=10 -run 'FuzzSolveLeafsetMatchesReference' ./internal/coords
 	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
 	$(GO) run ./cmd/experiments -fig scale -hosts 1200 -scale-runtime 30 -seed 1 > /dev/null

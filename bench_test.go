@@ -147,23 +147,39 @@ func BenchmarkRepair(b *testing.B) {
 }
 
 // BenchmarkLeafsetCoordinates measures the distributed coordinate solve
-// at 600 hosts.
+// at 600 hosts, on one worker and on every core, and reports how many
+// wavefront levels each solve ran (DESIGN.md §5). `make layout` reads
+// the one-worker half, which times code placement and not scheduling.
 func BenchmarkLeafsetCoordinates(b *testing.B) {
-	b.ReportAllocs()
 	top := topology.DefaultConfig()
 	top.Hosts = 600
 	net, err := topology.Generate(top)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nb := ringNeighborsBench(600, 32, rand.New(rand.NewSource(int64(i))))
-		if _, err := coords.SolveLeafset(net.Latency, 600, nb, coords.LeafsetConfig{
-			Dim: 7, Rounds: 5, Seed: int64(i), Core: 33,
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, w := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=NumCPU", runtime.NumCPU()}} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			levels := 0
+			for i := 0; i < b.N; i++ {
+				nb := ringNeighborsBench(600, 32, rand.New(rand.NewSource(int64(i))))
+				cfg := coords.LeafsetConfig{Dim: 7, Rounds: 5, Seed: int64(i), Core: 33, Workers: w.workers}
+				if _, err := coords.SolveLeafset(net.Latency, 600, nb, cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				l, err := coords.LeafsetLevels(600, nb, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				levels += l
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(levels)/float64(b.N), "levels/op")
+		})
 	}
 }
 
@@ -195,6 +211,7 @@ func BenchmarkGNPCoordinates(b *testing.B) {
 // references, each a simplex run of at most 120·dim evaluations of
 // E(x) = Σ|d_p − d_m|. Dim 7 runs the unrolled kernel (16 references is
 // the benchmark's radius-8 leafset, 32 core's), dim 5 the generic loop.
+// One worker, so it times the kernel and not the wavefront's goroutines.
 // It is the benchmark `make layout` reads with and without a pad
 // function linked ahead of coords.
 func BenchmarkFitError(b *testing.B) {
@@ -218,7 +235,7 @@ func BenchmarkFitError(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := coords.SolveLeafset(lat, c.refs+1, nb, coords.LeafsetConfig{
-					Dim: c.dim, Rounds: 8, Seed: 10, Simultaneous: true,
+					Dim: c.dim, Rounds: 8, Seed: 10, Simultaneous: true, Workers: 1,
 				}); err != nil {
 					b.Fatal(err)
 				}

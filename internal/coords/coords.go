@@ -157,149 +157,6 @@ func SolveGNP(lat LatencyFunc, n int, landmarks []int, cfg GNPConfig) ([]Vector,
 	return out, nil
 }
 
-// LeafsetConfig parameterizes the distributed leafset-based solver.
-type LeafsetConfig struct {
-	// Dim is the embedding dimension.
-	Dim int
-	// Rounds of relaxation; each round every node refines its own
-	// coordinate against its current neighbors once (this mirrors the
-	// continuous heartbeat-driven refinement of the live protocol).
-	Rounds int
-	// Seed for initial coordinates.
-	Seed int64
-	// Core overrides the bootstrap core size (default 2*(Dim+1): a full
-	// leafset's worth of mutually measuring members when possible).
-	Core int
-	// Simultaneous disables the incremental-join bootstrap and starts
-	// every node from a random coordinate at once — the ablation that
-	// shows why incremental placement matters.
-	Simultaneous bool
-}
-
-func (c LeafsetConfig) withDefaults() LeafsetConfig {
-	if c.Dim <= 0 {
-		c.Dim = 5
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 30
-	}
-	if c.Core <= 0 {
-		c.Core = 2 * (c.Dim + 1)
-	}
-	return c
-}
-
-const (
-	// leafsetSpread is the side of the random initial box, on the order
-	// of the network diameter in milliseconds.
-	leafsetSpread = 400
-	// leafsetDamping moves each node only this fraction of the way to
-	// its locally optimal coordinate per round. It suppresses the
-	// oscillation of simultaneous updates; the live protocol gets the
-	// same effect from unsynchronized heartbeats.
-	leafsetDamping = 0.5
-	// leafsetEvalsPerDim bounds each per-node simplex refinement.
-	leafsetEvalsPerDim = 120
-)
-
-// SolveLeafset computes coordinates for hosts 0..n-1 with the paper's
-// leafset scheme: no landmarks; every node refines its own coordinate
-// against the measured delays to its leafset neighbors (neighbors(i)
-// returns host indices). This round-based form is the deterministic,
-// fast-converging equivalent of the heartbeat protocol in Estimator,
-// and is what the Figure 4 experiment runs at scale.
-//
-// The solve models the way a real ring bootstraps (and the way PIC [3],
-// which the paper identifies with its scheme, computes coordinates):
-// nodes join one at a time. While the ring is small every member is in
-// every other's leafset, so the early joiners solve a mutually
-// consistent core exactly like GNP's landmark phase; each later joiner
-// fits against the already-placed members of its leafset. A pure
-// simultaneous relaxation (all nodes moving at once from random
-// positions) converges to folded embeddings an order of magnitude
-// worse — set Simultaneous to observe that ablation.
-func SolveLeafset(lat LatencyFunc, n int, neighbors func(i int) []int, cfg LeafsetConfig) ([]Vector, error) {
-	cfg = cfg.withDefaults()
-	if n <= 0 {
-		return nil, fmt.Errorf("coords: n must be positive, got %d", n)
-	}
-	r := rand.New(rand.NewSource(cfg.Seed))
-	_, cur := rows(n, cfg.Dim)
-	placed := make([]bool, n)
-	f := newFit(cfg.Dim, false, leafsetEvalsPerDim*cfg.Dim)
-
-	if cfg.Simultaneous {
-		for i := range cur {
-			fillRandom(cur[i], leafsetSpread, r)
-			placed[i] = true
-		}
-	} else {
-		// Incremental join in random order.
-		order := r.Perm(n)
-		coreSize := min(cfg.Core, n)
-		core := order[:coreSize]
-		for _, i := range core {
-			fillRandom(cur[i], leafsetSpread, r)
-		}
-		// The bootstrap core heartbeats mutually (a small ring is a
-		// clique of leafsets): iterate to mutual consistency.
-		for round := 0; round < 15; round++ {
-			for _, i := range core {
-				f.reset()
-				for _, j := range core {
-					if j != i {
-						f.add(cur[j], lat(i, j))
-					}
-				}
-				copy(cur[i], f.solve(cur[i]))
-			}
-		}
-		for _, i := range core {
-			placed[i] = true
-		}
-		// Later joiners fit against placed leafset members; a joiner
-		// whose leafset has too few placed members falls back to a
-		// random placed sample (its leafset at join time consisted of
-		// whoever was in the ring).
-		placedList := append([]int(nil), core...)
-		for _, i := range order[coreSize:] {
-			f.reset()
-			for _, x := range neighbors(i) {
-				if x >= 0 && x < n && placed[x] {
-					f.add(cur[x], lat(i, x))
-				}
-			}
-			for len(f.meas) < cfg.Dim+1 && len(f.meas) < len(placedList) {
-				x := placedList[r.Intn(len(placedList))]
-				f.add(cur[x], lat(i, x))
-			}
-			fillRandom(cur[i], leafsetSpread, r)
-			copy(cur[i], f.solve(cur[i]))
-			placed[i] = true
-			placedList = append(placedList, i)
-		}
-	}
-
-	// Continuous refinement (what the live heartbeats keep doing).
-	for round := 0; round < cfg.Rounds; round++ {
-		for i := 0; i < n; i++ {
-			nb := neighbors(i)
-			if len(nb) == 0 {
-				continue
-			}
-			f.reset()
-			for _, x := range nb {
-				f.add(cur[x], lat(i, x))
-			}
-			next := f.solve(cur[i])
-			for d := range cur[i] {
-				cur[i][d] += leafsetDamping * (next[d] - cur[i][d])
-			}
-		}
-	}
-	return cur, nil
-}
-
 // PairErrors computes the relative pairwise latency-prediction error
 // |predicted - measured| / measured over the given host pairs; pairs
 // with measured latency 0 are skipped. This is the quantity whose CDF

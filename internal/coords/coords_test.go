@@ -1,6 +1,7 @@
 package coords
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -136,6 +137,19 @@ func TestSolveLeafsetPlanted(t *testing.T) {
 func TestSolveLeafsetErrors(t *testing.T) {
 	if _, err := SolveLeafset(nil, 0, nil, LeafsetConfig{}); err == nil {
 		t.Error("n=0 should fail")
+	}
+	_, lat := planted(6, 2, 1)
+	for _, bad := range []int{6, -1} {
+		nb := func(i int) []int {
+			if i == 4 {
+				return []int{5, bad}
+			}
+			return []int{(i + 1) % 6}
+		}
+		_, err := SolveLeafset(lat, 6, nb, LeafsetConfig{Dim: 2, Rounds: 1})
+		if want := fmt.Sprintf("coords: host 4 has neighbor %d outside [0, 6)", bad); err == nil || err.Error() != want {
+			t.Errorf("neighbor %d: err = %v, want %q", bad, err, want)
+		}
 	}
 }
 

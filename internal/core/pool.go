@@ -47,12 +47,12 @@ type Status struct {
 
 // solverLeafsetMax is the host count up to which BuildFast computes
 // member coordinates with the round-based leafset relaxation (the
-// deterministic equivalent of the live PIC protocol; sequential, since
-// each round's solves feed the next node's references in order). It
-// covers the paper's sizes and the established scale rows; past it the
-// relaxation dominates build time and BuildFast switches to the
-// landmark GNP solve, whose per-host solves are independent and fan out
-// over the workers.
+// deterministic equivalent of the live PIC protocol, run as a wavefront
+// over the workers since each round's solves feed the next node's
+// references in order). It covers the paper's sizes and the established
+// scale rows; past it the relaxation dominates build time and BuildFast
+// switches to the landmark GNP solve, whose per-host solves are
+// independent and fan out over the workers.
 const solverLeafsetMax = 12000
 
 // coordDim is the dimension member coordinates are embedded in, by both
@@ -72,8 +72,8 @@ type Options struct {
 	// Seed drives all pool-level randomness.
 	Seed int64
 	// Workers bounds construction parallelism (the topology's all-pairs
-	// shortest paths); <= 0 means runtime.NumCPU(). The built pool is
-	// identical for any worker count.
+	// shortest paths and the coordinate solve); <= 0 means
+	// runtime.NumCPU(). The built pool is identical for any worker count.
 	Workers int
 }
 
@@ -145,7 +145,8 @@ func BuildFast(opts Options) (*Pool, error) {
 			Seed:   opts.Seed + 3,
 			// A full leafset's worth of early joiners can all measure each
 			// other, forming the bootstrap core.
-			Core: 2*opts.LeafsetRadius + 1,
+			Core:    2*opts.LeafsetRadius + 1,
+			Workers: opts.Workers,
 		})
 	}
 	if err != nil {

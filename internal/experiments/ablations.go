@@ -180,7 +180,7 @@ func Ablations(opts AblationOptions) (*AblationResult, error) {
 	solverRows, err := par.MapErr(opts.Workers, len(solverCells), func(i int) ([]string, error) {
 		sim, dim := solverCells[i].sim, solverCells[i].dim
 		cs, err := coords.SolveLeafset(pool.TrueLatency, opts.Hosts, nb, coords.LeafsetConfig{
-			Dim: dim, Rounds: 15, Seed: opts.Seed + 11, Core: 33, Simultaneous: sim,
+			Dim: dim, Rounds: 15, Seed: opts.Seed + 11, Core: 33, Simultaneous: sim, Workers: opts.Workers,
 		})
 		if err != nil {
 			return nil, err

@@ -92,10 +92,11 @@ func Fig4(opts Fig4Options) (*Fig4Result, error) {
 			solve: func() ([]coords.Vector, error) {
 				nb := ringNeighborsFn(opts.Hosts, L, rand.New(rand.NewSource(opts.Seed+3)))
 				return coords.SolveLeafset(net.Latency, opts.Hosts, nb, coords.LeafsetConfig{
-					Dim:    fig4Dim,
-					Rounds: 15,
-					Seed:   opts.Seed + 4,
-					Core:   L + 1,
+					Dim:     fig4Dim,
+					Rounds:  15,
+					Seed:    opts.Seed + 4,
+					Core:    L + 1,
+					Workers: opts.Workers,
 				})
 			},
 		})
