@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test race vet fuzz bench bench-json bench-suite bench-compare bench-label profile chaos obs scale audit load stream conf mains layout ci
+.PHONY: all build fmt test cover race vet fuzz bench bench-json bench-suite bench-compare bench-label profile chaos obs scale audit load stream conf mains layout ci
 
 all: build
 
@@ -9,6 +9,21 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Every non-test function runs under the full test suite unless
+# cover-allow.txt names it (the commands, the paths past 12,000 hosts,
+# and what is pending on the roadmap). Fails on a function at 0% that
+# the list does not name — dead code, or code no test reaches — and on
+# a listed one that now runs, so the list cannot go stale. ~1.5 min.
+cover:
+	@mkdir -p .bench_build
+	$(GO) test -coverpkg=./... -coverprofile=.bench_build/cover.out ./... > .bench_build/cover.log || { cat .bench_build/cover.log; exit 1; }
+	@$(GO) tool cover -func=.bench_build/cover.out | awk '$$NF == "0.0%" { split($$1, f, ":"); print f[1], $$2 }' | sort -u > .bench_build/cover.zero
+	@grep -v -e '^#' -e '^$$' cover-allow.txt | sort -u > .bench_build/cover.allow
+	@{ comm -23 .bench_build/cover.zero .bench_build/cover.allow | sed 's/^/cover: never runs under go test: /'; \
+	   comm -13 .bench_build/cover.zero .bench_build/cover.allow | sed 's/^/cover: listed in cover-allow.txt but runs: /'; } > .bench_build/cover.bad
+	@if [ -s .bench_build/cover.bad ]; then cat .bench_build/cover.bad >&2; exit 1; fi
+	@echo "cover: $$(wc -l < .bench_build/cover.zero) functions at 0%, all in cover-allow.txt"
 
 # Race-check the short test set: the parallel paths (topology all-pairs,
 # experiment fan-out, worker pool) are all exercised under -short. The
@@ -242,7 +257,7 @@ layout:
 # windows would otherwise run on one goroutine — each shard's endpoint
 # tables and protocol state written only by the shard's own goroutine)
 # and `fullstack` (every layer on one pool).
-ci: build fmt vet test race mains layout
+ci: build fmt vet test cover race mains layout
 	$(GO) test -race -count=10 -run 'ShardGroup' ./internal/eventsim
 	$(GO) test -race -count=10 -tags forcesplit -run 'ShardedSimWorkerDeterminism|FuzzShardedSimMatchesReference|FuzzShardedSimMatchesSim' ./internal/transport
 	$(GO) test -race -tags forcesplit -run 'TestScaleWorkerDeterminism' ./internal/experiments

@@ -191,3 +191,12 @@ func TestStudyNamesUnique(t *testing.T) {
 		}
 	}
 }
+
+// TestCSVFileNames: -csv names each file after its table's title, with
+// separators turned into underscores and anything a shell would quote
+// dropped.
+func TestCSVFileNames(t *testing.T) {
+	if got, want := sanitize("Figure 8: height/N (%)"), "Figure_8__height_N_"; got != want {
+		t.Errorf("sanitize = %q, want %q", got, want)
+	}
+}

@@ -173,9 +173,6 @@ func NewPlane(net transport.Network, up, down []float64) *Plane {
 	}
 }
 
-// Contention exposes the shared access-link model (tests).
-func (pl *Plane) Contention() *Contention { return pl.cont }
-
 // Instrument wires the plane to an observability registry. reg may be
 // nil; recording never schedules events or draws randomness, so an
 // instrumented run is event-identical to a bare one.
@@ -223,10 +220,7 @@ type Config struct {
 	BitrateKbps float64
 	// Playout is the per-chunk deadline after emission (a live session
 	// runs ~3 s of client buffer, VoD can run much more). Default
-	// 3 * ChunkDur (3 s at the default chunk): a playout buffer is a
-	// number of chunks, so a harness that lengthens chunks without
-	// setting Playout gets a proportionally longer window rather than a
-	// deadline shorter than one or two chunk transfers.
+	// playoutPerChunk chunks (3 s at the default chunk).
 	Playout eventsim.Time
 	// Chunks is how many chunks the source emits (required).
 	Chunks int
@@ -238,23 +232,47 @@ type Config struct {
 	Seed int64
 }
 
+// The derived timings: the playout default and the mesh-pull timings
+// are fixed ratios of the chunk and playout timescales, so a harness
+// that lengthens chunks gets every window lengthened with them.
+const (
+	// A playout buffer is a number of chunks: under a fixed window a
+	// longer chunk would be late before its first-hop transfer ends.
+	playoutPerChunk = 3
+	// A member missing a chunk first pulls at 3/5 of the playout window:
+	// late enough that a chunk still descending the tree under load is
+	// not pulled redundantly, early enough to leave the rest of the
+	// window for recovery.
+	pullStartPerPlayoutNum, pullStartPerPlayoutDen = 3, 5
+	// The pull rotation moves on every half chunk.
+	pullRetryPerChunk = 0.5
+	// A sent pull suppresses re-asks for the same chunk this long, the
+	// window in which the answering neighbour's transfer is presumed in
+	// flight; without it every retry re-asks while a response is being
+	// shipped, and the duplicates congest the uplinks the tree needs
+	// (pull-storm congestion collapse).
+	pullTimeoutPerChunk = 2
+)
+
 func (c Config) withDefaults() Config {
 	if c.ChunkDur <= 0 {
 		c.ChunkDur = eventsim.Second
 	}
 	if c.Playout <= 0 {
-		// Derived from the configured chunk, not a fixed 3 s: the pull
-		// timings (first pull at 60% of Playout, retries inside the
-		// remaining window) are fractions of the chunk timescale, and a
-		// fixed default under, say, a 4x chunk override would start
-		// pulls before the tree's first-hop transfer of a chunk can even
-		// finish.
-		c.Playout = 3 * c.ChunkDur
+		c.Playout = playoutPerChunk * c.ChunkDur
 	}
 	if c.PullNeighbors < 0 {
 		c.PullNeighbors = 0
 	}
 	return c
+}
+
+// pullTimings returns how long after emission a missing chunk is first
+// pulled, the retry interval, and how long a sent pull suppresses
+// re-asks.
+func (c Config) pullTimings() (start, retry, timeout eventsim.Time) {
+	return c.Playout * pullStartPerPlayoutNum / pullStartPerPlayoutDen,
+		c.ChunkDur * pullRetryPerChunk, pullTimeoutPerChunk * c.ChunkDur
 }
 
 // chunkState is one (host, chunk) receipt record.
@@ -340,18 +358,7 @@ type Pump struct {
 	start      eventsim.Time
 	hosts      map[int]*hostState
 
-	// The mesh-pull timings are expressions of the chunk and playout
-	// timescales, not options, so they cannot decouple from them.
-	// pullStart is how long after emission a member missing the chunk
-	// first pulls: late enough that a chunk still descending the tree
-	// under load is not pulled redundantly, early enough to leave the
-	// rest of the window for recovery. pullRetry is the rotation interval
-	// between attempts. pullTimeout is how long a sent pull suppresses
-	// further pulls for the same chunk — the window in which the
-	// answering neighbor's transfer is presumed still in flight; without
-	// it every retry round re-asks while a response is being shipped, and
-	// the duplicate transfers congest the very uplinks the tree needs
-	// (pull-storm congestion collapse).
+	// The mesh-pull timings, computed once from cfg (Config.pullTimings).
 	pullStart, pullRetry, pullTimeout eventsim.Time
 
 	stats Stats
@@ -391,11 +398,8 @@ func (pl *Plane) StartPump(key, root int, members []int, tree TreeFunc, alive fu
 		chunkBytes: int(cfg.BitrateKbps * float64(cfg.ChunkDur) / 8),
 		start:      at,
 		hosts:      make(map[int]*hostState),
-
-		pullStart:   cfg.Playout * 3 / 5,
-		pullRetry:   cfg.ChunkDur / 2,
-		pullTimeout: 2 * cfg.ChunkDur,
 	}
+	p.pullStart, p.pullRetry, p.pullTimeout = cfg.pullTimings()
 	// Seed the mesh: every member gets PullNeighbors distinct fellow
 	// members, pre-drawn so the running pump draws no randomness.
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -419,10 +423,6 @@ func (pl *Plane) StartPump(key, root int, members []int, tree TreeFunc, alive fu
 	pl.net.After(at-pl.net.Now(), func() { p.emit(0) })
 	return p, nil
 }
-
-// Stats returns the pump's accounting. Call Finalize first for final
-// outcome classification.
-func (p *Pump) Stats() Stats { return p.stats }
 
 // host returns (creating) h's receipt ledger.
 func (p *Pump) host(h int) *hostState {

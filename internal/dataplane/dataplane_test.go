@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"p2ppool/internal/alm"
@@ -246,33 +248,104 @@ func TestPumpPullDefaultsScaleWithChunkDuration(t *testing.T) {
 	}
 }
 
-func TestPumpPullTimingsFollowTheirBases(t *testing.T) {
-	// The three mesh-pull timings are computed from ChunkDur and Playout
-	// when the pump starts: first pull at 60% of the playout window, a
-	// retry every half chunk, a sent pull suppressing re-asks for two
-	// chunks — whether the bases are defaults or set.
-	const s = eventsim.Second
-	for _, tc := range []struct {
-		chunkDur, playout             eventsim.Time
-		wantStart, wantRetry, wantOut eventsim.Time
-	}{
-		{0, 0, 1800, 500, 2 * s}, // defaults: 1 s chunks, 3 s playout
-		{4 * s, 0, 7200, 2 * s, 8 * s},
-		{4 * s, 20 * s, 12 * s, 2 * s, 8 * s},
-		{0, 10 * s, 6 * s, 500, 2 * s},
-	} {
-		_, pl := world(t, 2, 10000, 10000)
-		tr := chain(0, 1)
-		p, err := pl.StartPump(1, 0, []int{1}, func() *alm.Tree { return tr }, nil, 0, Config{
-			BitrateKbps: 400, ChunkDur: tc.chunkDur, Playout: tc.playout, Chunks: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
+// numericFields calls visit on every int or float field under v (an
+// eventsim.Time is a float), named by its path.
+func numericFields(v reflect.Value, path string, visit func(string, reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			numericFields(v.Field(i), strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), visit)
 		}
-		if p.pullStart != tc.wantStart || p.pullRetry != tc.wantRetry || p.pullTimeout != tc.wantOut {
-			t.Errorf("ChunkDur %v, Playout %v: pull start/retry/timeout = %v/%v/%v, want %v/%v/%v",
-				tc.chunkDur, tc.playout, p.pullStart, p.pullRetry, p.pullTimeout,
-				tc.wantStart, tc.wantRetry, tc.wantOut)
+	case reflect.Int, reflect.Int64, reflect.Float64:
+		visit(path, v)
+	}
+}
+
+// TestDerivedDefaultsFollowTheirBases is the property the derived-
+// defaults table promises: the defaults are the documented ones; a base
+// set to k times its default, every other field left unset, scales each
+// value derived from it by exactly k (powers of two keep the products
+// exact) and leaves every other value at its default; a derived field
+// set explicitly is kept; and every time or rate field is classified,
+// so a timer added without a row fails.
+func TestDerivedDefaultsFollowTheirBases(t *testing.T) {
+	table := []struct {
+		base    string
+		derived []string
+	}{
+		{"ChunkDur", []string{"Playout", "pullStart", "pullRetry", "pullTimeout"}},
+		{"Playout", []string{"pullStart"}},
+		{"BitrateKbps", nil}, // required: no default, nothing follows it
+	}
+	effective := func(c Config) map[string]float64 {
+		c = c.withDefaults()
+		start, retry, timeout := c.pullTimings()
+		m := map[string]float64{"pullStart": float64(start), "pullRetry": float64(retry), "pullTimeout": float64(timeout)}
+		numericFields(reflect.ValueOf(c), "", func(name string, f reflect.Value) {
+			if f.CanFloat() {
+				m[name] = f.Float()
+			} else {
+				m[name] = float64(f.Int())
+			}
+		})
+		return m
+	}
+	set := func(c *Config, name string, v float64) {
+		numericFields(reflect.ValueOf(c).Elem(), "", func(n string, f reflect.Value) {
+			if n == name {
+				f.SetFloat(v)
+			}
+		})
+	}
+	def := effective(Config{})
+	// The defaults themselves (times in virtual milliseconds).
+	for name, want := range map[string]float64{
+		"ChunkDur": 1000, "Playout": 3000, "pullStart": 1800, "pullRetry": 500, "pullTimeout": 2000,
+	} {
+		if def[name] != want {
+			t.Errorf("default %s = %v, want %v", name, def[name], want)
+		}
+	}
+
+	named := map[string]bool{}
+	for _, row := range table {
+		named[row.base] = true
+		for _, d := range row.derived {
+			named[d] = true
+		}
+	}
+	numericFields(reflect.ValueOf(Config{}), "", func(name string, f reflect.Value) {
+		if f.CanFloat() && !named[name] {
+			t.Errorf("Config.%s is in no row of the derived-defaults table", name)
+		}
+	})
+
+	for _, row := range table {
+		follows := map[string]bool{row.base: true}
+		for _, d := range row.derived {
+			follows[d] = true
+		}
+		for _, k := range []float64{1.0 / 4096, 1.0 / 8, 1.0 / 2, 2, 8} {
+			var c Config
+			set(&c, row.base, k*def[row.base])
+			for name, got := range effective(c) {
+				want := def[name]
+				if follows[name] {
+					want *= k
+				}
+				if got != want {
+					t.Errorf("%s at %v × default: %s = %v, want %v", row.base, k, name, got, want)
+				}
+			}
+			for _, d := range row.derived {
+				if _, field := reflect.TypeOf(c).FieldByName(d); field {
+					c := c
+					set(&c, d, 3*def[d])
+					if got := effective(c)[d]; got != 3*def[d] {
+						t.Errorf("%s set to %v beside %s at %v × default came out %v", d, 3*def[d], row.base, k, got)
+					}
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package dht
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"p2ppool/internal/eventsim"
@@ -366,16 +368,126 @@ func TestEntryString(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	d := DefaultConfig()
-	if c != d {
-		t.Errorf("withDefaults() = %+v, want %+v", c, d)
+// numericFields calls visit on every int or float field under v (an
+// eventsim.Time is a float), named by its path.
+func numericFields(v reflect.Value, path string, visit func(string, reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			numericFields(v.Field(i), strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), visit)
+		}
+	case reflect.Int, reflect.Int64, reflect.Float64:
+		visit(path, v)
 	}
-	// Partial overrides survive.
-	c2 := Config{LeafsetRadius: 2}.withDefaults()
-	if c2.LeafsetRadius != 2 || c2.HeartbeatInterval != d.HeartbeatInterval {
-		t.Errorf("partial override broken: %+v", c2)
+}
+
+// TestDerivedDefaultsFollowTheirBases is the property the derived-
+// defaults table promises: the defaults are the documented ones; a base
+// set to k times its default, every other field left unset, scales each
+// value derived from it by exactly k (powers of two keep the products
+// exact) and leaves every other value at its default; a derived field
+// set explicitly is kept; and every time or rate field is classified,
+// so a timer added without a row fails.
+func TestDerivedDefaultsFollowTheirBases(t *testing.T) {
+	table := []struct {
+		base    string
+		derived []string
+	}{
+		{"HeartbeatInterval", []string{"FailureTimeout", "suspectTTL", "contactMemory", "tombstone"}},
+		{"FailureTimeout", []string{"suspectTTL", "contactMemory", "tombstone"}},
+		{"FixFingersInterval", nil},
+	}
+	effective := func(c Config) map[string]float64 {
+		c = c.withDefaults()
+		m := map[string]float64{
+			"suspectTTL":    float64(c.suspectTTL()),
+			"contactMemory": float64(c.contactMemory()),
+			"tombstone":     float64(c.tombstone()),
+		}
+		numericFields(reflect.ValueOf(c), "", func(name string, f reflect.Value) {
+			if f.CanFloat() {
+				m[name] = f.Float()
+			} else {
+				m[name] = float64(f.Int())
+			}
+		})
+		return m
+	}
+	set := func(c *Config, name string, v float64) {
+		numericFields(reflect.ValueOf(c).Elem(), "", func(n string, f reflect.Value) {
+			if n == name {
+				f.SetFloat(v)
+			}
+		})
+	}
+	def := effective(Config{})
+	// The defaults themselves (times in virtual milliseconds).
+	for name, want := range map[string]float64{
+		"HeartbeatInterval": 1000, "FailureTimeout": 4000, "FixFingersInterval": 10000,
+		"suspectTTL": 120000, "contactMemory": 32000, "tombstone": 8000,
+	} {
+		if def[name] != want {
+			t.Errorf("default %s = %v, want %v", name, def[name], want)
+		}
+	}
+
+	named := map[string]bool{}
+	for _, row := range table {
+		named[row.base] = true
+		for _, d := range row.derived {
+			named[d] = true
+		}
+	}
+	numericFields(reflect.ValueOf(Config{}), "", func(name string, f reflect.Value) {
+		if f.CanFloat() && !named[name] {
+			t.Errorf("Config.%s is in no row of the derived-defaults table", name)
+		}
+	})
+
+	for _, row := range table {
+		follows := map[string]bool{row.base: true}
+		for _, d := range row.derived {
+			follows[d] = true
+		}
+		for _, k := range []float64{1.0 / 4096, 1.0 / 8, 1.0 / 2, 2, 8} {
+			var c Config
+			set(&c, row.base, k*def[row.base])
+			for name, got := range effective(c) {
+				want := def[name]
+				if follows[name] {
+					want *= k
+				}
+				if got != want {
+					t.Errorf("%s at %v × default: %s = %v, want %v", row.base, k, name, got, want)
+				}
+			}
+			for _, d := range row.derived {
+				if _, field := reflect.TypeOf(c).FieldByName(d); field {
+					c := c
+					set(&c, d, 3*def[d])
+					if got := effective(c)[d]; got != 3*def[d] {
+						t.Errorf("%s set to %v beside %s at %v × default came out %v", d, 3*def[d], row.base, k, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSlowHeartbeatDoesNotFlap: a ring whose heartbeat is slower than
+// the stock failure timeout must still not suspect its live neighbours,
+// because the timeout follows the heartbeat. With a fixed 4 s timeout
+// under a 5 s heartbeat this ring declared 16,771 failures.
+func TestSlowHeartbeatDoesNotFlap(t *testing.T) {
+	e, net := testNet(5)
+	nodes := buildTestRing(t, net, 64, Config{LeafsetRadius: 8, HeartbeatInterval: 5 * eventsim.Second}, 17)
+	e.RunUntil(5 * eventsim.Minute)
+	var failures uint64
+	for _, nd := range nodes {
+		failures += nd.Stats().Failures
+	}
+	if failures != 0 {
+		t.Fatalf("a crash-free ring declared %d neighbour failures", failures)
 	}
 }
 

@@ -40,7 +40,7 @@ func (e Entry) String() string {
 }
 
 // Config tunes a node's protocol behaviour. Zero fields are replaced by
-// the defaults from DefaultConfig.
+// the defaults in withDefaults.
 type Config struct {
 	// LeafsetRadius is the number of neighbors kept on each side of the
 	// ring (Pastry's default leafset of 32 corresponds to radius 16).
@@ -48,7 +48,8 @@ type Config struct {
 	// HeartbeatInterval is the period of leafset heartbeats.
 	HeartbeatInterval eventsim.Time
 	// FailureTimeout is how long without hearing from a leafset member
-	// before the node declares it dead and repairs.
+	// before the node declares it dead and repairs (default
+	// failureTimeoutPerHeartbeat heartbeats).
 	FailureTimeout eventsim.Time
 	// MaxHops caps routing path length as a safety valve.
 	MaxHops int
@@ -64,46 +65,56 @@ type Config struct {
 // paper's LiquidEye uses 40-byte leaf reports.
 const heartbeatBytes = 40
 
-// suspectTTL is how long a node keeps re-probing a failed leafset
-// neighbor. A declared failure may really be a network partition (or a
-// crash followed by a restart), and without re-probing two healed
-// halves never rediscover each other: each side only gossips its own
-// survivors. One probe answered re-merges the ring.
-func (c Config) suspectTTL() eventsim.Time { return 30 * c.FailureTimeout }
+// The derived defaults: each timer is a fixed ratio of the one it is
+// tuned against, so scaling a base scales everything that follows it.
+const (
+	// Four missed heartbeats declare a neighbour dead.
+	failureTimeoutPerHeartbeat = 4
+	// A declared failure may be a partition (or a crash followed by a
+	// restart): re-probing the suspect this long lets two healed halves
+	// rediscover each other, since each side gossips only its survivors.
+	suspectTTLPerFailureTimeout = 30
+	// Evidence of life counts this long for a finger probe: a target
+	// last heard longer ago when its probe expires is silent, however
+	// late the expiry check runs.
+	contactMemoryPerFailureTimeout = 8
+	// A departed node is kept out this long, so stale gossip cannot
+	// re-add it before every neighbour has noticed it gone.
+	tombstonePerFailureTimeout = 2
+)
 
-// DefaultConfig returns the configuration used across the experiments.
-func DefaultConfig() Config {
-	return Config{
-		LeafsetRadius:      16,
-		HeartbeatInterval:  1 * eventsim.Second,
-		FailureTimeout:     4 * eventsim.Second,
-		MaxHops:            128,
-		Fingers:            24,
-		FixFingersInterval: 10 * eventsim.Second,
-	}
+func (c Config) suspectTTL() eventsim.Time {
+	return suspectTTLPerFailureTimeout * c.FailureTimeout
+}
+
+func (c Config) contactMemory() eventsim.Time {
+	return contactMemoryPerFailureTimeout * c.FailureTimeout
+}
+
+func (c Config) tombstone() eventsim.Time {
+	return tombstonePerFailureTimeout * c.FailureTimeout
 }
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.LeafsetRadius <= 0 {
-		c.LeafsetRadius = d.LeafsetRadius
+		c.LeafsetRadius = 16
 	}
 	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = d.HeartbeatInterval
-	}
-	if c.FailureTimeout <= 0 {
-		c.FailureTimeout = d.FailureTimeout
+		c.HeartbeatInterval = eventsim.Second
 	}
 	if c.MaxHops <= 0 {
-		c.MaxHops = d.MaxHops
+		c.MaxHops = 128
 	}
 	if c.Fingers == 0 {
-		c.Fingers = d.Fingers
+		c.Fingers = 24
 	} else if c.Fingers < 0 {
 		c.Fingers = 0
 	}
 	if c.FixFingersInterval <= 0 {
-		c.FixFingersInterval = d.FixFingersInterval
+		c.FixFingersInterval = 10 * eventsim.Second
+	}
+	if c.FailureTimeout <= 0 {
+		c.FailureTimeout = failureTimeoutPerHeartbeat * c.HeartbeatInterval
 	}
 	return c
 }

@@ -444,7 +444,7 @@ func (n *Node) merge(entries ...Entry) {
 // bury tombstones a departed node and removes it from the leafset and
 // finger table.
 func (n *Node) bury(id ids.ID) {
-	n.tombstones[id] = n.net.Now() + 2*n.cfg.FailureTimeout
+	n.tombstones[id] = n.net.Now() + n.cfg.tombstone()
 	// A deliberate departure is not a suspected partition.
 	delete(n.suspects, id)
 	n.purgeFinger(id)
@@ -575,11 +575,6 @@ type fingerProbe struct {
 	heard     bool
 }
 
-// contactMemory is how long evidence of life counts for a probe: a
-// target last heard longer ago than this when its probe expires is
-// silent, however late the expiry check runs.
-func (c Config) contactMemory() eventsim.Time { return 8 * c.FailureTimeout }
-
 // noteContact records that a message arrived from id at now: it answers any
 // pending probe to id, and id stays in heardNow for the rest of the
 // instant.
@@ -613,7 +608,7 @@ func (n *Node) probeOneFinger(hb *heartbeat) {
 			continue
 		}
 		if !p.heard || now-p.lastHeard > n.cfg.contactMemory() {
-			n.tombstones[p.id] = now + 2*n.cfg.FailureTimeout
+			n.tombstones[p.id] = now + n.cfg.tombstone()
 			n.purgeFinger(p.id)
 		}
 	}
@@ -733,7 +728,7 @@ func (n *Node) checkFailures() {
 			continue
 		}
 		id := nb.entry.ID
-		n.tombstones[id] = now + 2*n.cfg.FailureTimeout
+		n.tombstones[id] = now + n.cfg.tombstone()
 		// Keep re-probing: the "failure" may really be a partition.
 		n.suspects[id] = suspect{entry: nb.entry, since: now}
 		n.purgeFinger(id)

@@ -30,9 +30,6 @@ func (e *Engine) StopTrace() []TraceEntry {
 	return append([]TraceEntry(nil), e.trace...)
 }
 
-// Tracing reports whether a trace is being recorded.
-func (e *Engine) Tracing() bool { return e.tracing }
-
 // Mark records a landmark in the current trace. No-op unless a trace
 // was started.
 func (e *Engine) Mark(label string) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"p2ppool/internal/eventsim"
@@ -54,8 +55,11 @@ func TestAuditShrinksToMinimalScript(t *testing.T) {
 		o := auditRun(seed, ro, sub, opts)
 		return o.Err == "" && o.hasCheck(first)
 	})
-	if len(shrunk) != 1 || shrunk[0].Op != opPartition {
-		t.Fatalf("shrunk script = %s, want exactly the partition", renderScript(shrunk))
+	if got := renderScript(shrunk); got != "partition@20.0s" {
+		t.Fatalf("shrunk script = %s, want exactly the partition", got)
+	}
+	if v := out.Violations[0].V; !strings.HasPrefix(v.String(), first+": ") {
+		t.Errorf("violation renders as %q, not led by its check %q", v.String(), first)
 	}
 	if replays > 40 {
 		t.Fatalf("shrinking a 5-action script took %d replays", replays)

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"p2ppool/internal/eventsim"
+	"p2ppool/internal/sched"
 )
 
 // TestPoissonCrashesMatchesInlineLoop: the shared churn schedule is the
@@ -44,5 +46,21 @@ func TestPoissonCrashesMatchesInlineLoop(t *testing.T) {
 	}
 	if got := poissonCrashes(rand.New(rand.NewSource(42)), 0, from, until, n); got != nil {
 		t.Errorf("rate 0 scheduled %d crashes", len(got))
+	}
+}
+
+// TestServiceCellKeepsFirstError: a service call that fails inside an
+// event callback is kept for the study to report, and a later failure
+// does not overwrite it.
+func TestServiceCellKeepsFirstError(t *testing.T) {
+	c := newServiceCell(1, 0, synthLatency(rand.New(rand.NewSource(1)), 4), []int{4, 4, 4, 4}, sched.ServiceConfig{}, nil)
+	for i, pri := range []int{1, 1, 0} {
+		c.submitAt(eventsim.Time(i+1), func() *sched.Session {
+			return &sched.Session{ID: 7, Priority: pri, Root: 0, Members: []int{1}}
+		})
+	}
+	c.engine.RunUntil(eventsim.Second)
+	if c.err == nil || !strings.Contains(c.err.Error(), "duplicate session 7") {
+		t.Fatalf("cell error = %v, want the duplicate submission's", c.err)
 	}
 }

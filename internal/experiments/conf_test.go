@@ -41,6 +41,9 @@ func TestConfSharedBoundDelivery(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("got %d rows, want 4 cells", len(res.Rows))
 	}
+	if n := res.ViolationCount(); n != 0 {
+		t.Errorf("%d ledger invariant violations", n)
+	}
 	for _, row := range res.Rows {
 		if row.Sources != opts.Conferences*opts.ConfSize {
 			t.Errorf("%s: %d source pumps, want %d", row.Cell, row.Sources, opts.Conferences*opts.ConfSize)

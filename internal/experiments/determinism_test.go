@@ -223,6 +223,9 @@ func TestAuditWorkerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := base.(*AuditResult).ViolationCount(); n != 0 {
+		t.Fatalf("the audit found %d violations", n)
+	}
 	want := renderAll(base)
 	for _, w := range []int{4, 16} {
 		res, err := run(w)

@@ -298,9 +298,6 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 	wr := rand.New(rand.NewSource(opts.Seed + 2))
 	lat := synthLatency(wr, opts.Hosts)
 	degrees := alm.PaperDegrees(opts.Hosts, wr)
-	// Retry/backoff stay at the package defaults (budget 3, base 500ms
-	// doubling to 8s, compressed per class): they are coupled to the
-	// 2s/4s/8s admit deadlines, not to the window.
 	c := newServiceCell(opts.Seed, idx, lat, degrees, sched.ServiceConfig{
 		// The damper is sized to the pool, as an operator would:
 		// score-driven market planning preempts a helper or two per

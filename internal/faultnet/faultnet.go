@@ -128,9 +128,6 @@ func (f *Net) dropEvent(from, to transport.Addr, sizeBytes int, cause string) {
 	f.trace.Record(obs.Event{Time: f.inner.Now(), Kind: obs.KindDrop, From: int(from), To: int(to), Size: sizeBytes, Cause: cause})
 }
 
-// Inner returns the wrapped network.
-func (f *Net) Inner() transport.Network { return f.inner }
-
 // --- fault configuration ---
 
 // SetLinkLoss drops messages sent from 'from' to 'to' with probability

@@ -36,13 +36,6 @@ const (
 	Eventual
 )
 
-func (p Phase) String() string {
-	if p == Continuous {
-		return "continuous"
-	}
-	return "eventual"
-}
-
 // Violation is one failed property instance.
 type Violation struct {
 	// Check is the name of the violated check (e.g. "dht/leafset-sorted").

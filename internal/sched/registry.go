@@ -68,19 +68,6 @@ func (d *DegreeTable) UsedAtOrAbove(p int) int {
 	return s
 }
 
-// AvailableFor returns the slots a priority-p requester could obtain:
-// free slots plus everything preemptable (strictly lower rank).
-func (d *DegreeTable) AvailableFor(p int) int {
-	return d.AvailableForGuarded(p, nil)
-}
-
-// AvailableForGuarded is AvailableFor under a preemption guard: slots
-// whose displacement the guard vetoes count as firm even when their
-// priority rank is lower.
-func (d *DegreeTable) AvailableForGuarded(p int, guard PreemptGuard) int {
-	return max(d.Bound-d.firmGuarded(p, guard), 0)
-}
-
 // firmGuarded returns the slots a priority-p requester cannot obtain:
 // equal-or-higher rank, plus lower rank the guard vetoes. The guard is
 // consulted exactly once per strictly-lower-rank allocation.

@@ -115,18 +115,6 @@ func (s *Session) setTrees(trees map[int]*alm.Tree) {
 	}
 }
 
-// TreeDegree sums host v's fan-in/fan-out across all of the session's
-// trees — the number of slots the session's plan occupies at v.
-func (s *Session) TreeDegree(v int) int {
-	d := 0
-	for _, st := range s.Trees() {
-		if st.Tree != nil && st.Tree.Contains(v) {
-			d += st.Tree.Degree(v)
-		}
-	}
-	return d
-}
-
 // HelperCount returns how many distinct non-member nodes the current
 // plan uses across all source trees.
 func (s *Session) HelperCount() int {

@@ -62,12 +62,13 @@ type ServiceConfig struct {
 	// to make room, or shedding the session itself). Default 3.
 	RetryBudget int
 	// BackoffBase/BackoffMax bound the seeded exponential backoff
-	// between plan retries (defaults 500ms / 8s). Both are compressed
-	// per class in proportion to its AdmitDeadline (relative to the
-	// lowest class's), so a high class spends its retry budget — and
-	// reaches the shed-to-make-room step — while its tighter SLO clock
-	// still has room; a uniform schedule would blow the top class's
-	// deadline on backoff alone.
+	// between plan retries (defaults 1/16 and all of the lowest class's
+	// AdmitDeadline: 500ms / 8s). Both are compressed per class in
+	// proportion to its AdmitDeadline (relative to the lowest class's),
+	// so a high class spends its retry budget — and reaches the
+	// shed-to-make-room step — while its tighter SLO clock still has
+	// room; a uniform schedule would blow the top class's deadline on
+	// backoff alone.
 	BackoffBase eventsim.Time
 	BackoffMax  eventsim.Time
 	// BackoffJitter is the relative jitter on each backoff, drawn from
@@ -79,11 +80,12 @@ type ServiceConfig struct {
 	// rate limit). Member-priority preemptions are never limited — the
 	// paper's members-only guarantee outranks damping.
 	PreemptRate float64
-	// PreemptBurst is the bucket capacity (default 32).
+	// PreemptBurst is the bucket capacity (default 4 s of PreemptRate:
+	// 32).
 	PreemptBurst float64
 	// HoldDown protects a preemption victim from further market
-	// preemption for this long (hysteresis; default 2s, negative
-	// disables).
+	// preemption for this long (hysteresis; default the top class's
+	// AdmitDeadline, 2s; negative disables).
 	HoldDown eventsim.Time
 
 	// Seed drives the backoff jitter stream (independent of every
@@ -91,22 +93,23 @@ type ServiceConfig struct {
 	Seed int64
 }
 
+// The derived defaults, each a fixed ratio of the admit deadline or
+// rate it is tuned against, so a harness that rescales the base gets
+// the whole policy rescaled with it. Floors keep each delay at least a
+// millisecond long (two for the backoff cap, so doubling moves).
+const (
+	// The lowest class's window fits a full retry budget: 1/16 doubling
+	// to the whole window is 500ms / 8s at the default 8 s.
+	backoffBasePerLowDeadline = 1.0 / 16
+	backoffMaxPerLowDeadline  = 1
+	// A victim is protected for one of the top class's SLO windows: any
+	// longer and a preemptor that still had time would be starved.
+	holdDownPerTopDeadline = 1
+	// The bucket holds four seconds of refill.
+	preemptBurstPerRate = 4
+)
+
 func (c ServiceConfig) withDefaults() ServiceConfig {
-	// The backoff defaults are tuned to the default admit deadlines: the
-	// lowest class's 8 s window fits a full retry budget at 500ms/8s.
-	// When a harness overrides the deadlines but not the backoff, the
-	// defaults are rescaled by the same factor — otherwise a, say,
-	// 8x-deadline config burns its retry budget in the first eighth of
-	// every SLO window and sheds sessions that still had time, which
-	// under contention inverts priority order (the top class's
-	// compressed schedule exhausts first). Explicit BackoffBase/Max
-	// always win; the scale keys on the lowest class because that is the
-	// window the per-class compression in backoff() divides against.
-	backoffScale := 1.0
-	if low := c.Classes[NumClasses].AdmitDeadline; low > 0 {
-		defaultLow := eventsim.Time(uint(1)<<uint(NumClasses)) * eventsim.Second
-		backoffScale = float64(low) / float64(defaultLow)
-	}
 	for p := 1; p <= NumClasses; p++ {
 		if c.Classes[p].AdmitDeadline <= 0 {
 			// Looser SLOs down the priority ladder: 2s / 4s / 8s.
@@ -122,39 +125,25 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 3
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = eventsim.Time(float64(500*eventsim.Millisecond) * backoffScale)
-		if c.BackoffBase < eventsim.Millisecond {
-			c.BackoffBase = eventsim.Millisecond
-		}
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = eventsim.Time(float64(8*eventsim.Second) * backoffScale)
-		if c.BackoffMax < 2*eventsim.Millisecond {
-			c.BackoffMax = 2 * eventsim.Millisecond
-		}
-	}
 	if c.BackoffJitter == 0 {
 		c.BackoffJitter = 0.2
 	}
 	if c.PreemptRate == 0 {
 		c.PreemptRate = 8
 	}
-	if c.PreemptBurst <= 0 {
-		c.PreemptBurst = 32
+
+	top, low := c.Classes[1].AdmitDeadline, c.Classes[NumClasses].AdmitDeadline
+	if c.BackoffBase <= 0 {
+		c.BackoffBase = max(backoffBasePerLowDeadline*low, eventsim.Millisecond)
+	}
+	if c.BackoffMax <= 0 {
+		c.BackoffMax = max(backoffMaxPerLowDeadline*low, 2*eventsim.Millisecond)
 	}
 	if c.HoldDown == 0 {
-		// Like the backoff defaults above, the 2 s hold-down is tuned to
-		// the default deadline ladder: it spans the top class's whole 2 s
-		// SLO window. A harness that compresses the deadlines without
-		// overriding HoldDown would otherwise protect victims for several
-		// full SLO windows and starve preemptors that still had time —
-		// the same uncoupled-default gotcha PR 8 fixed for BackoffBase/Max
-		// — so the default scales by the same factor.
-		c.HoldDown = eventsim.Time(float64(2*eventsim.Second) * backoffScale)
-		if c.HoldDown < eventsim.Millisecond {
-			c.HoldDown = eventsim.Millisecond
-		}
+		c.HoldDown = max(holdDownPerTopDeadline*top, eventsim.Millisecond)
+	}
+	if c.PreemptBurst <= 0 && c.PreemptRate > 0 {
+		c.PreemptBurst = preemptBurstPerRate * c.PreemptRate
 	}
 	return c
 }
@@ -431,12 +420,6 @@ func (sv *Service) AddMember(id SessionID, host int) error {
 // (conference join); the session replans at the next Tick.
 func (sv *Service) AddSource(id SessionID, host int) error {
 	return sv.sc.AddSource(id, host)
-}
-
-// RemoveSource demotes a live session's extra source back to a plain
-// member; the session replans at the next Tick.
-func (sv *Service) RemoveSource(id SessionID, host int) error {
-	return sv.sc.RemoveSource(id, host)
 }
 
 // refill tops up the preemption token bucket for elapsed virtual time.

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"p2ppool/internal/eventsim"
@@ -276,42 +279,135 @@ func TestServiceBackoffRescalesWithDeadlines(t *testing.T) {
 	}
 }
 
-// TestServiceHoldDownRescalesWithDeadlines pins the second withDefaults
-// coupling fix: the 2 s hold-down default spans the default top class's
-// whole 2 s SLO window, so a config that compresses the admit deadlines
-// (8x here: 250 ms / 500 ms / 1 s) but leaves HoldDown unset must get
-// it compressed by the same factor. Pre-fix a preemption victim stayed
-// protected for 2 s — two full bottom-class SLO windows — so any
-// preemptor contending for the victim's slots was deferred until its
-// own deadline had blown.
-func TestServiceHoldDownRescalesWithDeadlines(t *testing.T) {
-	cfg := ServiceConfig{
-		PreemptRate:   -1,
-		BackoffJitter: -1, // HoldDown itself left unset: the subject
+// numericFields calls visit on every int or float field under v (an
+// eventsim.Time is a float), named by its path.
+func numericFields(v reflect.Value, path string, visit func(string, reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			numericFields(v.Field(i), strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), visit)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			numericFields(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+		}
+	case reflect.Int, reflect.Int64, reflect.Float64:
+		visit(path, v)
 	}
-	for p := 1; p <= NumClasses; p++ {
-		cfg.Classes[p].AdmitDeadline = eventsim.Time(uint(1)<<uint(p)) * eventsim.Second / 8
+}
+
+// TestDerivedDefaultsFollowTheirBases is the property the derived-
+// defaults table promises: the defaults are the documented ones; a base
+// set to k times its default, every other field left unset, scales each
+// value derived from it by exactly k (powers of two keep the products
+// exact), floor respected, and leaves every other value at its default;
+// a derived field set explicitly is kept; and every time or rate field
+// is classified, so a timer added without a row fails.
+func TestDerivedDefaultsFollowTheirBases(t *testing.T) {
+	table := []struct {
+		base    string
+		derived []string
+	}{
+		{"Classes[0].AdmitDeadline", nil}, // index 0 is no class
+		{"Classes[1].AdmitDeadline", []string{"HoldDown"}},
+		{"Classes[2].AdmitDeadline", nil},
+		{"Classes[3].AdmitDeadline", []string{"BackoffBase", "BackoffMax"}},
+		{"BackoffJitter", nil},
+		{"PreemptRate", []string{"PreemptBurst"}},
 	}
-	sv := NewService([]int{4, 4}, lineLat, cfg)
-	if want := 250 * eventsim.Millisecond; sv.cfg.HoldDown != want {
-		t.Fatalf("HoldDown default = %v with 8x-compressed deadlines, want %v", sv.cfg.HoldDown, want)
+	floor := map[string]float64{"BackoffBase": 1, "BackoffMax": 2, "HoldDown": 1}
+	effective := func(c ServiceConfig) map[string]float64 {
+		m := map[string]float64{}
+		numericFields(reflect.ValueOf(c.withDefaults()), "", func(name string, f reflect.Value) {
+			if f.CanFloat() {
+				m[name] = f.Float()
+			} else {
+				m[name] = float64(f.Int())
+			}
+		})
+		return m
+	}
+	set := func(c *ServiceConfig, name string, v float64) {
+		numericFields(reflect.ValueOf(c).Elem(), "", func(n string, f reflect.Value) {
+			if n == name {
+				f.SetFloat(v)
+			}
+		})
+	}
+	def := effective(ServiceConfig{})
+	// The defaults themselves (times in virtual milliseconds).
+	for name, want := range map[string]float64{
+		"Classes[1].AdmitDeadline": 2000, "Classes[2].AdmitDeadline": 4000, "Classes[3].AdmitDeadline": 8000,
+		"BackoffBase": 500, "BackoffMax": 8000, "HoldDown": 2000, "PreemptRate": 8, "PreemptBurst": 32,
+	} {
+		if def[name] != want {
+			t.Errorf("default %s = %v, want %v", name, def[name], want)
+		}
 	}
 
-	// Arm a victim's hold-down at t=0, then retry at 500 ms — well past
-	// the scaled hold-down but a quarter of the unscaled 2 s default,
-	// and still inside the bottom class's 1 s SLO window.
-	gs := &guardState{}
-	ctx := sv.planContextState(0, gs)
-	ctx.onPreempt(7, 3)
-	late := sv.planContextState(500*eventsim.Millisecond, &guardState{})
-	if !late.guard(7) {
-		t.Fatal("victim still held down two SLO windows after the preemption: HoldDown not rescaled with deadlines")
+	named := map[string]bool{}
+	for _, row := range table {
+		named[row.base] = true
+		for _, d := range row.derived {
+			named[d] = true
+		}
 	}
+	numericFields(reflect.ValueOf(ServiceConfig{}), "", func(name string, f reflect.Value) {
+		if f.CanFloat() && !named[name] {
+			t.Errorf("ServiceConfig.%s is in no row of the derived-defaults table", name)
+		}
+	})
 
-	// An explicit override must still win over the scaling.
-	cfg.HoldDown = 5 * eventsim.Second
-	if got := NewService([]int{4, 4}, lineLat, cfg).cfg.HoldDown; got != 5*eventsim.Second {
-		t.Fatalf("explicit HoldDown overridden to %v", got)
+	for _, row := range table {
+		follows := map[string]bool{row.base: true}
+		for _, d := range row.derived {
+			follows[d] = true
+		}
+		for _, k := range []float64{1.0 / 4096, 1.0 / 8, 1.0 / 2, 2, 8} {
+			var c ServiceConfig
+			set(&c, row.base, k*def[row.base])
+			for name, got := range effective(c) {
+				want := def[name]
+				if follows[name] {
+					want = max(k*want, floor[name])
+				}
+				if got != want {
+					t.Errorf("%s at %v × default: %s = %v, want %v", row.base, k, name, got, want)
+				}
+			}
+			for _, d := range row.derived {
+				c := c
+				set(&c, d, 3*def[d])
+				if got := effective(c)[d]; got != 3*def[d] {
+					t.Errorf("%s set to %v beside %s at %v × default came out %v", d, 3*def[d], row.base, k, got)
+				}
+			}
+		}
+	}
+}
+
+// TestHoldDownFollowsTheTopDeadline: a victim is protected for one of
+// the top class's SLO windows, whichever class's deadline was
+// overridden. Keyed to the lowest class instead, a 250 ms top deadline
+// kept a 2 s hold-down (eight of its windows), and a 1 s bottom
+// deadline cut the default top class's hold-down to 250 ms.
+func TestHoldDownFollowsTheTopDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		class    int
+		deadline eventsim.Time
+		want     eventsim.Time
+	}{
+		{"top", 1, 250 * eventsim.Millisecond, 250 * eventsim.Millisecond},
+		{"bottom", 3, eventsim.Second, 2 * eventsim.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cfg ServiceConfig
+			cfg.Classes[tc.class].AdmitDeadline = tc.deadline
+			if got := cfg.withDefaults().HoldDown; got != tc.want {
+				t.Errorf("Classes[%d].AdmitDeadline = %v alone: HoldDown = %v, want %v", tc.class, tc.deadline, got, tc.want)
+			}
+		})
 	}
 }
 

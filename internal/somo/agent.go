@@ -44,8 +44,8 @@ type Config struct {
 	// ReportInterval T between report flows (LiquidEye uses 5 s).
 	ReportInterval eventsim.Time
 	// RecordTTL expires stale child records; it must comfortably exceed
-	// depth * ReportInterval for the unsynchronized flow. 0 means
-	// 20 * ReportInterval.
+	// depth * ReportInterval for the unsynchronized flow (default
+	// recordTTLPerReport intervals).
 	RecordTTL eventsim.Time
 	// Synchronized switches to the pull-driven flow: a parent's call
 	// for reports immediately triggers its children's reports, cutting
@@ -57,7 +57,7 @@ type Config struct {
 	// QueryTimeout bounds how long a Query waits for the root's reply.
 	// If the root owner dies (or the reply is lost) the pending callback
 	// would otherwise leak forever; after the timeout it fires once with
-	// a zero Snapshot. 0 means 4 * ReportInterval.
+	// a zero Snapshot (default queryTimeoutPerReport intervals).
 	QueryTimeout eventsim.Time
 }
 
@@ -69,6 +69,18 @@ const (
 	// reportBytesPerRecord models the wire size of one record (the
 	// paper's leaf report is 40 bytes).
 	reportBytesPerRecord = 40
+)
+
+// The derived defaults, each a fixed ratio of the report interval T.
+const (
+	// The unsynchronized flow lifts a record one level per T, so a
+	// record must outlive depth * T; 20 covers a 100,000-host tree at
+	// fanout 8 with room for lost reports.
+	recordTTLPerReport = 20
+	// A live root answers within a round trip; a query still pending
+	// after four report flows has lost its root, and its caller hears
+	// so while its last snapshot is only a few flows old.
+	queryTimeoutPerReport = 4
 )
 
 // DefaultConfig returns the paper's SOMO parameters.
@@ -88,10 +100,10 @@ func (c Config) withDefaults() Config {
 		c.ReportInterval = d.ReportInterval
 	}
 	if c.RecordTTL <= 0 {
-		c.RecordTTL = 20 * c.ReportInterval
+		c.RecordTTL = recordTTLPerReport * c.ReportInterval
 	}
 	if c.QueryTimeout <= 0 {
-		c.QueryTimeout = 4 * c.ReportInterval
+		c.QueryTimeout = queryTimeoutPerReport * c.ReportInterval
 	}
 	return c
 }

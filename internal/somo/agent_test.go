@@ -2,6 +2,8 @@ package somo
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"p2ppool/internal/dht"
@@ -251,6 +253,102 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	c2 := Config{ReportInterval: eventsim.Second}.withDefaults()
 	if c2.RecordTTL != 20*eventsim.Second {
 		t.Errorf("TTL should scale with interval, got %v", c2.RecordTTL)
+	}
+}
+
+// numericFields calls visit on every int or float field under v (an
+// eventsim.Time is a float), named by its path.
+func numericFields(v reflect.Value, path string, visit func(string, reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			numericFields(v.Field(i), strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), visit)
+		}
+	case reflect.Int, reflect.Int64, reflect.Float64:
+		visit(path, v)
+	}
+}
+
+// TestDerivedDefaultsFollowTheirBases is the property the derived-
+// defaults table promises: the defaults are the documented ones; a base
+// set to k times its default, every other field left unset, scales each
+// value derived from it by exactly k (powers of two keep the products
+// exact) and leaves every other value at its default; a derived field
+// set explicitly is kept; and every time or rate field is classified,
+// so a timer added without a row fails.
+func TestDerivedDefaultsFollowTheirBases(t *testing.T) {
+	table := []struct {
+		base    string
+		derived []string
+	}{
+		{"ReportInterval", []string{"RecordTTL", "QueryTimeout"}},
+	}
+	effective := func(c Config) map[string]float64 {
+		m := map[string]float64{}
+		numericFields(reflect.ValueOf(c.withDefaults()), "", func(name string, f reflect.Value) {
+			if f.CanFloat() {
+				m[name] = f.Float()
+			} else {
+				m[name] = float64(f.Int())
+			}
+		})
+		return m
+	}
+	set := func(c *Config, name string, v float64) {
+		numericFields(reflect.ValueOf(c).Elem(), "", func(n string, f reflect.Value) {
+			if n == name {
+				f.SetFloat(v)
+			}
+		})
+	}
+	def := effective(Config{})
+	// The defaults themselves (times in virtual milliseconds).
+	for name, want := range map[string]float64{
+		"ReportInterval": 5000, "RecordTTL": 100000, "QueryTimeout": 20000,
+	} {
+		if def[name] != want {
+			t.Errorf("default %s = %v, want %v", name, def[name], want)
+		}
+	}
+
+	named := map[string]bool{}
+	for _, row := range table {
+		named[row.base] = true
+		for _, d := range row.derived {
+			named[d] = true
+		}
+	}
+	numericFields(reflect.ValueOf(Config{}), "", func(name string, f reflect.Value) {
+		if f.CanFloat() && !named[name] {
+			t.Errorf("Config.%s is in no row of the derived-defaults table", name)
+		}
+	})
+
+	for _, row := range table {
+		follows := map[string]bool{row.base: true}
+		for _, d := range row.derived {
+			follows[d] = true
+		}
+		for _, k := range []float64{1.0 / 4096, 1.0 / 8, 1.0 / 2, 2, 8} {
+			var c Config
+			set(&c, row.base, k*def[row.base])
+			for name, got := range effective(c) {
+				want := def[name]
+				if follows[name] {
+					want *= k
+				}
+				if got != want {
+					t.Errorf("%s at %v × default: %s = %v, want %v", row.base, k, name, got, want)
+				}
+			}
+			for _, d := range row.derived {
+				c := c
+				set(&c, d, 3*def[d])
+				if got := effective(c)[d]; got != 3*def[d] {
+					t.Errorf("%s set to %v beside %s at %v × default came out %v", d, 3*def[d], row.base, k, got)
+				}
+			}
+		}
 	}
 }
 

@@ -380,9 +380,6 @@ func (n *Network) RouterDomain(r int) int { return n.routerDomain[r] }
 // exact oracle, embedded distance for coords).
 func (n *Network) RouterLatency(a, b int) float64 { return n.oracle.RouterLatency(a, b) }
 
-// Oracle returns the active latency oracle.
-func (n *Network) Oracle() LatencyOracle { return n.oracle }
-
 // OracleKind reports which oracle implementation the network resolved
 // to (never OracleAuto).
 func (n *Network) OracleKind() OracleKind { return n.oracle.Kind() }

@@ -100,9 +100,6 @@ func NewShardedSim(opt ShardedSimOptions) *ShardedSim {
 // other shard's view panics at Attach.
 func (s *ShardedSim) View(a Addr) Network { return s.shards[int(a)%len(s.shards)] }
 
-// Engine exposes a shard's engine (tests and experiment drivers).
-func (s *ShardedSim) Engine(i int) *eventsim.Engine { return s.group.Engine(i) }
-
 // Now returns the group clock (the last barrier reached).
 func (s *ShardedSim) Now() eventsim.Time { return s.group.Now() }
 

@@ -426,7 +426,4 @@ func (s *Sim) Mark(label string) { s.engine.Mark(label) }
 // with Send or event execution.
 func (s *Sim) Stats() Stats { return s.stats }
 
-// Engine exposes the underlying event engine (experiments drive it).
-func (s *Sim) Engine() *eventsim.Engine { return s.engine }
-
 var _ Network = (*Sim)(nil)
