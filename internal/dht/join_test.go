@@ -70,3 +70,51 @@ func TestJoinRetriesThroughPartition(t *testing.T) {
 		t.Fatalf("ring did not absorb the joiner: %v", err)
 	}
 }
+
+// joinWatch is a network that records, per joiner address, the join
+// requests sent to that address and the join replies sent to it.
+type joinWatch struct {
+	transport.Network
+	requestsAtJoiner, replies map[transport.Addr]int
+}
+
+func (w *joinWatch) Send(from, to transport.Addr, size int, msg transport.Message) {
+	switch m := msg.(type) {
+	case routed:
+		if req, ok := m.Payload.(joinRequest); ok && req.Joiner.Addr == to {
+			w.requestsAtJoiner[to]++
+		}
+	case joinReply:
+		w.replies[to]++
+	}
+	w.Network.Send(from, to, size, msg)
+}
+
+// TestJoinAnsweredByTheOwner: a join request travels to the owner of
+// the joiner's ID, which answers with its leafset. A hop that admitted
+// the joiner into its own table while routing would find the joiner
+// the best next hop for its own ID and hand the request back to it,
+// where the reply to itself went nowhere.
+func TestJoinAnsweredByTheOwner(t *testing.T) {
+	e, sim := testNet(3)
+	w := &joinWatch{Network: sim, requestsAtJoiner: map[transport.Addr]int{}, replies: map[transport.Addr]int{}}
+	cfg := Config{LeafsetRadius: 8}
+	nodes := buildTestRing(t, w, 16, cfg, 6)
+	e.RunUntil(5 * eventsim.Second)
+
+	r := rand.New(rand.NewSource(77))
+	for i, id := range RandomIDs(100, r)[90:] {
+		nd := NewNode(w, id, transport.Addr(1000+i), cfg)
+		nd.Join(nodes[r.Intn(len(nodes))].Self())
+	}
+	e.RunUntil(e.Now() + 10*eventsim.Second)
+	for i := 0; i < 10; i++ {
+		a := transport.Addr(1000 + i)
+		if w.requestsAtJoiner[a] != 0 {
+			t.Errorf("joiner %d: its join request was routed back to it %d time(s)", a, w.requestsAtJoiner[a])
+		}
+		if w.replies[a] == 0 {
+			t.Errorf("joiner %d received no join reply", a)
+		}
+	}
+}

@@ -24,7 +24,10 @@ func (n *Node) routeMsg(m routed) {
 	n.stats.Routed++
 	n.cRouted.Inc()
 	n.trace.Record(obs.Event{Time: n.net.Now(), Kind: obs.KindHop, From: int(m.Origin.Addr), To: int(n.self.Addr), Size: m.Size, Hop: m.Hops})
-	if m.Origin.Addr != n.self.Addr {
+	// A joiner is not admitted on the way: a hop holding it would pick
+	// it as the next hop for its own ID and route the request back to
+	// it. The owner's deliver admits it after replying.
+	if _, join := m.Payload.(joinRequest); !join && m.Origin.Addr != n.self.Addr {
 		n.touch(m.Origin)
 	}
 	if n.owns(m.Key) {
