@@ -300,9 +300,9 @@ func TestRemoveSessionFreesResources(t *testing.T) {
 
 func TestPreemptionCascadeConverges(t *testing.T) {
 	// Many sessions on a small pool: preemption cascades must still
-	// reach a fixpoint within MaxRounds.
+	// reach a fixpoint within maxRounds.
 	net, degrees := buildWorld(t, 300, 9)
-	sc := NewScheduler(degrees, net.Latency, Config{MaxRounds: 64})
+	sc := NewScheduler(degrees, net.Latency, Config{})
 	r := rand.New(rand.NewSource(10))
 	sessions := makeSessions(15, 20, 300, r) // all 300 hosts are members
 	for _, s := range sessions {
