@@ -28,9 +28,10 @@ import (
 
 // The clocks every service cell runs on.
 const (
-	// tickEvery is the control plane's Tick period: half the service's
-	// 500 ms base backoff and an eighth of its tightest (2 s) admit
-	// deadline, so no retry or SLO waits on tick granularity.
+	// tickEvery is the control plane's Tick period: an eighth of the
+	// tightest (2 s) admit deadline. A retry runs at the first tick
+	// after its backoff, so retries do wait on tick granularity: class
+	// 1's first (125 ms ±20%) waits for the next tick, 250 ms on.
 	tickEvery = 250 * eventsim.Millisecond
 	// sweepEvery is the invariant-sweep interval (load, conf). A sweep
 	// walks every live session's trees, so it runs far coarser than
