@@ -135,7 +135,7 @@ func BuildFast(opts Options) (*Pool, error) {
 	r := rand.New(rand.NewSource(opts.Seed + 2))
 	p.Degrees = alm.PaperDegrees(net.NumHosts(), r)
 
-	neighbors := ringNeighbors(net.NumHosts(), 2*opts.LeafsetRadius, r)
+	neighbors := RingNeighbors(net.NumHosts(), 2*opts.LeafsetRadius, r)
 	if net.NumHosts() > solverLeafsetMax {
 		p.Coords, err = solveGNPHosts(net, opts)
 	} else {
@@ -189,10 +189,10 @@ func solveGNPHosts(net *topology.Network, opts Options) ([]coords.Vector, error)
 	})
 }
 
-// ringNeighbors places hosts on a random ring and returns each host's
+// RingNeighbors places hosts on a random ring and returns each host's
 // L closest ring neighbors — the leafset membership a DHT with random
 // IDs produces (random with respect to the physical topology).
-func ringNeighbors(n, L int, r *rand.Rand) func(i int) []int {
+func RingNeighbors(n, L int, r *rand.Rand) func(i int) []int {
 	perm := r.Perm(n) // perm[pos] = host occupying ring position pos
 	posOf := make([]int, n)
 	for pos, h := range perm {

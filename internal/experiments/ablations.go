@@ -166,7 +166,7 @@ func Ablations(opts AblationOptions) (*AblationResult, error) {
 	}
 	pr := rand.New(rand.NewSource(opts.Seed + 9))
 	pairs := coords.RandomPairs(opts.Hosts, 1500, pr)
-	nb := ringNeighborsFn(opts.Hosts, 32, rand.New(rand.NewSource(opts.Seed+10)))
+	nb := core.RingNeighbors(opts.Hosts, 32, rand.New(rand.NewSource(opts.Seed+10)))
 	type solverCell struct {
 		sim bool
 		dim int

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"p2ppool/internal/coords"
+	"p2ppool/internal/core"
 	"p2ppool/internal/par"
 	"p2ppool/internal/stats"
 	"p2ppool/internal/topology"
@@ -90,7 +91,7 @@ func Fig4(opts Fig4Options) (*Fig4Result, error) {
 		tasks = append(tasks, task{
 			name: fmt.Sprintf("Leafset-%d", L),
 			solve: func() ([]coords.Vector, error) {
-				nb := ringNeighborsFn(opts.Hosts, L, rand.New(rand.NewSource(opts.Seed+3)))
+				nb := core.RingNeighbors(opts.Hosts, L, rand.New(rand.NewSource(opts.Seed+3)))
 				return coords.SolveLeafset(net.Latency, opts.Hosts, nb, coords.LeafsetConfig{
 					Dim:     fig4Dim,
 					Rounds:  15,
@@ -166,29 +167,4 @@ func distinct(r *rand.Rand, n, k int) []int {
 		}
 	}
 	return out
-}
-
-// ringNeighborsFn gives each host its L closest neighbors on a random
-// ring — DHT leafset membership.
-func ringNeighborsFn(n, L int, r *rand.Rand) func(i int) []int {
-	perm := r.Perm(n)
-	posOf := make([]int, n)
-	for pos, h := range perm {
-		posOf[h] = pos
-	}
-	if L > n-1 {
-		L = n - 1
-	}
-	half := L / 2
-	return func(h int) []int {
-		pos := posOf[h]
-		out := make([]int, 0, L)
-		for k := 1; k <= half; k++ {
-			out = append(out, perm[(pos+k)%n], perm[(pos-k+n)%n])
-		}
-		for k := half + 1; len(out) < L; k++ {
-			out = append(out, perm[(pos+k)%n])
-		}
-		return out
-	}
 }

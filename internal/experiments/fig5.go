@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"p2ppool/internal/bandwidth"
+	"p2ppool/internal/core"
 	"p2ppool/internal/netmodel"
 	"p2ppool/internal/par"
 	"p2ppool/internal/stats"
@@ -71,7 +72,7 @@ func Fig5(opts Fig5Options) (*Fig5Result, error) {
 	// parallelizes as-is; rows merge in sweep order.
 	rows, err := par.MapErr(opts.Workers, len(opts.LeafsetSizes), func(i int) (Fig5Row, error) {
 		L := opts.LeafsetSizes[i]
-		nb := ringNeighborsFn(opts.Hosts, L, rand.New(rand.NewSource(opts.Seed+int64(10*L))))
+		nb := core.RingNeighbors(opts.Hosts, L, rand.New(rand.NewSource(opts.Seed+int64(10*L))))
 		est := bandwidth.EstimateAll(model, nb, fig5ProbeBytes, rand.New(rand.NewSource(opts.Seed+int64(L))))
 		up, down := bandwidth.RelativeErrors(model, est)
 		estUp := make([]float64, opts.Hosts)
