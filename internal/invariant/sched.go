@@ -232,9 +232,9 @@ func checkConservation(w *World) []Violation {
 	}
 	for h := 0; h < reg.NumHosts(); h++ {
 		t := reg.Table(h)
-		if len(w.Bounds) == reg.NumHosts() && t.Bound != w.Bounds[h] {
+		if len(w.Bounds) == reg.NumHosts() && t.Bound() != w.Bounds[h] {
 			out = append(out, Violation{Check: "sched/conservation", Host: h,
-				Detail: fmt.Sprintf("registry bound %d drifted from physical bound %d", t.Bound, w.Bounds[h])})
+				Detail: fmt.Sprintf("registry bound %d drifted from physical bound %d", t.Bound(), w.Bounds[h])})
 		}
 		if reg.Dead(h) && t.Used() > 0 {
 			out = append(out, Violation{Check: "sched/conservation", Host: h,

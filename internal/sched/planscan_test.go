@@ -134,13 +134,13 @@ func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 	}
 }
 
-// TestPlanSeesMutatedBoundsAndCoordinates: the bounds slice handed to
-// NewScheduler and whatever ScoreLatency reads belong to the caller, who
-// may change both between plans (a planner fed from SOMO snapshots
-// does). Nothing derived from either may outlive a plan: after a
-// mutation a scheduler must plan exactly as a fresh one built on the new
-// values.
-func TestPlanSeesMutatedBoundsAndCoordinates(t *testing.T) {
+// TestPlanSeesMutatedCoordinates: whatever ScoreLatency reads belongs
+// to the caller, who may change it between plans (a planner fed from
+// SOMO snapshots does). Nothing derived from it may outlive a plan:
+// after a mutation a scheduler must plan exactly as a fresh one built on
+// the new values. The degree bounds, by contrast, are the registry's
+// own copy, fixed when it is built.
+func TestPlanSeesMutatedCoordinates(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
 	const n = 300
 	w := newPlaneWorld(n, 200, r)
@@ -164,23 +164,13 @@ func TestPlanSeesMutatedBoundsAndCoordinates(t *testing.T) {
 	if first.HelperCount() == 0 {
 		t.Fatal("first plan recruited no helper; the scenario pins nothing")
 	}
-	// Take every recruited helper's capacity away, and scatter the pool.
-	for _, v := range first.Tree.Nodes() {
-		if !slices.Contains(roster, v) {
-			w.bounds[v] = 0
-		}
-	}
+	// Scatter the pool.
 	for h := range w.xs {
 		if !slices.Contains(roster, h) {
 			w.xs[h], w.ys[h] = 200*r.Float64(), 200*r.Float64()
 		}
 	}
 	second := plan(sc)
-	for _, v := range second.Tree.Nodes() {
-		if w.bounds[v] == 0 {
-			t.Errorf("second plan uses host %d, whose bound dropped to 0 after the first", v)
-		}
-	}
 	fresh := plan(NewScheduler(w.bounds, w.lat, sc.cfg))
 	if !slices.Equal(treeEdges(second.Tree), treeEdges(fresh.Tree)) {
 		t.Errorf("after mutation the scheduler plans %v, a fresh one %v", treeEdges(second.Tree), treeEdges(fresh.Tree))

@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"p2ppool/internal/alm"
 	"p2ppool/internal/eventsim"
@@ -168,11 +169,15 @@ type admitEntry struct {
 	seq int           // arrival order within equal priority
 }
 
-// retryState tracks a session's failed-plan history.
-type retryState struct {
-	attempts int // budget-consuming failures
-	defers   int // damping-caused deferrals (do not consume budget)
-	nextTry  eventsim.Time
+// sessionState is the control plane's one record of a session, from
+// Submit until it ends (EndSession, a shed, or its root's failure).
+type sessionState struct {
+	submitAt eventsim.Time // the SLO clock
+	planned  bool          // first plan done and its admission recorded
+	attempts int           // budget-consuming failures since the last plan
+	defers   int           // damping-caused deferrals (do not consume budget)
+	nextTry  eventsim.Time // backing off until then
+	heldDown eventsim.Time // protected from market preemption until then
 }
 
 // Service is the production control plane around a Scheduler: bounded
@@ -189,11 +194,9 @@ type Service struct {
 	queue    []admitEntry
 	classLen [NumClasses + 1]int
 	seq      int
-	known    map[SessionID]bool // queued or live: duplicate guard
-
-	retry     map[SessionID]*retryState
-	protected map[SessionID]eventsim.Time // hold-down expiry per victim
-	submitAt  map[SessionID]eventsim.Time // pending first-plan SLO clocks
+	// state holds every queued or live session's record; its keys are
+	// the duplicate guard.
+	state map[SessionID]*sessionState
 
 	tokens     float64
 	lastRefill eventsim.Time
@@ -215,14 +218,11 @@ type Service struct {
 func NewService(bounds []int, lat alm.LatencyFunc, cfg ServiceConfig) *Service {
 	cfg = cfg.withDefaults()
 	return &Service{
-		sc:        NewScheduler(bounds, lat, cfg.Sched),
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		known:     make(map[SessionID]bool),
-		retry:     make(map[SessionID]*retryState),
-		protected: make(map[SessionID]eventsim.Time),
-		submitAt:  make(map[SessionID]eventsim.Time),
-		tokens:    cfg.PreemptBurst,
+		sc:     NewScheduler(bounds, lat, cfg.Sched),
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		state:  make(map[SessionID]*sessionState),
+		tokens: cfg.PreemptBurst,
 	}
 }
 
@@ -269,7 +269,7 @@ func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 	if s.Priority < 1 || s.Priority > NumClasses {
 		return Rejected, fmt.Errorf("sched: session %d priority %d outside 1..%d", s.ID, s.Priority, NumClasses)
 	}
-	if sv.known[s.ID] {
+	if sv.state[s.ID] != nil {
 		return Rejected, fmt.Errorf("sched: duplicate session %d", s.ID)
 	}
 	if err := sv.sc.checkRoster(s); err != nil {
@@ -284,8 +284,7 @@ func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 	sv.queue = append(sv.queue, admitEntry{s: s, at: now, seq: sv.seq})
 	sv.seq++
 	sv.classLen[s.Priority]++
-	sv.known[s.ID] = true
-	sv.submitAt[s.ID] = now
+	sv.state[s.ID] = &sessionState{submitAt: now}
 	return Enqueued, nil
 }
 
@@ -295,24 +294,11 @@ func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 func (sv *Service) EndSession(id SessionID) {
 	if _, live := sv.sc.sessions[id]; live {
 		sv.sc.RemoveSession(id)
-	} else {
-		for i, e := range sv.queue {
-			if e.s.ID == id {
-				sv.queue = append(sv.queue[:i], sv.queue[i+1:]...)
-				sv.classLen[e.s.Priority]--
-				break
-			}
-		}
+	} else if i := slices.IndexFunc(sv.queue, func(e admitEntry) bool { return e.s.ID == id }); i >= 0 {
+		sv.classLen[sv.queue[i].s.Priority]--
+		sv.queue = slices.Delete(sv.queue, i, i+1)
 	}
-	sv.forget(id)
-}
-
-// forget drops all control-plane state for a session.
-func (sv *Service) forget(id SessionID) {
-	delete(sv.known, id)
-	delete(sv.retry, id)
-	delete(sv.protected, id)
-	delete(sv.submitAt, id)
+	delete(sv.state, id)
 }
 
 // NodeFailed routes failure detection through the scheduler (in-place
@@ -324,36 +310,26 @@ func (sv *Service) NodeFailed(now eventsim.Time, host int) []SessionID {
 	if sv.sc.reg.Dead(host) {
 		return nil
 	}
-	type ended struct {
-		id  SessionID
-		pri int
-	}
-	var rootDead []ended
-	for id, s := range sv.sc.sessions {
+	var rootDead []*Session
+	for _, s := range sv.sc.sessions {
 		if s.Root == host {
-			rootDead = append(rootDead, ended{id, s.Priority})
+			rootDead = append(rootDead, s)
 		}
 	}
 	affected := sv.sc.nodeFailed(host, sv.planContext(now))
-	for _, e := range rootDead {
-		sv.forget(e.id)
-		sv.stats.Class[e.pri].RootDied++
+	for _, s := range rootDead {
+		delete(sv.state, s.ID)
+		sv.stats.Class[s.Priority].RootDied++
 	}
 	kept := sv.queue[:0]
 	for _, e := range sv.queue {
 		if e.s.Root == host {
 			sv.classLen[e.s.Priority]--
 			sv.stats.Class[e.s.Priority].RootDied++
-			sv.forget(e.s.ID)
+			delete(sv.state, e.s.ID)
 			continue
 		}
-		for i, m := range e.s.Members {
-			if m == host {
-				e.s.Members = append(e.s.Members[:i], e.s.Members[i+1:]...)
-				dropSource(e.s, host)
-				break
-			}
-		}
+		e.s.drop(host)
 		kept = append(kept, e)
 	}
 	sv.queue = kept
@@ -368,10 +344,8 @@ func (sv *Service) NodeRecovered(now eventsim.Time, host int) bool {
 	if !sv.sc.NodeRecovered(host) {
 		return false
 	}
-	for _, rs := range sv.retry {
-		if rs.nextTry > now {
-			rs.nextTry = now
-		}
+	for _, st := range sv.state {
+		st.nextTry = min(st.nextTry, now)
 	}
 	return true
 }
@@ -415,7 +389,7 @@ func (sv *Service) planContext(now eventsim.Time) planCtx {
 func (sv *Service) planContextState(now eventsim.Time, gs *guardState) planCtx {
 	return planCtx{
 		guard: func(victim SessionID) bool {
-			if until, ok := sv.protected[victim]; (ok && until > now) || sv.tokens < 1 {
+			if st := sv.state[victim]; (st != nil && st.heldDown > now) || sv.tokens < 1 {
 				gs.denied = true
 				return false
 			}
@@ -425,7 +399,9 @@ func (sv *Service) planContextState(now eventsim.Time, gs *guardState) planCtx {
 			if atPriority != MemberPriority {
 				sv.tokens--
 			}
-			sv.protected[victim] = now + holdDown
+			if st := sv.state[victim]; st != nil {
+				st.heldDown = now + holdDown
+			}
 		},
 	}
 }
@@ -453,7 +429,7 @@ func (sv *Service) backoff(pri, attempts int) eventsim.Time {
 func (sv *Service) lowestPriorityVictim(s *Session) *Session {
 	var vic *Session
 	for _, h := range s.roster() {
-		for _, a := range sv.sc.reg.Table(h).Allocations() {
+		for _, a := range sv.sc.reg.tables[h].allocs {
 			c, ok := sv.sc.sessions[a.Session]
 			if !ok || c.ID == s.ID || c.Priority <= s.Priority {
 				continue
@@ -470,7 +446,7 @@ func (sv *Service) lowestPriorityVictim(s *Session) *Session {
 // shed removes a live session and records why.
 func (sv *Service) shed(s *Session, record *int) {
 	sv.sc.RemoveSession(s.ID)
-	sv.forget(s.ID)
+	delete(sv.state, s.ID)
 	*record++
 	sv.cShed.Inc()
 }
@@ -481,16 +457,17 @@ func (sv *Service) shed(s *Session, record *int) {
 func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
 	gs := &guardState{}
 	err := sv.sc.planOne(s, sv.planContextState(now, gs))
+	rs := sv.state[s.ID]
 	if err == nil {
 		sv.stats.Plans++
-		delete(sv.retry, s.ID)
-		if at, ok := sv.submitAt[s.ID]; ok {
-			delete(sv.submitAt, s.ID)
-			lat := float64(now - at)
+		rs.attempts, rs.defers = 0, 0
+		if !rs.planned {
+			rs.planned = true
+			lat := float64(now - rs.submitAt)
 			sv.admitLat = append(sv.admitLat, lat)
 			cs := &sv.stats.Class[s.Priority]
 			cs.Admitted++
-			if now-at <= admitDeadline(s.Priority) {
+			if now-rs.submitAt <= admitDeadline(s.Priority) {
 				cs.AdmittedInSLO++
 			}
 			sv.cAdmitted.Inc()
@@ -502,32 +479,22 @@ func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
 	// ledger stays clean while the session waits out its backoff.
 	sv.sc.reg.Release(s.ID)
 	sv.stats.PlanFailures++
-	rs := sv.retry[s.ID]
-	if rs == nil {
-		rs = &retryState{}
-		sv.retry[s.ID] = rs
-	}
-	exhausted := false
+	rung, exhausted := 1, false
 	if gs.denied {
 		// Damping deferred this session rather than let it preempt —
 		// that is the control plane's doing, so it does not consume
-		// the session's budget. A cap keeps pathological deferral from
-		// becoming a silent livelock.
+		// the session's budget and retries on the first rung. A cap
+		// keeps pathological deferral from becoming a silent livelock.
 		sv.stats.PreemptDeferred++
 		sv.cDeferred.Inc()
 		rs.defers++
 		exhausted = rs.defers > 4*retryBudget
-		if !exhausted {
-			rs.nextTry = now + sv.backoff(s.Priority, 1)
-			sv.sc.dirty[s.ID] = true
-			return
-		}
 	} else {
 		rs.attempts++
-		exhausted = rs.attempts >= retryBudget
+		rung, exhausted = rs.attempts, rs.attempts >= retryBudget
 	}
 	if !exhausted {
-		rs.nextTry = now + sv.backoff(s.Priority, rs.attempts)
+		rs.nextTry = now + sv.backoff(s.Priority, rung)
 		sv.sc.dirty[s.ID] = true
 		return
 	}
@@ -555,11 +522,6 @@ func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
 // Call it on a fixed period from the event loop.
 func (sv *Service) Tick(now eventsim.Time) error {
 	sv.refill(now)
-	for id, until := range sv.protected {
-		if until <= now {
-			delete(sv.protected, id)
-		}
-	}
 
 	// 1. Deadline shedding from the queue.
 	kept := sv.queue[:0]
@@ -568,7 +530,7 @@ func (sv *Service) Tick(now eventsim.Time) error {
 			sv.classLen[e.s.Priority]--
 			sv.stats.Class[e.s.Priority].ShedDeadline++
 			sv.cShed.Inc()
-			sv.forget(e.s.ID)
+			delete(sv.state, e.s.ID)
 			continue
 		}
 		kept = append(kept, e)
@@ -576,11 +538,8 @@ func (sv *Service) Tick(now eventsim.Time) error {
 	sv.queue = kept
 
 	// 2. Admission: highest class first, arrival order within a class.
-	sort.SliceStable(sv.queue, func(i, j int) bool {
-		if sv.queue[i].s.Priority != sv.queue[j].s.Priority {
-			return sv.queue[i].s.Priority < sv.queue[j].s.Priority
-		}
-		return sv.queue[i].seq < sv.queue[j].seq
+	slices.SortFunc(sv.queue, func(a, b admitEntry) int {
+		return cmp.Or(cmp.Compare(a.s.Priority, b.s.Priority), cmp.Compare(a.seq, b.seq))
 	})
 	n := min(admitPerTick, len(sv.queue))
 	for _, e := range sv.queue[:n] {
@@ -603,7 +562,7 @@ func (sv *Service) Tick(now eventsim.Time) error {
 				delete(sv.sc.dirty, id)
 				continue
 			}
-			if rs := sv.retry[id]; rs != nil && rs.nextTry > now {
+			if sv.state[id].nextTry > now {
 				continue // backing off; stays dirty for a later tick
 			}
 			batch = append(batch, s)

@@ -378,12 +378,25 @@ func TestHoldDownFollowsTheTopDeadline(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sv := NewService([]int{4, 4}, lineLat, ServiceConfig{})
+			submitVictims(t, sv, 9)
 			sv.planContext(armed).onPreempt(9, 3)
 			at := armed + admitDeadline(tc.class) - eventsim.Millisecond
 			if got := !sv.planContext(at).guard(9); got != tc.protected {
 				t.Errorf("victim preempted at %v ms protected at %v ms: %v, want %v", armed, at, got, tc.protected)
 			}
 		})
+	}
+}
+
+// submitVictims queues sessions for the damping tests to preempt: a
+// hold-down is armed only on a session the service knows, as every
+// session the scheduler can displace is.
+func submitVictims(t *testing.T, sv *Service, ids ...SessionID) {
+	t.Helper()
+	for _, id := range ids {
+		if _, err := sv.Submit(0, &Session{ID: id, Priority: 3, Root: 0, Members: []int{1}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -395,6 +408,7 @@ func TestServiceDampingGuard(t *testing.T) {
 		PreemptBurst: 2,
 	}
 	sv := NewService([]int{4, 4}, lineLat, cfg)
+	submitVictims(t, sv, 7, 8, 9)
 
 	gs := &guardState{}
 	ctx := sv.planContextState(0, gs)
@@ -490,8 +504,8 @@ func TestServiceDampingDefersPreemption(t *testing.T) {
 	if st.PreemptDeferred != 1 {
 		t.Fatalf("PreemptDeferred = %d, want 1", st.PreemptDeferred)
 	}
-	if rs := sv.retry[c.ID]; rs == nil || rs.attempts != 0 {
-		t.Fatalf("damping deferral consumed the retry budget: %+v", sv.retry[c.ID])
+	if rs := sv.state[c.ID]; rs == nil || rs.attempts != 0 {
+		t.Fatalf("damping deferral consumed the retry budget: %+v", sv.state[c.ID])
 	}
 	if !a.Tree.Contains(5) || sv.sc.reg.HeldOn(a.ID, 5) == 0 {
 		t.Fatal("deferred plan displaced the victim anyway")
@@ -508,8 +522,8 @@ func TestServiceDampingDefersPreemption(t *testing.T) {
 	if got := sv.sc.Totals().Preemptions; got != 1 {
 		t.Fatalf("Preemptions = %d, want 1", got)
 	}
-	if until, ok := sv.protected[a.ID]; !ok || until <= 2*eventsim.Second {
-		t.Fatalf("victim hold-down not armed: %v, %v", until, ok)
+	if until := sv.state[a.ID].heldDown; until <= 2*eventsim.Second {
+		t.Fatalf("victim hold-down not armed: %v", until)
 	}
 	if st := sv.Stats().Class[2]; st.Admitted != 1 {
 		t.Fatalf("P2 admission stats = %+v, want Admitted 1", st)
@@ -582,18 +596,21 @@ func TestAdmissionTimingsPinned(t *testing.T) {
 			}
 		}
 	}
+	submitVictims(t, sv, 9)
 	sv.planContext(1234.5).onPreempt(9, 3)
-	if got, want := sv.protected[9], eventsim.Time(3234.5); got != want {
+	if got, want := sv.state[9].heldDown, eventsim.Time(3234.5); got != want {
 		t.Errorf("hold-down armed at 1234.5 ms expires at %v, want %v", got, want)
 	}
 }
 
 // TestRosterRefusedAtTheDoor: Submit, AddSession and AddMember refuse a
-// roster that names a host outside the pool or a host twice, with an
-// error, the way they refuse a bad priority. Admitted, a member past
-// the pool panicked the next Tick, a negative root panicked Stabilize,
-// and a repeated member failed every plan until it was shed as an SLO
-// miss charged to the planner.
+// roster that names a host outside the pool or a host twice, or an
+// extra source that is not a member other than the root or is listed
+// twice, with an error, the way they refuse a bad priority. Admitted, a
+// member past the pool panicked the next Tick, a negative root panicked
+// Stabilize, a repeated member failed every plan until it was shed as an
+// SLO miss charged to the planner, and a bad source list failed every
+// Tick from then on, starving the sessions queued beside it.
 func TestRosterRefusedAtTheDoor(t *testing.T) {
 	bounds := []int{4, 4, 4, 4}
 	for _, tc := range []struct {
@@ -614,6 +631,18 @@ func TestRosterRefusedAtTheDoor(t *testing.T) {
 		}},
 		{"Submit root as a member", func() error {
 			_, err := NewService(bounds, lineLat, ServiceConfig{}).Submit(0, &Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 0}})
+			return err
+		}},
+		{"Submit source that is not a member", func() error {
+			_, err := NewService(bounds, lineLat, ServiceConfig{}).Submit(0, &Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2}, Sources: []int{3}})
+			return err
+		}},
+		{"Submit root as a source", func() error {
+			_, err := NewService(bounds, lineLat, ServiceConfig{}).Submit(0, &Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2}, Sources: []int{0}})
+			return err
+		}},
+		{"Submit repeated source", func() error {
+			_, err := NewService(bounds, lineLat, ServiceConfig{}).Submit(0, &Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2}, Sources: []int{2, 1, 2}})
 			return err
 		}},
 		{"AddSession negative root", func() error {
