@@ -232,7 +232,11 @@ layout:
 # does the same for the leafset coordinate solve's wavefront, whose
 # levels share one plane per coordinate version across workers: the
 # seed corpus of coords' FuzzSolveLeafsetMatchesReference (workers
-# 1/2/3/8 against the sequential solve), ten times. The load
+# 1/2/3/8 against the sequential solve), ten times. The fifth fuzzes
+# the scheduler's ledger for twenty seconds past its seed corpus: the
+# per-host degree tables and the holdings index against a flat list of
+# holdings (FuzzRegistryLedger), so a slip in a table's cached counters,
+# its preemption order or its compaction fails CI. The load
 # smoke soaks the scheduler control plane (admission, shedding,
 # preemption damping, flash crowd) for 45 simulated seconds on a small
 # pool under the race detector; it too exits nonzero on any invariant
@@ -262,6 +266,7 @@ ci: build fmt vet test cover race mains layout
 	$(GO) test -race -count=10 -tags forcesplit -run 'ShardedSimWorkerDeterminism|FuzzShardedSimMatchesReference|FuzzShardedSimMatchesSim' ./internal/transport
 	$(GO) test -race -tags forcesplit -run 'TestScaleWorkerDeterminism' ./internal/experiments
 	$(GO) test -race -count=10 -run 'FuzzSolveLeafsetMatchesReference' ./internal/coords
+	$(GO) test -run '^$$' -fuzz '^FuzzRegistryLedger$$' -fuzztime 20s ./internal/sched
 	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
 	$(GO) run ./cmd/experiments -fig scale -hosts 1200 -scale-runtime 30 -seed 1 > /dev/null
