@@ -589,24 +589,30 @@ func BenchmarkSchedPlanOne(b *testing.B) {
 
 // BenchmarkRegistryReserveRelease measures the ledger alone: one session
 // reserving two slots on each of six hosts of an 8000-host registry
-// (preempting whatever lower class is in the way) and releasing them.
+// (preempting whatever lower class is in the way) and releasing them on
+// the hosts that granted, as a session's root does.
 func BenchmarkRegistryReserveRelease(b *testing.B) {
 	_, degrees := schedWorld(8000, 9)
 	reg := sched.NewRegistry(degrees)
 	r := rand.New(rand.NewSource(11))
 	for sid := 1; sid <= 400; sid++ { // standing holders to merge with and preempt
 		for k := 0; k < 6; k++ {
-			reg.Reserve(r.Intn(8000), 1, 1+r.Intn(sched.NumClasses), sched.SessionID(sid))
+			reg.Reserve(r.Intn(8000), 1, 1+r.Intn(sched.NumClasses), sched.SessionID(sid), nil)
 		}
 	}
+	granted := make([]int, 0, 6)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sid := sched.SessionID(1000 + i)
 		for k := 0; k < 6; k++ {
-			reg.Reserve(r.Intn(8000), 2, 1+i%sched.NumClasses, sid) // a full host refuses; that is a result too
+			h := r.Intn(8000)
+			if _, err := reg.Reserve(h, 2, 1+i%sched.NumClasses, sid, nil); err == nil { // a full host refuses; that is a result too
+				granted = append(granted, h)
+			}
 		}
-		reg.Release(sid)
+		reg.Release(sid, granted)
+		granted = granted[:0]
 	}
 }
 

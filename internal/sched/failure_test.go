@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"p2ppool/internal/alm"
@@ -9,25 +10,25 @@ import (
 
 func TestRegistryDeadHost(t *testing.T) {
 	r := NewRegistry([]int{4, 4})
-	if _, err := r.Reserve(0, 2, 1, 10); err != nil {
+	if _, err := r.Reserve(0, 2, 1, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.SetDead(0)
 	if !r.Dead(0) || r.Dead(1) {
 		t.Error("dead flags wrong")
 	}
-	if got := r.AvailableFor(0, 1); got != 0 {
+	if got := r.Table(0).available(1, nil); got != 0 {
 		t.Errorf("dead host available = %d, want 0", got)
 	}
-	if r.HeldBy(10) != 0 {
+	if heldOn(r, 10) != 0 {
 		t.Error("dead host kept allocations")
 	}
-	if _, err := r.Reserve(0, 1, 1, 11); err == nil {
+	if _, err := r.Reserve(0, 1, 1, 11, nil); err == nil {
 		t.Error("reserve on dead host should fail")
 	}
 	r.SetDead(0) // idempotent
 	r.Revive(0)
-	if got := r.AvailableFor(0, 1); got != 4 {
+	if got := r.Table(0).available(1, nil); got != 4 {
 		t.Errorf("revived host available = %d, want 4", got)
 	}
 	if err := r.CheckInvariants(); err != nil {
@@ -35,7 +36,9 @@ func TestRegistryDeadHost(t *testing.T) {
 	}
 }
 
-// planAndCheck stabilizes and asserts registry sanity.
+// planAndCheck stabilizes and asserts registry sanity, including what
+// a release relies on: every allocation belongs to a live session that
+// lists its host in held.
 func planAndCheck(t *testing.T, sc *Scheduler) {
 	t.Helper()
 	if _, err := sc.Stabilize(); err != nil {
@@ -43,6 +46,13 @@ func planAndCheck(t *testing.T, sc *Scheduler) {
 	}
 	if err := sc.Registry().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	for h := range sc.reg.tables {
+		for _, a := range sc.reg.tables[h].allocs {
+			if s := sc.sessions[a.Session]; s == nil || !slices.Contains(s.held, h) {
+				t.Fatalf("host %d holds %d slots for session %d, which does not list it", h, a.Slots, a.Session)
+			}
+		}
 	}
 }
 
@@ -104,7 +114,7 @@ func TestNodeFailedHelperRepairsInPlace(t *testing.T) {
 	}
 	planAndCheck(t, sc) // flush any fallback replan
 	checkSession(t, sc, s, helper)
-	if held := sc.Registry().HeldBy(s.ID); held == 0 {
+	if held := heldOn(sc.Registry(), s.ID); held == 0 {
 		t.Error("no reservations after repair")
 	}
 }
@@ -153,7 +163,7 @@ func TestNodeFailedRootRemovesSession(t *testing.T) {
 	if len(sc.Sessions()) != 1 || sc.Sessions()[0].ID != ss[1].ID {
 		t.Fatalf("sessions after root death = %v", sc.Sessions())
 	}
-	if held := sc.Registry().HeldBy(ss[0].ID); held != 0 {
+	if held := heldOn(sc.Registry(), ss[0].ID); held != 0 {
 		t.Errorf("dead session still holds %d slots", held)
 	}
 	planAndCheck(t, sc)
@@ -181,11 +191,11 @@ func TestNodeRecoveredRejoinsMarket(t *testing.T) {
 		}
 	}
 	sc.NodeFailed(dead)
-	if got := sc.Registry().AvailableFor(dead, 3); got != 0 {
+	if got := sc.Registry().Table(dead).available(3, nil); got != 0 {
 		t.Fatalf("dead host offers %d slots", got)
 	}
 	sc.NodeRecovered(dead)
-	if got := sc.Registry().AvailableFor(dead, 3); got != degrees[dead] {
+	if got := sc.Registry().Table(dead).available(3, nil); got != degrees[dead] {
 		t.Fatalf("recovered host offers %d slots, want %d", got, degrees[dead])
 	}
 	sc.Reschedule()
@@ -232,7 +242,7 @@ func TestNodeFailedIdempotent(t *testing.T) {
 	if !sc.dirty[s.ID] {
 		t.Fatal("failed repair must leave the session dirty for a full replan")
 	}
-	if got := sc.Registry().HeldBy(s.ID); got != 0 {
+	if got := heldOn(sc.Registry(), s.ID); got != 0 {
 		t.Fatalf("failed repair left %d slots reserved", got)
 	}
 
@@ -244,7 +254,7 @@ func TestNodeFailedIdempotent(t *testing.T) {
 	if s.Replans != 1 {
 		t.Fatalf("double detection double-counted: Replans = %d, want 1", s.Replans)
 	}
-	if got := sc.Registry().HeldBy(s.ID); got != 0 {
+	if got := heldOn(sc.Registry(), s.ID); got != 0 {
 		t.Fatalf("second NodeFailed changed reservations: %d slots", got)
 	}
 
@@ -286,7 +296,7 @@ func TestNodeRecoveredIdempotent(t *testing.T) {
 	if got := sc.Totals().NodeRecoveries; got != 1 {
 		t.Fatalf("double detection double-counted: NodeRecoveries = %d, want 1", got)
 	}
-	if got := sc.Registry().AvailableFor(42, 3); got != degrees[42] {
+	if got := sc.Registry().Table(42).available(3, nil); got != degrees[42] {
 		t.Fatalf("recovered host offers %d slots, want %d", got, degrees[42])
 	}
 

@@ -82,13 +82,17 @@ func (l *flatLedger) reserve(h, slots, p int, sid SessionID, guard PreemptGuard)
 }
 
 // FuzzRegistryLedger drives the registry and the flat model through the
-// same Reserve / ReserveGuarded / Release / SetDead / Revive sequence —
-// three bytes per step: operation, host and session, priority and slots —
-// and after every step compares victims, refusals, holdings, each
-// table's Used, Bound and dead mark, and AvailableForGuarded for every
-// host at every priority (one below and one above the class range
-// included, with and without a guard), checks that a dead host holds
-// nothing, and has CheckInvariants recompute the cached counters. The
+// same sequence of plain and guarded Reserve, Release, SetDead and
+// Revive — three bytes per step: operation, host and session, priority
+// and slots — and after every step compares victims, refusals, each
+// session's holdings, each table's Used, Bound and dead mark, and its
+// availability for every host at every priority (one below and one
+// above the class range included, with and without a guard), checks
+// that a dead host holds nothing, and has CheckInvariants recompute the
+// cached counters. A release names the hosts the script was granted on
+// for that session since its last release, as Session.held does, so
+// the list carries hosts where the session was since preempted or
+// killed, and repeats; the model drops the session everywhere. The
 // seed corpus runs as a plain test.
 func FuzzRegistryLedger(f *testing.F) {
 	const reserve, guarded, release, kill, revive = 0, 1, 2, 3, 4
@@ -107,10 +111,15 @@ func FuzzRegistryLedger(f *testing.F) {
 	// A host dies holding slots, refuses while dead, comes back empty.
 	f.Add(script(step(reserve, 2, 1, 2, 2), step(reserve, 1, 1, 0, 1), step(kill, 2, 0, 0, 0), step(reserve, 2, 2, 1, 1),
 		step(kill, 2, 0, 0, 0), step(revive, 2, 0, 0, 0), step(reserve, 2, 2, 1, 3), step(release, 0, 1, 0, 0), step(revive, 2, 0, 0, 0)))
+	// A release whose list starts with a host the session was preempted
+	// on, and names another twice.
+	f.Add(script(step(reserve, 0, 1, 3, 1), step(reserve, 0, 2, 1, 1), step(reserve, 4, 1, 3, 2), step(reserve, 4, 1, 3, 1),
+		step(release, 0, 1, 0, 0), step(reserve, 4, 3, 3, 8)))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		bounds := []int{1, 2, 3, 5, 8}
 		reg := NewRegistry(bounds)
 		model := &flatLedger{bounds: bounds, dead: make([]bool, len(bounds))}
+		var granted [16][]int // per session, as Session.held
 		// Every step re-checks the whole ledger against a model that
 		// scans, so a script is cut at 128 steps: longer ones cost the
 		// fuzzer seconds an input and reach nothing shorter ones do not.
@@ -126,14 +135,18 @@ func FuzzRegistryLedger(f *testing.F) {
 				if op == reserve {
 					g = nil
 				}
-				got, err := reg.ReserveGuarded(h, slots, p, sid, g)
+				got, err := reg.Reserve(h, slots, p, sid, g)
 				want, ok := model.reserve(h, slots, p, sid, g)
 				if (err == nil) != ok || !slices.Equal(got, want) {
 					t.Fatalf("step %d: reserve(h=%d slots=%d p=%d sid=%d): victims %v err %v, model %v ok %v",
 						step, h, slots, p, sid, got, err, want, ok)
 				}
+				if ok {
+					granted[sid] = append(granted[sid], h)
+				}
 			case release:
-				reg.Release(sid)
+				reg.Release(sid, granted[sid])
+				granted[sid] = granted[sid][:0]
 				model.drop(func(e flatEntry) bool { return e.sid != sid })
 			case kill:
 				reg.SetDead(h)
@@ -163,8 +176,8 @@ func FuzzRegistryLedger(f *testing.F) {
 				}
 				for p := -1; p <= NumClasses+1; p++ {
 					for _, g := range []PreemptGuard{nil, guard} {
-						if got, want := reg.AvailableForGuarded(h, p, g), model.available(h, p, g); got != want {
-							t.Fatalf("step %d: AvailableForGuarded(h=%d, p=%d, guarded=%v) = %d, model says %d",
+						if got, want := tab.available(p, g), model.available(h, p, g); got != want {
+							t.Fatalf("step %d: host %d available(p=%d, guarded=%v) = %d, model says %d",
 								step, h, p, g != nil, got, want)
 						}
 					}
@@ -177,8 +190,8 @@ func FuzzRegistryLedger(f *testing.F) {
 						want += e.slots
 					}
 				}
-				if got := reg.HeldBy(s); got != want {
-					t.Fatalf("step %d: HeldBy(%d) = %d, model says %d", step, s, got, want)
+				if got := heldOn(reg, s); got != want {
+					t.Fatalf("step %d: session %d holds %d slots, model says %d", step, s, got, want)
 				}
 			}
 		}

@@ -53,14 +53,14 @@ func treeEdges(t *alm.Tree) [][2]int {
 // firm — the figure it reports has to add up to the refusal.
 func TestReserveRefusalReportsGuardedFirm(t *testing.T) {
 	r := NewRegistry([]int{4})
-	if _, err := r.Reserve(0, 3, 3, 7); err != nil {
+	if _, err := r.Reserve(0, 3, 3, 7, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err := r.ReserveGuarded(0, 2, 1, 8, func(SessionID) bool { return false })
+	_, err := r.Reserve(0, 2, 1, 8, func(SessionID) bool { return false })
 	if err == nil || !strings.Contains(err.Error(), "bound 4, firm 3") {
 		t.Fatalf("refusal = %v, want one reporting bound 4, firm 3", err)
 	}
-	if _, err := r.Reserve(0, 2, 1, 8); err != nil {
+	if _, err := r.Reserve(0, 2, 1, 8, nil); err != nil {
 		t.Fatalf("unguarded, the same request fits by preemption: %v", err)
 	}
 }
@@ -90,7 +90,7 @@ func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 	// A lowest-class holder on a host too small to ever be a helper
 	// candidate: the guard hears about it all the same.
 	small := slices.IndexFunc(perm[210:], func(h int) bool { return w.bounds[h] < sc.cfg.HelperMinDegree }) + 210
-	if _, err := sc.reg.Reserve(perm[small], 1, NumClasses, 99); err != nil {
+	if _, err := sc.reg.Reserve(perm[small], 1, NumClasses, 99, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -43,8 +43,8 @@ type allocation struct {
 // structure, gathered and disseminated by SOMO): its degree bound,
 // whether it has failed, and the per-priority allocations holding its
 // slots, with their sums cached. Every per-host market rule is a method
-// here that reads and writes this table alone; Registry adds only the
-// index of which hosts each session holds.
+// here that reads and writes this table alone; Registry is these tables
+// and nothing else.
 type DegreeTable struct {
 	// firm[c] is the slots held at priority <= c for each class c in
 	// 0..NumClasses (cumulative, so the unguarded availability at class
@@ -112,11 +112,11 @@ func (d *DegreeTable) available(p int, guard PreemptGuard) int {
 
 // reserve grants sid slots at priority p, displacing strictly-lower
 // priority allocations the guard allows — numerically largest priority
-// first, then by session — until the request fits, and appends the
-// displaced allocations to displaced in that order. It refuses on a
-// dead node, or when even full preemption cannot fit the request; h
-// names the node in the refusal.
-func (d *DegreeTable) reserve(h int, displaced []allocation, slots, p int, sid SessionID, guard PreemptGuard) ([]allocation, error) {
+// first, then by session — until the request fits, and returns the
+// displaced sessions in that order. It refuses on a dead node, or when
+// even full preemption cannot fit the request; h names the node in the
+// refusal.
+func (d *DegreeTable) reserve(h, slots, p int, sid SessionID, guard PreemptGuard) ([]SessionID, error) {
 	if d.dead {
 		return nil, fmt.Errorf("sched: host %d is dead", h)
 	}
@@ -124,6 +124,7 @@ func (d *DegreeTable) reserve(h int, displaced []allocation, slots, p int, sid S
 		return nil, fmt.Errorf("sched: host %d cannot fit %d slots at priority %d (bound %d, firm %d)",
 			h, slots, p, d.bound, firm)
 	}
+	var victims []SessionID
 	if need := slots - int(d.bound-d.used); need > 0 {
 		var buf [8]int
 		idx := buf[:0]
@@ -142,7 +143,7 @@ func (d *DegreeTable) reserve(h int, displaced []allocation, slots, p int, sid S
 			}
 			a := &d.allocs[i]
 			need -= a.Slots
-			displaced = append(displaced, *a)
+			victims = append(victims, a.Session)
 			d.account(a.Priority, -a.Slots)
 			a.Slots = 0 // dropped; compacted away below
 		}
@@ -154,11 +155,11 @@ func (d *DegreeTable) reserve(h int, displaced []allocation, slots, p int, sid S
 	for i := range d.allocs {
 		if d.allocs[i].Session == sid && d.allocs[i].Priority == p {
 			d.allocs[i].Slots += slots
-			return displaced, nil
+			return victims, nil
 		}
 	}
 	d.allocs = append(d.allocs, allocation{Session: sid, Priority: p, Slots: slots})
-	return displaced, nil
+	return victims, nil
 }
 
 // drop removes every allocation sid holds here.
@@ -174,77 +175,35 @@ func (d *DegreeTable) drop(sid SessionID) {
 	d.allocs = kept
 }
 
-// kill marks the node failed and empties it, returning what it held:
-// the slots are gone with the host, and their holders must replan. A
-// node already dead returns nothing.
-func (d *DegreeTable) kill() []allocation {
-	if d.dead {
-		return nil
-	}
-	held := d.allocs
+// kill marks the node failed and empties it: the slots are gone with
+// the host, and their holders must replan.
+func (d *DegreeTable) kill() {
 	*d = DegreeTable{bound: d.bound, dead: true}
-	return held
 }
 
 // Registry is the cluster-wide collection of degree tables. In the
 // deployed system each node publishes its table through SOMO and task
-// managers read the root report; the registry is that database.
+// managers read the root report; the registry is that database. It
+// holds nothing per session: a session's root remembers the hosts it
+// reserved on and releases there (Session.held).
 type Registry struct {
 	tables []DegreeTable
-	// holdings indexes each session's allocations by host (host →
-	// slots), so Release and HeldBy touch only the hosts a session
-	// actually uses instead of scanning every table — the difference
-	// between O(pool) and O(tree) per replan once thousands of
-	// sessions churn against one pool.
-	holdings map[SessionID]map[int]int
 }
 
 // NewRegistry creates a registry for hosts 0..len(bounds)-1 with the
 // given degree bounds.
 func NewRegistry(bounds []int) *Registry {
-	r := &Registry{
-		tables:   make([]DegreeTable, len(bounds)),
-		holdings: make(map[SessionID]map[int]int),
-	}
+	r := &Registry{tables: make([]DegreeTable, len(bounds))}
 	for i, b := range bounds {
 		r.tables[i].bound = int32(b)
 	}
 	return r
 }
 
-// hold records sid gaining slots on host h in the holdings index.
-func (r *Registry) hold(sid SessionID, h, slots int) {
-	m := r.holdings[sid]
-	if m == nil {
-		m = make(map[int]int)
-		r.holdings[sid] = m
-	}
-	m[h] += slots
-}
-
-// unhold records sid losing slots on host h.
-func (r *Registry) unhold(sid SessionID, h, slots int) {
-	m := r.holdings[sid]
-	if m == nil {
-		return
-	}
-	m[h] -= slots
-	if m[h] <= 0 {
-		delete(m, h)
-	}
-	if len(m) == 0 {
-		delete(r.holdings, sid)
-	}
-}
-
 // SetDead marks host h failed: its existing allocations are dropped
-// (the slots are gone with the host — holders must replan) and
-// AvailableFor reports zero until Revive. Idempotent.
-func (r *Registry) SetDead(h int) {
-	for _, a := range r.tables[h].kill() {
-		r.unhold(a.Session, h, a.Slots)
-	}
-}
+// (the slots are gone with the host — holders must replan) and it
+// offers nothing until Revive. Idempotent.
+func (r *Registry) SetDead(h int) { r.tables[h].kill() }
 
 // Revive clears host h's dead mark; its table starts empty. Idempotent.
 func (r *Registry) Revive(h int) { r.tables[h].dead = false }
@@ -258,75 +217,33 @@ func (r *Registry) NumHosts() int { return len(r.tables) }
 // Table returns host h's degree table (read-only use).
 func (r *Registry) Table(h int) *DegreeTable { return &r.tables[h] }
 
-// AvailableFor returns the slots a priority-p requester could obtain on
-// host h (zero for a dead host).
-func (r *Registry) AvailableFor(h, p int) int {
-	return r.tables[h].available(p, nil)
-}
-
-// AvailableForGuarded is AvailableFor under a preemption guard.
-func (r *Registry) AvailableForGuarded(h, p int, guard PreemptGuard) int {
-	return r.tables[h].available(p, guard)
-}
-
 // Reserve grants sid `slots` slots on host h at priority p, preempting
 // strictly-lower-priority allocations (highest numeric priority first)
-// as needed. It returns the sessions that lost slots. It fails if even
-// full preemption cannot fit the request.
-func (r *Registry) Reserve(h int, slots int, p int, sid SessionID) ([]SessionID, error) {
-	return r.ReserveGuarded(h, slots, p, sid, nil)
-}
-
-// ReserveGuarded is Reserve under a preemption guard: allocations the
+// as needed, and returns the sessions that lost slots. Allocations the
 // guard vetoes are treated as firm, so the request fails rather than
-// displace them. A nil guard is plain Reserve.
-func (r *Registry) ReserveGuarded(h int, slots int, p int, sid SessionID, guard PreemptGuard) ([]SessionID, error) {
+// displace them; a nil guard is the plain market rule. It fails if even
+// full preemption cannot fit the request.
+func (r *Registry) Reserve(h, slots, p int, sid SessionID, guard PreemptGuard) ([]SessionID, error) {
 	if slots <= 0 {
 		return nil, fmt.Errorf("sched: reserve of %d slots on host %d", slots, h)
 	}
-	var buf [8]allocation
-	displaced, err := r.tables[h].reserve(h, buf[:0], slots, p, sid, guard)
-	if err != nil {
-		return nil, err
-	}
-	var victims []SessionID
-	for _, a := range displaced {
-		victims = append(victims, a.Session)
-		r.unhold(a.Session, h, a.Slots)
-	}
-	r.hold(sid, h, slots)
-	return victims, nil
+	return r.tables[h].reserve(h, slots, p, sid, guard)
 }
 
-// Release drops all of sid's allocations. The holdings index makes
-// this proportional to the hosts the session actually uses.
-func (r *Registry) Release(sid SessionID) {
-	for h := range r.holdings[sid] {
+// Release drops sid's allocations on each of hosts — the hosts its
+// reservations were granted on. A host where sid no longer holds
+// anything (preempted since, or killed) costs one empty drop, and a
+// host may be listed more than once.
+func (r *Registry) Release(sid SessionID, hosts []int) {
+	for _, h := range hosts {
 		r.tables[h].drop(sid)
 	}
-	delete(r.holdings, sid)
 }
 
-// HeldBy returns the total slots sid holds across all hosts.
-func (r *Registry) HeldBy(sid SessionID) int {
-	s := 0
-	for _, slots := range r.holdings[sid] {
-		s += slots
-	}
-	return s
-}
-
-// HeldOn returns the slots sid holds on host h.
-func (r *Registry) HeldOn(sid SessionID, h int) int {
-	return r.holdings[sid][h]
-}
-
-// CheckInvariants verifies no table is over-allocated, that the
-// holdings index agrees with the tables, and that every cached counter
-// equals its recomputation from allocs; tests and the invariant audit
-// call this after every scheduling wave.
+// CheckInvariants verifies no table is over-allocated and that every
+// cached counter equals its recomputation from allocs; tests and the
+// invariant audit call this after every scheduling wave.
 func (r *Registry) CheckInvariants() error {
-	indexed := 0
 	for h := range r.tables {
 		t := &r.tables[h]
 		var firm [NumClasses + 1]int32
@@ -334,10 +251,6 @@ func (r *Registry) CheckInvariants() error {
 		for _, a := range t.allocs {
 			if a.Slots <= 0 {
 				return fmt.Errorf("sched: host %d has empty allocation for session %d", h, a.Session)
-			}
-			if got := r.holdings[a.Session][h]; got < a.Slots {
-				return fmt.Errorf("sched: holdings index for session %d on host %d has %d slots, table has >= %d",
-					a.Session, h, got, a.Slots)
 			}
 			used += a.Slots
 			for c := range firm {
@@ -353,16 +266,6 @@ func (r *Registry) CheckInvariants() error {
 			return fmt.Errorf("sched: host %d cached counters used %d firm %v, allocations say used %d firm %v",
 				h, t.used, t.firm, used, firm)
 		}
-		indexed += used
-	}
-	total := 0
-	for _, m := range r.holdings {
-		for _, s := range m {
-			total += s
-		}
-	}
-	if total != indexed {
-		return fmt.Errorf("sched: holdings index totals %d slots, tables hold %d", total, indexed)
 	}
 	return nil
 }

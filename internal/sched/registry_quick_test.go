@@ -19,7 +19,7 @@ func TestRegistryFuzz(t *testing.T) {
 			bounds[i] = 1 + r.Intn(8)
 		}
 		reg := NewRegistry(bounds)
-		live := map[SessionID]bool{}
+		granted := map[SessionID][]int{} // hosts each session was granted on, as Session.held
 		for op := 0; op < 200; op++ {
 			switch r.Intn(3) {
 			case 0, 1: // reserve
@@ -27,9 +27,9 @@ func TestRegistryFuzz(t *testing.T) {
 				h := r.Intn(nHosts)
 				p := r.Intn(4) // includes MemberPriority 0
 				slots := 1 + r.Intn(3)
-				victims, err := reg.Reserve(h, slots, p, sid)
+				victims, err := reg.Reserve(h, slots, p, sid, nil)
 				if err == nil {
-					live[sid] = true
+					granted[sid] = append(granted[sid], h)
 					// Victims must have held strictly lower priority
 					// and must not include the requester at the same
 					// host... (requester's own allocations are merged,
@@ -54,9 +54,9 @@ func TestRegistryFuzz(t *testing.T) {
 				}
 			case 2: // release
 				sid := SessionID(1 + r.Intn(10))
-				reg.Release(sid)
-				delete(live, sid)
-				if reg.HeldBy(sid) != 0 {
+				reg.Release(sid, granted[sid])
+				delete(granted, sid)
+				if heldOn(reg, sid) != 0 {
 					return false
 				}
 			}
@@ -72,26 +72,26 @@ func TestRegistryFuzz(t *testing.T) {
 	}
 }
 
-// TestAvailableForConsistent: AvailableFor must equal what Reserve can
-// actually grant (no more, no less) — probed by attempting exactly that
-// many slots and then one more.
+// TestAvailableForConsistent: a table's availability must equal what
+// Reserve can actually grant (no more, no less) — probed by attempting
+// exactly that many slots and then one more.
 func TestAvailableForConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		reg := NewRegistry([]int{2 + r.Intn(6)})
 		// Random pre-population.
 		for i := 0; i < 5; i++ {
-			reg.Reserve(0, 1+r.Intn(2), 1+r.Intn(3), SessionID(i+1))
+			reg.Reserve(0, 1+r.Intn(2), 1+r.Intn(3), SessionID(i+1), nil)
 		}
 		p := r.Intn(4)
-		avail := reg.AvailableFor(0, p)
+		avail := reg.Table(0).available(p, nil)
 		if avail > 0 {
-			if _, err := reg.Reserve(0, avail, p, 99); err != nil {
+			if _, err := reg.Reserve(0, avail, p, 99, nil); err != nil {
 				t.Logf("reserve of advertised availability failed: %v", err)
 				return false
 			}
 		}
-		if _, err := reg.Reserve(0, 1, p, 98); err == nil {
+		if _, err := reg.Reserve(0, 1, p, 98, nil); err == nil {
 			t.Log("reserve beyond advertised availability succeeded")
 			return false
 		}

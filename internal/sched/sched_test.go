@@ -10,18 +10,18 @@ import (
 
 func TestDegreeTableAccounting(t *testing.T) {
 	r := NewRegistry([]int{4})
-	if got := r.AvailableFor(0, 2); got != 4 {
+	if got := r.Table(0).available(2, nil); got != 4 {
 		t.Errorf("available = %d, want 4", got)
 	}
-	if _, err := r.Reserve(0, 2, 2, 10); err != nil {
+	if _, err := r.Reserve(0, 2, 2, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Same priority cannot preempt: only 2 left for priority 2 and 3.
-	if got := r.AvailableFor(0, 2); got != 2 {
+	if got := r.Table(0).available(2, nil); got != 2 {
 		t.Errorf("available = %d, want 2", got)
 	}
 	// Priority 1 sees the slots of priority 2 as obtainable.
-	if got := r.AvailableFor(0, 1); got != 4 {
+	if got := r.Table(0).available(1, nil); got != 4 {
 		t.Errorf("priority-1 available = %d, want 4", got)
 	}
 	if err := r.CheckInvariants(); err != nil {
@@ -31,15 +31,15 @@ func TestDegreeTableAccounting(t *testing.T) {
 
 func TestReservePreemptsLowestFirst(t *testing.T) {
 	r := NewRegistry([]int{4})
-	if _, err := r.Reserve(0, 2, 3, 30); err != nil { // low priority
+	if _, err := r.Reserve(0, 2, 3, 30, nil); err != nil { // low priority
 		t.Fatal(err)
 	}
-	if _, err := r.Reserve(0, 2, 2, 20); err != nil { // medium
+	if _, err := r.Reserve(0, 2, 2, 20, nil); err != nil { // medium
 		t.Fatal(err)
 	}
 	// Priority 1 wants 3 slots: must preempt the priority-3 holder
 	// first (freeing 2), then the priority-2 holder (freeing 2 more).
-	victims, err := r.Reserve(0, 3, 1, 10)
+	victims, err := r.Reserve(0, 3, 1, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,22 +49,22 @@ func TestReservePreemptsLowestFirst(t *testing.T) {
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if r.HeldBy(10) != 3 {
-		t.Errorf("held = %d, want 3", r.HeldBy(10))
+	if heldOn(r, 10) != 3 {
+		t.Errorf("held = %d, want 3", heldOn(r, 10))
 	}
 }
 
 func TestReserveFailsWhenFirm(t *testing.T) {
 	r := NewRegistry([]int{2})
-	if _, err := r.Reserve(0, 2, 1, 10); err != nil {
+	if _, err := r.Reserve(0, 2, 1, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Another priority-1 session cannot preempt an equal priority.
-	if _, err := r.Reserve(0, 1, 1, 11); err == nil {
+	if _, err := r.Reserve(0, 1, 1, 11, nil); err == nil {
 		t.Error("equal-priority preemption should fail")
 	}
 	// Member priority (0) can.
-	victims, err := r.Reserve(0, 1, MemberPriority, 12)
+	victims, err := r.Reserve(0, 1, MemberPriority, 12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,29 +75,48 @@ func TestReserveFailsWhenFirm(t *testing.T) {
 
 func TestReserveErrors(t *testing.T) {
 	r := NewRegistry([]int{2})
-	if _, err := r.Reserve(0, 0, 1, 1); err == nil {
+	if _, err := r.Reserve(0, 0, 1, 1, nil); err == nil {
 		t.Error("zero slots should fail")
 	}
-	if _, err := r.Reserve(0, 3, 1, 1); err == nil {
+	if _, err := r.Reserve(0, 3, 1, 1, nil); err == nil {
 		t.Error("over-bound request should fail")
 	}
 }
 
 func TestReleaseAndMerge(t *testing.T) {
 	r := NewRegistry([]int{6, 6})
-	r.Reserve(0, 2, 1, 5)
-	r.Reserve(0, 1, 1, 5) // merges with existing allocation
-	r.Reserve(1, 3, 1, 5)
-	if got := r.HeldBy(5); got != 6 {
+	r.Reserve(0, 2, 1, 5, nil)
+	r.Reserve(0, 1, 1, 5, nil) // merges with existing allocation
+	r.Reserve(1, 3, 1, 5, nil)
+	if got := heldOn(r, 5); got != 6 {
 		t.Errorf("held = %d, want 6", got)
 	}
 	if len(r.Table(0).Allocations()) != 1 {
 		t.Error("same-session same-priority allocations should merge")
 	}
-	r.Release(5)
-	if r.HeldBy(5) != 0 {
+	r.Release(5, []int{0, 0, 1}) // each granting host, 0 twice
+	if heldOn(r, 5) != 0 {
 		t.Error("release should drop everything")
 	}
+}
+
+// heldOn returns the slots sid holds on hosts, or on every host when
+// none is named, read from the tables themselves.
+func heldOn(r *Registry, sid SessionID, hosts ...int) int {
+	if len(hosts) == 0 {
+		for h := range r.tables {
+			hosts = append(hosts, h)
+		}
+	}
+	n := 0
+	for _, h := range hosts {
+		for _, a := range r.tables[h].allocs {
+			if a.Session == sid {
+				n += a.Slots
+			}
+		}
+	}
+	return n
 }
 
 // buildWorld creates the paper's experimental pool: transit-stub
@@ -158,7 +177,7 @@ func TestSingleSessionScheduling(t *testing.T) {
 	}
 	// Reservations match the tree's degrees.
 	for _, v := range s.Tree.Nodes() {
-		if got := sc.Registry().HeldBy(s.ID); got == 0 {
+		if got := heldOn(sc.Registry(), s.ID); got == 0 {
 			t.Fatal("no reservations recorded")
 		}
 		_ = v
@@ -281,11 +300,11 @@ func TestRemoveSessionFreesResources(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := sessions[0].ID
-	if sc.Registry().HeldBy(id) == 0 {
+	if heldOn(sc.Registry(), id) == 0 {
 		t.Fatal("expected reservations")
 	}
 	sc.RemoveSession(id)
-	if sc.Registry().HeldBy(id) != 0 {
+	if heldOn(sc.Registry(), id) != 0 {
 		t.Error("remove should free reservations")
 	}
 	if len(sc.Sessions()) != 1 {

@@ -32,6 +32,12 @@ type Session struct {
 	SrcTrees map[int]*alm.Tree
 	// Replans counts how many times this session had to reschedule.
 	Replans int
+
+	// held lists the hosts reservations were granted on since the last
+	// release, which drops the session on exactly these hosts. An entry
+	// may be stale (repeated, or since preempted or killed there); it
+	// costs one drop that finds nothing.
+	held []int
 }
 
 // SourceTree pairs a source with its tree (the per-(session, source)
@@ -412,10 +418,11 @@ func (sc *Scheduler) AddSession(s *Session) error {
 // resources do not forcibly dirty others; sessions pick them up at
 // their periodic reschedule (Reschedule / Stabilize).
 func (sc *Scheduler) RemoveSession(id SessionID) {
-	if _, ok := sc.sessions[id]; !ok {
+	s, ok := sc.sessions[id]
+	if !ok {
 		return
 	}
-	sc.reg.Release(id)
+	sc.release(s)
 	delete(sc.sessions, id)
 	delete(sc.dirty, id)
 }
@@ -432,14 +439,18 @@ func (sc *Scheduler) Reschedule() {
 // AddMember grows a session's member set (the dynamic-membership
 // extension the paper sketches in Section 5): the session replans on
 // the next Stabilize with the new participant holding member priority.
-// A host outside the pool or already on the roster is refused.
+// A host outside the pool, already on the roster, or failed is refused.
 func (sc *Scheduler) AddMember(id SessionID, host int) error {
 	s, ok := sc.sessions[id]
 	if !ok {
 		return fmt.Errorf("sched: unknown session %d", id)
 	}
 	s.Members = append(s.Members, host)
-	if err := sc.checkRoster(s); err != nil {
+	err := sc.checkRoster(s)
+	if err == nil && sc.reg.Dead(host) {
+		err = fmt.Errorf("sched: session %d cannot add failed host %d", id, host)
+	}
+	if err != nil {
 		s.Members = s.Members[:len(s.Members)-1]
 		return err
 	}
@@ -617,11 +628,11 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 		s.Replans++
 		sc.tot.Replans++
 		sc.cReplans.Inc()
-		// One Release covers every (session, source) tree — the ledger
+		// One release covers every (session, source) tree — the ledger
 		// holds a single merged allocation per (session, priority), so
 		// releasing once and re-reserving tree by tree below is what
 		// keeps a multi-tree repair from double-freeing slots.
-		sc.reg.Release(s.ID)
+		sc.release(s)
 		if inTree {
 			repaired := make(map[int]*alm.Tree, len(s.Sources)+1)
 			var err error
@@ -637,7 +648,7 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 						break
 					}
 				}
-				// Untouched trees still re-reserve: the Release above
+				// Untouched trees still re-reserve: the release above
 				// dropped their slots along with everything else.
 				if err = sc.reserveTree(s, t, ctx); err != nil {
 					break
@@ -651,9 +662,9 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 				continue
 			}
 			// Partial reservations from a failed reserveTree are undone
-			// by the full replan's own Release, but drop them now so
+			// by the full replan's own release, but drop them now so
 			// sessions processed after this one see true availability.
-			sc.reg.Release(s.ID)
+			sc.release(s)
 		}
 		sc.dirty[s.ID] = true
 	}
@@ -689,21 +700,31 @@ func (sc *Scheduler) availFor(s *Session, guard PreemptGuard) alm.DegreeFunc {
 	}
 }
 
-// reserveTree reserves tree's slots for s, dirtying (and counting a
-// replan for) every preempted session. On error the caller owns
-// cleanup of any partial reservations.
+// release drops every reservation s holds, on the hosts it lists.
+func (sc *Scheduler) release(s *Session) {
+	sc.reg.Release(s.ID, s.held)
+	s.held = s.held[:0]
+}
+
+// reserveTree reserves tree's slots for s, listing each granting host
+// in s.held and dirtying (and counting a replan for) every preempted
+// session. On error the caller owns cleanup of any partial
+// reservations.
 func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, ctx planCtx) error {
 	sc.markMembers(s)
-	for _, v := range tree.Nodes() {
+	nodes := tree.Nodes()
+	s.held = slices.Grow(s.held, len(nodes))
+	for _, v := range nodes {
 		slots := tree.Degree(v)
 		if slots == 0 {
 			continue
 		}
 		p, g := sc.effPriority(s, v, ctx.guard)
-		victims, err := sc.reg.ReserveGuarded(v, slots, p, s.ID, g)
+		victims, err := sc.reg.Reserve(v, slots, p, s.ID, g)
 		if err != nil {
 			return err
 		}
+		s.held = append(s.held, v)
 		for _, vic := range victims {
 			if vic == s.ID {
 				continue
@@ -736,7 +757,7 @@ func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, ctx planCtx) error 
 // the session's already-recruited helper set and only fall back to the
 // full candidate pool when that set cannot cover the members.
 func (sc *Scheduler) planOne(s *Session, ctx planCtx) error {
-	sc.reg.Release(s.ID)
+	sc.release(s)
 
 	// Effective degree bound for this session at each host: what the
 	// market says it can obtain. Marks s's roster for isMember below.

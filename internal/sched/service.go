@@ -23,7 +23,8 @@ const (
 	// will be planned at an upcoming Tick (defer, not grant — the SLO
 	// clock starts at Submit).
 	Enqueued Decision = iota
-	// Rejected: the class's admission queue is full; the session was
+	// Rejected: the class's admission queue is full, or the session's
+	// root has already failed (counted as RootDied); the session was
 	// turned away without consuming planner capacity.
 	Rejected
 )
@@ -262,7 +263,9 @@ func (sv *Service) Instrument(reg *obs.Registry) {
 // Submit offers a session for admission at virtual time now. It never
 // plans inline: the verdict is an explicit Enqueued (planned at an
 // upcoming Tick; the SLO clock starts now) or Rejected (class queue
-// full). An error means the submission itself was malformed: a priority
+// full, or root already failed). Members that have already failed are
+// stripped from the roster, as NodeFailed strips them from queued ones.
+// An error means the submission itself was malformed: a priority
 // outside the classes, a session already known, or a roster that fails
 // checkRoster.
 func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
@@ -276,6 +279,15 @@ func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 		return Rejected, err
 	}
 	sv.stats.Class[s.Priority].Submitted++
+	if sv.sc.reg.Dead(s.Root) {
+		sv.stats.Class[s.Priority].RootDied++
+		return Rejected, nil
+	}
+	for i := len(s.Members) - 1; i >= 0; i-- {
+		if sv.sc.reg.Dead(s.Members[i]) {
+			s.drop(s.Members[i])
+		}
+	}
 	if sv.classLen[s.Priority] >= queueCap {
 		sv.stats.Class[s.Priority].Rejected++
 		sv.cRejected.Inc()
@@ -316,7 +328,8 @@ func (sv *Service) NodeFailed(now eventsim.Time, host int) []SessionID {
 			rootDead = append(rootDead, s)
 		}
 	}
-	affected := sv.sc.nodeFailed(host, sv.planContext(now))
+	ctx, _ := sv.planContext(now)
+	affected := sv.sc.nodeFailed(host, ctx)
 	for _, s := range rootDead {
 		delete(sv.state, s.ID)
 		sv.stats.Class[s.Priority].RootDied++
@@ -380,13 +393,10 @@ type guardState struct {
 
 // planContext builds the planning context for time now: the guard
 // vetoes market preemption of held-down victims and rate-limits the
-// rest through the token bucket; the hook charges tokens and arms the
-// victim's hold-down.
-func (sv *Service) planContext(now eventsim.Time) planCtx {
-	return sv.planContextState(now, &guardState{})
-}
-
-func (sv *Service) planContextState(now eventsim.Time, gs *guardState) planCtx {
+// rest through the token bucket, recording any veto in the returned
+// guardState; the hook charges tokens and arms the victim's hold-down.
+func (sv *Service) planContext(now eventsim.Time) (planCtx, *guardState) {
+	gs := &guardState{}
 	return planCtx{
 		guard: func(victim SessionID) bool {
 			if st := sv.state[victim]; (st != nil && st.heldDown > now) || sv.tokens < 1 {
@@ -403,7 +413,7 @@ func (sv *Service) planContextState(now eventsim.Time, gs *guardState) planCtx {
 				st.heldDown = now + holdDown
 			}
 		},
-	}
+	}, gs
 }
 
 // backoff draws the jittered delay for a priority-pri session's given
@@ -455,8 +465,8 @@ func (sv *Service) shed(s *Session, record *int) {
 // degradation policy to the outcome. shedBudget caps overload sheds
 // across the enclosing Tick.
 func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
-	gs := &guardState{}
-	err := sv.sc.planOne(s, sv.planContextState(now, gs))
+	ctx, gs := sv.planContext(now)
+	err := sv.sc.planOne(s, ctx)
 	rs := sv.state[s.ID]
 	if err == nil {
 		sv.stats.Plans++
@@ -477,7 +487,7 @@ func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
 	}
 	// Failed plans may leave partial reservations; drop them so the
 	// ledger stays clean while the session waits out its backoff.
-	sv.sc.reg.Release(s.ID)
+	sv.sc.release(s)
 	sv.stats.PlanFailures++
 	rung, exhausted := 1, false
 	if gs.denied {

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestServiceRetryBudgetShedsSelf(t *testing.T) {
 	if sv.LiveSessions() != 0 || sv.QueueDepth() != 0 {
 		t.Fatalf("shed session left residue: %d live, %d queued", sv.LiveSessions(), sv.QueueDepth())
 	}
-	if got := sv.sc.reg.HeldBy(s.ID); got != 0 {
+	if got := heldOn(sv.sc.reg, s.ID); got != 0 {
 		t.Fatalf("shed session still holds %d slots", got)
 	}
 	// All state forgotten: the ID may be submitted again.
@@ -379,9 +380,11 @@ func TestHoldDownFollowsTheTopDeadline(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sv := NewService([]int{4, 4}, lineLat, ServiceConfig{})
 			submitVictims(t, sv, 9)
-			sv.planContext(armed).onPreempt(9, 3)
+			ctx, _ := sv.planContext(armed)
+			ctx.onPreempt(9, 3)
 			at := armed + admitDeadline(tc.class) - eventsim.Millisecond
-			if got := !sv.planContext(at).guard(9); got != tc.protected {
+			ctx, _ = sv.planContext(at)
+			if got := !ctx.guard(9); got != tc.protected {
 				t.Errorf("victim preempted at %v ms protected at %v ms: %v, want %v", armed, at, got, tc.protected)
 			}
 		})
@@ -410,8 +413,7 @@ func TestServiceDampingGuard(t *testing.T) {
 	sv := NewService([]int{4, 4}, lineLat, cfg)
 	submitVictims(t, sv, 7, 8, 9)
 
-	gs := &guardState{}
-	ctx := sv.planContextState(0, gs)
+	ctx, gs := sv.planContext(0)
 	if !ctx.guard(7) {
 		t.Fatal("full bucket must allow preemption")
 	}
@@ -430,16 +432,15 @@ func TestServiceDampingGuard(t *testing.T) {
 	if sv.tokens != 0 {
 		t.Fatalf("tokens = %v, want 0", sv.tokens)
 	}
-	gs2 := &guardState{}
-	if sv.planContextState(0, gs2).guard(10) || !gs2.denied {
+	ctx2, gs2 := sv.planContext(0)
+	if ctx2.guard(10) || !gs2.denied {
 		t.Fatal("empty bucket must veto fresh victims")
 	}
 
 	// Refill at 1/s: after 1 s there is one token again, but the 2 s
 	// hold-down on victim 7 is still armed.
 	sv.refill(eventsim.Second)
-	gs3 := &guardState{}
-	ctx3 := sv.planContextState(eventsim.Second, gs3)
+	ctx3, _ := sv.planContext(eventsim.Second)
 	if !ctx3.guard(10) {
 		t.Fatal("refilled bucket must allow a fresh victim")
 	}
@@ -447,8 +448,8 @@ func TestServiceDampingGuard(t *testing.T) {
 		t.Fatal("hold-down must outlast the refill")
 	}
 	// Past the hold-down horizon the victim is fair game again.
-	gs4 := &guardState{}
-	if !sv.planContextState(3*eventsim.Second, gs4).guard(7) {
+	ctx4, _ := sv.planContext(3 * eventsim.Second)
+	if !ctx4.guard(7) {
 		t.Fatal("expired hold-down still vetoing")
 	}
 	// The bucket never overfills past its burst.
@@ -507,7 +508,7 @@ func TestServiceDampingDefersPreemption(t *testing.T) {
 	if rs := sv.state[c.ID]; rs == nil || rs.attempts != 0 {
 		t.Fatalf("damping deferral consumed the retry budget: %+v", sv.state[c.ID])
 	}
-	if !a.Tree.Contains(5) || sv.sc.reg.HeldOn(a.ID, 5) == 0 {
+	if !a.Tree.Contains(5) || heldOn(sv.sc.reg, a.ID, 5) == 0 {
 		t.Fatal("deferred plan displaced the victim anyway")
 	}
 
@@ -570,6 +571,63 @@ func TestServiceNodeFailureQueueCleanup(t *testing.T) {
 	}
 }
 
+// TestRosterNamingAFailedHost: a roster that names a host the registry
+// already holds dead gets the treatment NodeFailed gives a queued one.
+// Submit strips a dead member (before, the session failed every plan
+// on it, shed a bystander and then itself), refuses a dead root as
+// RootDied, and AddMember refuses a dead host with an error naming it.
+func TestRosterNamingAFailedHost(t *testing.T) {
+	sv := NewService([]int{4, 4, 4, 4, 4, 4, 4, 4}, lineLat, ServiceConfig{})
+	bystander := &Session{ID: 9, Priority: 3, Root: 0, Members: []int{1, 2}}
+	if _, err := sv.Submit(0, bystander); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Tick(0); err != nil || bystander.Tree == nil {
+		t.Fatalf("bystander not planned: err %v", err)
+	}
+	sv.NodeFailed(0, 5)
+
+	s := &Session{ID: 1, Priority: 1, Root: 1, Members: []int{2, 5}, Sources: []int{5}}
+	if d, err := sv.Submit(0, s); err != nil || d != Enqueued {
+		t.Fatalf("Submit naming dead member 5: %v, %v", d, err)
+	}
+	for k := 1; k <= 80; k++ {
+		if err := sv.Tick(eventsim.Time(k) * 250 * eventsim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := sv.Stats()
+	if !slices.Equal(s.Members, []int{2}) || len(s.Sources) != 0 || s.Tree == nil || st.Class[1].Admitted != 1 {
+		t.Errorf("session 1: members %v sources %v planned %v admitted %d; want [2], none, planned, 1",
+			s.Members, s.Sources, s.Tree != nil, st.Class[1].Admitted)
+	}
+	if st.Class[1].ShedBudget+st.Class[3].ShedOverload != 0 || sv.Scheduler().Session(9) == nil {
+		t.Errorf("sheds: budget %d overload %d; bystander live %v", st.Class[1].ShedBudget, st.Class[3].ShedOverload,
+			sv.Scheduler().Session(9) != nil)
+	}
+
+	dead := &Session{ID: 2, Priority: 2, Root: 5, Members: []int{3}}
+	if d, err := sv.Submit(0, dead); err != nil || d != Rejected {
+		t.Errorf("Submit rooted on dead host 5: %v, %v; want rejected, no error", d, err)
+	}
+	if c := sv.Stats().Class[2]; c.Submitted != 1 || c.RootDied != 1 || c.Rejected != 0 || sv.QueueDepth() != 0 {
+		t.Errorf("class 2 after a dead-root Submit: %+v, queue %d; want submitted and root-died 1", c, sv.QueueDepth())
+	}
+
+	sc := NewScheduler([]int{4, 4, 4, 4, 4, 4, 4, 4}, lineLat, Config{})
+	live := &Session{ID: 3, Priority: 2, Root: 0, Members: []int{1}}
+	if err := sc.AddSession(live); err != nil {
+		t.Fatal(err)
+	}
+	sc.NodeFailed(5)
+	if err := sc.AddMember(3, 5); err == nil || !strings.Contains(err.Error(), "host 5") {
+		t.Errorf("AddMember of dead host 5: err %v, want one naming host 5", err)
+	}
+	if !slices.Equal(live.Members, []int{1}) {
+		t.Errorf("refused AddMember changed the roster: %v", live.Members)
+	}
+}
+
 // TestAdmissionTimingsPinned pins the default admission timings bit for
 // bit: the jittered backoff each class draws for its first five
 // failures from a fixed seed, and the hold-down expiry a market
@@ -597,7 +655,8 @@ func TestAdmissionTimingsPinned(t *testing.T) {
 		}
 	}
 	submitVictims(t, sv, 9)
-	sv.planContext(1234.5).onPreempt(9, 3)
+	ctx, _ := sv.planContext(1234.5)
+	ctx.onPreempt(9, 3)
 	if got, want := sv.state[9].heldDown, eventsim.Time(3234.5); got != want {
 		t.Errorf("hold-down armed at 1234.5 ms expires at %v, want %v", got, want)
 	}
