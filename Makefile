@@ -109,7 +109,7 @@ stream:
 # capacity ledger and each source pumps its own chunk sequence under
 # shared access-link contention. Cells sweep solo vs market (competing
 # single-source broadcasts) and churn on/off (restarted members rejoin
-# via AddMember + AddSource); per-source delivered bitrate is reported
+# through Scheduler.Rejoin); per-source delivered bitrate is reported
 # against the shared member-only bound sum(up)/(M*(M-1)). Continuous
 # invariant sweeps audit the shared ledger; exits nonzero on any
 # violation. Opt-in (never part of "all"); same seed => byte-identical
@@ -234,9 +234,14 @@ layout:
 # seed corpus of coords' FuzzSolveLeafsetMatchesReference (workers
 # 1/2/3/8 against the sequential solve), ten times. The fifth fuzzes
 # the scheduler's ledger for twenty seconds past its seed corpus: the
-# per-host degree tables and the holdings index against a flat list of
-# holdings (FuzzRegistryLedger), so a slip in a table's cached counters,
-# its preemption order or its compaction fails CI. The load
+# per-host degree tables, released through a session's own list of
+# granting hosts, against a flat list of holdings (FuzzRegistryLedger),
+# so a slip in a table's cached counters, its preemption order or its
+# compaction fails CI. The chaos run takes a live session through
+# crashes, restarts and a partition under the race detector at full
+# size, its restarts taking members back through Scheduler.Rejoin; its
+# repair checks (a whole, degree-respecting tree without the dead host,
+# every member in it) exit nonzero. The load
 # smoke soaks the scheduler control plane (admission, shedding,
 # preemption damping, flash crowd) for 45 simulated seconds on a small
 # pool under the race detector; it too exits nonzero on any invariant
@@ -272,6 +277,7 @@ ci: build fmt vet test cover race mains layout
 	$(GO) run ./cmd/experiments -fig scale -hosts 1200 -scale-runtime 30 -seed 1 > /dev/null
 	$(GO) run ./cmd/experiments -fig scale -hosts 30000 -scale-runtime 5 -seed 1 > /dev/null
 	$(GO) run -race ./cmd/experiments -fig audit -seed 1 > /dev/null
+	$(GO) run -race ./cmd/experiments -fig chaos -seed 1 > /dev/null
 	$(GO) run -race ./cmd/experiments -fig load -hosts 300 -load-runtime 45 -seed 1 > /dev/null
 	$(GO) run -race ./cmd/experiments -fig stream -hosts 900 -stream-chunks 10 -seed 1 > /dev/null
 	$(GO) run -race ./cmd/experiments -fig conf -hosts 900 -conf-chunks 10 -seed 1 > /dev/null

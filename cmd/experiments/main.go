@@ -39,7 +39,7 @@
 // conf (multi-source conferencing: M trees per session against one
 // shared capacity ledger, per-source delivery vs the shared
 // member-only bound, market competition from broadcasts, churn with
-// AddSource rejoins; opt-in).
+// restarted sources taken back by Scheduler.Rejoin; opt-in).
 package main
 
 import (

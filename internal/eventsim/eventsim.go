@@ -117,11 +117,6 @@ type Engine struct {
 	batchPos  int
 	rng       *rand.Rand
 	processed uint64
-
-	// Trace recording (see StartTrace); nil/false costs nothing on the
-	// hot path — Mark returns immediately.
-	tracing bool
-	trace   []TraceEntry
 }
 
 // New returns an engine whose randomness is seeded with seed.

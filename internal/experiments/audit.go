@@ -359,7 +359,6 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 	}
 	sim := transport.NewSim(engine, transport.SimOptions{Latency: lat})
 	f := faultnet.New(sim, faultnet.Options{Seed: runSeed*100 + 7})
-	engine.StartTrace()
 
 	// --- the pool: DHT ring + SOMO agents ---
 	degrees := ro.degrees
@@ -400,30 +399,9 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 
 	// --- control plane: detection, repair, rejoin ---
 	downSince := make(map[int]eventsim.Time)
-	stripped := make(map[int]bool) // members awaiting rejoin
-	pdead := make(map[int]bool)    // partition-declared (not crashed)
-	expected := 0                  // replans the harness has caused
-	isMember := func(h int) bool {
-		if h == sess.Root {
-			return true
-		}
-		for _, m := range sess.Members {
-			if m == h {
-				return true
-			}
-		}
-		return false
-	}
+	expected := 0 // replans the harness has caused
 	declareFailed := func(h int) {
-		wasDead := sc.Registry().Dead(h)
-		wasMember := isMember(h)
-		affected := sc.NodeFailed(h)
-		if !wasDead && len(affected) > 0 {
-			expected += len(affected)
-		}
-		if wasMember && !wasDead {
-			stripped[h] = true
-		}
+		expected += len(sc.NodeFailed(h))
 	}
 	stabilize := func() {
 		if _, err := sc.Stabilize(); err != nil {
@@ -432,12 +410,7 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 	}
 	recoverHost := func(h int) {
 		sc.NodeRecovered(h)
-		if stripped[h] {
-			delete(stripped, h)
-			if err := sc.AddMember(sess.ID, h); err != nil {
-				fail(err)
-			}
-		}
+		sc.Rejoin(h)
 	}
 
 	f.OnCrash(func(a transport.Addr) {
@@ -492,30 +465,17 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 			stabilize()
 		})
 	}
+	// Heal revives the hosts the partition declared: a restart always
+	// revives, so those are exactly the dead hosts that have not crashed.
 	applyHeal := func() {
 		f.Heal()
 		partActive = false
-		hosts := make([]int, 0, len(pdead))
-		for h := range pdead {
-			hosts = append(hosts, h)
-		}
-		sort.Ints(hosts)
-		for _, h := range hosts {
-			delete(pdead, h)
-			if !f.Crashed(transport.Addr(h)) {
+		for h := 0; h < opts.Hosts; h++ {
+			if sc.Registry().Dead(h) && !f.Crashed(transport.Addr(h)) {
 				recoverHost(h)
 			}
 		}
 		stabilize()
-	}
-	// declareFailed marks partition-declared hosts so heal can revive
-	// exactly those; crashes clear their own state via restart.
-	declareTracked := declareFailed
-	declareFailed = func(h int) {
-		if partActive && !f.Crashed(transport.Addr(h)) {
-			pdead[h] = true
-		}
-		declareTracked(h)
 	}
 
 	// --- install the script ---

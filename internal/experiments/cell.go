@@ -24,7 +24,10 @@ import (
 // same way for all three. DESIGN.md "Study harness" has the seed
 // schedule and the registration-order contract. chaos and audit drive a
 // bare sched.Scheduler over a real topology or ring and keep their own
-// wiring; from here they share only poissonCrashes.
+// wiring; from here they share only poissonCrashes. No study keeps a
+// list of the members a failure stripped: the session does, and the
+// studies that take restarted members back (chaos, audit, conf) call
+// NodeRecovered and then Scheduler.Rejoin.
 
 // The clocks every service cell runs on.
 const (

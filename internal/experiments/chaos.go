@@ -271,7 +271,6 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 	f.After(0, pump)
 
 	// --- control plane: detection, repair, member rejoin ---
-	stripped := make(map[int]bool)
 	var repairTotal eventsim.Time
 	f.OnCrash(func(a transport.Addr) {
 		host := int(a)
@@ -284,14 +283,10 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 			if !f.Crashed(a) {
 				return // restarted before detection; nothing to repair
 			}
-			wasMember := isMember(host)
 			sc.NodeFailed(host)
 			if _, err := sc.Stabilize(); err != nil {
 				fail(err)
 				return
-			}
-			if wasMember {
-				stripped[host] = true
 			}
 			// Every repair must leave a whole, degree-respecting tree
 			// that excludes the dead node.
@@ -331,13 +326,8 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 	f.OnRestart(func(a transport.Addr) {
 		host := int(a)
 		sc.NodeRecovered(host)
-		if !stripped[host] {
-			return
-		}
-		delete(stripped, host)
-		if err := sc.AddMember(sess.ID, host); err != nil {
-			fail(err)
-			return
+		if sc.Rejoin(host) == nil {
+			return // not a member the failure took
 		}
 		if _, err := sc.Stabilize(); err != nil {
 			fail(err)

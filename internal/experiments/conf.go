@@ -21,8 +21,8 @@ import (
 // so each can count on only sum(up_i) / (M*(M-1)) — which is exactly
 // where pool helpers earn their keep. Market cells add single-source
 // broadcasts competing for the same hosts; churn cells crash conference
-// members mid-call and rejoin them through the AddMember + AddSource
-// control path when they restart.
+// members mid-call, and when they restart Scheduler.Rejoin returns each
+// to the roster and the sources its session lost it from.
 type ConfOptions struct {
 	// Hosts is the pool size; conferences, broadcasts and helpers all
 	// draw from it.
@@ -381,32 +381,25 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 	}
 	c.tickUntil(runEnd)
 
-	// confOf maps a non-root conference member back to its session so
-	// restarts can rejoin the call. Those members are also the churn
-	// pool: every victim is a live source, so each crash tears one tree
-	// down and bends M-1 others. Roots are spared (a dead root ends the
-	// session — a different study), as are broadcast members (their
-	// churn is the stream study's subject).
-	confOf := make(map[int]*confSpec)
+	// The churn pool is the non-root conference members: every victim
+	// is a live source, so each crash tears one tree down and bends M-1
+	// others. Roots are spared (a dead root ends the session — a
+	// different study), as are broadcast members (their churn is the
+	// stream study's subject).
 	var pool []int
 	for i := range specs {
 		if specs[i].conf {
-			for _, m := range specs[i].members {
-				confOf[m] = &specs[i]
-			}
 			pool = append(pool, specs[i].members...)
 		}
 	}
 	c.wireChurn(mediaDetectDelay, func(h int) {
-		// A restarted conference member dials back in: re-enter the
-		// roster, then reclaim the source role — the live AddSource
-		// path. Errors are expected when the crash was never detected
-		// (the member was never stripped) or the session is gone.
-		if s := confOf[h]; s != nil && c.net.Now() < streamEnd {
-			if err := sv.AddMember(s.id, h); err == nil {
-				row.Rejoins++
-			}
-			_ = sv.AddSource(s.id, h)
+		// A restarted conference member dials back in while the call
+		// lasts: Rejoin returns it to the roster and the sources of the
+		// live session its detected crash stripped it from. An
+		// undetected crash stripped nothing, and a session that is
+		// gone or not yet live takes nobody back.
+		if c.net.Now() < streamEnd && len(sv.Scheduler().Rejoin(h)) > 0 {
+			row.Rejoins++
 		}
 	})
 	if confChurn(cell) {
@@ -579,7 +572,7 @@ func (r *ConfResult) Tables() []Table {
 		},
 		Note: fmt.Sprintf("market cells add %d single-source broadcasts of %d members at the lowest "+
 			"priority class, competing for the same hosts; churn cells crash %.0f conference members/min "+
-			"(restart after %.0fs, detected in %.1fs) and restarts rejoin through AddMember + AddSource; "+
+			"(restart after %.0fs, detected in %.1fs) and restarts rejoin through Scheduler.Rejoin; "+
 			"violations counts continuous invariant sweeps (every %.0fs) over the shared multi-source "+
 			"ledger — the study passes iff the column is all zeros",
 			r.Opts.Broadcasts, r.Opts.BroadcastSize, r.Opts.CrashRate,

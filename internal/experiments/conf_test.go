@@ -9,8 +9,8 @@ import (
 // smallConf is a fast configuration that still exercises every moving
 // part: multi-source planning against one shared ledger, M concurrent
 // pumps per conference under shared contention, market competition
-// from broadcasts, churn with AddMember + AddSource rejoins, and the
-// continuous invariant sweeps.
+// from broadcasts, churn with restarted sources taken back by
+// Scheduler.Rejoin, and the continuous invariant sweeps.
 func smallConf(seed int64) ConfOptions {
 	return ConfOptions{
 		Hosts:         600,
@@ -106,7 +106,7 @@ func TestConfSharedBoundDelivery(t *testing.T) {
 
 // TestConfChurnRejoins: churn cells must crash live sources, the
 // control plane must repair or replan around them, and restarted
-// members must rejoin through the AddMember + AddSource path.
+// members must rejoin, as members and sources, through Rejoin.
 func TestConfChurnRejoins(t *testing.T) {
 	res, err := Conf(smallConf(2))
 	if err != nil {

@@ -359,7 +359,7 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 			}
 			// AddMember fails when the hot session never formed or was
 			// shed; the crowd then has nothing to join.
-			if err := sv.AddMember(hotSessionID, h); err == nil {
+			if err := sv.Scheduler().AddMember(hotSessionID, h); err == nil {
 				row.FlashJoins++
 			}
 		}))

@@ -162,20 +162,16 @@ func (f *Net) SetJitter(max eventsim.Time) { f.jitter = max }
 // partition.
 func (f *Net) Partition(groups ...[]transport.Addr) {
 	f.groupOf = make(map[transport.Addr]int)
-	n := 0
 	for g, addrs := range groups {
 		for _, a := range addrs {
 			f.groupOf[a] = g + 1
-			n++
 		}
 	}
-	f.Mark(fmt.Sprintf("fault:partition %d groups %d addrs", len(groups), n))
 }
 
 // Heal removes the active partition.
 func (f *Net) Heal() {
 	f.groupOf = make(map[transport.Addr]int)
-	f.Mark("fault:heal")
 }
 
 // Partitioned reports whether an active partition separates a and b.
@@ -214,7 +210,6 @@ func (f *Net) Crash(a transport.Addr) {
 	f.crashed = grow(f.crashed, int(a))
 	f.crashed[a] = true
 	f.nCrashed++
-	f.Mark(fmt.Sprintf("fault:crash %d", a))
 	f.ctr.Crashes++
 	f.cCrashes.Inc()
 	f.trace.Record(obs.Event{Time: f.inner.Now(), Kind: obs.KindCrash, From: int(a), To: -1})
@@ -232,7 +227,6 @@ func (f *Net) Restart(a transport.Addr) {
 	}
 	f.crashed[a] = false
 	f.nCrashed--
-	f.Mark(fmt.Sprintf("fault:restart %d", a))
 	f.ctr.Restarts++
 	f.cRestarts.Inc()
 	f.trace.Record(obs.Event{Time: f.inner.Now(), Kind: obs.KindRestart, From: int(a), To: -1})
@@ -300,17 +294,15 @@ func (f *Net) RestartAt(at eventsim.Time, a transport.Addr) {
 
 // FlashCrowd builds a script for a burst of n arrivals spread evenly
 // over [at, at+window): do(i) runs for arrival i = 0..n-1 at
-// at + window*i/n, after a trace landmark at the burst's start. The
-// load and chaos studies share this primitive: hand the steps to
-// Install (possibly merged with a crash script) and wire do to the
-// join path under test. A window of 0 fires the whole crowd at once —
+// at + window*i/n, one step each. Hand the steps to Install (possibly
+// merged with a crash script) and wire do to the join path under test,
+// as the load study does. A window of 0 fires the whole crowd at once —
 // the worst case. n <= 0 yields an empty script.
 func FlashCrowd(at eventsim.Time, n int, window eventsim.Time, do func(i int, f *Net)) []Step {
 	if n <= 0 {
 		return nil
 	}
-	steps := make([]Step, 0, n+1)
-	steps = append(steps, Step{At: at, Do: func(f *Net) { f.Mark("flash-crowd") }})
+	steps := make([]Step, 0, n)
 	for i := 0; i < n; i++ {
 		i := i
 		steps = append(steps, Step{
@@ -419,16 +411,6 @@ func (j *jitterSend) RunEvent() {
 	*j = jitterSend{}
 	jitterPool.Put(j)
 	inner.Send(from, to, sizeBytes, msg)
-}
-
-// Mark delegates to the inner network's trace marker, if any, so a
-// fault layer over a tracing Sim records the fault actions it executes
-// as trace landmarks (and a stack of layers still records into the one
-// engine). Net itself implements transport.Marker.
-func (f *Net) Mark(label string) {
-	if m, ok := f.inner.(transport.Marker); ok {
-		m.Mark(label)
-	}
 }
 
 // Now implements transport.Network.

@@ -8,11 +8,11 @@ import (
 )
 
 // TestConferenceSharedBudgetConservation drives a multi-source
-// conference through an AddSource / RemoveSource / NodeFailed / replan
-// cycle — including double-fired failure detection, the double-free
-// path — and after every step sums the reserved slots across all of
-// the conference's (session, source) trees, asserting the sum never
-// exceeds any host's physical bound and always matches the ledger.
+// conference through a NodeFailed / Rejoin / replan cycle — including
+// double-fired failure detection, the double-free path — and after
+// every step sums the reserved slots across all of the conference's
+// (session, source) trees, asserting the sum never exceeds any host's
+// physical bound and always matches the ledger.
 func TestConferenceSharedBudgetConservation(t *testing.T) {
 	const hosts = 300
 	const m = 6
@@ -105,15 +105,21 @@ func TestConferenceSharedBudgetConservation(t *testing.T) {
 
 	stabilize("initial plan")
 
-	// Promote a member, then demote it again.
-	if err := sc.AddSource(s.ID, roster[4]); err != nil {
-		t.Fatal(err)
+	// An extra source fails and comes back: Rejoin makes it a member
+	// and a source again, and the replan gives it a tree.
+	back := roster[1]
+	sc.NodeFailed(back)
+	audit("source failed")
+	stabilize("source-failure replan")
+	sc.NodeRecovered(back)
+	if got := sc.Rejoin(back); len(got) != 1 || got[0] != s.ID {
+		t.Fatalf("Rejoin(%d) = %v, want [%d]", back, got, s.ID)
 	}
-	stabilize("AddSource")
-	if err := sc.RemoveSource(s.ID, roster[1]); err != nil {
-		t.Fatal(err)
+	audit("Rejoin")
+	stabilize("rejoin replan")
+	if s.TreeFor(back) == nil {
+		t.Fatalf("rejoined source %d has no tree", back)
 	}
-	stabilize("RemoveSource")
 
 	// Kill an extra source — and double-fire the detection: the second
 	// fire must not double-free the shared ledger (pre-PR-5 bug class).

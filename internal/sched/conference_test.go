@@ -111,52 +111,46 @@ func TestConferenceSharedBudgetPlan(t *testing.T) {
 	}
 }
 
-func TestConferenceAddRemoveSource(t *testing.T) {
+// TestConferenceSourceRejoins: an extra source that fails loses its
+// tree and its slots; once it recovers, Rejoin makes it a source again
+// and the next plan gives it a tree on the shared budget.
+func TestConferenceSourceRejoins(t *testing.T) {
 	net, degrees := buildWorld(t, 400, 9)
 	degrees = confBounds(degrees, 6)
 	sc := NewScheduler(degrees, net.Latency, Config{HelperMinDegree: 2})
 	r := rand.New(rand.NewSource(10))
 	perm := r.Perm(400)
-	s := &Session{ID: 1, Priority: 2, Root: perm[0], Members: append([]int(nil), perm[1:6]...)}
+	s := &Session{ID: 1, Priority: 2, Root: perm[0], Members: append([]int(nil), perm[1:6]...), Sources: []int{perm[2]}}
 	if err := sc.AddSession(s); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sc.Stabilize(); err != nil {
 		t.Fatal(err)
 	}
-
-	promoted := perm[2]
-	if err := sc.AddSource(1, promoted); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.AddSource(1, promoted); err == nil {
-		t.Fatal("double AddSource should fail")
-	}
-	if err := sc.AddSource(1, perm[100]); err == nil {
-		t.Fatal("AddSource of a non-member should fail")
-	}
-	if err := sc.AddSource(1, s.Root); err == nil {
-		t.Fatal("AddSource of the root should fail")
-	}
-	if _, err := sc.Stabilize(); err != nil {
-		t.Fatal(err)
-	}
-	if s.TreeFor(promoted) == nil {
-		t.Fatal("promoted source has no tree after Stabilize")
+	back := perm[2]
+	if s.TreeFor(back) == nil {
+		t.Fatal("extra source has no tree after Stabilize")
 	}
 	checkConfLedger(t, sc, s, degrees)
 
-	if err := sc.RemoveSource(1, s.Root); err == nil {
-		t.Fatal("RemoveSource of the root should fail")
-	}
-	if err := sc.RemoveSource(1, promoted); err != nil {
+	sc.NodeFailed(back)
+	if _, err := sc.Stabilize(); err != nil {
 		t.Fatal(err)
+	}
+	if s.IsSource(back) || s.TreeFor(back) != nil {
+		t.Fatal("failed source still has a source role or tree")
+	}
+	checkConfLedger(t, sc, s, degrees)
+
+	sc.NodeRecovered(back)
+	if got := sc.Rejoin(back); len(got) != 1 || got[0] != s.ID {
+		t.Fatalf("Rejoin(%d) = %v, want [%d]", back, got, s.ID)
 	}
 	if _, err := sc.Stabilize(); err != nil {
 		t.Fatal(err)
 	}
-	if s.TreeFor(promoted) != nil {
-		t.Fatal("demoted source still has a tree")
+	if !s.IsSource(back) || s.TreeFor(back) == nil {
+		t.Fatal("rejoined source has no source role or tree")
 	}
 	checkConfLedger(t, sc, s, degrees)
 }

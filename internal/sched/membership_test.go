@@ -2,7 +2,10 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"p2ppool/internal/eventsim"
 )
 
 func TestDynamicMembership(t *testing.T) {
@@ -86,5 +89,99 @@ func TestMembershipErrors(t *testing.T) {
 	}
 	if err := sc.RemoveMember(1, perm[200]); err == nil {
 		t.Error("removing a non-member should fail")
+	}
+}
+
+// TestRejoin pins what Rejoin takes back: exactly the members a
+// failure stripped, live or queued, with their source role, once the
+// registry holds them alive again, and never a member that left
+// through RemoveMember or is already back on the roster.
+func TestRejoin(t *testing.T) {
+	bounds := []int{8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8}
+	sc := NewScheduler(bounds, lineLat, Config{})
+	s := &Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2, 3, 4, 5}, Sources: []int{2, 3}}
+	if err := sc.AddSession(s); err != nil {
+		t.Fatal(err)
+	}
+	stabilize := func() {
+		t.Helper()
+		if _, err := sc.Stabilize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stabilize()
+
+	// A failed extra source comes back as a member, then a source.
+	sc.NodeFailed(2)
+	stabilize()
+	if got := sc.Rejoin(2); got != nil || len(s.away) != 1 {
+		t.Fatalf("Rejoin of a host still dead = %v, away %v; want nil, the entry kept", got, s.away)
+	}
+	sc.NodeRecovered(2)
+	if got := sc.Rejoin(2); !slices.Equal(got, []SessionID{1}) {
+		t.Fatalf("Rejoin(2) = %v, want [1]", got)
+	}
+	if !slices.Equal(s.Members, []int{1, 3, 4, 5, 2}) || !slices.Equal(s.Sources, []int{3, 2}) {
+		t.Fatalf("after Rejoin: members %v sources %v; want [1 3 4 5 2], [3 2]", s.Members, s.Sources)
+	}
+	stabilize()
+	if s.TreeFor(2) == nil {
+		t.Fatal("rejoined source has no tree")
+	}
+	checkConfLedger(t, sc, s, bounds)
+	if got := sc.Rejoin(2); got != nil {
+		t.Fatalf("second Rejoin(2) = %v, want nil", got)
+	}
+
+	// A crash never declared stripped nothing; a leave is not a strip.
+	if sc.NodeRecovered(4) || sc.Rejoin(4) != nil {
+		t.Fatal("Rejoin took back a host whose crash was never declared")
+	}
+	if err := sc.RemoveMember(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Rejoin(1); got != nil || slices.Contains(s.Members, 1) {
+		t.Fatalf("Rejoin after RemoveMember = %v, members %v; want nil, 1 gone", got, s.Members)
+	}
+
+	// A member re-added through AddMember is not added twice.
+	sc.NodeFailed(5)
+	stabilize()
+	sc.NodeRecovered(5)
+	if err := sc.AddMember(1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Rejoin(5); got != nil || len(s.away) != 0 {
+		t.Fatalf("Rejoin of a re-added member = %v, away %v; want nil, nothing", got, s.away)
+	}
+	if !slices.Equal(s.Members, []int{3, 4, 2, 5}) {
+		t.Fatalf("members %v, want [3 4 2 5]", s.Members)
+	}
+
+	// A member stripped from a queued roster returns once it is live.
+	sv := NewService(bounds, lineLat, ServiceConfig{})
+	q := &Session{ID: 2, Priority: 1, Root: 6, Members: []int{7, 8}, Sources: []int{8}}
+	if _, err := sv.Submit(0, q); err != nil {
+		t.Fatal(err)
+	}
+	sv.NodeFailed(0, 8)
+	sv.NodeRecovered(0, 8)
+	if got := sv.Scheduler().Rejoin(8); got != nil {
+		t.Fatalf("Rejoin into a queued session = %v, want nil", got)
+	}
+	if err := sv.Tick(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := sv.Scheduler().Rejoin(8); !slices.Equal(got, []SessionID{2}) {
+		t.Fatalf("Rejoin(8) once live = %v, want [2]", got)
+	}
+	if !slices.Equal(q.Members, []int{7, 8}) || !slices.Equal(q.Sources, []int{8}) {
+		t.Fatalf("after Rejoin: members %v sources %v; want [7 8], [8]", q.Members, q.Sources)
+	}
+	if err := sv.Tick(eventsim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if q.TreeFor(8) == nil {
+		t.Fatal("rejoined queued source has no tree")
 	}
 }

@@ -38,6 +38,16 @@ type Session struct {
 	// may be stale (repeated, or since preempted or killed there); it
 	// costs one drop that finds nothing.
 	held []int
+	// away lists the members a failure stripped, in strip order, until
+	// Rejoin takes them back.
+	away []awayMember
+}
+
+// awayMember is one member a failure stripped, and whether it was an
+// extra source.
+type awayMember struct {
+	host   int
+	source bool
 }
 
 // SourceTree pairs a source with its tree (the per-(session, source)
@@ -460,8 +470,9 @@ func (sc *Scheduler) AddMember(id SessionID, host int) error {
 
 // RemoveMember shrinks a session's member set; the session replans on
 // the next Stabilize. A member that was also a source loses its source
-// role (and its tree) with its membership. Removing the root is not
-// allowed (end the session instead).
+// role (and its tree) with its membership. The leave is voluntary, so
+// Rejoin never brings the host back. Removing the root is not allowed
+// (end the session instead).
 func (sc *Scheduler) RemoveMember(id SessionID, host int) error {
 	s, ok := sc.sessions[id]
 	if !ok {
@@ -478,75 +489,61 @@ func (sc *Scheduler) RemoveMember(id SessionID, host int) error {
 }
 
 // drop strips host from s's members, and with its membership its source
-// role and tree; it reports whether host was a member. Like dropSource
-// it leaves the ledger alone: callers mark the session dirty or replan.
+// role and tree; it reports whether host was a member. It leaves the
+// ledger alone: callers mark the session dirty or replan.
 func (s *Session) drop(host int) bool {
-	for i, m := range s.Members {
-		if m == host {
-			s.Members = append(s.Members[:i], s.Members[i+1:]...)
-			s.dropSource(host)
-			return true
-		}
+	i := slices.Index(s.Members, host)
+	if i < 0 {
+		return false
 	}
-	return false
+	s.Members = append(s.Members[:i], s.Members[i+1:]...)
+	if j := slices.Index(s.Sources, host); j >= 0 {
+		s.Sources = append(s.Sources[:j], s.Sources[j+1:]...)
+		delete(s.SrcTrees, host)
+	}
+	return true
 }
 
-// dropSource removes host's source role (and its tree) if it has one.
-// The freed slots stay in the ledger until the session's next plan
-// releases and re-reserves; callers mark the session dirty.
-func (s *Session) dropSource(host int) bool {
-	for i, v := range s.Sources {
-		if v == host {
-			s.Sources = append(s.Sources[:i], s.Sources[i+1:]...)
-			delete(s.SrcTrees, host)
-			return true
-		}
+// lose is drop for a member a failure took: the session remembers it in
+// away, with its source role, so Rejoin can take it back.
+func (s *Session) lose(host int) bool {
+	source := slices.Contains(s.Sources, host)
+	if !s.drop(host) {
+		return false
 	}
-	return false
+	s.away = append(s.away, awayMember{host: host, source: source})
+	return true
 }
 
-// AddSource promotes an existing member to an additional source
-// (conferencing): it gets its own tree on the next Stabilize, sharing
-// the session's slot budget.
-func (sc *Scheduler) AddSource(id SessionID, host int) error {
-	s, ok := sc.sessions[id]
-	if !ok {
-		return fmt.Errorf("sched: unknown session %d", id)
+// Rejoin takes a recovered host back into every live session a failure
+// stripped it from, in ID order: it returns to the members, and to the
+// sources if it was one, and the session replans on the next Stabilize.
+// It returns those sessions; nil while the registry holds the host dead.
+// A session that has the host on its roster again (through AddMember)
+// forgets the strip and is not returned.
+func (sc *Scheduler) Rejoin(host int) []SessionID {
+	if sc.reg.Dead(host) {
+		return nil
 	}
-	if s.IsSource(host) {
-		return fmt.Errorf("sched: host %d is already a source of session %d", host, id)
-	}
-	isMember := false
-	for _, m := range s.Members {
-		if m == host {
-			isMember = true
-			break
+	var out []SessionID
+	for _, s := range sc.Sessions() {
+		i := slices.IndexFunc(s.away, func(a awayMember) bool { return a.host == host })
+		if i < 0 {
+			continue
 		}
+		a := s.away[i]
+		s.away = append(s.away[:i], s.away[i+1:]...)
+		if slices.Contains(s.Members, host) {
+			continue
+		}
+		s.Members = append(s.Members, host)
+		if a.source {
+			s.Sources = append(s.Sources, host)
+		}
+		sc.dirty[s.ID] = true
+		out = append(out, s.ID)
 	}
-	if !isMember {
-		return fmt.Errorf("sched: host %d is not a member of session %d", host, id)
-	}
-	s.Sources = append(s.Sources, host)
-	sc.dirty[id] = true
-	return nil
-}
-
-// RemoveSource demotes an extra source back to a plain member; its tree
-// is dropped and the session replans to return the freed slots. The
-// Root's source role cannot be removed (end the session instead).
-func (sc *Scheduler) RemoveSource(id SessionID, host int) error {
-	s, ok := sc.sessions[id]
-	if !ok {
-		return fmt.Errorf("sched: unknown session %d", id)
-	}
-	if host == s.Root {
-		return fmt.Errorf("sched: cannot remove the root source of session %d", id)
-	}
-	if !s.dropSource(host) {
-		return fmt.Errorf("sched: host %d is not a source of session %d", host, id)
-	}
-	sc.dirty[id] = true
-	return nil
+	return out
 }
 
 // Stabilize processes dirty sessions (highest priority first, then by
@@ -586,7 +583,8 @@ func (sc *Scheduler) Stabilize() (plans int, err error) {
 // spare degree allows, otherwise the session is marked dirty for a
 // full replan at the next Stabilize. Each affected surviving session's
 // Replans counter is incremented. The affected session IDs (including
-// removed ones) are returned in priority-then-ID order.
+// removed ones) are returned in priority-then-ID order. A surviving
+// session remembers a member it lost, and Rejoin takes it back.
 func (sc *Scheduler) NodeFailed(host int) []SessionID {
 	return sc.nodeFailed(host, planCtx{})
 }
@@ -619,7 +617,7 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 		}
 		// A dead extra source's own tree dies with it; the host may
 		// still sit in the session's other trees, which repair below.
-		touched := s.drop(host)
+		touched := s.lose(host)
 		inTree := slices.ContainsFunc(s.Trees(), func(st SourceTree) bool { return st.Tree != nil && st.Tree.Contains(host) })
 		if !touched && !inTree {
 			continue
@@ -674,7 +672,8 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 
 // NodeRecovered marks a host usable again and reports whether the host
 // was actually dead. Sessions do not grab it eagerly; they see it at
-// their next Reschedule/Stabilize. Like NodeFailed, recovery detection
+// their next Reschedule/Stabilize, and the members the failure took
+// return through Rejoin. Like NodeFailed, recovery detection
 // fires from several independent paths (heartbeat resumption,
 // partition heal), so a second fire for the same recovery must be a
 // counted-once no-op — the idempotency guard is what keeps the

@@ -264,7 +264,8 @@ func (sv *Service) Instrument(reg *obs.Registry) {
 // plans inline: the verdict is an explicit Enqueued (planned at an
 // upcoming Tick; the SLO clock starts now) or Rejected (class queue
 // full, or root already failed). Members that have already failed are
-// stripped from the roster, as NodeFailed strips them from queued ones.
+// stripped from the roster, as NodeFailed strips them from queued ones,
+// and the session remembers them for Scheduler.Rejoin.
 // An error means the submission itself was malformed: a priority
 // outside the classes, a session already known, or a roster that fails
 // checkRoster.
@@ -285,7 +286,7 @@ func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 	}
 	for i := len(s.Members) - 1; i >= 0; i-- {
 		if sv.sc.reg.Dead(s.Members[i]) {
-			s.drop(s.Members[i])
+			s.lose(s.Members[i])
 		}
 	}
 	if sv.classLen[s.Priority] >= queueCap {
@@ -342,7 +343,7 @@ func (sv *Service) NodeFailed(now eventsim.Time, host int) []SessionID {
 			delete(sv.state, e.s.ID)
 			continue
 		}
-		e.s.drop(host)
+		e.s.lose(host)
 		kept = append(kept, e)
 	}
 	sv.queue = kept
@@ -361,18 +362,6 @@ func (sv *Service) NodeRecovered(now eventsim.Time, host int) bool {
 		st.nextTry = min(st.nextTry, now)
 	}
 	return true
-}
-
-// AddMember grows a live session (flash-crowd joins); the session
-// replans at the next Tick.
-func (sv *Service) AddMember(id SessionID, host int) error {
-	return sv.sc.AddMember(id, host)
-}
-
-// AddSource promotes a live session's member to an additional source
-// (conference join); the session replans at the next Tick.
-func (sv *Service) AddSource(id SessionID, host int) error {
-	return sv.sc.AddSource(id, host)
 }
 
 // refill tops up the preemption token bucket for elapsed virtual time.

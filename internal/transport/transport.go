@@ -43,15 +43,6 @@ type Handler func(from Addr, msg Message)
 // callback from running.
 type CancelFunc func() bool
 
-// Marker is implemented by networks whose underlying engine can record
-// trace landmarks (eventsim.Engine.Mark). Fault layers label the
-// actions they execute so a failing run's event trace names the exact
-// faults that produced it; callers must type-assert, and a network
-// without an engine simply has no marks.
-type Marker interface {
-	Mark(label string)
-}
-
 // Network is the environment a protocol node runs in: a clock, timers,
 // randomness and message delivery.
 type Network interface {
@@ -415,10 +406,6 @@ func (s *Sim) CallAfter(d eventsim.Time, r eventsim.Runner) {
 
 // Rand implements Network.
 func (s *Sim) Rand() *rand.Rand { return s.engine.Rand() }
-
-// Mark records a landmark in the engine's trace (no-op unless the
-// engine is tracing); Sim implements Marker.
-func (s *Sim) Mark(label string) { s.engine.Mark(label) }
 
 // Stats returns a copy of the cumulative traffic counters. Like every
 // other Sim method it is single-threaded: call it only from the
