@@ -154,13 +154,13 @@ type Plane struct {
 
 	pumps map[int]*Pump
 
-	// Observability handles (nil-safe; zero observer effect).
-	cSent      *obs.Counter
-	cDelivered *obs.Counter
-	cDup       *obs.Counter
-	cPulls     *obs.Counter
-	cPullHits  *obs.Counter
-	hLatency   *obs.Histogram
+	// Plane-wide counts over every pump: chunk transfers started, first
+	// receipts at any host, and those first receipts that came by pull
+	// to a due member within its deadline.
+	chunksSent, chunksDelivered, pullRecovered uint64
+
+	// Observability handle (nil-safe; zero observer effect).
+	hLatency *obs.Histogram
 }
 
 // NewPlane builds a data plane over the network and per-host
@@ -177,12 +177,23 @@ func NewPlane(net transport.Network, up, down []float64) *Plane {
 // nil; recording never schedules events or draws randomness, so an
 // instrumented run is event-identical to a bare one.
 func (pl *Plane) Instrument(reg *obs.Registry) {
-	pl.cSent = reg.Counter("dataplane.chunks_sent")
-	pl.cDelivered = reg.Counter("dataplane.chunks_delivered")
-	pl.cDup = reg.Counter("dataplane.duplicates")
-	pl.cPulls = reg.Counter("dataplane.pulls_sent")
-	pl.cPullHits = reg.Counter("dataplane.pull_recovered")
+	reg.Counter("dataplane.chunks_sent", func() uint64 { return pl.chunksSent })
+	reg.Counter("dataplane.chunks_delivered", func() uint64 { return pl.chunksDelivered })
+	reg.Counter("dataplane.pull_recovered", func() uint64 { return pl.pullRecovered })
+	reg.Counter("dataplane.duplicates", pl.pumpTotal(func(st Stats) int { return st.Duplicates }))
+	reg.Counter("dataplane.pulls_sent", pl.pumpTotal(func(st Stats) int { return st.PullsSent }))
 	pl.hLatency = reg.Histogram("dataplane.delivery_ms", obs.DefaultLatencyBounds)
+}
+
+// pumpTotal reads one count of Stats summed over the plane's pumps.
+func (pl *Plane) pumpTotal(count func(Stats) int) func() uint64 {
+	return func() uint64 {
+		n := 0
+		for _, p := range pl.pumps {
+			n += count(p.stats)
+		}
+		return uint64(n)
+	}
 }
 
 // Attach registers the plane's dispatch handler for hosts 0..n-1. Call
@@ -486,7 +497,7 @@ func (p *Pump) sendChunk(from, to int, m chunkMsg) {
 	if from == p.root {
 		p.stats.SourceTxBytes += uint64(p.chunkBytes)
 	}
-	p.plane.cSent.Inc()
+	p.plane.chunksSent++
 	p.plane.cont.Transfer(from, to, p.chunkBytes, m)
 }
 
@@ -498,18 +509,17 @@ func (p *Pump) onChunk(h int, m chunkMsg) {
 	st := &hs.got[m.Seq]
 	if st.arrived {
 		p.stats.Duplicates++
-		p.plane.cDup.Inc()
 		return
 	}
 	now := p.plane.net.Now()
 	st.arrived = true
 	st.at = now
 	st.viaPull = m.Pulled
-	p.plane.cDelivered.Inc()
+	p.plane.chunksDelivered++
 	emit := p.start + eventsim.Time(m.Seq)*p.cfg.ChunkDur
 	p.plane.hLatency.Observe(float64(now - emit))
 	if m.Pulled && st.expected && now <= emit+p.cfg.Playout {
-		p.plane.cPullHits.Inc()
+		p.plane.pullRecovered++
 	}
 	p.forward(h, m.Seq)
 }
@@ -550,7 +560,6 @@ func (p *Pump) pullRound(s int, due []int, delay eventsim.Time) {
 			st.pullSent = true
 			st.lastPull = now
 			p.stats.PullsSent++
-			p.plane.cPulls.Inc()
 			p.plane.net.Send(transport.Addr(m), transport.Addr(n), headerBytes, pullMsg{Key: p.key, Seq: s, From: m})
 		}
 	}

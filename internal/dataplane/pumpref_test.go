@@ -14,7 +14,8 @@ import (
 // FuzzPumpMatchesReference compares the live pump against: every
 // emission of the stream queued when the pump starts, and one timer per
 // (member, chunk) for every pull round. The bodies are verbatim; only
-// the names carry the ref prefix. Everything else — the set-up in
+// the names carry the ref prefix, and the pull count's mirror into the
+// obs registry is gone with the registry's counter handles. Everything else — the set-up in
 // StartPump, forward, sendChunk, onChunk, onPull, Finalize — is the
 // shared production code.
 
@@ -105,7 +106,6 @@ func (p *Pump) refPullRound(m, s int, delay eventsim.Time) {
 		st.pullSent = true
 		st.lastPull = now
 		p.stats.PullsSent++
-		p.plane.cPulls.Inc()
 		p.plane.net.Send(transport.Addr(m), transport.Addr(n), headerBytes, pullMsg{Key: p.key, Seq: s, From: m})
 	}
 	p.refSchedulePull(m, s, delay+p.pullRetry)

@@ -98,14 +98,8 @@ type Node struct {
 
 	// Observability handles (nil when uninstrumented; recording changes
 	// no protocol decisions and draws no randomness).
-	trace          *obs.Trace
-	cHeartbeats    *obs.Counter
-	cAcks          *obs.Counter
-	cFailures      *obs.Counter
-	cRouted        *obs.Counter
-	cDelivered     *obs.Counter
-	cSuspectProbes *obs.Counter
-	hRouteHops     *obs.Histogram
+	trace      *obs.Trace
+	hRouteHops *obs.Histogram
 }
 
 // NewNode creates a node. It does not join any ring; call Bootstrap
@@ -143,12 +137,12 @@ func (n *Node) Stats() Stats { return n.stats }
 // be nil; instrumentation never alters protocol behavior.
 func (n *Node) Instrument(reg *obs.Registry, trace *obs.Trace) {
 	n.trace = trace
-	n.cHeartbeats = reg.Counter("dht.heartbeats_sent")
-	n.cAcks = reg.Counter("dht.acks_received")
-	n.cFailures = reg.Counter("dht.failures")
-	n.cRouted = reg.Counter("dht.routed")
-	n.cDelivered = reg.Counter("dht.delivered")
-	n.cSuspectProbes = reg.Counter("dht.suspect_probes")
+	reg.Counter("dht.heartbeats_sent", func() uint64 { return n.stats.HeartbeatsSent })
+	reg.Counter("dht.acks_received", func() uint64 { return n.stats.AcksReceived })
+	reg.Counter("dht.failures", func() uint64 { return n.stats.Failures })
+	reg.Counter("dht.routed", func() uint64 { return n.stats.Routed })
+	reg.Counter("dht.delivered", func() uint64 { return n.stats.Delivered })
+	reg.Counter("dht.suspect_probes", func() uint64 { return n.stats.SuspectProbes })
 	n.hRouteHops = reg.Histogram("dht.route_hops", []float64{0, 1, 2, 3, 4, 6, 8, 12, 16})
 }
 
@@ -519,7 +513,6 @@ func (n *Node) heartbeatTick() {
 		for _, nb := range n.table {
 			n.send(nb.entry, size, &shared)
 			n.stats.HeartbeatsSent++
-			n.cHeartbeats.Inc()
 		}
 	} else {
 		for _, nb := range n.table {
@@ -527,7 +520,6 @@ func (n *Node) heartbeatTick() {
 			m.Payload = n.collectPayloads(nb.entry)
 			n.send(nb.entry, n.heartbeatSize(&m), &m)
 			n.stats.HeartbeatsSent++
-			n.cHeartbeats.Inc()
 		}
 	}
 	n.probeOneFinger(&hb)
@@ -563,7 +555,6 @@ func (n *Node) probeOneSuspect() {
 	target := n.suspects[alive[n.suspectCursor]]
 	n.send(target.entry, 64, leafsetRequest{From: n.self})
 	n.stats.SuspectProbes++
-	n.cSuspectProbes.Inc()
 }
 
 // fingerProbe is one outstanding liveness probe: its target, when it
@@ -637,7 +628,6 @@ func (n *Node) probeOneFinger(hb *heartbeat) {
 		m.Payload = n.collectPayloads(f)
 		n.send(f, n.heartbeatSize(&m), &m)
 		n.stats.HeartbeatsSent++
-		n.cHeartbeats.Inc()
 		return
 	}
 }
@@ -714,7 +704,6 @@ func (n *Node) onHeartbeatAck(m *heartbeatAck) {
 	n.touch(m.From)
 	n.merge(m.Entries.list()...)
 	n.stats.AcksReceived++
-	n.cAcks.Inc()
 	rtt := float64(n.net.Now() - m.SentAt)
 	n.deliverPayloads(m.From, rtt, m.Payload)
 }
@@ -733,7 +722,6 @@ func (n *Node) checkFailures() {
 		n.suspects[id] = suspect{entry: nb.entry, since: now}
 		n.purgeFinger(id)
 		n.stats.Failures++
-		n.cFailures.Inc()
 	}
 	if len(live) == len(n.table) {
 		return

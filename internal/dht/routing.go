@@ -22,7 +22,6 @@ type fingerResult struct {
 // this node owns the key.
 func (n *Node) routeMsg(m routed) {
 	n.stats.Routed++
-	n.cRouted.Inc()
 	n.trace.Record(obs.Event{Time: n.net.Now(), Kind: obs.KindHop, From: int(m.Origin.Addr), To: int(n.self.Addr), Size: m.Size, Hop: m.Hops})
 	// A joiner is not admitted on the way: a hop holding it would pick
 	// it as the next hop for its own ID and route the request back to
@@ -58,7 +57,6 @@ func (n *Node) owns(key ids.ID) bool {
 // deliver hands a routed message to the local handler.
 func (n *Node) deliver(m routed) {
 	n.stats.Delivered++
-	n.cDelivered.Inc()
 	n.hRouteHops.Observe(float64(m.Hops))
 	switch p := m.Payload.(type) {
 	case joinRequest:

@@ -81,15 +81,8 @@ type Net struct {
 	// Observability handles (nil when uninstrumented; recording draws
 	// no randomness and schedules no events, so fault decisions — and
 	// therefore the run — are identical either way).
-	trace      *obs.Trace
-	cLinkDrops *obs.Counter
-	cNodeDrops *obs.Counter
-	cPartDrops *obs.Counter
-	cCrashDrop *obs.Counter
-	cDelayed   *obs.Counter
-	cCrashes   *obs.Counter
-	cRestarts  *obs.Counter
-	hJitter    *obs.Histogram
+	trace   *obs.Trace
+	hJitter *obs.Histogram
 }
 
 // New wraps inner in a fault-injection layer. Endpoints must Attach
@@ -113,18 +106,19 @@ func (f *Net) Counters() Counters { return f.ctr }
 // changes fault decisions (zero observer effect).
 func (f *Net) Instrument(reg *obs.Registry, trace *obs.Trace) {
 	f.trace = trace
-	f.cLinkDrops = reg.Counter("faultnet.link_drops")
-	f.cNodeDrops = reg.Counter("faultnet.node_drops")
-	f.cPartDrops = reg.Counter("faultnet.partition_drops")
-	f.cCrashDrop = reg.Counter("faultnet.crash_drops")
-	f.cDelayed = reg.Counter("faultnet.delayed")
-	f.cCrashes = reg.Counter("faultnet.crashes")
-	f.cRestarts = reg.Counter("faultnet.restarts")
+	reg.Counter("faultnet.link_drops", func() uint64 { return f.ctr.LinkDrops })
+	reg.Counter("faultnet.node_drops", func() uint64 { return f.ctr.NodeDrops })
+	reg.Counter("faultnet.partition_drops", func() uint64 { return f.ctr.PartitionDrops })
+	reg.Counter("faultnet.crash_drops", func() uint64 { return f.ctr.CrashDrops })
+	reg.Counter("faultnet.delayed", func() uint64 { return f.ctr.Delayed })
+	reg.Counter("faultnet.crashes", func() uint64 { return f.ctr.Crashes })
+	reg.Counter("faultnet.restarts", func() uint64 { return f.ctr.Restarts })
 	f.hJitter = reg.Histogram("faultnet.jitter_ms", nil)
 }
 
-// dropEvent records an injected drop in the observability layer.
-func (f *Net) dropEvent(from, to transport.Addr, sizeBytes int, cause string) {
+// drop counts an injected drop in *count and records it in the trace.
+func (f *Net) drop(count *uint64, from, to transport.Addr, sizeBytes int, cause string) {
+	*count++
 	f.trace.Record(obs.Event{Time: f.inner.Now(), Kind: obs.KindDrop, From: int(from), To: int(to), Size: sizeBytes, Cause: cause})
 }
 
@@ -211,7 +205,6 @@ func (f *Net) Crash(a transport.Addr) {
 	f.crashed[a] = true
 	f.nCrashed++
 	f.ctr.Crashes++
-	f.cCrashes.Inc()
 	f.trace.Record(obs.Event{Time: f.inner.Now(), Kind: obs.KindCrash, From: int(a), To: -1})
 	for _, fn := range f.onCrash {
 		fn(a)
@@ -228,7 +221,6 @@ func (f *Net) Restart(a transport.Addr) {
 	f.crashed[a] = false
 	f.nCrashed--
 	f.ctr.Restarts++
-	f.cRestarts.Inc()
 	f.trace.Record(obs.Event{Time: f.inner.Now(), Kind: obs.KindRestart, From: int(a), To: -1})
 	for _, fn := range f.onRestart {
 		fn(a)
@@ -324,9 +316,7 @@ func (f *Net) Attach(a transport.Addr, h transport.Handler) {
 	f.handlers[a] = h
 	f.inner.Attach(a, func(from transport.Addr, msg transport.Message) {
 		if f.Crashed(a) {
-			f.ctr.CrashDrops++
-			f.cCrashDrop.Inc()
-			f.dropEvent(from, a, 0, "crash")
+			f.drop(&f.ctr.CrashDrops, from, a, 0, "crash")
 			return
 		}
 		if cur := f.handlers[a]; cur != nil {
@@ -349,39 +339,28 @@ func (f *Net) Detach(a transport.Addr) {
 // stream is consumed deterministically.
 func (f *Net) Send(from, to transport.Addr, sizeBytes int, msg transport.Message) {
 	if f.Crashed(from) || f.Crashed(to) {
-		f.ctr.CrashDrops++
-		f.cCrashDrop.Inc()
-		f.dropEvent(from, to, sizeBytes, "crash")
+		f.drop(&f.ctr.CrashDrops, from, to, sizeBytes, "crash")
 		return
 	}
 	if f.Partitioned(from, to) {
-		f.ctr.PartitionDrops++
-		f.cPartDrops.Inc()
-		f.dropEvent(from, to, sizeBytes, "partition")
+		f.drop(&f.ctr.PartitionDrops, from, to, sizeBytes, "partition")
 		return
 	}
 	if p, ok := f.linkLoss[[2]transport.Addr{from, to}]; ok && f.rng.Float64() < p {
-		f.ctr.LinkDrops++
-		f.cLinkDrops.Inc()
-		f.dropEvent(from, to, sizeBytes, "link-loss")
+		f.drop(&f.ctr.LinkDrops, from, to, sizeBytes, "link-loss")
 		return
 	}
 	if p, ok := f.nodeLoss[from]; ok && f.rng.Float64() < p {
-		f.ctr.NodeDrops++
-		f.cNodeDrops.Inc()
-		f.dropEvent(from, to, sizeBytes, "node-loss")
+		f.drop(&f.ctr.NodeDrops, from, to, sizeBytes, "node-loss")
 		return
 	}
 	if p, ok := f.nodeLoss[to]; ok && f.rng.Float64() < p {
-		f.ctr.NodeDrops++
-		f.cNodeDrops.Inc()
-		f.dropEvent(from, to, sizeBytes, "node-loss")
+		f.drop(&f.ctr.NodeDrops, from, to, sizeBytes, "node-loss")
 		return
 	}
 	if f.jitter > 0 {
 		d := eventsim.Time(f.rng.Float64() * float64(f.jitter))
 		f.ctr.Delayed++
-		f.cDelayed.Inc()
 		f.hJitter.Observe(float64(d))
 		f.trace.Record(obs.Event{Time: f.inner.Now(), Kind: obs.KindDelay, From: int(from), To: int(to), Size: sizeBytes, Latency: float64(d)})
 		j := jitterPool.Get().(*jitterSend)

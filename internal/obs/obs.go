@@ -10,12 +10,15 @@
 //
 // Two properties are load-bearing:
 //
-//   - Zero observer effect. Recording a metric or a trace event never
-//     schedules an event, draws randomness, or sends a message, so an
-//     instrumented run is event-identical to an uninstrumented one
-//     (pinned by TestObsObserverEffectZero). Every handle is nil-safe:
-//     an uninstrumented subsystem holds nil handles and each record
-//     call is a single nil-check.
+//   - Zero observer effect. An instrumented run is event-identical
+//     to an uninstrumented one (pinned by TestObsObserverEffectZero):
+//     recording never schedules an event, draws randomness or sends a
+//     message. Counters cost nothing while the run goes on. Each layer
+//     keeps plain counts of its own events whether or not it is
+//     instrumented; Instrument registers functions that read them, and
+//     only Snapshot calls those. Gauges and histograms record as the
+//     run goes, through handles that are nil in a layer nobody
+//     instrumented, so each record call is one nil-check.
 //
 //   - Deterministic snapshots. Snapshot output is sorted by name and
 //     carries no wall-clock state, so the same seed produces the same
@@ -23,36 +26,6 @@
 package obs
 
 import "sort"
-
-// Counter is a monotonically increasing event count. The zero of the
-// registry is nil handles everywhere: methods on a nil Counter are
-// no-ops, so instrumentation points need no enabled-flag.
-type Counter struct {
-	name string
-	v    uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds delta.
-func (c *Counter) Add(delta uint64) {
-	if c != nil {
-		c.v += delta
-	}
-}
-
-// Value returns the current count (0 on a nil handle).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
 
 // Gauge is a last-write-wins measurement.
 type Gauge struct {
@@ -143,7 +116,7 @@ func (h *Histogram) Mean() float64 {
 // event loop (or one dispatch goroutine) only. All methods are
 // nil-safe, so a nil *Registry is the "observability off" mode.
 type Registry struct {
-	counters map[string]*Counter
+	counters map[string][]func() uint64
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
@@ -151,24 +124,23 @@ type Registry struct {
 // New creates an empty registry.
 func New() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
+		counters: make(map[string][]func() uint64),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
 
-// Counter returns (creating if needed) the named counter; nil registry
-// yields a nil (no-op) handle.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
+// Counter registers read as a source of the named counter: Snapshot
+// reports the sum of every reader registered under one name, so several
+// instances instrumented into one registry share one total. read
+// returns a count its layer keeps anyway and is called only at
+// Snapshot. Register one reader per instrumented object: instrumenting
+// the same object twice into a registry counts it twice. A nil registry
+// ignores the call.
+func (r *Registry) Counter(name string, read func() uint64) {
+	if r != nil {
+		r.counters[name] = append(r.counters[name], read)
 	}
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{name: name}
-		r.counters[name] = c
-	}
-	return c
 }
 
 // Gauge returns (creating if needed) the named gauge.
@@ -255,8 +227,12 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{}
 	if len(r.counters) > 0 {
 		s.Counters = make([]CounterValue, 0, len(r.counters))
-		for _, c := range r.counters {
-			s.Counters = append(s.Counters, CounterValue{Name: c.name, Value: c.v})
+		for name, reads := range r.counters {
+			var v uint64
+			for _, read := range reads {
+				v += read()
+			}
+			s.Counters = append(s.Counters, CounterValue{Name: name, Value: v})
 		}
 		sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	}

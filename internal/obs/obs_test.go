@@ -7,17 +7,16 @@ import (
 
 func TestNilSafety(t *testing.T) {
 	// The "observability off" mode: nil registry, nil handles, nil
-	// trace. Every operation must be a no-op, not a panic.
+	// trace. Every operation must be a no-op, not a panic, and a
+	// counter reader registered on a nil registry is never called.
 	var r *Registry
-	c := r.Counter("x")
+	r.Counter("x", func() uint64 { return 5 })
 	g := r.Gauge("y")
 	h := r.Histogram("z", nil)
-	c.Inc()
-	c.Add(5)
 	g.Set(3)
 	g.Add(1)
 	h.Observe(10)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Mean() != 0 {
+	if g.Value() != 0 || h.Count() != 0 || h.Mean() != 0 {
 		t.Error("nil handles must read as zero")
 	}
 	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
@@ -35,14 +34,18 @@ func TestNilSafety(t *testing.T) {
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := New()
-	c := r.Counter("transport.sent")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("counter = %d, want 5", c.Value())
+	// Two instances register the same name: the snapshot sums them, and
+	// reads each at snapshot time, not at registration.
+	var a, b uint64
+	r.Counter("transport.sent", func() uint64 { return a })
+	r.Counter("transport.sent", func() uint64 { return b })
+	a, b = 5, 2
+	if v := r.Snapshot().Counter("transport.sent"); v != 7 {
+		t.Errorf("counter = %d, want 7", v)
 	}
-	if r.Counter("transport.sent") != c {
-		t.Error("same name must return the same counter")
+	a++
+	if v := r.Snapshot().Counter("transport.sent"); v != 8 {
+		t.Errorf("counter after a change = %d, want 8", v)
 	}
 	g := r.Gauge("somo.last_report_ms")
 	g.Set(100)
@@ -80,7 +83,8 @@ func TestSnapshotDeterministic(t *testing.T) {
 	build := func(names []string) Snapshot {
 		r := New()
 		for i, n := range names {
-			r.Counter(n).Add(uint64(10 + len(n)))
+			v := uint64(10 + len(n))
+			r.Counter(n, func() uint64 { return v })
 			r.Gauge("g." + n).Set(float64(i * 0)) // same value either order
 			r.Histogram("h."+n, []float64{1, 2}).Observe(1.5)
 		}
@@ -100,7 +104,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 
 func TestSnapshotLookups(t *testing.T) {
 	r := New()
-	r.Counter("a").Add(7)
+	r.Counter("a", func() uint64 { return 7 })
 	r.Gauge("b").Set(2.5)
 	s := r.Snapshot()
 	if s.Counter("a") != 7 || s.Counter("missing") != 0 {

@@ -174,8 +174,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Totals are plain cumulative counters mirroring the obs counters, so
-// harnesses can read deterministic totals without instrumenting.
+// Totals are the scheduler's cumulative counters; harnesses read them
+// without instrumenting, and Instrument registers readers of them.
 type Totals struct {
 	Plans          int
 	Replans        int
@@ -227,15 +227,9 @@ type Scheduler struct {
 	// Observability handles (nil when uninstrumented; tree-shape gauges
 	// are only computed when instrumented, so the uninstrumented path
 	// does no extra work).
-	cPlans        *obs.Counter
-	cReplans      *obs.Counter
-	cPreemptions  *obs.Counter
-	cRepairs      *obs.Counter
-	cNodeFailures *obs.Counter
-	cRecoveries   *obs.Counter
-	gSessions     *obs.Gauge
-	gTreeHeight   *obs.Gauge
-	gTreeDegree   *obs.Gauge
+	gSessions   *obs.Gauge
+	gTreeHeight *obs.Gauge
+	gTreeDegree *obs.Gauge
 }
 
 // NewScheduler creates a scheduler over hosts with the given degree
@@ -329,9 +323,7 @@ func byPriorityThenID(ss []*Session) {
 // Registry exposes the degree tables (tests and reporting).
 func (sc *Scheduler) Registry() *Registry { return sc.reg }
 
-// Totals returns the cumulative plan/replan/preemption counters. Unlike
-// the obs handles these are always maintained, so uninstrumented
-// harnesses get deterministic totals for free.
+// Totals returns the cumulative plan/replan/preemption counters.
 func (sc *Scheduler) Totals() Totals { return sc.tot }
 
 // Instrument wires the scheduler to an observability registry: plan,
@@ -339,12 +331,12 @@ func (sc *Scheduler) Totals() Totals { return sc.tot }
 // gauges (worst height across sessions, widest fan-out). reg may be
 // nil; instrumentation never alters scheduling decisions.
 func (sc *Scheduler) Instrument(reg *obs.Registry) {
-	sc.cPlans = reg.Counter("sched.plans")
-	sc.cReplans = reg.Counter("sched.replans")
-	sc.cPreemptions = reg.Counter("sched.preemptions")
-	sc.cRepairs = reg.Counter("sched.repairs_inplace")
-	sc.cNodeFailures = reg.Counter("sched.node_failures")
-	sc.cRecoveries = reg.Counter("sched.node_recoveries")
+	reg.Counter("sched.plans", func() uint64 { return uint64(sc.tot.Plans) })
+	reg.Counter("sched.replans", func() uint64 { return uint64(sc.tot.Replans) })
+	reg.Counter("sched.preemptions", func() uint64 { return uint64(sc.tot.Preemptions) })
+	reg.Counter("sched.repairs_inplace", func() uint64 { return uint64(sc.tot.Repairs) })
+	reg.Counter("sched.node_failures", func() uint64 { return uint64(sc.tot.NodeFailures) })
+	reg.Counter("sched.node_recoveries", func() uint64 { return uint64(sc.tot.NodeRecoveries) })
 	sc.gSessions = reg.Gauge("sched.sessions")
 	sc.gTreeHeight = reg.Gauge("sched.max_tree_height_ms")
 	sc.gTreeDegree = reg.Gauge("sched.max_tree_degree")
@@ -601,7 +593,6 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 		return nil
 	}
 	sc.tot.NodeFailures++
-	sc.cNodeFailures.Inc()
 	sc.reg.SetDead(host)
 	order := make([]*Session, 0, len(sc.sessions))
 	for _, s := range sc.sessions {
@@ -625,7 +616,6 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 		affected = append(affected, s.ID)
 		s.Replans++
 		sc.tot.Replans++
-		sc.cReplans.Inc()
 		// One release covers every (session, source) tree — the ledger
 		// holds a single merged allocation per (session, priority), so
 		// releasing once and re-reserving tree by tree below is what
@@ -656,7 +646,6 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 			if err == nil {
 				s.setTrees(repaired)
 				sc.tot.Repairs++
-				sc.cRepairs.Inc()
 				continue
 			}
 			// Partial reservations from a failed reserveTree are undone
@@ -685,7 +674,6 @@ func (sc *Scheduler) NodeRecovered(host int) bool {
 	}
 	sc.reg.Revive(host)
 	sc.tot.NodeRecoveries++
-	sc.cRecoveries.Inc()
 	return true
 }
 
@@ -732,8 +720,6 @@ func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, ctx planCtx) error 
 				victim.Replans++
 				sc.tot.Replans++
 				sc.tot.Preemptions++
-				sc.cReplans.Inc()
-				sc.cPreemptions.Inc()
 				sc.dirty[vic] = true
 				if ctx.onPreempt != nil {
 					ctx.onPreempt(vic, p)
@@ -842,6 +828,5 @@ func (sc *Scheduler) planOne(s *Session, ctx planCtx) error {
 	}
 	s.setTrees(trees)
 	sc.tot.Plans++
-	sc.cPlans.Inc()
 	return nil
 }

@@ -206,12 +206,8 @@ type Service struct {
 	admitLat []float64 // virtual ms from Submit to first plan, append-only
 
 	// Observability handles (nil-safe; zero observer effect).
-	gQueue    *obs.Gauge
-	hAdmit    *obs.Histogram
-	cAdmitted *obs.Counter
-	cRejected *obs.Counter
-	cShed     *obs.Counter
-	cDeferred *obs.Counter
+	gQueue *obs.Gauge
+	hAdmit *obs.Histogram
 }
 
 // NewService builds a control plane over a fresh Scheduler for hosts
@@ -254,10 +250,21 @@ func (sv *Service) Instrument(reg *obs.Registry) {
 	sv.sc.Instrument(reg)
 	sv.gQueue = reg.Gauge("sched.admission_queue_depth")
 	sv.hAdmit = reg.Histogram("sched.admission_latency_ms", obs.DefaultLatencyBounds)
-	sv.cAdmitted = reg.Counter("sched.admitted")
-	sv.cRejected = reg.Counter("sched.rejected")
-	sv.cShed = reg.Counter("sched.shed")
-	sv.cDeferred = reg.Counter("sched.preempt_deferred")
+	reg.Counter("sched.admitted", sv.classTotal(func(c ClassStats) int { return c.Admitted }))
+	reg.Counter("sched.rejected", sv.classTotal(func(c ClassStats) int { return c.Rejected }))
+	reg.Counter("sched.shed", sv.classTotal(func(c ClassStats) int { return c.ShedDeadline + c.ShedOverload + c.ShedBudget }))
+	reg.Counter("sched.preempt_deferred", func() uint64 { return uint64(sv.stats.PreemptDeferred) })
+}
+
+// classTotal reads one count of ClassStats summed over the classes.
+func (sv *Service) classTotal(count func(ClassStats) int) func() uint64 {
+	return func() uint64 {
+		n := 0
+		for _, c := range sv.stats.Class {
+			n += count(c)
+		}
+		return uint64(n)
+	}
 }
 
 // Submit offers a session for admission at virtual time now. It never
@@ -291,7 +298,6 @@ func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 	}
 	if sv.classLen[s.Priority] >= queueCap {
 		sv.stats.Class[s.Priority].Rejected++
-		sv.cRejected.Inc()
 		return Rejected, nil
 	}
 	sv.queue = append(sv.queue, admitEntry{s: s, at: now, seq: sv.seq})
@@ -447,7 +453,6 @@ func (sv *Service) shed(s *Session, record *int) {
 	sv.sc.RemoveSession(s.ID)
 	delete(sv.state, s.ID)
 	*record++
-	sv.cShed.Inc()
 }
 
 // planSession runs one guarded planning attempt and applies the retry /
@@ -469,7 +474,6 @@ func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
 			if now-rs.submitAt <= admitDeadline(s.Priority) {
 				cs.AdmittedInSLO++
 			}
-			sv.cAdmitted.Inc()
 			sv.hAdmit.Observe(lat)
 		}
 		return
@@ -485,7 +489,6 @@ func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
 		// the session's budget and retries on the first rung. A cap
 		// keeps pathological deferral from becoming a silent livelock.
 		sv.stats.PreemptDeferred++
-		sv.cDeferred.Inc()
 		rs.defers++
 		exhausted = rs.defers > 4*retryBudget
 	} else {
@@ -528,7 +531,6 @@ func (sv *Service) Tick(now eventsim.Time) error {
 		if now-e.at > admitDeadline(e.s.Priority) {
 			sv.classLen[e.s.Priority]--
 			sv.stats.Class[e.s.Priority].ShedDeadline++
-			sv.cShed.Inc()
 			delete(sv.state, e.s.ID)
 			continue
 		}

@@ -175,13 +175,11 @@ type Agent struct {
 	// Metrics.
 	reportsSent     uint64
 	reportsReceived uint64
+	waves           uint64 // synchronized gather waves completed
+	queryTimeouts   uint64
 	lastReport      eventsim.Time
 
 	// Observability handles (nil when uninstrumented).
-	cReportsSent   *obs.Counter
-	cReportsRecv   *obs.Counter
-	cWaves         *obs.Counter
-	cQueryTimeouts *obs.Counter
 	gLastReport    *obs.Gauge
 	gDigestVersion *obs.Gauge
 	hRecordAge     *obs.Histogram
@@ -233,10 +231,10 @@ func (a *Agent) Stop() {
 // a record-age (digest staleness) histogram. reg may be nil;
 // instrumentation never alters protocol behavior.
 func (a *Agent) Instrument(reg *obs.Registry) {
-	a.cReportsSent = reg.Counter("somo.reports_sent")
-	a.cReportsRecv = reg.Counter("somo.reports_received")
-	a.cWaves = reg.Counter("somo.waves")
-	a.cQueryTimeouts = reg.Counter("somo.query_timeouts")
+	reg.Counter("somo.reports_sent", func() uint64 { return a.reportsSent })
+	reg.Counter("somo.reports_received", func() uint64 { return a.reportsReceived })
+	reg.Counter("somo.waves", func() uint64 { return a.waves })
+	reg.Counter("somo.query_timeouts", func() uint64 { return a.queryTimeouts })
 	a.gLastReport = reg.Gauge("somo.last_report_ms")
 	a.gDigestVersion = reg.Gauge("somo.digest_version")
 	a.hRecordAge = reg.Histogram("somo.record_age_ms", []float64{100, 500, 1000, 2500, 5000, 10000, 25000, 50000})
@@ -300,7 +298,7 @@ func (a *Agent) Query(cb func(Snapshot)) {
 	pq.cancel = a.node.Network().After(a.cfg.QueryTimeout, func() {
 		if cur, ok := a.queries[tok]; ok && cur == pq {
 			delete(a.queries, tok)
-			a.cQueryTimeouts.Inc()
+			a.queryTimeouts++
 			cb(Snapshot{})
 		}
 	})
@@ -363,7 +361,7 @@ func (a *Agent) finishWave() {
 		a.waveCancel()
 		a.waveCancel = nil
 	}
-	a.cWaves.Inc()
+	a.waves++
 	a.pushUp()
 }
 
@@ -384,7 +382,6 @@ func (a *Agent) pushUp() {
 	a.node.Route(parentPos, size, reportMsg{Reporter: a.node.Self(), Records: records})
 	a.reportsSent++
 	a.lastReport = a.node.Network().Now()
-	a.cReportsSent.Inc()
 	a.gLastReport.Set(float64(a.lastReport))
 }
 
@@ -478,7 +475,6 @@ func (a *Agent) onRouted(key ids.ID, from dht.Entry, hops int, payload interface
 	switch m := payload.(type) {
 	case reportMsg:
 		a.reportsReceived++
-		a.cReportsRecv.Inc()
 		for _, rec := range m.Records {
 			if old, ok := a.children[rec.Source.ID]; !ok || rec.Time > old.Time {
 				a.children[rec.Source.ID] = rec

@@ -108,12 +108,8 @@ type Sim struct {
 	// Observability handles (nil when uninstrumented; every operation
 	// on them is then a no-op, so Send's behavior — event schedule,
 	// randomness, stats — is identical either way).
-	trace      *obs.Trace
-	cSent      *obs.Counter
-	cDelivered *obs.Counter
-	cDropped   *obs.Counter
-	cBytes     *obs.Counter
-	hDelivery  *obs.Histogram
+	trace     *obs.Trace
+	hDelivery *obs.Histogram
 }
 
 // SimOptions configures a Sim network.
@@ -207,10 +203,10 @@ func grow[T any](t []T, i int) []T {
 // argument may be nil.
 func (s *Sim) Instrument(reg *obs.Registry, trace *obs.Trace) {
 	s.trace = trace
-	s.cSent = reg.Counter("transport.sent")
-	s.cDelivered = reg.Counter("transport.delivered")
-	s.cDropped = reg.Counter("transport.dropped")
-	s.cBytes = reg.Counter("transport.bytes")
+	reg.Counter("transport.sent", func() uint64 { return s.stats.MessagesSent })
+	reg.Counter("transport.delivered", func() uint64 { return s.stats.MessagesDelivered })
+	reg.Counter("transport.dropped", func() uint64 { return s.stats.MessagesDropped })
+	reg.Counter("transport.bytes", func() uint64 { return s.stats.BytesSent })
 	s.hDelivery = reg.Histogram("transport.delivery_ms", nil)
 }
 
@@ -286,18 +282,14 @@ func (s *Sim) IsDown(a Addr) bool {
 func (s *Sim) Send(from, to Addr, sizeBytes int, msg Message) {
 	s.stats.MessagesSent++
 	s.stats.BytesSent += uint64(sizeBytes)
-	s.cSent.Inc()
-	s.cBytes.Add(uint64(sizeBytes))
 	if s.trace != nil { // even a no-op Record call is ~5% of ring's event loop
 		s.trace.Record(obs.Event{Time: s.engine.Now(), Kind: obs.KindSend, From: int(from), To: int(to), Size: sizeBytes})
 	}
 	if s.IsDown(from) || s.owner == nil && s.IsDown(to) {
-		s.stats.MessagesDropped++
 		s.drop(from, to, sizeBytes, "down-endpoint")
 		return
 	}
 	if s.lossProb > 0 && s.engine.Rand().Float64() < s.lossProb {
-		s.stats.MessagesDropped++
 		s.drop(from, to, sizeBytes, "loss")
 		return
 	}
@@ -350,7 +342,6 @@ func (d *delivery) RunEvent() {
 	*d = delivery{} // drop the msg reference before pooling
 	deliveryPool.Put(d)
 	if uint(i) < uint(len(s.down)) && s.down[i] {
-		s.stats.MessagesDropped++
 		s.drop(from, to, sizeBytes, "down-endpoint")
 		return
 	}
@@ -359,12 +350,10 @@ func (d *delivery) RunEvent() {
 		h = s.handlers[i]
 	}
 	if h == nil {
-		s.stats.MessagesDropped++
 		s.drop(from, to, sizeBytes, "no-handler")
 		return
 	}
 	s.stats.MessagesDelivered++
-	s.cDelivered.Inc()
 	s.hDelivery.Observe(oneWay)
 	if s.trace != nil {
 		s.trace.Record(obs.Event{Time: arrive, Kind: obs.KindDeliver, From: int(from), To: int(to), Size: sizeBytes, Latency: oneWay})
@@ -372,9 +361,9 @@ func (d *delivery) RunEvent() {
 	h(from, msg)
 }
 
-// drop records a dropped message in the observability layer.
+// drop counts a dropped message and records it in the trace.
 func (s *Sim) drop(from, to Addr, sizeBytes int, cause string) {
-	s.cDropped.Inc()
+	s.stats.MessagesDropped++
 	if s.trace != nil {
 		s.trace.Record(obs.Event{Time: s.engine.Now(), Kind: obs.KindDrop, From: int(from), To: int(to), Size: sizeBytes, Cause: cause})
 	}
