@@ -45,8 +45,8 @@ type LoadOptions struct {
 	// sequentially so the readings are attributable).
 	Bench bool
 	// Registry, when set, instruments every cell's service and fault
-	// layer. Handles are not synchronized: share a registry across
-	// cells only with a single cell or Workers = 1.
+	// layer, and the cells then run sequentially: a registry is
+	// single-threaded.
 	Registry *obs.Registry
 }
 
@@ -189,8 +189,9 @@ func Load(opts LoadOptions) (*LoadResult, error) {
 		return nil, fmt.Errorf("experiments: group size %d exceeds pool size %d", loadGroupSize, opts.Hosts)
 	}
 	workers := opts.Workers
-	if opts.Bench {
-		// Sequential cells keep wall-clock readings attributable.
+	if opts.Bench || opts.Registry != nil {
+		// Sequential cells keep wall-clock readings attributable and
+		// write the registry from one goroutine.
 		workers = 1
 	}
 	rows, err := par.MapErr(workers, len(opts.Cells), func(i int) (LoadRow, error) {

@@ -53,8 +53,8 @@ type StreamOptions struct {
 	// sequentially so the readings are attributable).
 	Bench bool
 	// Registry, when set, instruments every run's service, fault layer
-	// and data plane. Handles are not synchronized: share a registry
-	// across runs only with Workers = 1.
+	// and data plane, and the runs then execute sequentially: a
+	// registry is single-threaded.
 	Registry *obs.Registry
 }
 
@@ -173,7 +173,9 @@ func Stream(opts StreamOptions) (*StreamResult, error) {
 		}
 	}
 	workers := opts.Workers
-	if opts.Bench {
+	if opts.Bench || opts.Registry != nil {
+		// Sequential runs keep wall-clock readings attributable and
+		// write the registry from one goroutine.
 		workers = 1
 	}
 	rows, err := par.MapErr(workers, len(specs), func(i int) (StreamRow, error) {
