@@ -52,6 +52,23 @@ func TestReservePreemptsLowestFirst(t *testing.T) {
 	if heldOn(r, 10) != 3 {
 		t.Errorf("held = %d, want 3", heldOn(r, 10))
 	}
+
+	// A guard's veto comes before the order: with the priority-3 holder
+	// vetoed, a priority-1 request displaces the allowed priority-2 one.
+	g := NewRegistry([]int{2})
+	if _, err := g.Reserve(0, 1, 3, 30, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Reserve(0, 1, 2, 20, nil); err != nil {
+		t.Fatal(err)
+	}
+	victims, err = g.Reserve(0, 1, 1, 10, func(s SessionID) bool { return s != 30 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(victims) != 1 || victims[0] != 20 {
+		t.Errorf("guarded victims = %v, want [20]", victims)
+	}
 }
 
 func TestReserveFailsWhenFirm(t *testing.T) {
@@ -174,6 +191,17 @@ func TestSingleSessionScheduling(t *testing.T) {
 	}
 	if err := sc.Registry().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	// Config{} plans with the paper's helper degree: on a pool with
+	// nothing else reserved, every helper candidate the plan scanned has
+	// a bound of at least alm.DefaultMinDegree.
+	if len(sc.candidates) == 0 {
+		t.Fatal("the plan scanned no helper candidates")
+	}
+	for _, h := range sc.candidates {
+		if degrees[h] < alm.DefaultMinDegree {
+			t.Fatalf("helper candidate %d has bound %d, below alm.DefaultMinDegree %d", h, degrees[h], alm.DefaultMinDegree)
+		}
 	}
 	// Reservations match the tree's degrees.
 	for _, v := range s.Tree.Nodes() {

@@ -452,6 +452,13 @@ func TestServiceDampingGuard(t *testing.T) {
 	if !ctx4.guard(7) {
 		t.Fatal("expired hold-down still vetoing")
 	}
+	// A refill adds rate x the time since the last one: spend the
+	// token, and half a second later there is exactly half of one.
+	ctx3.onPreempt(10, 2)
+	sv.refill(eventsim.Second + eventsim.Second/2)
+	if sv.tokens != 0.5 {
+		t.Fatalf("tokens = %v half a second after the last refill, want 0.5", sv.tokens)
+	}
 	// The bucket never overfills past its burst.
 	sv.refill(100 * eventsim.Second)
 	if sv.tokens != cfg.PreemptBurst {
@@ -698,6 +705,10 @@ func TestRosterRefusedAtTheDoor(t *testing.T) {
 		}},
 		{"Submit root as a source", func() error {
 			_, err := NewService(bounds, lineLat, ServiceConfig{}).Submit(0, &Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2}, Sources: []int{0}})
+			return err
+		}},
+		{"Submit source at the pool size", func() error {
+			_, err := NewService(bounds, lineLat, ServiceConfig{}).Submit(0, &Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2}, Sources: []int{4}})
 			return err
 		}},
 		{"Submit repeated source", func() error {
