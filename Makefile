@@ -206,8 +206,10 @@ layout:
 			if (gated && s > 0.08) bad = 1 } \
 		  if (bad) { print "layout: a gated median moved more than 8% with the pad" > "/dev/stderr"; exit 1 } }'
 
-# The obs smoke run doubles as an end-to-end check that metrics +
-# tracing assemble a dashboard out of the SOMO root snapshot; the bench
+# The obs smoke run, under the race detector, doubles as an end-to-end
+# check that metrics + tracing assemble a dashboard out of the SOMO root
+# snapshot: its snapshots call readers of each instrumented layer's own
+# counters, a member's from inside its SOMO report; the bench
 # smoke compiles and single-iterates every benchmark; the first scale
 # smoke runs the paper-size cell (N=1200, exact oracle) end to end; the
 # second runs the N=30000 cell time-boxed to 5 simulated seconds, which
@@ -272,7 +274,7 @@ ci: build fmt vet test cover race mains layout
 	$(GO) test -race -tags forcesplit -run 'TestScaleWorkerDeterminism' ./internal/experiments
 	$(GO) test -race -count=10 -run 'FuzzSolveLeafsetMatchesReference' ./internal/coords
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistryLedger$$' -fuzztime 20s ./internal/sched
-	$(GO) run ./cmd/experiments -fig obs -seed 1 > /dev/null
+	$(GO) run -race ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
 	$(GO) run ./cmd/experiments -fig scale -hosts 1200 -scale-runtime 30 -seed 1 > /dev/null
 	$(GO) run ./cmd/experiments -fig scale -hosts 30000 -scale-runtime 5 -seed 1 > /dev/null

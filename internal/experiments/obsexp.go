@@ -126,9 +126,9 @@ const (
 )
 
 // obsHealthRun builds the monitored ring and drives the
-// crash/restart script. With instrument=false every handle is nil —
-// the run must then be event-for-event identical, which the
-// observer-effect test checks by comparing digests.
+// crash/restart script. With instrument=false there is no registry
+// and no trace — the run must then be event-for-event identical, which
+// the observer-effect test checks by comparing digests.
 func obsHealthRun(opts ObsOptions, instrument bool) (*obsHealth, error) {
 	n := opts.Nodes
 	engine := eventsim.New(opts.Seed + 11)
