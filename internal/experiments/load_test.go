@@ -148,6 +148,18 @@ func TestLoadObserverEffectZero(t *testing.T) {
 		"faultnet.crash_drops":     exactly(0),
 		"faultnet.delayed":         exactly(0),
 	})
+	// A gauge reads the scheduler as the run left it. A live session
+	// holds a tree whose root serves a member over a path of positive
+	// latency, and no host's bound in the paper's degree distribution
+	// exceeds 9. The queue holds only sessions submitted and neither
+	// admitted, rejected nor shed from it.
+	live := row.EndLive > 0
+	checkGauges(t, snap, map[string]gaugeWant{
+		"sched.sessions":              gaugeExactly(row.EndLive),
+		"sched.max_tree_height_ms":    gaugePositiveIf(live, math.Inf(1)),
+		"sched.max_tree_degree":       gaugePositiveIf(live, 9),
+		"sched.admission_queue_depth": gaugeBetween(0, row.Submitted-row.Admitted-row.Rejected-row.ShedDeadline),
+	})
 }
 
 // TestSharedRegistryAcrossCells: a registry shared by several cells
@@ -216,5 +228,44 @@ func checkCounters(t *testing.T, snap obs.Snapshot, want map[string]counterWant)
 	}
 	for name := range want {
 		t.Errorf("counter %s is not registered", name)
+	}
+}
+
+// gaugeWant is the range [lo, hi] a registered gauge must read in.
+type gaugeWant struct{ lo, hi float64 }
+
+// gaugeExactly is a value a row reports itself.
+func gaugeExactly(v int) gaugeWant { return gaugeWant{float64(v), float64(v)} }
+
+// gaugeBetween bounds a value no row reports by the row numbers that
+// imply it.
+func gaugeBetween(lo, hi int) gaugeWant { return gaugeWant{float64(lo), float64(hi)} }
+
+// gaugePositiveIf bounds a tree-shape value by hi, and from below by
+// zero when no tree is live, or by anything above zero when one is.
+func gaugePositiveIf(live bool, hi float64) gaugeWant {
+	if live {
+		return gaugeWant{math.SmallestNonzeroFloat64, hi}
+	}
+	return gaugeWant{0, hi}
+}
+
+// checkGauges checks every gauge in snap against want the way
+// checkCounters checks counters: a gauge want does not list fails, and
+// so does one it lists that snap lacks.
+func checkGauges(t *testing.T, snap obs.Snapshot, want map[string]gaugeWant) {
+	t.Helper()
+	for _, g := range snap.Gauges {
+		w, ok := want[g.Name]
+		switch {
+		case !ok:
+			t.Errorf("gauge %s = %v is registered but not checked", g.Name, g.Value)
+		case g.Value < w.lo || g.Value > w.hi:
+			t.Errorf("gauge %s = %v, want in [%v, %v]", g.Name, g.Value, w.lo, w.hi)
+		}
+		delete(want, g.Name)
+	}
+	for name := range want {
+		t.Errorf("gauge %s is not registered", name)
 	}
 }

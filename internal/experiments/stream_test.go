@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -171,5 +172,17 @@ func TestStreamObserverEffectZero(t *testing.T) {
 		"faultnet.node_drops":      exactly(0),
 		"faultnet.partition_drops": exactly(0),
 		"faultnet.delayed":         exactly(0),
+	})
+	// Runs that share a registry go in turn, so a gauge holds the last
+	// run's value. Its planned sessions are live and the rest may have
+	// lost their root; the queue holds none of the planned ones; and
+	// uplinkDegree caps every host at 16.
+	last := instrumented.Rows[len(instrumented.Rows)-1]
+	live := last.Planned > 0
+	checkGauges(t, snap, map[string]gaugeWant{
+		"sched.sessions":              gaugeBetween(last.Planned, opts.Sessions),
+		"sched.max_tree_height_ms":    gaugePositiveIf(live, math.Inf(1)),
+		"sched.max_tree_degree":       gaugePositiveIf(live, 16),
+		"sched.admission_queue_depth": gaugeBetween(0, opts.Sessions-last.Planned),
 	})
 }
