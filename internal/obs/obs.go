@@ -13,12 +13,13 @@
 //   - Zero observer effect. An instrumented run is event-identical
 //     to an uninstrumented one (pinned by TestObsObserverEffectZero):
 //     recording never schedules an event, draws randomness or sends a
-//     message. Counters cost nothing while the run goes on. Each layer
-//     keeps plain counts of its own events whether or not it is
+//     message. Counters and gauges cost nothing while the run goes on.
+//     Each layer keeps its own counts and state whether or not it is
 //     instrumented; Instrument registers functions that read them, and
-//     only Snapshot calls those. Gauges and histograms record as the
-//     run goes, through handles that are nil in a layer nobody
-//     instrumented, so each record call is one nil-check.
+//     only Snapshot calls those. Only histograms record as the run
+//     goes, because their samples are kept nowhere else: through
+//     handles that are nil in a layer nobody instrumented, so each
+//     record call is one nil-check.
 //
 //   - Deterministic snapshots. Snapshot output is sorted by name and
 //     carries no wall-clock state, so the same seed produces the same
@@ -26,35 +27,6 @@
 package obs
 
 import "sort"
-
-// Gauge is a last-write-wins measurement.
-type Gauge struct {
-	name string
-	v    float64
-	set  bool
-}
-
-// Set records the current value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v, g.set = v, true
-	}
-}
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g != nil {
-		g.v, g.set = g.v+delta, true
-	}
-}
-
-// Value returns the last recorded value (0 on a nil handle).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
 
 // Histogram accumulates observations (typically virtual-clock
 // latencies in milliseconds) into fixed buckets. Allocation happens
@@ -117,7 +89,7 @@ func (h *Histogram) Mean() float64 {
 // nil-safe, so a nil *Registry is the "observability off" mode.
 type Registry struct {
 	counters map[string][]func() uint64
-	gauges   map[string]*Gauge
+	gauges   map[string]func() float64
 	hists    map[string]*Histogram
 }
 
@@ -125,7 +97,7 @@ type Registry struct {
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string][]func() uint64),
-		gauges:   make(map[string]*Gauge),
+		gauges:   make(map[string]func() float64),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -143,17 +115,15 @@ func (r *Registry) Counter(name string, read func() uint64) {
 	}
 }
 
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
+// Gauge registers read as the named gauge: Snapshot reports what read
+// returns then. read returns state its layer keeps anyway and is called
+// only at Snapshot. A later reader under the same name replaces the
+// earlier one, so runs that share a registry in turn report the last
+// run's state. A nil registry ignores the call.
+func (r *Registry) Gauge(name string, read func() float64) {
+	if r != nil {
+		r.gauges[name] = read
 	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns (creating if needed) the named histogram with the
@@ -238,8 +208,8 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	if len(r.gauges) > 0 {
 		s.Gauges = make([]GaugeValue, 0, len(r.gauges))
-		for _, g := range r.gauges {
-			s.Gauges = append(s.Gauges, GaugeValue{Name: g.name, Value: g.v})
+		for name, read := range r.gauges {
+			s.Gauges = append(s.Gauges, GaugeValue{Name: name, Value: read()})
 		}
 		sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	}

@@ -8,15 +8,14 @@ import (
 func TestNilSafety(t *testing.T) {
 	// The "observability off" mode: nil registry, nil handles, nil
 	// trace. Every operation must be a no-op, not a panic, and a
-	// counter reader registered on a nil registry is never called.
+	// counter or gauge reader registered on a nil registry is never
+	// called.
 	var r *Registry
-	r.Counter("x", func() uint64 { return 5 })
-	g := r.Gauge("y")
+	r.Counter("x", func() uint64 { t.Error("counter reader called on a nil registry"); return 5 })
+	r.Gauge("y", func() float64 { t.Error("gauge reader called on a nil registry"); return 3 })
 	h := r.Histogram("z", nil)
-	g.Set(3)
-	g.Add(1)
 	h.Observe(10)
-	if g.Value() != 0 || h.Count() != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 {
 		t.Error("nil handles must read as zero")
 	}
 	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
@@ -47,11 +46,24 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if v := r.Snapshot().Counter("transport.sent"); v != 8 {
 		t.Errorf("counter after a change = %d, want 8", v)
 	}
-	g := r.Gauge("somo.last_report_ms")
-	g.Set(100)
-	g.Add(-10)
-	if g.Value() != 90 {
-		t.Errorf("gauge = %v, want 90", g.Value())
+	// A gauge reads its state at snapshot time, not at registration,
+	// and a second reader under one name replaces the first.
+	reads, last := 0, 0.0
+	r.Gauge("somo.last_report_ms", func() float64 { reads++; return last })
+	if reads != 0 {
+		t.Errorf("gauge reader called %d times at registration, want 0", reads)
+	}
+	last = 100
+	if v, _ := r.Snapshot().Gauge("somo.last_report_ms"); v != 100 || reads != 1 {
+		t.Errorf("gauge = %v after %d reads, want 100 after 1", v, reads)
+	}
+	last = 90
+	if v, _ := r.Snapshot().Gauge("somo.last_report_ms"); v != 90 {
+		t.Errorf("gauge after a change = %v, want 90", v)
+	}
+	r.Gauge("somo.last_report_ms", func() float64 { return 7 })
+	if v, _ := r.Snapshot().Gauge("somo.last_report_ms"); v != 7 || reads != 2 {
+		t.Errorf("replaced gauge = %v with the first reader called %d times, want 7 and 2", v, reads)
 	}
 	h := r.Histogram("lat", []float64{10, 100})
 	for _, v := range []float64{5, 50, 500, 7} {
@@ -82,10 +94,10 @@ func TestCounterGaugeHistogram(t *testing.T) {
 func TestSnapshotDeterministic(t *testing.T) {
 	build := func(names []string) Snapshot {
 		r := New()
-		for i, n := range names {
+		for _, n := range names {
 			v := uint64(10 + len(n))
 			r.Counter(n, func() uint64 { return v })
-			r.Gauge("g." + n).Set(float64(i * 0)) // same value either order
+			r.Gauge("g."+n, func() float64 { return float64(len(n)) })
 			r.Histogram("h."+n, []float64{1, 2}).Observe(1.5)
 		}
 		return r.Snapshot()
@@ -105,7 +117,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 func TestSnapshotLookups(t *testing.T) {
 	r := New()
 	r.Counter("a", func() uint64 { return 7 })
-	r.Gauge("b").Set(2.5)
+	r.Gauge("b", func() float64 { return 2.5 })
 	s := r.Snapshot()
 	if s.Counter("a") != 7 || s.Counter("missing") != 0 {
 		t.Error("snapshot counter lookup wrong")

@@ -223,13 +223,6 @@ type Scheduler struct {
 	// candidates is planOne's helper-candidate buffer, reused across
 	// plans (the planner copies what it keeps).
 	candidates []int
-
-	// Observability handles (nil when uninstrumented; tree-shape gauges
-	// are only computed when instrumented, so the uninstrumented path
-	// does no extra work).
-	gSessions   *obs.Gauge
-	gTreeHeight *obs.Gauge
-	gTreeDegree *obs.Gauge
 }
 
 // NewScheduler creates a scheduler over hosts with the given degree
@@ -327,9 +320,12 @@ func (sc *Scheduler) Registry() *Registry { return sc.reg }
 func (sc *Scheduler) Totals() Totals { return sc.tot }
 
 // Instrument wires the scheduler to an observability registry: plan,
-// replan, preemption and in-place-repair counters plus tree-shape
-// gauges (worst height across sessions, widest fan-out). reg may be
-// nil; instrumentation never alters scheduling decisions.
+// replan, preemption and in-place-repair counters plus gauges of the
+// live session count and the tree shape (worst height across sessions,
+// widest fan-out). Each reads the scheduler's own state when a snapshot
+// is taken, so a gauge gives the state at that moment and the
+// scheduling path does no extra work. reg may be nil; instrumentation
+// never alters scheduling decisions.
 func (sc *Scheduler) Instrument(reg *obs.Registry) {
 	reg.Counter("sched.plans", func() uint64 { return uint64(sc.tot.Plans) })
 	reg.Counter("sched.replans", func() uint64 { return uint64(sc.tot.Replans) })
@@ -337,37 +333,26 @@ func (sc *Scheduler) Instrument(reg *obs.Registry) {
 	reg.Counter("sched.repairs_inplace", func() uint64 { return uint64(sc.tot.Repairs) })
 	reg.Counter("sched.node_failures", func() uint64 { return uint64(sc.tot.NodeFailures) })
 	reg.Counter("sched.node_recoveries", func() uint64 { return uint64(sc.tot.NodeRecoveries) })
-	sc.gSessions = reg.Gauge("sched.sessions")
-	sc.gTreeHeight = reg.Gauge("sched.max_tree_height_ms")
-	sc.gTreeDegree = reg.Gauge("sched.max_tree_degree")
+	reg.Gauge("sched.sessions", func() float64 { return float64(len(sc.sessions)) })
+	reg.Gauge("sched.max_tree_height_ms", func() float64 { h, _ := sc.treeShape(); return h })
+	reg.Gauge("sched.max_tree_degree", func() float64 { _, d := sc.treeShape(); return float64(d) })
 }
 
-// observeShape refreshes the session-count and tree-shape gauges.
-// Skipped entirely when uninstrumented (MaxHeight walks every tree).
-func (sc *Scheduler) observeShape() {
-	if sc.gSessions == nil {
-		return
-	}
-	sc.gSessions.Set(float64(len(sc.sessions)))
-	var height float64
-	var degree int
+// treeShape is the largest height and the largest node degree over
+// every live session's trees.
+func (sc *Scheduler) treeShape() (height float64, degree int) {
 	for _, s := range sc.sessions {
 		for _, st := range s.Trees() {
 			if st.Tree == nil {
 				continue
 			}
-			if h := st.Tree.MaxHeight(sc.lat); h > height {
-				height = h
-			}
+			height = max(height, st.Tree.MaxHeight(sc.lat))
 			for _, v := range st.Tree.Nodes() {
-				if d := st.Tree.Degree(v); d > degree {
-					degree = d
-				}
+				degree = max(degree, st.Tree.Degree(v))
 			}
 		}
 	}
-	sc.gTreeHeight.Set(height)
-	sc.gTreeDegree.Set(float64(degree))
+	return height, degree
 }
 
 // Sessions returns the active sessions sorted by ID.
@@ -560,7 +545,6 @@ func (sc *Scheduler) Stabilize() (plans int, err error) {
 			}
 			plans++
 		}
-		sc.observeShape()
 	}
 	if len(sc.dirty) > 0 {
 		return plans, fmt.Errorf("sched: did not stabilize within %d rounds (%d dirty)", maxRounds, len(sc.dirty))
@@ -655,7 +639,6 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 		}
 		sc.dirty[s.ID] = true
 	}
-	sc.observeShape()
 	return affected
 }
 

@@ -205,8 +205,7 @@ type Service struct {
 	stats    ServiceStats
 	admitLat []float64 // virtual ms from Submit to first plan, append-only
 
-	// Observability handles (nil-safe; zero observer effect).
-	gQueue *obs.Gauge
+	// Observability handle (nil-safe; zero observer effect).
 	hAdmit *obs.Histogram
 }
 
@@ -243,12 +242,13 @@ func (sv *Service) QueueDepth() int { return len(sv.queue) }
 func (sv *Service) LiveSessions() int { return len(sv.sc.sessions) }
 
 // Instrument wires the service (and its scheduler) to an observability
-// registry: queue-depth gauge, admission-latency histogram, counters
-// for admitted/rejected/shed/deferred. reg may be nil; instrumentation
+// registry: a queue-depth gauge and counters for admitted, rejected,
+// shed and deferred sessions, each read when a snapshot is taken, and
+// an admission-latency histogram. reg may be nil; instrumentation
 // never alters control decisions.
 func (sv *Service) Instrument(reg *obs.Registry) {
 	sv.sc.Instrument(reg)
-	sv.gQueue = reg.Gauge("sched.admission_queue_depth")
+	reg.Gauge("sched.admission_queue_depth", func() float64 { return float64(len(sv.queue)) })
 	sv.hAdmit = reg.Histogram("sched.admission_latency_ms", obs.DefaultLatencyBounds)
 	reg.Counter("sched.admitted", sv.classTotal(func(c ClassStats) int { return c.Admitted }))
 	reg.Counter("sched.rejected", sv.classTotal(func(c ClassStats) int { return c.Rejected }))
@@ -584,7 +584,5 @@ func (sv *Service) Tick(now eventsim.Time) error {
 	if live := len(sv.sc.sessions); live > sv.stats.PeakLive {
 		sv.stats.PeakLive = live
 	}
-	sv.gQueue.Set(float64(len(sv.queue)))
-	sv.sc.observeShape()
 	return nil
 }

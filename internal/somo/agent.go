@@ -179,10 +179,8 @@ type Agent struct {
 	queryTimeouts   uint64
 	lastReport      eventsim.Time
 
-	// Observability handles (nil when uninstrumented).
-	gLastReport    *obs.Gauge
-	gDigestVersion *obs.Gauge
-	hRecordAge     *obs.Histogram
+	// Observability handle (nil when uninstrumented).
+	hRecordAge *obs.Histogram
 }
 
 // pendingQuery is an outstanding Query awaiting the root's snapshot;
@@ -227,16 +225,17 @@ func (a *Agent) Stop() {
 }
 
 // Instrument wires the agent to an observability registry: report
-// counters, wave completions, query timeouts, a last-report gauge and
-// a record-age (digest staleness) histogram. reg may be nil;
+// counters, wave completions, query timeouts, last-report and
+// digest-version gauges, each a reader of the agent's own state, and a
+// record-age (digest staleness) histogram. reg may be nil;
 // instrumentation never alters protocol behavior.
 func (a *Agent) Instrument(reg *obs.Registry) {
 	reg.Counter("somo.reports_sent", func() uint64 { return a.reportsSent })
 	reg.Counter("somo.reports_received", func() uint64 { return a.reportsReceived })
 	reg.Counter("somo.waves", func() uint64 { return a.waves })
 	reg.Counter("somo.query_timeouts", func() uint64 { return a.queryTimeouts })
-	a.gLastReport = reg.Gauge("somo.last_report_ms")
-	a.gDigestVersion = reg.Gauge("somo.digest_version")
+	reg.Gauge("somo.last_report_ms", func() float64 { return float64(a.lastReport) })
+	reg.Gauge("somo.digest_version", func() float64 { return float64(a.digest.Version) })
 	a.hRecordAge = reg.Histogram("somo.record_age_ms", []float64{100, 500, 1000, 2500, 5000, 10000, 25000, 50000})
 }
 
@@ -382,7 +381,6 @@ func (a *Agent) pushUp() {
 	a.node.Route(parentPos, size, reportMsg{Reporter: a.node.Self(), Records: records})
 	a.reportsSent++
 	a.lastReport = a.node.Network().Now()
-	a.gLastReport.Set(float64(a.lastReport))
 }
 
 // assemble merges the member's own record with unexpired child records.
@@ -443,8 +441,6 @@ func (a *Agent) refreshRoot() {
 		Time:      a.snapshot.Time,
 	}
 	a.lastReport = a.snapshot.Time
-	a.gLastReport.Set(float64(a.lastReport))
-	a.gDigestVersion.Set(float64(a.digest.Version))
 	if a.hRecordAge != nil {
 		// Record age at the root IS the gather staleness the paper
 		// bounds by depth * ReportInterval.
@@ -504,7 +500,6 @@ func (a *Agent) onApp(from dht.Entry, payload interface{}) {
 	case reportAck:
 		if m.Digest.Version > a.digest.Version {
 			a.digest = m.Digest
-			a.gDigestVersion.Set(float64(a.digest.Version))
 		}
 	case pullMsg:
 		if !a.stopped && a.node.Active() {
