@@ -173,8 +173,12 @@ func (t *Trace) Events() []Event {
 	return out
 }
 
-// Tail returns the newest n retained events, oldest first.
+// Tail returns the newest n retained events, oldest first, and none
+// for n <= 0.
 func (t *Trace) Tail(n int) []Event {
+	if n <= 0 {
+		return nil
+	}
 	evs := t.Events()
 	if len(evs) > n {
 		evs = evs[len(evs)-n:]

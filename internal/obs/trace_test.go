@@ -27,6 +27,11 @@ func TestTraceRingWraparound(t *testing.T) {
 	if len(tail) != 2 || tail[0].From != 8 || tail[1].From != 9 {
 		t.Errorf("tail = %+v", tail)
 	}
+	for _, n := range []int{0, -1, -5} {
+		if tail := tr.Tail(n); len(tail) != 0 {
+			t.Errorf("Tail(%d) = %+v, want none", n, tail)
+		}
+	}
 }
 
 func TestTraceSummarySurvivesEviction(t *testing.T) {
