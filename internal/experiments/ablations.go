@@ -54,6 +54,9 @@ func (r *AblationResult) Tables() []Table { return r.tables }
 //     and embedding dimension.
 func Ablations(opts AblationOptions) (*AblationResult, error) {
 	opts = opts.withDefaults()
+	if err := checkGroupSize(opts.GroupSize, opts.Hosts); err != nil {
+		return nil, err
+	}
 	pool, err := paperPool(opts.Hosts, opts.Seed, opts.Workers)
 	if err != nil {
 		return nil, err

@@ -314,6 +314,9 @@ func (r *AuditResult) ViolationCount() int {
 // deterministic eventsim) to a minimal reproduction.
 func Audit(opts AuditOptions) (*AuditResult, error) {
 	opts = opts.withDefaults()
+	if err := checkGroupSize(opts.GroupSize, opts.Hosts); err != nil {
+		return nil, err
+	}
 	reports, err := par.MapErr(opts.Workers, opts.Seeds, func(i int) (auditSeedReport, error) {
 		runSeed := opts.Seed + int64(i)
 		ro := makeRoster(runSeed, opts)

@@ -85,6 +85,9 @@ func synthLatency(rng *rand.Rand, hosts int) alm.LatencyFunc {
 // shares: the latency metric, the capacity population, and the Section
 // 4.2 leafset bandwidth estimates. A pure function of the seed.
 func capacityWorld(seed int64, hosts, leafset int) (alm.LatencyFunc, *netmodel.Model, []bandwidth.Estimates, error) {
+	if leafset >= hosts {
+		return nil, nil, nil, fmt.Errorf("experiments: a leafset of %d needs more than %d hosts", leafset, hosts)
+	}
 	lat := synthLatency(rand.New(rand.NewSource(seed+2)), hosts)
 	model, err := netmodel.New(hosts, netmodel.Options{Seed: seed + 3})
 	if err != nil {

@@ -127,6 +127,9 @@ func chaosWorld(opts ChaosOptions) (*topology.Network, []int, *sched.Session, er
 // tree-height inflation.
 func Chaos(opts ChaosOptions) (*ChaosResult, error) {
 	opts = opts.withDefaults()
+	if err := checkGroupSize(opts.GroupSize, opts.Hosts); err != nil {
+		return nil, err
+	}
 	rows, err := par.MapErr(opts.Workers, len(opts.Rates), func(i int) (ChaosRow, error) {
 		return chaosRun(i, opts.Rates[i], opts)
 	})

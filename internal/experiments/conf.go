@@ -189,6 +189,10 @@ func Conf(opts ConfOptions) (*ConfResult, error) {
 	if opts.ConfSize < 2 {
 		return nil, fmt.Errorf("experiments: conference size %d < 2", opts.ConfSize)
 	}
+	if opts.Conferences*opts.ConfSize > opts.Hosts {
+		return nil, fmt.Errorf("experiments: %d conferences x %d members exceed %d hosts",
+			opts.Conferences, opts.ConfSize, opts.Hosts)
+	}
 	workers := opts.Workers
 	if opts.Bench {
 		workers = 1

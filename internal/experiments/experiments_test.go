@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -178,6 +180,58 @@ func TestFig10ShapeSmall(t *testing.T) {
 func TestFig10Oversubscribed(t *testing.T) {
 	if _, err := Fig10(Fig10Options{Hosts: 100, SessionCounts: []int{10}, GroupSize: 20, Runs: 1}); err == nil {
 		t.Error("oversubscribed pool should fail")
+	}
+}
+
+// TestStudiesRefuseASmallPool: a pool smaller than a study's rosters,
+// landmark set or leafset is an error at the study's entry — not a
+// panic, and not a draw of distinct hosts that never ends.
+func TestStudiesRefuseASmallPool(t *testing.T) {
+	studies := []struct {
+		name string
+		run  func() error
+	}{
+		{"fig4", func() error { _, err := Fig4(Fig4Options{Hosts: 5, Seed: 1}); return err }},
+		{"fig8", func() error { _, err := Fig8(Fig8Options{Hosts: 5, Seed: 1}); return err }},
+		{"fig10", func() error { _, err := Fig10(Fig10Options{Hosts: 5, Seed: 1}); return err }},
+		{"qos", func() error { _, err := QoS(QoSOptions{Hosts: 5, Seed: 1}); return err }},
+		{"ablations", func() error { _, err := Ablations(AblationOptions{Hosts: 5, Seed: 1}); return err }},
+		{"chaos", func() error { _, err := Chaos(ChaosOptions{Hosts: 5, Seed: 1}); return err }},
+		{"audit", func() error { _, err := Audit(AuditOptions{Hosts: 5, Seed: 1}); return err }},
+		{"scale", func() error { _, err := Scale(ScaleOptions{Sizes: []int{5}, Seed: 1}); return err }},
+		{"load", func() error { _, err := Load(LoadOptions{Hosts: 5, Seed: 1}); return err }},
+		{"load-7", func() error { _, err := Load(LoadOptions{Hosts: 7, Seed: 1}); return err }},
+		{"stream", func() error { _, err := Stream(StreamOptions{Hosts: 5, Seed: 1}); return err }},
+		{"conf", func() error { _, err := Conf(ConfOptions{Hosts: 5, Seed: 1}); return err }},
+		{"capacityWorld", func() error { _, _, _, err := capacityWorld(1, 5, 16); return err }},
+	}
+	for _, st := range studies {
+		t.Run(st.name, func(t *testing.T) {
+			type outcome struct {
+				err    error
+				panicV any
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				var o outcome
+				defer func() { o.panicV = recover(); done <- o }()
+				o.err = st.run()
+			}()
+			select {
+			case o := <-done:
+				switch {
+				case o.panicV != nil:
+					t.Errorf("panicked: %v", o.panicV)
+				case o.err == nil:
+					t.Error("ran without an error")
+				}
+			case <-time.After(time.Minute):
+				t.Fatal("still running after a minute")
+			}
+		})
+	}
+	if got := distinct(rand.New(rand.NewSource(1)), 5, 16); len(got) != 5 {
+		t.Errorf("distinct drew %d ints for 16 from [0, 5), want all 5", len(got))
 	}
 }
 

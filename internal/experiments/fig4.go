@@ -54,6 +54,9 @@ type Fig4Result struct {
 // coordinates the planner sees.
 const fig4Dim = 7
 
+// fig4Landmarks are the GNP landmark counts the figure sweeps.
+var fig4Landmarks = []int{16, 32}
+
 // Fig4 runs the experiment. All randomness is drawn sequentially up
 // front (probe pairs, then the landmark sets in sweep order, exactly
 // as the sequential harness drew them); the four solver runs then
@@ -61,6 +64,10 @@ const fig4Dim = 7
 // identical for any Workers value.
 func Fig4(opts Fig4Options) (*Fig4Result, error) {
 	opts = opts.withDefaults()
+	if opts.Hosts < fig4Landmarks[len(fig4Landmarks)-1] {
+		return nil, fmt.Errorf("experiments: figure 4 draws %d landmarks from %d hosts",
+			fig4Landmarks[len(fig4Landmarks)-1], opts.Hosts)
+	}
 	net, err := topology.Generate(paperTopology(opts.Hosts, opts.Seed, opts.Workers))
 	if err != nil {
 		return nil, err
@@ -74,7 +81,7 @@ func Fig4(opts Fig4Options) (*Fig4Result, error) {
 		solve func() ([]coords.Vector, error)
 	}
 	var tasks []task
-	for _, nl := range []int{16, 32} {
+	for _, nl := range fig4Landmarks {
 		lms := distinct(r, opts.Hosts, nl)
 		tasks = append(tasks, task{
 			name: fmt.Sprintf("GNP-%d", nl),
@@ -155,8 +162,9 @@ func (r *Fig4Result) Tables() []Table {
 	return []Table{cdf, sum}
 }
 
-// distinct draws k distinct ints in [0, n).
+// distinct draws min(k, n) distinct ints in [0, n).
 func distinct(r *rand.Rand, n, k int) []int {
+	k = min(k, n)
 	seen := make(map[int]bool, k)
 	out := make([]int, 0, k)
 	for len(out) < k {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"p2ppool/internal/alm"
@@ -187,6 +188,10 @@ func Load(opts LoadOptions) (*LoadResult, error) {
 	opts = opts.withDefaults()
 	if loadGroupSize+1 > opts.Hosts {
 		return nil, fmt.Errorf("experiments: group size %d exceeds pool size %d", loadGroupSize, opts.Hosts)
+	}
+	if crowd := loadFlashJoins(opts.Hosts); slices.Contains(opts.Cells, "flash") && loadGroupSize+crowd > opts.Hosts {
+		return nil, fmt.Errorf("experiments: the flash cell's session of %d and crowd of %d exceed pool size %d",
+			loadGroupSize, crowd, opts.Hosts)
 	}
 	workers := opts.Workers
 	if opts.Bench || opts.Registry != nil {

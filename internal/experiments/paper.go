@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"p2ppool/internal/core"
 	"p2ppool/internal/topology"
 )
@@ -23,4 +25,13 @@ func paperTopology(hosts int, seed int64, workers int) topology.Config {
 // coordinates).
 func paperPool(hosts int, seed int64, workers int) (*core.Pool, error) {
 	return core.BuildFast(core.Options{Topology: paperTopology(hosts, seed, workers), Seed: seed, Workers: workers})
+}
+
+// checkGroupSize is the entry check of a study that slices one roster
+// of groupSize hosts, root included, out of a permutation of the pool.
+func checkGroupSize(groupSize, hosts int) error {
+	if groupSize > hosts {
+		return fmt.Errorf("experiments: group size %d exceeds pool size %d", groupSize, hosts)
+	}
+	return nil
 }

@@ -58,6 +58,9 @@ type QoSResult struct {
 // QoS runs the comparison.
 func QoS(opts QoSOptions) (*QoSResult, error) {
 	opts = opts.withDefaults()
+	if err := checkGroupSize(opts.GroupSize, opts.Hosts); err != nil {
+		return nil, err
+	}
 	pool, err := paperPool(opts.Hosts, opts.Seed, opts.Workers)
 	if err != nil {
 		return nil, err
