@@ -27,6 +27,26 @@ func TestDegreeTableAccounting(t *testing.T) {
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+
+	// CheckInvariants catches each fault of a table on its own, with
+	// every other check passing.
+	for _, c := range []struct {
+		fault string
+		spoil func(d *DegreeTable)
+	}{
+		{"an empty allocation", func(d *DegreeTable) { d.allocs[0].Slots = 0; d.account(2, -2) }},
+		{"more slots held than the bound", func(d *DegreeTable) { d.bound = 1 }},
+		{"a stale firm count beside a right used count", func(d *DegreeTable) { d.allocs[0].Priority = 3 }},
+	} {
+		r := NewRegistry([]int{4})
+		if _, err := r.Reserve(0, 2, 2, 10, nil); err != nil {
+			t.Fatal(err)
+		}
+		c.spoil(&r.tables[0])
+		if err := r.CheckInvariants(); err == nil {
+			t.Errorf("CheckInvariants passed %s", c.fault)
+		}
+	}
 }
 
 func TestReservePreemptsLowestFirst(t *testing.T) {

@@ -141,6 +141,51 @@ func TestServiceRetryBudgetShedsSelf(t *testing.T) {
 	if d, err := sv.Submit(now, &Session{ID: 7, Priority: 3, Root: 0, Members: []int{1}}); err != nil || d != Enqueued {
 		t.Fatalf("resubmit after shed: decision %v, err %v", d, err)
 	}
+
+	// One more starving session than a Tick may shed for exhausts its
+	// budget in the same Tick as the rest: it sheds itself. Block i is
+	// hosts 3i, 3i+1 and 3i+2 of degree 1. P3 session 1000+i roots at
+	// 3i with member 3i+1; P1 session i+1 roots at 3i+2 with member 3i,
+	// whose one slot the P3 root holds at member priority. Session 1 is
+	// admitted a tick before the rest, whose backoffs then line up with
+	// its own.
+	n := maxShedPerTick + 1
+	bounds := make([]int, 3*n)
+	for h := range bounds {
+		bounds[h] = 1
+	}
+	sv = NewService(bounds, lineLat, ServiceConfig{})
+	submit := func(now eventsim.Time, s *Session) {
+		if _, err := sv.Submit(now, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick := func(now eventsim.Time) {
+		if err := sv.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	starving := func(i int) *Session {
+		return &Session{ID: SessionID(i + 1), Priority: 1, Root: 3*i + 2, Members: []int{3 * i}}
+	}
+	for i := 0; i < n; i++ {
+		submit(0, &Session{ID: SessionID(1000 + i), Priority: 3, Root: 3 * i, Members: []int{3*i + 1}})
+	}
+	tick(eventsim.Millisecond) // admitPerTick of the P3 sessions, then the rest
+	tick(2 * eventsim.Millisecond)
+	submit(2*eventsim.Millisecond, starving(0))
+	tick(3 * eventsim.Millisecond) // session 1 fails once
+	for i := 1; i < n; i++ {
+		submit(3*eventsim.Millisecond, starving(i))
+	}
+	tick(4 * eventsim.Millisecond)   // the rest fail once
+	tick(300 * eventsim.Millisecond) // every P1 session fails twice
+	tick(700 * eventsim.Millisecond) // and a third time, all in one Tick
+	st = sv.Stats()
+	if st.Class[3].ShedOverload != maxShedPerTick || st.Class[1].ShedBudget != 1 {
+		t.Fatalf("P3 ShedOverload %d, P1 ShedBudget %d; want %d, 1",
+			st.Class[3].ShedOverload, st.Class[1].ShedBudget, maxShedPerTick)
+	}
 }
 
 // TestServiceShedsLowestPriorityFirst pins graceful degradation: when a
@@ -180,8 +225,15 @@ func TestServiceShedsLowestPriorityFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	for now := 100 * eventsim.Millisecond; now <= eventsim.Second; now += 100 * eventsim.Millisecond {
+		shed := sv.Stats().Class[3].ShedOverload
 		if err := sv.Tick(now); err != nil {
 			t.Fatal(err)
+		}
+		// The shed funds B exactly one more attempt, a millisecond on.
+		if rs := sv.state[b.ID]; shed == 0 && sv.Stats().Class[3].ShedOverload == 1 &&
+			(rs.attempts != retryBudget-1 || rs.nextTry != now+eventsim.Millisecond) {
+			t.Fatalf("after the shed B has %d attempts, next try at %v; want %d at %v",
+				rs.attempts, rs.nextTry, retryBudget-1, now+eventsim.Millisecond)
 		}
 	}
 
@@ -206,6 +258,40 @@ func TestServiceShedsLowestPriorityFirst(t *testing.T) {
 	}
 	if err := sv.sc.reg.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Two P3 sessions hold host 0 at member priority, session 1 as its
+	// root and session 2 as a member; B (root 2, member 0) needs one of
+	// host 0's two slots. Within the lowest class the youngest goes
+	// first: session 2 is shed and session 1 is kept.
+	sv = NewService([]int{2, 0, 1, 0, 1, 1}, lineLat, ServiceConfig{})
+	old := &Session{ID: 1, Priority: 3, Root: 0, Members: []int{4}}
+	young := &Session{ID: 2, Priority: 3, Root: 5, Members: []int{0}}
+	b = &Session{ID: 3, Priority: 1, Root: 2, Members: []int{0}}
+	for _, s := range []*Session{old, young} {
+		if _, err := sv.Submit(0, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sv.Tick(eventsim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if old.Tree == nil || young.Tree == nil {
+		t.Fatal("the P3 sessions failed to plan")
+	}
+	if _, err := sv.Submit(eventsim.Millisecond, b); err != nil {
+		t.Fatal(err)
+	}
+	for now := 100 * eventsim.Millisecond; now <= eventsim.Second; now += 100 * eventsim.Millisecond {
+		if err := sv.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, oldLive := sv.sc.sessions[old.ID]
+	_, youngLive := sv.sc.sessions[young.ID]
+	if !oldLive || youngLive || b.Tree == nil {
+		t.Fatalf("live: session 1 %v, session 2 %v, B planned %v; want true, false, true",
+			oldLive, youngLive, b.Tree != nil)
 	}
 }
 
@@ -519,9 +605,25 @@ func TestServiceDampingDefersPreemption(t *testing.T) {
 		t.Fatal("deferred plan displaced the victim anyway")
 	}
 
+	// Damping may defer a session 4*retryBudget times in a row and keep
+	// it. Each deferral retries on the first rung, under 300 ms at P2.
+	now := 2 * eventsim.Millisecond
+	for deferred := 2; deferred <= 4*retryBudget; deferred++ {
+		now += 400 * eventsim.Millisecond
+		sv.tokens, sv.lastRefill = 0, now
+		if err := sv.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sv.Stats().PreemptDeferred; got != 4*retryBudget || sv.sc.sessions[c.ID] == nil {
+		t.Fatalf("after %d deferrals the session is live: %v; want %d and true",
+			got, sv.sc.sessions[c.ID] != nil, 4*retryBudget)
+	}
+
 	// Two virtual seconds refill the bucket; the preemption now goes
 	// through and the victim gets its hold-down.
-	if err := sv.Tick(2 * eventsim.Second); err != nil {
+	now += 2 * eventsim.Second
+	if err := sv.Tick(now); err != nil {
 		t.Fatal(err)
 	}
 	if c.Tree == nil || !c.Tree.Contains(5) {
@@ -530,7 +632,7 @@ func TestServiceDampingDefersPreemption(t *testing.T) {
 	if got := sv.sc.Totals().Preemptions; got != 1 {
 		t.Fatalf("Preemptions = %d, want 1", got)
 	}
-	if until := sv.state[a.ID].heldDown; until <= 2*eventsim.Second {
+	if until := sv.state[a.ID].heldDown; until <= now {
 		t.Fatalf("victim hold-down not armed: %v", until)
 	}
 	if st := sv.Stats().Class[2]; st.Admitted != 1 {
