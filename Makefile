@@ -209,7 +209,7 @@ layout:
 # The obs smoke run, under the race detector, doubles as an end-to-end
 # check that metrics + tracing assemble a dashboard out of the SOMO root
 # snapshot: its snapshots call readers of each instrumented layer's own
-# counters, a member's from inside its SOMO report; the bench
+# counters and state, a member's from inside its SOMO report; the bench
 # smoke compiles and single-iterates every benchmark; the first scale
 # smoke runs the paper-size cell (N=1200, exact oracle) end to end; the
 # second runs the N=30000 cell time-boxed to 5 simulated seconds, which
