@@ -62,7 +62,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # Fault-injection study: a live ALM session under Poisson churn and a
-# partition window. Same seed => byte-identical output.
+# partition window, swept by the invariant registry after every repair
+# and every 5 s; any violation exits nonzero. Same seed =>
+# byte-identical output.
 chaos:
 	$(GO) run ./cmd/experiments -fig chaos -seed 1
 
@@ -239,11 +241,14 @@ layout:
 # per-host degree tables, released through a session's own list of
 # granting hosts, against a flat list of holdings (FuzzRegistryLedger),
 # so a slip in a table's cached counters, its preemption order or its
-# compaction fails CI. The chaos run takes a live session through
+# compaction fails CI. The chaos runs take a live session through
 # crashes, restarts and a partition under the race detector at full
-# size, its restarts taking members back through Scheduler.Rejoin; its
-# repair checks (a whole, degree-respecting tree without the dead host,
-# every member in it) exit nonzero. The load
+# size, at seeds 1, 2 and 3 (three fault schedules; about 0.1 s a seed
+# without -race), its restarts taking members back through
+# Scheduler.Rejoin; the invariant registry's continuous checks, swept
+# after every repair and every 5 s (whole, degree-respecting trees
+# without a dead host, every member in them, the slot ledger), exit
+# nonzero on any violation. The load
 # smoke soaks the scheduler control plane (admission, shedding,
 # preemption damping, flash crowd) for 45 simulated seconds on a small
 # pool under the race detector; it too exits nonzero on any invariant
@@ -279,7 +284,7 @@ ci: build fmt vet test cover race mains layout
 	$(GO) run ./cmd/experiments -fig scale -hosts 1200 -scale-runtime 30 -seed 1 > /dev/null
 	$(GO) run ./cmd/experiments -fig scale -hosts 30000 -scale-runtime 5 -seed 1 > /dev/null
 	$(GO) run -race ./cmd/experiments -fig audit -seed 1 > /dev/null
-	$(GO) run -race ./cmd/experiments -fig chaos -seed 1 > /dev/null
+	for s in 1 2 3; do $(GO) run -race ./cmd/experiments -fig chaos -seed $$s > /dev/null || exit 1; done
 	$(GO) run -race ./cmd/experiments -fig load -hosts 300 -load-runtime 45 -seed 1 > /dev/null
 	$(GO) run -race ./cmd/experiments -fig stream -hosts 900 -stream-chunks 10 -seed 1 > /dev/null
 	$(GO) run -race ./cmd/experiments -fig conf -hosts 900 -conf-chunks 10 -seed 1 > /dev/null

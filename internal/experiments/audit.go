@@ -10,7 +10,6 @@ import (
 	"p2ppool/internal/core"
 	"p2ppool/internal/dht"
 	"p2ppool/internal/eventsim"
-	"p2ppool/internal/faultnet"
 	"p2ppool/internal/ids"
 	"p2ppool/internal/invariant"
 	"p2ppool/internal/par"
@@ -248,19 +247,13 @@ func genAuditScript(runSeed int64, ro auditRoster, opts AuditOptions) []auditAct
 	return script
 }
 
-// auditViolation is one recorded violation with its sweep time.
-type auditViolation struct {
-	At eventsim.Time
-	V  invariant.Violation
-}
-
 // auditOutcome is what one scenario run reports.
 type auditOutcome struct {
 	Sweeps     int
 	ChecksRun  int
 	Crashes    int
 	Restarts   int
-	Violations []auditViolation
+	Violations []timedViolation
 	// Err records a harness failure (e.g. the scheduler could not plan
 	// at all); it counts as a failed audit.
 	Err string
@@ -342,14 +335,6 @@ func Audit(opts AuditOptions) (*AuditResult, error) {
 // auditRun executes one scenario under the given fault script and
 // sweeps the invariant registry over it.
 func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOptions) auditOutcome {
-	var out auditOutcome
-	fail := func(err error) {
-		if out.Err == "" && err != nil {
-			out.Err = err.Error()
-		}
-	}
-
-	engine := eventsim.New(runSeed)
 	lat := func(a, b int) float64 {
 		if a == b {
 			return 0
@@ -360,8 +345,8 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 		}
 		return 20 + 3*float64(d%17)
 	}
-	sim := transport.NewSim(engine, transport.SimOptions{Latency: lat})
-	f := faultnet.New(sim, faultnet.Options{Seed: runSeed*100 + 7})
+	w := newFaultWorld(runSeed, runSeed*100+7, lat)
+	engine, f := w.engine, w.net
 
 	// --- the pool: DHT ring + SOMO agents ---
 	degrees := ro.degrees
@@ -384,31 +369,27 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 		// every suspect expired.
 	})
 	if err != nil {
-		fail(err)
-		return out
+		return auditOutcome{Err: err.Error()}
 	}
 	agents, reattach := core.AttachSOMO(nodes, churnSOMO(2*eventsim.Second), hostPayload)
 
 	// --- the session and its scheduler ---
 	sc := sched.NewScheduler(degrees, lat, sched.Config{})
 	if err := sc.AddSession(sess); err != nil {
-		fail(err)
-		return out
+		return auditOutcome{Err: err.Error()}
 	}
 	if _, err := sc.Stabilize(); err != nil {
-		fail(err)
-		return out
+		return auditOutcome{Err: err.Error()}
 	}
 
 	// --- control plane: detection, repair, rejoin ---
-	downSince := make(map[int]eventsim.Time)
 	expected := 0 // replans the harness has caused
 	declareFailed := func(h int) {
 		expected += len(sc.NodeFailed(h))
 	}
 	stabilize := func() {
 		if _, err := sc.Stabilize(); err != nil {
-			fail(fmt.Errorf("stabilize: %w", err))
+			w.fail(fmt.Errorf("stabilize: %w", err))
 		}
 	}
 	recoverHost := func(h int) {
@@ -416,24 +397,16 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 		sc.Rejoin(h)
 	}
 
+	// A crash stops the host's protocol stack at once; the control
+	// plane hears of it only at detection.
 	f.OnCrash(func(a transport.Addr) {
-		h := int(a)
-		out.Crashes++
-		downSince[h] = f.Now()
-		agents[h].Stop()
-		nodes[h].Stop()
-		f.After(auditDetectDelay, func() {
-			if !f.Crashed(a) {
-				return // restarted before detection
-			}
-			declareFailed(h)
-			stabilize()
-		})
+		agents[a].Stop()
+		nodes[a].Stop()
 	})
-	f.OnRestart(func(a transport.Addr) {
-		h := int(a)
-		out.Restarts++
-		delete(downSince, h)
+	w.watch(auditDetectDelay, func(h int) {
+		declareFailed(h)
+		stabilize()
+	}, func(h int) {
 		nodes[h].Join(nodes[sess.Root].Self())
 		reattach(h)
 		recoverHost(h)
@@ -512,46 +485,34 @@ func auditRun(runSeed int64, ro auditRoster, script []auditAction, opts AuditOpt
 	})
 
 	// --- invariant sweeps ---
-	reg := invariant.NewRegistry()
-	continuous := 0
-	for _, c := range reg.Checks() {
-		if c.Phase == invariant.Continuous {
-			continuous++
-		}
-	}
-	world := &invariant.World{
-		Nodes:  nodes,
-		Agents: agents,
-		Down:   func(h int) bool { return f.Crashed(transport.Addr(h)) },
-		DownSince: func(h int) (eventsim.Time, bool) {
-			t, ok := downSince[h]
-			return t, ok
-		},
-		Sched:           sc,
-		Bounds:          degrees,
-		RepairLag:       auditDetectDelay + 2*eventsim.Second,
-		ExpectedReplans: func() int { return expected },
-		StalenessSlack:  3 * eventsim.Second,
-	}
-	record := func(phase invariant.Phase) {
-		world.Now = engine.Now()
-		out.Sweeps++
-		if phase == invariant.Eventual {
-			out.ChecksRun += len(reg.Checks())
-		} else {
-			out.ChecksRun += continuous
-		}
-		for _, v := range reg.Sweep(world, phase) {
-			out.Violations = append(out.Violations, auditViolation{At: engine.Now(), V: v})
-		}
-	}
+	view := w.view(sc, degrees, auditDetectDelay+2*eventsim.Second)
+	view.Nodes, view.Agents = nodes, agents
+	view.ExpectedReplans = func() int { return expected }
+	view.StalenessSlack = 3 * eventsim.Second
+	var out auditOutcome
 	end := opts.Window + opts.Settle
 	for t := opts.SweepEvery; t < end; t += opts.SweepEvery {
-		engine.At(t, func() { record(invariant.Continuous) })
+		engine.At(t, func() { w.sweep(view, invariant.Continuous) })
+		out.Sweeps++
 	}
-	engine.At(end, func() { record(invariant.Eventual) })
+	engine.At(end, func() { w.sweep(view, invariant.Eventual) })
+	out.Sweeps++
+	// Every continuous check runs in every sweep, the eventual sweep
+	// included; each eventual check runs once.
+	for _, c := range w.checks.Checks() {
+		if c.Phase == invariant.Continuous {
+			out.ChecksRun += out.Sweeps
+		} else {
+			out.ChecksRun++
+		}
+	}
 
-	engine.RunUntil(end + eventsim.Second)
+	if err := w.run(end + eventsim.Second); err != nil {
+		out.Err = err.Error()
+	}
+	ctr := f.Counters()
+	out.Crashes, out.Restarts = int(ctr.Crashes), int(ctr.Restarts)
+	out.Violations = w.violations
 	return out
 }
 

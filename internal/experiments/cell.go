@@ -17,17 +17,16 @@ import (
 	"p2ppool/internal/transport"
 )
 
-// This file is the harness the load, stream and conf studies share: the
-// synthetic world they price sessions in, and the service cell — one
-// engine, fault layer and sched.Service with the tick loop, crash
-// detection, churn schedule, invariant sweeps and chunk pumps wired the
-// same way for all three. DESIGN.md "Study harness" has the seed
-// schedule and the registration-order contract. chaos and audit drive a
-// bare sched.Scheduler over a real topology or ring and keep their own
-// wiring; from here they share only poissonCrashes. No study keeps a
-// list of the members a failure stripped: the session does, and the
-// studies that take restarted members back (chaos, audit, conf) call
-// NodeRecovered and then Scheduler.Rejoin.
+// This file is the harness the churn studies share, in two layers: the
+// fault world (engine, fault layer, crash detection, churn, down log and
+// invariant sweep; no control plane) that load, stream, conf, chaos and
+// audit run in, and the service cell, a sched.Service on a fault world,
+// that load, stream and conf drive, with the synthetic world they price
+// sessions in. DESIGN.md "Study harness" has the seed schedule, the
+// hooks each study passes and the registration-order contract. No study
+// keeps a list of the members a failure stripped: the session does, and
+// the studies that take restarted members back (chaos, audit, conf)
+// call NodeRecovered and then Scheduler.Rejoin.
 
 // The clocks every service cell runs on.
 const (
@@ -36,9 +35,9 @@ const (
 	// after its backoff, so retries do wait on tick granularity: class
 	// 1's first (125 ms ±20%) waits for the next tick, 250 ms on.
 	tickEvery = 250 * eventsim.Millisecond
-	// sweepEvery is the invariant-sweep interval (load, conf). A sweep
-	// walks every live session's trees, so it runs far coarser than
-	// the ticks: 120 sweeps over load's 10-minute window.
+	// sweepEvery is the invariant-sweep interval (load, conf, chaos).
+	// A sweep walks every live session's trees, so it runs far coarser
+	// than the ticks: 120 sweeps over load's 10-minute window.
 	sweepEvery = 5 * eventsim.Second
 )
 
@@ -190,50 +189,157 @@ func (d deliveryCounts) onTime() float64 {
 	return float64(d.OnTimeTree+d.PullRecovered) / float64(d.Expected)
 }
 
+// faultWorld is one run's simulated network under a fault layer, with
+// no control plane: each study hands it its own hooks, and it calls
+// them without asking whose they are.
+type faultWorld struct {
+	engine *eventsim.Engine
+	net    *faultnet.Net
+
+	// err is the first failure an event callback reported.
+	err error
+	// down logs each host's down intervals in order; while the host is
+	// down the last one is open (to = +Inf).
+	down map[int][]downSpan
+
+	checks *invariant.Registry
+	// violations are what the sweeps found, in sweep order.
+	violations []timedViolation
+}
+
+// downSpan is one interval a host spent crashed.
+type downSpan struct{ from, to eventsim.Time }
+
+// timedViolation is one invariant violation with its sweep time.
+type timedViolation struct {
+	At eventsim.Time
+	V  invariant.Violation
+}
+
+func newFaultWorld(engineSeed, faultSeed int64, lat transport.LatencyFunc) *faultWorld {
+	engine := eventsim.New(engineSeed)
+	sim := transport.NewSim(engine, transport.SimOptions{Latency: lat})
+	return &faultWorld{
+		engine: engine,
+		net:    faultnet.New(sim, faultnet.Options{Seed: faultSeed}),
+		down:   make(map[int][]downSpan),
+		checks: invariant.NewRegistry(),
+	}
+}
+
+func (w *faultWorld) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+// run drives the world to end and returns the first callback failure.
+func (w *faultWorld) run(end eventsim.Time) error {
+	w.engine.RunUntil(end)
+	return w.err
+}
+
+// crashed reports whether host h is down right now.
+func (w *faultWorld) crashed(h int) bool { return w.net.Crashed(transport.Addr(h)) }
+
+// watch wires crash detection: a crash opens the host's down interval
+// and, if the host is still down detectDelay later, calls failed; a
+// restart closes the interval and calls restarted. Call it before the
+// engine runs.
+func (w *faultWorld) watch(detectDelay eventsim.Time, failed, restarted func(h int)) {
+	w.net.OnCrash(func(a transport.Addr) {
+		h := int(a)
+		w.down[h] = append(w.down[h], downSpan{from: w.net.Now(), to: eventsim.Time(math.Inf(1))})
+		w.net.After(detectDelay, func() {
+			if w.net.Crashed(a) {
+				failed(h)
+			}
+		})
+	})
+	w.net.OnRestart(func(a transport.Addr) {
+		h := int(a)
+		w.down[h][len(w.down[h])-1].to = w.net.Now()
+		restarted(h)
+	})
+}
+
+// downSince returns when host h went down; ok is false while it is up.
+func (w *faultWorld) downSince(h int) (at eventsim.Time, ok bool) {
+	spans := w.down[h]
+	if len(spans) == 0 || !math.IsInf(float64(spans[len(spans)-1].to), 1) {
+		return 0, false
+	}
+	return spans[len(spans)-1].from, true
+}
+
+// churn schedules Poisson crashes drawn from rng over [from, until),
+// victims drawn from pool, each restarting after down.
+func (w *faultWorld) churn(rng *rand.Rand, perMinute float64, from, until eventsim.Time, pool []int, down eventsim.Time) {
+	for _, cr := range poissonCrashes(rng, perMinute, from, until, len(pool)) {
+		victim := transport.Addr(pool[cr.pick])
+		w.net.CrashAt(cr.at, victim)
+		w.net.RestartAt(cr.at+down, victim)
+	}
+}
+
+// view is the invariant registry's view of sc's sessions and ledger
+// against the physical degree bounds, with down hosts read from this
+// world. A host may stay in a settled tree for repairLag after it
+// crashed.
+func (w *faultWorld) view(sc *sched.Scheduler, bounds []int, repairLag eventsim.Time) *invariant.World {
+	return &invariant.World{
+		Sched:     sc,
+		Bounds:    bounds,
+		Down:      w.crashed,
+		DownSince: w.downSince,
+		RepairLag: repairLag,
+	}
+}
+
+// sweep runs the registry's checks of phase over view now and records
+// every violation with its time.
+func (w *faultWorld) sweep(view *invariant.World, phase invariant.Phase) {
+	view.Now = w.engine.Now()
+	for _, v := range w.checks.Sweep(view, phase) {
+		w.violations = append(w.violations, timedViolation{At: view.Now, V: v})
+	}
+}
+
+// firstViolation renders the earliest violation (empty when clean).
+func (w *faultWorld) firstViolation() string {
+	if len(w.violations) == 0 {
+		return ""
+	}
+	v := w.violations[0]
+	return fmt.Sprintf("t=%.1fs %s", float64(v.At)/1000, v.V.String())
+}
+
 // serviceCell is one run of a study that drives the task manager
-// through sched.Service: an engine, a simulated network under a fault
-// layer, and the service, seeded from (seed, idx) on the schedule every
-// study shares. Its methods schedule events in call order, and events at
-// one timestamp fire in that order, so a study's sequence of calls is
-// part of its output.
+// through sched.Service: a fault world and the service on top of it,
+// seeded from (seed, idx) on the schedule every study shares. Its
+// methods schedule events in call order, and events at one timestamp
+// fire in that order, so a study's sequence of calls is part of its
+// output.
 type serviceCell struct {
-	seed    int64
-	idx     int
-	engine  *eventsim.Engine
-	net     *faultnet.Net
+	*faultWorld
 	sv      *sched.Service
 	degrees []int
 	reg     *obs.Registry
 
-	// err is the first failure an event callback reported.
-	err error
-
 	detectDelay eventsim.Time
-	// downSince is when each currently crashed host went down.
-	downSince map[int]eventsim.Time
-
-	// violations counts invariant-sweep violations; firstViolation is
-	// the earliest one's rendering (empty when clean).
-	violations     int
-	firstViolation string
 }
 
 // newServiceCell wires run idx of a study. cfg carries only what the
 // study tunes; the score metric and the service seed are set here.
 // Nil registry handles are no-ops, so instrumentation is unconditional.
 func newServiceCell(seed int64, idx int, lat alm.LatencyFunc, degrees []int, cfg sched.ServiceConfig, reg *obs.Registry) *serviceCell {
-	engine := eventsim.New(seed + int64(idx))
-	sim := transport.NewSim(engine, transport.SimOptions{Latency: transport.LatencyFunc(lat)})
-	net := faultnet.New(sim, faultnet.Options{Seed: seed*100 + int64(idx)})
+	w := newFaultWorld(seed+int64(idx), seed*100+int64(idx), transport.LatencyFunc(lat))
 	cfg.Sched.ScoreLatency, cfg.Sched.MetricScore = lat, true
 	cfg.Seed = seed*10 + int64(idx) + 5
 	sv := sched.NewService(degrees, lat, cfg)
 	sv.Instrument(reg)
-	net.Instrument(reg, nil)
-	return &serviceCell{
-		seed: seed, idx: idx, engine: engine, net: net, sv: sv, degrees: degrees, reg: reg,
-		downSince: make(map[int]eventsim.Time),
-	}
+	w.net.Instrument(reg, nil)
+	return &serviceCell{faultWorld: w, sv: sv, degrees: degrees, reg: reg}
 }
 
 // rosterRNG is the stream run idx of a study draws its sessions from
@@ -242,14 +348,11 @@ func rosterRNG(seed int64, idx int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1000 + int64(idx)*17 + 3))
 }
 
-func (c *serviceCell) fail(err error) {
-	if c.err == nil {
-		c.err = err
-	}
+// churnRNG is the stream run idx of a service-cell study draws its
+// crash schedule from.
+func churnRNG(seed int64, idx int) *rand.Rand {
+	return rand.New(rand.NewSource(seed*1000 + int64(idx)*31 + 7))
 }
-
-// crashed reports whether host h is down right now.
-func (c *serviceCell) crashed(h int) bool { return c.net.Crashed(transport.Addr(h)) }
 
 // submitAt schedules a submission. build runs when it fires and may
 // return nil: the session never forms.
@@ -279,23 +382,12 @@ func (c *serviceCell) tickUntil(end eventsim.Time) {
 	c.net.After(tickEvery, tick)
 }
 
-// wireChurn connects the fault layer to the service: a crash still in
-// force detectDelay later is reported as NodeFailed, a restart as
-// NodeRecovered followed by the study's own onRestart (nil for none).
+// wireChurn connects the fault world to the service: a detected crash
+// is NodeFailed, a restart NodeRecovered followed by the study's own
+// onRestart (nil for none).
 func (c *serviceCell) wireChurn(detectDelay eventsim.Time, onRestart func(h int)) {
 	c.detectDelay = detectDelay
-	c.net.OnCrash(func(a transport.Addr) {
-		h := int(a)
-		c.downSince[h] = c.net.Now()
-		c.net.After(detectDelay, func() {
-			if c.net.Crashed(a) {
-				c.sv.NodeFailed(c.net.Now(), h)
-			}
-		})
-	})
-	c.net.OnRestart(func(a transport.Addr) {
-		h := int(a)
-		delete(c.downSince, h)
+	c.watch(detectDelay, func(h int) { c.sv.NodeFailed(c.net.Now(), h) }, func(h int) {
 		c.sv.NodeRecovered(c.net.Now(), h)
 		if onRestart != nil {
 			onRestart(h)
@@ -303,43 +395,16 @@ func (c *serviceCell) wireChurn(detectDelay eventsim.Time, onRestart func(h int)
 	})
 }
 
-// churn schedules Poisson crashes over [from, until), victims drawn
-// from pool, each restarting after down.
-func (c *serviceCell) churn(perMinute float64, from, until eventsim.Time, pool []int, down eventsim.Time) {
-	rng := rand.New(rand.NewSource(c.seed*1000 + int64(c.idx)*31 + 7))
-	for _, cr := range poissonCrashes(rng, perMinute, from, until, len(pool)) {
-		victim := transport.Addr(pool[cr.pick])
-		c.net.CrashAt(cr.at, victim)
-		c.net.RestartAt(cr.at+down, victim)
-	}
-}
-
 // sweepUntil sweeps the continuous invariants (slot conservation,
 // ledger, tree validity) every sweepEvery through end, then runs each
 // (nil for none). Call after wireChurn: the repair-lag bound is built
 // from its detection delay.
 func (c *serviceCell) sweepUntil(end eventsim.Time, each func()) {
-	ireg := invariant.NewRegistry()
-	world := &invariant.World{
-		Sched:  c.sv.Scheduler(),
-		Bounds: c.degrees,
-		Down:   c.crashed,
-		DownSince: func(h int) (eventsim.Time, bool) {
-			t, ok := c.downSince[h]
-			return t, ok
-		},
-		// Crash-to-repair is detection plus at most one tick (failed
-		// in-place repairs go dirty, and dirty sessions are skipped).
-		RepairLag: c.detectDelay + tickEvery + 2*eventsim.Second,
-	}
+	// Crash-to-repair is detection plus at most one tick (failed
+	// in-place repairs go dirty, and dirty sessions are skipped).
+	view := c.view(c.sv.Scheduler(), c.degrees, c.detectDelay+tickEvery+2*eventsim.Second)
 	sweep := func() {
-		world.Now = c.engine.Now()
-		for _, v := range ireg.Sweep(world, invariant.Continuous) {
-			c.violations++
-			if c.firstViolation == "" {
-				c.firstViolation = fmt.Sprintf("t=%.1fs %s", float64(c.engine.Now())/1000, v.String())
-			}
-		}
+		c.sweep(view, invariant.Continuous)
 		if each != nil {
 			each()
 		}
@@ -389,10 +454,4 @@ func (c *serviceCell) startPumps(model *netmodel.Model, at eventsim.Time, cfg da
 		}
 	})
 	return pumps
-}
-
-// run drives the cell to end and returns the first callback failure.
-func (c *serviceCell) run(end eventsim.Time) error {
-	c.engine.RunUntil(end)
-	return c.err
 }

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"p2ppool/internal/alm"
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/faultnet"
+	"p2ppool/internal/invariant"
 	"p2ppool/internal/par"
 	"p2ppool/internal/sched"
 	"p2ppool/internal/topology"
@@ -165,9 +167,8 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 	if err != nil {
 		return ChaosRow{}, err
 	}
-	engine := eventsim.New(opts.Seed + int64(idx))
-	sim := transport.NewSim(engine, transport.SimOptions{Latency: net.Latency})
-	f := faultnet.New(sim, faultnet.Options{Seed: opts.Seed*100 + int64(idx)})
+	w := newFaultWorld(opts.Seed+int64(idx), opts.Seed*100+int64(idx), net.Latency)
+	f := w.net
 	sc := sched.NewScheduler(degrees, net.Latency, sched.Config{})
 	if err := sc.AddSession(sess); err != nil {
 		return ChaosRow{}, err
@@ -179,21 +180,6 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 	row := ChaosRow{Rate: rate}
 	row.BaselineHeight = sess.Tree.MaxHeight(net.Latency)
 	row.PeakHeight = row.BaselineHeight
-	bound := func(v int) int { return degrees[v] }
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	isMember := func(h int) bool {
-		for _, m := range sess.Members {
-			if m == h {
-				return true
-			}
-		}
-		return false
-	}
 	noteHeight := func() {
 		if sess.Tree == nil {
 			return
@@ -208,14 +194,12 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 	// and a snapshot of the member's tree path (the chain the packet
 	// will actually travel, even if the tree is repaired afterwards).
 	// Delivery closes the entry; whatever is left after the run is the
-	// loss, classified against the per-host downtime log.
+	// loss, classified against the world's down log.
 	type pendingDelivery struct {
 		sentAt eventsim.Time
 		path   []int // forwarding ancestors, member side first; excludes root and member
 	}
 	pending := make(map[int]pendingDelivery) // seq*Hosts+member
-	type downInterval struct{ from, to eventsim.Time }
-	downtime := make(map[int][]downInterval)
 	pathTo := func(m int) []int {
 		var path []int
 		for v := m; ; {
@@ -239,7 +223,7 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 			if !ok || sess.Tree == nil || !sess.Tree.Contains(h) {
 				return
 			}
-			if isMember(h) {
+			if slices.Contains(sess.Members, h) {
 				if key := pkt.Seq*opts.Hosts + h; !seen[key] {
 					seen[key] = true
 					row.Delivered++
@@ -274,66 +258,40 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 	f.After(0, pump)
 
 	// --- control plane: detection, repair, member rejoin ---
+	// A repair runs inside the detection callback, so the repair lag
+	// only has to absorb a sweep at the same instant.
+	view := w.view(sc, degrees, chaosDetectDelay+2*eventsim.Second)
 	var repairTotal eventsim.Time
+	hit := make(map[int]bool) // whether the host's current crash hit the tree
 	f.OnCrash(func(a transport.Addr) {
-		host := int(a)
-		crashAt := f.Now()
-		inTree := sess.Tree != nil && sess.Tree.Contains(host)
-		if inTree {
+		h := int(a)
+		hit[h] = sess.Tree != nil && sess.Tree.Contains(h)
+		if hit[h] {
 			row.TreeCrashes++
 		}
-		f.After(chaosDetectDelay, func() {
-			if !f.Crashed(a) {
-				return // restarted before detection; nothing to repair
-			}
-			sc.NodeFailed(host)
-			if _, err := sc.Stabilize(); err != nil {
-				fail(err)
-				return
-			}
-			// Every repair must leave a whole, degree-respecting tree
-			// that excludes the dead node.
-			switch {
-			case sess.Tree == nil:
-				fail(fmt.Errorf("chaos: no tree after repairing crash of %d", host))
-			case sess.Tree.Contains(host):
-				fail(fmt.Errorf("chaos: dead host %d still in tree", host))
-			default:
-				if err := sess.Tree.Validate(bound); err != nil {
-					fail(fmt.Errorf("chaos: tree invalid after repair: %w", err))
-				}
-				for _, m := range sess.Members {
-					if !sess.Tree.Contains(m) {
-						fail(fmt.Errorf("chaos: member %d missing after repair", m))
-					}
-				}
-			}
-			if inTree {
-				row.Repairs++
-				repairTotal += f.Now() - crashAt
-			}
-			noteHeight()
-		})
 	})
-	f.OnCrash(func(a transport.Addr) {
-		// Open a downtime interval (closed on restart, or left open to
-		// the end of the run for hosts that stay dead).
-		downtime[int(a)] = append(downtime[int(a)], downInterval{from: f.Now(), to: opts.Window + 5*eventsim.Second})
-	})
-	f.OnRestart(func(a transport.Addr) {
-		iv := downtime[int(a)]
-		if len(iv) > 0 {
-			iv[len(iv)-1].to = f.Now()
+	w.watch(chaosDetectDelay, func(h int) {
+		sc.NodeFailed(h)
+		if _, err := sc.Stabilize(); err != nil {
+			w.fail(err)
+			return
 		}
-	})
-	f.OnRestart(func(a transport.Addr) {
-		host := int(a)
-		sc.NodeRecovered(host)
-		if sc.Rejoin(host) == nil {
+		// Every repair must leave whole, degree-respecting trees
+		// without the dead host.
+		w.sweep(view, invariant.Continuous)
+		if hit[h] {
+			since, _ := w.downSince(h)
+			row.Repairs++
+			repairTotal += f.Now() - since
+		}
+		noteHeight()
+	}, func(h int) {
+		sc.NodeRecovered(h)
+		if sc.Rejoin(h) == nil {
 			return // not a member the failure took
 		}
 		if _, err := sc.Stabilize(); err != nil {
-			fail(err)
+			w.fail(err)
 			return
 		}
 		noteHeight()
@@ -341,18 +299,13 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 
 	// --- fault schedule: Poisson crashes plus one partition window ---
 	if rate > 0 {
-		frng := rand.New(rand.NewSource(opts.Seed*1000 + int64(idx) + 7))
 		targets := make([]int, 0, opts.Hosts-1)
 		for h := 0; h < opts.Hosts; h++ {
 			if h != sess.Root {
 				targets = append(targets, h)
 			}
 		}
-		for _, cr := range poissonCrashes(frng, rate, 0, opts.Window, len(targets)) {
-			victim := transport.Addr(targets[cr.pick])
-			f.CrashAt(cr.at, victim)
-			f.RestartAt(cr.at+chaosRestartDelay, victim)
-		}
+		w.churn(rand.New(rand.NewSource(opts.Seed*1000+int64(idx)+7)), rate, 0, opts.Window, targets, chaosRestartDelay)
 		half := make([]transport.Addr, opts.Hosts)
 		for h := range half {
 			half[h] = transport.Addr(h)
@@ -364,11 +317,17 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 			{At: chaosPartitionAt + chaosPartitionFor, Do: func(fn *faultnet.Net) { fn.Heal() }},
 		})
 	}
+	for t := sweepEvery; t <= opts.Window; t += sweepEvery {
+		w.engine.At(t, func() { w.sweep(view, invariant.Continuous) })
+	}
 
 	// Run the window plus a drain period for in-flight packets.
-	engine.RunUntil(opts.Window + 5*eventsim.Second)
-	if firstErr != nil {
-		return ChaosRow{}, firstErr
+	if err := w.run(opts.Window + 5*eventsim.Second); err != nil {
+		return ChaosRow{}, err
+	}
+	if len(w.violations) > 0 {
+		return ChaosRow{}, fmt.Errorf("chaos rate %.1f: %d invariant violations, first at %s",
+			rate, len(w.violations), w.firstViolation())
 	}
 
 	ctr := f.Counters()
@@ -385,33 +344,20 @@ func chaosRun(idx int, rate float64, opts ChaosOptions) (ChaosRow, error) {
 	// broken path (its agent could not have received either way); a
 	// broken path beats residual message loss.
 	const grace = 2 * eventsim.Second
-	downIn := func(h int, from, to eventsim.Time) bool {
-		for _, iv := range downtime[h] {
-			if iv.from <= to && from <= iv.to {
-				return true
-			}
-		}
-		return false
-	}
 	for key, p := range pending {
-		member := key % opts.Hosts
+		down := func(h int) bool {
+			return slices.ContainsFunc(w.down[h], func(iv downSpan) bool {
+				return iv.from <= p.sentAt+grace && p.sentAt <= iv.to
+			})
+		}
 		row.Undelivered++
 		switch {
-		case downIn(member, p.sentAt, p.sentAt+grace):
+		case down(key % opts.Hosts):
 			row.CauseDead++
+		case slices.ContainsFunc(p.path, down):
+			row.CauseRepair++
 		default:
-			repair := false
-			for _, anc := range p.path {
-				if downIn(anc, p.sentAt, p.sentAt+grace) {
-					repair = true
-					break
-				}
-			}
-			if repair {
-				row.CauseRepair++
-			} else {
-				row.CauseDrop++
-			}
+			row.CauseDrop++
 		}
 	}
 	return row, nil

@@ -48,8 +48,9 @@ func TestChaosBaselineMatchesScheduler(t *testing.T) {
 
 // TestChaosRepairsEveryTreeCrash: under churn, every crash that hits a
 // tree node must be followed by a completed repair (chaosRun itself
-// fails the run if a repair leaves the tree invalid, missing a member,
-// or still containing the dead node).
+// fails the run on any invariant-registry violation, swept after each
+// repair and every 5 s: an invalid tree, a missing member, a dead node
+// left in the tree, a ledger that does not match the tree).
 func TestChaosRepairsEveryTreeCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("event-driven chaos study is slow; covered by the long run")

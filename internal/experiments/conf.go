@@ -407,7 +407,7 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 		}
 	})
 	if confChurn(cell) {
-		c.churn(opts.CrashRate, pumpStart+3*eventsim.Second, streamEnd-playoutLive, pool, opts.RestartDelay)
+		c.churn(churnRNG(opts.Seed, idx), opts.CrashRate, pumpStart+3*eventsim.Second, streamEnd-playoutLive, pool, opts.RestartDelay)
 	}
 
 	// --- data plane: one pump per (session, source) ---
@@ -449,7 +449,7 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 	}
 
 	// --- harvest ---
-	row.Violations, row.FirstViolation = c.violations, c.firstViolation
+	row.Violations, row.FirstViolation = len(c.violations), c.firstViolation()
 	var sharedSum, isoSum float64
 	var isoN int
 	var heightSum float64

@@ -377,7 +377,7 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 	for h := range everyone {
 		everyone[h] = h
 	}
-	c.churn(loadCrashRate, 0, opts.Window, everyone, loadRestartDelay)
+	c.churn(churnRNG(opts.Seed, idx), loadCrashRate, 0, opts.Window, everyone, loadRestartDelay)
 	c.tickUntil(opts.Window)
 	c.sweepUntil(opts.Window, func() {
 		for _, s := range sv.Scheduler().Sessions() {
@@ -392,7 +392,7 @@ func loadRun(idx int, cell string, opts LoadOptions) (LoadRow, error) {
 	}
 
 	// --- harvest ---
-	row.Violations, row.FirstViolation = c.violations, c.firstViolation
+	row.Violations, row.FirstViolation = len(c.violations), c.firstViolation()
 	st := sv.Stats()
 	for p := 1; p <= sched.NumClasses; p++ {
 		cl := st.Class[p]

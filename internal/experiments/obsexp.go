@@ -282,13 +282,10 @@ func (r *ObsResult) Tables() []Table {
 	totals := Table{
 		Title:   "Obs: global metrics registry (transport + fault layer)",
 		Columns: []string{"metric", "value"},
-		Note:    "counters and gauges from the shared registry; per-member registries travel inside the health table above",
+		Note:    "counters from the shared registry; per-member registries travel inside the health table above",
 	}
 	for _, c := range r.Health.Totals.Counters {
 		totals.Rows = append(totals.Rows, []string{c.Name, d(int(c.Value))})
-	}
-	for _, g := range r.Health.Totals.Gauges {
-		totals.Rows = append(totals.Rows, []string{g.Name, f1(g.Value)})
 	}
 
 	hists := Table{

@@ -295,7 +295,7 @@ func streamRun(idx int, cell string, rung float64, opts StreamOptions) (StreamRo
 		for _, s := range sessions {
 			pool = append(pool, s.members...)
 		}
-		c.churn(opts.CrashRate, pumpStart+3*eventsim.Second, streamEnd-playout, pool, opts.RestartDelay)
+		c.churn(churnRNG(opts.Seed, idx), opts.CrashRate, pumpStart+3*eventsim.Second, streamEnd-playout, pool, opts.RestartDelay)
 	}
 
 	// --- data plane ---

@@ -246,6 +246,11 @@ func (t *Trace) Summary() Summary {
 // through SOMO: the member's registry snapshot plus when its agent
 // last reported. The SOMO root snapshot of Health records IS the
 // system-health dashboard — the paper's in-band monitoring story.
+// LastReport is a field of its own rather than a read of the
+// somo.last_report_ms gauge in Metrics: a member without a registry
+// publishes an empty snapshot, and the dashboard's status must read the
+// same with and without instrumentation (the observer-effect check in
+// internal/experiments runs the dashboard with no registry at all).
 type Health struct {
 	Host       int
 	LastReport eventsim.Time

@@ -98,6 +98,24 @@ func TestServiceDeadlineShed(t *testing.T) {
 	if sessions[0].Tree == nil {
 		t.Fatal("admitted session has no plan")
 	}
+
+	// The same queue with the second tick exactly on the deadline: the
+	// last session is not stale yet, so that tick admits it, and an
+	// admission at the deadline is within SLO.
+	sv = NewService(bounds, lineLat, ServiceConfig{})
+	for i := range sessions {
+		if _, err := sv.Submit(0, &Session{ID: SessionID(i + 1), Priority: 3, Root: 2 * i, Members: []int{2*i + 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, now := range []eventsim.Time{eventsim.Millisecond, admitDeadline(3)} {
+		if err := sv.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := sv.Stats().Class[3]; st.ShedDeadline != 0 || st.Admitted != admitPerTick+1 || st.AdmittedInSLO != admitPerTick+1 {
+		t.Fatalf("tick at the deadline: %+v; want no shed and %d admits, all in SLO", st, admitPerTick+1)
+	}
 }
 
 // TestServiceRetryBudgetShedsSelf starves a session that can never plan
@@ -721,6 +739,10 @@ func TestRosterNamingAFailedHost(t *testing.T) {
 	}
 	if c := sv.Stats().Class[2]; c.Submitted != 1 || c.RootDied != 1 || c.Rejected != 0 || sv.QueueDepth() != 0 {
 		t.Errorf("class 2 after a dead-root Submit: %+v, queue %d; want submitted and root-died 1", c, sv.QueueDepth())
+	}
+	first := &Session{ID: 4, Priority: 2, Root: 3, Members: []int{5, 4}}
+	if _, err := sv.Submit(0, first); err != nil || !slices.Equal(first.Members, []int{4}) {
+		t.Errorf("Submit naming dead host 5 first: members %v, err %v; want [4]", first.Members, err)
 	}
 
 	sc := NewScheduler([]int{4, 4, 4, 4, 4, 4, 4, 4}, lineLat, Config{})
