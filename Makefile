@@ -254,10 +254,12 @@ layout:
 # pool under the race detector; it too exits nonzero on any invariant
 # violation. The stream smoke pushes 10 chunks of payload down planned
 # trees on a 900-host pool under the race detector — the full
-# plan -> pump -> contention -> pull path end to end. The conf smoke
-# runs the multi-source grain the same way: M trees per conference on
-# one shared ledger, concurrent per-source pumps, market competition
-# and churn rejoins, with the continuous ledger sweeps arming the
+# plan -> pump -> contention -> pull path end to end, its runs sharing
+# one read-only capacity world — and exits nonzero on any invariant
+# violation its continuous sweeps find. The conf smoke runs the
+# multi-source grain through the same media run: M trees per
+# conference on one shared ledger, concurrent per-source pumps, market
+# competition and churn rejoins, with the same sweeps arming the
 # nonzero exit on any conservation violation. The last three steps
 # are the benchmark's correctness gates: on its control-plane workload —
 # tree validity, ledger invariants (cached counters recomputed from the

@@ -302,8 +302,8 @@ func run() int {
 				exitCode = 1
 			}
 		}
-		// audit, load and conf sweep invariants; a violation fails the
-		// command after its tables have printed.
+		// audit, load, stream and conf sweep invariants; a violation
+		// fails the command after its tables have printed.
 		if v, ok := res.(interface{ ViolationCount() int }); ok {
 			if n := v.ViolationCount(); n > 0 {
 				fmt.Fprintf(os.Stderr, "%s: %d invariant violation(s)\n", st.names[0], n)

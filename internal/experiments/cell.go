@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"time"
 
 	"p2ppool/internal/alm"
 	"p2ppool/internal/bandwidth"
@@ -17,16 +19,19 @@ import (
 	"p2ppool/internal/transport"
 )
 
-// This file is the harness the churn studies share, in two layers: the
-// fault world (engine, fault layer, crash detection, churn, down log and
-// invariant sweep; no control plane) that load, stream, conf, chaos and
-// audit run in, and the service cell, a sched.Service on a fault world,
-// that load, stream and conf drive, with the synthetic world they price
-// sessions in. DESIGN.md "Study harness" has the seed schedule, the
-// hooks each study passes and the registration-order contract. No study
-// keeps a list of the members a failure stripped: the session does, and
-// the studies that take restarted members back (chaos, audit, conf)
-// call NodeRecovered and then Scheduler.Rejoin.
+// This file is the harness the churn studies share, in three layers:
+// the fault world (engine, fault layer, crash detection, churn, down
+// log and invariant sweep; no control plane) that load, stream, conf,
+// chaos and audit run in; the service cell, a sched.Service on a fault
+// world, that load, stream and conf drive, with the synthetic world
+// they price sessions in; and the media run, the one data path stream
+// and conf stream chunks through: a list of sessions, each a broadcast
+// or a conference, submitted, ticked, churned, pumped per source and
+// swept in one registration order. DESIGN.md "Study harness" has the
+// seed schedule, the hooks each study passes and that order. No study
+// keeps a list of the members a failure stripped: the session does,
+// and the studies that take restarted members back (chaos, audit,
+// conf) call NodeRecovered and then Scheduler.Rejoin.
 
 // The clocks every service cell runs on.
 const (
@@ -35,7 +40,8 @@ const (
 	// after its backoff, so retries do wait on tick granularity: class
 	// 1's first (125 ms ±20%) waits for the next tick, 250 ms on.
 	tickEvery = 250 * eventsim.Millisecond
-	// sweepEvery is the invariant-sweep interval (load, conf, chaos).
+	// sweepEvery is the invariant-sweep interval (load, stream, conf,
+	// chaos).
 	// A sweep walks every live session's trees, so it runs far coarser
 	// than the ticks: 120 sweeps over load's 10-minute window.
 	sweepEvery = 5 * eventsim.Second
@@ -44,8 +50,8 @@ const (
 // What the two chunk-streaming studies (stream, conf) share.
 const (
 	// chunkDur is the media chunk duration: HLS-style one-second chunks
-	// (dataplane's default too; stated because the studies count their
-	// own timelines — stream end, churn window — in chunks).
+	// (dataplane's default too; stated because the media run counts its
+	// timeline — stream end, churn window — in chunks).
 	chunkDur = eventsim.Second
 	// playoutLive is the per-chunk deadline after emission for live
 	// content (stream's live cells, every conference): three chunks.
@@ -82,7 +88,8 @@ func synthLatency(rng *rand.Rand, hosts int) alm.LatencyFunc {
 
 // capacityWorld builds the static world every stream and conf run
 // shares: the latency metric, the capacity population, and the Section
-// 4.2 leafset bandwidth estimates. A pure function of the seed.
+// 4.2 leafset bandwidth estimates. A pure function of the seed, so each
+// study draws it once and its runs only read it.
 func capacityWorld(seed int64, hosts, leafset int) (alm.LatencyFunc, *netmodel.Model, []bandwidth.Estimates, error) {
 	if leafset >= hosts {
 		return nil, nil, nil, fmt.Errorf("experiments: a leafset of %d needs more than %d hosts", leafset, hosts)
@@ -153,40 +160,6 @@ func poissonCrashes(rng *rand.Rand, perMinute float64, from, until eventsim.Time
 		}
 		out = append(out, crashAt{at: at, pick: rng.Intn(n)})
 	}
-}
-
-// deliveryCounts is the outcome partition over expected (member, chunk)
-// pairs, summed across pumps; see dataplane.Stats. Stream and conf rows
-// embed it.
-type deliveryCounts struct {
-	Expected      int
-	OnTimeTree    int
-	PullRecovered int
-	Late          int
-	Lost          int
-	TreeMisses    int
-	Duplicates    int
-	PullsSent     int
-}
-
-func (d *deliveryCounts) add(st dataplane.Stats) {
-	d.Expected += st.Expected
-	d.OnTimeTree += st.OnTimeTree
-	d.PullRecovered += st.PullRecovered
-	d.Late += st.Late
-	d.Lost += st.Lost
-	d.TreeMisses += st.TreeMisses
-	d.Duplicates += st.Duplicates
-	d.PullsSent += st.PullsSent
-}
-
-// onTime is the fraction of expected pairs delivered within the playout
-// deadline, by either path (0 when nothing was expected).
-func (d deliveryCounts) onTime() float64 {
-	if d.Expected == 0 {
-		return 0
-	}
-	return float64(d.OnTimeTree+d.PullRecovered) / float64(d.Expected)
 }
 
 // faultWorld is one run's simulated network under a fault layer, with
@@ -414,44 +387,198 @@ func (c *serviceCell) sweepUntil(end eventsim.Time, each func()) {
 	}
 }
 
-// pumpSpec is one chunk sequence to stream: a source, its receivers,
-// and where its live routing tree is read from.
-type pumpSpec struct {
-	key     int
-	src     int
+// mediaSession is one session a media run submits and streams: a
+// broadcast (sources nil) or a conference, whose extra sources stream
+// to the rest of the roster too.
+type mediaSession struct {
+	id      sched.SessionID
+	pri     int
+	root    int
 	members []int
-	tree    dataplane.TreeFunc
+	sources []int
 }
 
-// startPumps builds the data plane over the model's true capacities
-// and, one millisecond before at, starts a pump per spec (spec i seeded
-// seedBase+i) emitting from at. cfg carries only what the study tunes;
-// the chunk duration and the mesh-neighbor count are set here. The
-// returned slots fill in when that event fires.
-func (c *serviceCell) startPumps(model *netmodel.Model, at eventsim.Time, cfg dataplane.Config, seedBase int64, specs []pumpSpec) []*dataplane.Pump {
+// mediaRun is what a chunk-streaming study (stream, conf) hands the
+// shared run: its sessions, how they stream and how they churn.
+type mediaRun struct {
+	sessions []mediaSession
+	// model holds the true capacities the data plane runs on.
+	model *netmodel.Model
+	// pump carries the study's bitrate, playout and chunk count; pump
+	// i is seeded seedBase+i.
+	pump     dataplane.Config
+	seedBase int64
+	// Churn: crashRate crashes per virtual minute (0 for none), times
+	// and victims drawn from churn, hit churnPool while chunks are
+	// emitted; each victim restarts after restartDelay. restarted (nil
+	// for none) runs after a restart's NodeRecovered while the stream
+	// lasts.
+	churn        *rand.Rand
+	crashRate    float64
+	churnPool    []int
+	restartDelay eventsim.Time
+	restarted    func(sc *sched.Scheduler, h int)
+}
+
+// runMedia runs m on the cell and returns each pump's outcome, indexed
+// by session, then by source (the root first). Pumps start at 2 s, the
+// stream ends one playout after the last chunk, and the run 10 s after
+// that. It registers, in this order: the submits at 100 ms, the tick,
+// the crash hooks, the churn (from 3 s into the stream to its last
+// emission), one pump per (session, source), keyed by its index, and
+// the continuous sweeps.
+func (c *serviceCell) runMedia(m mediaRun) ([][]dataplane.Stats, error) {
+	pumpStart := 2 * eventsim.Second
+	streamEnd := pumpStart + eventsim.Time(m.pump.Chunks)*chunkDur + m.pump.Playout
+	runEnd := streamEnd + 10*eventsim.Second
+	sc := c.sv.Scheduler()
+
+	for _, s := range m.sessions {
+		c.submitAt(100*eventsim.Millisecond, func() *sched.Session {
+			return &sched.Session{
+				ID: s.id, Priority: s.pri, Root: s.root,
+				Members: append([]int(nil), s.members...),
+				Sources: append([]int(nil), s.sources...),
+			}
+		})
+	}
+	c.tickUntil(runEnd)
+	c.wireChurn(mediaDetectDelay, func(h int) {
+		if m.restarted != nil && c.net.Now() < streamEnd {
+			m.restarted(sc, h)
+		}
+	})
+	c.churn(m.churn, m.crashRate, pumpStart+3*eventsim.Second, streamEnd-m.pump.Playout, m.churnPool, m.restartDelay)
+
 	n := len(c.degrees)
 	up := make([]float64, n)
 	down := make([]float64, n)
 	for h := range up {
-		up[h] = model.Up(h)
-		down[h] = model.Down(h)
+		up[h] = m.model.Up(h)
+		down[h] = m.model.Down(h)
 	}
 	plane := dataplane.NewPlane(c.net, up, down)
 	plane.Attach(n)
 	plane.Instrument(c.reg)
 	alive := func(h int) bool { return !c.crashed(h) }
+	cfg := m.pump
 	cfg.ChunkDur, cfg.PullNeighbors = chunkDur, pullNeighbors
-	pumps := make([]*dataplane.Pump, len(specs))
-	c.engine.At(at-eventsim.Millisecond, func() {
-		for i, s := range specs {
-			cfg.Seed = seedBase + int64(i)
-			p, err := plane.StartPump(s.key, s.src, s.members, s.tree, alive, at, cfg)
-			if err != nil {
-				c.fail(err)
-				return
+	pumps := make([][]*dataplane.Pump, len(m.sessions))
+	c.engine.At(pumpStart-eventsim.Millisecond, func() {
+		key := 0
+		for i, s := range m.sessions {
+			roster := append([]int{s.root}, s.members...)
+			for _, src := range append([]int{s.root}, s.sources...) {
+				// The receivers are the roster minus the source: for an
+				// extra source that includes the session root.
+				receivers := slices.DeleteFunc(slices.Clone(roster), func(h int) bool { return h == src })
+				tree := func() *alm.Tree {
+					if live := sc.Session(s.id); live != nil {
+						return live.TreeFor(src)
+					}
+					return nil
+				}
+				cfg.Seed = m.seedBase + int64(key)
+				p, err := plane.StartPump(key, src, receivers, tree, alive, pumpStart, cfg)
+				if err != nil {
+					c.fail(err)
+					return
+				}
+				pumps[i] = append(pumps[i], p)
+				key++
 			}
-			pumps[i] = p
 		}
 	})
-	return pumps
+	c.sweepUntil(runEnd, nil)
+
+	if err := c.run(runEnd); err != nil {
+		return nil, err
+	}
+	stats := make([][]dataplane.Stats, len(pumps))
+	for i, ps := range pumps {
+		for _, p := range ps {
+			stats[i] = append(stats[i], p.Finalize())
+		}
+	}
+	return stats, nil
+}
+
+// mediaRow is the delivery columns stream and conf rows share.
+type mediaRow struct {
+	// Outcome partition over expected (member, chunk) pairs, summed
+	// across the pumps the study counts; see dataplane.Stats.
+	Expected      int
+	OnTimeTree    int
+	PullRecovered int
+	Late          int
+	Lost          int
+	TreeMisses    int
+	Duplicates    int
+	PullsSent     int
+	// DeliveredKbps = bitrate x on-time fraction; MissRate = 1 -
+	// on-time fraction (both 0 when nothing was expected).
+	DeliveredKbps float64
+	MissRate      float64
+	// Control-plane activity during the run.
+	Crashes int
+	Repairs int
+	Replans int
+	// Violations counts invariant-sweep violations; FirstViolation is
+	// the earliest one's rendering (empty when clean).
+	Violations     int
+	FirstViolation string
+
+	// BenchWallMS is filled only when the study's Bench option is set.
+	BenchWallMS float64 `json:"wall_ms"`
+}
+
+func (m *mediaRow) add(st dataplane.Stats) {
+	m.Expected += st.Expected
+	m.OnTimeTree += st.OnTimeTree
+	m.PullRecovered += st.PullRecovered
+	m.Late += st.Late
+	m.Lost += st.Lost
+	m.TreeMisses += st.TreeMisses
+	m.Duplicates += st.Duplicates
+	m.PullsSent += st.PullsSent
+}
+
+// rate sets the delivered bitrate at kbps and the miss rate from the
+// counts added so far.
+func (m *mediaRow) rate(kbps float64) {
+	if m.Expected > 0 {
+		onTime := float64(m.OnTimeTree+m.PullRecovered) / float64(m.Expected)
+		m.DeliveredKbps = kbps * onTime
+		m.MissRate = 1 - onTime
+	}
+}
+
+// harvest fills the rest once the study has added its pumps' counts:
+// the rates at kbps, the cell's crashes, repairs, replans and
+// violations, and with bench the wall time since start.
+func (m *mediaRow) harvest(c *serviceCell, kbps float64, start time.Time, bench bool) {
+	m.rate(kbps)
+	m.Crashes = int(c.net.Counters().Crashes)
+	tot := c.sv.Scheduler().Totals()
+	m.Repairs, m.Replans = tot.Repairs, tot.Replans
+	m.Violations, m.FirstViolation = len(c.violations), c.firstViolation()
+	if bench {
+		m.BenchWallMS = float64(time.Since(start).Milliseconds())
+	}
+}
+
+// appendViolations appends a table titled title to tables listing each
+// of n runs whose sweeps found a violation (run(i) gives its label,
+// count and first), or nothing when every run was clean.
+func appendViolations(tables []Table, title string, n int, run func(i int) (label string, violations int, first string)) []Table {
+	viol := Table{Title: title, Columns: []string{"cell", "violations", "first"}}
+	for i := 0; i < n; i++ {
+		if label, v, first := run(i); v > 0 {
+			viol.Rows = append(viol.Rows, []string{label, d(v), first})
+		}
+	}
+	if len(viol.Rows) == 0 {
+		return tables
+	}
+	return append(tables, viol)
 }

@@ -64,3 +64,19 @@ func TestServiceCellKeepsFirstError(t *testing.T) {
 		t.Fatalf("cell error = %v, want the duplicate submission's", c.err)
 	}
 }
+
+// TestAppendViolationsOnlyWhenFound: the violations table lists only
+// the runs whose sweeps found something, and is absent when none did.
+func TestAppendViolationsOnlyWhenFound(t *testing.T) {
+	base := []Table{{Title: "t"}}
+	counts := []int{0, 2, 0}
+	run := func(i int) (string, int, string) { return string(rune('a' + i)), counts[i], "first" }
+	got := appendViolations(base, "v", len(counts), run)
+	if len(got) != 2 || got[1].Title != "v" || len(got[1].Rows) != 1 || got[1].Rows[0][0] != "b" || got[1].Rows[0][1] != "2" {
+		t.Fatalf("one violating run: got %+v", got)
+	}
+	counts[1] = 0
+	if got := appendViolations(base, "v", len(counts), run); len(got) != 1 {
+		t.Fatalf("clean runs appended %d tables", len(got)-1)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"p2ppool/internal/alm"
 	"p2ppool/internal/dataplane"
 	"p2ppool/internal/eventsim"
+	"p2ppool/internal/netmodel"
 	"p2ppool/internal/par"
 	"p2ppool/internal/sched"
 )
@@ -114,16 +115,14 @@ type ConfRow struct {
 	// Sources is how many were submitted.
 	Sources   int
 	ConfTrees int
-	// Outcome partition over the conferences' expected (member, chunk)
-	// pairs, summed across every source pump.
-	deliveryCounts
-	// DeliveredKbps = rung x on-time fraction over all conference
-	// pairs; MinSrcKbps / MaxSrcKbps bracket the per-source delivered
-	// rates (a conference is only as good as its worst voice).
-	DeliveredKbps float64
-	MinSrcKbps    float64
-	MaxSrcKbps    float64
-	MissRate      float64
+	// Delivery over the conferences' expected (member, chunk) pairs,
+	// summed across their source pumps, plus the control plane and
+	// sweeps.
+	mediaRow
+	// MinSrcKbps / MaxSrcKbps bracket the per-source delivered rates (a
+	// conference is only as good as its worst voice).
+	MinSrcKbps float64
+	MaxSrcKbps float64
 	// SharedBoundKbps is the conference-mean shared member-only bound
 	// sum(up_i) / (M*(M-1)): M sources each feeding M-1 receivers from
 	// the roster's own uplink. IsoBoundKbps is the mean single-source
@@ -142,18 +141,8 @@ type ConfRow struct {
 	BcastPlanned       int
 	BcastDeliveredKbps float64
 	BcastMissRate      float64
-	// Control-plane activity.
-	Crashes int
+	// Rejoins counts restarts Scheduler.Rejoin took back.
 	Rejoins int
-	Repairs int
-	Replans int
-	// Violations counts invariant-sweep violations; FirstViolation is
-	// the earliest one's rendering (empty when clean).
-	Violations     int
-	FirstViolation string
-
-	// BenchWallMS is filled only when ConfOptions.Bench is set.
-	BenchWallMS float64 `json:"wall_ms"`
 }
 
 // ConfResult is the conferencing study.
@@ -183,7 +172,7 @@ func (r *ConfResult) ViolationCount() int {
 }
 
 // Conf runs the conferencing study: every cell an independent seeded
-// world.
+// world over one capacity world.
 func Conf(opts ConfOptions) (*ConfResult, error) {
 	opts = opts.withDefaults()
 	if opts.ConfSize < 2 {
@@ -193,12 +182,22 @@ func Conf(opts ConfOptions) (*ConfResult, error) {
 		return nil, fmt.Errorf("experiments: %d conferences x %d members exceed %d hosts",
 			opts.Conferences, opts.ConfSize, opts.Hosts)
 	}
+	lat, model, est, err := capacityWorld(opts.Seed, opts.Hosts, opts.Leafset)
+	if err != nil {
+		return nil, err
+	}
+	estUp := make([]float64, opts.Hosts)
+	estDown := make([]float64, opts.Hosts)
+	for h := range estUp {
+		estUp[h] = est[h].Up
+		estDown[h] = est[h].Down
+	}
 	workers := opts.Workers
 	if opts.Bench {
 		workers = 1
 	}
 	rows, err := par.MapErr(workers, len(opts.Cells), func(i int) (ConfRow, error) {
-		return confRun(i, opts.Cells[i], opts)
+		return confRun(i, opts.Cells[i], opts, lat, model, estUp, estDown)
 	})
 	if err != nil {
 		return nil, err
@@ -231,16 +230,9 @@ func confDegrees(est []float64, member map[int]bool, m int, rungKbps float64) []
 	return out
 }
 
-// confSpec is one pre-drawn session: a conference (every member a
-// source) or a competing single-source broadcast.
-type confSpec struct {
-	id      sched.SessionID
-	pri     int
-	root    int
-	members []int
-	sources []int // extra sources (conference only; root is implicit)
-	conf    bool
-}
+// conference reports whether s is a conference (every member a
+// source) rather than a competing single-source broadcast.
+func (s mediaSession) conference() bool { return len(s.sources) > 0 }
 
 // genConfSessions pre-draws disjoint rosters. Conference members come
 // from the consumer access band — the client profile conferencing
@@ -258,7 +250,7 @@ type confSpec struct {
 // host whose downlink carries a single rung with headroom. Each
 // roster's best-estimated-uplink member becomes the root; in
 // conferences every other member is promoted to a source.
-func genConfSessions(rng *rand.Rand, estUp, estDown []float64, opts ConfOptions) ([]confSpec, error) {
+func genConfSessions(rng *rand.Rand, estUp, estDown []float64, opts ConfOptions) ([]mediaSession, error) {
 	need := 1.3 * float64(opts.ConfSize-1) * confSourceKbps
 	upMin, upMax := 1.3*confSourceKbps, 4*confSourceKbps
 	var confEligible []int
@@ -290,16 +282,15 @@ func genConfSessions(rng *rand.Rand, estUp, estDown []float64, opts ConfOptions)
 	}
 	confPerm := rng.Perm(len(confEligible))
 	confNext := 0
-	var out []confSpec
+	var out []mediaSession
 	for c := 0; c < opts.Conferences; c++ {
 		roster := draw(confEligible, confPerm, &confNext, opts.ConfSize)
-		out = append(out, confSpec{
+		out = append(out, mediaSession{
 			id:      sched.SessionID(c + 1),
 			pri:     c%2 + 1,
 			root:    roster[0],
 			members: append([]int(nil), roster[1:]...),
 			sources: append([]int(nil), roster[1:]...),
-			conf:    true,
 		})
 	}
 	var bcastEligible []int
@@ -316,7 +307,7 @@ func genConfSessions(rng *rand.Rand, estUp, estDown []float64, opts ConfOptions)
 	bcastNext := 0
 	for b := 0; b < opts.Broadcasts; b++ {
 		roster := draw(bcastEligible, bcastPerm, &bcastNext, opts.BroadcastSize)
-		out = append(out, confSpec{
+		out = append(out, mediaSession{
 			id:      sched.SessionID(100 + b + 1),
 			pri:     sched.NumClasses,
 			root:    roster[0],
@@ -326,27 +317,17 @@ func genConfSessions(rng *rand.Rand, estUp, estDown []float64, opts ConfOptions)
 	return out, nil
 }
 
-func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
+func confRun(idx int, cell string, opts ConfOptions, lat alm.LatencyFunc, model *netmodel.Model, estUp, estDown []float64) (ConfRow, error) {
 	start := time.Now()
-	lat, model, est, err := capacityWorld(opts.Seed, opts.Hosts, opts.Leafset)
-	if err != nil {
-		return ConfRow{}, err
-	}
-	estUp := make([]float64, opts.Hosts)
-	estDown := make([]float64, opts.Hosts)
-	for h := 0; h < opts.Hosts; h++ {
-		estUp[h] = est[h].Up
-		estDown[h] = est[h].Down
-	}
 	all, err := genConfSessions(rosterRNG(opts.Seed, idx), estUp, estDown, opts)
 	if err != nil {
 		return ConfRow{}, err
 	}
 	member := make(map[int]bool)
-	for i := range all {
-		if all[i].conf {
-			member[all[i].root] = true
-			for _, m := range all[i].members {
+	for _, s := range all {
+		if s.conference() {
+			member[s.root] = true
+			for _, m := range s.members {
 				member[m] = true
 			}
 		}
@@ -359,107 +340,55 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 	// roster.
 	c := newServiceCell(opts.Seed, idx, lat, confDegrees(estUp, member, opts.ConfSize, confSourceKbps),
 		sched.ServiceConfig{}, nil)
-	sv := c.sv
-	specs := all[:0:0]
-	for i := range all {
-		if all[i].conf || confMarket(cell) {
-			specs = append(specs, all[i])
-		}
-	}
 	row := ConfRow{Cell: cell}
-
-	// --- control plane: submit, tick, churn, rejoin ---
-	pumpStart := 2 * eventsim.Second
-	streamEnd := pumpStart + eventsim.Time(opts.Chunks)*chunkDur + playoutLive
-	runEnd := streamEnd + 10*eventsim.Second
-
-	for i := range specs {
-		s := &specs[i]
-		c.submitAt(100*eventsim.Millisecond, func() *sched.Session {
-			return &sched.Session{
-				ID: s.id, Priority: s.pri, Root: s.root,
-				Members: append([]int(nil), s.members...),
-				Sources: append([]int(nil), s.sources...),
-			}
-		})
-	}
-	c.tickUntil(runEnd)
-
-	// The churn pool is the non-root conference members: every victim
-	// is a live source, so each crash tears one tree down and bends M-1
-	// others. Roots are spared (a dead root ends the session — a
-	// different study), as are broadcast members (their churn is the
-	// stream study's subject).
-	var pool []int
-	for i := range specs {
-		if specs[i].conf {
-			pool = append(pool, specs[i].members...)
-		}
-	}
-	c.wireChurn(mediaDetectDelay, func(h int) {
+	media := mediaRun{
+		model:    model,
+		pump:     dataplane.Config{BitrateKbps: confSourceKbps, Playout: playoutLive, Chunks: opts.Chunks},
+		seedBase: opts.Seed*100000 + int64(idx)*1000,
 		// A restarted conference member dials back in while the call
 		// lasts: Rejoin returns it to the roster and the sources of the
 		// live session its detected crash stripped it from. An
-		// undetected crash stripped nothing, and a session that is
-		// gone or not yet live takes nobody back.
-		if c.net.Now() < streamEnd && len(sv.Scheduler().Rejoin(h)) > 0 {
-			row.Rejoins++
-		}
-	})
-	if confChurn(cell) {
-		c.churn(churnRNG(opts.Seed, idx), opts.CrashRate, pumpStart+3*eventsim.Second, streamEnd-playoutLive, pool, opts.RestartDelay)
-	}
-
-	// --- data plane: one pump per (session, source) ---
-	var pumpConf []bool // whether pump i streams a conference source
-	var pspecs []pumpSpec
-	for i := range specs {
-		s := &specs[i]
-		roster := append([]int{s.root}, s.members...)
-		for _, src := range append([]int{s.root}, s.sources...) {
-			// The pump's receiver set is the roster minus its source;
-			// for extra sources that includes the session root.
-			var members []int
-			for _, m := range roster {
-				if m != src {
-					members = append(members, m)
-				}
+		// undetected crash stripped nothing, and a session that is gone
+		// or not yet live takes nobody back.
+		restarted: func(sc *sched.Scheduler, h int) {
+			if len(sc.Rejoin(h)) > 0 {
+				row.Rejoins++
 			}
-			pumpConf = append(pumpConf, s.conf)
-			pspecs = append(pspecs, pumpSpec{key: int(s.id)*1000 + src, src: src, members: members, tree: func() *alm.Tree {
-				if live := sv.Scheduler().Session(s.id); live != nil {
-					return live.TreeFor(src)
-				}
-				return nil
-			}})
+		},
+	}
+	for _, s := range all {
+		if s.conference() || confMarket(cell) {
+			media.sessions = append(media.sessions, s)
 		}
 	}
-	pumps := c.startPumps(model, pumpStart, dataplane.Config{
-		BitrateKbps: confSourceKbps,
-		Playout:     playoutLive,
-		Chunks:      opts.Chunks,
-	}, opts.Seed*100000+int64(idx)*1000, pspecs)
-
-	// The shared-ledger conservation checks run against the live
-	// multi-source state throughout.
-	c.sweepUntil(runEnd, nil)
-
-	if err := c.run(runEnd); err != nil {
+	if confChurn(cell) {
+		// The churn pool is the non-root conference members: every
+		// victim is a live source, so each crash tears one tree down and
+		// bends M-1 others. Roots are spared (a dead root ends the
+		// session — a different study), as are broadcast members (their
+		// churn is the stream study's subject).
+		for _, s := range media.sessions {
+			if s.conference() {
+				media.churnPool = append(media.churnPool, s.members...)
+			}
+		}
+		media.churn, media.crashRate, media.restartDelay = churnRNG(opts.Seed, idx), opts.CrashRate, opts.RestartDelay
+	}
+	stats, err := c.runMedia(media)
+	if err != nil {
 		return ConfRow{}, fmt.Errorf("conf %s: %w", cell, err)
 	}
 
-	// --- harvest ---
-	row.Violations, row.FirstViolation = len(c.violations), c.firstViolation()
-	var sharedSum, isoSum float64
-	var isoN int
-	var heightSum float64
-	var heightN int
-	for i := range specs {
-		s := &specs[i]
-		if !s.conf {
-			if live := sv.Scheduler().Session(s.id); live != nil && live.Tree != nil {
+	var bcast mediaRow
+	var sharedSum, isoSum, heightSum float64
+	var sharedN, isoN, heightN int
+	for i, s := range media.sessions {
+		live := c.sv.Scheduler().Session(s.id)
+		if !s.conference() {
+			if live != nil && live.Tree != nil {
 				row.BcastPlanned++
 			}
+			bcast.add(stats[i][0])
 			continue
 		}
 		roster := append([]int{s.root}, s.members...)
@@ -469,6 +398,7 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 		}
 		m := len(roster)
 		sharedSum += upSum / float64(m*(m-1))
+		sharedN++
 		for _, src := range roster {
 			ups := make([]float64, 0, m-1)
 			for _, o := range roster {
@@ -479,7 +409,19 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 			isoSum += dataplane.CapacityBound(model.Up(src), ups)
 			isoN++
 		}
-		live := sv.Scheduler().Session(s.id)
+		for _, st := range stats[i] {
+			row.Sources++
+			row.add(st)
+			if st.Expected > 0 {
+				src := confSourceKbps * float64(st.OnTimeTree+st.PullRecovered) / float64(st.Expected)
+				if row.MinSrcKbps == 0 || src < row.MinSrcKbps {
+					row.MinSrcKbps = src
+				}
+				if src > row.MaxSrcKbps {
+					row.MaxSrcKbps = src
+				}
+			}
+		}
 		if live == nil {
 			continue
 		}
@@ -497,12 +439,6 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 			}
 		}
 	}
-	sharedN := 0
-	for i := range specs {
-		if specs[i].conf {
-			sharedN++
-		}
-	}
 	if sharedN > 0 {
 		row.SharedBoundKbps = sharedSum / float64(sharedN)
 	}
@@ -512,43 +448,9 @@ func confRun(idx int, cell string, opts ConfOptions) (ConfRow, error) {
 	if heightN > 0 {
 		row.MeanHeightMS = heightSum / float64(heightN)
 	}
-
-	var bcast deliveryCounts
-	for i, p := range pumps {
-		st := p.Finalize()
-		if !pumpConf[i] {
-			bcast.add(st)
-			continue
-		}
-		row.Sources++
-		row.add(st)
-		if st.Expected > 0 {
-			src := confSourceKbps * float64(st.OnTimeTree+st.PullRecovered) / float64(st.Expected)
-			if row.MinSrcKbps == 0 || src < row.MinSrcKbps {
-				row.MinSrcKbps = src
-			}
-			if src > row.MaxSrcKbps {
-				row.MaxSrcKbps = src
-			}
-		}
-	}
-	if row.Expected > 0 {
-		onTime := row.onTime()
-		row.DeliveredKbps = confSourceKbps * onTime
-		row.MissRate = 1 - onTime
-	}
-	if bcast.Expected > 0 {
-		onTime := bcast.onTime()
-		row.BcastDeliveredKbps = confSourceKbps * onTime
-		row.BcastMissRate = 1 - onTime
-	}
-	row.Crashes = int(c.net.Counters().Crashes)
-	tot := sv.Scheduler().Totals()
-	row.Repairs = tot.Repairs
-	row.Replans = tot.Replans
-	if opts.Bench {
-		row.BenchWallMS = float64(time.Since(start).Milliseconds())
-	}
+	bcast.rate(confSourceKbps)
+	row.BcastDeliveredKbps, row.BcastMissRate = bcast.DeliveredKbps, bcast.MissRate
+	row.harvest(c, confSourceKbps, start, opts.Bench)
 	return row, nil
 }
 

@@ -134,3 +134,20 @@ func TestConfChurnRejoins(t *testing.T) {
 		}
 	}
 }
+
+// TestConfPumpKeysUnique: at seed 24 two sources of the default-size
+// solo cell once mapped to one pump key (session ID x 1000 + source
+// host, with hosts past 1000), and the run failed with "session 7294
+// already pumping". A pump is keyed by its index now, so every
+// (session, source) pump starts.
+func TestConfPumpKeysUnique(t *testing.T) {
+	opts := ConfOptions{Seed: 24, Cells: []string{"solo"}}
+	res, err := Conf(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts = opts.withDefaults()
+	if row := res.Row("solo"); row.Sources != opts.Conferences*opts.ConfSize {
+		t.Errorf("solo: %d source pumps, want %d", row.Sources, opts.Conferences*opts.ConfSize)
+	}
+}

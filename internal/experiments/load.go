@@ -467,24 +467,9 @@ func (r *LoadResult) Tables() []Table {
 			d(row.Replans), d(row.MaxSessionReplans), d(row.Crashes), d(row.FlashJoins),
 		})
 	}
-	tables := []Table{funnel, slo}
-	var bad []LoadRow
-	for _, row := range r.Rows {
-		if row.Violations > 0 {
-			bad = append(bad, row)
-		}
-	}
-	if len(bad) > 0 {
-		viol := Table{
-			Title:   "Load: invariant violations",
-			Columns: []string{"cell", "violations", "first"},
-		}
-		for _, row := range bad {
-			viol.Rows = append(viol.Rows, []string{row.Cell, d(row.Violations), row.FirstViolation})
-		}
-		tables = append(tables, viol)
-	}
-	return tables
+	return appendViolations([]Table{funnel, slo}, "Load: invariant violations", len(r.Rows), func(i int) (string, int, string) {
+		return r.Rows[i].Cell, r.Rows[i].Violations, r.Rows[i].FirstViolation
+	})
 }
 
 // AppendBenchJSON merges this result into an existing BENCH_load.json

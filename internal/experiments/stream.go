@@ -9,6 +9,7 @@ import (
 	"p2ppool/internal/bandwidth"
 	"p2ppool/internal/dataplane"
 	"p2ppool/internal/eventsim"
+	"p2ppool/internal/netmodel"
 	"p2ppool/internal/obs"
 	"p2ppool/internal/par"
 	"p2ppool/internal/sched"
@@ -116,32 +117,32 @@ type StreamRow struct {
 	RungKbps float64
 	// Planned counts sessions that obtained a tree at least once.
 	Planned int
-	// Outcome partition over expected (member, chunk) pairs.
-	deliveryCounts
-	// DeliveredKbps = rung x on-time fraction, aggregated over every
-	// expected pair; BoundKbps is the mean member-only capacity bound
-	// across sessions.
-	DeliveredKbps float64
+	// Delivery over every expected (member, chunk) pair at the rung,
+	// plus the control plane and sweeps.
+	mediaRow
+	// BoundKbps is the mean member-only capacity bound across sessions;
+	// PullSavedFrac is the fraction of tree misses mesh-pull recovered
+	// in time.
 	BoundKbps     float64
-	// MissRate is 1 - on-time fraction; PullSavedFrac is the fraction
-	// of tree misses mesh-pull recovered in time.
-	MissRate      float64
 	PullSavedFrac float64
 	// SourceOffload is 1 - source bytes / total bytes across sessions.
 	SourceOffload float64
-	// Control-plane activity during the stream.
-	Crashes int
-	Repairs int
-	Replans int
-
-	// BenchWallMS is filled only when StreamOptions.Bench is set.
-	BenchWallMS float64 `json:"wall_ms"`
 }
 
 // StreamResult is the streaming study.
 type StreamResult struct {
 	Opts StreamOptions
 	Rows []StreamRow
+}
+
+// ViolationCount returns the total invariant violations across runs —
+// the study passes iff it is zero.
+func (r *StreamResult) ViolationCount() int {
+	n := 0
+	for _, row := range r.Rows {
+		n += row.Violations
+	}
+	return n
 }
 
 // Row returns the (cell, rung) row, or nil.
@@ -155,12 +156,16 @@ func (r *StreamResult) Row(cell string, rung float64) *StreamRow {
 }
 
 // Stream runs the streaming study: every cell at every ladder rung,
-// each run an independent seeded world.
+// each run an independent seeded world over one capacity world.
 func Stream(opts StreamOptions) (*StreamResult, error) {
 	opts = opts.withDefaults()
 	if opts.Sessions*opts.GroupSize > opts.Hosts {
 		return nil, fmt.Errorf("experiments: %d sessions x %d members exceed %d hosts",
 			opts.Sessions, opts.GroupSize, opts.Hosts)
+	}
+	lat, model, est, err := capacityWorld(opts.Seed, opts.Hosts, opts.Leafset)
+	if err != nil {
+		return nil, err
 	}
 	type runSpec struct {
 		cell string
@@ -179,7 +184,7 @@ func Stream(opts StreamOptions) (*StreamResult, error) {
 		workers = 1
 	}
 	rows, err := par.MapErr(workers, len(specs), func(i int) (StreamRow, error) {
-		return streamRun(i, specs[i].cell, specs[i].rung, opts)
+		return streamRun(i, specs[i].cell, specs[i].rung, opts, lat, model, est)
 	})
 	if err != nil {
 		return nil, err
@@ -197,14 +202,6 @@ func streamDegrees(est []bandwidth.Estimates, rungKbps float64) []int {
 	return out
 }
 
-// streamSession is one pre-drawn streaming session.
-type streamSession struct {
-	id      sched.SessionID
-	pri     int
-	root    int
-	members []int
-}
-
 // genStreamSessions pre-draws disjoint rosters and picks each session's
 // source as the member with the best estimated uplink (the planner's
 // knowledge, not ground truth). Subscribers are drawn only from hosts
@@ -212,7 +209,7 @@ type streamSession struct {
 // capability check every adaptive-streaming player performs before
 // requesting a rendition; a modem host joining a 1.2 Mbps stream would
 // only measure its own access link, not the delivery system.
-func genStreamSessions(rng *rand.Rand, est []bandwidth.Estimates, opts StreamOptions) ([]streamSession, error) {
+func genStreamSessions(rng *rand.Rand, est []bandwidth.Estimates, opts StreamOptions) ([]mediaSession, error) {
 	top := 0.0
 	for _, r := range opts.Rungs {
 		if r > top {
@@ -230,7 +227,7 @@ func genStreamSessions(rng *rand.Rand, est []bandwidth.Estimates, opts StreamOpt
 			opts.Sessions, opts.GroupSize, len(eligible), top)
 	}
 	perm := rng.Perm(len(eligible))
-	out := make([]streamSession, 0, opts.Sessions)
+	out := make([]mediaSession, 0, opts.Sessions)
 	for s := 0; s < opts.Sessions; s++ {
 		roster := make([]int, opts.GroupSize)
 		for i := range roster {
@@ -248,7 +245,7 @@ func genStreamSessions(rng *rand.Rand, est []bandwidth.Estimates, opts StreamOpt
 				members = append(members, h)
 			}
 		}
-		out = append(out, streamSession{
+		out = append(out, mediaSession{
 			id:      sched.SessionID(s + 1),
 			pri:     s%sched.NumClasses + 1,
 			root:    roster[best],
@@ -258,71 +255,40 @@ func genStreamSessions(rng *rand.Rand, est []bandwidth.Estimates, opts StreamOpt
 	return out, nil
 }
 
-func streamRun(idx int, cell string, rung float64, opts StreamOptions) (StreamRow, error) {
+func streamRun(idx int, cell string, rung float64, opts StreamOptions, lat alm.LatencyFunc, model *netmodel.Model, est []bandwidth.Estimates) (StreamRow, error) {
 	start := time.Now()
-	lat, model, est, err := capacityWorld(opts.Seed, opts.Hosts, opts.Leafset)
-	if err != nil {
-		return StreamRow{}, err
-	}
 	c := newServiceCell(opts.Seed, idx, lat, streamDegrees(est, rung), sched.ServiceConfig{
 		Sched: sched.Config{HelperMinDegree: 2},
 	}, opts.Registry)
-	sv := c.sv
 	sessions, err := genStreamSessions(rosterRNG(opts.Seed, idx), est, opts)
 	if err != nil {
 		return StreamRow{}, err
 	}
-	row := StreamRow{Cell: cell, RungKbps: rung}
-
-	// --- control plane: submit, tick, churn ---
-	playout := streamPlayout(cell)
-	pumpStart := 2 * eventsim.Second
-	streamEnd := pumpStart + eventsim.Time(opts.Chunks)*chunkDur + playout
-	runEnd := streamEnd + 10*eventsim.Second
-
-	for _, s := range sessions {
-		c.submitAt(100*eventsim.Millisecond, func() *sched.Session {
-			return &sched.Session{ID: s.id, Priority: s.pri, Root: s.root, Members: append([]int(nil), s.members...)}
-		})
+	media := mediaRun{
+		sessions: sessions,
+		model:    model,
+		pump:     dataplane.Config{BitrateKbps: rung, Playout: streamPlayout(cell), Chunks: opts.Chunks},
+		seedBase: opts.Seed*10000 + int64(idx)*100,
 	}
-	c.tickUntil(runEnd)
-	c.wireChurn(mediaDetectDelay, nil)
 	if streamChurn(cell) {
 		// Churn hits streaming members only — crashing an idle pool
 		// host exercises nothing. Sources are spared: a dead source is
 		// a different study (the whole stream just ends).
-		var pool []int
 		for _, s := range sessions {
-			pool = append(pool, s.members...)
+			media.churnPool = append(media.churnPool, s.members...)
 		}
-		c.churn(churnRNG(opts.Seed, idx), opts.CrashRate, pumpStart+3*eventsim.Second, streamEnd-playout, pool, opts.RestartDelay)
+		media.churn, media.crashRate, media.restartDelay = churnRNG(opts.Seed, idx), opts.CrashRate, opts.RestartDelay
 	}
-
-	// --- data plane ---
-	specs := make([]pumpSpec, len(sessions))
-	for i, s := range sessions {
-		specs[i] = pumpSpec{key: int(s.id), src: s.root, members: s.members, tree: func() *alm.Tree {
-			if live := sv.Scheduler().Session(s.id); live != nil {
-				return live.Tree
-			}
-			return nil
-		}}
-	}
-	pumps := c.startPumps(model, pumpStart, dataplane.Config{
-		BitrateKbps: rung,
-		Playout:     playout,
-		Chunks:      opts.Chunks,
-	}, opts.Seed*10000+int64(idx)*100, specs)
-
-	if err := c.run(runEnd); err != nil {
+	stats, err := c.runMedia(media)
+	if err != nil {
 		return StreamRow{}, fmt.Errorf("stream %s@%.0f: %w", cell, rung, err)
 	}
 
-	// --- harvest ---
+	row := StreamRow{Cell: cell, RungKbps: rung}
 	var bounds float64
 	var srcBytes, totBytes uint64
 	for i, s := range sessions {
-		if live := sv.Scheduler().Session(s.id); live != nil && live.Tree != nil {
+		if live := c.sv.Scheduler().Session(s.id); live != nil && live.Tree != nil {
 			row.Planned++
 		}
 		ups := make([]float64, len(s.members))
@@ -330,30 +296,19 @@ func streamRun(idx int, cell string, rung float64, opts StreamOptions) (StreamRo
 			ups[j] = model.Up(m)
 		}
 		bounds += dataplane.CapacityBound(model.Up(s.root), ups)
-		st := pumps[i].Finalize()
+		st := stats[i][0]
 		row.add(st)
 		srcBytes += st.SourceTxBytes
 		totBytes += st.TotalTxBytes
 	}
 	row.BoundKbps = bounds / float64(len(sessions))
-	if row.Expected > 0 {
-		onTime := row.onTime()
-		row.DeliveredKbps = rung * onTime
-		row.MissRate = 1 - onTime
-	}
 	if row.TreeMisses > 0 {
 		row.PullSavedFrac = float64(row.PullRecovered) / float64(row.TreeMisses)
 	}
 	if totBytes > 0 {
 		row.SourceOffload = 1 - float64(srcBytes)/float64(totBytes)
 	}
-	row.Crashes = int(c.net.Counters().Crashes)
-	tot := sv.Scheduler().Totals()
-	row.Repairs = tot.Repairs
-	row.Replans = tot.Replans
-	if opts.Bench {
-		row.BenchWallMS = float64(time.Since(start).Milliseconds())
-	}
+	row.harvest(c, rung, start, opts.Bench)
 	return row, nil
 }
 
@@ -404,7 +359,10 @@ func (r *StreamResult) Tables() []Table {
 			pct(row.Lost, row.TreeMisses), d(row.PullsSent), d(row.Duplicates),
 		})
 	}
-	return []Table{delivered, attrib}
+	return appendViolations([]Table{delivered, attrib}, "Streaming: invariant violations", len(r.Rows), func(i int) (string, int, string) {
+		row := r.Rows[i]
+		return fmt.Sprintf("%s@%.0f", row.Cell, row.RungKbps), row.Violations, row.FirstViolation
+	})
 }
 
 // AppendBenchJSON merges this result into an existing BENCH_stream.json

@@ -44,6 +44,10 @@ func TestStreamAttributionPartitions(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("got %d rows, want 2 cells x 2 rungs", len(res.Rows))
 	}
+	if n := res.ViolationCount(); n != 0 {
+		tabs := res.Tables()
+		t.Errorf("%d invariant violations:\n%s", n, tabs[len(tabs)-1])
+	}
 	for _, row := range res.Rows {
 		if row.Planned == 0 {
 			t.Errorf("%s@%.0f: no session ever obtained a tree", row.Cell, row.RungKbps)

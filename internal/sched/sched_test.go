@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"p2ppool/internal/alm"
@@ -382,6 +383,73 @@ func TestPreemptionCascadeConverges(t *testing.T) {
 	}
 	if err := sc.Registry().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+
+	// A cascade one round deep per session, against the round cap: in a
+	// pool of degree-1 hosts, session i roots at host 2i-2 with member
+	// 2i-1, whose one slot session i+1 holds as a helper. Only session 1
+	// is dirty; each replan takes its member's slot back at member
+	// priority and preempts the next session, which replans in the next
+	// round. A chain of maxRounds sessions settles in the last round; one
+	// more does not settle.
+	chain := func(n int) (*Scheduler, int, error) {
+		bounds := make([]int, 2*n)
+		for h := range bounds {
+			bounds[h] = 1
+		}
+		sc := NewScheduler(bounds, lineLat, Config{})
+		for i := 1; i <= n; i++ {
+			s := &Session{ID: SessionID(i), Priority: 1, Root: 2*i - 2, Members: []int{2*i - 1}}
+			if err := sc.AddSession(s); err != nil {
+				t.Fatal(err)
+			}
+			if i > 1 {
+				if _, err := sc.reg.Reserve(2*i-3, 1, 1, s.ID, nil); err != nil {
+					t.Fatal(err)
+				}
+				s.held = append(s.held, 2*i-3)
+			}
+		}
+		sc.dirty = map[SessionID]bool{1: true}
+		plans, err := sc.Stabilize()
+		return sc, plans, err
+	}
+	if sc, plans, err := chain(maxRounds); err != nil || plans != maxRounds || len(sc.DirtySessions()) != 0 {
+		t.Errorf("chain of %d: plans %d, err %v, dirty %v; want %d plans, settled", maxRounds, plans, err, sc.DirtySessions(), maxRounds)
+	}
+	sc, plans, err := chain(maxRounds + 1)
+	if err == nil || plans != maxRounds || !slices.Equal(sc.DirtySessions(), []SessionID{maxRounds + 1}) {
+		t.Errorf("chain of %d: plans %d, err %v, dirty %v; want %d plans and the last session dirty",
+			maxRounds+1, plans, err, sc.DirtySessions(), maxRounds)
+	}
+}
+
+// TestStabilizeFailureKeepsBatchDirty: a plan that fails inside
+// Stabilize leaves its session, and every session of the batch not yet
+// planned, marked dirty — the failed session has already released its
+// slots, so a clean mark would read as settled with nothing reserved.
+// Session 2's root has degree bound 0, so its plan fails after session
+// 1's succeeds and before session 3's runs.
+func TestStabilizeFailureKeepsBatchDirty(t *testing.T) {
+	sc := NewScheduler([]int{4, 4, 4, 0, 4, 4}, lineLat, Config{})
+	for _, s := range []*Session{
+		{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2}},
+		{ID: 2, Priority: 1, Root: 3, Members: []int{1}},
+		{ID: 3, Priority: 1, Root: 4, Members: []int{5}},
+	} {
+		if err := sc.AddSession(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plans, err := sc.Stabilize()
+	if err == nil || err.Error() != "session 2: alm: root degree bound 0 < 1" {
+		t.Fatalf("Stabilize error = %v, want session 2's root bound", err)
+	}
+	if plans != 1 {
+		t.Errorf("plans = %d, want 1 (session 1 only)", plans)
+	}
+	if got, want := sc.DirtySessions(), []SessionID{2, 3}; !slices.Equal(got, want) {
+		t.Errorf("dirty after the failed Stabilize = %v, want %v", got, want)
 	}
 }
 

@@ -525,7 +525,9 @@ func (sc *Scheduler) Rejoin(host int) []SessionID {
 
 // Stabilize processes dirty sessions (highest priority first, then by
 // ID) until no session is dirty or maxRounds waves have run. It
-// returns the number of individual plans executed.
+// returns the number of individual plans executed. When a plan fails
+// it stops there, leaving that session and the rest of its batch
+// dirty.
 func (sc *Scheduler) Stabilize() (plans int, err error) {
 	for round := 0; round < maxRounds; round++ {
 		if len(sc.dirty) == 0 {
@@ -539,8 +541,13 @@ func (sc *Scheduler) Stabilize() (plans int, err error) {
 		}
 		sc.dirty = make(map[SessionID]bool)
 		byPriorityThenID(batch)
-		for _, s := range batch {
+		for i, s := range batch {
 			if err := sc.planOne(s, planCtx{}); err != nil {
+				// The failed session has released its slots, and the
+				// rest of the batch is unplanned: all stay dirty.
+				for _, rest := range batch[i:] {
+					sc.dirty[rest.ID] = true
+				}
 				return plans, fmt.Errorf("session %d: %w", s.ID, err)
 			}
 			plans++

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"p2ppool/internal/eventsim"
+	"p2ppool/internal/obs"
 )
 
 // lineLat is the |a-b| latency used by the hand-built control-plane
@@ -45,7 +46,7 @@ func TestServiceSubmitBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != Rejected {
+	if d != Rejected || d.String() != "rejected" || Enqueued.String() != "enqueued" {
 		t.Fatalf("over-cap submit decided %v, want rejected", d)
 	}
 	st := sv.Stats().Class[3]
@@ -173,6 +174,8 @@ func TestServiceRetryBudgetShedsSelf(t *testing.T) {
 		bounds[h] = 1
 	}
 	sv = NewService(bounds, lineLat, ServiceConfig{})
+	reg := obs.New()
+	sv.Instrument(reg)
 	submit := func(now eventsim.Time, s *Session) {
 		if _, err := sv.Submit(now, s); err != nil {
 			t.Fatal(err)
@@ -203,6 +206,10 @@ func TestServiceRetryBudgetShedsSelf(t *testing.T) {
 	if st.Class[3].ShedOverload != maxShedPerTick || st.Class[1].ShedBudget != 1 {
 		t.Fatalf("P3 ShedOverload %d, P1 ShedBudget %d; want %d, 1",
 			st.Class[3].ShedOverload, st.Class[1].ShedBudget, maxShedPerTick)
+	}
+	// The sched.shed counter sums every kind of shed over the classes.
+	if got := reg.Snapshot().Counter("sched.shed"); got != maxShedPerTick+1 {
+		t.Errorf("sched.shed = %d, want %d", got, maxShedPerTick+1)
 	}
 }
 
