@@ -241,7 +241,11 @@ layout:
 # per-host degree tables, released through a session's own list of
 # granting hosts, against a flat list of holdings (FuzzRegistryLedger),
 # so a slip in a table's cached counters, its preemption order or its
-# compaction fails CI. The chaos runs take a live session through
+# compaction fails CI. The sixth fuzzes the invariant sweep for ten
+# seconds: the session checks, which read the ledger in place, against
+# the copy-everything checks kept as a model in a _test.go file
+# (FuzzSweepMatchesReference), on schedulers corrupted through exported
+# APIs, so a violation missed, invented or reordered fails CI. The chaos runs take a live session through
 # crashes, restarts and a partition under the race detector at full
 # size, at seeds 1, 2 and 3 (three fault schedules; about 0.1 s a seed
 # without -race), its restarts taking members back through
@@ -281,6 +285,7 @@ ci: build fmt vet test cover race mains layout
 	$(GO) test -race -tags forcesplit -run 'TestScaleWorkerDeterminism' ./internal/experiments
 	$(GO) test -race -count=10 -run 'FuzzSolveLeafsetMatchesReference' ./internal/coords
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistryLedger$$' -fuzztime 20s ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesReference$$' -fuzztime 10s ./internal/invariant
 	$(GO) run -race ./cmd/experiments -fig obs -seed 1 > /dev/null
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . > /dev/null
 	$(GO) run ./cmd/experiments -fig scale -hosts 1200 -scale-runtime 30 -seed 1 > /dev/null

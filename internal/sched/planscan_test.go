@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -94,7 +95,11 @@ func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, pri := range []int{1, 2, 3} {
+	// attempt plans the probe roster once at priority pri under a guard
+	// that vetoes everything, checks the guard heard about exactly the
+	// sessions the brute force finds, and returns the plan's error.
+	attempt := func(pri int, what string) error {
+		t.Helper()
 		s := &Session{ID: 100, Priority: pri, Root: perm[200], Members: perm[201:205]}
 		roster := s.memberSet()
 		want := map[SessionID]bool{}
@@ -111,25 +116,42 @@ func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 			}
 		}
 		if pri < 3 && !far {
-			t.Fatalf("priority %d: no preemptable holder far from the roster; the scenario pins nothing", pri)
+			t.Fatalf("%s priority %d: no preemptable holder far from the roster; the scenario pins nothing", what, pri)
 		}
 		got := map[SessionID]bool{}
 		sc.sessions[s.ID] = s
 		err := sc.planOne(s, planCtx{guard: func(v SessionID) bool { got[v] = true; return false }})
 		sc.RemoveSession(s.ID)
-		if err != nil {
-			t.Fatalf("priority %d: %v", pri, err)
-		}
 		if len(got) != len(want) {
-			t.Errorf("priority %d: guard consulted on %d sessions, brute force finds %d", pri, len(got), len(want))
+			t.Errorf("%s priority %d: guard consulted on %d sessions, brute force finds %d", what, pri, len(got), len(want))
 		}
 		for v := range want {
 			if !got[v] {
-				t.Errorf("priority %d: guard never consulted on session %d", pri, v)
+				t.Errorf("%s priority %d: guard never consulted on session %d", what, pri, v)
 			}
 		}
 		if err := sc.reg.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+		return err
+	}
+	for _, pri := range []int{1, 2, 3} {
+		if err := attempt(pri, "plannable roster"); err != nil {
+			t.Fatalf("priority %d: %v", pri, err)
+		}
+	}
+	// A roster the pool cannot start: a member's own host is full at
+	// member priority. The attempt fails with the planner's own error,
+	// and the guard still hears about every preemptable holder in the
+	// pool, as it does for a roster that plans.
+	full := perm[203]
+	if _, err := sc.reg.Reserve(full, sc.reg.Table(full).Bound(), MemberPriority, 98, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, pri := range []int{1, 2, 3} {
+		err := attempt(pri, "doomed roster")
+		if want := fmt.Sprintf("alm: member %d degree bound 0 < 1", full); err == nil || err.Error() != want {
+			t.Errorf("doomed roster priority %d: error %v, want %q", pri, err, want)
 		}
 	}
 }
