@@ -173,6 +173,8 @@ type World struct {
 	// StalenessSlack is added to the derived (depth+1)*T SOMO report
 	// staleness bound to absorb routing and jitter.
 	StalenessSlack eventsim.Time
+
+	scr sweepScratch
 }
 
 // hostDown reports the harness's liveness verdict for h.

@@ -73,6 +73,17 @@ func (d *DegreeTable) Allocations() []allocation {
 	return append([]allocation(nil), d.allocs...)
 }
 
+// EachAllocation calls yield with each allocation's session, priority
+// and slots, in table order, until yield returns false. It reads the
+// table in place; Allocations is the copy.
+func (d *DegreeTable) EachAllocation(yield func(sid SessionID, priority, slots int) bool) {
+	for _, a := range d.allocs {
+		if !yield(a.Session, a.Priority, a.Slots) {
+			return
+		}
+	}
+}
+
 // account applies a change of delta slots at priority pri to the cached
 // counters. Priorities below 0 count in every class; priorities above
 // NumClasses only in used.
