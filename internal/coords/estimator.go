@@ -24,7 +24,10 @@ type Estimator struct {
 	// coord is replaced by each refinement, never written in place: a
 	// heartbeat carries the slice itself, and a payload still in flight
 	// keeps the value it was sent with.
-	coord       Vector
+	coord Vector
+	// payload is coord boxed once per refinement: every heartbeat
+	// carries this interface value instead of converting the slice anew.
+	payload     interface{}
 	index       map[ids.ID]int
 	seen        []float64
 	owl         []float64
@@ -66,6 +69,7 @@ func NewEstimator(node *dht.Node, opt EstimatorOptions) *Estimator {
 		fit:         newFit(opt.Dim, false, 60*opt.Dim),
 		updateEvery: opt.UpdateEvery,
 	}
+	e.payload = e.coord
 	node.RegisterGossip(e)
 	return e
 }
@@ -80,7 +84,7 @@ func (e *Estimator) Updates() uint64 { return e.updates }
 func (e *Estimator) SampleCount() int { return len(e.owl) }
 
 // HeartbeatPayload implements dht.Gossip: advertise our coordinate.
-func (e *Estimator) HeartbeatPayload(peer dht.Entry) interface{} { return e.coord }
+func (e *Estimator) HeartbeatPayload(peer dht.Entry) interface{} { return e.payload }
 
 // OnHeartbeat implements dht.Gossip: absorb the peer's coordinate and,
 // when the exchange carries a fresh RTT, its measured delay.
@@ -122,5 +126,6 @@ func (e *Estimator) refine() {
 		return // under-determined; wait for more neighbors
 	}
 	e.coord = append(Vector(nil), e.fit.solve(e.coord)...)
+	e.payload = e.coord
 	e.updates++
 }

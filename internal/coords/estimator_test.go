@@ -197,4 +197,14 @@ func TestEstimatorPublishedCoordIsImmutable(t *testing.T) {
 	if slices.Equal(e.Coord(), sent) {
 		t.Error("refinement left the coordinate where it started")
 	}
+	// The payload is the refined coordinate, boxed once per refinement:
+	// a heartbeat allocates nothing.
+	if got := e.HeartbeatPayload(dht.Entry{}).(Vector); !slices.Equal(got, e.Coord()) {
+		t.Errorf("heartbeat carries %v after refinement, coordinate is %v", got, e.Coord())
+	}
+	var payload interface{}
+	if n := testing.AllocsPerRun(100, func() { payload = e.HeartbeatPayload(dht.Entry{}) }); n != 0 {
+		t.Errorf("a heartbeat payload allocates %.0f objects, want 0", n)
+	}
+	_ = payload
 }
