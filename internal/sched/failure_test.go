@@ -239,7 +239,7 @@ func TestNodeFailedIdempotent(t *testing.T) {
 	if s.Replans != 1 {
 		t.Fatalf("after first failure Replans = %d, want 1", s.Replans)
 	}
-	if !sc.dirty[s.ID] {
+	if !s.dirty {
 		t.Fatal("failed repair must leave the session dirty for a full replan")
 	}
 	if got := heldOn(sc.Registry(), s.ID); got != 0 {

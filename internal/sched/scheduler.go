@@ -41,6 +41,11 @@ type Session struct {
 	// away lists the members a failure stripped, in strip order, until
 	// Rejoin takes them back.
 	away []awayMember
+	// dirty marks the session for replan at the next Stabilize or Tick.
+	dirty bool
+	// ctl is the admission service's record of the session, from Submit
+	// until it ends; a Scheduler used alone leaves it zero.
+	ctl sessionState
 }
 
 // Held calls yield with each host s's reservations were granted on
@@ -227,7 +232,6 @@ type Scheduler struct {
 	lat alm.LatencyFunc
 
 	sessions map[SessionID]*Session
-	dirty    map[SessionID]bool
 
 	// mark[h] == epoch exactly when h is on the roster last passed to
 	// markMembers: membership is one array read, a new roster one increment.
@@ -248,7 +252,6 @@ func NewScheduler(bounds []int, lat alm.LatencyFunc, cfg Config) *Scheduler {
 		reg:      NewRegistry(bounds),
 		lat:      lat,
 		sessions: make(map[SessionID]*Session),
-		dirty:    make(map[SessionID]bool),
 		mark:     make([]uint32, len(bounds)),
 	}
 }
@@ -391,7 +394,10 @@ func (sc *Scheduler) EachSession(yield func(*Session) bool) {
 
 // Dirty reports whether session id is marked for replan: what
 // DirtySessions lists, asked of one session.
-func (sc *Scheduler) Dirty(id SessionID) bool { return sc.dirty[id] }
+func (sc *Scheduler) Dirty(id SessionID) bool {
+	s := sc.sessions[id]
+	return s != nil && s.dirty
+}
 
 // Session returns the live session with the given ID, or nil when the
 // session is not currently planned (queued, shed, or never submitted).
@@ -401,12 +407,14 @@ func (sc *Scheduler) Session(id SessionID) *Session { return sc.sessions[id] }
 
 // DirtySessions returns the IDs currently marked for replan, sorted.
 // A dirty session's tree and reservations are transiently stale until
-// the next Stabilize; invariant audits use this to scope their
-// plan-consistency checks.
+// the next Stabilize; the invariant sweeps scope their plan-consistency
+// checks with Dirty, one session at a time.
 func (sc *Scheduler) DirtySessions() []SessionID {
-	out := make([]SessionID, 0, len(sc.dirty))
-	for id := range sc.dirty {
-		out = append(out, id)
+	var out []SessionID
+	for id, s := range sc.sessions {
+		if s.dirty {
+			out = append(out, id)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -425,7 +433,7 @@ func (sc *Scheduler) AddSession(s *Session) error {
 		return err
 	}
 	sc.sessions[s.ID] = s
-	sc.dirty[s.ID] = true
+	s.dirty = true
 	return nil
 }
 
@@ -439,15 +447,14 @@ func (sc *Scheduler) RemoveSession(id SessionID) {
 	}
 	sc.release(s)
 	delete(sc.sessions, id)
-	delete(sc.dirty, id)
 }
 
 // Reschedule marks every session dirty — the paper's periodic re-run
 // "to examine if a better plan, using recently freed resources, is
 // better than the current one".
 func (sc *Scheduler) Reschedule() {
-	for id := range sc.sessions {
-		sc.dirty[id] = true
+	for _, s := range sc.sessions {
+		s.dirty = true
 	}
 }
 
@@ -469,7 +476,7 @@ func (sc *Scheduler) AddMember(id SessionID, host int) error {
 		s.Members = s.Members[:len(s.Members)-1]
 		return err
 	}
-	sc.dirty[id] = true
+	s.dirty = true
 	return nil
 }
 
@@ -489,7 +496,7 @@ func (sc *Scheduler) RemoveMember(id SessionID, host int) error {
 	if !s.drop(host) {
 		return fmt.Errorf("sched: host %d not in session %d", host, id)
 	}
-	sc.dirty[id] = true
+	s.dirty = true
 	return nil
 }
 
@@ -545,7 +552,7 @@ func (sc *Scheduler) Rejoin(host int) []SessionID {
 		if a.source {
 			s.Sources = append(s.Sources, host)
 		}
-		sc.dirty[s.ID] = true
+		s.dirty = true
 		out = append(out, s.ID)
 	}
 	return out
@@ -558,31 +565,31 @@ func (sc *Scheduler) Rejoin(host int) []SessionID {
 // dirty.
 func (sc *Scheduler) Stabilize() (plans int, err error) {
 	for round := 0; round < maxRounds; round++ {
-		if len(sc.dirty) == 0 {
-			return plans, nil
-		}
-		batch := make([]*Session, 0, len(sc.dirty))
-		for id := range sc.dirty {
-			if s, ok := sc.sessions[id]; ok {
+		var batch []*Session
+		for _, s := range sc.sessions {
+			if s.dirty {
+				s.dirty = false
 				batch = append(batch, s)
 			}
 		}
-		sc.dirty = make(map[SessionID]bool)
+		if len(batch) == 0 {
+			return plans, nil
+		}
 		byPriorityThenID(batch)
 		for i, s := range batch {
 			if err := sc.planOne(s, planCtx{}); err != nil {
 				// The failed session has released its slots, and the
 				// rest of the batch is unplanned: all stay dirty.
 				for _, rest := range batch[i:] {
-					sc.dirty[rest.ID] = true
+					rest.dirty = true
 				}
 				return plans, fmt.Errorf("session %d: %w", s.ID, err)
 			}
 			plans++
 		}
 	}
-	if len(sc.dirty) > 0 {
-		return plans, fmt.Errorf("sched: did not stabilize within %d rounds (%d dirty)", maxRounds, len(sc.dirty))
+	if dirty := sc.DirtySessions(); len(dirty) > 0 {
+		return plans, fmt.Errorf("sched: did not stabilize within %d rounds (%d dirty)", maxRounds, len(dirty))
 	}
 	return plans, nil
 }
@@ -672,7 +679,7 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 			// sessions processed after this one see true availability.
 			sc.release(s)
 		}
-		sc.dirty[s.ID] = true
+		s.dirty = true
 	}
 	return affected
 }
@@ -749,7 +756,7 @@ func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, ctx planCtx) error 
 				victim.Replans++
 				sc.tot.Replans++
 				sc.tot.Preemptions++
-				sc.dirty[vic] = true
+				victim.dirty = true
 				if ctx.onPreempt != nil {
 					ctx.onPreempt(vic, p)
 				}

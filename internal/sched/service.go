@@ -163,15 +163,9 @@ type ServiceStats struct {
 	Class [NumClasses + 1]ClassStats
 }
 
-// admitEntry is one queued admission request.
-type admitEntry struct {
-	s   *Session
-	at  eventsim.Time // Submit time; the SLO clock
-	seq int           // arrival order within equal priority
-}
-
-// sessionState is the control plane's one record of a session, from
-// Submit until it ends (EndSession, a shed, or its root's failure).
+// sessionState is the control plane's one record of a session, held on
+// the session (Session.ctl), from Submit until it ends (EndSession, a
+// shed, or its root's failure).
 type sessionState struct {
 	submitAt eventsim.Time // the SLO clock
 	planned  bool          // first plan done and its admission recorded
@@ -192,12 +186,9 @@ type Service struct {
 	cfg ServiceConfig
 	rng *rand.Rand
 
-	queue    []admitEntry
-	classLen [NumClasses + 1]int
-	seq      int
-	// state holds every queued or live session's record; its keys are
-	// the duplicate guard.
-	state map[SessionID]*sessionState
+	// queue holds the sessions submitted and not yet admitted, each
+	// class in submit order.
+	queue []*Session
 
 	tokens     float64
 	lastRefill eventsim.Time
@@ -217,7 +208,6 @@ func NewService(bounds []int, lat alm.LatencyFunc, cfg ServiceConfig) *Service {
 		sc:     NewScheduler(bounds, lat, cfg.Sched),
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		state:  make(map[SessionID]*sessionState),
 		tokens: cfg.PreemptBurst,
 	}
 }
@@ -280,8 +270,17 @@ func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 	if s.Priority < 1 || s.Priority > NumClasses {
 		return Rejected, fmt.Errorf("sched: session %d priority %d outside 1..%d", s.ID, s.Priority, NumClasses)
 	}
-	if sv.state[s.ID] != nil {
+	if sv.sc.sessions[s.ID] != nil {
 		return Rejected, fmt.Errorf("sched: duplicate session %d", s.ID)
+	}
+	queued := 0 // of s's class
+	for _, q := range sv.queue {
+		if q.ID == s.ID {
+			return Rejected, fmt.Errorf("sched: duplicate session %d", s.ID)
+		}
+		if q.Priority == s.Priority {
+			queued++
+		}
 	}
 	if err := sv.sc.checkRoster(s); err != nil {
 		return Rejected, err
@@ -296,14 +295,12 @@ func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 			s.lose(s.Members[i])
 		}
 	}
-	if sv.classLen[s.Priority] >= queueCap {
+	if queued >= queueCap {
 		sv.stats.Class[s.Priority].Rejected++
 		return Rejected, nil
 	}
-	sv.queue = append(sv.queue, admitEntry{s: s, at: now, seq: sv.seq})
-	sv.seq++
-	sv.classLen[s.Priority]++
-	sv.state[s.ID] = &sessionState{submitAt: now}
+	s.ctl = sessionState{submitAt: now}
+	sv.queue = append(sv.queue, s)
 	return Enqueued, nil
 }
 
@@ -311,13 +308,8 @@ func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 // are released; a still-queued session is silently withdrawn (its SLO
 // outcome stays a miss — it was submitted and never admitted).
 func (sv *Service) EndSession(id SessionID) {
-	if _, live := sv.sc.sessions[id]; live {
-		sv.sc.RemoveSession(id)
-	} else if i := slices.IndexFunc(sv.queue, func(e admitEntry) bool { return e.s.ID == id }); i >= 0 {
-		sv.classLen[sv.queue[i].s.Priority]--
-		sv.queue = slices.Delete(sv.queue, i, i+1)
-	}
-	delete(sv.state, id)
+	sv.sc.RemoveSession(id)
+	sv.queue = slices.DeleteFunc(sv.queue, func(q *Session) bool { return q.ID == id })
 }
 
 // NodeFailed routes failure detection through the scheduler (in-place
@@ -329,28 +321,21 @@ func (sv *Service) NodeFailed(now eventsim.Time, host int) []SessionID {
 	if sv.sc.reg.Dead(host) {
 		return nil
 	}
-	var rootDead []*Session
 	for _, s := range sv.sc.sessions {
 		if s.Root == host {
-			rootDead = append(rootDead, s)
+			sv.stats.Class[s.Priority].RootDied++
 		}
 	}
-	ctx, _ := sv.planContext(now)
-	affected := sv.sc.nodeFailed(host, ctx)
-	for _, s := range rootDead {
-		delete(sv.state, s.ID)
-		sv.stats.Class[s.Priority].RootDied++
-	}
+	var denied bool
+	affected := sv.sc.nodeFailed(host, sv.planContext(now, &denied))
 	kept := sv.queue[:0]
-	for _, e := range sv.queue {
-		if e.s.Root == host {
-			sv.classLen[e.s.Priority]--
-			sv.stats.Class[e.s.Priority].RootDied++
-			delete(sv.state, e.s.ID)
+	for _, s := range sv.queue {
+		if s.Root == host {
+			sv.stats.Class[s.Priority].RootDied++
 			continue
 		}
-		e.s.lose(host)
-		kept = append(kept, e)
+		s.lose(host)
+		kept = append(kept, s)
 	}
 	sv.queue = kept
 	return affected
@@ -364,8 +349,8 @@ func (sv *Service) NodeRecovered(now eventsim.Time, host int) bool {
 	if !sv.sc.NodeRecovered(host) {
 		return false
 	}
-	for _, st := range sv.state {
-		st.nextTry = min(st.nextTry, now)
+	for _, s := range sv.sc.sessions {
+		s.ctl.nextTry = min(s.ctl.nextTry, now)
 	}
 	return true
 }
@@ -381,21 +366,17 @@ func (sv *Service) refill(now eventsim.Time) {
 	sv.lastRefill = now
 }
 
-// guardState threads per-plan damping verdicts out of the guard.
-type guardState struct {
-	denied bool
-}
-
 // planContext builds the planning context for time now: the guard
 // vetoes market preemption of held-down victims and rate-limits the
-// rest through the token bucket, recording any veto in the returned
-// guardState; the hook charges tokens and arms the victim's hold-down.
-func (sv *Service) planContext(now eventsim.Time) (planCtx, *guardState) {
-	gs := &guardState{}
+// rest through the token bucket, setting *denied on any veto; the hook
+// charges tokens and arms the victim's hold-down. Every session the
+// scheduler can displace is live, so both read the victim's record
+// through the session table.
+func (sv *Service) planContext(now eventsim.Time, denied *bool) planCtx {
 	return planCtx{
 		guard: func(victim SessionID) bool {
-			if st := sv.state[victim]; (st != nil && st.heldDown > now) || sv.tokens < 1 {
-				gs.denied = true
+			if v := sv.sc.sessions[victim]; (v != nil && v.ctl.heldDown > now) || sv.tokens < 1 {
+				*denied = true
 				return false
 			}
 			return true
@@ -404,11 +385,11 @@ func (sv *Service) planContext(now eventsim.Time) (planCtx, *guardState) {
 			if atPriority != MemberPriority {
 				sv.tokens--
 			}
-			if st := sv.state[victim]; st != nil {
-				st.heldDown = now + holdDown
+			if v := sv.sc.sessions[victim]; v != nil {
+				v.ctl.heldDown = now + holdDown
 			}
 		},
-	}, gs
+	}
 }
 
 // backoff draws the jittered delay for a priority-pri session's given
@@ -451,7 +432,6 @@ func (sv *Service) lowestPriorityVictim(s *Session) *Session {
 // shed removes a live session and records why.
 func (sv *Service) shed(s *Session, record *int) {
 	sv.sc.RemoveSession(s.ID)
-	delete(sv.state, s.ID)
 	*record++
 }
 
@@ -459,9 +439,9 @@ func (sv *Service) shed(s *Session, record *int) {
 // degradation policy to the outcome. shedBudget caps overload sheds
 // across the enclosing Tick.
 func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
-	ctx, gs := sv.planContext(now)
-	err := sv.sc.planOne(s, ctx)
-	rs := sv.state[s.ID]
+	var denied bool
+	err := sv.sc.planOne(s, sv.planContext(now, &denied))
+	rs := &s.ctl
 	if err == nil {
 		sv.stats.Plans++
 		rs.attempts, rs.defers = 0, 0
@@ -483,7 +463,7 @@ func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
 	sv.sc.release(s)
 	sv.stats.PlanFailures++
 	rung, exhausted := 1, false
-	if gs.denied {
+	if denied {
 		// Damping deferred this session rather than let it preempt —
 		// that is the control plane's doing, so it does not consume
 		// the session's budget and retries on the first rung. A cap
@@ -497,7 +477,7 @@ func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
 	}
 	if !exhausted {
 		rs.nextTry = now + sv.backoff(s.Priority, rung)
-		sv.sc.dirty[s.ID] = true
+		s.dirty = true
 		return
 	}
 	// Graceful degradation: make room by shedding the lowest-priority
@@ -511,7 +491,7 @@ func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
 		rs.attempts = retryBudget - 1
 		rs.defers = 0
 		rs.nextTry = now + eventsim.Millisecond
-		sv.sc.dirty[s.ID] = true
+		s.dirty = true
 		return
 	}
 	sv.shed(s, &sv.stats.Class[s.Priority].ShedBudget)
@@ -527,25 +507,22 @@ func (sv *Service) Tick(now eventsim.Time) error {
 
 	// 1. Deadline shedding from the queue.
 	kept := sv.queue[:0]
-	for _, e := range sv.queue {
-		if now-e.at > admitDeadline(e.s.Priority) {
-			sv.classLen[e.s.Priority]--
-			sv.stats.Class[e.s.Priority].ShedDeadline++
-			delete(sv.state, e.s.ID)
+	for _, s := range sv.queue {
+		if now-s.ctl.submitAt > admitDeadline(s.Priority) {
+			sv.stats.Class[s.Priority].ShedDeadline++
 			continue
 		}
-		kept = append(kept, e)
+		kept = append(kept, s)
 	}
 	sv.queue = kept
 
-	// 2. Admission: highest class first, arrival order within a class.
-	slices.SortFunc(sv.queue, func(a, b admitEntry) int {
-		return cmp.Or(cmp.Compare(a.s.Priority, b.s.Priority), cmp.Compare(a.seq, b.seq))
-	})
+	// 2. Admission: highest class first, submit order within a class —
+	// the order the queue already holds each class in, which a stable
+	// sort keeps.
+	slices.SortStableFunc(sv.queue, func(a, b *Session) int { return cmp.Compare(a.Priority, b.Priority) })
 	n := min(admitPerTick, len(sv.queue))
-	for _, e := range sv.queue[:n] {
-		sv.classLen[e.s.Priority]--
-		if err := sv.sc.AddSession(e.s); err != nil {
+	for _, s := range sv.queue[:n] {
+		if err := sv.sc.AddSession(s); err != nil {
 			return err
 		}
 	}
@@ -557,16 +534,10 @@ func (sv *Service) Tick(now eventsim.Time) error {
 	shedBudget := maxShedPerTick
 	for round := 0; round < maxRounds; round++ {
 		var batch []*Session
-		for _, id := range sv.sc.DirtySessions() {
-			s, ok := sv.sc.sessions[id]
-			if !ok {
-				delete(sv.sc.dirty, id)
-				continue
+		for _, s := range sv.sc.sessions {
+			if s.dirty && s.ctl.nextTry <= now { // one backing off stays dirty for a later tick
+				batch = append(batch, s)
 			}
-			if sv.state[id].nextTry > now {
-				continue // backing off; stays dirty for a later tick
-			}
-			batch = append(batch, s)
 		}
 		if len(batch) == 0 {
 			break
@@ -576,7 +547,7 @@ func (sv *Service) Tick(now eventsim.Time) error {
 			if _, live := sv.sc.sessions[s.ID]; !live {
 				continue // shed earlier in this very batch
 			}
-			delete(sv.sc.dirty, s.ID)
+			s.dirty = false
 			sv.planSession(now, s, &shedBudget)
 		}
 	}
