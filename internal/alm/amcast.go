@@ -34,12 +34,6 @@ type HelperSet struct {
 	// radius — rejecting estimate-induced junk (underpredicted far
 	// nodes would otherwise be adversely selected). Default 16.
 	VerifyTop int
-	// RadiusSlack only applies when ScoreLatency is set: the estimated
-	// radius check is relaxed to Radius*RadiusSlack when building the
-	// shortlist, because coordinate schemes systematically overpredict
-	// short distances (nearby nodes share no reference frame); the
-	// measured check at verification still enforces Radius. Default 2.
-	RadiusSlack float64
 	// Scoring selects the candidate-ranking heuristic.
 	Scoring Scoring
 	// MetricScore declares that the scoring latency is a metric
@@ -69,6 +63,13 @@ const (
 
 // DefaultMinDegree is the paper's helper degree requirement.
 const DefaultMinDegree = 4
+
+// radiusSlack only applies when ScoreLatency is set: the estimated
+// radius check is relaxed to Radius*radiusSlack when building the
+// shortlist, because coordinate schemes systematically overpredict
+// short distances (nearby nodes share no reference frame); the
+// measured check at verification still enforces Radius.
+const radiusSlack = 2
 
 // AMCast runs the baseline greedy DB-MHT heuristic of Shi et al. [34]
 // (Figure 6 of the paper, without the dashed box): repeatedly absorb
@@ -383,13 +384,7 @@ func (pl *planner) buildHelperIndex() {
 	}
 	pl.shortlistRadius = pl.hs.Radius
 	if pl.hs.ScoreLatency != nil {
-		slack := pl.hs.RadiusSlack
-		if slack <= 0 {
-			slack = 2
-		}
-		if slack > 1 {
-			pl.shortlistRadius *= slack
-		}
+		pl.shortlistRadius *= radiusSlack
 	}
 	n := len(pl.candidates)
 	pl.indexed = n > 0 && pl.shortlistRadius > 0 && pl.hs.MetricScore

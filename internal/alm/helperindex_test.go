@@ -55,7 +55,7 @@ func TestMetricIndexMatchesFullScan(t *testing.T) {
 			{Candidates: cands, Radius: radius, ScoreLatency: est, VerifyTop: 4},
 			{Candidates: cands, Radius: radius, ScoreLatency: est, VerifyTop: 10 * n},
 			{Candidates: cands, Radius: 1000},
-			{Candidates: cands, Radius: 1000, ScoreLatency: est, RadiusSlack: 1},
+			{Candidates: cands, Radius: 1000, ScoreLatency: est},
 			{Candidates: cands, Radius: radius / 20, ScoreLatency: est},
 		}
 		for hi, hs := range hss {

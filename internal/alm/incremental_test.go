@@ -127,13 +127,7 @@ func refFindHelper(u, pu int, t *Tree, p Problem, hs HelperSet,
 	}
 	shortlistRadius := hs.Radius
 	if hs.ScoreLatency != nil {
-		slack := hs.RadiusSlack
-		if slack <= 0 {
-			slack = 2
-		}
-		if slack > 1 {
-			shortlistRadius *= slack
-		}
+		shortlistRadius *= radiusSlack
 	}
 	var pass []scored
 	for _, h := range candidates {

@@ -14,8 +14,9 @@ import (
 )
 
 // TestStudyOptionsHaveWriters: a field of an exported Config or Options
-// struct under internal/ is an option only while someone sets it
-// (DESIGN.md §10 "Study parameters" and "Library parameters"). Every
+// struct under internal/, or of one of the optionStructs, is an option
+// only while someone sets it (DESIGN.md §10 "Study parameters" and
+// "Library parameters"). Every
 // field must appear as a composite-literal key of its struct, or as the
 // target of an assignment, somewhere in the module outside the struct's
 // own defaults (withDefaults and the DefaultConfig table it reads). A
@@ -49,7 +50,7 @@ func TestStudyOptionsHaveWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	orphans, testOnly, guessed := writerlessFields(files)
+	orphans, testOnly, guessed := writerlessFields(files, optionStructs...)
 	for _, g := range guessed {
 		t.Logf("assignment through an unresolved type, counted for every struct with the field: %s", g)
 	}
@@ -84,11 +85,16 @@ func TestStudyOptionsHaveWriters(t *testing.T) {
 	}
 }
 
+// optionStructs are the option structs under internal/ not named
+// *Config or *Options: alm.HelperSet is the planner's.
+var optionStructs = []string{"alm.HelperSet"}
+
 // TestWriterScanner runs the scanner over a module small enough to
 // read, one case per way a field gets (or fails to get) a writer, and
 // per kind of file a writer may sit in: the library fields only
 // lib_test.go and the example set are test-only, the study option only
-// a test sets is not.
+// a test sets is not. A struct the call names (lib.Knobs) is on trial
+// like a Config; one it does not name (lib.Unnamed) is not.
 func TestWriterScanner(t *testing.T) {
 	src := map[string]string{
 		"internal/lib/lib.go": `package lib
@@ -109,6 +115,8 @@ type Holder struct{ cfg Config }
 type other struct{ NeverSet int }
 func touch(o *other) { o.NeverSet = 1 }
 type unexportedStaysOut struct{ X int }
+type Knobs struct{ Turned, Idle int }
+type Unnamed struct{ Idle int }
 `,
 		"internal/lib/lib_test.go": `package lib
 type TestOnlyConfig struct{ X int }
@@ -137,6 +145,7 @@ func main() {
 	live.Promoted = 3
 	live.Own = 4
 	_ = mod.Options{ViaAlias: 5}
+	_ = l.Knobs{Turned: 6}
 }
 `,
 		"examples/demo/main.go": `package main
@@ -159,8 +168,8 @@ var small = StudyOptions{Cells: 2}
 		}
 		files[path] = f
 	}
-	orphans, testOnly, guessed := writerlessFields(files)
-	want := []string{"lib.Config.DefaultedOnly", "lib.Config.InDefaultTable", "lib.Config.NeverSet", "lib.SubConfig.NeverSet"}
+	orphans, testOnly, guessed := writerlessFields(files, "lib.Knobs")
+	want := []string{"lib.Config.DefaultedOnly", "lib.Config.InDefaultTable", "lib.Config.NeverSet", "lib.Knobs.Idle", "lib.SubConfig.NeverSet"}
 	if !slices.Equal(orphans, want) || len(guessed) != 0 {
 		t.Errorf("writer-less fields %v (guessed %v), want %v and no guess", orphans, guessed, want)
 	}
@@ -172,8 +181,9 @@ var small = StudyOptions{Cells: 2}
 }
 
 // writerlessFields returns, sorted, every pkg.Struct.Field of an
-// exported struct named *Config or *Options, declared in a non-test file
-// under internal/, that no file sets outside a function named
+// exported struct named *Config or *Options, or named in named (as
+// pkg.Struct), declared in a non-test file under internal/, that no
+// file sets outside a function named
 // withDefaults or DefaultConfig (orphans); and every field of such a
 // struct outside internal/experiments that some file sets, but only a
 // test or an example (testOnly).
@@ -188,7 +198,7 @@ var small = StudyOptions{Cells: 2}
 // type aliases followed and embedded structs' fields promoted. An
 // assignment whose target cannot be typed that way counts for every
 // struct with a field of that name, and is reported in guessed.
-func writerlessFields(files map[string]*ast.File) (orphans, testOnly, guessed []string) {
+func writerlessFields(files map[string]*ast.File, named ...string) (orphans, testOnly, guessed []string) {
 	// source is one file with its package's key — the package name, or
 	// the directory for the main packages, which nobody imports and
 	// which would otherwise share one key — and its imports, local name
@@ -306,7 +316,7 @@ func writerlessFields(files map[string]*ast.File) (orphans, testOnly, guessed []
 				return true
 			}
 			onTrial := onTrial && ts.Name.IsExported() &&
-				(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options"))
+				(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options") || slices.Contains(named, key))
 			declareStruct(key, pkg, imports, st, onTrial, onTrial && !strings.HasPrefix(path, "internal/experiments/"))
 			return true
 		})
