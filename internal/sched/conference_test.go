@@ -75,39 +75,50 @@ func checkConfLedger(t *testing.T, sc *Scheduler, s *Session, bounds []int) {
 func TestConferenceSharedBudgetPlan(t *testing.T) {
 	net, degrees := buildWorld(t, 400, 7)
 	degrees = confBounds(degrees, 6)
-	sc := NewScheduler(degrees, net.Latency, Config{HelperMinDegree: 2})
-	r := rand.New(rand.NewSource(8))
-	s := confSession(1, 1, 6, r.Perm(400))
-	if err := sc.AddSession(s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sc.Stabilize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.Trees()); got != 6 {
-		t.Fatalf("planned %d source trees, want 6", got)
-	}
-	checkConfLedger(t, sc, s, degrees)
+	// Roster 3's root tree recruits no helper, so the next source's tree
+	// plans from the whole candidate pool, and recruits one there.
+	for _, tc := range []struct {
+		rosterSeed int64
+		laterOnly  bool
+	}{{8, false}, {3, true}} {
+		sc := NewScheduler(degrees, net.Latency, Config{HelperMinDegree: 2})
+		r := rand.New(rand.NewSource(tc.rosterSeed))
+		s := confSession(1, 1, 6, r.Perm(400))
+		if err := sc.AddSession(s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.Stabilize(); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(s.Trees()); got != 6 {
+			t.Fatalf("roster %d: planned %d source trees, want 6", tc.rosterSeed, got)
+		}
+		checkConfLedger(t, sc, s, degrees)
 
-	// Helpers are recruited once per session: every helper in a later
-	// source tree should come from the session's shared recruited set,
-	// so the distinct-helper count stays near the per-tree helper count
-	// rather than scaling with the number of sources.
-	perTree := 0
-	members := s.memberSet()
-	for _, st := range s.Trees() {
-		n := 0
-		for _, v := range st.Tree.Nodes() {
-			if !members[v] {
-				n++
+		// Helpers are recruited once per session: every helper in a later
+		// source tree should come from the session's shared recruited set,
+		// so the distinct-helper count stays near the per-tree helper count
+		// rather than scaling with the number of sources.
+		perTree := 0
+		var helpers []int // per tree, in SourceList order
+		members := s.memberSet()
+		for _, st := range s.Trees() {
+			n := 0
+			for _, v := range st.Tree.Nodes() {
+				if !members[v] {
+					n++
+				}
 			}
+			perTree = max(perTree, n)
+			helpers = append(helpers, n)
 		}
-		if n > perTree {
-			perTree = n
+		distinct := s.HelperCount()
+		if perTree > 0 && distinct > 3*perTree {
+			t.Fatalf("roster %d: HelperCount = %d vs max per-tree %d: helpers not shared across source trees", tc.rosterSeed, distinct, perTree)
 		}
-	}
-	if distinct := s.HelperCount(); perTree > 0 && distinct > 3*perTree {
-		t.Fatalf("HelperCount = %d vs max per-tree %d: helpers not shared across source trees", distinct, perTree)
+		if tc.laterOnly && (helpers[0] != 0 || helpers[1] == 0) {
+			t.Fatalf("roster %d: helpers per source tree %v; want none in the root's and some in the next", tc.rosterSeed, helpers)
+		}
 	}
 }
 

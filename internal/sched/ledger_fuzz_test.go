@@ -84,8 +84,9 @@ func (l *flatLedger) reserve(h, slots, p int, sid SessionID, guard PreemptGuard)
 // FuzzRegistryLedger drives the registry and the flat model through the
 // same sequence of plain and guarded Reserve, Release, SetDead and
 // Revive — three bytes per step: operation, host and session, priority
-// and slots — and after every step compares victims, refusals, each
-// session's holdings, each table's Used, Bound and dead mark, and its
+// and slots — and after every step compares victims, refusals, the
+// sessions a guarded reservation asked its guard about, each session's
+// holdings, each table's Used, Bound and dead mark, and its
 // availability for every host at every priority (one below and one
 // above the class range included, with and without a guard), checks
 // that a dead host holds nothing, and has CheckInvariants recompute the
@@ -115,6 +116,9 @@ func FuzzRegistryLedger(f *testing.F) {
 	// on, and names another twice.
 	f.Add(script(step(reserve, 0, 1, 3, 1), step(reserve, 0, 2, 1, 1), step(reserve, 4, 1, 3, 2), step(reserve, 4, 1, 3, 1),
 		step(release, 0, 1, 0, 0), step(reserve, 4, 3, 3, 8)))
+	// A guarded reservation that displaces a lower-rank holder beside a
+	// same-rank one: the guard hears only about the lower.
+	f.Add(script(step(reserve, 3, 1, 3, 2), step(reserve, 3, 2, 1, 2), step(guarded, 3, 4, 1, 3)))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		bounds := []int{1, 2, 3, 5, 8}
 		reg := NewRegistry(bounds)
@@ -131,15 +135,17 @@ func FuzzRegistryLedger(f *testing.F) {
 			guard := PreemptGuard(func(v SessionID) bool { return (int(v)+step)%3 != 0 })
 			switch op {
 			case reserve, guarded:
-				g := guard
-				if op == reserve {
-					g = nil
+				var g, mg PreemptGuard
+				var asked, modelAsked uint16 // the sessions each guard heard about
+				if op == guarded {
+					g = func(v SessionID) bool { asked |= 1 << v; return guard(v) }
+					mg = func(v SessionID) bool { modelAsked |= 1 << v; return guard(v) }
 				}
 				got, err := reg.Reserve(h, slots, p, sid, g)
-				want, ok := model.reserve(h, slots, p, sid, g)
-				if (err == nil) != ok || !slices.Equal(got, want) {
-					t.Fatalf("step %d: reserve(h=%d slots=%d p=%d sid=%d): victims %v err %v, model %v ok %v",
-						step, h, slots, p, sid, got, err, want, ok)
+				want, ok := model.reserve(h, slots, p, sid, mg)
+				if (err == nil) != ok || !slices.Equal(got, want) || asked != modelAsked {
+					t.Fatalf("step %d: reserve(h=%d slots=%d p=%d sid=%d): victims %v err %v guard asked %016b, model %v ok %v asked %016b",
+						step, h, slots, p, sid, got, err, asked, want, ok, modelAsked)
 				}
 				if ok {
 					granted[sid] = append(granted[sid], h)
