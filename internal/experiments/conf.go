@@ -497,7 +497,9 @@ func (r *ConfResult) Tables() []Table {
 			d(row.Repairs), d(row.Replans), d(row.Violations),
 		})
 	}
-	return []Table{delivery, market}
+	return appendViolations([]Table{delivery, market}, "Conferencing: invariant violations", len(r.Rows), func(i int) (string, int, string) {
+		return r.Rows[i].Cell, r.Rows[i].Violations, r.Rows[i].FirstViolation
+	})
 }
 
 // AppendBenchJSON merges this result into an existing BENCH_conf.json

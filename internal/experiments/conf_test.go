@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"p2ppool/internal/eventsim"
@@ -149,5 +150,26 @@ func TestConfPumpKeysUnique(t *testing.T) {
 	opts = opts.withDefaults()
 	if row := res.Row("solo"); row.Sources != opts.Conferences*opts.ConfSize {
 		t.Errorf("solo: %d source pumps, want %d", row.Sources, opts.Conferences*opts.ConfSize)
+	}
+}
+
+// TestConfTablesShowFirstViolation: like load and stream, conf lists
+// each cell whose sweeps found something with its first violation, in
+// a table that a clean run does not print.
+func TestConfTablesShowFirstViolation(t *testing.T) {
+	res := &ConfResult{Rows: []ConfRow{{Cell: "solo"}, {Cell: "market"}}}
+	res.Rows[1].Violations, res.Rows[1].FirstViolation = 2, "t=5.0s sched/ledger: host 3"
+	tables := res.Tables()
+	if len(tables) != 3 {
+		t.Fatalf("%d tables, want delivery, market and violations", len(tables))
+	}
+	viol := tables[2]
+	if viol.Title != "Conferencing: invariant violations" || len(viol.Rows) != 1 ||
+		!slices.Equal(viol.Rows[0], []string{"market", "2", "t=5.0s sched/ledger: host 3"}) {
+		t.Fatalf("violations table %q rows %v", viol.Title, viol.Rows)
+	}
+	res.Rows[1].Violations = 0
+	if n := len(res.Tables()); n != 2 {
+		t.Fatalf("clean run renders %d tables, want 2", n)
 	}
 }
