@@ -465,6 +465,49 @@ func TestStabilizeFailureKeepsBatchDirty(t *testing.T) {
 	}
 }
 
+// TestStabilizePlansDisplacedSessionOnce: a session displaced in a
+// Stabilize round before its own turn plans once, in that turn, and
+// is not planned again in the next round. On a line, session 2
+// (priority 3) plans alone through helper 3; then session 1 (priority
+// 1) arrives needing the same helper, and Reschedule puts both in one
+// round. Session 1 plans first and takes helper 3, displacing session
+// 2, whose turn then comes and plans it through helper 7.
+func TestStabilizePlansDisplacedSessionOnce(t *testing.T) {
+	sc := NewScheduler([]int{1, 1, 1, 4, 1, 1, 1, 4}, lineLat, Config{})
+	s2 := &Session{ID: 2, Priority: 3, Root: 4, Members: []int{5, 6}}
+	if err := sc.AddSession(s2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Stabilize(); err != nil {
+		t.Fatal(err)
+	}
+	if !s2.Tree.Contains(3) {
+		t.Fatalf("session 2 alone planned %v; want it through helper 3", treeEdges(s2.Tree))
+	}
+	s1 := &Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2}}
+	if err := sc.AddSession(s1); err != nil {
+		t.Fatal(err)
+	}
+	sc.Reschedule()
+	before := sc.Totals()
+	plans, err := sc.Stabilize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Totals().Preemptions - before.Preemptions; got != 1 {
+		t.Fatalf("%d preemptions; the scenario displaces session 2 once", got)
+	}
+	if !s1.Tree.Contains(3) || !s2.Tree.Contains(7) {
+		t.Fatalf("session 1 planned %v, session 2 %v; want helpers 3 and 7", treeEdges(s1.Tree), treeEdges(s2.Tree))
+	}
+	if plans != 2 {
+		t.Errorf("Stabilize ran %d plans; want 2, one per session", plans)
+	}
+	if err := sc.Registry().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSessionHelperCount(t *testing.T) {
 	s := &Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2}}
 	if s.HelperCount() != 0 {
