@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test cover race vet fuzz bench bench-json bench-suite bench-compare bench-label profile chaos obs scale audit load stream conf mains layout ci
+.PHONY: all build fmt test cover race vet fuzz bench bench-json bench-suite bench-compare bench-label profile chaos obs scale audit load stream conf mains layout seeds ci
 
 all: build
 
@@ -164,6 +164,24 @@ profile:
 mains:
 	for m in ./examples/* ./cmd/topostat; do $(GO) run $$m > /dev/null || exit 1; done
 
+# The five event-driven studies whose exit status is a correctness check
+# (load, stream and conf at their `ci` sizes, chaos and audit at their
+# own) over three consecutive seeds, without -race. The window starts
+# at 4 plus the HEAD commit's hash mod 97 (4 outside git), so it moves
+# from commit to commit while its cost stays put (about 5 s a seed on a
+# 2-core box, audit most of it); `make seeds SEEDS="7 8 9"` picks the
+# seeds. A failure names the study and the seed.
+SEEDS ?= $(shell s=$$((4 + 0x$$(git rev-parse --short=8 HEAD 2>/dev/null || echo 0) % 97)); echo $$s $$((s + 1)) $$((s + 2)))
+seeds:
+	@mkdir -p .bench_build
+	$(GO) build -o .bench_build/experiments ./cmd/experiments
+	@for s in $(SEEDS); do \
+		for f in "load -hosts 300 -load-runtime 45" "stream -hosts 900 -stream-chunks 10" "conf -hosts 900 -conf-chunks 10" chaos audit; do \
+			echo "seeds: -fig $$f -seed $$s"; \
+			.bench_build/experiments -fig $$f -seed $$s > /dev/null || { echo "seeds: study $${f%% *} failed at seed $$s" >&2; exit 1; }; \
+		done; \
+	done
+
 # Proof that the coordinate fit's speed does not depend on where the
 # linker puts it. Before PR 22 coords.fitError ran 7-30% slower entered
 # at 32 mod 64 bytes than at 0, and every package linked ahead of coords
@@ -279,7 +297,7 @@ layout:
 # windows would otherwise run on one goroutine — each shard's endpoint
 # tables and protocol state written only by the shard's own goroutine)
 # and `fullstack` (every layer on one pool).
-ci: build fmt vet test cover race mains layout
+ci: build fmt vet test cover race mains layout seeds
 	$(GO) test -race -count=10 -run 'ShardGroup' ./internal/eventsim
 	$(GO) test -race -count=10 -tags forcesplit -run 'ShardedSimWorkerDeterminism|FuzzShardedSimMatchesReference|FuzzShardedSimMatchesSim' ./internal/transport
 	$(GO) test -race -tags forcesplit -run 'TestScaleWorkerDeterminism' ./internal/experiments

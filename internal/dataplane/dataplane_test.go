@@ -70,6 +70,21 @@ func TestPumpDeliversOnStaticTree(t *testing.T) {
 	if got := st.SourceOffload(); got < 0.66 || got > 0.67 {
 		t.Fatalf("SourceOffload = %v, want ~2/3", got)
 	}
+
+	// A chunk that lands exactly at its deadline is on time. Each hop
+	// is a 40 ms transfer (50 KB at 10,000 kbps) plus 10 ms, so member 3
+	// receives every chunk 150 ms after its emission.
+	engine, pl = world(t, 4, 10000, 10000)
+	p, err = pl.StartPump(1, 0, []int{1, 2, 3}, func() *alm.Tree { return tr }, nil, 0, Config{
+		BitrateKbps: 400, Chunks: 10, Playout: 150, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.RunUntil(30 * eventsim.Second)
+	if st := p.Finalize(); st.OnTimeTree != 30 || st.Late != 0 {
+		t.Fatalf("outcomes %+v with the deepest member's chunks landing at the deadline, want all on-time via tree", st)
+	}
 }
 
 func TestPumpContentionMissesDeadlines(t *testing.T) {
@@ -94,12 +109,37 @@ func TestPumpContentionMissesDeadlines(t *testing.T) {
 	if tight.Late+tight.Lost == 0 {
 		t.Fatalf("no deadline misses at capacity == bitrate with fanout 2: %+v", tight)
 	}
+	if tight.Late == 0 {
+		t.Fatalf("no late chunk at capacity == bitrate with fanout 2: %+v", tight)
+	}
+	if tight.TreeMisses != tight.Expected-tight.OnTimeTree {
+		t.Fatalf("TreeMisses = %d, want every expected chunk not on time via the tree: %+v", tight.TreeMisses, tight)
+	}
 	loose := run(1600)
 	if loose.OnTimeTree != loose.Expected {
 		t.Fatalf("misses at 4x headroom: %+v", loose)
 	}
 	if loose.OnTimeFraction() <= tight.OnTimeFraction() {
 		t.Fatal("delivered fraction did not improve with capacity")
+	}
+
+	// A receiver with no downlink takes no share of the source's
+	// uplink: its transfers are never admitted, so at one rung of uplink
+	// the other child still gets every chunk in time.
+	engine, pl := world(t, 3, 400, 100000)
+	pl.cont.down[2] = 0
+	tr := alm.NewTree(0)
+	tr.Attach(1, 0)
+	tr.Attach(2, 0)
+	p, err := pl.StartPump(1, 0, []int{1, 2}, func() *alm.Tree { return tr }, nil, 0, Config{
+		BitrateKbps: 400, Chunks: 10, PullNeighbors: 0, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.RunUntil(60 * eventsim.Second)
+	if st := p.Finalize(); st.OnTimeTree != 10 || st.Lost != 10 {
+		t.Fatalf("outcomes %+v beside a zero-downlink sibling, want member 1's 10 on time and member 2's 10 lost", st)
 	}
 }
 
@@ -128,6 +168,23 @@ func TestPumpPullRecoversDetachedMember(t *testing.T) {
 	}
 	if st.OnTimeTree != 20 {
 		t.Fatalf("OnTimeTree = %d, want 20 (members 1, 2)", st.OnTimeTree)
+	}
+	if got := st.OnTimeFraction(); got != 1 {
+		t.Fatalf("OnTimeFraction = %v, want 1 (20 on time via the tree, 10 pulled in time)", got)
+	}
+	// A pulled copy that lands exactly at its deadline is recovered. With
+	// Playout 150 ms, member 2 (detached) pulls from member 1 at 90 ms
+	// after emission; the request takes 10 ms and the copy 40 + 10 ms.
+	engine1, pl1 := world(t, 3, 10000, 10000)
+	p1, err := pl1.StartPump(1, 0, []int{1, 2}, func() *alm.Tree { return chain(0, 1) }, nil, 0, Config{
+		BitrateKbps: 400, Chunks: 10, Playout: 150, PullNeighbors: 1, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine1.RunUntil(60 * eventsim.Second)
+	if st1 := p1.Finalize(); st1.PullRecovered != 10 || st1.Late != 0 {
+		t.Fatalf("outcomes %+v with pulled copies landing at the deadline, want 10 pull-recovered", st1)
 	}
 	// Without the mesh the same detachment is a total loss.
 	engine2, pl2 := world(t, 4, 10000, 10000)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -213,6 +214,37 @@ func TestConferenceSourceFailureRepairs(t *testing.T) {
 	sc.NodeFailed(s.Root)
 	if sc.Session(s.ID) != nil {
 		t.Fatal("conference survived its root's death")
+	}
+	if err := sc.Registry().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConferenceFailedPlanHoldsNothing: a conference whose second
+// source tree finds no feasible parent after its first tree was
+// reserved fails Stabilize holding no slot, as a failed attempt under
+// Tick does. Stabilize used to leave the first tree's six slots held by
+// a session with no plan. On a line, root 4's tree runs through helper
+// 3 and spends its whole bound. Source 0's tree then has one spare slot
+// at its own host and one at member 2's, and no helper with two to
+// spare (hosts 1 and 5 have bound 1), so member 4 finds no parent.
+func TestConferenceFailedPlanHoldsNothing(t *testing.T) {
+	xs := []float64{4.6, 40.0, 4.3, 65.7, 77.4, 7.0}
+	lat := func(a, b int) float64 { return 1 + math.Abs(xs[a]-xs[b]) }
+	sc := NewScheduler([]int{2, 1, 2, 2, 3, 1}, lat, Config{HelperMinDegree: 2})
+	s := &Session{ID: 1, Priority: 1, Root: 4, Members: []int{0, 2}, Sources: []int{0}}
+	if err := sc.AddSession(s); err != nil {
+		t.Fatal(err)
+	}
+	_, err := sc.Stabilize()
+	if want := "session 1: alm: no feasible parent for member 4 (degree bounds too tight)"; err == nil || err.Error() != want {
+		t.Fatalf("Stabilize error = %v, want %q", err, want)
+	}
+	if n := heldOn(sc.Registry(), s.ID); n != 0 || len(s.held) != 0 {
+		t.Errorf("failed conference holds %d slots, lists %v", n, s.held)
+	}
+	if !sc.Dirty(s.ID) {
+		t.Error("failed conference marked clean")
 	}
 	if err := sc.Registry().CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -228,7 +228,7 @@ func TestNodeFailedIdempotent(t *testing.T) {
 	}
 	s.Tree = tree
 	sc.sessions[s.ID] = s
-	if err := sc.reserveTree(s, tree, planCtx{}); err != nil {
+	if err := sc.reserveTree(s, tree); err != nil {
 		t.Fatal(err)
 	}
 

@@ -120,7 +120,9 @@ func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 		}
 		got := map[SessionID]bool{}
 		sc.sessions[s.ID] = s
-		err := sc.planOne(s, planCtx{guard: func(v SessionID) bool { got[v] = true; return false }})
+		sc.guard = func(v SessionID) bool { got[v] = true; return false }
+		err := sc.planOne(s)
+		sc.guard = nil
 		sc.RemoveSession(s.ID)
 		if len(got) != len(want) {
 			t.Errorf("%s priority %d: guard consulted on %d sessions, brute force finds %d", what, pri, len(got), len(want))

@@ -203,20 +203,6 @@ type Totals struct {
 	NodeRecoveries int
 }
 
-// planCtx carries control-plane policy through a planning pass. The
-// zero value is the plain market rule: any strictly-lower-priority
-// allocation is preemptable, with no notification.
-type planCtx struct {
-	// guard, when set, can veto individual market-priority preemptions
-	// (rate limiting, victim hold-down). Member-priority reservations
-	// are never guarded: the paper's guarantee that a node always
-	// serves its own session outranks any damping policy.
-	guard PreemptGuard
-	// onPreempt, when set, is called once per displaced session per
-	// host, with the priority the requester reserved at.
-	onPreempt func(victim SessionID, atPriority int)
-}
-
 // Scheduler coordinates sessions over a shared registry. It is "market
 // driven": there is no global optimization — each session greedily
 // plans for itself with whatever the degree tables say is obtainable at
@@ -240,6 +226,16 @@ type Scheduler struct {
 	// candidates is planOne's helper-candidate buffer, reused across
 	// plans (the planner copies what it keeps).
 	candidates []int
+
+	// guard and onPreempt are the damping a Service installs once
+	// (NewService), under every plan and repair whichever call runs it;
+	// a Scheduler used alone keeps both nil, the plain market rule. guard
+	// can veto a market-priority preemption (never a member-priority one:
+	// the paper's node serving its own session outranks any damping);
+	// onPreempt hears of each displaced session per host, with the
+	// priority the requester reserved at.
+	guard     PreemptGuard
+	onPreempt func(victim SessionID, atPriority int)
 }
 
 // NewScheduler creates a scheduler over hosts with the given degree
@@ -279,8 +275,10 @@ func (sc *Scheduler) markMembers(s *Session) {
 // and AddMember: every host of s's roster is in the pool, none is named
 // twice (a repeated member, or the root listed as a member), and every
 // extra source is a member other than the root, listed once. Admitted,
-// such a roster would panic a plan or fail every one.
-func (sc *Scheduler) checkRoster(s *Session) error {
+// such a roster would panic a plan or fail every one. With live set no
+// host of it has failed either, which would fail every plan; Submit
+// passes false, stripping a failed member and rejecting a failed root.
+func (sc *Scheduler) checkRoster(s *Session, live bool) error {
 	sc.nextEpoch()
 	for i := -1; i < len(s.Members); i++ {
 		h := s.Root
@@ -292,6 +290,9 @@ func (sc *Scheduler) checkRoster(s *Session) error {
 		}
 		if sc.mark[h] == sc.epoch {
 			return fmt.Errorf("sched: session %d names host %d twice", s.ID, h)
+		}
+		if live && sc.reg.Dead(h) {
+			return fmt.Errorf("sched: session %d names failed host %d", s.ID, h)
 		}
 		sc.mark[h] = sc.epoch
 	}
@@ -313,12 +314,12 @@ func (sc *Scheduler) isMember(host int) bool { return sc.mark[host] == sc.epoch 
 // effPriority is the marked session s's priority at a given node, and
 // the guard that applies there: members serve their own session above
 // everything else, and member-priority requests are never guarded (see
-// planCtx.guard).
-func (sc *Scheduler) effPriority(s *Session, host int, guard PreemptGuard) (int, PreemptGuard) {
+// Scheduler.guard).
+func (sc *Scheduler) effPriority(s *Session, host int) (int, PreemptGuard) {
 	if sc.isMember(host) {
 		return MemberPriority, nil
 	}
-	return s.Priority, guard
+	return s.Priority, sc.guard
 }
 
 // byPriorityThenID orders sessions highest priority first, then by ID —
@@ -421,7 +422,7 @@ func (sc *Scheduler) DirtySessions() []SessionID {
 }
 
 // AddSession admits a session (it will be planned on the next
-// Stabilize). Its roster must pass checkRoster.
+// Stabilize). Its roster must pass checkRoster and name no failed host.
 func (sc *Scheduler) AddSession(s *Session) error {
 	if _, ok := sc.sessions[s.ID]; ok {
 		return fmt.Errorf("sched: duplicate session %d", s.ID)
@@ -429,7 +430,7 @@ func (sc *Scheduler) AddSession(s *Session) error {
 	if s.Priority < 1 {
 		return fmt.Errorf("sched: session %d priority %d < 1", s.ID, s.Priority)
 	}
-	if err := sc.checkRoster(s); err != nil {
+	if err := sc.checkRoster(s, true); err != nil {
 		return err
 	}
 	sc.sessions[s.ID] = s
@@ -468,11 +469,7 @@ func (sc *Scheduler) AddMember(id SessionID, host int) error {
 		return fmt.Errorf("sched: unknown session %d", id)
 	}
 	s.Members = append(s.Members, host)
-	err := sc.checkRoster(s)
-	if err == nil && sc.reg.Dead(host) {
-		err = fmt.Errorf("sched: session %d cannot add failed host %d", id, host)
-	}
-	if err != nil {
+	if err := sc.checkRoster(s, true); err != nil {
 		s.Members = s.Members[:len(s.Members)-1]
 		return err
 	}
@@ -560,11 +557,11 @@ func (sc *Scheduler) Rejoin(host int) []SessionID {
 
 // Stabilize replans dirty sessions (sweep, every session ready) until
 // none is dirty, and returns the number of individual plans executed.
-// A failed plan stops it there, leaving that session and the rest of
-// its round dirty. It errors when maxRounds rounds leave one dirty.
+// A failed plan stops it there, leaving that session (holding nothing)
+// and the rest of its round dirty. It errors when maxRounds rounds
+// leave one dirty.
 func (sc *Scheduler) Stabilize() (int, error) {
-	plans, capped, err := sc.sweep(func(*Session) bool { return true },
-		func(s *Session) error { return sc.planOne(s, planCtx{}) })
+	plans, capped, err := sc.sweep(func(*Session) bool { return true }, sc.planOne)
 	if capped {
 		if dirty := sc.DirtySessions(); len(dirty) > 0 {
 			return plans, fmt.Errorf("sched: did not stabilize within %d rounds (%d dirty)", maxRounds, len(dirty))
@@ -619,12 +616,6 @@ func (sc *Scheduler) sweep(ready func(*Session) bool, plan func(*Session) error)
 // removed ones) are returned in priority-then-ID order. A surviving
 // session remembers a member it lost, and Rejoin takes it back.
 func (sc *Scheduler) NodeFailed(host int) []SessionID {
-	return sc.nodeFailed(host, planCtx{})
-}
-
-// nodeFailed is NodeFailed under a planning context; the control-plane
-// service threads its preemption guard through the in-place repairs.
-func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 	// Failure detection fires from several independent paths (heartbeat
 	// loss, partition detection); a host already processed must be a
 	// no-op or a session whose in-place repair failed — its stale tree
@@ -673,13 +664,13 @@ func (sc *Scheduler) nodeFailed(host int, ctx planCtx) []SessionID {
 				}
 				if t.Contains(host) {
 					t = t.Clone()
-					if _, err = alm.Repair(t, []int{host}, sc.lat, sc.availFor(s, ctx.guard)); err != nil {
+					if _, err = alm.Repair(t, []int{host}, sc.lat, sc.availFor(s)); err != nil {
 						break
 					}
 				}
 				// Untouched trees still re-reserve: the release above
 				// dropped their slots along with everything else.
-				if err = sc.reserveTree(s, t, ctx); err != nil {
+				if err = sc.reserveTree(s, t); err != nil {
 					break
 				}
 				repaired[st.Source] = t
@@ -719,21 +710,21 @@ func (sc *Scheduler) NodeRecovered(host int) bool {
 
 // availFor returns the effective degree bound the market offers session
 // s at each host, valid until another session is marked.
-func (sc *Scheduler) availFor(s *Session, guard PreemptGuard) alm.DegreeFunc {
+func (sc *Scheduler) availFor(s *Session) alm.DegreeFunc {
 	sc.markMembers(s)
 	return func(v int) int {
-		p, g := sc.effPriority(s, v, guard)
+		p, g := sc.effPriority(s, v)
 		return sc.reg.tables[v].available(p, g)
 	}
 }
 
-// consultGuard shows guard what a priority-p plan's candidate pass
+// consultGuard shows the guard what a priority-p plan's candidate pass
 // would: on every live host off the marked roster, each allocation of
 // lower rank, where the host's counters say there is one (firmFor).
-func (sc *Scheduler) consultGuard(p int, guard PreemptGuard) {
+func (sc *Scheduler) consultGuard(p int) {
 	for h := range sc.reg.tables {
 		if t := &sc.reg.tables[h]; !sc.isMember(h) && !t.dead {
-			t.firmFor(p, guard)
+			t.firmFor(p, sc.guard)
 		}
 	}
 }
@@ -748,7 +739,7 @@ func (sc *Scheduler) release(s *Session) {
 // in s.held and dirtying (and counting a replan for) every preempted
 // session. On error the caller owns cleanup of any partial
 // reservations.
-func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, ctx planCtx) error {
+func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree) error {
 	sc.markMembers(s)
 	nodes := tree.Nodes()
 	s.held = slices.Grow(s.held, len(nodes))
@@ -757,7 +748,7 @@ func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, ctx planCtx) error 
 		if slots == 0 {
 			continue
 		}
-		p, g := sc.effPriority(s, v, ctx.guard)
+		p, g := sc.effPriority(s, v)
 		victims, err := sc.reg.Reserve(v, slots, p, s.ID, g)
 		if err != nil {
 			return err
@@ -772,8 +763,8 @@ func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, ctx planCtx) error 
 				sc.tot.Replans++
 				sc.tot.Preemptions++
 				victim.dirty = true
-				if ctx.onPreempt != nil {
-					ctx.onPreempt(vic, p)
+				if sc.onPreempt != nil {
+					sc.onPreempt(vic, p)
 				}
 			}
 		}
@@ -783,7 +774,9 @@ func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, ctx planCtx) error 
 
 // planOne runs one session's task manager: release current holdings,
 // read availability from the degree tables, plan Leafset+adjust with
-// helpers, and reserve the new plan (preempting lower priority).
+// helpers, and reserve the new plan (preempting lower priority). A
+// failed attempt releases what it reserved, so it leaves s holding
+// nothing.
 //
 // Conferencing sessions plan one tree per source against the same slot
 // budget: each tree is reserved before the next is planned, and because
@@ -792,12 +785,12 @@ func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree, ctx planCtx) error 
 // are recruited once per session — trees after the first plan against
 // the session's already-recruited helper set and only fall back to the
 // full candidate pool when that set cannot cover the members.
-func (sc *Scheduler) planOne(s *Session, ctx planCtx) error {
+func (sc *Scheduler) planOne(s *Session) error {
 	sc.release(s)
 
 	// Effective degree bound for this session at each host: what the
 	// market says it can obtain. Marks s's roster for isMember below.
-	avail := sc.availFor(s, ctx.guard)
+	avail := sc.availFor(s)
 	srcs := s.SourceList()
 	roster := s.roster()
 	// problem is the instance of the idx-th source's tree. It holds back
@@ -837,8 +830,8 @@ func (sc *Scheduler) planOne(s *Session, ctx planCtx) error {
 	// every host the pass would have asked it about (DESIGN.md §7).
 	first := problem(0)
 	if err := first.Validate(); err != nil {
-		if ctx.guard != nil {
-			sc.consultGuard(s.Priority, ctx.guard)
+		if sc.guard != nil {
+			sc.consultGuard(s.Priority)
 		}
 		return err
 	}
@@ -880,13 +873,15 @@ func (sc *Scheduler) planOne(s *Session, ctx planCtx) error {
 			hs.Candidates = candidates
 			var err error
 			if tree, err = alm.PlanWithHelpers(p, hs); err != nil {
+				sc.release(s)
 				return err
 			}
 		}
 		alm.Adjust(tree, sc.lat, p.Degree)
 
 		// Reserve the plan's slots; preempted sessions must replan.
-		if err := sc.reserveTree(s, tree, ctx); err != nil {
+		if err := sc.reserveTree(s, tree); err != nil {
+			sc.release(s)
 			return err
 		}
 		trees[src] = tree

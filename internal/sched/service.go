@@ -192,6 +192,11 @@ type Service struct {
 
 	tokens     float64
 	lastRefill eventsim.Time
+	// now is the virtual time of the Tick or NodeFailed in progress, the
+	// two calls that plan; vetoed marks a veto by allow since planSession
+	// last cleared it.
+	now    eventsim.Time
+	vetoed bool
 
 	stats    ServiceStats
 	admitLat []float64 // virtual ms from Submit to first plan, append-only
@@ -201,15 +206,17 @@ type Service struct {
 }
 
 // NewService builds a control plane over a fresh Scheduler for hosts
-// with the given degree bounds.
+// with the given degree bounds, and installs its damping there.
 func NewService(bounds []int, lat alm.LatencyFunc, cfg ServiceConfig) *Service {
 	cfg = cfg.withDefaults()
-	return &Service{
+	sv := &Service{
 		sc:     NewScheduler(bounds, lat, cfg.Sched),
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		tokens: cfg.PreemptBurst,
 	}
+	sv.sc.guard, sv.sc.onPreempt = sv.allow, sv.preempted
+	return sv
 }
 
 // Scheduler exposes the wrapped scheduler (invariant audits read its
@@ -282,7 +289,7 @@ func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 			queued++
 		}
 	}
-	if err := sv.sc.checkRoster(s); err != nil {
+	if err := sv.sc.checkRoster(s, false); err != nil {
 		return Rejected, err
 	}
 	sv.stats.Class[s.Priority].Submitted++
@@ -326,8 +333,8 @@ func (sv *Service) NodeFailed(now eventsim.Time, host int) []SessionID {
 			sv.stats.Class[s.Priority].RootDied++
 		}
 	}
-	var denied bool
-	affected := sv.sc.nodeFailed(host, sv.planContext(now, &denied))
+	sv.now = now
+	affected := sv.sc.NodeFailed(host)
 	kept := sv.queue[:0]
 	for _, s := range sv.queue {
 		if s.Root == host {
@@ -366,29 +373,28 @@ func (sv *Service) refill(now eventsim.Time) {
 	sv.lastRefill = now
 }
 
-// planContext builds the planning context for time now: the guard
-// vetoes market preemption of held-down victims and rate-limits the
-// rest through the token bucket, setting *denied on any veto; the hook
-// charges tokens and arms the victim's hold-down. Every session the
-// scheduler can displace is live, so both read the victim's record
+// allow is the scheduler's guard: it vetoes market preemption of a
+// victim held down past now, and of any victim while the token bucket
+// is empty, and marks the veto. Every session the scheduler can
+// displace is live, so it and preempted read the victim's record
 // through the session table.
-func (sv *Service) planContext(now eventsim.Time, denied *bool) planCtx {
-	return planCtx{
-		guard: func(victim SessionID) bool {
-			if v := sv.sc.sessions[victim]; (v != nil && v.ctl.heldDown > now) || sv.tokens < 1 {
-				*denied = true
-				return false
-			}
-			return true
-		},
-		onPreempt: func(victim SessionID, atPriority int) {
-			if atPriority != MemberPriority {
-				sv.tokens--
-			}
-			if v := sv.sc.sessions[victim]; v != nil {
-				v.ctl.heldDown = now + holdDown
-			}
-		},
+func (sv *Service) allow(victim SessionID) bool {
+	if v := sv.sc.sessions[victim]; (v != nil && v.ctl.heldDown > sv.now) || sv.tokens < 1 {
+		sv.vetoed = true
+		return false
+	}
+	return true
+}
+
+// preempted is the scheduler's preemption hook: a market-priority
+// preemption spends a token, and every preemption arms the victim's
+// hold-down.
+func (sv *Service) preempted(victim SessionID, atPriority int) {
+	if atPriority != MemberPriority {
+		sv.tokens--
+	}
+	if v := sv.sc.sessions[victim]; v != nil {
+		v.ctl.heldDown = sv.now + holdDown
 	}
 }
 
@@ -435,12 +441,13 @@ func (sv *Service) shed(s *Session, record *int) {
 	*record++
 }
 
-// planSession runs one guarded planning attempt and applies the retry /
-// degradation policy to the outcome. shedBudget caps overload sheds
-// across the enclosing Tick.
-func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
-	var denied bool
-	err := sv.sc.planOne(s, sv.planContext(now, &denied))
+// planSession runs one guarded planning attempt at the Tick's time and
+// applies the retry / degradation policy to the outcome. shedBudget
+// caps overload sheds across the enclosing Tick.
+func (sv *Service) planSession(s *Session, shedBudget *int) {
+	now := sv.now
+	sv.vetoed = false
+	err := sv.sc.planOne(s)
 	rs := &s.ctl
 	if err == nil {
 		sv.stats.Plans++
@@ -458,12 +465,9 @@ func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
 		}
 		return
 	}
-	// Failed plans may leave partial reservations; drop them so the
-	// ledger stays clean while the session waits out its backoff.
-	sv.sc.release(s)
 	sv.stats.PlanFailures++
 	rung, exhausted := 1, false
-	if denied {
+	if sv.vetoed {
 		// Damping deferred this session rather than let it preempt —
 		// that is the control plane's doing, so it does not consume
 		// the session's budget and retries on the first rung. A cap
@@ -503,6 +507,7 @@ func (sv *Service) planSession(now eventsim.Time, s *Session, shedBudget *int) {
 // sessions whose backoff has elapsed (priority order, bounded rounds).
 // Call it on a fixed period from the event loop.
 func (sv *Service) Tick(now eventsim.Time) error {
+	sv.now = now
 	sv.refill(now)
 
 	// 1. Deadline shedding from the queue.
@@ -533,7 +538,7 @@ func (sv *Service) Tick(now eventsim.Time) error {
 	// the sweep's results go unused. Overload sheds are bounded per Tick.
 	shedBudget := maxShedPerTick
 	sv.sc.sweep(func(s *Session) bool { return s.ctl.nextTry <= now },
-		func(s *Session) error { sv.planSession(now, s, &shedBudget); return nil })
+		func(s *Session) error { sv.planSession(s, &shedBudget); return nil })
 
 	if live := len(sv.sc.sessions); live > sv.stats.PeakLive {
 		sv.stats.PeakLive = live

@@ -606,12 +606,11 @@ func TestHoldDownFollowsTheTopDeadline(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sv := NewService([]int{4, 4}, lineLat, ServiceConfig{})
 			submitVictims(t, sv, 9)
-			var denied bool
-			ctx := sv.planContext(armed, &denied)
-			ctx.onPreempt(9, 3)
+			sv.now = armed
+			sv.preempted(9, 3)
 			at := armed + admitDeadline(tc.class) - eventsim.Millisecond
-			ctx = sv.planContext(at, &denied)
-			if got := !ctx.guard(9); got != tc.protected {
+			sv.now = at
+			if got := !sv.allow(9); got != tc.protected {
 				t.Errorf("victim preempted at %v ms protected at %v ms: %v, want %v", armed, at, got, tc.protected)
 			}
 		})
@@ -634,7 +633,7 @@ func submitVictims(t *testing.T, sv *Service, ids ...SessionID) {
 }
 
 // TestServiceDampingGuard unit-tests the token bucket and hold-down
-// through the planContext the service hands the scheduler.
+// through the guard and hook the service installs on its scheduler.
 func TestServiceDampingGuard(t *testing.T) {
 	cfg := ServiceConfig{
 		PreemptRate:  1, // tokens per virtual second
@@ -643,50 +642,49 @@ func TestServiceDampingGuard(t *testing.T) {
 	sv := NewService([]int{4, 4}, lineLat, cfg)
 	submitVictims(t, sv, 7, 8, 9)
 
-	var denied bool
-	ctx := sv.planContext(0, &denied)
-	if !ctx.guard(7) {
+	sv.now, sv.vetoed = 0, false
+	if !sv.allow(7) || sv.vetoed {
 		t.Fatal("full bucket must allow preemption")
 	}
-	ctx.onPreempt(7, 3) // market-priority preemption: charges a token, arms hold-down
+	sv.preempted(7, 3) // market-priority preemption: charges a token, arms hold-down
 	if sv.tokens != 1 {
 		t.Fatalf("tokens = %v after one market preemption, want 1", sv.tokens)
 	}
-	if ctx.guard(7) || !denied {
+	if sv.allow(7) || !sv.vetoed {
 		t.Fatal("held-down victim must be vetoed and the denial recorded")
 	}
-	ctx.onPreempt(8, MemberPriority) // member-priority: never charged
+	sv.preempted(8, MemberPriority) // member-priority: never charged
 	if sv.tokens != 1 {
 		t.Fatalf("member-priority preemption charged the bucket: tokens = %v", sv.tokens)
 	}
-	ctx.onPreempt(9, 2)
+	sv.preempted(9, 2)
 	if sv.tokens != 0 {
 		t.Fatalf("tokens = %v, want 0", sv.tokens)
 	}
-	var denied2 bool
-	ctx2 := sv.planContext(0, &denied2)
-	if ctx2.guard(10) || !denied2 {
+	sv.vetoed = false
+	if sv.allow(10) || !sv.vetoed {
 		t.Fatal("empty bucket must veto fresh victims")
 	}
 
 	// Refill at 1/s: after 1 s there is one token again, but the 2 s
 	// hold-down on victim 7 is still armed.
 	sv.refill(eventsim.Second)
-	ctx3 := sv.planContext(eventsim.Second, &denied2)
-	if !ctx3.guard(10) {
+	sv.now = eventsim.Second
+	if !sv.allow(10) {
 		t.Fatal("refilled bucket must allow a fresh victim")
 	}
-	if ctx3.guard(7) {
+	if sv.allow(7) {
 		t.Fatal("hold-down must outlast the refill")
 	}
 	// Past the hold-down horizon the victim is fair game again.
-	ctx4 := sv.planContext(3*eventsim.Second, &denied2)
-	if !ctx4.guard(7) {
+	sv.now = 3 * eventsim.Second
+	if !sv.allow(7) {
 		t.Fatal("expired hold-down still vetoing")
 	}
 	// A refill adds rate x the time since the last one: spend the
 	// token, and half a second later there is exactly half of one.
-	ctx3.onPreempt(10, 2)
+	sv.now = eventsim.Second
+	sv.preempted(10, 2)
 	sv.refill(eventsim.Second + eventsim.Second/2)
 	if sv.tokens != 0.5 {
 		t.Fatalf("tokens = %v half a second after the last refill, want 0.5", sv.tokens)
@@ -914,9 +912,8 @@ func TestAdmissionTimingsPinned(t *testing.T) {
 		}
 	}
 	submitVictims(t, sv, 9)
-	var denied bool
-	ctx := sv.planContext(1234.5, &denied)
-	ctx.onPreempt(9, 3)
+	sv.now = 1234.5
+	sv.preempted(9, 3)
 	if got, want := sv.sc.sessions[9].ctl.heldDown, eventsim.Time(3234.5); got != want {
 		t.Errorf("hold-down armed at 1234.5 ms expires at %v, want %v", got, want)
 	}
@@ -925,11 +922,13 @@ func TestAdmissionTimingsPinned(t *testing.T) {
 // TestRosterRefusedAtTheDoor: Submit, AddSession and AddMember refuse a
 // roster that names a host outside the pool or a host twice, or an
 // extra source that is not a member other than the root or is listed
-// twice, with an error, the way they refuse a bad priority. Admitted, a
-// member past the pool panicked the next Tick, a negative root panicked
-// Stabilize, a repeated member failed every plan until it was shed as an
-// SLO miss charged to the planner, and a bad source list failed every
-// Tick from then on, starving the sessions queued beside it.
+// twice, with an error, the way they refuse a bad priority; AddSession
+// and AddMember refuse a failed host too. Admitted, a member past the
+// pool panicked the next Tick, a negative root panicked Stabilize, a
+// repeated member failed every plan until it was shed as an SLO miss
+// charged to the planner, a bad source list failed every Tick from then
+// on, starving the sessions queued beside it, and a failed host failed
+// every Stabilize ("alm: member 2 degree bound 0 < 1").
 func TestRosterRefusedAtTheDoor(t *testing.T) {
 	bounds := []int{4, 4, 4, 4}
 	for _, tc := range []struct {
@@ -979,6 +978,16 @@ func TestRosterRefusedAtTheDoor(t *testing.T) {
 		}},
 		{"AddSession root as a member", func() error {
 			return NewScheduler(bounds, lineLat, Config{}).AddSession(&Session{ID: 1, Priority: 1, Root: 3, Members: []int{3}})
+		}},
+		{"AddSession failed member", func() error {
+			sc := NewScheduler(bounds, lineLat, Config{})
+			sc.NodeFailed(2)
+			return sc.AddSession(&Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2}})
+		}},
+		{"AddSession failed root", func() error {
+			sc := NewScheduler(bounds, lineLat, Config{})
+			sc.NodeFailed(0)
+			return sc.AddSession(&Session{ID: 1, Priority: 1, Root: 0, Members: []int{1}})
 		}},
 		{"AddMember past the pool", func() error {
 			sc := NewScheduler(bounds, lineLat, Config{})
