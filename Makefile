@@ -166,17 +166,19 @@ mains:
 
 # The five event-driven studies whose exit status is a correctness check
 # (load, stream and conf at their `ci` sizes, chaos and audit at their
-# own) over three consecutive seeds, without -race. The window starts
-# at 4 plus the HEAD commit's hash mod 97 (4 outside git), so it moves
-# from commit to commit while its cost stays put (about 5 s a seed on a
-# 2-core box, audit most of it); `make seeds SEEDS="7 8 9"` picks the
-# seeds. A failure names the study and the seed.
+# own), then qos, Figures 8 and 10 and the ablations at one run each,
+# over three consecutive seeds, without -race. The window starts at 4
+# plus the HEAD commit's hash mod 97 (4 outside git), so it moves from
+# commit to commit while its cost stays put (about 13 s a seed on a
+# 2-core box, audit and the ablations most of it); `make seeds SEEDS="7
+# 8 9"` picks the seeds. A failure names the study and the seed.
 SEEDS ?= $(shell s=$$((4 + 0x$$(git rev-parse --short=8 HEAD 2>/dev/null || echo 0) % 97)); echo $$s $$((s + 1)) $$((s + 2)))
 seeds:
 	@mkdir -p .bench_build
 	$(GO) build -o .bench_build/experiments ./cmd/experiments
 	@for s in $(SEEDS); do \
-		for f in "load -hosts 300 -load-runtime 45" "stream -hosts 900 -stream-chunks 10" "conf -hosts 900 -conf-chunks 10" chaos audit; do \
+		for f in "load -hosts 300 -load-runtime 45" "stream -hosts 900 -stream-chunks 10" "conf -hosts 900 -conf-chunks 10" chaos audit \
+			"qos -runs 1" "8 -runs 1" "10 -runs 1" "ablations -runs 1"; do \
 			echo "seeds: -fig $$f -seed $$s"; \
 			.bench_build/experiments -fig $$f -seed $$s > /dev/null || { echo "seeds: study $${f%% *} failed at seed $$s" >&2; exit 1; }; \
 		done; \

@@ -435,21 +435,35 @@ func TestPumpEventBudget(t *testing.T) {
 	}
 }
 
+// TestStartPumpInThePastRegistersNothing: StartPump refuses a first
+// emission in the past, zero chunks and a zero bitrate, and a refused
+// start arms no event and leaves its key free.
 func TestStartPumpInThePastRegistersNothing(t *testing.T) {
 	engine, pl := world(t, 2, 10000, 10000)
 	tr := chain(0, 1)
 	engine.RunUntil(500)
-	start := func(at eventsim.Time) error {
-		_, err := pl.StartPump(1, 0, []int{1}, func() *alm.Tree { return tr }, nil, at, Config{BitrateKbps: 400, Chunks: 3})
+	valid := Config{BitrateKbps: 400, Chunks: 3}
+	start := func(at eventsim.Time, cfg Config) error {
+		_, err := pl.StartPump(1, 0, []int{1}, func() *alm.Tree { return tr }, nil, at, cfg)
 		return err
 	}
-	if err := start(499); err == nil {
-		t.Fatal("StartPump accepted a first emission in the past")
+	for _, c := range []struct {
+		name string
+		at   eventsim.Time
+		cfg  Config
+	}{
+		{"a first emission in the past", 499, valid},
+		{"zero chunks", 500, Config{BitrateKbps: 400, Chunks: 0}},
+		{"a zero bitrate", 500, Config{BitrateKbps: 0, Chunks: 3}},
+	} {
+		if err := start(c.at, c.cfg); err == nil {
+			t.Fatalf("StartPump accepted %s", c.name)
+		}
+		if got := engine.Pending(); got != 0 {
+			t.Fatalf("Pending = %d after StartPump refused %s, want 0", got, c.name)
+		}
 	}
-	if got := engine.Pending(); got != 0 {
-		t.Fatalf("Pending = %d after a refused StartPump, want 0", got)
-	}
-	if err := start(500); err != nil {
+	if err := start(500, valid); err != nil {
 		t.Fatalf("the refused start left its key behind: %v", err)
 	}
 }

@@ -426,18 +426,19 @@ func confRun(idx int, cell string, opts ConfOptions, lat alm.LatencyFunc, model 
 			continue
 		}
 		row.Helpers += live.HelperCount()
-		for _, st := range live.Trees() {
-			if st.Tree == nil {
-				continue
+		live.EachTree(func(_ int, t *alm.Tree) bool {
+			if t == nil {
+				return true
 			}
 			row.ConfTrees++
-			h := st.Tree.MaxHeight(lat)
+			h := t.MaxHeight(lat)
 			heightSum += h
 			heightN++
 			if h > row.MaxHeightMS {
 				row.MaxHeightMS = h
 			}
-		}
+			return true
+		})
 	}
 	if sharedN > 0 {
 		row.SharedBoundKbps = sharedSum / float64(sharedN)

@@ -16,7 +16,6 @@ import (
 // allocates nothing.
 type sweepScratch struct {
 	sessions []*sched.Session // live sessions, by ID
-	srcs     []int            // one session's sources, in SourceList order
 	hosts    []int            // one tree's offending hosts
 	loads    []hostLoad       // one session's (host, degree) pairs
 	// listers[listedAt[h]:listedAt[h+1]] are the sessions whose roots
@@ -44,15 +43,6 @@ func (w *World) sessions() []*sched.Session {
 	return ss
 }
 
-// sources returns s's sources in SourceList order — the root, then the
-// extra sources ascending — in scratch.
-func (w *World) sources(s *sched.Session) []int {
-	srcs := append(append(w.scr.srcs[:0], s.Root), s.Sources...)
-	slices.Sort(srcs[1:])
-	w.scr.srcs = srcs
-	return srcs
-}
-
 // inNodeOrder sorts hosts gathered in t.EachNode order into the order
 // t.Nodes lists them: the root first, then ascending.
 func inNodeOrder(t *alm.Tree, hosts []int) {
@@ -74,26 +64,25 @@ func checkTreeValid(w *World) []Violation {
 	var out []Violation
 	for _, s := range w.sessions() {
 		dirty := w.Sched.Dirty(s.ID)
-		for _, src := range w.sources(s) {
-			t := s.TreeFor(src)
+		s.EachTree(func(src int, t *alm.Tree) bool {
 			if t == nil {
 				if !dirty {
 					out = append(out, Violation{Check: "alm/tree-valid", Host: src,
 						Detail: fmt.Sprintf("session %d source %d has no plan and is not pending one", s.ID, src)})
 				}
-				continue
+				return true
 			}
 			if err := t.Validate(nil); err != nil {
 				out = append(out, Violation{Check: "alm/tree-valid", Host: src,
 					Detail: fmt.Sprintf("session %d source %d: %v", s.ID, src, err)})
-				continue
+				return true
 			}
 			if t.Root != src {
 				out = append(out, Violation{Check: "alm/tree-valid", Host: src,
 					Detail: fmt.Sprintf("session %d tree rooted at %d, want source %d", s.ID, t.Root, src)})
 			}
 			if dirty {
-				continue
+				return true
 			}
 			for i := -1; i < len(s.Members); i++ {
 				m := s.Root
@@ -105,7 +94,8 @@ func checkTreeValid(w *World) []Violation {
 						Detail: fmt.Sprintf("session %d member not covered by source %d's tree", s.ID, src)})
 				}
 			}
-		}
+			return true
+		})
 	}
 	return out
 }
@@ -121,10 +111,9 @@ func checkDegreeBound(w *World) []Violation {
 	var out []Violation
 	for _, s := range w.sessions() {
 		loads := w.scr.loads[:0] // host, degree in one tree
-		for _, src := range w.sources(s) {
-			t := s.TreeFor(src)
+		s.EachTree(func(src int, t *alm.Tree) bool {
 			if t == nil {
-				continue
+				return true
 			}
 			unknown := w.scr.hosts[:0]
 			t.EachNode(func(v int) bool {
@@ -141,7 +130,8 @@ func checkDegreeBound(w *World) []Violation {
 				out = append(out, Violation{Check: "alm/degree-bound", Host: v,
 					Detail: fmt.Sprintf("session %d source %d tree uses unknown host", s.ID, src)})
 			}
-		}
+			return true
+		})
 		w.scr.loads = loads
 		slices.SortFunc(loads, byHost)
 		for i := 0; i < len(loads); {
@@ -175,10 +165,9 @@ func checkDeadInTree(w *World) []Violation {
 		if w.Sched.Dirty(s.ID) {
 			continue
 		}
-		for _, src := range w.sources(s) {
-			t := s.TreeFor(src)
+		s.EachTree(func(src int, t *alm.Tree) bool {
 			if t == nil {
-				continue
+				return true
 			}
 			bad := w.scr.hosts[:0]
 			t.EachNode(func(v int) bool {
@@ -200,7 +189,8 @@ func checkDeadInTree(w *World) []Violation {
 					Detail: fmt.Sprintf("settled session %d source %d tree uses host down for %.0fms (repair lag %.0fms)",
 						s.ID, src, float64(age), float64(w.RepairLag))})
 			}
-		}
+			return true
+		})
 	}
 	return out
 }
@@ -248,10 +238,9 @@ func checkLedger(w *World) []Violation {
 		// is never scanned per session.
 		loads := w.scr.loads[:0]
 		planned := false
-		for _, src := range w.sources(s) {
-			t := s.TreeFor(src)
+		s.EachTree(func(_ int, t *alm.Tree) bool {
 			if t == nil {
-				continue
+				return true
 			}
 			planned = true
 			t.EachNode(func(v int) bool {
@@ -260,7 +249,8 @@ func checkLedger(w *World) []Violation {
 				}
 				return true
 			})
-		}
+			return true
+		})
 		if !planned {
 			w.scr.loads = loads
 			continue

@@ -19,7 +19,7 @@ func TestPlanAttemptAllocs(t *testing.T) {
 		members []int
 		want    float64
 	}{
-		{"doomed", []int{1, 2}, 6},
+		{"doomed", []int{1, 2}, 5},
 		{"planned", []int{1, 3}, 18},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,5 +50,40 @@ func TestPlanAttemptAllocs(t *testing.T) {
 					before.Plans, after.Plans, before.PlanFailures, after.PlanFailures, sv.vetoed)
 			}
 		})
+	}
+}
+
+// TestNodeFailedAllocs pins what a crash that touches no session costs:
+// NodeFailed asks each live session whether the dead host is in one of
+// its trees by walking them in place (Session.EachTree), so the count
+// does not grow with the sessions. Host 0 has bound 0, so no plan
+// recruits it as a helper, and no roster names it.
+func TestNodeFailedAllocs(t *testing.T) {
+	var got []float64
+	for _, n := range []int{16, 64} {
+		bounds := make([]int, 1+2*n)
+		for h := 1; h < len(bounds); h++ {
+			bounds[h] = 4
+		}
+		sc := NewScheduler(bounds, lineLat, Config{})
+		for i := 0; i < n; i++ {
+			s := &Session{ID: SessionID(i + 1), Priority: 1, Root: 1 + 2*i, Members: []int{2 + 2*i}}
+			if err := sc.AddSession(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sc.Stabilize(); err != nil {
+			t.Fatal(err)
+		}
+		crash := func() {
+			if affected := sc.NodeFailed(0); affected != nil {
+				t.Fatalf("a crash no session names affected %v", affected)
+			}
+			sc.NodeRecovered(0)
+		}
+		got = append(got, testing.AllocsPerRun(100, crash))
+	}
+	if got[0] != got[1] || got[1] > 2 {
+		t.Errorf("NodeFailed on an unnamed host allocates %v/op at 16 and 64 sessions, want the same and <= 2", got)
 	}
 }

@@ -121,8 +121,8 @@ func TestRejoin(t *testing.T) {
 	if got := sc.Rejoin(2); !slices.Equal(got, []SessionID{1}) {
 		t.Fatalf("Rejoin(2) = %v, want [1]", got)
 	}
-	if !slices.Equal(s.Members, []int{1, 3, 4, 5, 2}) || !slices.Equal(s.Sources, []int{3, 2}) {
-		t.Fatalf("after Rejoin: members %v sources %v; want [1 3 4 5 2], [3 2]", s.Members, s.Sources)
+	if !slices.Equal(s.Members, []int{1, 3, 4, 5, 2}) || !slices.Equal(s.Sources, []int{2, 3}) {
+		t.Fatalf("after Rejoin: members %v sources %v; want [1 3 4 5 2], [2 3]", s.Members, s.Sources)
 	}
 	stabilize()
 	if s.TreeFor(2) == nil {
@@ -184,4 +184,69 @@ func TestRejoin(t *testing.T) {
 	if q.TreeFor(8) == nil {
 		t.Fatal("rejoined queued source has no tree")
 	}
+}
+
+// TestSourceOrder pins the one source order: an admitted session's
+// Sources are ascending however its caller declared them, Trees walks
+// the root's tree and then theirs in that order, and a source Rejoin
+// takes back returns to its sorted place, not the end.
+func TestSourceOrder(t *testing.T) {
+	bounds := []int{8, 8, 8, 8, 8, 8, 8, 8}
+	conference := func() *Session {
+		return &Session{ID: 1, Priority: 1, Root: 0, Members: []int{5, 1, 2}, Sources: []int{5, 2}}
+	}
+	check := func(when string, s *Session) {
+		t.Helper()
+		if !slices.Equal(s.Sources, []int{2, 5}) {
+			t.Fatalf("%s: sources %v, want [2 5]", when, s.Sources)
+		}
+		var order []int
+		for _, st := range s.Trees() {
+			if st.Tree == nil || st.Tree.Root != st.Source {
+				t.Fatalf("%s: source %d has no tree of its own", when, st.Source)
+			}
+			order = append(order, st.Source)
+		}
+		if !slices.Equal(order, []int{0, 2, 5}) {
+			t.Fatalf("%s: trees in source order %v, want [0 2 5]", when, order)
+		}
+	}
+
+	sc := NewScheduler(bounds, lineLat, Config{})
+	s := conference()
+	if err := sc.AddSession(s); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(s.Sources, []int{2, 5}) {
+		t.Fatalf("after AddSession: sources %v, want [2 5]", s.Sources)
+	}
+	stabilize := func() {
+		t.Helper()
+		if _, err := sc.Stabilize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stabilize()
+	check("planned", s)
+	sc.NodeFailed(2)
+	stabilize()
+	sc.NodeRecovered(2)
+	if got := sc.Rejoin(2); !slices.Equal(got, []SessionID{1}) {
+		t.Fatalf("Rejoin(2) = %v, want [1]", got)
+	}
+	stabilize()
+	check("rejoined", s)
+
+	sv := NewService(bounds, lineLat, ServiceConfig{})
+	q := conference()
+	if _, err := sv.Submit(0, q); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(q.Sources, []int{2, 5}) {
+		t.Fatalf("after Submit: sources %v, want [2 5]", q.Sources)
+	}
+	if err := sv.Tick(0); err != nil || sv.LiveSessions() != 1 {
+		t.Fatalf("not admitted: err %v, %d live", err, sv.LiveSessions())
+	}
+	check("admitted", q)
 }

@@ -21,7 +21,9 @@ type Session struct {
 	// (conferencing): each gets its own tree rooted at itself, and all
 	// of the session's trees draw on one shared per-host slot budget.
 	// The Root is always a source and must not be listed here; every
-	// entry must be a current member. Empty means single-source.
+	// entry must be a current member. Empty means single-source. Once
+	// admitted, the scheduler owns this slice (and Members), edits it in
+	// place and keeps it ascending: the one source order EachTree walks.
 	Sources []int
 
 	// Tree is the current plan for the Root's stream (nil until
@@ -90,14 +92,10 @@ func (s *Session) roster() []int {
 	return append([]int{s.Root}, s.Members...)
 }
 
-// SourceList returns every source in deterministic order: the Root
-// first, then the extra sources sorted ascending.
+// SourceList returns every source in EachTree order: the Root first,
+// then the extra sources ascending.
 func (s *Session) SourceList() []int {
-	out := make([]int, 0, len(s.Sources)+1)
-	out = append(out, s.Root)
-	extra := append([]int(nil), s.Sources...)
-	sort.Ints(extra)
-	return append(out, extra...)
+	return append([]int{s.Root}, s.Sources...)
 }
 
 // IsSource reports whether host originates a stream in this session.
@@ -123,29 +121,42 @@ func (s *Session) TreeFor(src int) *alm.Tree {
 	return s.SrcTrees[src]
 }
 
-// Trees returns all (source, tree) pairs in SourceList order. Trees may
+// EachTree calls yield with each source and its current tree, the
+// Root's first and then each extra source's in Sources order, until
+// yield returns false. A tree is nil while unplanned. It reads the
+// session in place; Trees is the collected copy.
+func (s *Session) EachTree(yield func(src int, t *alm.Tree) bool) {
+	if !yield(s.Root, s.Tree) {
+		return
+	}
+	for _, src := range s.Sources {
+		if !yield(src, s.SrcTrees[src]) {
+			return
+		}
+	}
+}
+
+// Trees returns all (source, tree) pairs in EachTree order. Trees may
 // be nil for sessions not yet planned.
 func (s *Session) Trees() []SourceTree {
-	srcs := s.SourceList()
-	out := make([]SourceTree, 0, len(srcs))
-	for _, src := range srcs {
-		out = append(out, SourceTree{Source: src, Tree: s.TreeFor(src)})
-	}
+	out := make([]SourceTree, 0, len(s.Sources)+1)
+	s.EachTree(func(src int, t *alm.Tree) bool {
+		out = append(out, SourceTree{Source: src, Tree: t})
+		return true
+	})
 	return out
 }
 
-// setTrees installs a freshly planned tree set keyed by source.
-func (s *Session) setTrees(trees map[int]*alm.Tree) {
-	s.Tree = trees[s.Root]
+// setTrees installs a freshly planned tree set, one tree per source in
+// EachTree order.
+func (s *Session) setTrees(trees []*alm.Tree) {
+	s.Tree = trees[0]
 	s.SrcTrees = nil
-	for src, t := range trees {
-		if src == s.Root {
-			continue
+	if len(s.Sources) > 0 {
+		s.SrcTrees = make(map[int]*alm.Tree, len(s.Sources))
+		for i, src := range s.Sources {
+			s.SrcTrees[src] = trees[i+1]
 		}
-		if s.SrcTrees == nil {
-			s.SrcTrees = make(map[int]*alm.Tree, len(trees)-1)
-		}
-		s.SrcTrees[src] = t
 	}
 }
 
@@ -154,16 +165,17 @@ func (s *Session) setTrees(trees map[int]*alm.Tree) {
 func (s *Session) HelperCount() int {
 	members := s.memberSet()
 	seen := make(map[int]bool)
-	for _, st := range s.Trees() {
-		if st.Tree == nil {
-			continue
+	s.EachTree(func(_ int, t *alm.Tree) bool {
+		if t != nil {
+			t.EachNode(func(v int) bool {
+				if !members[v] {
+					seen[v] = true
+				}
+				return true
+			})
 		}
-		for _, v := range st.Tree.Nodes() {
-			if !members[v] {
-				seen[v] = true
-			}
-		}
-	}
+		return true
+	})
 	return len(seen)
 }
 
@@ -359,15 +371,13 @@ func (sc *Scheduler) Instrument(reg *obs.Registry) {
 // every live session's trees.
 func (sc *Scheduler) treeShape() (height float64, degree int) {
 	for _, s := range sc.sessions {
-		for _, st := range s.Trees() {
-			if st.Tree == nil {
-				continue
+		s.EachTree(func(_ int, t *alm.Tree) bool {
+			if t != nil {
+				height = max(height, t.MaxHeight(sc.lat))
+				t.EachNode(func(v int) bool { degree = max(degree, t.Degree(v)); return true })
 			}
-			height = max(height, st.Tree.MaxHeight(sc.lat))
-			for _, v := range st.Tree.Nodes() {
-				degree = max(degree, st.Tree.Degree(v))
-			}
-		}
+			return true
+		})
 	}
 	return height, degree
 }
@@ -422,7 +432,8 @@ func (sc *Scheduler) DirtySessions() []SessionID {
 }
 
 // AddSession admits a session (it will be planned on the next
-// Stabilize). Its roster must pass checkRoster and name no failed host.
+// Stabilize). Its roster must pass checkRoster and name no failed host;
+// its Sources are then sorted in place.
 func (sc *Scheduler) AddSession(s *Session) error {
 	if _, ok := sc.sessions[s.ID]; ok {
 		return fmt.Errorf("sched: duplicate session %d", s.ID)
@@ -433,6 +444,7 @@ func (sc *Scheduler) AddSession(s *Session) error {
 	if err := sc.checkRoster(s, true); err != nil {
 		return err
 	}
+	slices.Sort(s.Sources)
 	sc.sessions[s.ID] = s
 	s.dirty = true
 	return nil
@@ -547,7 +559,8 @@ func (sc *Scheduler) Rejoin(host int) []SessionID {
 		}
 		s.Members = append(s.Members, host)
 		if a.source {
-			s.Sources = append(s.Sources, host)
+			j, _ := slices.BinarySearch(s.Sources, host)
+			s.Sources = slices.Insert(s.Sources, j, host)
 		}
 		s.dirty = true
 		out = append(out, s.ID)
@@ -641,7 +654,8 @@ func (sc *Scheduler) NodeFailed(host int) []SessionID {
 		// A dead extra source's own tree dies with it; the host may
 		// still sit in the session's other trees, which repair below.
 		touched := s.lose(host)
-		inTree := slices.ContainsFunc(s.Trees(), func(st SourceTree) bool { return st.Tree != nil && st.Tree.Contains(host) })
+		inTree := false
+		s.EachTree(func(_ int, t *alm.Tree) bool { inTree = t != nil && t.Contains(host); return !inTree })
 		if !touched && !inTree {
 			continue
 		}
@@ -654,27 +668,27 @@ func (sc *Scheduler) NodeFailed(host int) []SessionID {
 		// keeps a multi-tree repair from double-freeing slots.
 		sc.release(s)
 		if inTree {
-			repaired := make(map[int]*alm.Tree, len(s.Sources)+1)
+			repaired := make([]*alm.Tree, 0, len(s.Sources)+1)
 			var err error
-			for _, st := range s.Trees() {
-				t := st.Tree
+			s.EachTree(func(src int, t *alm.Tree) bool {
 				if t == nil {
-					err = fmt.Errorf("sched: source %d unplanned", st.Source)
-					break
+					err = fmt.Errorf("sched: source %d unplanned", src)
+					return false
 				}
 				if t.Contains(host) {
 					t = t.Clone()
 					if _, err = alm.Repair(t, []int{host}, sc.lat, sc.availFor(s)); err != nil {
-						break
+						return false
 					}
 				}
 				// Untouched trees still re-reserve: the release above
 				// dropped their slots along with everything else.
 				if err = sc.reserveTree(s, t); err != nil {
-					break
+					return false
 				}
-				repaired[st.Source] = t
-			}
+				repaired = append(repaired, t)
+				return true
+			})
 			if err == nil {
 				s.setTrees(repaired)
 				sc.tot.Repairs++
@@ -791,7 +805,7 @@ func (sc *Scheduler) planOne(s *Session) error {
 	// Effective degree bound for this session at each host: what the
 	// market says it can obtain. Marks s's roster for isMember below.
 	avail := sc.availFor(s)
-	srcs := s.SourceList()
+	nsrc := len(s.Sources) + 1
 	roster := s.roster()
 	// problem is the instance of the idx-th source's tree. It holds back
 	// one slot per member for every still-unplanned source tree: each
@@ -801,7 +815,7 @@ func (sc *Scheduler) planOne(s *Session) error {
 	// sources unplannable.
 	problem := func(idx int) alm.Problem {
 		degree := avail
-		if remaining := len(srcs) - idx - 1; remaining > 0 {
+		if remaining := nsrc - idx - 1; remaining > 0 {
 			degree = func(v int) int {
 				a := avail(v)
 				if sc.isMember(v) {
@@ -811,10 +825,13 @@ func (sc *Scheduler) planOne(s *Session) error {
 			}
 		}
 		p := alm.Problem{
-			Root:    srcs[idx],
+			Root:    s.Root,
 			Members: make([]int, 0, len(s.Members)),
 			Latency: sc.lat,
 			Degree:  degree,
+		}
+		if idx > 0 {
+			p.Root = s.Sources[idx-1]
 		}
 		for _, m := range roster {
 			if m != p.Root {
@@ -858,8 +875,8 @@ func (sc *Scheduler) planOne(s *Session) error {
 	}
 	var recruited []int // helpers used by earlier trees, recruitment order
 	recruitedSet := make(map[int]bool)
-	trees := make(map[int]*alm.Tree, len(s.Sources)+1)
-	for idx, src := range srcs {
+	trees := make([]*alm.Tree, 0, nsrc)
+	for idx := range nsrc {
 		p := first
 		if idx > 0 {
 			p = problem(idx)
@@ -884,7 +901,7 @@ func (sc *Scheduler) planOne(s *Session) error {
 			sc.release(s)
 			return err
 		}
-		trees[src] = tree
+		trees = append(trees, tree)
 		for _, v := range tree.Nodes() {
 			if !sc.isMember(v) && !recruitedSet[v] {
 				recruitedSet[v] = true

@@ -272,7 +272,7 @@ func (sv *Service) classTotal(count func(ClassStats) int) func() uint64 {
 // and the session remembers them for Scheduler.Rejoin.
 // An error means the submission itself was malformed: a priority
 // outside the classes, a session already known, or a roster that fails
-// checkRoster.
+// checkRoster. A roster that passes has its Sources sorted in place.
 func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 	if s.Priority < 1 || s.Priority > NumClasses {
 		return Rejected, fmt.Errorf("sched: session %d priority %d outside 1..%d", s.ID, s.Priority, NumClasses)
@@ -292,6 +292,7 @@ func (sv *Service) Submit(now eventsim.Time, s *Session) (Decision, error) {
 	if err := sv.sc.checkRoster(s, false); err != nil {
 		return Rejected, err
 	}
+	slices.Sort(s.Sources)
 	sv.stats.Class[s.Priority].Submitted++
 	if sv.sc.reg.Dead(s.Root) {
 		sv.stats.Class[s.Priority].RootDied++
