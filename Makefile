@@ -171,7 +171,9 @@ mains:
 # plus the HEAD commit's hash mod 97 (4 outside git), so it moves from
 # commit to commit while its cost stays put (about 13 s a seed on a
 # 2-core box, audit and the ablations most of it); `make seeds SEEDS="7
-# 8 9"` picks the seeds. A failure names the study and the seed.
+# 8 9"` picks the seeds. A failure prints the study's violation table
+# (each failing cell with its first violation), then names the study and
+# the seed; the last study's stdout is in .bench_build/seeds.out.
 SEEDS ?= $(shell s=$$((4 + 0x$$(git rev-parse --short=8 HEAD 2>/dev/null || echo 0) % 97)); echo $$s $$((s + 1)) $$((s + 2)))
 seeds:
 	@mkdir -p .bench_build
@@ -180,7 +182,9 @@ seeds:
 		for f in "load -hosts 300 -load-runtime 45" "stream -hosts 900 -stream-chunks 10" "conf -hosts 900 -conf-chunks 10" chaos audit \
 			"qos -runs 1" "8 -runs 1" "10 -runs 1" "ablations -runs 1"; do \
 			echo "seeds: -fig $$f -seed $$s"; \
-			.bench_build/experiments -fig $$f -seed $$s > /dev/null || { echo "seeds: study $${f%% *} failed at seed $$s" >&2; exit 1; }; \
+			.bench_build/experiments -fig $$f -seed $$s > .bench_build/seeds.out || { \
+				awk '/^== .*violations.* ==$$/,/^$$/' .bench_build/seeds.out >&2; \
+				echo "seeds: study $${f%% *} failed at seed $$s" >&2; exit 1; }; \
 		done; \
 	done
 

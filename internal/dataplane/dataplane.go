@@ -102,6 +102,9 @@ func (c *Contention) Transfer(src, dst, sizeBytes int, msg transport.Message) {
 	c.upActive[src]++
 	c.downActive[dst]++
 	tx := eventsim.Time(float64(sizeBytes*8) / rate)
+	// A network that overrides After without CallAfter (a tracing
+	// decorator) fails this assertion on purpose: its After is the one
+	// that must see the completion (transport.RunnerScheduler).
 	rs, ok := c.net.(transport.RunnerScheduler)
 	if !ok {
 		c.net.After(tx, func() { c.complete(src, dst, msg) })

@@ -185,6 +185,13 @@ func TestConferenceSourceFailureRepairs(t *testing.T) {
 	if len(affected) != 1 || affected[0] != s.ID {
 		t.Fatalf("affected = %v, want [%d]", affected, s.ID)
 	}
+	// The other five trees repair in place under one release, each
+	// re-reserved in turn.
+	if got := sc.Totals().Repairs; got != 1 || sc.Dirty(s.ID) || len(s.Trees()) != 5 {
+		t.Fatalf("after the crash: Repairs %d, dirty %v, %d trees; want 1 in-place repair of 5 trees",
+			got, sc.Dirty(s.ID), len(s.Trees()))
+	}
+	checkConfLedger(t, sc, s, degrees)
 	// Double-fired failure detection must be a no-op: a second replan
 	// for the same failure would double-release the shared ledger.
 	replans := s.Replans
@@ -218,6 +225,61 @@ func TestConferenceSourceFailureRepairs(t *testing.T) {
 	if err := sc.Registry().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestNodeFailedUnplannedSourceFallsBack: a source back through Rejoin
+// has no tree until the next plan, so a crash in another of the
+// session's trees cannot repair in place. The session falls back to a
+// full replan holding nothing, and that plan covers every source.
+func TestNodeFailedUnplannedSourceFallsBack(t *testing.T) {
+	net, degrees := buildWorld(t, 400, 11)
+	degrees = confBounds(degrees, 6)
+	sc := NewScheduler(degrees, net.Latency, Config{HelperMinDegree: 2})
+	r := rand.New(rand.NewSource(12))
+	s := confSession(1, 1, 6, r.Perm(400))
+	back := s.Sources[2]
+	if err := sc.AddSession(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Stabilize(); err != nil {
+		t.Fatal(err)
+	}
+	sc.NodeFailed(back)
+	if _, err := sc.Stabilize(); err != nil {
+		t.Fatal(err)
+	}
+	sc.NodeRecovered(back)
+	sc.Rejoin(back)
+	if !s.IsSource(back) || s.TreeFor(back) != nil {
+		t.Fatal("rejoined source is not back without a tree")
+	}
+
+	members := s.memberSet()
+	helper := -1
+	for _, v := range s.Tree.Nodes() {
+		if !members[v] {
+			helper = v
+			break
+		}
+	}
+	if helper == -1 {
+		t.Fatal("root's tree recruited no helper; nothing to crash")
+	}
+	repairs := sc.Totals().Repairs
+	if affected := sc.NodeFailed(helper); len(affected) != 1 || affected[0] != s.ID {
+		t.Fatalf("affected = %v, want [%d]", affected, s.ID)
+	}
+	if n := heldOn(sc.Registry(), s.ID); n != 0 || !sc.Dirty(s.ID) || sc.Totals().Repairs != repairs {
+		t.Fatalf("after the crash: %d slots held, dirty %v, Repairs %d -> %d; want a fallback holding nothing",
+			n, sc.Dirty(s.ID), repairs, sc.Totals().Repairs)
+	}
+	if _, err := sc.Stabilize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.Trees()); got != 6 {
+		t.Fatalf("%d source trees after the replan, want 6", got)
+	}
+	checkConfLedger(t, sc, s, degrees)
 }
 
 // TestConferenceFailedPlanHoldsNothing: a conference whose second

@@ -103,7 +103,7 @@ func TestNodeFailedHelperRepairsInPlace(t *testing.T) {
 		}
 	}
 	if helper == -1 {
-		t.Skip("plan recruited no helpers; nothing to kill")
+		t.Fatal("plan recruited no helpers; nothing to kill")
 	}
 	affected := sc.NodeFailed(helper)
 	if len(affected) != 1 || affected[0] != s.ID {
@@ -111,6 +111,11 @@ func TestNodeFailedHelperRepairsInPlace(t *testing.T) {
 	}
 	if s.Replans != 1 {
 		t.Errorf("Replans = %d, want 1", s.Replans)
+	}
+	// The crash repairs the tree in place: no fallback replan is left.
+	if got := sc.Totals().Repairs; got != 1 || sc.Dirty(s.ID) || s.Tree.Contains(helper) {
+		t.Fatalf("after the crash: Repairs %d, dirty %v, tree holds helper %d: %v; want an in-place repair",
+			got, sc.Dirty(s.ID), helper, s.Tree.Contains(helper))
 	}
 	planAndCheck(t, sc) // flush any fallback replan
 	checkSession(t, sc, s, helper)

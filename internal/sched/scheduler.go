@@ -147,19 +147,6 @@ func (s *Session) Trees() []SourceTree {
 	return out
 }
 
-// setTrees installs a freshly planned tree set, one tree per source in
-// EachTree order.
-func (s *Session) setTrees(trees []*alm.Tree) {
-	s.Tree = trees[0]
-	s.SrcTrees = nil
-	if len(s.Sources) > 0 {
-		s.SrcTrees = make(map[int]*alm.Tree, len(s.Sources))
-		for i, src := range s.Sources {
-			s.SrcTrees[src] = trees[i+1]
-		}
-	}
-}
-
 // HelperCount returns how many distinct non-member nodes the current
 // plan uses across all source trees.
 func (s *Session) HelperCount() int {
@@ -664,40 +651,26 @@ func (sc *Scheduler) NodeFailed(host int) []SessionID {
 		sc.tot.Replans++
 		// One release covers every (session, source) tree — the ledger
 		// holds a single merged allocation per (session, priority), so
-		// releasing once and re-reserving tree by tree below is what
+		// releasing once and re-reserving tree by tree in replant is what
 		// keeps a multi-tree repair from double-freeing slots.
 		sc.release(s)
-		if inTree {
-			repaired := make([]*alm.Tree, 0, len(s.Sources)+1)
-			var err error
-			s.EachTree(func(src int, t *alm.Tree) bool {
-				if t == nil {
-					err = fmt.Errorf("sched: source %d unplanned", src)
-					return false
-				}
-				if t.Contains(host) {
-					t = t.Clone()
-					if _, err = alm.Repair(t, []int{host}, sc.lat, sc.availFor(s)); err != nil {
-						return false
-					}
-				}
-				// Untouched trees still re-reserve: the release above
-				// dropped their slots along with everything else.
-				if err = sc.reserveTree(s, t); err != nil {
-					return false
-				}
-				repaired = append(repaired, t)
-				return true
-			})
-			if err == nil {
-				s.setTrees(repaired)
-				sc.tot.Repairs++
-				continue
+		repair := func(src int, t *alm.Tree) (*alm.Tree, error) {
+			if t == nil {
+				return nil, fmt.Errorf("sched: source %d unplanned", src)
 			}
-			// Partial reservations from a failed reserveTree are undone
-			// by the full replan's own release, but drop them now so
-			// sessions processed after this one see true availability.
-			sc.release(s)
+			if t.Contains(host) {
+				t = t.Clone()
+				if _, err := alm.Repair(t, []int{host}, sc.lat, sc.availFor(s)); err != nil {
+					return nil, err
+				}
+			}
+			// Untouched trees still re-reserve: the release above
+			// dropped their slots along with everything else.
+			return t, nil
+		}
+		if inTree && sc.replant(s, repair) == nil {
+			sc.tot.Repairs++
+			continue
 		}
 		s.dirty = true
 	}
@@ -786,16 +759,48 @@ func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree) error {
 	return nil
 }
 
+// replant is the only code that changes an admitted session's trees.
+// s must hold nothing. It walks s's sources in EachTree order, asks next
+// for each one's tree (old is the tree installed now, nil while
+// unplanned) and reserves it before asking for the next, so a later tree
+// sees availability net of the earlier ones: the registry counts a
+// session's own same-priority holdings as firm. On an error it releases
+// what it reserved, so sessions handled after s see true availability,
+// and leaves s's trees as they were. On success it installs the new
+// trees.
+func (sc *Scheduler) replant(s *Session, next func(src int, old *alm.Tree) (*alm.Tree, error)) error {
+	trees := make([]*alm.Tree, 0, len(s.Sources)+1)
+	var err error
+	s.EachTree(func(src int, old *alm.Tree) bool {
+		var t *alm.Tree
+		if t, err = next(src, old); err == nil {
+			err = sc.reserveTree(s, t)
+		}
+		trees = append(trees, t)
+		return err == nil
+	})
+	if err != nil {
+		sc.release(s)
+		return err
+	}
+	s.Tree = trees[0]
+	s.SrcTrees = nil
+	if len(s.Sources) > 0 {
+		s.SrcTrees = make(map[int]*alm.Tree, len(s.Sources))
+		for i, src := range s.Sources {
+			s.SrcTrees[src] = trees[i+1]
+		}
+	}
+	return nil
+}
+
 // planOne runs one session's task manager: release current holdings,
 // read availability from the degree tables, plan Leafset+adjust with
-// helpers, and reserve the new plan (preempting lower priority). A
-// failed attempt releases what it reserved, so it leaves s holding
-// nothing.
+// helpers, and reserve the new plan through replant (preempting lower
+// priority). A failed attempt leaves s holding nothing.
 //
 // Conferencing sessions plan one tree per source against the same slot
-// budget: each tree is reserved before the next is planned, and because
-// the registry counts a session's own same-priority holdings as firm,
-// later trees see availability already net of the earlier ones. Helpers
+// budget, each reserved before the next is planned (replant). Helpers
 // are recruited once per session — trees after the first plan against
 // the session's already-recruited helper set and only fall back to the
 // full candidate pool when that set cannot cover the members.
@@ -805,17 +810,16 @@ func (sc *Scheduler) planOne(s *Session) error {
 	// Effective degree bound for this session at each host: what the
 	// market says it can obtain. Marks s's roster for isMember below.
 	avail := sc.availFor(s)
-	nsrc := len(s.Sources) + 1
 	roster := s.roster()
-	// problem is the instance of the idx-th source's tree. It holds back
-	// one slot per member for every still-unplanned source tree: each
+	// problem is the instance of src's tree. It holds back one slot per
+	// member for each of the remaining still-unplanned source trees: each
 	// member appears in each remaining tree with degree at least 1 (a
 	// parent link, or a child link at its own root), and a greedy plan
 	// that spends those slots as fan-out in early trees leaves later
 	// sources unplannable.
-	problem := func(idx int) alm.Problem {
+	problem := func(src, remaining int) alm.Problem {
 		degree := avail
-		if remaining := nsrc - idx - 1; remaining > 0 {
+		if remaining > 0 {
 			degree = func(v int) int {
 				a := avail(v)
 				if sc.isMember(v) {
@@ -825,16 +829,13 @@ func (sc *Scheduler) planOne(s *Session) error {
 			}
 		}
 		p := alm.Problem{
-			Root:    s.Root,
+			Root:    src,
 			Members: make([]int, 0, len(s.Members)),
 			Latency: sc.lat,
 			Degree:  degree,
 		}
-		if idx > 0 {
-			p.Root = s.Sources[idx-1]
-		}
 		for _, m := range roster {
-			if m != p.Root {
+			if m != src {
 				p.Members = append(p.Members, m)
 			}
 		}
@@ -845,7 +846,8 @@ func (sc *Scheduler) planOne(s *Session) error {
 	// the planner's own check on the first tree whatever the candidates,
 	// so it fails here, before the pool pass. The guard still hears about
 	// every host the pass would have asked it about (DESIGN.md §7).
-	first := problem(0)
+	remaining := len(s.Sources) // source trees still unplanned after the current one
+	first := problem(s.Root, remaining)
 	if err := first.Validate(); err != nil {
 		if sc.guard != nil {
 			sc.consultGuard(s.Priority)
@@ -875,11 +877,11 @@ func (sc *Scheduler) planOne(s *Session) error {
 	}
 	var recruited []int // helpers used by earlier trees, recruitment order
 	recruitedSet := make(map[int]bool)
-	trees := make([]*alm.Tree, 0, nsrc)
-	for idx := range nsrc {
+	err := sc.replant(s, func(src int, _ *alm.Tree) (*alm.Tree, error) {
 		p := first
-		if idx > 0 {
-			p = problem(idx)
+		if src != s.Root {
+			remaining--
+			p = problem(src, remaining)
 		}
 		var tree *alm.Tree
 		if len(recruited) > 0 {
@@ -890,26 +892,20 @@ func (sc *Scheduler) planOne(s *Session) error {
 			hs.Candidates = candidates
 			var err error
 			if tree, err = alm.PlanWithHelpers(p, hs); err != nil {
-				sc.release(s)
-				return err
+				return nil, err
 			}
 		}
 		alm.Adjust(tree, sc.lat, p.Degree)
-
-		// Reserve the plan's slots; preempted sessions must replan.
-		if err := sc.reserveTree(s, tree); err != nil {
-			sc.release(s)
-			return err
-		}
-		trees = append(trees, tree)
 		for _, v := range tree.Nodes() {
 			if !sc.isMember(v) && !recruitedSet[v] {
 				recruitedSet[v] = true
 				recruited = append(recruited, v)
 			}
 		}
+		return tree, nil
+	})
+	if err == nil {
+		sc.tot.Plans++
 	}
-	s.setTrees(trees)
-	sc.tot.Plans++
-	return nil
+	return err
 }

@@ -384,6 +384,14 @@ func (s *Sim) After(d eventsim.Time, fn func()) CancelFunc {
 // transfer completions) type-assert for it and fall back to After when
 // absent; either path schedules exactly one event, so the simulation's
 // event sequence is identical.
+//
+// It stays apart from Network on purpose. A decorator that embeds a
+// Network and overrides After (the benchmark's tracing wrapper, which
+// charges timer time to the arming layer's span) does not implement it,
+// so transfers over such a network take the After path and are charged
+// there. Were CallAfter a Network method, the embedded network's would
+// be promoted past the override, and those transfer completions would
+// silently leave the span.
 type RunnerScheduler interface {
 	CallAfter(d eventsim.Time, r eventsim.Runner)
 }
