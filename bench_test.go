@@ -532,10 +532,12 @@ func schedWorld(n int, seed int64) (alm.LatencyFunc, []int) {
 // allocations. The roster is the same size at every pool size, so the
 // curve is the pool-proportional part of a plan. The doomed cases are
 // attempts whose roster the pool cannot start (a member's own host is
-// full): doomed/hosts=8000 without a preemption guard, at the lowest
+// full): doomed/hosts=8000 through the scheduler alone, at the lowest
 // priority, and doomed-guarded/hosts=8000 the way the admission service
-// makes every attempt — submitted, planned under its guard at the
-// highest priority by one Tick, and withdrawn.
+// makes every attempt — submitted, planned by one Tick at the highest
+// priority, and withdrawn. Both run on the service's scheduler, with its
+// preemption guard installed; both fail on the roster check before the
+// pool pass, and neither asks the guard or walks the pool.
 func BenchmarkSchedPlanOne(b *testing.B) {
 	for _, n := range []int{2000, 8000, 32000} {
 		b.Run(fmt.Sprintf("hosts=%d", n), func(b *testing.B) {

@@ -260,17 +260,12 @@ func plan(p Problem, hs HelperSet) (*Tree, error) {
 				ri, u, best = i, m, pl.height[pos]
 			}
 		}
+		// u's cached parent has a free slot: the first parent of every
+		// member is the root, which Validate requires to have one, and
+		// each iteration ends by re-relaxing every member whose cached
+		// parent filled up, helper insertions included.
 		uPos := pl.remaining[ri]
 		pu := pl.parent[uPos]
-		if pl.free(pu) <= 0 {
-			// The working parent saturated since the last relaxation
-			// (can happen when a helper insertion consumed slots);
-			// re-relax u before attaching.
-			if !pl.relaxOne(uPos) {
-				return nil, fmt.Errorf("alm: no feasible parent for member %d (degree bounds too tight)", u)
-			}
-			pu = pl.parent[uPos]
-		}
 
 		added = added[:0]
 		if len(pl.candidates) > 0 && pl.free(pu) == 1 {

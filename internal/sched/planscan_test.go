@@ -71,7 +71,8 @@ func TestReserveRefusalReportsGuardedFirm(t *testing.T) {
 // could preempt, on any live host outside the roster — wherever in the
 // pool, however far from the tree. Service classifies a failed attempt as
 // damping-deferred when any of those consultations was a veto, so the
-// set may not silently shrink to the tree's vicinity.
+// set may not silently shrink to the tree's vicinity. A roster the pool
+// cannot start shows the guard nobody: no preemption could start it.
 func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	const n = 400
@@ -97,8 +98,9 @@ func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 
 	// attempt plans the probe roster once at priority pri under a guard
 	// that vetoes everything, checks the guard heard about exactly the
-	// sessions the brute force finds, and returns the plan's error.
-	attempt := func(pri int, what string) error {
+	// sessions the brute force finds (none when doomed), and returns the
+	// plan's error.
+	attempt := func(pri int, what string, doomed bool) error {
 		t.Helper()
 		s := &Session{ID: 100, Priority: pri, Root: perm[200], Members: perm[201:205]}
 		roster := s.memberSet()
@@ -117,6 +119,9 @@ func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 		}
 		if pri < 3 && !far {
 			t.Fatalf("%s priority %d: no preemptable holder far from the roster; the scenario pins nothing", what, pri)
+		}
+		if doomed {
+			clear(want)
 		}
 		got := map[SessionID]bool{}
 		sc.sessions[s.ID] = s
@@ -138,20 +143,20 @@ func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 		return err
 	}
 	for _, pri := range []int{1, 2, 3} {
-		if err := attempt(pri, "plannable roster"); err != nil {
+		if err := attempt(pri, "plannable roster", false); err != nil {
 			t.Fatalf("priority %d: %v", pri, err)
 		}
 	}
 	// A roster the pool cannot start: a member's own host is full at
-	// member priority. The attempt fails with the planner's own error,
-	// and the guard still hears about every preemptable holder in the
-	// pool, as it does for a roster that plans.
+	// member priority. The attempt fails with the planner's own error
+	// before the pool pass, and the guard hears about nobody, though the
+	// pool holds as many preemptable holders as for the roster that plans.
 	full := perm[203]
 	if _, err := sc.reg.Reserve(full, sc.reg.Table(full).Bound(), MemberPriority, 98, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, pri := range []int{1, 2, 3} {
-		err := attempt(pri, "doomed roster")
+		err := attempt(pri, "doomed roster", true)
 		if want := fmt.Sprintf("alm: member %d degree bound 0 < 1", full); err == nil || err.Error() != want {
 			t.Errorf("doomed roster priority %d: error %v, want %q", pri, err, want)
 		}

@@ -705,17 +705,6 @@ func (sc *Scheduler) availFor(s *Session) alm.DegreeFunc {
 	}
 }
 
-// consultGuard shows the guard what a priority-p plan's candidate pass
-// would: on every live host off the marked roster, each allocation of
-// lower rank, where the host's counters say there is one (firmFor).
-func (sc *Scheduler) consultGuard(p int) {
-	for h := range sc.reg.tables {
-		if t := &sc.reg.tables[h]; !sc.isMember(h) && !t.dead {
-			t.firmFor(p, sc.guard)
-		}
-	}
-}
-
 // release drops every reservation s holds, on the hosts it lists.
 func (sc *Scheduler) release(s *Session) {
 	sc.reg.Release(s.ID, s.held)
@@ -844,14 +833,12 @@ func (sc *Scheduler) planOne(s *Session) error {
 
 	// A roster the pool cannot start — a member's own host full — fails
 	// the planner's own check on the first tree whatever the candidates,
-	// so it fails here, before the pool pass. The guard still hears about
-	// every host the pass would have asked it about (DESIGN.md §7).
+	// so it fails here, before the pool pass and before any guard is
+	// asked: a member's own host is offered at member priority, which no
+	// market preemption can raise (DESIGN.md §7).
 	remaining := len(s.Sources) // source trees still unplanned after the current one
 	first := problem(s.Root, remaining)
 	if err := first.Validate(); err != nil {
-		if sc.guard != nil {
-			sc.consultGuard(s.Priority)
-		}
 		return err
 	}
 

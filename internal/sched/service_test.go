@@ -787,6 +787,73 @@ func TestServiceDampingDefersPreemption(t *testing.T) {
 	}
 }
 
+// TestServiceDoomedRosterSpendsBudget: a roster the pool cannot start
+// is an ordinary failed attempt, never a damping deferral. P1 session B
+// (root 2, member 1) names host 1, whose one slot P3 session A's member
+// holds at member priority — which B's own member priority cannot
+// preempt, so no guard could have stopped B, and none is asked. The
+// token bucket is kept empty and host 4 carries a class-3 allocation
+// off B's roster, so a guard asked on B's behalf would veto. B spends
+// its retry budget on the P1 ladder, then sheds A to make room and
+// plans on the next Tick.
+func TestServiceDoomedRosterSpendsBudget(t *testing.T) {
+	const tick = 12.5 * eventsim.Millisecond
+	sv := NewService([]int{1, 1, 1, 0, 4}, lineLat, ServiceConfig{})
+	step := func(now eventsim.Time) {
+		t.Helper()
+		sv.tokens, sv.lastRefill = 0, now
+		if err := sv.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := &Session{ID: 1, Priority: 3, Root: 0, Members: []int{1}}
+	if _, err := sv.Submit(0, a); err != nil {
+		t.Fatal(err)
+	}
+	step(tick)
+	if a.Tree == nil {
+		t.Fatal("P3 session failed to plan")
+	}
+	if _, err := sv.sc.reg.Reserve(4, 1, 3, 9, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	b := &Session{ID: 2, Priority: 1, Root: 2, Members: []int{1}}
+	if _, err := sv.Submit(tick, b); err != nil {
+		t.Fatal(err)
+	}
+	now := 2 * tick
+	step(now)
+	if st := sv.Stats(); b.ctl.attempts != 1 || st.PreemptDeferred != 0 || st.PlanFailures != 1 {
+		t.Fatalf("after the first attempt: attempts %d, PreemptDeferred %d, PlanFailures %d; want 1, 0, 1",
+			b.ctl.attempts, st.PreemptDeferred, st.PlanFailures)
+	}
+	// The second and third attempts wait out B's 125 ms and 250 ms rungs
+	// (±20%); the third exhausts the budget and sheds A.
+	for sv.Stats().Class[3].ShedOverload == 0 && now < admitDeadline(1) {
+		now += tick
+		step(now)
+	}
+	st := sv.Stats()
+	if st.Class[3].ShedOverload != 1 || st.PlanFailures != retryBudget || st.PreemptDeferred != 0 {
+		t.Fatalf("by %v: P3 ShedOverload %d, PlanFailures %d, PreemptDeferred %d; want 1, %d, 0",
+			now, st.Class[3].ShedOverload, st.PlanFailures, st.PreemptDeferred, retryBudget)
+	}
+	if b.Tree != nil || sv.sc.sessions[a.ID] != nil {
+		t.Fatalf("at the shed: B planned %v, A live %v; want false, false", b.Tree != nil, sv.sc.sessions[a.ID] != nil)
+	}
+	step(b.ctl.nextTry)
+	if b.Tree == nil || !b.Tree.Contains(1) {
+		t.Fatalf("P1 session not planned on the Tick after the shed (tree %v)", b.Tree)
+	}
+	if st := sv.Stats(); st.Class[1].AdmittedInSLO != 1 || st.PreemptDeferred != 0 {
+		t.Fatalf("P1 admission %+v, PreemptDeferred %d; want one compliant admit, 0", st.Class[1], st.PreemptDeferred)
+	}
+	if err := sv.sc.reg.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServiceNodeFailureQueueCleanup checks failure detection reaches
 // queued (not yet admitted) sessions: a dead member is stripped from a
 // queued roster, and a queued session rooted on the dead host is
