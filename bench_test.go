@@ -537,32 +537,37 @@ func schedWorld(n int, seed int64) (alm.LatencyFunc, []int) {
 // makes every attempt — submitted, planned by one Tick at the highest
 // priority, and withdrawn. Both run on the service's scheduler, with its
 // preemption guard installed; both fail on the roster check before the
-// pool pass, and neither asks the guard or walks the pool.
+// pool pass, and neither asks the guard or walks the pool. The stream
+// case is the stream workload's shape on the 8000-host pool: a 50-member
+// roster and a helper degree of 2, so a plan meets many critical points,
+// each with many future siblings.
 func BenchmarkSchedPlanOne(b *testing.B) {
-	for _, n := range []int{2000, 8000, 32000} {
-		b.Run(fmt.Sprintf("hosts=%d", n), func(b *testing.B) {
-			sv, session, draw := planOneWorld(b, n)
-			sc := sv.Scheduler()
-			// Probe rosters are idle hosts too, at the lowest priority, so an
-			// iteration displaces nobody and is exactly one plan.
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := session(sched.NumClasses, draw())
-				if err := sc.AddSession(s); err != nil {
-					b.Fatal(err)
-				}
-				if plans, err := sc.Stabilize(); err != nil || plans != 1 {
-					b.Fatalf("plans = %d, err = %v", plans, err)
-				}
-				sc.RemoveSession(s.ID)
+	// plans measures one plan per iteration of a probe roster of idle
+	// hosts at the lowest priority, so an iteration displaces nobody.
+	plans := func(b *testing.B, n, minDegree, size int) {
+		sv, session, draw := planOneWorld(b, n, minDegree, size)
+		sc := sv.Scheduler()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := session(sched.NumClasses, draw())
+			if err := sc.AddSession(s); err != nil {
+				b.Fatal(err)
 			}
-		})
+			if plans, err := sc.Stabilize(); err != nil || plans != 1 {
+				b.Fatalf("plans = %d, err = %v", plans, err)
+			}
+			sc.RemoveSession(s.ID)
+		}
 	}
+	for _, n := range []int{2000, 8000, 32000} {
+		b.Run(fmt.Sprintf("hosts=%d", n), func(b *testing.B) { plans(b, n, alm.DefaultMinDegree, 4) })
+	}
+	b.Run("stream/hosts=8000", func(b *testing.B) { plans(b, 8000, 2, 50) })
 	// doomedWorld is the 8000-host pool with one probe roster whose
 	// first member's own host is full at member priority.
 	doomedWorld := func(b *testing.B) (*sched.Service, func(pri int, hosts []int) *sched.Session, []int) {
-		sv, session, draw := planOneWorld(b, 8000)
+		sv, session, draw := planOneWorld(b, 8000, alm.DefaultMinDegree, 4)
 		roster := slices.Clone(draw())
 		reg := sv.Scheduler().Registry()
 		if _, err := reg.Reserve(roster[1], reg.Table(roster[1]).Bound(), sched.MemberPriority, 1<<30, nil); err != nil {
@@ -609,14 +614,16 @@ func BenchmarkSchedPlanOne(b *testing.B) {
 }
 
 // planOneWorld is BenchmarkSchedPlanOne's pool: an admission service
-// over n hosts, whose scheduler plans sessions of four idle hosts until
-// a tenth of the hosts hold slots. It returns the service, a session
-// maker and a draw of four hosts that hold no slots, so a probe roster
-// never contends for a member's own host.
-func planOneWorld(b *testing.B, n int) (*sched.Service, func(pri int, hosts []int) *sched.Session, func() []int) {
+// over n hosts with helper degree minDegree, whose scheduler plans
+// sessions of four idle hosts until a tenth of the hosts hold slots. It
+// returns the service, a session maker and a draw of size hosts that
+// hold no slots, so a probe roster never contends for a member's own
+// host.
+func planOneWorld(b *testing.B, n, minDegree, size int) (*sched.Service, func(pri int, hosts []int) *sched.Session, func() []int) {
 	b.Helper()
 	lat, degrees := schedWorld(n, 9)
-	sv := sched.NewService(degrees, lat, sched.ServiceConfig{Sched: sched.Config{ScoreLatency: lat, MetricScore: true}, Seed: 12})
+	cfg := sched.Config{HelperMinDegree: minDegree, ScoreLatency: lat, MetricScore: true}
+	sv := sched.NewService(degrees, lat, sched.ServiceConfig{Sched: cfg, Seed: 12})
 	sc := sv.Scheduler()
 	r := rand.New(rand.NewSource(10))
 	id := sched.SessionID(0)
@@ -625,12 +632,12 @@ func planOneWorld(b *testing.B, n int) (*sched.Service, func(pri int, hosts []in
 		return &sched.Session{ID: id, Priority: pri, Root: hosts[0], Members: append([]int(nil), hosts[1:]...)}
 	}
 	var free []int
-	draw := func() []int {
-		for i := 0; i < 4; i++ {
+	draw := func(k int) []int {
+		for i := 0; i < k; i++ {
 			j := i + r.Intn(len(free)-i)
 			free[i], free[j] = free[j], free[i]
 		}
-		return free[:4]
+		return free[:k]
 	}
 	idle := func() []int {
 		free = free[:0]
@@ -639,7 +646,7 @@ func planOneWorld(b *testing.B, n int) (*sched.Service, func(pri int, hosts []in
 				free = append(free, h)
 			}
 		}
-		return draw()
+		return draw(4)
 	}
 	// The standing load: sessions until a tenth of the hosts hold slots.
 	for roster := idle(); len(free) > n*9/10; roster = idle() {
@@ -650,7 +657,7 @@ func planOneWorld(b *testing.B, n int) (*sched.Service, func(pri int, hosts []in
 			b.Fatal(err)
 		}
 	}
-	return sv, session, draw
+	return sv, session, func() []int { return draw(size) }
 }
 
 // BenchmarkInvariantSweep measures one continuous sweep of the

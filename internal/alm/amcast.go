@@ -113,11 +113,16 @@ type planner struct {
 	attPos    map[int]int // node id -> index in the att* slices
 
 	// Helper search state.
+	session         []int // scratch: root and members, ascending
 	candidates      []int // filtered candidate ids, in the caller's order
 	scoreLat        LatencyFunc
 	shortlistRadius float64
-	sibs            []int    // scratch: future siblings
-	pass            []scored // scratch: shortlisted candidates
+	sibs            []int // scratch: future siblings
+	// pass is the best keep shortlisted candidates of one critical point
+	// so far, in cmpScored order: the one helper picked, or the VerifyTop
+	// the task manager measures when vicinity is judged on estimates.
+	pass []scored
+	keep int
 
 	// The annulus index (indexed is false when pruning is off): index
 	// holds the candidates grouped by key bucket, bucket b being
@@ -171,22 +176,16 @@ func cmpScored(a, b scored) int {
 	return 1
 }
 
-// topK moves the k smallest entries of s under cmpScored to the front,
-// in order, and returns that prefix — what sorting s and reading its
-// first k entries gives, without ordering the entries nobody reads.
-func topK(s []scored, k int) []scored {
-	k = min(k, len(s))
-	head := s[:k]
-	slices.SortFunc(head, cmpScored)
-	for _, c := range s[k:] {
-		if cmpScored(c, head[k-1]) >= 0 {
-			continue
-		}
-		i, _ := slices.BinarySearchFunc(head, c, cmpScored)
-		copy(head[i+1:], head[i:k-1])
-		head[i] = c
+// pushTopK adds c to head, the k smallest entries so far under
+// cmpScored in order, and returns the k smallest with c: fed every entry
+// of a list, it ends as that list's sorted prefix of length k. c must
+// beat head's last entry when head is full (the caller's bound).
+func pushTopK(head []scored, c scored, k int) []scored {
+	if len(head) == k {
+		head = head[:k-1]
 	}
-	return head
+	i, _ := slices.BinarySearchFunc(head, c, cmpScored)
+	return slices.Insert(head, i, c)
 }
 
 // keyEps widens the annulus bounds to absorb floating-point rounding in
@@ -228,11 +227,8 @@ func plan(p Problem, hs HelperSet) (*Tree, error) {
 	clear(pl.attPos)
 	pl.attPos[p.Root] = 0
 
-	inSession := make(map[int]bool, g+1)
-	inSession[p.Root] = true
-	for _, m := range p.Members {
-		inSession[m] = true
-	}
+	pl.session = append(append(pl.session[:0], p.Root), p.Members...)
+	slices.Sort(pl.session)
 	// Candidate helpers, filtered once. Candidates outside the tree keep
 	// free degree == p.Degree (nothing attaches to a node not in the
 	// tree), so the MinDegree filter here is the only degree check the
@@ -240,7 +236,7 @@ func plan(p Problem, hs HelperSet) (*Tree, error) {
 	// selection is by a strict total order, so it never matters.
 	pl.candidates = pl.candidates[:0]
 	for _, c := range hs.Candidates {
-		if !inSession[c] && p.Degree(c) >= hs.MinDegree {
+		if _, in := slices.BinarySearch(pl.session, c); !in && p.Degree(c) >= hs.MinDegree {
 			pl.candidates = append(pl.candidates, c)
 		}
 	}
@@ -365,10 +361,10 @@ func (pl *planner) relaxOne(pos int) bool {
 }
 
 // buildHelperIndex precomputes the helper-search state: the effective
-// scoring latency, the shortlist radius, and — when the radius is
-// positive and the score is a metric — the root-anchored candidate
-// index that findHelper range-queries instead of scanning every
-// candidate per critical point. Building it is one scoring-latency call
+// scoring latency, the shortlist radius and length, and — when the
+// radius is positive and the score is a metric — the root-anchored
+// candidate index that findHelper range-queries instead of scanning
+// every candidate per critical point. Building it is one scoring-latency call
 // per candidate and a counting sort into key buckets a quarter-radius
 // wide (never more buckets than candidates); an exact order would buy
 // nothing, since an annulus query filters by key either way.
@@ -378,8 +374,13 @@ func (pl *planner) buildHelperIndex() {
 		pl.scoreLat = pl.p.Latency
 	}
 	pl.shortlistRadius = pl.hs.Radius
+	pl.keep = 1
 	if pl.hs.ScoreLatency != nil {
 		pl.shortlistRadius *= radiusSlack
+		pl.keep = pl.hs.VerifyTop
+		if pl.keep <= 0 {
+			pl.keep = 16
+		}
 	}
 	n := len(pl.candidates)
 	pl.indexed = n > 0 && pl.shortlistRadius > 0 && pl.hs.MetricScore
@@ -473,21 +474,18 @@ func (pl *planner) findHelper(u, uPos, pu int) (int, bool) {
 	}
 	// (score, h) is a strict total order — candidate ids are unique —
 	// so the best entries are the same whatever order tryCandidate
-	// appended in; bucket-order and id-order scans select the same helper.
+	// offered them in; bucket-order and id-order scans select the same
+	// helper.
 	if pl.hs.ScoreLatency == nil {
-		return topK(pl.pass, 1)[0].h, true
+		return pl.pass[0].h, true
 	}
 	// Vicinity was judged on estimates, which only narrows the pool to
 	// a shortlist; the task manager then contacts the shortlisted
 	// candidates (it must talk to a helper to reserve it anyway),
 	// measures them, and picks the best by measured score among those
 	// that truly honor the radius.
-	verify := pl.hs.VerifyTop
-	if verify <= 0 {
-		verify = 16
-	}
 	bestScore, best := math.Inf(1), -1
-	for _, c := range topK(pl.pass, verify) {
+	for _, c := range pl.pass {
 		h := c.h
 		lp := pl.p.Latency(h, pu)
 		if pl.hs.Radius > 0 && lp >= pl.hs.Radius {
@@ -512,7 +510,13 @@ func (pl *planner) findHelper(u, uPos, pu int) (int, bool) {
 }
 
 // tryCandidate applies the shortlist conditions to one candidate and
-// appends it to the pass list when it qualifies.
+// keeps it in the pass list when it qualifies and ranks among the best
+// keep so far. Once the list is full its last entry bounds the search: a
+// score only grows as sibling latencies are read (IEEE addition is
+// monotone), so a candidate whose partial score already ranks after that
+// entry is dropped without reading the rest. Because (score, h) is a
+// strict total order, the list ends as the prefix a full sort of every
+// qualifying candidate would give.
 func (pl *planner) tryCandidate(h, pu int) {
 	if pl.t.Contains(h) {
 		return
@@ -521,13 +525,23 @@ func (pl *planner) tryCandidate(h, pu int) {
 	if pl.shortlistRadius > 0 && lp >= pl.shortlistRadius {
 		return // condition 3: avoid far-away "junk" nodes
 	}
+	full := len(pl.pass) == pl.keep
+	ranksAfter := func(score float64) bool {
+		return full && cmpScored(scored{h: h, score: score}, pl.pass[pl.keep-1]) > 0
+	}
+	if ranksAfter(lp) {
+		return
+	}
 	maxSib := 0.0
 	if pl.hs.Scoring == ScorePaper {
 		for _, v := range pl.sibs {
 			if l := pl.scoreLat(h, v); l > maxSib {
 				maxSib = l
+				if ranksAfter(lp + maxSib) {
+					return
+				}
 			}
 		}
 	}
-	pl.pass = append(pl.pass, scored{h: h, score: lp + maxSib}) // condition 1
+	pl.pass = pushTopK(pl.pass, scored{h: h, score: lp + maxSib}, pl.keep) // condition 1
 }

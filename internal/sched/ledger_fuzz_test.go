@@ -94,6 +94,12 @@ func (l *flatLedger) reserve(h, slots, p int, sid SessionID, guard PreemptGuard)
 // for that session since its last release, as Session.held does, so
 // the list carries hosts where the session was since preempted or
 // killed, and repeats; the model drops the session everywhere. The
+// registry keeps its open-host index at a threshold of 0..5 slots picked
+// by the script's step count, and after every step each host outside the
+// set a priority-p helper search walks (every p from 1 to one past the
+// class range) must offer p fewer slots than that, with and without a
+// guard, and show the guard nobody; within the class range the set holds
+// exactly the live hosts that offer that many or would ask a guard. The
 // seed corpus runs as a plain test.
 func FuzzRegistryLedger(f *testing.F) {
 	const reserve, guarded, release, kill, revive = 0, 1, 2, 3, 4
@@ -121,7 +127,8 @@ func FuzzRegistryLedger(f *testing.F) {
 	f.Add(script(step(reserve, 3, 1, 3, 2), step(reserve, 3, 2, 1, 2), step(guarded, 3, 4, 1, 3)))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		bounds := []int{1, 2, 3, 5, 8}
-		reg := NewRegistry(bounds)
+		openMin := len(script) / 3 % 6
+		reg := newRegistry(bounds, openMin)
 		model := &flatLedger{bounds: bounds, dead: make([]bool, len(bounds))}
 		var granted [16][]int // per session, as Session.held
 		// Every step re-checks the whole ledger against a model that
@@ -186,6 +193,16 @@ func FuzzRegistryLedger(f *testing.F) {
 							t.Fatalf("step %d: host %d available(p=%d, guarded=%v) = %d, model says %d",
 								step, h, p, g != nil, got, want)
 						}
+					}
+					if p < 1 {
+						continue
+					}
+					asked := false
+					offer := model.available(h, p, func(SessionID) bool { asked = true; return false })
+					open := !model.dead[h] && (offer >= openMin || asked)
+					if in := reg.openSet(p)[h>>6]&(1<<(h&63)) != 0; (!in && open) || (p <= NumClasses && in != open) {
+						t.Fatalf("step %d: host %d in priority %d's open set %v, offers %d slots (threshold %d), guard asked %v",
+							step, h, p, in, offer, openMin, asked)
 					}
 				}
 			}

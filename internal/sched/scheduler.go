@@ -3,6 +3,7 @@ package sched
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -222,9 +223,12 @@ type Scheduler struct {
 	// markMembers: membership is one array read, a new roster one increment.
 	mark  []uint32
 	epoch uint32
-	// candidates is planOne's helper-candidate buffer, reused across
-	// plans (the planner copies what it keeps).
+	// candidates and recruited are planOne's helper-candidate and
+	// recruited-helper buffers, and nodes treeNodes's, reused across plans
+	// (the planner copies what it keeps).
 	candidates []int
+	recruited  []int
+	nodes      []int
 
 	// guard and onPreempt are the damping a Service installs once
 	// (NewService), under every plan and repair whichever call runs it;
@@ -242,9 +246,10 @@ type Scheduler struct {
 // set cfg.ScoreLatency to a coordinate predictor for the paper's
 // practical Leafset configuration.
 func NewScheduler(bounds []int, lat alm.LatencyFunc, cfg Config) *Scheduler {
+	cfg = cfg.withDefaults()
 	return &Scheduler{
-		cfg:      cfg.withDefaults(),
-		reg:      NewRegistry(bounds),
+		cfg:      cfg,
+		reg:      newRegistry(bounds, cfg.HelperMinDegree),
 		lat:      lat,
 		sessions: make(map[SessionID]*Session),
 		mark:     make([]uint32, len(bounds)),
@@ -711,13 +716,23 @@ func (sc *Scheduler) release(s *Session) {
 	s.held = s.held[:0]
 }
 
+// treeNodes returns t's nodes in Tree.Nodes order, the root first and
+// then the rest ascending, in a buffer valid until the next call.
+func (sc *Scheduler) treeNodes(t *alm.Tree) []int {
+	nodes := sc.nodes[:0]
+	t.EachNode(func(v int) bool { nodes = append(nodes, v); return true })
+	slices.Sort(nodes[1:])
+	sc.nodes = nodes
+	return nodes
+}
+
 // reserveTree reserves tree's slots for s, listing each granting host
 // in s.held and dirtying (and counting a replan for) every preempted
 // session. On error the caller owns cleanup of any partial
 // reservations.
 func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree) error {
 	sc.markMembers(s)
-	nodes := tree.Nodes()
+	nodes := sc.treeNodes(tree)
 	s.held = slices.Grow(s.held, len(nodes))
 	for _, v := range nodes {
 		slots := tree.Degree(v)
@@ -758,7 +773,8 @@ func (sc *Scheduler) reserveTree(s *Session, tree *alm.Tree) error {
 // and leaves s's trees as they were. On success it installs the new
 // trees.
 func (sc *Scheduler) replant(s *Session, next func(src int, old *alm.Tree) (*alm.Tree, error)) error {
-	trees := make([]*alm.Tree, 0, len(s.Sources)+1)
+	var buf [4]*alm.Tree // up to four sources' trees stay off the heap
+	trees := buf[:0]
 	var err error
 	s.EachTree(func(src int, old *alm.Tree) bool {
 		var t *alm.Tree
@@ -799,7 +815,6 @@ func (sc *Scheduler) planOne(s *Session) error {
 	// Effective degree bound for this session at each host: what the
 	// market says it can obtain. Marks s's roster for isMember below.
 	avail := sc.availFor(s)
-	roster := s.roster()
 	// problem is the instance of src's tree. It holds back one slot per
 	// member for each of the remaining still-unplanned source trees: each
 	// member appears in each remaining tree with degree at least 1 (a
@@ -823,7 +838,10 @@ func (sc *Scheduler) planOne(s *Session) error {
 			Latency: sc.lat,
 			Degree:  degree,
 		}
-		for _, m := range roster {
+		if src != s.Root {
+			p.Members = append(p.Members, s.Root)
+		}
+		for _, m := range s.Members {
 			if m != src {
 				p.Members = append(p.Members, m)
 			}
@@ -844,14 +862,20 @@ func (sc *Scheduler) planOne(s *Session) error {
 
 	// Candidate helpers: everyone outside the session with enough
 	// obtainable fan-out. Computed once per plan; per-attach avail()
-	// reads stay live as earlier trees consume slots. This is the one
-	// pool-sized pass of a plan (DESIGN.md §7): array reads per host, and
-	// the guard consulted wherever something is preemptable — on every
-	// live non-member host, not only near the tree.
+	// reads stay live as earlier trees consume slots. The pass walks the
+	// registry's open-host index for the session's class in ascending
+	// host order (DESIGN.md §7): a host outside it can neither offer
+	// HelperMinDegree slots nor show the guard a victim, so the guard is
+	// consulted wherever something is preemptable — on every live
+	// non-member host, not only near the tree — as a walk of every host
+	// would.
 	candidates := sc.candidates[:0]
-	for h := range sc.mark {
-		if !sc.isMember(h) && avail(h) >= sc.cfg.HelperMinDegree {
-			candidates = append(candidates, h)
+	for w, word := range sc.reg.openSet(s.Priority) {
+		for ; word != 0; word &= word - 1 {
+			h := w<<6 | bits.TrailingZeros64(word)
+			if !sc.isMember(h) && avail(h) >= sc.cfg.HelperMinDegree {
+				candidates = append(candidates, h)
+			}
 		}
 	}
 	sc.candidates = candidates
@@ -862,8 +886,7 @@ func (sc *Scheduler) planOne(s *Session) error {
 		ScoreLatency: sc.cfg.ScoreLatency,
 		MetricScore:  sc.cfg.MetricScore,
 	}
-	var recruited []int // helpers used by earlier trees, recruitment order
-	recruitedSet := make(map[int]bool)
+	recruited := sc.recruited[:0] // helpers used by earlier trees, recruitment order
 	err := sc.replant(s, func(src int, _ *alm.Tree) (*alm.Tree, error) {
 		p := first
 		if src != s.Root {
@@ -883,14 +906,19 @@ func (sc *Scheduler) planOne(s *Session) error {
 			}
 		}
 		alm.Adjust(tree, sc.lat, p.Degree)
-		for _, v := range tree.Nodes() {
-			if !sc.isMember(v) && !recruitedSet[v] {
-				recruitedSet[v] = true
+		// New helpers in Tree.Nodes order: the root is a member, so
+		// ascending.
+		known := len(recruited)
+		tree.EachNode(func(v int) bool {
+			if !sc.isMember(v) && !slices.Contains(recruited, v) {
 				recruited = append(recruited, v)
 			}
-		}
+			return true
+		})
+		slices.Sort(recruited[known:])
 		return tree, nil
 	})
+	sc.recruited = recruited
 	if err == nil {
 		sc.tot.Plans++
 	}
