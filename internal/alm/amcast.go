@@ -11,8 +11,11 @@ import (
 // (Section 5.2's critical-node algorithm). A nil/empty set reduces
 // PlanWithHelpers to plain AMCast.
 type HelperSet struct {
-	// Candidates are pool nodes available as helpers (session members
-	// are filtered out automatically).
+	// Candidates are the pool nodes a helper may be drawn from, in any
+	// order. A caller may pass any pool hosts: plan drops the root and
+	// members (condition 1) and every node whose Problem.Degree is under
+	// MinDegree (condition 2), once per plan against the live Degree, and
+	// no other code judges a candidate.
 	Candidates []int
 	// Radius R: a helper must lie within R (scoring latency) of the
 	// saturating parent — condition 3. The paper finds R in 50–150
@@ -229,11 +232,12 @@ func plan(p Problem, hs HelperSet) (*Tree, error) {
 
 	pl.session = append(append(pl.session[:0], p.Root), p.Members...)
 	slices.Sort(pl.session)
-	// Candidate helpers, filtered once. Candidates outside the tree keep
-	// free degree == p.Degree (nothing attaches to a node not in the
-	// tree), so the MinDegree filter here is the only degree check the
-	// helper search needs. The order candidates arrive in is kept: helper
-	// selection is by a strict total order, so it never matters.
+	// Candidate helpers, filtered once, here alone (HelperSet.Candidates).
+	// Candidates outside the tree keep free degree == p.Degree (nothing
+	// attaches to a node not in the tree), so the MinDegree filter here
+	// is the only degree check the helper search needs. The order
+	// candidates arrive in is kept: helper selection is by a strict total
+	// order, so it never matters.
 	pl.candidates = pl.candidates[:0]
 	for _, c := range hs.Candidates {
 		if _, in := slices.BinarySearch(pl.session, c); !in && p.Degree(c) >= hs.MinDegree {

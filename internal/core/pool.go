@@ -342,11 +342,6 @@ func (p *Pool) PlanSession(root int, members []int, opt PlanOptions) (*alm.Tree,
 	if opt.Radius <= 0 {
 		opt.Radius = 100
 	}
-	inSession := make(map[int]bool, len(members)+1)
-	inSession[root] = true
-	for _, m := range members {
-		inSession[m] = true
-	}
 	// Tree links are always built on measured latencies: members ping
 	// each other directly, and a helper's latency is measured when the
 	// task manager contacts it to reserve. What differs by mode is the
@@ -371,11 +366,10 @@ func (p *Pool) PlanSession(root int, members []int, opt PlanOptions) (*alm.Tree,
 		hs.ScoreLatency = p.CoordLatency
 	}
 	if !opt.NoHelpers {
-		hs.Candidates = make([]int, 0, p.NumHosts())
-		for h := 0; h < p.NumHosts(); h++ {
-			if !inSession[h] {
-				hs.Candidates = append(hs.Candidates, h)
-			}
+		// Every host: the planner drops the session's own.
+		hs.Candidates = make([]int, p.NumHosts())
+		for h := range hs.Candidates {
+			hs.Candidates[h] = h
 		}
 	}
 	tree, err := alm.PlanWithHelpers(prob, hs)

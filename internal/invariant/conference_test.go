@@ -80,12 +80,7 @@ func TestConferenceSharedBudgetConservation(t *testing.T) {
 			}
 		}
 		for v := 0; v < hosts; v++ {
-			held := 0
-			for _, a := range sc.Registry().Table(v).Allocations() {
-				if a.Session == s.ID {
-					held += a.Slots
-				}
-			}
+			held := heldBy(sc, v, s.ID)
 			if held != load[v] {
 				t.Fatalf("after %s: host %d holds %d slots for the conference, summed tree degree %d", step, v, held, load[v])
 			}
@@ -160,13 +155,23 @@ func TestConferenceSharedBudgetConservation(t *testing.T) {
 	// End the session: every slot must return to the pool.
 	sc.RemoveSession(s.ID)
 	for v := 0; v < hosts; v++ {
-		for _, a := range sc.Registry().Table(v).Allocations() {
-			if a.Session == s.ID {
-				t.Fatalf("host %d still holds %d slots for the ended conference", v, a.Slots)
-			}
+		if held := heldBy(sc, v, s.ID); held > 0 {
+			t.Fatalf("host %d still holds %d slots for the ended conference", v, held)
 		}
 	}
 	if err := sc.Registry().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// heldBy returns the slots session sid holds on host v.
+func heldBy(sc *sched.Scheduler, v int, sid sched.SessionID) int {
+	held := 0
+	sc.Registry().Table(v).EachAllocation(func(s sched.SessionID, _, slots int) bool {
+		if s == sid {
+			held += slots
+		}
+		return true
+	})
+	return held
 }

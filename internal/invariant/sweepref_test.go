@@ -169,21 +169,22 @@ func refLedger(w *World) []Violation {
 	held := make(map[sched.SessionID]map[int]int)
 	var out []Violation
 	for h := 0; h < reg.NumHosts(); h++ {
-		for _, a := range reg.Table(h).Allocations() {
-			if !known[a.Session] {
+		reg.Table(h).EachAllocation(func(sid sched.SessionID, _, slots int) bool {
+			if !known[sid] {
 				out = append(out, Violation{Check: "sched/ledger", Host: h,
-					Detail: fmt.Sprintf("allocation of %d slots for unknown session %d", a.Slots, a.Session)})
-				continue
+					Detail: fmt.Sprintf("allocation of %d slots for unknown session %d", slots, sid)})
+				return true
 			}
-			if !listed[a.Session][h] {
+			if !listed[sid][h] {
 				out = append(out, Violation{Check: "sched/ledger", Host: h,
-					Detail: fmt.Sprintf("session %d holds slots on a host its root does not list", a.Session)})
+					Detail: fmt.Sprintf("session %d holds slots on a host its root does not list", sid)})
 			}
-			if held[a.Session] == nil {
-				held[a.Session] = make(map[int]int)
+			if held[sid] == nil {
+				held[sid] = make(map[int]int)
 			}
-			held[a.Session][h] += a.Slots
-		}
+			held[sid][h] += slots
+			return true
+		})
 	}
 	for _, s := range w.Sched.Sessions() {
 		deg, settled := trees[s.ID]
@@ -378,7 +379,7 @@ func (sw *sweepWorld) step(a, b, c byte) {
 	case 9:
 		// Grow a live tree by one node, behind the ledger's back.
 		if s := sw.pick(int(c)); s != nil {
-			srcs := s.SourceList()
+			srcs := append([]int{s.Root}, s.Sources...)
 			if t := s.TreeFor(srcs[int(c>>4)%len(srcs)]); t != nil && !t.Contains(h) {
 				nodes := t.Nodes()
 				_ = t.Attach(h, nodes[int(c)%len(nodes)])

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -58,13 +59,7 @@ func checkConfLedger(t *testing.T, sc *Scheduler, s *Session, bounds []int) {
 		if d > bounds[v] {
 			t.Fatalf("host %d loaded to %d across the conference's trees, bound %d", v, d, bounds[v])
 		}
-		held := 0
-		for _, a := range sc.Registry().Table(v).Allocations() {
-			if a.Session == s.ID {
-				held += a.Slots
-			}
-		}
-		if held != d {
+		if held := heldOn(sc.Registry(), s.ID, v); held != d {
 			t.Fatalf("host %d: session holds %d slots, summed tree degree %d", v, held, d)
 		}
 	}
@@ -101,7 +96,7 @@ func TestConferenceSharedBudgetPlan(t *testing.T) {
 		// so the distinct-helper count stays near the per-tree helper count
 		// rather than scaling with the number of sources.
 		perTree := 0
-		var helpers []int // per tree, in SourceList order
+		var helpers []int // per tree, in EachTree order
 		members := s.memberSet()
 		for _, st := range s.Trees() {
 			n := 0
@@ -149,7 +144,7 @@ func TestConferenceSourceRejoins(t *testing.T) {
 	if _, err := sc.Stabilize(); err != nil {
 		t.Fatal(err)
 	}
-	if s.IsSource(back) || s.TreeFor(back) != nil {
+	if slices.Contains(s.Sources, back) || s.TreeFor(back) != nil {
 		t.Fatal("failed source still has a source role or tree")
 	}
 	checkConfLedger(t, sc, s, degrees)
@@ -161,7 +156,7 @@ func TestConferenceSourceRejoins(t *testing.T) {
 	if _, err := sc.Stabilize(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.IsSource(back) || s.TreeFor(back) == nil {
+	if !slices.Contains(s.Sources, back) || s.TreeFor(back) == nil {
 		t.Fatal("rejoined source has no source role or tree")
 	}
 	checkConfLedger(t, sc, s, degrees)
@@ -204,7 +199,7 @@ func TestConferenceSourceFailureRepairs(t *testing.T) {
 	if _, err := sc.Stabilize(); err != nil {
 		t.Fatal(err)
 	}
-	if s.IsSource(victim) || s.TreeFor(victim) != nil {
+	if slices.Contains(s.Sources, victim) || s.TreeFor(victim) != nil {
 		t.Fatal("dead source still has a source role or tree")
 	}
 	if got := len(s.Trees()); got != 5 {
@@ -250,7 +245,7 @@ func TestNodeFailedUnplannedSourceFallsBack(t *testing.T) {
 	}
 	sc.NodeRecovered(back)
 	sc.Rejoin(back)
-	if !s.IsSource(back) || s.TreeFor(back) != nil {
+	if !slices.Contains(s.Sources, back) || s.TreeFor(back) != nil {
 		t.Fatal("rejoined source is not back without a tree")
 	}
 

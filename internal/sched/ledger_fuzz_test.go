@@ -184,8 +184,11 @@ func FuzzRegistryLedger(f *testing.F) {
 					t.Fatalf("step %d: host %d table used %d bound %d dead %v, model says %d, %d, %v",
 						step, h, tab.Used(), tab.Bound(), reg.Dead(h), used, bounds[h], model.dead[h])
 				}
-				if reg.Dead(h) && len(tab.Allocations()) > 0 {
-					t.Fatalf("step %d: dead host %d holds %v", step, h, tab.Allocations())
+				if reg.Dead(h) {
+					tab.EachAllocation(func(sid SessionID, p, slots int) bool {
+						t.Fatalf("step %d: dead host %d holds %d slots of session %d at priority %d", step, h, slots, sid, p)
+						return false
+					})
 				}
 				for p := -1; p <= NumClasses+1; p++ {
 					for _, g := range []PreemptGuard{nil, guard} {

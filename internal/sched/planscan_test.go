@@ -110,12 +110,13 @@ func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 			if roster[h] || sc.reg.Dead(h) {
 				continue
 			}
-			for _, a := range sc.reg.Table(h).Allocations() {
-				if a.Priority > pri {
-					want[a.Session] = true
+			sc.reg.Table(h).EachAllocation(func(sid SessionID, priority, _ int) bool {
+				if priority > pri {
+					want[sid] = true
 					far = far || w.lat(h, s.Root) > 4*helperRadius
 				}
-			}
+				return true
+			})
 		}
 		if pri < 3 && !far {
 			t.Fatalf("%s priority %d: no preemptable holder far from the roster; the scenario pins nothing", what, pri)
@@ -160,6 +161,42 @@ func TestPlanConsultsGuardAcrossWholePool(t *testing.T) {
 		if want := fmt.Sprintf("alm: member %d degree bound 0 < 1", full); err == nil || err.Error() != want {
 			t.Errorf("doomed roster priority %d: error %v, want %q", pri, err, want)
 		}
+	}
+}
+
+// TestPlanAsksGuardOncePerCandidate pins that one judge screens a
+// helper candidate: the planner's filter, which reads the host's
+// availability — and so asks the guard about each preemptable holder on
+// it — once per tree. Hosts 0-3 are a tight roster; host 4, far past the
+// helper radius, has room to spare and holds one class-3 slot of session
+// 50. A single-tree priority-1 plan under an allowing guard asks about
+// session 50 exactly once and never recruits host 4.
+func TestPlanAsksGuardOncePerCandidate(t *testing.T) {
+	at := []float64{0, 1, 2, 3, 5000}
+	lat := func(a, b int) float64 { return math.Abs(at[a] - at[b]) }
+	sc := NewScheduler([]int{4, 4, 4, 4, 8}, lat, Config{})
+	if _, err := sc.reg.Reserve(4, 1, 3, 50, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := &Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2, 3}}
+	if err := sc.AddSession(s); err != nil {
+		t.Fatal(err)
+	}
+	asks := 0
+	sc.guard = func(v SessionID) bool {
+		if v == 50 {
+			asks++
+		}
+		return true
+	}
+	if err := sc.planOne(s); err != nil {
+		t.Fatal(err)
+	}
+	if asks != 1 {
+		t.Errorf("guard asked about session 50 %d times in one plan, want 1", asks)
+	}
+	if s.Tree.Contains(4) {
+		t.Errorf("host 4, %v ms from the roster, entered the tree %v", at[4], treeEdges(s.Tree))
 	}
 }
 

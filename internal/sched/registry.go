@@ -71,14 +71,9 @@ func (d *DegreeTable) Bound() int { return int(d.bound) }
 // Used returns the total slots currently allocated.
 func (d *DegreeTable) Used() int { return int(d.used) }
 
-// Allocations returns a copy of the current allocations (reporting).
-func (d *DegreeTable) Allocations() []allocation {
-	return append([]allocation(nil), d.allocs...)
-}
-
 // EachAllocation calls yield with each allocation's session, priority
 // and slots, in table order, until yield returns false. It reads the
-// table in place; Allocations is the copy.
+// table in place.
 func (d *DegreeTable) EachAllocation(yield func(sid SessionID, priority, slots int) bool) {
 	for _, a := range d.allocs {
 		if !yield(a.Session, a.Priority, a.Slots) {

@@ -41,11 +41,10 @@ func TestRegistryFuzz(t *testing.T) {
 							// which the merge path avoids; treat any
 							// occurrence as a failure.
 							pFound := false
-							for _, a := range reg.Table(h).Allocations() {
-								if a.Session == sid && a.Priority == p {
-									pFound = true
-								}
-							}
+							reg.Table(h).EachAllocation(func(s SessionID, pri, _ int) bool {
+								pFound = s == sid && pri == p
+								return !pFound
+							})
 							if !pFound {
 								return false
 							}

@@ -129,7 +129,9 @@ func TestReleaseAndMerge(t *testing.T) {
 	if got := heldOn(r, 5); got != 6 {
 		t.Errorf("held = %d, want 6", got)
 	}
-	if len(r.Table(0).Allocations()) != 1 {
+	allocs := 0
+	r.Table(0).EachAllocation(func(SessionID, int, int) bool { allocs++; return true })
+	if allocs != 1 {
 		t.Error("same-session same-priority allocations should merge")
 	}
 	r.Release(5, []int{0, 0, 1}) // each granting host, 0 twice
@@ -148,11 +150,12 @@ func heldOn(r *Registry, sid SessionID, hosts ...int) int {
 	}
 	n := 0
 	for _, h := range hosts {
-		for _, a := range r.tables[h].allocs {
-			if a.Session == sid {
-				n += a.Slots
+		r.tables[h].EachAllocation(func(s SessionID, _, slots int) bool {
+			if s == sid {
+				n += slots
 			}
-		}
+			return true
+		})
 	}
 	return n
 }

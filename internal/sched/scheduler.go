@@ -93,25 +93,6 @@ func (s *Session) roster() []int {
 	return append([]int{s.Root}, s.Members...)
 }
 
-// SourceList returns every source in EachTree order: the Root first,
-// then the extra sources ascending.
-func (s *Session) SourceList() []int {
-	return append([]int{s.Root}, s.Sources...)
-}
-
-// IsSource reports whether host originates a stream in this session.
-func (s *Session) IsSource(host int) bool {
-	if host == s.Root {
-		return true
-	}
-	for _, v := range s.Sources {
-		if v == host {
-			return true
-		}
-	}
-	return false
-}
-
 // TreeFor returns the current tree rooted at src (nil when src is not a
 // source or not yet planned). The data plane reads per-source routing
 // through this: re-reading picks up repairs and replans live.
@@ -800,15 +781,16 @@ func (sc *Scheduler) replant(s *Session, next func(src int, old *alm.Tree) (*alm
 }
 
 // planOne runs one session's task manager: release current holdings,
-// read availability from the degree tables, plan Leafset+adjust with
-// helpers, and reserve the new plan through replant (preempting lower
-// priority). A failed attempt leaves s holding nothing.
+// plan Leafset+adjust with helpers against availability read live from
+// the degree tables, and reserve the new plan through replant
+// (preempting lower priority). A failed attempt leaves s holding
+// nothing.
 //
 // Conferencing sessions plan one tree per source against the same slot
 // budget, each reserved before the next is planned (replant). Helpers
 // are recruited once per session — trees after the first plan against
 // the session's already-recruited helper set and only fall back to the
-// full candidate pool when that set cannot cover the members.
+// open-host copy when that set cannot cover the members.
 func (sc *Scheduler) planOne(s *Session) error {
 	sc.release(s)
 
@@ -860,22 +842,19 @@ func (sc *Scheduler) planOne(s *Session) error {
 		return err
 	}
 
-	// Candidate helpers: everyone outside the session with enough
-	// obtainable fan-out. Computed once per plan; per-attach avail()
-	// reads stay live as earlier trees consume slots. The pass walks the
-	// registry's open-host index for the session's class in ascending
-	// host order (DESIGN.md §7): a host outside it can neither offer
-	// HelperMinDegree slots nor show the guard a victim, so the guard is
+	// Candidate helpers: the registry's open-host index for the
+	// session's class, copied as it stands in ascending host order
+	// (DESIGN.md §7). A host outside it can neither offer HelperMinDegree
+	// slots nor show the guard a victim. The planner's own filter judges
+	// the rest, once per tree against the live avail, dropping the
+	// roster and every host under HelperMinDegree, so the guard is
 	// consulted wherever something is preemptable — on every live
 	// non-member host, not only near the tree — as a walk of every host
 	// would.
 	candidates := sc.candidates[:0]
 	for w, word := range sc.reg.openSet(s.Priority) {
 		for ; word != 0; word &= word - 1 {
-			h := w<<6 | bits.TrailingZeros64(word)
-			if !sc.isMember(h) && avail(h) >= sc.cfg.HelperMinDegree {
-				candidates = append(candidates, h)
-			}
+			candidates = append(candidates, w<<6|bits.TrailingZeros64(word))
 		}
 	}
 	sc.candidates = candidates

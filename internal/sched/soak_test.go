@@ -99,7 +99,11 @@ func TestServiceSoakPinned(t *testing.T) {
 	}
 	reg := sv.Scheduler().Registry()
 	for v := 0; v < reg.NumHosts(); v++ {
-		allocs := reg.Table(v).Allocations()
+		var allocs []allocation
+		reg.Table(v).EachAllocation(func(sid SessionID, priority, slots int) bool {
+			allocs = append(allocs, allocation{sid, priority, slots})
+			return true
+		})
 		slices.SortFunc(allocs, func(a, b allocation) int {
 			return cmp.Or(cmp.Compare(a.Session, b.Session), cmp.Compare(a.Priority, b.Priority))
 		})
