@@ -150,12 +150,11 @@ func heldOn(r *Registry, sid SessionID, hosts ...int) int {
 	}
 	n := 0
 	for _, h := range hosts {
-		r.tables[h].EachAllocation(func(s SessionID, _, slots int) bool {
-			if s == sid {
-				n += slots
+		for _, a := range r.tables[h].allocs {
+			if a.Session == sid {
+				n += a.Slots
 			}
-			return true
-		})
+		}
 	}
 	return n
 }
