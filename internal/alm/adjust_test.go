@@ -183,21 +183,6 @@ func TestAdjustTinyTrees(t *testing.T) {
 	}
 }
 
-func TestHighestNodeIsLeaf(t *testing.T) {
-	// With positive latencies the max-height node must be a leaf.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 3 + r.Intn(20)
-		lat := randomMetric(n, r)
-		latF := func(a, b int) float64 { return lat[a][b] }
-		tr := buildRandomTree(n, 4, r)
-		return len(tr.Children(tr.HighestNode(latF))) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	tr := NewTree(0)
 	tr.Attach(1, 0)

@@ -186,7 +186,9 @@ func (s *heightScratch) maxHeight(t *Tree, lat LatencyFunc) float64 {
 	return max
 }
 
-// highestNode is Tree.HighestNode on reused buffers.
+// highestNode returns the node with the largest height under lat, the
+// lowest id among equals (the root for a singleton tree), on reused
+// buffers.
 func (s *heightScratch) highestNode(t *Tree, lat LatencyFunc) int {
 	best, bestH := t.Root, -1.0
 	q, hs := s.bfs(t, lat)

@@ -65,9 +65,6 @@ func TestTreeBasics(t *testing.T) {
 	if tr.MaxHeight(gridLatency) != 20 {
 		t.Error("max height")
 	}
-	if tr.HighestNode(gridLatency) != 2 {
-		t.Error("highest node")
-	}
 	if err := tr.Validate(constDegree(2)); err != nil {
 		t.Fatal(err)
 	}

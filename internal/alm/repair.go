@@ -6,28 +6,6 @@ import (
 	"sort"
 )
 
-// RemoveNode deletes v from the tree. Its children — the roots of the
-// now-orphaned subtrees — are detached (their parent pointers cleared)
-// and returned so the caller can reattach them, typically via Repair.
-// Removing the root or a node not in the tree is an error.
-func (t *Tree) RemoveNode(v int) ([]int, error) {
-	if v == t.Root {
-		return nil, fmt.Errorf("alm: cannot remove the root")
-	}
-	p, ok := t.parent[v]
-	if !ok {
-		return nil, fmt.Errorf("alm: node %d not in tree", v)
-	}
-	t.children[p] = removeOne(t.children[p], v)
-	delete(t.parent, v)
-	orphans := append([]int(nil), t.children[v]...)
-	delete(t.children, v)
-	for _, c := range orphans {
-		delete(t.parent, c)
-	}
-	return orphans, nil
-}
-
 // RepairResult reports what a Repair did.
 type RepairResult struct {
 	// Removed is the number of dead nodes actually deleted.

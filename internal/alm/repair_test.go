@@ -14,49 +14,6 @@ func reachable(t *Tree) []int {
 	return out
 }
 
-func TestRemoveNode(t *testing.T) {
-	tr := NewTree(0)
-	// 0 -> 1 -> {2, 3}; 0 -> 4
-	for _, e := range [][2]int{{1, 0}, {2, 1}, {3, 1}, {4, 0}} {
-		if err := tr.Attach(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	orphans, err := tr.RemoveNode(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Ints(orphans)
-	if len(orphans) != 2 || orphans[0] != 2 || orphans[1] != 3 {
-		t.Fatalf("orphans = %v, want [2 3]", orphans)
-	}
-	if tr.Contains(1) {
-		t.Error("removed node still in tree")
-	}
-	got := reachable(tr)
-	if len(got) != 2 || got[0] != 0 || got[1] != 4 {
-		t.Errorf("reachable = %v, want [0 4]", got)
-	}
-	// Removing a leaf yields no orphans.
-	orphans, err = tr.RemoveNode(4)
-	if err != nil || len(orphans) != 0 {
-		t.Errorf("leaf removal = %v, %v", orphans, err)
-	}
-}
-
-func TestRemoveNodeErrors(t *testing.T) {
-	tr := NewTree(0)
-	if err := tr.Attach(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.RemoveNode(0); err == nil {
-		t.Error("removing the root should fail")
-	}
-	if _, err := tr.RemoveNode(99); err == nil {
-		t.Error("removing an absent node should fail")
-	}
-}
-
 func TestRepairSingleCrash(t *testing.T) {
 	p := Problem{
 		Root:    0,

@@ -179,18 +179,6 @@ func (t *Tree) MaxHeight(lat LatencyFunc) float64 {
 	return max
 }
 
-// HighestNode returns the node with the largest height under lat (the
-// root for a singleton tree).
-func (t *Tree) HighestNode(lat LatencyFunc) int {
-	best, bestH := t.Root, -1.0
-	for v, h := range t.Heights(lat) {
-		if h > bestH || (h == bestH && v < best) {
-			best, bestH = v, h
-		}
-	}
-	return best
-}
-
 // Clone deep-copies the tree.
 func (t *Tree) Clone() *Tree {
 	c := NewTree(t.Root)

@@ -110,8 +110,7 @@ func (v *view) place(t *Tree, lat LatencyFunc, n, p int) int {
 }
 
 // highest returns the position of the highest node — the lowest id
-// among equals, as Tree.HighestNode — and its height, the tree's
-// maximum.
+// among equals — and its height, the tree's maximum.
 func (v *view) highest() (int, float64) {
 	at, best := v.at, 0
 	for i := range at {

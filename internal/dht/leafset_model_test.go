@@ -28,9 +28,6 @@ type leafsetModel struct {
 	suspectCursor int
 	sorted        []Entry
 
-	lastZone ids.Zone
-	zones    []ids.Zone // old, new, old, new, ... in firing order
-
 	// The finger prober's bookkeeping before PR 25, verbatim: every
 	// contact in one map, pruned on each failure sweep, read when a
 	// probe expires.
@@ -51,7 +48,6 @@ func newLeafsetModel(self Entry, cfg Config) *leafsetModel {
 		neighbors:   make(map[ids.ID]*neighbor),
 		tombstones:  make(map[ids.ID]eventsim.Time),
 		suspects:    make(map[ids.ID]suspect),
-		lastZone:    ids.Zone{Start: self.ID, End: self.ID},
 		lastContact: make(map[ids.ID]eventsim.Time),
 		fingerProbe: make(map[ids.ID]eventsim.Time),
 	}
@@ -198,7 +194,7 @@ func (m *leafsetModel) probeOneFinger(now eventsim.Time) Entry {
 }
 
 // rebuild recomputes the sorted leafset view, pruning neighbors that no
-// longer qualify for either side, and records a zone change.
+// longer qualify for either side.
 func (m *leafsetModel) rebuild() {
 	all := make([]Entry, 0, len(m.neighbors))
 	for _, nb := range m.neighbors {
@@ -223,14 +219,6 @@ func (m *leafsetModel) rebuild() {
 		if keep[e.ID] {
 			m.sorted = append(m.sorted, e)
 		}
-	}
-	z := ids.Zone{Start: m.self.ID, End: m.self.ID}
-	if len(m.sorted) > 0 {
-		z.Start = m.sorted[len(m.sorted)-1].ID
-	}
-	if z != m.lastZone {
-		m.zones = append(m.zones, m.lastZone, z)
-		m.lastZone = z
 	}
 }
 
@@ -312,8 +300,7 @@ func runLeafsetScript(t *testing.T, radius int, data []byte) {
 // leafsetScriptDiff drives a Node and the model (with the given
 // mutation, "" for none) through the same script and describes the
 // first step after which they differ in the leafset, any entry's
-// lastHeard, the suspect or tombstone set, the zone-change callbacks
-// fired, the suspect chosen for re-probing, the finger table, the
+// lastHeard, the suspect or tombstone set, the suspect chosen for re-probing, the finger table, the
 // pending finger probes or the finger probed; "" if they never do.
 func leafsetScriptDiff(radius int, data []byte, mutation string) string {
 	cfg := Config{LeafsetRadius: radius, Fingers: fuzzFingers}
@@ -322,8 +309,6 @@ func leafsetScriptDiff(radius int, data []byte, mutation string) string {
 	n := NewNode(net, self.ID, self.Addr, cfg)
 	m := newLeafsetModel(self, cfg)
 	m.mutation = mutation
-	var zones []ids.Zone
-	n.OnZoneChange(func(old, new ids.Zone) { zones = append(zones, old, new) })
 
 	s := &leafsetScript{data: data}
 	for step := 0; len(s.data) > 0; step++ {
@@ -416,9 +401,6 @@ func leafsetScriptDiff(radius int, data []byte, mutation string) string {
 		}
 		if !maps.Equal(n.tombstones, m.tombstones) {
 			return fmt.Sprintf("step %d (%s): tombstones\n got  %v\n want %v", step, op, n.tombstones, m.tombstones)
-		}
-		if !slices.Equal(zones, m.zones) {
-			return fmt.Sprintf("step %d (%s): zone changes\n got  %v\n want %v", step, op, zones, m.zones)
 		}
 		if !slices.Equal(n.fingers, m.fingers) {
 			return fmt.Sprintf("step %d (%s): fingers\n got  %v\n want %v", step, op, n.fingers, m.fingers)

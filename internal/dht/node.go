@@ -78,9 +78,6 @@ type Node struct {
 	gossips       []Gossip
 	routeHandlers []RouteHandler
 	appHandlers   []AppHandler
-	onZoneChange  []func(old, new ids.Zone)
-
-	lastZone ids.Zone
 
 	// joinSeed remembers the entry this node joined through, and
 	// lastJoinSent when the last join request went out. A join request
@@ -117,7 +114,6 @@ func NewNode(net transport.Network, id ids.ID, addr transport.Addr, cfg Config) 
 	for i := range n.fingers {
 		n.fingers[i] = NoEntry
 	}
-	n.lastZone = n.zone()
 	net.Attach(addr, n.onMessage)
 	return n
 }
@@ -154,7 +150,6 @@ func (n *Node) Bootstrap() {
 	n.active = true
 	n.reattach()
 	n.startTimers()
-	n.zoneMaybeChanged()
 }
 
 // Join admits this node to the ring via any existing member. The seed
@@ -234,16 +229,8 @@ func (n *Node) OnApp(h AppHandler) { n.appHandlers = append(n.appHandlers, h) }
 // subsystems layered on the node).
 func (n *Node) Network() transport.Network { return n.net }
 
-// OnZoneChange registers a callback fired whenever the node's
-// responsible zone changes (new predecessor).
-func (n *Node) OnZoneChange(f func(old, new ids.Zone)) {
-	n.onZoneChange = append(n.onZoneChange, f)
-}
-
 // Zone returns the node's current responsible zone (pred, self].
-func (n *Node) Zone() ids.Zone { return n.zone() }
-
-func (n *Node) zone() ids.Zone {
+func (n *Node) Zone() ids.Zone {
 	pred := n.Predecessor()
 	if pred.IsZero() {
 		return ids.Zone{Start: n.self.ID, End: n.self.ID} // whole ring
@@ -358,21 +345,21 @@ func (n *Node) find(id ids.ID) (int, bool) {
 	return lo, lo < len(n.table) && n.table[lo].entry.ID == id
 }
 
-// admit offers a non-member e, heard at now, for slot i (from find) and
-// reports whether the table changed. On a full table e is kept only if
-// it is among the LeafsetRadius closest on one side of the table plus
-// itself; it then displaces exactly one entry, the middle of those
-// 2r+1, which is on neither side's closest r. A candidate that would
-// itself be the middle leaves the table untouched.
-func (n *Node) admit(i int, e Entry, now eventsim.Time) bool {
+// admit offers a non-member e, heard at now, for slot i (from find).
+// On a full table e is kept only if it is among the LeafsetRadius
+// closest on one side of the table plus itself; it then displaces
+// exactly one entry, the middle of those 2r+1, which is on neither
+// side's closest r. A candidate that would itself be the middle leaves
+// the table untouched.
+func (n *Node) admit(i int, e Entry, now eventsim.Time) {
 	r := n.cfg.LeafsetRadius
 	if len(n.table) < 2*r {
 		n.table = slices.Insert(n.table, i, neighbor{entry: e, lastHeard: now})
-		return true
+		return
 	}
 	switch {
 	case i == r:
-		return false
+		return
 	case i < r: // evict table[r-1]: shift [i, r-1) up
 		copy(n.table[i+1:r], n.table[i:r-1])
 	default: // evict table[r]: shift (r, i) down
@@ -380,7 +367,6 @@ func (n *Node) admit(i int, e Entry, now eventsim.Time) bool {
 		i--
 	}
 	n.table[i] = neighbor{entry: e, lastHeard: now}
-	return true
 }
 
 // touch records liveness for a peer and offers it to the leafset.
@@ -398,9 +384,7 @@ func (n *Node) touch(e Entry) {
 		n.table[i].lastHeard = now
 		return
 	}
-	if n.admit(i, e, now) {
-		n.zoneMaybeChanged()
-	}
+	n.admit(i, e, now)
 }
 
 // merge offers gossiped entries (grace-period liveness) to the leafset.
@@ -409,7 +393,6 @@ func (n *Node) touch(e Entry) {
 // leaves no trace beyond clearing its expired tombstone and its suspect
 // record.
 func (n *Node) merge(entries ...Entry) {
-	changed := false
 	now := n.net.Now()
 	for _, e := range entries {
 		if e.IsZero() || e.Addr == n.self.Addr {
@@ -426,12 +409,7 @@ func (n *Node) merge(entries ...Entry) {
 			continue
 		}
 		delete(n.suspects, e.ID)
-		if n.admit(i, e, now) {
-			changed = true
-		}
-	}
-	if changed {
-		n.zoneMaybeChanged()
+		n.admit(i, e, now)
 	}
 }
 
@@ -444,7 +422,6 @@ func (n *Node) bury(id ids.ID) {
 	n.purgeFinger(id)
 	if i, ok := n.find(id); ok {
 		n.table = slices.Delete(n.table, i, i+1)
-		n.zoneMaybeChanged()
 	}
 }
 
@@ -455,20 +432,6 @@ func (n *Node) purgeFinger(id ids.ID) {
 		if !f.IsZero() && f.ID == id {
 			n.fingers[i] = NoEntry
 		}
-	}
-}
-
-// zoneMaybeChanged fires the zone-change callbacks if the predecessor
-// moved; every change to the table is followed by one call.
-func (n *Node) zoneMaybeChanged() {
-	z := n.zone()
-	if z == n.lastZone {
-		return
-	}
-	old := n.lastZone
-	n.lastZone = z
-	for _, f := range n.onZoneChange {
-		f(old, z)
 	}
 }
 
@@ -727,7 +690,6 @@ func (n *Node) checkFailures() {
 		return
 	}
 	n.table = live
-	n.zoneMaybeChanged()
 	// Repair: pull fresh leafsets from the nearest survivors on both sides.
 	if s := n.Successor(); !s.IsZero() {
 		n.send(s, 64, leafsetRequest{From: n.self})

@@ -51,7 +51,7 @@ func (n *Node) routeMsg(m routed) {
 
 // owns reports whether this node is currently responsible for key.
 func (n *Node) owns(key ids.ID) bool {
-	return n.zone().Contains(key)
+	return n.Zone().Contains(key)
 }
 
 // deliver hands a routed message to the local handler.

@@ -47,7 +47,6 @@ type Timer struct {
 	// were scheduled with, so a stale event is skipped at pop time.
 	gen     uint64
 	pending bool // an event with the current gen is queued
-	fired   bool // the most recent scheduling has run
 }
 
 // Stop cancels the timer if it has not fired yet. It reports whether
@@ -72,13 +71,9 @@ func (t *Timer) Reset(d Time) bool {
 	was := t.pending
 	t.gen++
 	t.pending = true
-	t.fired = false
 	t.engine.push(t, t.engine.now+d)
 	return was
 }
-
-// Fired reports whether the timer's most recent scheduling has run.
-func (t *Timer) Fired() bool { return t.fired }
 
 // Runner is a pre-allocated (typically pooled) event callback. CallAt
 // and CallAfter schedule a Runner without allocating a Timer or a
@@ -237,7 +232,6 @@ func (e *Engine) fire(ev event) {
 	e.now = ev.at
 	e.processed++
 	if ev.timer != nil {
-		ev.timer.fired = true
 		ev.timer.pending = false
 		ev.timer.fn()
 		return

@@ -67,18 +67,12 @@ func TestTimerStop(t *testing.T) {
 	if fired {
 		t.Error("stopped timer fired")
 	}
-	if tm.Fired() {
-		t.Error("stopped timer should not report fired")
-	}
 }
 
 func TestStopAfterFire(t *testing.T) {
 	e := New(1)
 	tm := e.Schedule(1, func() {})
 	e.Run(0)
-	if !tm.Fired() {
-		t.Error("timer should have fired")
-	}
 	if tm.Stop() {
 		t.Error("Stop after firing should report false")
 	}
@@ -121,14 +115,11 @@ func TestTimerResetAfterFire(t *testing.T) {
 	fired := 0
 	tm := e.Schedule(10, func() { fired++ })
 	e.Run(0)
-	if fired != 1 || !tm.Fired() {
+	if fired != 1 {
 		t.Fatal("timer should have fired once")
 	}
 	if tm.Reset(7) {
 		t.Error("Reset of a fired timer should report false")
-	}
-	if tm.Fired() {
-		t.Error("Fired should be false again after Reset")
 	}
 	e.Run(0)
 	if fired != 2 {

@@ -24,10 +24,42 @@ import (
 // reads it. A study option may be set by a test alone; a library
 // option needs a program — library code, a study, bench/ or a cmd/ —
 // that sets it, and one set only by tests or examples is listed, with
-// its reason, in options-allow.txt at the module root. The list is
+// its reason, in api-allow.txt at the module root. The list is
 // checked both ways, like cover-allow.txt: a listed field that a
 // program now sets, or that is gone, fails too.
 func TestStudyOptionsHaveWriters(t *testing.T) {
+	orphans, testOnly, guessed := writerlessFields(parseModule(t), optionStructs...)
+	for _, g := range guessed {
+		t.Logf("assignment through an unresolved type, counted for every struct with the field: %s", g)
+	}
+	if len(orphans) > 0 {
+		t.Errorf("%d option field(s) no flag, study, library caller, test or benchmark sets — make each a constant beside its reader:\n  %s",
+			len(orphans), strings.Join(orphans, "\n  "))
+	}
+	for _, msg := range checkAllowList(apiAllowList(t), testOnly, false) {
+		t.Error(msg)
+	}
+}
+
+// TestLibraryFunctionsHaveCallers holds functions to the rule options
+// keep (DESIGN.md §10 "Library parameters"): an exported function or
+// method declared in a non-test file under internal/ stays only while a
+// program — library code, a study, bench/, a cmd/, an example or
+// p2ppool.go — names it. One only tests name is deleted with its tests,
+// or, when tests use it to check other code, listed with that reason in
+// api-allow.txt as pkg.Name() or pkg.Type.Name(). The list is checked
+// both ways: a listed function that a program now names, or that is
+// gone, fails too.
+func TestLibraryFunctionsHaveCallers(t *testing.T) {
+	for _, msg := range checkAllowList(apiAllowList(t), programlessFuncs(parseModule(t)), true) {
+		t.Error(msg)
+	}
+}
+
+// parseModule parses every .go file of the module, keyed by its
+// slash-separated path relative to the module root.
+func parseModule(t *testing.T) map[string]*ast.File {
+	t.Helper()
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{}
@@ -49,55 +81,66 @@ func TestStudyOptionsHaveWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return files
+}
 
-	orphans, testOnly, guessed := writerlessFields(files, optionStructs...)
-	for _, g := range guessed {
-		t.Logf("assignment through an unresolved type, counted for every struct with the field: %s", g)
-	}
-	if len(orphans) > 0 {
-		t.Errorf("%d option field(s) no flag, study, library caller, test or benchmark sets — make each a constant beside its reader:\n  %s",
-			len(orphans), strings.Join(orphans, "\n  "))
-	}
-
-	text, err := os.ReadFile(filepath.Join(root, "options-allow.txt"))
+// apiAllowList reads api-allow.txt at the module root: each listed
+// option field or function, mapped to whether the line gives a reason.
+func apiAllowList(t *testing.T) map[string]bool {
+	t.Helper()
+	text, err := os.ReadFile(filepath.Join("..", "..", "api-allow.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	allowed := map[string]bool{}
 	for _, line := range strings.Split(string(text), "\n") {
-		field, reason, _ := strings.Cut(strings.TrimSpace(line), " ")
-		if field == "" || strings.HasPrefix(field, "#") {
+		name, reason, _ := strings.Cut(strings.TrimSpace(line), " ")
+		if name != "" && !strings.HasPrefix(name, "#") {
+			allowed[name] = strings.TrimSpace(reason) != ""
+		}
+	}
+	return allowed
+}
+
+// checkAllowList compares the functions (names ending in "()") or the
+// option fields of an allow list with what only tests use, and returns
+// a message for each unlisted name, each listed name that a program now
+// uses or that is gone, and each line without a reason.
+func checkAllowList(allowed map[string]bool, testOnly []string, funcs bool) []string {
+	what, fix := "option", "give it a program that sets it, make it a constant"
+	if funcs {
+		what, fix = "function", "give it a program that calls it, delete it with its tests"
+	}
+	var msgs []string
+	for _, name := range testOnly {
+		if _, ok := allowed[name]; !ok {
+			msgs = append(msgs, fmt.Sprintf("no program uses library %s %s: %s, or list it in api-allow.txt with the reason", what, name, fix))
+		}
+	}
+	for name, reasoned := range allowed {
+		if strings.HasSuffix(name, "()") != funcs {
 			continue
 		}
-		if strings.TrimSpace(reason) == "" {
-			t.Errorf("options-allow.txt: %s has no reason", field)
+		if !reasoned {
+			msgs = append(msgs, fmt.Sprintf("api-allow.txt: %s has no reason", name))
 		}
-		allowed[field] = true
-	}
-	for _, f := range testOnly {
-		if !allowed[f] {
-			t.Errorf("library option %s is set only by tests or examples: give it a program that sets it, make it a constant, or list it in options-allow.txt with the reason", f)
+		if !slices.Contains(testOnly, name) {
+			msgs = append(msgs, fmt.Sprintf("api-allow.txt lists %s, which a program now uses or which is gone: remove the line", name))
 		}
-		delete(allowed, f)
 	}
-	for f := range allowed {
-		t.Errorf("options-allow.txt lists %s, which a program now sets or which is gone: remove the line", f)
-	}
+	slices.Sort(msgs)
+	return msgs
 }
 
 // optionStructs are the option structs under internal/ not named
 // *Config or *Options: alm.HelperSet is the planner's.
 var optionStructs = []string{"alm.HelperSet"}
 
-// TestWriterScanner runs the scanner over a module small enough to
-// read, one case per way a field gets (or fails to get) a writer, and
-// per kind of file a writer may sit in: the library fields only
-// lib_test.go and the example set are test-only, the study option only
-// a test sets is not. A struct the call names (lib.Knobs) is on trial
-// like a Config; one it does not name (lib.Unnamed) is not.
-func TestWriterScanner(t *testing.T) {
-	src := map[string]string{
-		"internal/lib/lib.go": `package lib
+// toyModule is a module small enough to read, for the scanners' own
+// tests: one case per way a field gets (or fails to get) a writer, or a
+// function a caller, and per kind of file either may sit in.
+var toyModule = map[string]string{
+	"internal/lib/lib.go": `package lib
 type Config struct {
 	Lit, Assigned, Promoted, ViaAlias, ViaCall, ViaField, InSlice, InTable, ByExample int
 	Sub SubConfig
@@ -117,8 +160,12 @@ func touch(o *other) { o.NeverSet = 1 }
 type unexportedStaysOut struct{ X int }
 type Knobs struct{ Turned, Idle int }
 type Unnamed struct{ Idle int }
+func Tooled() {}
+func (c Config) String() string { return "" }
+func (k *Knobs) Turn() {}
+func (k *Knobs) Twist() {}
 `,
-		"internal/lib/lib_test.go": `package lib
+	"internal/lib/lib_test.go": `package lib
 type TestOnlyConfig struct{ X int }
 func f(h *Holder) {
 	c := Default()
@@ -127,13 +174,14 @@ func f(h *Holder) {
 	for _, e := range []Config{{InSlice: 1}} { _ = e }
 	for _, tc := range []struct{ cfg Config }{{}} { tc.cfg.InTable = 1 }
 	c.Sub.Deep = 1
+	new(Knobs).Twist()
 }
 `,
-		"mod.go": `package mod
+	"mod.go": `package mod
 import "mod/internal/lib"
 type Options = lib.Config
 `,
-		"cmd/tool/main.go": `package main
+	"cmd/tool/main.go": `package main
 import (
 	"mod"
 	l "mod/internal/lib"
@@ -146,29 +194,44 @@ func main() {
 	live.Own = 4
 	_ = mod.Options{ViaAlias: 5}
 	_ = l.Knobs{Turned: 6}
+	l.Tooled()
+	var k l.Knobs
+	k.Turn()
 }
 `,
-		"examples/demo/main.go": `package main
+	"examples/demo/main.go": `package main
 import "mod/internal/lib"
 func main() { _ = lib.Config{ByExample: 1} }
 `,
-		"internal/experiments/study.go": `package experiments
+	"internal/experiments/study.go": `package experiments
 type StudyOptions struct{ Cells int }
 `,
-		"internal/experiments/study_test.go": `package experiments
+	"internal/experiments/study_test.go": `package experiments
 var small = StudyOptions{Cells: 2}
 `,
-	}
+}
+
+// parseToyModule parses toyModule.
+func parseToyModule(t *testing.T) map[string]*ast.File {
+	t.Helper()
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{}
-	for path, text := range src {
+	for path, text := range toyModule {
 		f, err := parser.ParseFile(fset, path, text, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
 		files[path] = f
 	}
-	orphans, testOnly, guessed := writerlessFields(files, "lib.Knobs")
+	return files
+}
+
+// TestWriterScanner runs the option scanner over toyModule: the library
+// fields only lib_test.go and the example set are test-only, the study
+// option only a test sets is not. A struct the call names (lib.Knobs)
+// is on trial like a Config; one it does not name (lib.Unnamed) is not.
+func TestWriterScanner(t *testing.T) {
+	orphans, testOnly, guessed := writerlessFields(parseToyModule(t), "lib.Knobs")
 	want := []string{"lib.Config.DefaultedOnly", "lib.Config.InDefaultTable", "lib.Config.NeverSet", "lib.Knobs.Idle", "lib.SubConfig.NeverSet"}
 	if !slices.Equal(orphans, want) || len(guessed) != 0 {
 		t.Errorf("writer-less fields %v (guessed %v), want %v and no guess", orphans, guessed, want)
@@ -177,6 +240,25 @@ var small = StudyOptions{Cells: 2}
 		"lib.Config.ViaCall", "lib.Config.ViaField", "lib.SubConfig.Deep"}
 	if !slices.Equal(testOnly, wantTestOnly) {
 		t.Errorf("test-only fields %v, want %v", testOnly, wantTestOnly)
+	}
+}
+
+// TestCallerScanner runs the function scanner and the allow-list check
+// over toyModule: lib.Default, which only lib_test.go calls, and the
+// method lib.Knobs.Twist are flagged, like lib.DefaultConfig, which
+// nothing calls; lib.Tooled and lib.Knobs.Turn, called from a cmd/, are
+// not, nor is the String method nobody names. An allow list naming
+// lib.Tooled fails the check, and so does one leaving out lib.Knobs.Twist.
+func TestCallerScanner(t *testing.T) {
+	got := programlessFuncs(parseToyModule(t))
+	want := []string{"lib.Default()", "lib.DefaultConfig()", "lib.Knobs.Twist()"}
+	if !slices.Equal(got, want) {
+		t.Errorf("program-less functions %v, want %v", got, want)
+	}
+	allowed := map[string]bool{"lib.Default()": true, "lib.DefaultConfig()": true, "lib.Tooled()": true, "lib.Config.ByExample": true}
+	msgs := checkAllowList(allowed, got, true)
+	if len(msgs) != 2 || !strings.Contains(msgs[0], "lists lib.Tooled()") || !strings.Contains(msgs[1], "lib.Knobs.Twist()") {
+		t.Errorf("allow-list check says %q, want one line for the listed lib.Tooled() and one for the unlisted lib.Knobs.Twist()", msgs)
 	}
 }
 
@@ -210,18 +292,9 @@ func writerlessFields(files map[string]*ast.File, named ...string) (orphans, tes
 	}
 	var sources []source
 	for path, f := range files {
-		src := source{path: path, pkg: f.Name.Name, f: f, imports: map[string]string{}}
+		src := source{path: path, pkg: f.Name.Name, f: f, imports: fileImports(f)}
 		if src.pkg == "main" {
 			src.pkg = filepath.ToSlash(filepath.Dir(path))
-		}
-		for _, spec := range f.Imports {
-			imported := strings.Trim(spec.Path.Value, `"`)
-			name := imported[strings.LastIndex(imported, "/")+1:]
-			if spec.Name != nil {
-				src.imports[spec.Name.Name] = name
-			} else {
-				src.imports[name] = name
-			}
 		}
 		sources = append(sources, src)
 	}
@@ -569,4 +642,107 @@ func writerlessFields(files map[string]*ast.File, named ...string) (orphans, tes
 	slices.Sort(testOnly)
 	slices.Sort(guessed)
 	return orphans, testOnly, guessed
+}
+
+// fileImports maps each local name f imports a package under to the
+// package's name, the last element of its import path.
+func fileImports(f *ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, spec := range f.Imports {
+		imported := strings.Trim(spec.Path.Value, `"`)
+		name := imported[strings.LastIndex(imported, "/")+1:]
+		if spec.Name != nil {
+			imports[spec.Name.Name] = name
+		} else {
+			imports[name] = name
+		}
+	}
+	return imports
+}
+
+// exemptMethods are the methods the standard library calls through an
+// interface — fmt's Stringer, the error interface, encoding/json's
+// Marshaler — so a program calls them without naming them.
+var exemptMethods = []string{"String", "Error", "MarshalJSON"}
+
+// programlessFuncs returns, sorted, every exported function or method
+// declared in a non-test file under internal/, as pkg.Name() or
+// pkg.Type.Name(), that no non-test file of the module names, outside
+// the exemptMethods. files maps a slash-separated path relative to the
+// module root to its syntax.
+//
+// Names are matched by syntax alone, a package being known by its name
+// (the last element of its import path): pkg.Name or, inside pkg, a
+// bare Name names a function; any selector .Name names every method so
+// called. So a dead method that shares its name with a live one, or
+// with a field, goes unseen, but a live one is never reported.
+func programlessFuncs(files map[string]*ast.File) []string {
+	declared := map[string]string{} // each key to its method's name, "" for a function
+	named := map[string]bool{}      // pkg.Name() of functions
+	methods := map[string]bool{}    // Name of methods
+	for path, f := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		pkg, imports := f.Name.Name, fileImports(f)
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				methods[n.Sel.Name] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					named[imports[x.Name]+"."+n.Sel.Name+"()"] = true
+				}
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Ident:
+				named[pkg+"."+n.Name+"()"] = true
+			}
+			return true
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				ast.Inspect(d, visit)
+				continue
+			}
+			// The declaration's own name does not name it.
+			if fd.Recv != nil {
+				ast.Inspect(fd.Recv, visit)
+			}
+			ast.Inspect(fd.Type, visit)
+			if fd.Body != nil {
+				ast.Inspect(fd.Body, visit)
+			}
+			if !strings.HasPrefix(path, "internal/") || !fd.Name.IsExported() {
+				continue
+			}
+			if fd.Recv == nil {
+				declared[pkg+"."+fd.Name.Name+"()"] = ""
+				continue
+			}
+			if slices.Contains(exemptMethods, fd.Name.Name) {
+				continue
+			}
+			recv := fd.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			switch r := recv.(type) {
+			case *ast.IndexExpr:
+				recv = r.X
+			case *ast.IndexListExpr:
+				recv = r.X
+			}
+			declared[pkg+"."+recv.(*ast.Ident).Name+"."+fd.Name.Name+"()"] = fd.Name.Name
+		}
+	}
+	var out []string
+	for key, method := range declared {
+		if method == "" && !named[key] || method != "" && !methods[method] {
+			out = append(out, key)
+		}
+	}
+	slices.Sort(out)
+	return out
 }

@@ -42,17 +42,6 @@ func Dist(a, b ID) uint64 {
 	return uint64(b - a)
 }
 
-// AbsDist returns the minimal ring distance between a and b in either
-// direction. It is symmetric: AbsDist(a, b) == AbsDist(b, a).
-func AbsDist(a, b ID) uint64 {
-	cw := Dist(a, b)
-	ccw := Dist(b, a)
-	if cw < ccw {
-		return cw
-	}
-	return ccw
-}
-
 // Between reports whether x lies in the half-open clockwise arc (a, b].
 // This is the membership test for consistent-hashing zones: a key k is
 // owned by node n iff Between(pred(n), n, k). When a == b the arc spans
@@ -62,20 +51,6 @@ func Between(a, b, x ID) bool {
 		return true
 	}
 	return Dist(a, x) <= Dist(a, b) && x != a
-}
-
-// BetweenOpen reports whether x lies in the open clockwise arc (a, b).
-func BetweenOpen(a, b, x ID) bool {
-	return Between(a, b, x) && x != b
-}
-
-// Midpoint returns the point halfway along the clockwise arc from a to b.
-// For a == b (whole ring) it returns the antipode of a.
-func Midpoint(a, b ID) ID {
-	if a == b {
-		return a + 1<<63
-	}
-	return a + ID(Dist(a, b)/2)
 }
 
 // Add offsets an ID clockwise by d, wrapping around the ring.
@@ -117,16 +92,6 @@ type Zone struct {
 // Contains reports whether key k falls inside the zone.
 func (z Zone) Contains(k ID) bool {
 	return Between(z.Start, z.End, k)
-}
-
-// Width returns the number of IDs covered by the zone. A zone whose
-// Start equals its End covers the entire ring, which cannot be
-// represented in a uint64; it is reported as 2^64-1 (the maximum).
-func (z Zone) Width() uint64 {
-	if z.Start == z.End {
-		return ^uint64(0)
-	}
-	return Dist(z.Start, z.End)
 }
 
 // String renders the zone as an interval.

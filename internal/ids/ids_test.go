@@ -25,25 +25,6 @@ func TestDistBasics(t *testing.T) {
 	}
 }
 
-func TestAbsDistSymmetric(t *testing.T) {
-	f := func(a, b uint64) bool {
-		x, y := ID(a), ID(b)
-		return AbsDist(x, y) == AbsDist(y, x)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAbsDistBounded(t *testing.T) {
-	f := func(a, b uint64) bool {
-		return AbsDist(ID(a), ID(b)) <= 1<<63
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBetween(t *testing.T) {
 	cases := []struct {
 		a, b, x ID
@@ -78,45 +59,6 @@ func TestBetweenPartition(t *testing.T) {
 		in1 := Between(ia, ib, ix)
 		in2 := Between(ib, ia, ix)
 		return in1 != in2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBetweenOpen(t *testing.T) {
-	if BetweenOpen(10, 20, 20) {
-		t.Error("BetweenOpen should exclude the end point")
-	}
-	if !BetweenOpen(10, 20, 15) {
-		t.Error("BetweenOpen(10,20,15) should hold")
-	}
-}
-
-func TestMidpoint(t *testing.T) {
-	if got := Midpoint(0, 10); got != 5 {
-		t.Errorf("Midpoint(0,10) = %v, want 5", got)
-	}
-	// Wrapping arc from near-top to near-bottom.
-	a, b := ID(^uint64(0)-9), ID(10) // arc length 20
-	if got := Midpoint(a, b); got != 0 {
-		t.Errorf("Midpoint wrap = %v, want 0", got)
-	}
-	// Whole ring: antipode.
-	if got := Midpoint(0, 0); got != 1<<63 {
-		t.Errorf("Midpoint(0,0) = %v, want 2^63", got)
-	}
-}
-
-// Midpoint always lands inside the (closed) arc it bisects.
-func TestMidpointInsideArc(t *testing.T) {
-	f := func(a, b uint64) bool {
-		ia, ib := ID(a), ID(b)
-		m := Midpoint(ia, ib)
-		if ia == ib {
-			return true
-		}
-		return m == ia || Between(ia, ib, m)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -170,15 +112,6 @@ func TestZoneContains(t *testing.T) {
 	}
 	if z.Contains(100) || z.Contains(250) {
 		t.Error("zone should exclude start and exterior")
-	}
-}
-
-func TestZoneWidth(t *testing.T) {
-	if w := (Zone{Start: 100, End: 200}).Width(); w != 100 {
-		t.Errorf("width = %d, want 100", w)
-	}
-	if w := (Zone{Start: 7, End: 7}).Width(); w != ^uint64(0) {
-		t.Errorf("whole-ring width = %d, want max", w)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"p2ppool/internal/alm"
 	"p2ppool/internal/eventsim"
 	"p2ppool/internal/obs"
 )
@@ -784,6 +785,56 @@ func TestServiceDampingDefersPreemption(t *testing.T) {
 	}
 	if err := sv.sc.reg.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceFarVetoDefers pins where a failed plan is booked as a
+// damping deferral: on a veto anywhere the plan asked the guard, even on
+// a host no tree of the session could use. P1 session S (root 0,
+// members 1 and 2, each host of bound 1) cannot grow: the root feeds one
+// member and the other finds no feasible parent. The only host of bound
+// HelperMinDegree, 200, lies 200 ms away, twice helperRadius. With the
+// token bucket empty and a class-3 slot held on host 200, the planner's
+// helper filter reads host 200's degree, the guard vetoes the
+// preemption that degree counts on, and S's failure is deferred without
+// spending an attempt. With host 200 idle the same failure spends one.
+func TestServiceFarVetoDefers(t *testing.T) {
+	bounds := make([]int, 201)
+	bounds[0], bounds[1], bounds[2], bounds[200] = 1, 1, 1, alm.DefaultMinDegree
+	roster := func() *Session { return &Session{ID: 1, Priority: 1, Root: 0, Members: []int{1, 2}} }
+
+	sc := NewScheduler(bounds, lineLat, Config{})
+	if err := sc.AddSession(roster()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Stabilize(); err == nil || !strings.Contains(err.Error(), "no feasible parent") {
+		t.Fatalf("Stabilize error = %v, want no feasible parent", err)
+	}
+
+	for _, held := range []bool{true, false} {
+		sv := NewService(bounds, lineLat, ServiceConfig{})
+		if held {
+			if _, err := sv.sc.reg.Reserve(200, 1, 3, 9, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := roster()
+		if _, err := sv.Submit(0, s); err != nil {
+			t.Fatal(err)
+		}
+		sv.tokens, sv.lastRefill = 0, eventsim.Millisecond
+		if err := sv.Tick(eventsim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		st := sv.Stats()
+		deferred, attempts := 0, 1
+		if held {
+			deferred, attempts = 1, 0
+		}
+		if st.PlanFailures != 1 || st.PreemptDeferred != deferred || s.ctl.attempts != attempts {
+			t.Fatalf("slot held on host 200 %v: PlanFailures %d, PreemptDeferred %d, attempts %d; want 1, %d, %d",
+				held, st.PlanFailures, st.PreemptDeferred, s.ctl.attempts, deferred, attempts)
+		}
 	}
 }
 

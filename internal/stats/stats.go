@@ -22,20 +22,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) of xs using
 // linear interpolation between closest ranks. It does not modify xs.
 func Percentile(xs []float64, p float64) float64 {
@@ -63,19 +49,6 @@ func Percentile(xs []float64, p float64) float64 {
 // Median is the 50th percentile.
 func Median(xs []float64) float64 {
 	return Percentile(xs, 50)
-}
-
-// RelativeError returns |estimated-actual| / actual. An actual of zero
-// yields 0 when the estimate is also zero and +Inf otherwise, matching
-// the convention that a zero quantity estimated as zero is exact.
-func RelativeError(estimated, actual float64) float64 {
-	if actual == 0 {
-		if estimated == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(estimated-actual) / math.Abs(actual)
 }
 
 // CDF is an empirical cumulative distribution function over a sample.
@@ -123,24 +96,6 @@ func (c *CDF) Quantile(q float64) float64 {
 
 // Len returns the sample size.
 func (c *CDF) Len() int { return len(c.sorted) }
-
-// Points returns up to n evenly spaced (x, P(x)) points suitable for
-// plotting the CDF curve, spanning the sample range.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	if n == 1 || lo == hi {
-		return [][2]float64{{hi, 1}}
-	}
-	pts := make([][2]float64, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		pts[i] = [2]float64{x, c.P(x)}
-	}
-	return pts
-}
 
 // SpearmanRank returns the Spearman rank correlation coefficient between
 // two equal-length samples. The paper's Section 4.2 claims 100% correct

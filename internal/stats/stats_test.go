@@ -18,16 +18,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
-		t.Error("stddev of singleton should be 0")
-	}
-	got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !approx(got, 2, 1e-12) {
-		t.Errorf("stddev = %v, want 2", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	if got := Percentile(xs, 0); got != 15 {
@@ -69,21 +59,6 @@ func TestPercentileMonotone(t *testing.T) {
 			t.Fatalf("percentile not monotone at p=%v: %v < %v", p, v, prev)
 		}
 		prev = v
-	}
-}
-
-func TestRelativeError(t *testing.T) {
-	if got := RelativeError(110, 100); !approx(got, 0.1, 1e-12) {
-		t.Errorf("rel err = %v", got)
-	}
-	if got := RelativeError(90, 100); !approx(got, 0.1, 1e-12) {
-		t.Errorf("rel err = %v", got)
-	}
-	if RelativeError(0, 0) != 0 {
-		t.Error("0/0 should be 0")
-	}
-	if !math.IsInf(RelativeError(1, 0), 1) {
-		t.Error("x/0 should be +Inf")
 	}
 }
 
@@ -142,27 +117,6 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{0, 1, 2, 3})
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0][0] != 0 || pts[4][0] != 3 {
-		t.Error("points should span the sample range")
-	}
-	if pts[4][1] != 1 {
-		t.Error("last point should have probability 1")
-	}
-	if NewCDF(nil).Points(3) != nil {
-		t.Error("empty CDF points should be nil")
-	}
-	one := NewCDF([]float64{7, 7}).Points(4)
-	if len(one) != 1 || one[0][1] != 1 {
-		t.Errorf("degenerate range points = %v", one)
 	}
 }
 
